@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -45,31 +46,32 @@ def _check_binary(labels) -> np.ndarray:
     return y
 
 
-def aupr(scores, labels) -> float:
-    """Non-interpolated average precision; tied scores form one block."""
+def _tie_block_ends(s: np.ndarray) -> np.ndarray:
+    """Exclusive end index of each run of equal scores in the sorted array `s`."""
+    return np.flatnonzero(np.append(s[1:] != s[:-1], True)) + 1
+
+
+def _pr_sweep(scores, labels) -> tuple:
+    """(true positives, items seen, n_pos) at the end of each tie block along
+    the descending-score sweep."""
     y = _check_binary(labels)
     s = np.asarray(scores, dtype=float)
     if s.shape != y.shape:
         raise DataError("scores and labels must align")
     order = np.argsort(-s, kind="stable")
-    s, y = s[order], y[order]
-    n_pos = y.sum()
-    ap = 0.0
-    tp = 0.0
-    seen = 0
-    i = 0
-    n = len(s)
-    while i < n:
-        j = i
-        while j + 1 < n and s[j + 1] == s[i]:
-            j += 1
-        block_tp = y[i:j + 1].sum()
-        tp += block_tp
-        seen = j + 1
-        if block_tp:
-            ap += (tp / seen) * (block_tp / n_pos)
-        i = j + 1
-    return float(ap)
+    seen = _tie_block_ends(s[order])
+    return np.cumsum(y[order])[seen - 1], seen, y.sum()
+
+
+def aupr(scores, labels) -> float:
+    """Non-interpolated average precision; tied scores form one block.
+
+    Each block's precision tp/seen is at most 1 and its weights sum exactly
+    to n_pos, so the correctly rounded sum cannot exceed 1.
+    """
+    tp, seen, n_pos = _pr_sweep(scores, labels)
+    block_tp = np.diff(tp, prepend=0.0)
+    return float(math.fsum(block_tp * (tp / seen)) / n_pos)
 
 
 def auroc(scores, labels) -> float:
@@ -78,18 +80,13 @@ def auroc(scores, labels) -> float:
     s = np.asarray(scores, dtype=float)
     if s.shape != y.shape:
         raise DataError("scores and labels must align")
-    n = len(s)
     order = np.argsort(s, kind="stable")
-    ranks = np.empty(n)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and s[order[j + 1]] == s[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ends = _tie_block_ends(s[order])
+    starts = np.concatenate([[0], ends[:-1]])
+    ranks = np.empty(len(s))
+    ranks[order] = np.repeat((starts + ends - 1) / 2.0 + 1.0, ends - starts)
     n_pos = y.sum()
-    n_neg = n - n_pos
+    n_neg = len(s) - n_pos
     u = ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 
@@ -97,23 +94,8 @@ def auroc(scores, labels) -> float:
 def pr_curve_points(scores, labels) -> list:
     """(recall, precision) at the end of each tie block along the
     descending-score sweep, for plotting."""
-    y = _check_binary(labels)
-    s = np.asarray(scores, dtype=float)
-    order = np.argsort(-s, kind="stable")
-    s, y = s[order], y[order]
-    n_pos = y.sum()
-    points = []
-    tp = 0.0
-    i = 0
-    n = len(s)
-    while i < n:
-        j = i
-        while j + 1 < n and s[j + 1] == s[i]:
-            j += 1
-        tp += y[i:j + 1].sum()
-        points.append((float(tp / n_pos), float(tp / (j + 1))))
-        i = j + 1
-    return points
+    tp, seen, n_pos = _pr_sweep(scores, labels)
+    return list(zip((tp / n_pos).tolist(), (tp / seen).tolist()))
 
 
 def metrics_from_dicts(predictions: dict, labels: dict, ids) -> dict:

@@ -1,16 +1,20 @@
 """Hinge-loss Markov random field over [0,1]-valued spam scores.
 
 The four rule templates (negative prior, positive prior, member-to-hub and
-hub-to-member propagation) are grounded into weighted hinge potentials
-max(0, l)^p with l linear in the variables. MAP inference minimizes the
-convex weighted sum by projected gradient descent; template weights can be
-learned from labeled validation data.
+hub-to-member propagation) are grounded straight from the groups into arrays:
+one row per weighted hinge potential max(0, l)^p, with l linear in the
+variables, held as a sparse coefficient matrix, a constant and a weight vector
+and a template id per row. `GroundHinge` objects are made only when a caller
+reads `model.potentials`. MAP inference minimizes the convex weighted sum by
+Jacobi-scaled projected gradient descent; template weights can be learned from
+labeled validation data.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -98,29 +102,86 @@ class GroundHinge:
         return max(0.0, self.linear_value(x)) ** self.exponent
 
 
+class _PotentialTable(Sequence):
+    """Hinge potentials as array rows; indexing makes a `GroundHinge` on demand.
+
+    Row i is weight[i] * max(0, const[i] + A[i] @ x)^exponent with template
+    templates[template_id[i]]. Each CSR row keeps its entries in the hinge's
+    coefficient order, which need not be sorted by variable, so a `GroundHinge`
+    read back prints as it was grounded.
+    """
+
+    def __init__(self, A, const, weight, template_id, templates, exponent, tag):
+        self.A = A
+        self.const = const
+        self.weight = weight
+        self.template_id = template_id
+        self.templates = templates
+        self.exponent = exponent
+        self.tag = tag  # row index -> provenance string
+
+    @classmethod
+    def from_hinges(cls, hinges, n_vars: int, exponent: int) -> "_PotentialTable":
+        hinges = list(hinges)
+        lengths = [len(h.coeffs) for h in hinges]
+        indptr = np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)])
+        A = sp.csr_matrix((np.array([c for h in hinges for _, c in h.coeffs], dtype=float),
+                           np.array([j for h in hinges for j, _ in h.coeffs], dtype=np.int64),
+                           indptr), shape=(len(hinges), n_vars))
+        templates = list(dict.fromkeys(h.template for h in hinges))
+        position = {t: k for k, t in enumerate(templates)}
+        return cls(A, np.array([h.const for h in hinges], dtype=float),
+                   np.array([h.weight for h in hinges], dtype=float),
+                   np.array([position[h.template] for h in hinges], dtype=np.int64),
+                   templates, exponent, lambda i: hinges[i].tag)
+
+    def with_weights(self, weight: np.ndarray) -> "_PotentialTable":
+        return _PotentialTable(self.A, self.const, weight, self.template_id, self.templates,
+                               self.exponent, self.tag)
+
+    def __len__(self) -> int:
+        return len(self.const)
+
+    def __getitem__(self, i: int) -> GroundHinge:
+        i = range(len(self))[i]
+        a, b = self.A.indptr[i], self.A.indptr[i + 1]
+        coeffs = tuple(zip(self.A.indices[a:b].tolist(), self.A.data[a:b].tolist()))
+        return GroundHinge(coeffs=coeffs, const=float(self.const[i]), weight=float(self.weight[i]),
+                           exponent=self.exponent, template=self.templates[self.template_id[i]],
+                           tag=self.tag(i))
+
+
 @dataclass
 class GroundHingeModel:
+    """A grounded hinge-loss MRF.
+
+    `potentials` is a sequence of `GroundHinge`: a list when the model is built
+    by hand, or the lazy array table `ground_rules` fills. Either way the
+    objective and gradient run on the arrays.
+    """
+
     var_ids: list
     var_kinds: list  # "message" or "hub", aligned with var_ids
-    potentials: list
+    potentials: Sequence
     init: np.ndarray
     exponent: int
 
     def __post_init__(self):
-        n_pot, n_var = len(self.potentials), len(self.var_ids)
-        rows, cols, data = [], [], []
-        for i, h in enumerate(self.potentials):
-            for j, c in h.coeffs:
-                rows.append(i)
-                cols.append(j)
-                data.append(c)
-        self._A = sp.csr_matrix((data, (rows, cols)), shape=(n_pot, n_var))
-        self._const = np.array([h.const for h in self.potentials])
-        self._w = np.array([h.weight for h in self.potentials])
+        table = self.potentials
+        if not isinstance(table, _PotentialTable):
+            table = _PotentialTable.from_hinges(table, len(self.var_ids), self.exponent)
+        self._table = table
+        self._A, self._const, self._w = table.A, table.const, table.weight
 
     @property
     def n_vars(self) -> int:
         return len(self.var_ids)
+
+    def reweighted(self, weights: HingeWeights) -> "GroundHingeModel":
+        """The same potentials, each weighted by its template's weight in `weights`."""
+        table = self._table
+        per_template = np.array([weights.of_template(t) for t in table.templates], dtype=float)
+        return replace(self, potentials=table.with_weights(per_template[table.template_id]))
 
     def linear_values(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self._A @ x).ravel() + self._const
@@ -155,11 +216,16 @@ def ground_rules(priors: dict, groups: list, weights: HingeWeights, p: int = 2,
     Messages in `observed` are fixed constants rather than variables: they
     contribute evidence through the relational hinges but get no prior hinges
     of their own.
+
+    Variables are the free messages (sorted by id), then one hub per group.
+    Rows are a neg and a prior hinge per free message, then a c and a d hinge
+    per (group, member) pair, in group and member order.
     """
     if p not in (1, 2):
         raise ConfigError(f"hinge exponent must be 1 or 2, got {p}")
     observed = observed or {}
-    weights.validate(sorted({g.relation for g in groups}))
+    relations = sorted({g.relation for g in groups})
+    weights.validate(relations)
 
     grouped = sorted({mid for g in groups for mid in g.member_ids})
     missing = [mid for mid in grouped if mid not in priors and mid not in observed]
@@ -167,46 +233,70 @@ def ground_rules(priors: dict, groups: list, weights: HingeWeights, p: int = 2,
         raise DataError(f"{len(missing)} grouped messages lack priors (first: {missing[0]})")
 
     free = [mid for mid in grouped if mid not in observed]
-    var_ids = list(free)
-    var_kinds = ["message"] * len(free)
+    n_free, n_groups = len(free), len(groups)
     index = {mid: j for j, mid in enumerate(free)}
-    init = [min(max(priors[mid], 0.0), 1.0) for mid in free]
+    prior = np.clip(np.array([priors[mid] for mid in free], dtype=float), 0.0, 1.0)
 
-    potentials = []
-    for mid in free:
-        pr = min(max(priors[mid], 0.0), 1.0)
-        potentials.append(GroundHinge(coeffs=((index[mid], 1.0),), const=0.0,
-                                      weight=weights.neg, exponent=p,
-                                      template=("neg",), tag=f"neg:{mid}"))
-        potentials.append(GroundHinge(coeffs=((index[mid], -1.0),), const=pr,
-                                      weight=weights.prior, exponent=p,
-                                      template=("prior",), tag=f"prior:{mid}"))
+    # one entry per (group, member) pair
+    members = [mid for g in groups for mid in g.member_ids]
+    sizes = np.array([len(g.member_ids) for g in groups], dtype=np.int64)
+    group_of = np.repeat(np.arange(n_groups, dtype=np.int64), sizes)
+    hub = n_free + group_of
+    col = np.array([index.get(mid, -1) for mid in members], dtype=np.int64)
+    is_free = col >= 0
+    value = np.array([observed[mid] if mid in observed else priors[mid] for mid in members],
+                     dtype=float)
+    rel_index = {r: k for k, r in enumerate(relations)}
+    rel = np.array([rel_index[g.relation] for g in groups], dtype=np.int64)[group_of]
 
-    for g in groups:
-        h_idx = len(var_ids)
-        hid = hub_id(g.relation, g.key)
-        var_ids.append(hid)
-        var_kinds.append("hub")
-        member_values = [observed.get(mid, priors.get(mid, 0.5)) for mid in g.member_ids]
-        init.append(float(np.mean(member_values)))
-        w_c, w_d = weights.c(g.relation), weights.d(g.relation)
-        for mid in g.member_ids:
-            if mid in observed:
-                v = float(observed[mid])
-                c_coeffs, c_const = ((h_idx, -1.0),), v
-                d_coeffs, d_const = ((h_idx, 1.0),), -v
-            else:
-                c_coeffs, c_const = ((index[mid], 1.0), (h_idx, -1.0)), 0.0
-                d_coeffs, d_const = ((h_idx, 1.0), (index[mid], -1.0)), 0.0
-            potentials.append(GroundHinge(coeffs=c_coeffs, const=c_const, weight=w_c,
-                                          exponent=p, template=("c", g.relation),
-                                          tag=f"c:{g.relation}:{g.key}:{mid}"))
-            potentials.append(GroundHinge(coeffs=d_coeffs, const=d_const, weight=w_d,
-                                          exponent=p, template=("d", g.relation),
-                                          tag=f"d:{g.relation}:{g.key}:{mid}"))
+    # Row slices of the four templates. Each row has up to two (column, coefficient)
+    # entries; an observed member's value moves into the constant and its row
+    # keeps one entry.
+    n_rows = 2 * n_free + 2 * len(members)
+    neg, prior_rows = slice(0, 2 * n_free, 2), slice(1, 2 * n_free, 2)
+    c, d = slice(2 * n_free, n_rows, 2), slice(2 * n_free + 1, n_rows, 2)
+    cols = np.zeros((n_rows, 2), dtype=np.int64)
+    coef = np.zeros((n_rows, 2))
+    two = np.zeros(n_rows, dtype=bool)
+    const = np.zeros(n_rows)
+    template_id = np.zeros(n_rows, dtype=np.int64)
 
-    return GroundHingeModel(var_ids=var_ids, var_kinds=var_kinds, potentials=potentials,
-                            init=np.clip(np.array(init, dtype=float), 0.0, 1.0), exponent=p)
+    cols[neg, 0] = cols[prior_rows, 0] = np.arange(n_free)
+    coef[neg, 0], coef[prior_rows, 0] = 1.0, -1.0  # neg: x_m; prior: prior_m - x_m
+    const[prior_rows] = prior
+    template_id[prior_rows] = 1
+    # c: x_m - x_hub, d: x_hub - x_m
+    cols[c] = np.column_stack([np.where(is_free, col, hub), hub])
+    coef[c, 0], coef[c, 1] = np.where(is_free, 1.0, -1.0), -1.0
+    cols[d] = np.column_stack([hub, col])
+    coef[d] = (1.0, -1.0)
+    two[c] = two[d] = is_free
+    const[c] = np.where(is_free, 0.0, value)
+    const[d] = np.where(is_free, 0.0, -value)
+    template_id[c], template_id[d] = 2 + 2 * rel, 3 + 2 * rel
+    templates = [("neg",), ("prior",)] + [(kind, r) for r in relations for kind in ("c", "d")]
+
+    keep = np.column_stack([np.ones(n_rows, dtype=bool), two]).ravel()
+    indptr = np.concatenate([[0], np.cumsum(1 + two, dtype=np.int64)])
+    A = sp.csr_matrix((coef.ravel()[keep], cols.ravel()[keep], indptr),
+                      shape=(n_rows, n_free + n_groups))
+    per_template = np.array([weights.of_template(t) for t in templates], dtype=float)
+
+    def tag(i: int) -> str:
+        kind = templates[template_id[i]][0]
+        if i < 2 * n_free:
+            return f"{kind}:{free[i // 2]}"
+        pair = (i - 2 * n_free) // 2
+        g = groups[group_of[pair]]
+        return f"{kind}:{g.relation}:{g.key}:{members[pair]}"
+
+    table = _PotentialTable(A, const, per_template[template_id], template_id, templates, p, tag)
+    hub_mean = np.bincount(group_of, weights=value, minlength=n_groups) / sizes
+    return GroundHingeModel(var_ids=free + [hub_id(g.relation, g.key) for g in groups],
+                            var_kinds=["message"] * n_free + ["hub"] * n_groups,
+                            potentials=table,
+                            init=np.clip(np.concatenate([prior, hub_mean]), 0.0, 1.0),
+                            exponent=p)
 
 
 @dataclass
@@ -218,23 +308,37 @@ class MapResult:
     n_iters: int
 
 
+def _jacobi_scale(model: GroundHingeModel) -> np.ndarray:
+    """1 / (2 * sum_k w_k * A_kj^2) per variable: the inverse diagonal of the
+    p=2 objective's Hessian with every hinge active; 0 where no potential
+    touches the variable."""
+    diag = 2.0 * np.asarray(model._A.multiply(model._A).T @ model._w).ravel()
+    return np.divide(1.0, diag, out=np.zeros_like(diag), where=diag > 0)
+
+
 def map_inference(model: GroundHingeModel, tol: float = 1e-6, max_iter: int = 5000,
                   step: float = 1.0) -> MapResult:
     """Projected (sub)gradient descent on the box [0,1]^n.
 
     Deterministic: starts from the priors (hubs at the mean of member priors).
-    The smooth p=2 objective uses a fixed step halved on non-improvement; for
+    For the smooth p=2 objective each step moves along the gradient scaled by
+    the constant Jacobi diagonal (`_jacobi_scale`) and clips to the box; the
+    step is halved on non-improvement. A hub with many members has a curvature
+    hundreds of times a message's, so one unscaled step size for both would
+    crawl. Under a diagonal metric the projection onto a box is still the
+    plain clip, so this is scaled projected gradient for any hinge model. For
     p=1 a chosen subgradient need not be a descent direction at a kink, so a
     diminishing-step schedule runs instead and the best iterate is kept.
     """
     if model.exponent == 1:
         return _map_subgradient(model, tol, max_iter, step)
+    scale = _jacobi_scale(model)
     x = model.init.copy()
     f = model.objective(x)
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        g = model.gradient(x)
+        g = scale * model.gradient(x)
         improved = False
         while step > 1e-15:
             x_new = np.clip(x - step * g, 0.0, 1.0)
@@ -300,11 +404,11 @@ def infer_hinge_posteriors(priors: dict, groups: list, weights: HingeWeights | N
 
 def _template_sums(model: GroundHingeModel, x: np.ndarray) -> dict:
     # unweighted hinge values summed per template (the likelihood-gradient features)
-    values = model.potential_values(x)
-    sums: dict = {}
-    for h, v in zip(model.potentials, values):
-        sums[h.template] = sums.get(h.template, 0.0) + float(v)
-    return sums
+    table = model._table
+    n = len(table.templates)
+    sums = np.bincount(table.template_id, weights=model.potential_values(x), minlength=n)
+    rows = np.bincount(table.template_id, minlength=n)
+    return {t: float(s) for t, s, r in zip(table.templates, sums, rows) if r}
 
 
 def learn_weights(init: HingeWeights, messages: list, groups: list, priors: dict,
@@ -314,6 +418,7 @@ def learn_weights(init: HingeWeights, messages: list, groups: list, priors: dict
     The gradient of each template weight is the template's summed hinge value
     at the current MAP state minus its value at the observed state (gold
     labels, hubs imputed as member means); weights are projected to >= 0.
+    The model is grounded once and re-weighted at every step.
     Returns (weights, objective_trace).
     """
     labels = {m.id: m.label for m in messages if m.label is not None}
@@ -323,23 +428,26 @@ def learn_weights(init: HingeWeights, messages: list, groups: list, priors: dict
 
     weights = init.copy()
     trace = []
-    for _ in range(steps):
-        model = ground_rules(priors, groups, weights, p=p)
-        observed_x = np.array([
-            float(labels.get(vid, priors.get(vid, 0.5))) if kind == "message" else 0.0
-            for vid, kind in zip(model.var_ids, model.var_kinds)
-        ])
-        # hubs observed as the mean of their members' observed values
-        pos = {vid: j for j, vid in enumerate(model.var_ids)}
-        for g in groups:
-            hid = hub_id(g.relation, g.key)
-            if hid in pos:
-                vals = [float(labels.get(mid, priors.get(mid, 0.5))) for mid in g.member_ids]
-                observed_x[pos[hid]] = float(np.mean(vals))
+    if steps <= 0:
+        return weights, trace
+    model = ground_rules(priors, groups, weights, p=p)
+    observed_x = np.array([
+        float(labels.get(vid, priors.get(vid, 0.5))) if kind == "message" else 0.0
+        for vid, kind in zip(model.var_ids, model.var_kinds)
+    ])
+    # hubs observed as the mean of their members' observed values
+    pos = {vid: j for j, vid in enumerate(model.var_ids)}
+    for g in groups:
+        hid = hub_id(g.relation, g.key)
+        if hid in pos:
+            vals = [float(labels.get(mid, priors.get(mid, 0.5))) for mid in g.member_ids]
+            observed_x[pos[hid]] = float(np.mean(vals))
+    phi_obs = _template_sums(model, observed_x)
 
+    for _ in range(steps):
+        model = model.reweighted(weights)
         map_state = map_inference(model, tol=1e-9, max_iter=5000)
         phi_map = _template_sums(model, map_state.x)
-        phi_obs = _template_sums(model, observed_x)
         trace.append(map_state.objective - model.objective(observed_x))
         for template in sorted(set(phi_map) | set(phi_obs)):
             grad = phi_map.get(template, 0.0) - phi_obs.get(template, 0.0)

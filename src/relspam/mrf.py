@@ -100,7 +100,7 @@ def build_factor_graph(priors: dict, groups: list, epsilons) -> FactorGraph:
         index[mid] = len(graph.variables)
         graph.variables.append(VariableNode(kind="message", id=mid, phi=(1.0 - p, p)))
     if n_clamped:
-        log.warning("clamped %d priors into (0,1)", n_clamped)
+        log.debug("clamped %d priors into (0,1)", n_clamped)
     for g in groups:
         eps = epsilons.get(g.relation, 0.1) if isinstance(epsilons, dict) else 0.1
         _check_epsilon(eps, g.relation)

@@ -75,6 +75,12 @@ class TestAupr:
                 labels[0], labels[1] = 0, 1
             assert aupr(scores, labels) == pytest.approx(ap_oracle(scores, labels), abs=1e-12)
 
+    def test_perfect_ranking_is_exactly_one(self):
+        # summed in order, nine positives ranked first reach 1.0000000000000002
+        for n_pos in range(1, 60):
+            scores = [1.0 - k / 100 for k in range(n_pos + 3)]
+            assert aupr(scores, [1] * n_pos + [0] * 3) == 1.0
+
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
             aupr([0.5, 0.4], [1, 1])
@@ -406,5 +412,7 @@ def test_metrics_invariant_under_monotone_transform(rows):
     if len(set(labels)) < 2:
         labels[0], labels[1] = 0, 1
     squeezed = [0.1 + 0.8 / (1.0 + np.exp(-4 * (s - 0.5))) for s in scores]
+    assert 0.0 <= aupr(scores, labels) <= 1.0
+    assert 0.0 <= auroc(scores, labels) <= 1.0
     assert aupr(scores, labels) == pytest.approx(aupr(squeezed, labels), abs=1e-9)
     assert auroc(scores, labels) == pytest.approx(auroc(squeezed, labels), abs=1e-9)

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relspam.data_model import ConfigError, Group, Message
 from relspam.hinge import (
@@ -14,6 +15,7 @@ from relspam.hinge import (
     learn_weights,
     map_inference,
 )
+from relspam.mrf import hub_id
 
 
 def group(relation, key, members):
@@ -137,6 +139,107 @@ def random_hinge_model(rng, n_vars, p=2):
     return make_model(hinges, n_vars, p=p)
 
 
+def reference_hinges(priors, groups, weights, p=2, observed=None):
+    """The rule templates grounded one GroundHinge at a time, in ground_rules' row order."""
+    observed = observed or {}
+    grouped = sorted({mid for g in groups for mid in g.member_ids})
+    free = [mid for mid in grouped if mid not in observed]
+    index = {mid: j for j, mid in enumerate(free)}
+    hinges = []
+    for mid in free:
+        pr = min(max(priors[mid], 0.0), 1.0)
+        hinges.append(GroundHinge(((index[mid], 1.0),), 0.0, weights.neg, p, ("neg",), f"neg:{mid}"))
+        hinges.append(GroundHinge(((index[mid], -1.0),), pr, weights.prior, p, ("prior",),
+                                  f"prior:{mid}"))
+    for k, g in enumerate(groups):
+        h = len(free) + k
+        for mid in g.member_ids:
+            if mid in observed:
+                v = float(observed[mid])
+                c, d = (((h, -1.0),), v), (((h, 1.0),), -v)
+            else:
+                c = (((index[mid], 1.0), (h, -1.0)), 0.0)
+                d = (((h, 1.0), (index[mid], -1.0)), 0.0)
+            hinges.append(GroundHinge(*c, weights.c(g.relation), p, ("c", g.relation),
+                                      f"c:{g.relation}:{g.key}:{mid}"))
+            hinges.append(GroundHinge(*d, weights.d(g.relation), p, ("d", g.relation),
+                                      f"d:{g.relation}:{g.key}:{mid}"))
+    return hinges
+
+
+def hinge_sums(hinges, x, p):
+    """Objective and gradient summed hinge by hinge."""
+    f = 0.0
+    grad = np.zeros_like(x)
+    for h in hinges:
+        active = max(0.0, h.linear_value(x))
+        f += h.weight * active ** p
+        slope = h.weight * (2.0 * active if p == 2 else float(active > 0))
+        for j, c in h.coeffs:
+            grad[j] += slope * c
+    return f, grad
+
+
+@st.composite
+def grounding_inputs(draw):
+    ids = [f"m{i}" for i in range(draw(st.integers(2, 9)))]
+    groups = []
+    for relation in ("user", "text"):
+        for key in ("k0", "k1", "k2")[:draw(st.integers(0, 3))]:
+            members = draw(st.lists(st.sampled_from(ids), min_size=2, max_size=len(ids), unique=True))
+            groups.append(group(relation, key, members))
+    value = st.floats(-0.5, 1.5, allow_nan=False)
+    observed = {mid: draw(st.sampled_from([0.0, 1.0]))
+                for mid in draw(st.lists(st.sampled_from(ids), unique=True))}
+    priors = {mid: draw(value) for mid in ids if mid not in observed or draw(st.booleans())}
+    weights = HingeWeights(neg=draw(st.floats(0, 2)), prior=draw(st.floats(0, 2)),
+                           relation_c={"user": draw(st.floats(0, 2))},
+                           relation_d={"text": draw(st.floats(0, 2))})
+    return priors, groups, weights, observed, draw(st.sampled_from([1, 2])), draw(st.integers(0, 99))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grounding_inputs())
+def test_array_grounding_matches_per_hinge_reference(inputs):
+    priors, groups, weights, observed, p, seed = inputs
+    model = ground_rules(priors, groups, weights, p=p, observed=observed)
+    ref = reference_hinges(priors, groups, weights, p=p, observed=observed)
+    ref_model = GroundHingeModel(var_ids=model.var_ids, var_kinds=model.var_kinds,
+                                 potentials=ref, init=model.init, exponent=p)
+
+    free = [v for v, kind in zip(model.var_ids, model.var_kinds) if kind == "message"]
+    assert free == sorted({m for g in groups for m in g.member_ids} - set(observed))
+    assert model.var_ids[len(free):] == [hub_id(g.relation, g.key) for g in groups]
+    assert len(model.potentials) == 2 * len(free) + 2 * sum(len(g) for g in groups)
+    assert list(model.potentials) == ref
+    assert model.dump() == ref_model.dump()
+
+    hub_means = [np.mean([observed.get(m, priors.get(m)) for m in g.member_ids]) for g in groups]
+    expected_init = [min(max(priors[m], 0.0), 1.0) for m in free] + hub_means
+    assert np.allclose(model.init, np.clip(expected_init, 0.0, 1.0), rtol=0, atol=1e-12)
+
+    rng = np.random.default_rng(seed)
+    X = rng.random((5, model.n_vars))
+    np.testing.assert_allclose([model.objective(x) for x in X], batch_objective(ref_model, X),
+                               rtol=1e-12, atol=1e-12)
+    other = HingeWeights(neg=0.3, prior=1.7, relation_c={"text": 0.0}, relation_d={"user": 2.5})
+    regrounded = ground_rules(priors, groups, other, p=p, observed=observed)
+    for x in X:
+        f, grad = hinge_sums(ref, x, p)
+        assert model.objective(x) == pytest.approx(f, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(model.gradient(x), grad, rtol=1e-12, atol=1e-12)
+        assert model.reweighted(other).objective(x) == regrounded.objective(x)
+
+
+def jacobi_diagonal(model):
+    """2 * sum_k w_k * A_kj^2 per variable, from the potentials one by one."""
+    diag = np.zeros(model.n_vars)
+    for h in model.potentials:
+        for j, c in h.coeffs:
+            diag[j] += 2.0 * h.weight * c * c
+    return diag
+
+
 class TestMapInference:
     def test_balanced_prior_pulls(self):
         # one message, equal weights on the zero-pull and the prior-pull of 0.8:
@@ -224,6 +327,35 @@ class TestMapInference:
         assert max(d_values) <= 1e-6  # rule-(d) hinges inactive
         for i in range(3):
             assert abs(r3.assignment[f"m{i}"] - r4.assignment[f"m{i}"]) < 1e-6
+
+
+    def test_large_observed_hub_with_zero_weight_converges(self):
+        # hubs holding hundreds of observed members next to a few free ones, with
+        # the neg template weighted 0 (as weight learning can leave it): a hub's
+        # curvature is hundreds of times a message's, the shape on which unscaled
+        # steps stop at max_iter
+        rng = random.Random(5)
+        observed = {f"o{i:03d}": float(rng.random() < 0.3) for i in range(400)}
+        priors = {f"f{i}": rng.uniform(0.2, 0.95) for i in range(6)}
+        groups = [group("user", "u", list(observed) + ["f0", "f1", "f2"]),
+                  group("text", "t", list(observed)[:150] + ["f3", "f4", "f5"]),
+                  group("link", "l", ["f0", "f3", "f5"])]
+        w = HingeWeights(neg=0.0, relation_d={"text": 0.4})
+        model = ground_rules(priors, groups, w, observed=observed)
+        result = map_inference(model, tol=1e-12, max_iter=1000)
+        assert result.converged and result.n_iters <= 1000
+
+        diag = jacobi_diagonal(model)
+        scaled = np.divide(model.gradient(result.x), diag, out=np.zeros(model.n_vars),
+                           where=diag > 0)
+        assert np.max(np.abs(result.x - np.clip(result.x - scaled, 0.0, 1.0))) <= 1e-6
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 3))
+    def test_no_worse_than_grid_search_oracle(self, seed, n_vars):
+        model = random_hinge_model(random.Random(seed), n_vars)
+        result = map_inference(model, tol=1e-13, max_iter=30000)
+        assert result.objective <= model.objective(grid_search_oracle(model)) + 1e-6
 
 
 class TestLearnWeights:

@@ -59,11 +59,14 @@ class TestBuild:
             with pytest.raises(ConfigError):
                 build_factor_graph(priors, [group("user", "u", ["a", "b"])], {"user": bad})
 
-    def test_extreme_priors_clamped(self):
+    def test_extreme_priors_clamped(self, caplog):
+        # gold labels enter as 0/1 priors on every call, so clamping is no warning
         priors = {"a": 1.0, "b": 0.0}
-        graph = build_factor_graph(priors, [group("user", "u", ["a", "b"])], {"user": 0.1})
+        with caplog.at_level("DEBUG", logger="relspam.mrf"):
+            graph = build_factor_graph(priors, [group("user", "u", ["a", "b"])], {"user": 0.1})
         for v in graph.variables:
             assert v.phi[0] > 0 and v.phi[1] > 0
+        assert [r.levelname for r in caplog.records] == ["DEBUG"]
 
     def test_missing_prior_rejected(self):
         with pytest.raises(DataError):
