@@ -35,6 +35,7 @@ from .evaluation import (
     KNOWN_MODELS,
     aggregate_report,
     component_coverage,
+    config_snapshot,
     inductive_partition,
     infer_subset_models,
     pr_curve_points,
@@ -245,7 +246,7 @@ def cmd_featurize(cfg: dict) -> int:
         sub_dir = feat_dir / f"subset_{i:02d}"
         sub_dir.mkdir(parents=True, exist_ok=True)
         (sub_dir / "pipeline.json").write_text(pipe.to_json(), encoding="utf-8")
-        write_feature_matrix(sub_dir / "features.tsv", fm)
+        write_feature_matrix(sub_dir / "features.npz", fm)
         return fm.shape
 
     shapes = _map_ordered(featurize_subset, list(range(exp.n_subsets)), cfg["threads"])
@@ -270,7 +271,7 @@ def cmd_train(cfg: dict) -> int:
         sub_dir = _out(cfg) / "features" / f"subset_{i:02d}"
         pipe = FeaturePipeline.from_json(
             _require(sub_dir / "pipeline.json", "featurize").read_text(encoding="utf-8"))
-        fm = read_feature_matrix(_require(sub_dir / "features.tsv", "featurize"))
+        fm = read_feature_matrix(_require(sub_dir / "features.npz", "featurize"))
         train_msgs = messages[subset.train[0]:subset.train[1]]
         val_msgs = messages[subset.validation[0]:subset.validation[1]]
         fm_train = fm.select_rows([m.id for m in train_msgs])
@@ -328,7 +329,7 @@ def cmd_infer(cfg: dict) -> int:
     def infer_subset(i):
         subset = plan.subsets[i]
         sub_dir = _out(cfg) / "features" / f"subset_{i:02d}"
-        fm = read_feature_matrix(_require(sub_dir / "features.tsv", "featurize"))
+        fm = read_feature_matrix(_require(sub_dir / "features.npz", "featurize"))
         train_msgs = messages[subset.train[0]:subset.train[1]]
         test_msgs = messages[subset.test[0]:subset.test[1]]
         fm_test = fm.select_rows([m.id for m in test_msgs])
@@ -381,17 +382,8 @@ def cmd_eval(cfg: dict) -> int:
     diag_path = pred_dir / "diagnostics.json"
     diagnostics = json.loads(diag_path.read_text(encoding="utf-8")) if diag_path.exists() else {}
     coverage = component_coverage(messages, build_groups(messages, relations))
-    snapshot = {
-        "relations": exp.relations,
-        "models": roster,
-        "n_subsets": exp.n_subsets,
-        "fractions": list(exp.fractions),
-        "feature_mode": exp.feature.mode,
-        "limited_drop": exp.feature.limited_drop,
-        "seed": exp.seed,
-    }
     report = aggregate_report(roster, subset_preds, subset_test_ids, subset_inductive_ids,
-                              labels_of(messages), coverage, diagnostics, snapshot,
+                              labels_of(messages), coverage, diagnostics, config_snapshot(exp),
                               len(messages))
     out = _out(cfg)
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")

@@ -155,22 +155,6 @@ def build_groups(messages: list, relations: list) -> list:
     return out
 
 
-def groups_by_relation(groups: Iterable[Group]) -> dict:
-    by_rel: dict = {}
-    for g in groups:
-        by_rel.setdefault(g.relation, []).append(g)
-    return by_rel
-
-
-def member_index(groups: Iterable[Group]) -> dict:
-    """Map message id -> list of groups containing it."""
-    idx: dict = {}
-    for g in groups:
-        for mid in g.member_ids:
-            idx.setdefault(mid, []).append(g)
-    return idx
-
-
 @dataclass
 class ValidationReport:
     n_messages: int = 0

@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+import zipfile
 from collections import Counter
 from dataclasses import dataclass
 
@@ -373,34 +374,40 @@ def hstack_features(fm: FeatureMatrix, extra_columns: list, extra: sp.spmatrix) 
     return FeatureMatrix(fm.row_ids, list(fm.column_names) + list(extra_columns), stacked)
 
 
+MATRIX_FORMAT = "relspam-features v2"
+
+
 def write_feature_matrix(path, fm: FeatureMatrix) -> None:
-    """Sparse triplet dump: header lines, then one `row_id \\t column \\t value` per nonzero."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("#relspam-features v1\n")
-        fh.write("#rows " + json.dumps(fm.row_ids, ensure_ascii=False) + "\n")
-        fh.write("#columns " + json.dumps(fm.column_names, ensure_ascii=False) + "\n")
-        coo = fm.matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        for k in order:
-            fh.write(f"{fm.row_ids[coo.row[k]]}\t{fm.column_names[coo.col[k]]}\t{float(coo.data[k])!r}\n")
+    """One uncompressed npz archive: the canonical CSR arrays (`data`, `indices`,
+    `indptr`, `shape`) and `header`, the UTF-8 JSON of the format tag, row ids
+    and column names. Written through an open file so numpy adds no suffix.
+    """
+    matrix = sp.csr_matrix(fm.matrix, dtype=np.float64, copy=True)
+    matrix.sum_duplicates()
+    matrix.sort_indices()
+    header = json.dumps({"format": MATRIX_FORMAT, "rows": fm.row_ids, "columns": fm.column_names},
+                        ensure_ascii=False).encode("utf-8")
+    with open(path, "wb") as fh:
+        np.savez(fh, header=np.frombuffer(header, dtype=np.uint8), data=matrix.data,
+                 indices=matrix.indices, indptr=matrix.indptr,
+                 shape=np.array(matrix.shape, dtype=np.int64))
 
 
 def read_feature_matrix(path) -> FeatureMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        magic = fh.readline().strip()
-        if magic != "#relspam-features v1":
-            raise DataError(f"not a feature matrix file: {path}")
-        row_ids = json.loads(fh.readline()[len("#rows "):])
-        columns = json.loads(fh.readline()[len("#columns "):])
-        row_index = {rid: i for i, rid in enumerate(row_ids)}
-        col_index = {c: j for j, c in enumerate(columns)}
-        rows, cols, data = [], [], []
-        for line in fh:
-            rid, col, val = line.rstrip("\n").split("\t")
-            rows.append(row_index[rid])
-            cols.append(col_index[col])
-            data.append(float(val))
-    matrix = sp.csr_matrix((data, (rows, cols)), shape=(len(row_ids), len(columns)))
+    """Read a `write_feature_matrix` file; anything else raises `DataError`."""
+    try:
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as archive:
+            header = json.loads(archive["header"].tobytes().decode("utf-8"))
+            data, indices, indptr, shape = (archive[k] for k in ("data", "indices", "indptr", "shape"))
+        if header["format"] != MATRIX_FORMAT:
+            raise ValueError(f"format {header['format']!r}")
+        row_ids, columns = header["rows"], header["columns"]
+        if shape.tolist() != [len(row_ids), len(columns)]:
+            raise ValueError(f"shape {shape.tolist()} does not match the header")
+        matrix = sp.csr_matrix((data, indices, indptr), shape=(len(row_ids), len(columns)))
+    except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+        raise DataError(f"not a {MATRIX_FORMAT} feature matrix: {path} ({exc}); "
+                        "rerun the featurize stage") from exc
     return FeatureMatrix(row_ids, columns, matrix)
 
 

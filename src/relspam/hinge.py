@@ -187,11 +187,17 @@ class GroundHingeModel:
         return np.asarray(self._A @ x).ravel() + self._const
 
     def objective(self, x: np.ndarray) -> float:
-        active = np.maximum(0.0, self.linear_values(x))
-        return float(self._w @ active ** self.exponent)
+        return self._objective_at(self.linear_values(x))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        active = np.maximum(0.0, self.linear_values(x))
+        return self._gradient_at(self.linear_values(x))
+
+    # The same two quantities from linear values the caller already holds.
+    def _objective_at(self, lin: np.ndarray) -> float:
+        return float(self._w @ np.maximum(0.0, lin) ** self.exponent)
+
+    def _gradient_at(self, lin: np.ndarray) -> np.ndarray:
+        active = np.maximum(0.0, lin)
         if self.exponent == 2:
             coef = 2.0 * self._w * active
         else:
@@ -333,16 +339,19 @@ def map_inference(model: GroundHingeModel, tol: float = 1e-6, max_iter: int = 50
     if model.exponent == 1:
         return _map_subgradient(model, tol, max_iter, step)
     scale = _jacobi_scale(model)
+    # lin = A @ x + const at the current point, kept from the line search for the next gradient
     x = model.init.copy()
-    f = model.objective(x)
+    lin = model.linear_values(x)
+    f = model._objective_at(lin)
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        g = scale * model.gradient(x)
+        g = scale * model._gradient_at(lin)
         improved = False
         while step > 1e-15:
             x_new = np.clip(x - step * g, 0.0, 1.0)
-            f_new = model.objective(x_new)
+            lin_new = model.linear_values(x_new)
+            f_new = model._objective_at(lin_new)
             if f_new < f:
                 improved = True
                 break
@@ -354,7 +363,7 @@ def map_inference(model: GroundHingeModel, tol: float = 1e-6, max_iter: int = 50
             x, f = x_new, f_new
             converged = True
             break
-        x, f = x_new, f_new
+        x, lin, f = x_new, lin_new, f_new
     if not converged:
         log.warning("MAP inference hit max_iter=%d", max_iter)
     assignment = {vid: float(v) for vid, v in zip(model.var_ids, x)}

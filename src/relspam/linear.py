@@ -162,9 +162,12 @@ class LinearModel:
         )
 
 
-def _loss(X, y, w, b, l2):
-    z = np.asarray(X @ w).ravel() + b
-    # log(1 + exp(-s*z)) with s = +-1, computed stably
+def _margins(X, w, b):
+    return np.asarray(X @ w).ravel() + b
+
+
+def _margin_loss(z, y, w, l2):
+    # mean of log(1 + exp(-s*z)) with s = +-1 at margins z, computed stably
     sz = np.where(y > 0.5, z, -z)
     per_row = np.where(sz > 0, np.log1p(np.exp(-sz)), -sz + np.log1p(np.exp(sz)))
     return per_row.mean() + 0.5 * l2 * float(w @ w)
@@ -194,15 +197,17 @@ def train(X: sp.spmatrix, y: np.ndarray, l2: float = 1.0, max_iter: int = 500,
     if method == "sgd":
         return _train_sgd(X, y, l2, max_iter, tol, seed)
 
+    # z = X @ w + b at the current point, kept from the line search for the next gradient
     w = np.zeros(d)
     b = 0.0
-    loss = _loss(X, y, w, b, l2)
+    z = _margins(X, w, b)
+    loss = _margin_loss(z, y, w, l2)
     trace = [loss]
     step = 1.0
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        p = sigmoid(np.asarray(X @ w).ravel() + b)
+        p = sigmoid(z)
         resid = (p - y) / n
         grad_w = np.asarray(X.T @ resid).ravel() + l2 * w
         grad_b = resid.sum()
@@ -215,11 +220,12 @@ def train(X: sp.spmatrix, y: np.ndarray, l2: float = 1.0, max_iter: int = 500,
         while step > 1e-16:
             w_new = w - step * grad_w
             b_new = b - step * grad_b
-            loss_new = _loss(X, y, w_new, b_new, l2)
+            z_new = _margins(X, w_new, b_new)
+            loss_new = _margin_loss(z_new, y, w_new, l2)
             if loss_new <= loss - 1e-4 * step * gsq:
                 break
             step *= 0.5
-        w, b, loss = w_new, b_new, loss_new
+        w, b, z, loss = w_new, b_new, z_new, loss_new
         trace.append(loss)
     if not converged:
         log.warning("training stopped at max_iter=%d (gradient norm above tol)", max_iter)
@@ -243,7 +249,7 @@ def _train_sgd(X, y, l2, max_iter, tol, seed):
             w *= 1.0 - lr * l2
             w -= lr * g * np.asarray(xi.todense()).ravel()
             b -= lr * g
-        loss = _loss(X, y, w, b, l2)
+        loss = _margin_loss(_margins(X, w, b), y, w, l2)
         trace.append(loss)
         if len(trace) > 1 and abs(trace[-2] - trace[-1]) < tol:
             return LinearModel(weights=w, bias=b, l2=l2, n_iter=epoch + 1, converged=True,

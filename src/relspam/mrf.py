@@ -47,13 +47,6 @@ class FactorGraph:
     def var_index(self) -> dict:
         return {v.id: i for i, v in enumerate(self.variables)}
 
-    def adjacency(self) -> list:
-        adj = [[] for _ in self.variables]
-        for fi, f in enumerate(self.factors):
-            adj[f.var_a].append(fi)
-            adj[f.var_b].append(fi)
-        return adj
-
     def dump(self) -> str:
         """Human-readable dump for debugging."""
         lines = []

@@ -50,14 +50,26 @@ class TestStages:
         assert rc == 1
         assert "featurize" in capsys.readouterr().err
 
+    def test_train_on_feature_file_of_another_format_names_featurize(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["featurize", "--config", cfg, "--out", str(out)]) == 0
+        (out / "features" / "subset_00" / "features.npz").write_text(
+            '#relspam-features v1\n#rows []\n#columns []\n', encoding="utf-8")
+        rc = main(["train", "--config", cfg, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "feature matrix" in err and "featurize" in err
+
     def test_featurize_is_byte_idempotent(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
         assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
         assert main(["featurize", "--config", cfg, "--out", str(out)]) == 0
-        first = (out / "features" / "subset_00" / "features.tsv").read_bytes()
+        first = (out / "features" / "subset_00" / "features.npz").read_bytes()
         assert main(["featurize", "--config", cfg, "--out", str(out)]) == 0
-        second = (out / "features" / "subset_00" / "features.tsv").read_bytes()
+        second = (out / "features" / "subset_00" / "features.npz").read_bytes()
         assert first == second
 
     def test_generate_deterministic_per_seed(self, tmp_path):

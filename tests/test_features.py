@@ -1,12 +1,16 @@
 import itertools
+import json
 import random
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from relspam.data_model import DataError, Message
 from relspam.features import (
     FeatureConfig,
+    FeatureMatrix,
     FeaturePipeline,
     build_follower_graph,
     char_ngrams,
@@ -25,6 +29,20 @@ from relspam.features import (
 
 def msg(mid, user="u", text="", ts=0, **kw):
     return Message(id=mid, user_id=user, text=text, timestamp=ts, **kw)
+
+
+def assert_same_matrix(back, fm):
+    """Exact equality with fm's canonical CSR form: ids, names and every array."""
+    expected = fm.matrix.tocsr(copy=True)
+    expected.sum_duplicates()
+    expected.sort_indices()
+    assert back.row_ids == fm.row_ids
+    assert back.column_names == fm.column_names
+    assert back.matrix.shape == expected.shape
+    assert np.array_equal(back.matrix.indptr, expected.indptr)
+    assert np.array_equal(back.matrix.indices, expected.indices)
+    assert back.matrix.data.dtype == np.float64
+    assert back.matrix.data.tobytes() == expected.data.astype(np.float64).tobytes()
 
 
 class TestContentFeatures:
@@ -325,18 +343,16 @@ class TestPipeline:
         messages = self.build_messages()
         pipe = FeaturePipeline(FeatureConfig(ngram_top_k=10)).fit(messages[:20], [])
         fm = pipe.transform(messages[:20], {})
-        path = tmp_path / "feats.tsv"
+        path = tmp_path / "feats.npz"
         write_feature_matrix(path, fm)
         back = read_feature_matrix(path)
-        assert back.row_ids == fm.row_ids
-        assert back.column_names == fm.column_names
-        assert np.allclose(back.matrix.toarray(), fm.matrix.toarray())
+        assert_same_matrix(back, fm)
 
     def test_matrix_file_idempotent_bytes(self, tmp_path):
         messages = self.build_messages()
         pipe = FeaturePipeline(FeatureConfig(ngram_top_k=10)).fit(messages[:20], [])
         fm = pipe.transform(messages[:20], {})
-        p1, p2 = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        p1, p2 = tmp_path / "a.npz", tmp_path / "b.npz"
         write_feature_matrix(p1, fm)
         write_feature_matrix(p2, fm)
         assert p1.read_bytes() == p2.read_bytes()
@@ -349,3 +365,74 @@ def test_graph_table_covers_exactly_the_node_set():
     assert sorted(table) == g.nodes
     total = sum(row["pagerank"] for row in table.values())
     assert total == pytest.approx(1.0, abs=1e-6)
+
+
+# ids a line- or tab-split artifact would corrupt, non-ASCII ids and hub-prefixed ids
+awkward_ids = st.one_of(
+    st.text(max_size=8),
+    st.text(max_size=4).map(lambda t: "hub:user:" + t),
+    st.sampled_from(["a\tb", "line\nbreak", "crlf\r\n", "ünïçødé", "日本", "\\t", '"q"']),
+)
+
+
+@st.composite
+def feature_matrices(draw):
+    """FeatureMatrix with raw CSR rows that may hold unsorted and duplicate columns."""
+    row_ids = draw(st.lists(awkward_ids, unique=True, max_size=6))
+    columns = draw(st.lists(awkward_ids, unique=True, max_size=5))
+    entries = [draw(st.lists(st.tuples(st.integers(0, len(columns) - 1),
+                                       st.floats(allow_nan=False, width=64)), max_size=4))
+               if columns else [] for _ in row_ids]
+    indptr = np.cumsum([0] + [len(e) for e in entries])
+    indices = np.array([j for e in entries for j, _ in e], dtype=np.int32)
+    data = np.array([v for e in entries for _, v in e], dtype=float)
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(len(row_ids), len(columns)))
+    return FeatureMatrix(row_ids, columns, matrix)
+
+
+@settings(max_examples=80, deadline=None)
+@given(feature_matrices())
+def test_matrix_file_round_trip_is_exact(tmp_path_factory, fm):
+    path = tmp_path_factory.mktemp("fm") / "features.npz"
+    write_feature_matrix(path, fm)
+    assert_same_matrix(read_feature_matrix(path), fm)
+
+
+@pytest.mark.parametrize("n_rows,n_cols", [(3, 4), (0, 4), (0, 0)])
+def test_matrix_file_round_trip_without_nonzeros(tmp_path, n_rows, n_cols):
+    fm = FeatureMatrix([f"hub:text:{i}\t" for i in range(n_rows)], [f"c{j}" for j in range(n_cols)],
+                       sp.csr_matrix((n_rows, n_cols)))
+    write_feature_matrix(tmp_path / "f.npz", fm)
+    back = read_feature_matrix(tmp_path / "f.npz")
+    assert back.matrix.nnz == 0
+    assert_same_matrix(back, fm)
+
+
+def test_old_triplet_file_raises_data_error(tmp_path):
+    path = tmp_path / "features.tsv"
+    path.write_text('#relspam-features v1\n#rows ["m1"]\n#columns ["c"]\nm1\tc\t1.0\n',
+                    encoding="utf-8")
+    with pytest.raises(DataError, match="featurize"):
+        read_feature_matrix(path)
+
+
+@pytest.mark.parametrize("kept", [0.0, 0.01, 0.5, 0.99])
+def test_truncated_matrix_file_raises_data_error(tmp_path, kept):
+    fm = FeatureMatrix(["m1", "m2"], ["a", "b"], sp.csr_matrix(np.array([[1.0, 0.0], [0.5, 2.0]])))
+    path = tmp_path / "features.npz"
+    write_feature_matrix(path, fm)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:int(kept * len(raw))])
+    with pytest.raises(DataError):
+        read_feature_matrix(path)
+
+
+def test_matrix_file_with_other_format_tag_raises_data_error(tmp_path):
+    header = json.dumps({"format": "relspam-features v1", "rows": [], "columns": []}).encode()
+    path = tmp_path / "features.npz"
+    with open(path, "wb") as fh:
+        np.savez(fh, header=np.frombuffer(header, dtype=np.uint8), data=np.zeros(0),
+                 indices=np.zeros(0, dtype=np.int32), indptr=np.zeros(1, dtype=np.int32),
+                 shape=np.zeros(2, dtype=np.int64))
+    with pytest.raises(DataError, match="v1"):
+        read_feature_matrix(path)

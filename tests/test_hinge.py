@@ -10,6 +10,7 @@ from relspam.hinge import (
     GroundHinge,
     GroundHingeModel,
     HingeWeights,
+    _jacobi_scale,
     ground_rules,
     infer_hinge_posteriors,
     learn_weights,
@@ -238,6 +239,49 @@ def jacobi_diagonal(model):
         for j, c in h.coeffs:
             diag[j] += 2.0 * h.weight * c * c
     return diag
+
+
+def reference_map_p2(model, tol, max_iter, step=1.0):
+    """The p=2 MAP loop as it was before it kept the accepted point's linear
+    values: the public objective and gradient each recompute A @ x + const.
+    Returns (x, objective, n_iters, converged)."""
+    scale = _jacobi_scale(model)
+    x = model.init.copy()
+    f = model.objective(x)
+    converged = False
+    it = 0
+    for it in range(1, max_iter + 1):
+        g = scale * model.gradient(x)
+        improved = False
+        while step > 1e-15:
+            x_new = np.clip(x - step * g, 0.0, 1.0)
+            f_new = model.objective(x_new)
+            if f_new < f:
+                improved = True
+                break
+            step *= 0.5
+        if not improved:
+            converged = True
+            break
+        if f - f_new < tol and np.max(np.abs(x_new - x)) < np.sqrt(tol):
+            x, f = x_new, f_new
+            converged = True
+            break
+        x, f = x_new, f_new
+    return x, f, it, converged
+
+
+@settings(max_examples=60, deadline=None)
+@given(grounding_inputs(), st.sampled_from([(1e-9, 5000), (1e-13, 40)]))
+def test_map_iterates_match_reference_loop_bit_for_bit(inputs, stop):
+    priors, groups, weights, observed, _, _ = inputs
+    model = ground_rules(priors, groups, weights, p=2, observed=observed)
+    tol, max_iter = stop
+    result = map_inference(model, tol=tol, max_iter=max_iter)
+    x, f, n_iters, converged = reference_map_p2(model, tol, max_iter)
+    assert result.x.tobytes() == x.tobytes()
+    assert result.objective == f
+    assert (result.n_iters, result.converged) == (n_iters, converged)
 
 
 class TestMapInference:

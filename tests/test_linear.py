@@ -191,3 +191,69 @@ def test_sigmoid_extremes_stay_in_unit_interval():
     p = sigmoid(z)
     assert (p >= 0).all() and (p <= 1).all()
     assert p[2] == 0.5
+
+
+def reference_batch_train(X, y, l2, max_iter, tol):
+    """The batch solver as it was before it kept the line search's margins: it
+    recomputes X @ w + b at the start of every iteration. Returns
+    (weights, bias, n_iter, converged, loss_trace)."""
+    def loss_at(w, b):
+        z = np.asarray(X @ w).ravel() + b
+        sz = np.where(y > 0.5, z, -z)
+        per_row = np.where(sz > 0, np.log1p(np.exp(-sz)), -sz + np.log1p(np.exp(sz)))
+        return per_row.mean() + 0.5 * l2 * float(w @ w)
+
+    n, d = X.shape
+    w = np.zeros(d)
+    b = 0.0
+    loss = loss_at(w, b)
+    trace = [loss]
+    step = 1.0
+    converged = False
+    it = 0
+    for it in range(1, max_iter + 1):
+        p = sigmoid(np.asarray(X @ w).ravel() + b)
+        resid = (p - y) / n
+        grad_w = np.asarray(X.T @ resid).ravel() + l2 * w
+        grad_b = resid.sum()
+        if max(np.abs(grad_w).max(initial=0.0), abs(grad_b)) <= tol:
+            converged = True
+            break
+        gsq = float(grad_w @ grad_w) + grad_b * grad_b
+        step = min(step * 2.0, 64.0)
+        while step > 1e-16:
+            w_new = w - step * grad_w
+            b_new = b - step * grad_b
+            loss_new = loss_at(w_new, b_new)
+            if loss_new <= loss - 1e-4 * step * gsq:
+                break
+            step *= 0.5
+        w, b, loss = w_new, b_new, loss_new
+        trace.append(loss)
+    return w, b, it, converged, trace
+
+
+def sparse_binary_instance(seed, n=300, d=40):
+    """n-gram-like rows: a few dense standardized columns and sparse 0/1 columns."""
+    rng = np.random.default_rng(seed)
+    dense = rng.normal(size=(n, 3))
+    binary = (rng.random((n, d)) < 0.08).astype(float)
+    y = ((dense[:, 0] + binary[:, :5].sum(axis=1) + rng.normal(size=n)) > 1.0).astype(float)
+    return sp.csr_matrix(np.hstack([dense, binary])), y
+
+
+@pytest.mark.parametrize("make,l2,max_iter,tol", [
+    (lambda: random_instance(np.random.default_rng(31), n=60, d=5), 0.1, 5000, 1e-8),
+    (lambda: random_instance(np.random.default_rng(32), n=40, d=3), 1.0, 500, 1e-6),
+    (lambda: sparse_binary_instance(33), 1.0, 300, 1e-6),
+    (lambda: sparse_binary_instance(34), 0.01, 25, 1e-6),  # stops at max_iter
+])
+def test_batch_solver_matches_reference_loop_bit_for_bit(make, l2, max_iter, tol):
+    X, y = make()
+    model = train(X, y, l2=l2, max_iter=max_iter, tol=tol)
+    w, b, n_iter, converged, trace = reference_batch_train(X, y, l2, max_iter, tol)
+    assert model.weights.tobytes() == w.tobytes()
+    assert model.bias == b
+    assert model.n_iter == n_iter
+    assert model.converged == converged
+    assert model.loss_trace == trace
