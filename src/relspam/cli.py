@@ -23,6 +23,7 @@ from .data_model import (
     read_follows,
     read_messages,
     relations_from_names,
+    restrict_groups,
     sort_chronologically,
     chronological_split,
     SplitPlan,
@@ -359,12 +360,12 @@ def cmd_eval(cfg: dict) -> int:
     relations = relations_from_names(exp.relations)
     roster = exp.valid_models()
     pred_dir = _out(cfg) / "predictions"
+    groups_all = build_groups(messages, relations)
 
     subset_preds, subset_test_ids, subset_inductive_ids = [], [], []
     for i, subset in enumerate(plan.subsets):
-        train_msgs = messages[subset.train[0]:subset.train[1]]
-        test_msgs = messages[subset.test[0]:subset.test[1]]
-        test_ids = [m.id for m in test_msgs]
+        train_ids = [m.id for m in messages[subset.train[0]:subset.train[1]]]
+        test_ids = [m.id for m in messages[subset.test[0]:subset.test[1]]]
         preds = {}
         for name in roster:
             path = _require(pred_dir / name / f"subset_{i:02d}.tsv", "infer")
@@ -373,15 +374,15 @@ def cmd_eval(cfg: dict) -> int:
                 mid, value = line.split("\t")
                 scores[mid] = float(value)
             preds[name] = scores
-        groups_tt = build_groups(train_msgs + test_msgs, relations)
-        ind, _ = inductive_partition(test_ids, [m.id for m in train_msgs], groups_tt)
+        groups_tt = restrict_groups(groups_all, train_ids + test_ids)
+        ind, _ = inductive_partition(test_ids, train_ids, groups_tt)
         subset_preds.append(preds)
         subset_test_ids.append(test_ids)
         subset_inductive_ids.append(ind)
 
     diag_path = pred_dir / "diagnostics.json"
     diagnostics = json.loads(diag_path.read_text(encoding="utf-8")) if diag_path.exists() else {}
-    coverage = component_coverage(messages, build_groups(messages, relations))
+    coverage = component_coverage(messages, groups_all)
     report = aggregate_report(roster, subset_preds, subset_test_ids, subset_inductive_ids,
                               labels_of(messages), coverage, diagnostics, config_snapshot(exp),
                               len(messages))

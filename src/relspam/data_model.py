@@ -155,6 +155,20 @@ def build_groups(messages: list, relations: list) -> list:
     return out
 
 
+def restrict_groups(groups: list, ids) -> list:
+    """The groups `build_groups` gives for the messages whose ids are in `ids`,
+    from the groups of a superset: non-members are dropped from each group,
+    then groups left with fewer than 2 members."""
+    keep = set(ids)
+    out = []
+    for g in groups:
+        members = tuple(mid for mid in g.member_ids if mid in keep)
+        if len(members) >= 2:
+            out.append(g if len(members) == len(g.member_ids) else
+                       Group(relation=g.relation, key=g.key, member_ids=members))
+    return out
+
+
 @dataclass
 class ValidationReport:
     n_messages: int = 0

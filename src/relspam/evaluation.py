@@ -27,7 +27,7 @@ from .data_model import (
 from .features import FeatureConfig, FeaturePipeline, build_follower_graph, compute_graph_feature_table
 from .hinge import HingeWeights, infer_hinge_posteriors, learn_weights
 from .linear import ClassifierConfig, fit_classifier, recenter_scores
-from .mrf import infer_posteriors
+from .mrf import build_factor_graph, infer_posteriors, loopy_bp_batch
 from .stacking import infer_stacked, train_stacked
 
 log = logging.getLogger(__name__)
@@ -258,28 +258,47 @@ class ExperimentConfig:
 def tune_epsilons(priors: dict, groups: list, labels: dict, relations: list,
                   grid=EPSILON_GRID, default: float = 0.1) -> dict:
     """One coordinate-descent pass over the per-relation epsilon grid,
-    maximizing validation AUPR of the joint posteriors."""
+    maximizing validation AUPR of the joint posteriors.
+
+    The graph is built once. Each relation's current value and grid run as
+    one batched BP call, and scores are memoized by the per-relation epsilons,
+    so a candidate scored before does not run again. A grid value must beat
+    the best score so far strictly to replace it.
+    """
     eps = {r: default for r in relations}
     ids = sorted(set(priors) & set(labels))
-    if not ids:
+    if not ids or not relations:
         return eps
+    graph = build_factor_graph(priors, groups, eps)
+    y = [labels[i] for i in ids]
+    try:
+        _check_binary(y)
+    except DataError:
+        return eps  # AUPR is undefined on these labels whatever the epsilons
+    # a grouped message scores its marginal, any other its prior
+    grouped = {mid for g in groups for mid in g.member_ids}
+    position = graph.var_index()
+    rows = [k for k, i in enumerate(ids) if i in grouped]
+    cols = [position[ids[k]] for k in rows]
+    prior = np.array([priors[i] for i in ids], dtype=float)
+    memo = {}
 
-    def score(candidate):
-        result = infer_posteriors(priors, groups, candidate)
-        try:
-            return aupr([result.scores[i] for i in ids], [labels[i] for i in ids])
-        except DataError:
-            return None
+    def scores(candidates: list) -> list:
+        keys = [tuple(c[r] for r in relations) for c in candidates]
+        todo = list(dict.fromkeys(k for k in keys if k not in memo))
+        if todo:
+            spam, _, _ = loopy_bp_batch(graph, [dict(zip(relations, k)) for k in todo])
+            for k, marginals in zip(todo, spam):
+                joint = prior.copy()
+                joint[rows] = marginals[cols]
+                memo[k] = aupr(joint, y)
+        return [memo[k] for k in keys]
 
     for rel in relations:
-        best_eps, best_score = eps[rel], score(eps)
-        if best_score is None:
-            return eps
-        for e in grid:
-            trial = dict(eps)
-            trial[rel] = e
-            s = score(trial)
-            if s is not None and s > best_score:
+        best_score, *grid_scores = scores([eps] + [{**eps, rel: e} for e in grid])
+        best_eps = eps[rel]
+        for e, s in zip(grid, grid_scores):
+            if s > best_score:
                 best_eps, best_score = e, s
         eps[rel] = best_eps
     return eps

@@ -1,7 +1,8 @@
 """Hinge-loss Markov random field over [0,1]-valued spam scores.
 
 The four rule templates (negative prior, positive prior, member-to-hub and
-hub-to-member propagation) are grounded straight from the groups into arrays:
+hub-to-member propagation) are grounded straight from the groups' (group,
+member) edge arrays, the form `mrf.hub_edges` shares with the hub MRF, into
 one row per weighted hinge potential max(0, l)^p, with l linear in the
 variables, held as a sparse coefficient matrix, a constant and a weight vector
 and a template id per row. `GroundHinge` objects are made only when a caller
@@ -12,6 +13,7 @@ labeled validation data.
 
 from __future__ import annotations
 
+import copy
 import logging
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -20,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data_model import ConfigError, DataError
-from .mrf import hub_id
+from .mrf import hub_edges, hub_id
 
 log = logging.getLogger(__name__)
 
@@ -113,6 +115,9 @@ class _PotentialTable(Sequence):
 
     def __init__(self, A, const, weight, template_id, templates, exponent, tag):
         self.A = A
+        # CSR copy of A.T for gradients: its products sum each column of A in
+        # ascending row order, as A.T @ v does, so they are bit-identical
+        self.AT = A.T.tocsr()
         self.const = const
         self.weight = weight
         self.template_id = template_id
@@ -136,8 +141,9 @@ class _PotentialTable(Sequence):
                    templates, exponent, lambda i: hinges[i].tag)
 
     def with_weights(self, weight: np.ndarray) -> "_PotentialTable":
-        return _PotentialTable(self.A, self.const, weight, self.template_id, self.templates,
-                               self.exponent, self.tag)
+        table = copy.copy(self)
+        table.weight = weight
+        return table
 
     def __len__(self) -> int:
         return len(self.const)
@@ -171,7 +177,7 @@ class GroundHingeModel:
         if not isinstance(table, _PotentialTable):
             table = _PotentialTable.from_hinges(table, len(self.var_ids), self.exponent)
         self._table = table
-        self._A, self._const, self._w = table.A, table.const, table.weight
+        self._A, self._AT, self._const, self._w = table.A, table.AT, table.const, table.weight
 
     @property
     def n_vars(self) -> int:
@@ -202,7 +208,7 @@ class GroundHingeModel:
             coef = 2.0 * self._w * active
         else:
             coef = self._w * (active > 0)
-        return np.asarray(self._A.T @ coef).ravel()
+        return np.asarray(self._AT @ coef).ravel()
 
     def potential_values(self, x: np.ndarray) -> np.ndarray:
         return np.maximum(0.0, self.linear_values(x)) ** self.exponent
@@ -230,10 +236,11 @@ def ground_rules(priors: dict, groups: list, weights: HingeWeights, p: int = 2,
     if p not in (1, 2):
         raise ConfigError(f"hinge exponent must be 1 or 2, got {p}")
     observed = observed or {}
-    relations = sorted({g.relation for g in groups})
+    edges = hub_edges(groups)
+    relations = edges.relations
     weights.validate(relations)
 
-    grouped = sorted({mid for g in groups for mid in g.member_ids})
+    grouped = sorted(set(edges.members))
     missing = [mid for mid in grouped if mid not in priors and mid not in observed]
     if missing:
         raise DataError(f"{len(missing)} grouped messages lack priors (first: {missing[0]})")
@@ -244,16 +251,12 @@ def ground_rules(priors: dict, groups: list, weights: HingeWeights, p: int = 2,
     prior = np.clip(np.array([priors[mid] for mid in free], dtype=float), 0.0, 1.0)
 
     # one entry per (group, member) pair
-    members = [mid for g in groups for mid in g.member_ids]
-    sizes = np.array([len(g.member_ids) for g in groups], dtype=np.int64)
-    group_of = np.repeat(np.arange(n_groups, dtype=np.int64), sizes)
+    members, group_of, rel = edges.members, edges.group, edges.relation
     hub = n_free + group_of
     col = np.array([index.get(mid, -1) for mid in members], dtype=np.int64)
     is_free = col >= 0
     value = np.array([observed[mid] if mid in observed else priors[mid] for mid in members],
                      dtype=float)
-    rel_index = {r: k for k, r in enumerate(relations)}
-    rel = np.array([rel_index[g.relation] for g in groups], dtype=np.int64)[group_of]
 
     # Row slices of the four templates. Each row has up to two (column, coefficient)
     # entries; an observed member's value moves into the constant and its row
@@ -297,7 +300,7 @@ def ground_rules(priors: dict, groups: list, weights: HingeWeights, p: int = 2,
         return f"{kind}:{g.relation}:{g.key}:{members[pair]}"
 
     table = _PotentialTable(A, const, per_template[template_id], template_id, templates, p, tag)
-    hub_mean = np.bincount(group_of, weights=value, minlength=n_groups) / sizes
+    hub_mean = np.bincount(group_of, weights=value, minlength=n_groups) / edges.sizes
     return GroundHingeModel(var_ids=free + [hub_id(g.relation, g.key) for g in groups],
                             var_kinds=["message"] * n_free + ["hub"] * n_groups,
                             potentials=table,

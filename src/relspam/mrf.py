@@ -2,14 +2,22 @@
 
 Each group of related messages contributes one latent hub variable plus one
 agreement-favoring pairwise factor per member, so a group of n messages costs
-n edges rather than n-choose-2. Approximate marginals come from damped
-synchronous loopy belief propagation; small graphs can be checked against
-exact enumeration.
+n edges rather than n-choose-2. `build_factor_graph` fills the graph's arrays
+straight from the groups: per variable an id, a kind and a (phi_ham, phi_spam)
+row; per edge the message index, the hub index, the relation code and epsilon.
+`VariableNode` and `PairwiseFactor` objects are made only when a caller reads
+`graph.variables` or `graph.factors`. The (group, member) edge form comes from
+`hub_edges`, which the hinge-loss MRF grounds from too.
+
+Approximate marginals come from damped synchronous loopy belief propagation,
+one kernel over the arrays that runs a batch of epsilon settings at once;
+small graphs can be checked against exact enumeration.
 """
 
 from __future__ import annotations
 
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,13 +47,79 @@ class PairwiseFactor:
         return [[1.0 - e, e], [e, 1.0 - e]]
 
 
+@dataclass(frozen=True)
+class HubEdges:
+    """The (group, member) pairs of a list of groups, in group then member order."""
+
+    members: list  # member id per edge
+    group: np.ndarray  # edge -> group index
+    sizes: np.ndarray  # group -> member count
+    relations: list  # relation names present, sorted
+    relation: np.ndarray  # edge -> index into relations
+
+
+def hub_edges(groups: list) -> HubEdges:
+    n_groups = len(groups)
+    sizes = np.fromiter((len(g.member_ids) for g in groups), dtype=np.int64, count=n_groups)
+    group = np.repeat(np.arange(n_groups, dtype=np.int64), sizes)
+    relations = sorted({g.relation for g in groups})
+    code = {r: k for k, r in enumerate(relations)}
+    per_group = np.fromiter((code[g.relation] for g in groups), dtype=np.int64, count=n_groups)
+    return HubEdges(members=[mid for g in groups for mid in g.member_ids], group=group,
+                    sizes=sizes, relations=relations, relation=per_group[group])
+
+
+class _VariableTable(Sequence):
+    """Variables as arrays, messages first and then hubs; indexing makes a `VariableNode`."""
+
+    def __init__(self, ids: list, n_messages: int, phi: np.ndarray):
+        self.ids = ids
+        self.n_messages = n_messages
+        self.phi = phi  # (n, 2)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i: int) -> VariableNode:
+        i = range(len(self))[i]
+        return VariableNode(kind="message" if i < self.n_messages else "hub", id=self.ids[i],
+                            phi=(float(self.phi[i, 0]), float(self.phi[i, 1])))
+
+
+class _EdgeTable(Sequence):
+    """Edges as arrays: message index, hub index, relation code and epsilon;
+    indexing makes a `PairwiseFactor`."""
+
+    def __init__(self, var_a, var_b, relation, relations: list, epsilon):
+        self.var_a = var_a
+        self.var_b = var_b
+        self.relation = relation
+        self.relations = relations
+        self.epsilon = epsilon
+
+    def __len__(self) -> int:
+        return len(self.var_a)
+
+    def __getitem__(self, i: int) -> PairwiseFactor:
+        i = range(len(self))[i]
+        return PairwiseFactor(var_a=int(self.var_a[i]), var_b=int(self.var_b[i]),
+                              epsilon=float(self.epsilon[i]))
+
+
 @dataclass
 class FactorGraph:
-    variables: list = field(default_factory=list)
-    factors: list = field(default_factory=list)
+    """Binary variables joined by pairwise factors.
+
+    Built by hand, `variables` and `factors` are lists of `VariableNode` and
+    `PairwiseFactor`. From `build_factor_graph` they are lazy views of the
+    graph's arrays, and `len()` costs nothing. BP runs on arrays either way.
+    """
+
+    variables: Sequence = field(default_factory=list)
+    factors: Sequence = field(default_factory=list)
 
     def var_index(self) -> dict:
-        return {v.id: i for i, v in enumerate(self.variables)}
+        return {vid: i for i, vid in enumerate(self._ids())}
 
     def dump(self) -> str:
         """Human-readable dump for debugging."""
@@ -57,18 +131,39 @@ class FactorGraph:
             lines.append(f"factor {a.id} -- {b.id} eps={f.epsilon:.6g}")
         return "\n".join(lines)
 
+    def _ids(self) -> list:
+        v = self.variables
+        return v.ids if isinstance(v, _VariableTable) else [x.id for x in v]
+
+    def _arrays(self) -> tuple:
+        """(phi, var_a, var_b, epsilon), read from the node lists of a hand-built graph."""
+        v, f = self.variables, self.factors
+        phi = v.phi if isinstance(v, _VariableTable) else \
+            np.array([x.phi for x in v], dtype=float).reshape(len(v), 2)
+        if isinstance(f, _EdgeTable):
+            return phi, f.var_a, f.var_b, f.epsilon
+        return (phi, np.array([x.var_a for x in f], dtype=np.int64),
+                np.array([x.var_b for x in f], dtype=np.int64),
+                np.array([x.epsilon for x in f], dtype=float))
+
 
 def hub_id(relation: str, key: str) -> str:
     return f"hub:{relation}:{key}"
 
 
-def _check_epsilon(eps: float, relation: str):
-    if not (0.0 < eps < 0.5):
-        raise ConfigError(f"epsilon for relation {relation!r} must lie in (0, 0.5), got {eps}")
-
-
-def clamp_prior(p: float) -> float:
-    return min(max(p, PRIOR_CLAMP), 1.0 - PRIOR_CLAMP)
+def _edge_epsilons(relations: list, relation: np.ndarray, epsilons) -> np.ndarray:
+    """Per-edge epsilons from one shared value or a per-relation dict (0.1 for
+    a relation the dict leaves out), checked for every relation present."""
+    if isinstance(epsilons, (int, float)):
+        per_relation = [float(epsilons)] * len(relations)
+    elif isinstance(epsilons, dict):
+        per_relation = [epsilons.get(r, 0.1) for r in relations]
+    else:
+        per_relation = [0.1] * len(relations)
+    for r, eps in zip(relations, per_relation):
+        if not (0.0 < eps < 0.5):
+            raise ConfigError(f"epsilon for relation {r!r} must lie in (0, 0.5), got {eps}")
+    return np.array(per_relation, dtype=float)[relation]
 
 
 def build_factor_graph(priors: dict, groups: list, epsilons) -> FactorGraph:
@@ -76,32 +171,29 @@ def build_factor_graph(priors: dict, groups: list, epsilons) -> FactorGraph:
     one pairwise factor per (group, member). Ungrouped messages are excluded:
     their posterior is their prior by definition.
     """
-    if isinstance(epsilons, (int, float)):
-        epsilons = {g.relation: float(epsilons) for g in groups}
-    grouped_ids = sorted({mid for g in groups for mid in g.member_ids})
+    edges = hub_edges(groups)
+    grouped_ids = sorted(set(edges.members))
     missing = [mid for mid in grouped_ids if mid not in priors]
     if missing:
         raise DataError(f"{len(missing)} grouped messages lack priors (first: {missing[0]})")
 
-    graph = FactorGraph()
-    index = {}
-    n_clamped = 0
-    for mid in grouped_ids:
-        raw = priors[mid]
-        p = clamp_prior(raw)
-        n_clamped += p != raw
-        index[mid] = len(graph.variables)
-        graph.variables.append(VariableNode(kind="message", id=mid, phi=(1.0 - p, p)))
+    raw = np.array([priors[mid] for mid in grouped_ids], dtype=float)
+    p = np.clip(raw, PRIOR_CLAMP, 1.0 - PRIOR_CLAMP)
+    n_clamped = int(np.count_nonzero(p != raw))
     if n_clamped:
         log.debug("clamped %d priors into (0,1)", n_clamped)
-    for g in groups:
-        eps = epsilons.get(g.relation, 0.1) if isinstance(epsilons, dict) else 0.1
-        _check_epsilon(eps, g.relation)
-        h_idx = len(graph.variables)
-        graph.variables.append(VariableNode(kind="hub", id=hub_id(g.relation, g.key), phi=(0.5, 0.5)))
-        for mid in g.member_ids:
-            graph.factors.append(PairwiseFactor(var_a=index[mid], var_b=h_idx, epsilon=eps))
-    return graph
+    n_messages = len(grouped_ids)
+    phi = np.full((n_messages + len(groups), 2), 0.5)  # hubs are uninformative
+    phi[:n_messages, 0] = 1.0 - p
+    phi[:n_messages, 1] = p
+    index = {mid: j for j, mid in enumerate(grouped_ids)}
+    var_a = np.fromiter((index[mid] for mid in edges.members), dtype=np.int64,
+                        count=len(edges.members))
+    eps = _edge_epsilons(edges.relations, edges.relation, epsilons)
+    factors = _EdgeTable(var_a, n_messages + edges.group, edges.relation, edges.relations, eps)
+    variables = _VariableTable(grouped_ids + [hub_id(g.relation, g.key) for g in groups],
+                               n_messages, phi)
+    return FactorGraph(variables=variables, factors=factors)
 
 
 @dataclass
@@ -111,6 +203,81 @@ class BPResult:
     n_iters: int
 
 
+def _bp_rows(phi, var_a, var_b, eps, max_iters: int, damping: float, tol: float) -> tuple:
+    """Synchronous damped BP on one graph for each row of `eps` (B x n_edges).
+
+    Every row stops at its own iteration, and no sum mixes rows, so a row of a
+    batch equals the same row run alone bit for bit. Returns the spam
+    marginals (B x n_vars), the iterations and the convergence flags.
+    """
+    n_rows, n_edges = eps.shape
+    n_vars = len(phi)
+    if n_edges == 0:
+        marginals = np.broadcast_to(phi[:, 1] / (phi[:, 0] + phi[:, 1]), (n_rows, n_vars))
+        return marginals, np.zeros(n_rows, dtype=np.int64), np.ones(n_rows, dtype=bool)
+
+    log_phi = np.log(phi)
+    # A belief sums, in log space so large hubs cannot underflow the product,
+    # the variable's log-potential and then its incoming log-messages in edge
+    # order, first those into var_a and then those into var_b. bincount adds
+    # in input order, so these are the slots of one row's terms in that order.
+    slots = (np.concatenate([np.arange(n_vars), var_a, var_b])[:, None] * 2
+             + np.arange(2)).ravel()
+
+    def beliefs(m_ab, m_ba):
+        k = len(m_ab)
+        terms = np.concatenate([np.broadcast_to(log_phi, (k, n_vars, 2)),
+                                np.log(m_ba), np.log(m_ab)], axis=1)
+        idx = slots if k == 1 else (np.arange(k)[:, None] * (2 * n_vars) + slots).ravel()
+        bl = np.bincount(idx, weights=terms.ravel(), minlength=2 * n_vars * k)
+        bl = bl.reshape(k, n_vars, 2)
+        bl -= bl.max(axis=2, keepdims=True)
+        bel = np.exp(bl)
+        return bel / bel.sum(axis=2, keepdims=True)
+
+    # msg_ab[r, f] = message var_a -> var_b of edge f in row r, msg_ba the reverse
+    msg_ab = np.full((n_rows, n_edges, 2), 0.5)
+    msg_ba = np.full((n_rows, n_edges, 2), 0.5)
+    final_ab, final_ba = msg_ab.copy(), msg_ba.copy()
+    n_iters = np.full(n_rows, max_iters, dtype=np.int64)
+    converged = np.zeros(n_rows, dtype=bool)
+    rows = np.arange(n_rows)  # the rows still iterating
+    stay = 1.0 - eps
+    for it in range(1, max_iters + 1):
+        bel = beliefs(msg_ab, msg_ba)
+        out_a = bel[:, var_a] / msg_ba  # cavity: belief at a without f's incoming
+        out_b = bel[:, var_b] / msg_ab
+        # symmetric table: out(x) -> (1-e)*out(x) + e*out(1-x)
+        new_ab = np.empty_like(msg_ab)
+        new_ab[..., 0] = stay * out_a[..., 0] + eps * out_a[..., 1]
+        new_ab[..., 1] = eps * out_a[..., 0] + stay * out_a[..., 1]
+        new_ba = np.empty_like(msg_ba)
+        new_ba[..., 0] = stay * out_b[..., 0] + eps * out_b[..., 1]
+        new_ba[..., 1] = eps * out_b[..., 0] + stay * out_b[..., 1]
+        new_ab /= new_ab.sum(axis=2, keepdims=True)
+        new_ba /= new_ba.sum(axis=2, keepdims=True)
+        new_ab = damping * msg_ab + (1.0 - damping) * new_ab
+        new_ba = damping * msg_ba + (1.0 - damping) * new_ba
+        delta = np.maximum(np.abs(new_ab - msg_ab).max(axis=(1, 2)),
+                           np.abs(new_ba - msg_ba).max(axis=(1, 2)))
+        msg_ab, msg_ba = new_ab, new_ba
+        done = delta < tol
+        if done.any():
+            stop = rows[done]
+            final_ab[stop], final_ba[stop] = msg_ab[done], msg_ba[done]
+            n_iters[stop] = it
+            converged[stop] = True
+            keep = ~done
+            rows, msg_ab, msg_ba = rows[keep], msg_ab[keep], msg_ba[keep]
+            eps, stay = eps[keep], stay[keep]
+            if not len(rows):
+                break
+    final_ab[rows], final_ba[rows] = msg_ab, msg_ba
+    for _ in rows:
+        log.warning("loopy BP did not converge in %d iterations", max_iters)
+    return beliefs(final_ab, final_ba)[..., 1], n_iters, converged
+
+
 def loopy_bp(graph: FactorGraph, max_iters: int = 100, damping: float = 0.5,
              tol: float = 1e-6) -> BPResult:
     """Synchronous damped belief propagation; exact on trees.
@@ -118,60 +285,27 @@ def loopy_bp(graph: FactorGraph, max_iters: int = 100, damping: float = 0.5,
     Non-convergence is not an error: the current beliefs are returned with
     converged=False.
     """
-    n_vars = len(graph.variables)
-    n_factors = len(graph.factors)
-    if n_factors == 0:
-        marginals = {v.id: v.phi[1] / (v.phi[0] + v.phi[1]) for v in graph.variables}
-        return BPResult(marginals=marginals, converged=True, n_iters=0)
+    phi, var_a, var_b, eps = graph._arrays()
+    spam, n_iters, converged = _bp_rows(phi, var_a, var_b, eps[None, :], max_iters, damping, tol)
+    return BPResult(marginals=dict(zip(graph._ids(), spam[0].tolist())),
+                    converged=bool(converged[0]), n_iters=int(n_iters[0]))
 
-    phi = np.array([v.phi for v in graph.variables])  # (n_vars, 2)
-    a_idx = np.array([f.var_a for f in graph.factors])
-    b_idx = np.array([f.var_b for f in graph.factors])
-    eps = np.array([f.epsilon for f in graph.factors])
 
-    # msg_ab[f] = message var_a -> var_b, msg_ba[f] = var_b -> var_a
-    msg_ab = np.full((n_factors, 2), 0.5)
-    msg_ba = np.full((n_factors, 2), 0.5)
+def loopy_bp_batch(graph: FactorGraph, epsilons: list, max_iters: int = 100,
+                   damping: float = 0.5, tol: float = 1e-6) -> tuple:
+    """`loopy_bp` once per entry of `epsilons`, in one batched run on a graph
+    from `build_factor_graph`.
 
-    log_phi = np.log(phi)
-
-    def beliefs(m_ab, m_ba):
-        # accumulate in log space so large hubs cannot underflow the product
-        bl = log_phi.copy()
-        np.add.at(bl, a_idx, np.log(m_ba))
-        np.add.at(bl, b_idx, np.log(m_ab))
-        bl -= bl.max(axis=1, keepdims=True)
-        bel = np.exp(bl)
-        return bel / bel.sum(axis=1, keepdims=True)
-
-    converged = False
-    it = 0
-    for it in range(1, max_iters + 1):
-        bel = beliefs(msg_ab, msg_ba)
-        out_a = bel[a_idx] / msg_ba  # cavity: belief at a without f's incoming
-        out_b = bel[b_idx] / msg_ab
-        # symmetric table: out(x) -> (1-e)*out(x) + e*out(1-x)
-        new_ab = np.empty_like(msg_ab)
-        new_ab[:, 0] = (1.0 - eps) * out_a[:, 0] + eps * out_a[:, 1]
-        new_ab[:, 1] = eps * out_a[:, 0] + (1.0 - eps) * out_a[:, 1]
-        new_ba = np.empty_like(msg_ba)
-        new_ba[:, 0] = (1.0 - eps) * out_b[:, 0] + eps * out_b[:, 1]
-        new_ba[:, 1] = eps * out_b[:, 0] + (1.0 - eps) * out_b[:, 1]
-        new_ab /= new_ab.sum(axis=1, keepdims=True)
-        new_ba /= new_ba.sum(axis=1, keepdims=True)
-        new_ab = damping * msg_ab + (1.0 - damping) * new_ab
-        new_ba = damping * msg_ba + (1.0 - damping) * new_ba
-        delta = max(np.abs(new_ab - msg_ab).max(), np.abs(new_ba - msg_ba).max())
-        msg_ab, msg_ba = new_ab, new_ba
-        if delta < tol:
-            converged = True
-            break
-    if not converged:
-        log.warning("loopy BP did not converge in %d iterations", max_iters)
-
-    bel = beliefs(msg_ab, msg_ba)
-    marginals = {v.id: float(bel[i, 1]) for i, v in enumerate(graph.variables)}
-    return BPResult(marginals=marginals, converged=converged, n_iters=it)
+    Each entry is a shared value or a per-relation dict, as
+    `build_factor_graph` takes. Row b equals `loopy_bp` on the graph built with
+    epsilons[b], bit for bit. Returns (spam marginals as a B x n_variables
+    array in variable order, iterations, convergence flags).
+    """
+    phi, var_a, var_b, _ = graph._arrays()
+    f = graph.factors
+    rows = np.array([_edge_epsilons(f.relations, f.relation, e) for e in epsilons], dtype=float)
+    return _bp_rows(phi, var_a, var_b, rows.reshape(len(epsilons), len(var_a)),
+                    max_iters, damping, tol)
 
 
 def exact_marginals(graph: FactorGraph) -> dict:
@@ -212,13 +346,10 @@ def infer_posteriors(priors: dict, groups: list, epsilons=0.1, max_iters: int = 
     """
     graph = build_factor_graph(priors, groups, epsilons)
     result = loopy_bp(graph, max_iters=max_iters, damping=damping, tol=tol)
+    ids, n_messages = graph.variables.ids, graph.variables.n_messages
     scores = dict(priors)
-    hub_scores = {}
-    for v in graph.variables:
-        if v.kind == "message":
-            scores[v.id] = result.marginals[v.id]
-        else:
-            hub_scores[v.id] = result.marginals[v.id]
+    scores.update((vid, result.marginals[vid]) for vid in ids[:n_messages])
+    hub_scores = {vid: result.marginals[vid] for vid in ids[n_messages:]}
     return JointResult(scores=scores, hub_scores=hub_scores, converged=result.converged,
                        n_iters=result.n_iters, n_variables=len(graph.variables),
                        n_factors=len(graph.factors))

@@ -17,6 +17,7 @@ from relspam.data_model import (
     normalize_text,
     read_messages,
     relations_from_names,
+    restrict_groups,
     sort_chronologically,
     validate_dataset,
     write_messages,
@@ -205,6 +206,27 @@ def test_split_invariant_property(rows):
         test = ordered[s.test[0]:s.test[1]]
         if train and test:
             assert max(m.timestamp for m in train) <= min(m.timestamp for m in test)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(["u1", "u2", "u3"]), st.sampled_from(["x", "y", "X!", ""]),
+                  st.lists(st.sampled_from(["http://a.io/1", "HTTP://A.io/1", "http://b.io"]), max_size=2),
+                  st.lists(st.sampled_from(["tag", "Tag", "other"]), max_size=2)),
+        max_size=25,
+    ),
+    st.lists(st.sampled_from(["user", "text", "link", "hashtag", "user_hashtag"]), unique=True),
+    st.sets(st.integers(0, 24)),
+)
+def test_restricted_groups_equal_groups_of_the_subset(rows, relation_names, kept):
+    messages = [msg(f"m{i:02d}", user=u, text=t, links=links, hashtags=tags)
+                for i, (u, t, links, tags) in enumerate(rows)]
+    relations = relations_from_names(relation_names)
+    ids = {f"m{i:02d}" for i in kept}
+    expected = build_groups([m for m in messages if m.id in ids], relations)
+    assert restrict_groups(build_groups(messages, relations), ids) == expected
+    assert restrict_groups(build_groups(messages, relations), sorted(ids)) == expected
 
 
 class TestIngestion:

@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relspam.data_model import DataError, Group, Message, build_groups, labels_of, relations_from_names
 from relspam.evaluation import (
@@ -337,6 +338,83 @@ class TestTuneEpsilons:
         assert 0.0 < eps["user"] < 0.5
 
 
+def reference_tune_epsilons(priors, groups, labels, relations, grid, default):
+    """Coordinate descent with one full inference per candidate, as tune_epsilons once ran."""
+    eps = {r: default for r in relations}
+    ids = sorted(set(priors) & set(labels))
+    if not ids:
+        return eps
+
+    def score(candidate):
+        result = infer_posteriors(priors, groups, candidate)
+        try:
+            return aupr([result.scores[i] for i in ids], [labels[i] for i in ids])
+        except DataError:
+            return None
+
+    for rel in relations:
+        best_eps, best_score = eps[rel], score(eps)
+        if best_score is None:
+            return eps
+        for e in grid:
+            trial = dict(eps)
+            trial[rel] = e
+            s = score(trial)
+            if s is not None and s > best_score:
+                best_eps, best_score = e, s
+        eps[rel] = best_eps
+    return eps
+
+
+TUNE_VALUES = (0.05, 0.1, 0.2, 0.3, 0.4)
+
+
+@st.composite
+def tuning_inputs(draw):
+    ids = [f"m{i}" for i in range(draw(st.integers(2, 14)))]
+    groups = []
+    for relation in ("user", "text", "link"):
+        for key in ("k0", "k1", "k2")[:draw(st.integers(0, 3))]:
+            members = draw(st.lists(st.sampled_from(ids), min_size=2, max_size=len(ids), unique=True))
+            groups.append(group(relation, key, members))
+    # coarse priors make ties, and so the strict tie rule, likely
+    priors = {mid: draw(st.one_of(st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]), st.floats(0.0, 1.0)))
+              for mid in sorted(set(draw(st.lists(st.sampled_from(ids), unique=True, min_size=1)))
+                                | {m for g in groups for m in g.member_ids})}
+    # labels may leave messages out, or cover one class only
+    labels = {mid: draw(st.sampled_from([0, 1])) for mid in ids if draw(st.integers(0, 3))}
+    if draw(st.integers(0, 7)) == 0:
+        labels = dict.fromkeys(labels, draw(st.sampled_from([0, 1])))
+    relations = draw(st.lists(st.sampled_from(["user", "text", "link", "hashtag"]), min_size=1,
+                              max_size=3, unique=True))
+    default = draw(st.sampled_from(TUNE_VALUES))
+    grid = draw(st.lists(st.sampled_from(TUNE_VALUES), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        grid.insert(draw(st.integers(0, len(grid))), default)  # the grid repeats the current value
+    return priors, groups, labels, relations, tuple(grid), default
+
+
+@settings(max_examples=100, deadline=None)
+@given(tuning_inputs())
+def test_tune_epsilons_matches_per_candidate_reference(inputs):
+    priors, groups, labels, relations, grid, default = inputs
+    expected = reference_tune_epsilons(priors, groups, labels, relations, grid, default)
+    assert tune_epsilons(priors, groups, labels, relations, grid=grid, default=default) == expected
+
+
+def test_tune_epsilons_without_groups_keeps_defaults():
+    priors = {"a": 0.9, "b": 0.8, "c": 0.2}
+    eps = tune_epsilons(priors, [], {"a": 1, "b": 0, "c": 0}, ["user"], default=0.3)
+    assert eps == {"user": 0.3}
+
+
+def test_tune_epsilons_single_class_labels_keep_defaults():
+    priors = {"a": 0.9, "b": 0.8, "c": 0.2}
+    groups = [group("user", "u", ["a", "b", "c"])]
+    eps = tune_epsilons(priors, groups, {"a": 1, "b": 1, "c": 1}, ["user", "text"], default=0.2)
+    assert eps == {"user": 0.2, "text": 0.2}
+
+
 def test_metrics_from_dicts_handles_single_class():
     out = metrics_from_dicts({"a": 0.4, "b": 0.5}, {"a": 1, "b": 1}, ["a", "b"])
     assert out["aupr"] is None
@@ -396,9 +474,6 @@ class TestPipelineOptions:
         )
         report = evaluate_experiment(messages, [], config)
         assert report.models[0]["overall"]["aupr"] is not None
-
-
-from hypothesis import given, settings, strategies as st
 
 
 @settings(max_examples=40, deadline=None)

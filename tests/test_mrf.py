@@ -1,7 +1,9 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relspam.data_model import ConfigError, DataError, Group
 from relspam.mrf import (
@@ -10,8 +12,10 @@ from relspam.mrf import (
     VariableNode,
     build_factor_graph,
     exact_marginals,
+    hub_id,
     infer_posteriors,
     loopy_bp,
+    loopy_bp_batch,
 )
 
 
@@ -212,3 +216,154 @@ def test_dump_is_readable():
     text = graph.dump()
     assert "hub:user:u" in text
     assert "eps=0.1" in text
+
+
+def reference_factor_graph(priors: dict, groups: list, epsilons) -> FactorGraph:
+    """The hub graph built one node object at a time, as build_factor_graph once did."""
+    if isinstance(epsilons, (int, float)):
+        epsilons = {g.relation: float(epsilons) for g in groups}
+    graph = FactorGraph()
+    index = {}
+    for mid in sorted({mid for g in groups for mid in g.member_ids}):
+        p = min(max(priors[mid], 1e-6), 1.0 - 1e-6)
+        index[mid] = len(graph.variables)
+        graph.variables.append(VariableNode(kind="message", id=mid, phi=(1.0 - p, p)))
+    for g in groups:
+        eps = epsilons.get(g.relation, 0.1) if isinstance(epsilons, dict) else 0.1
+        h = len(graph.variables)
+        graph.variables.append(VariableNode(kind="hub", id=hub_id(g.relation, g.key), phi=(0.5, 0.5)))
+        for mid in g.member_ids:
+            graph.factors.append(PairwiseFactor(var_a=index[mid], var_b=h, epsilon=eps))
+    return graph
+
+
+def reference_loopy_bp(graph: FactorGraph, max_iters: int, damping: float = 0.5, tol: float = 1e-6):
+    """Per-object BP with unbuffered np.add.at accumulation, as loopy_bp once ran."""
+    phi = np.array([v.phi for v in graph.variables])
+    a_idx = np.array([f.var_a for f in graph.factors])
+    b_idx = np.array([f.var_b for f in graph.factors])
+    eps = np.array([f.epsilon for f in graph.factors])
+    msg_ab = np.full((len(graph.factors), 2), 0.5)
+    msg_ba = np.full((len(graph.factors), 2), 0.5)
+    log_phi = np.log(phi)
+
+    def beliefs(m_ab, m_ba):
+        bl = log_phi.copy()
+        np.add.at(bl, a_idx, np.log(m_ba))
+        np.add.at(bl, b_idx, np.log(m_ab))
+        bl -= bl.max(axis=1, keepdims=True)
+        bel = np.exp(bl)
+        return bel / bel.sum(axis=1, keepdims=True)
+
+    converged, it = False, 0
+    for it in range(1, max_iters + 1):
+        bel = beliefs(msg_ab, msg_ba)
+        out_a = bel[a_idx] / msg_ba
+        out_b = bel[b_idx] / msg_ab
+        new_ab = np.empty_like(msg_ab)
+        new_ab[:, 0] = (1.0 - eps) * out_a[:, 0] + eps * out_a[:, 1]
+        new_ab[:, 1] = eps * out_a[:, 0] + (1.0 - eps) * out_a[:, 1]
+        new_ba = np.empty_like(msg_ba)
+        new_ba[:, 0] = (1.0 - eps) * out_b[:, 0] + eps * out_b[:, 1]
+        new_ba[:, 1] = eps * out_b[:, 0] + (1.0 - eps) * out_b[:, 1]
+        new_ab /= new_ab.sum(axis=1, keepdims=True)
+        new_ba /= new_ba.sum(axis=1, keepdims=True)
+        new_ab = damping * msg_ab + (1.0 - damping) * new_ab
+        new_ba = damping * msg_ba + (1.0 - damping) * new_ba
+        delta = max(np.abs(new_ab - msg_ab).max(), np.abs(new_ba - msg_ba).max())
+        msg_ab, msg_ba = new_ab, new_ba
+        if delta < tol:
+            converged = True
+            break
+    bel = beliefs(msg_ab, msg_ba)
+    return bel[:, 1].tolist(), converged, it
+
+
+RELATIONS = ("user", "text", "link")
+EPSILONS = (0.01, 0.05, 0.1, 0.2, 0.3, 0.45)
+
+
+@st.composite
+def hub_inputs(draw):
+    ids = [f"m{i}" for i in range(draw(st.integers(2, 9)))]
+    groups = []
+    for relation in RELATIONS:
+        for key in ("k0", "k1", "k2")[:draw(st.integers(0, 3))]:
+            members = draw(st.lists(st.sampled_from(ids), min_size=2, max_size=len(ids), unique=True))
+            groups.append(group(relation, key, members))
+    draw(st.randoms()).shuffle(groups)
+    prior = st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.0, 1.0))
+    priors = {mid: draw(prior) for mid in ids}
+    return priors, groups
+
+
+# a per-relation dict that may leave relations out (they take 0.1), or one shared value
+epsilon_settings = st.one_of(
+    st.sampled_from(EPSILONS),
+    st.dictionaries(st.sampled_from(RELATIONS), st.sampled_from(EPSILONS)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(hub_inputs(), epsilon_settings, st.sampled_from([(100, 1e-6), (3, 1e-15)]))
+def test_array_graph_matches_per_object_reference(inputs, epsilons, stop):
+    priors, groups = inputs
+    graph = build_factor_graph(priors, groups, epsilons)
+    ref = reference_factor_graph(priors, groups, epsilons)
+    assert len(graph.variables) == len(ref.variables)
+    assert len(graph.factors) == len(ref.factors)
+    assert list(graph.variables) == ref.variables
+    assert list(graph.factors) == ref.factors
+    if ref.factors:
+        assert graph.variables[-1] == ref.variables[-1]
+        assert graph.factors[-1] == ref.factors[-1]
+    assert graph.dump() == ref.dump()
+    assert graph.var_index() == ref.var_index()
+
+    # the array graph, the same graph built by hand, and the per-object loop agree bit for bit
+    max_iters, tol = stop
+    if ref.factors:
+        expected = reference_loopy_bp(ref, max_iters, tol=tol)
+    else:
+        expected = [v.phi[1] / (v.phi[0] + v.phi[1]) for v in ref.variables], True, 0
+    for g in (graph, ref):
+        bp = loopy_bp(g, max_iters=max_iters, tol=tol)
+        assert (list(bp.marginals.values()), bp.converged, bp.n_iters) == expected
+        assert type(bp.converged) is bool and type(bp.n_iters) is int
+
+
+@settings(max_examples=80, deadline=None)
+@given(hub_inputs(), st.lists(epsilon_settings, min_size=1, max_size=6),
+       st.sampled_from([(100, 1e-6), (12, 1e-9), (2, 1e-15)]))
+def test_batched_rows_equal_single_runs_bit_for_bit(inputs, settings_list, stop):
+    priors, groups = inputs
+    max_iters, tol = stop
+    graph = build_factor_graph(priors, groups, 0.1)
+    spam, n_iters, converged = loopy_bp_batch(graph, settings_list, max_iters=max_iters, tol=tol)
+    assert spam.shape == (len(settings_list), len(graph.variables))
+    for eps, row, row_iters, row_converged in zip(settings_list, spam, n_iters, converged):
+        single = loopy_bp(build_factor_graph(priors, groups, eps), max_iters=max_iters, tol=tol)
+        assert row.tolist() == list(single.marginals.values())
+        assert (row_iters, row_converged) == (single.n_iters, single.converged)
+
+
+def test_batch_rows_stop_at_their_own_iteration():
+    priors = {f"m{i}": 0.2 + 0.1 * i for i in range(6)}
+    groups = [group("user", "u", ["m0", "m1", "m2", "m3"]), group("text", "t", ["m2", "m3", "m4", "m5"]),
+              group("link", "l", ["m0", "m5"])]
+    graph = build_factor_graph(priors, groups, 0.1)
+    # alone, these rows converge in 17, 73 and 34 iterations
+    settings_list = [0.45, {"user": 0.1, "text": 0.1, "link": 0.1}, 0.3]
+    spam, n_iters, converged = loopy_bp_batch(graph, settings_list, max_iters=40)
+    assert converged.tolist() == [True, False, True]
+    assert n_iters.tolist() == [17, 40, 34]
+    for eps, row, row_iters in zip(settings_list, spam, n_iters):
+        single = loopy_bp(build_factor_graph(priors, groups, eps), max_iters=40)
+        assert row.tolist() == list(single.marginals.values())
+        assert row_iters == single.n_iters
+
+
+def test_batch_checks_every_epsilon_setting():
+    priors = {"a": 0.5, "b": 0.5}
+    graph = build_factor_graph(priors, [group("user", "u", ["a", "b"])], 0.1)
+    with pytest.raises(ConfigError):
+        loopy_bp_batch(graph, [0.1, {"user": 0.5}])
