@@ -3,13 +3,14 @@
 Stages communicate only through files under the output directory, so any
 stage can be rerun in isolation; outputs are versioned and byte-deterministic
 for a fixed config and seed. `run-all` chains every stage and writes the
-final report.
+final report. The protocol's work is done by the per-subset steps of
+`evaluation` that `evaluate_experiment` also runs; a stage only reads its
+inputs, calls those steps, and writes their results.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import logging
 import sys
@@ -23,11 +24,8 @@ from .data_model import (
     read_follows,
     read_messages,
     relations_from_names,
-    restrict_groups,
-    sort_chronologically,
     chronological_split,
     SplitPlan,
-    validate_dataset,
     write_follows,
     write_messages,
 )
@@ -35,21 +33,15 @@ from .evaluation import (
     ExperimentConfig,
     KNOWN_MODELS,
     aggregate_report,
-    component_coverage,
-    config_snapshot,
-    inductive_partition,
+    featurize_subset,
+    graph_feature_table,
     infer_subset_models,
+    ordered_dataset,
     pr_curve_points,
+    sum_diagnostics,
     train_subset_models,
 )
-from .features import (
-    FeatureConfig,
-    FeaturePipeline,
-    build_follower_graph,
-    compute_graph_feature_table,
-    read_feature_matrix,
-    write_feature_matrix,
-)
+from .features import FeatureConfig, read_feature_matrix, write_feature_matrix
 from .hinge import HingeWeights
 from .linear import ClassifierConfig, LinearModel
 from .stacking import StackedModel
@@ -62,7 +54,6 @@ CONFIG_VERSION = 1
 DEFAULT_CONFIG = {
     "version": CONFIG_VERSION,
     "seed": 0,
-    "threads": 1,
     "out": "out",
     "messages": None,        # defaults to <out>/data/messages.jsonl (the generate stage output)
     "follows": None,         # defaults to <out>/data/follows.tsv when present
@@ -73,7 +64,7 @@ DEFAULT_CONFIG = {
     "feature_mode": "full",
     "limited_drop": "ngrams",
     "ngram_top_k": 10000,
-    "classifier": {"l2": 1.0, "max_iter": 300, "tol": 1e-6, "method": "batch"},
+    "classifier": {"l2": 1.0, "max_iter": 300, "tol": 1e-6},
     "l2_grid": None,
     "epsilons": 0.1,
     "tune_epsilons": False,
@@ -121,8 +112,9 @@ def validate_config(cfg: dict) -> None:
             raise ConfigError(f"epsilons must lie in (0, 0.5), got {e}")
     if not isinstance(cfg.get("seed"), int):
         raise ConfigError("seed must be an integer")
-    if not isinstance(cfg.get("threads"), int) or cfg["threads"] < 1:
-        raise ConfigError("threads must be a positive integer")
+    method = cfg["classifier"].get("method", "batch")
+    if method != "batch":
+        raise ConfigError(f"classifier.method must be 'batch', the only solver, got {method!r}")
 
 
 def load_config(path: str | None, overrides: dict) -> dict:
@@ -155,8 +147,7 @@ def experiment_config(cfg: dict) -> ExperimentConfig:
         fractions=tuple(cfg["fractions"]),
         feature=FeatureConfig(mode=cfg["feature_mode"], limited_drop=cfg["limited_drop"],
                               ngram_top_k=cfg["ngram_top_k"]),
-        classifier=ClassifierConfig(l2=clf["l2"], max_iter=clf["max_iter"],
-                                    tol=clf["tol"], seed=cfg["seed"], method=clf["method"]),
+        classifier=ClassifierConfig(l2=clf["l2"], max_iter=clf["max_iter"], tol=clf["tol"]),
         l2_grid=cfg["l2_grid"],
         epsilons=cfg["epsilons"],
         tune_epsilons=cfg["tune_epsilons"],
@@ -194,18 +185,20 @@ def _load_dataset(cfg):
     messages = read_messages(_require(_messages_path(cfg), "generate"))
     follows_path = _follows_path(cfg)
     follows = read_follows(follows_path) if follows_path.exists() else []
-    report = validate_dataset(messages)
-    if not report.ok:
-        raise DataError("dataset failed validation: " + "; ".join(report.errors[:5]))
-    return sort_chronologically(messages), follows
+    return ordered_dataset(messages), follows
 
 
-def _map_ordered(fn, items, threads: int):
-    """Apply fn to items, optionally in a thread pool; results keep item order."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def _subset_dir(cfg, stage_dir: str, i: int) -> Path:
+    return _out(cfg) / stage_dir / f"subset_{i:02d}"
+
+
+def _load_plan(cfg) -> SplitPlan:
+    path = _require(_out(cfg) / "features" / "split_plan.json", "featurize")
+    return SplitPlan.from_json(path.read_text(encoding="utf-8"))
+
+
+def _load_features(cfg, i: int):
+    return read_feature_matrix(_require(_subset_dir(cfg, "features", i) / "features.npz", "featurize"))
 
 
 # --- stages ---
@@ -229,58 +222,28 @@ def cmd_featurize(cfg: dict) -> int:
     feat_dir = _out(cfg) / "features"
     feat_dir.mkdir(parents=True, exist_ok=True)
     (feat_dir / "split_plan.json").write_text(plan.to_json(), encoding="utf-8")
-
-    graph_table = {}
-    if exp.feature.uses_graph() and follows:
-        graph_table = compute_graph_feature_table(build_follower_graph(follows))
+    graph_table = graph_feature_table(exp, follows)
     (feat_dir / "graph_table.json").write_text(
         json.dumps(graph_table, sort_keys=True), encoding="utf-8")
-
-    def featurize_subset(i):
-        subset = plan.subsets[i]
-        train_msgs = messages[subset.train[0]:subset.train[1]]
-        subset_msgs = messages[subset.train[0]:subset.test[1]]
-        pipe = FeaturePipeline(exp.feature)
-        pipe.graph_table = graph_table
-        pipe.fit(train_msgs, follows=None)
-        fm = pipe.transform(subset_msgs, labels_of(train_msgs))
-        sub_dir = feat_dir / f"subset_{i:02d}"
+    for i, subset in enumerate(plan.subsets):
+        pipe, fm = featurize_subset(messages, subset, exp, graph_table)
+        sub_dir = _subset_dir(cfg, "features", i)
         sub_dir.mkdir(parents=True, exist_ok=True)
         (sub_dir / "pipeline.json").write_text(pipe.to_json(), encoding="utf-8")
         write_feature_matrix(sub_dir / "features.npz", fm)
-        return fm.shape
-
-    shapes = _map_ordered(featurize_subset, list(range(exp.n_subsets)), cfg["threads"])
-    log.info("featurize: wrote %d subset matrices (shapes %s...)", len(shapes), shapes[0])
+        # not held while the next subset is transformed, which sets the stage's peak memory
+        del pipe, fm
+    log.info("featurize: wrote %d subset matrices under %s", plan.n_subsets, feat_dir)
     return 0
-
-
-def _load_plan(cfg) -> SplitPlan:
-    path = _require(_out(cfg) / "features" / "split_plan.json", "featurize")
-    return SplitPlan.from_json(path.read_text(encoding="utf-8"))
 
 
 def cmd_train(cfg: dict) -> int:
     exp = experiment_config(cfg)
     plan = _load_plan(cfg)
     messages, _ = _load_dataset(cfg)
-    relations = relations_from_names(exp.relations)
-    models_dir = _out(cfg) / "models"
-
-    def train_subset(i):
-        subset = plan.subsets[i]
-        sub_dir = _out(cfg) / "features" / f"subset_{i:02d}"
-        pipe = FeaturePipeline.from_json(
-            _require(sub_dir / "pipeline.json", "featurize").read_text(encoding="utf-8"))
-        fm = read_feature_matrix(_require(sub_dir / "features.npz", "featurize"))
-        train_msgs = messages[subset.train[0]:subset.train[1]]
-        val_msgs = messages[subset.validation[0]:subset.validation[1]]
-        fm_train = fm.select_rows([m.id for m in train_msgs])
-        fm_val = fm.select_rows([m.id for m in val_msgs])
-        groups_train = build_groups(train_msgs, relations)
-        artifacts = train_subset_models(train_msgs, val_msgs, fm_train, fm_val,
-                                        pipe.scalable_columns(), exp, groups_train)
-        out_dir = models_dir / f"subset_{i:02d}"
+    for i, subset in enumerate(plan.subsets):
+        artifacts = train_subset_models(messages, subset, _load_features(cfg, i), exp)
+        out_dir = _subset_dir(cfg, "models", i)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "independent.json").write_text(artifacts["independent"].to_json(), encoding="utf-8")
         for k in exp.required_stacks():
@@ -289,22 +252,20 @@ def cmd_train(cfg: dict) -> int:
             payload = {
                 "weights": artifacts["psl_weights"].to_dict(),
                 "validation": {"subset": i, "range": list(subset.validation),
-                               "n_messages": len(val_msgs)},
+                               "n_messages": subset.validation[1] - subset.validation[0]},
             }
             (out_dir / "psl_weights.json").write_text(
                 json.dumps(payload, sort_keys=True), encoding="utf-8")
         if "epsilons" in artifacts:
             (out_dir / "epsilons.json").write_text(
                 json.dumps(artifacts["epsilons"], sort_keys=True), encoding="utf-8")
-        return i
-
-    _map_ordered(train_subset, list(range(exp.n_subsets)), cfg["threads"])
-    log.info("train: wrote model artifacts for %d subsets under %s", exp.n_subsets, models_dir)
+    log.info("train: wrote model artifacts for %d subsets under %s", plan.n_subsets,
+             _out(cfg) / "models")
     return 0
 
 
 def _load_artifacts(cfg, exp: ExperimentConfig, i: int) -> dict:
-    out_dir = _out(cfg) / "models" / f"subset_{i:02d}"
+    out_dir = _subset_dir(cfg, "models", i)
     artifacts = {"independent": LinearModel.from_json(
         _require(out_dir / "independent.json", "train").read_text(encoding="utf-8"))}
     for k in exp.required_stacks():
@@ -324,82 +285,59 @@ def cmd_infer(cfg: dict) -> int:
     exp = experiment_config(cfg)
     plan = _load_plan(cfg)
     messages, _ = _load_dataset(cfg)
-    relations = relations_from_names(exp.relations)
     pred_dir = _out(cfg) / "predictions"
-
-    def infer_subset(i):
-        subset = plan.subsets[i]
-        sub_dir = _out(cfg) / "features" / f"subset_{i:02d}"
-        fm = read_feature_matrix(_require(sub_dir / "features.npz", "featurize"))
-        train_msgs = messages[subset.train[0]:subset.train[1]]
-        test_msgs = messages[subset.test[0]:subset.test[1]]
-        fm_test = fm.select_rows([m.id for m in test_msgs])
-        groups_tt = build_groups(train_msgs + test_msgs, relations)
-        artifacts = _load_artifacts(cfg, exp, i)
-        preds, diag = infer_subset_models(artifacts, train_msgs, test_msgs, fm_test,
-                                          groups_tt, exp)
+    diagnostics = []
+    for i, subset in enumerate(plan.subsets):
+        fm = _load_features(cfg, i)
+        preds, diag = infer_subset_models(_load_artifacts(cfg, exp, i), messages, subset, fm, exp)
         for name, scores in preds.items():
             model_dir = pred_dir / name
             model_dir.mkdir(parents=True, exist_ok=True)
             with open(model_dir / f"subset_{i:02d}.tsv", "w", encoding="utf-8") as fh:
                 for mid in sorted(scores):
                     fh.write(f"{mid}\t{scores[mid]!r}\n")
-        return diag
-
-    diags = _map_ordered(infer_subset, list(range(exp.n_subsets)), cfg["threads"])
-    total = {k: sum(d[k] for d in diags) for k in diags[0]} if diags else {}
-    (pred_dir / "diagnostics.json").write_text(json.dumps(total, sort_keys=True), encoding="utf-8")
-    log.info("infer: wrote predictions for %d subsets under %s", exp.n_subsets, pred_dir)
+        diagnostics.append(diag)
+    (pred_dir / "diagnostics.json").write_text(
+        json.dumps(sum_diagnostics(diagnostics), sort_keys=True), encoding="utf-8")
+    log.info("infer: wrote predictions for %d subsets under %s", plan.n_subsets, pred_dir)
     return 0
+
+
+def _read_predictions(path: Path) -> dict:
+    scores = {}
+    for line in path.read_text(encoding="utf-8").splitlines():
+        mid, value = line.split("\t")
+        scores[mid] = float(value)
+    return scores
 
 
 def cmd_eval(cfg: dict) -> int:
     exp = experiment_config(cfg)
     plan = _load_plan(cfg)
     messages, _ = _load_dataset(cfg)
-    relations = relations_from_names(exp.relations)
     roster = exp.valid_models()
+    # built before the predictions are read: its transient buckets set the stage's peak memory
+    groups_all = build_groups(messages, relations_from_names(exp.relations))
     pred_dir = _out(cfg) / "predictions"
-    groups_all = build_groups(messages, relations)
-
-    subset_preds, subset_test_ids, subset_inductive_ids = [], [], []
-    for i, subset in enumerate(plan.subsets):
-        train_ids = [m.id for m in messages[subset.train[0]:subset.train[1]]]
-        test_ids = [m.id for m in messages[subset.test[0]:subset.test[1]]]
-        preds = {}
-        for name in roster:
-            path = _require(pred_dir / name / f"subset_{i:02d}.tsv", "infer")
-            scores = {}
-            for line in path.read_text(encoding="utf-8").splitlines():
-                mid, value = line.split("\t")
-                scores[mid] = float(value)
-            preds[name] = scores
-        groups_tt = restrict_groups(groups_all, train_ids + test_ids)
-        ind, _ = inductive_partition(test_ids, train_ids, groups_tt)
-        subset_preds.append(preds)
-        subset_test_ids.append(test_ids)
-        subset_inductive_ids.append(ind)
-
+    subset_preds = [
+        {name: _read_predictions(_require(pred_dir / name / f"subset_{i:02d}.tsv", "infer"))
+         for name in roster}
+        for i in range(plan.n_subsets)
+    ]
     diag_path = pred_dir / "diagnostics.json"
     diagnostics = json.loads(diag_path.read_text(encoding="utf-8")) if diag_path.exists() else {}
-    coverage = component_coverage(messages, groups_all)
-    report = aggregate_report(roster, subset_preds, subset_test_ids, subset_inductive_ids,
-                              labels_of(messages), coverage, diagnostics, config_snapshot(exp),
-                              len(messages))
+    report = aggregate_report(exp, messages, plan, groups_all, subset_preds, diagnostics)
     out = _out(cfg)
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     (out / "report.txt").write_text(report.to_text() + "\n", encoding="utf-8")
     if cfg.get("dump_pr_curves"):
         labels = labels_of(messages)
-        all_ids = [mid for ids in subset_test_ids for mid in ids if mid in labels]
         curves = {}
         for name in roster:
-            merged = {}
-            for preds in subset_preds:
-                merged.update(preds[name])
+            merged = {mid: score for preds in subset_preds
+                      for mid, score in preds[name].items() if mid in labels}
             try:
-                curves[name] = pr_curve_points([merged[m] for m in all_ids],
-                                               [labels[m] for m in all_ids])
+                curves[name] = pr_curve_points(list(merged.values()), [labels[m] for m in merged])
             except DataError:
                 curves[name] = []
         (out / "pr_curves.json").write_text(json.dumps(curves, sort_keys=True), encoding="utf-8")
@@ -433,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--verbose", "-v", action="store_true", help="info-level logging")
         p.add_argument("--config", help="JSON config file (merged over defaults)")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--threads", type=int, help="intra-stage worker threads")
         p.add_argument("--feature-mode", choices=["full", "limited"], dest="feature_mode")
         p.add_argument("--stacks", type=int,
                        help="stack depth for the default roster (ignored with --models)")
@@ -458,7 +395,6 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     overrides = {
         "seed": args.seed,
-        "threads": args.threads,
         "feature_mode": args.feature_mode,
         "out": args.out,
     }

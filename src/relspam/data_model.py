@@ -183,7 +183,8 @@ class ValidationReport:
 
 
 def validate_dataset(messages: list) -> ValidationReport:
-    """Report duplicate ids, invalid timestamps and label coverage. Never mutates."""
+    """Report duplicate ids, ids the TSV artifacts cannot carry (a tab, CR or
+    newline), invalid timestamps and label coverage. Never mutates."""
     report = ValidationReport(n_messages=len(messages))
     seen = set()
     dups = set()
@@ -192,6 +193,8 @@ def validate_dataset(messages: list) -> ValidationReport:
         if m.id in seen:
             dups.add(m.id)
         seen.add(m.id)
+        if "\t" in m.id or "\r" in m.id or "\n" in m.id:
+            report.errors.append(f"message id contains a tab, CR or newline: {m.id!r}")
         if not isinstance(m.timestamp, int) or m.timestamp < 0:
             report.bad_timestamps.append(m.id)
         if m.label is not None:

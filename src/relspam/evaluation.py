@@ -1,9 +1,14 @@
 """Metrics and the chronological multi-subset evaluation protocol.
 
-Per subset: fit features and the independent classifier on the training
-slice, tune on validation, predict the test slice with every roster model
-(stacked, joint, and combined); test predictions are concatenated across
-subsets and scored overall and on the inductive / transductive partition.
+The protocol is written once, as per-subset steps on in-memory inputs:
+`featurize_subset` fits the feature pipeline on the training slice,
+`train_subset_models` fits the independent classifier and every artifact the
+roster needs (tuning on validation), `infer_subset_models` predicts the test
+slice with every roster model (stacked, joint, and combined), and
+`aggregate_report` concatenates the test predictions across subsets and scores
+them overall and on the inductive / transductive partition.
+`evaluate_experiment` runs these steps in one process; the `cli` stages run
+the same steps and only read and write the artifacts between them.
 """
 
 from __future__ import annotations
@@ -11,20 +16,31 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
 from .data_model import (
     ConfigError,
     DataError,
+    SplitPlan,
+    SubsetSplit,
     build_groups,
     chronological_split,
     labels_of,
     relations_from_names,
+    restrict_groups,
     sort_chronologically,
+    validate_dataset,
 )
-from .features import FeatureConfig, FeaturePipeline, build_follower_graph, compute_graph_feature_table
+from .features import (
+    FeatureConfig,
+    FeatureMatrix,
+    FeaturePipeline,
+    build_follower_graph,
+    compute_graph_feature_table,
+    scalable_columns,
+)
 from .hinge import HingeWeights, infer_hinge_posteriors, learn_weights
 from .linear import ClassifierConfig, fit_classifier, recenter_scores
 from .mrf import build_factor_graph, infer_posteriors, loopy_bp_batch
@@ -312,9 +328,7 @@ def tune_l2(fm_train, labels, fm_val, val_labels, scale_columns, config: Classif
     if len({val_labels[i] for i in val_ids}) < 2:
         return config.l2
     for l2 in grid:
-        cfg = ClassifierConfig(l2=l2, max_iter=config.max_iter, tol=config.tol,
-                               seed=config.seed, method=config.method)
-        model = fit_classifier(fm_train, labels, scale_columns, cfg)
+        model = fit_classifier(fm_train, labels, scale_columns, replace(config, l2=l2))
         preds = model.predict_proba(fm_val)
         try:
             s = aupr([preds[i] for i in val_ids], [val_labels[i] for i in val_ids])
@@ -325,66 +339,108 @@ def tune_l2(fm_train, labels, fm_val, val_labels, scale_columns, config: Classif
     return best_l2
 
 
-# --- per-subset training and inference ---
+# --- per-subset steps of the protocol ---
 
-def train_subset_models(train_msgs: list, val_msgs: list, fm_train, fm_val,
-                        scale_columns: list, config: ExperimentConfig,
-                        groups_train: list) -> dict:
-    """Fit every artifact the roster needs on one subset's training slice."""
+def ordered_dataset(messages: list) -> list:
+    """The messages sorted chronologically; `DataError` if they fail validation."""
+    report = validate_dataset(messages)
+    if not report.ok:
+        raise DataError("dataset failed validation: " + "; ".join(report.errors[:5]))
+    return sort_chronologically(messages)
+
+
+def subset_messages(ordered: list, subset: SubsetSplit) -> tuple:
+    """(train, validation, test) messages of one subset of the sorted dataset."""
+    return tuple(ordered[a:b] for a, b in (subset.train, subset.validation, subset.test))
+
+
+def graph_feature_table(config: ExperimentConfig, follows: list) -> dict:
+    """Per-user follower-graph features shared by every subset's pipeline;
+    empty when the feature mode drops them or there are no follows."""
+    if config.feature.uses_graph() and follows:
+        return compute_graph_feature_table(build_follower_graph(follows))
+    return {}
+
+
+def featurize_subset(ordered: list, subset: SubsetSplit, config: ExperimentConfig,
+                     graph_table: dict) -> tuple:
+    """Fit the feature pipeline on the subset's training slice and transform
+    the whole subset: -> (pipeline, matrix of the train, validation and test rows)."""
+    train_msgs, val_msgs, test_msgs = subset_messages(ordered, subset)
+    pipe = FeaturePipeline(config.feature)
+    pipe.graph_table = graph_table
+    pipe.fit(train_msgs)
+    return pipe, pipe.transform(train_msgs + val_msgs + test_msgs, labels_of(train_msgs))
+
+
+def center_mrf_priors(priors: dict, config: ExperimentConfig) -> dict:
+    """Recenter priors on `config.mrf_prior_center` ("auto": their mean) for the MRF."""
+    center = config.mrf_prior_center
+    if center == "auto":
+        center = float(np.mean(list(priors.values()))) if priors else 0.5
+    return recenter_scores(priors, center) if center else priors
+
+
+def train_subset_models(ordered: list, subset: SubsetSplit, fm: FeatureMatrix,
+                        config: ExperimentConfig) -> dict:
+    """Fit every artifact the roster needs on one subset's training slice,
+    tuning on its validation slice; `fm` is the subset's feature matrix."""
+    train_msgs, val_msgs, _ = subset_messages(ordered, subset)
+    fm_train = fm.select_rows([m.id for m in train_msgs])
+    fm_val = fm.select_rows([m.id for m in val_msgs])
+    scale_columns = scalable_columns(fm.column_names)
+    relations = relations_from_names(config.relations)
     labels = labels_of(train_msgs)
     clf_config = config.classifier
     if config.l2_grid:
         best = tune_l2(fm_train, labels, fm_val, labels_of(val_msgs),
                        scale_columns, clf_config, config.l2_grid)
-        clf_config = ClassifierConfig(l2=best, max_iter=clf_config.max_iter,
-                                      tol=clf_config.tol, seed=clf_config.seed,
-                                      method=clf_config.method)
+        clf_config = replace(clf_config, l2=best)
     artifacts = {"independent": fit_classifier(fm_train, labels, scale_columns, clf_config)}
-    for k in config.required_stacks():
+    stacks = config.required_stacks()
+    groups_train = build_groups(train_msgs, relations) if stacks else []
+    for k in stacks:
         artifacts[f"sgl{k}"] = train_stacked(
             train_msgs, fm_train, labels, groups_train, K=k, relations=config.relations,
             scale_columns=scale_columns, config=clf_config, pseudo_mode=config.stack_mode)
 
-    needs_psl = any(parse_model_name(m)[1] == "psl" for m in config.valid_models())
-    if needs_psl:
+    joints = {parse_model_name(m)[1] for m in config.valid_models()}
+    learn_psl = "psl" in joints and config.psl_learn_steps > 0 and bool(val_msgs)
+    tune_mrf = "mrf" in joints and config.tune_epsilons and bool(val_msgs)
+    if learn_psl or tune_mrf:
+        val_groups = build_groups(val_msgs, relations)
+        val_priors = artifacts["independent"].predict_proba(fm_val)
+    if "psl" in joints:
         weights = config.hinge_weights.copy()
-        if config.psl_learn_steps > 0 and val_msgs:
-            val_groups = build_groups(val_msgs, relations_from_names(config.relations))
-            val_priors = artifacts["independent"].predict_proba(fm_val)
+        if learn_psl:
             weights, _ = learn_weights(weights, val_msgs, val_groups, val_priors,
                                        steps=config.psl_learn_steps,
                                        learning_rate=config.psl_learning_rate,
                                        p=config.hinge_exponent)
         artifacts["psl_weights"] = weights
-
-    needs_mrf = any(parse_model_name(m)[1] == "mrf" for m in config.valid_models())
-    if needs_mrf:
+    if "mrf" in joints:
         eps = config.epsilons
-        if config.tune_epsilons and val_msgs:
-            val_groups = build_groups(val_msgs, relations_from_names(config.relations))
-            val_priors = artifacts["independent"].predict_proba(fm_val)
-            center = config.mrf_prior_center
-            if center == "auto":
-                center = float(np.mean(list(val_priors.values()))) if val_priors else 0.5
-            if center:
-                val_priors = recenter_scores(val_priors, center)
+        if tune_mrf:
             default = eps if isinstance(eps, float) else 0.1
-            eps = tune_epsilons(val_priors, val_groups, labels_of(val_msgs),
-                                config.relations, default=default)
+            eps = tune_epsilons(center_mrf_priors(val_priors, config), val_groups,
+                                labels_of(val_msgs), config.relations, default=default)
         artifacts["epsilons"] = eps
     return artifacts
 
 
-def infer_subset_models(artifacts: dict, train_msgs: list, test_msgs: list, fm_test,
-                        groups_tt: list, config: ExperimentConfig) -> tuple:
-    """Test predictions for every roster model on one subset.
+def infer_subset_models(artifacts: dict, ordered: list, subset: SubsetSplit, fm: FeatureMatrix,
+                        config: ExperimentConfig) -> tuple:
+    """Test predictions for every roster model on one subset; `fm` is the
+    subset's feature matrix. -> (predictions by model, diagnostics)
 
     Joint models see training messages as observed evidence: gold labels act
     as (clamped) priors in the MRF and as fixed values in the HL-MRF.
     """
-    train_labels = labels_of(train_msgs)
-    context = {mid: float(v) for mid, v in train_labels.items()}
+    train_msgs, _, test_msgs = subset_messages(ordered, subset)
     test_ids = [m.id for m in test_msgs]
+    fm_test = fm.select_rows(test_ids)
+    groups_tt = build_groups(train_msgs + test_msgs, relations_from_names(config.relations))
+    context = {mid: float(v) for mid, v in labels_of(train_msgs).items()}
     diagnostics = {"bp_nonconverged": 0, "map_nonconverged": 0}
 
     base_preds = artifacts["independent"].predict_proba(fm_test)
@@ -396,11 +452,8 @@ def infer_subset_models(artifacts: dict, train_msgs: list, test_msgs: list, fm_t
 
     def joint_scores(joint: str, priors_test: dict) -> dict:
         if joint == "mrf":
-            center = config.mrf_prior_center
-            if center == "auto":
-                center = float(np.mean(list(priors_test.values()))) if priors_test else 0.5
             priors = dict(context)
-            priors.update(recenter_scores(priors_test, center) if center else priors_test)
+            priors.update(center_mrf_priors(priors_test, config))
             result = infer_posteriors(priors, groups_tt, artifacts.get("epsilons", config.epsilons))
             diagnostics["bp_nonconverged"] += 0 if result.converged else 1
             return {mid: result.scores[mid] for mid in test_ids}
@@ -419,6 +472,11 @@ def infer_subset_models(artifacts: dict, train_msgs: list, test_msgs: list, fm_t
         else:
             preds_by_model[name] = joint_scores(joint, {mid: prior_preds[mid] for mid in test_ids})
     return preds_by_model, diagnostics
+
+
+def sum_diagnostics(per_subset: list) -> dict:
+    """Solver diagnostics of every subset, summed by key."""
+    return {k: sum(d[k] for d in per_subset) for k in per_subset[0]}
 
 
 # --- full protocol ---
@@ -477,17 +535,26 @@ def config_snapshot(config: ExperimentConfig) -> dict:
     }
 
 
-def aggregate_report(roster: list, subset_preds: list, subset_test_ids: list,
-                     subset_inductive_ids: list, labels: dict, coverage: CoverageCurve,
-                     diagnostics: dict, snapshot: dict, n_messages: int) -> EvaluationReport:
-    """Concatenate per-subset test predictions and score every roster model."""
+def aggregate_report(config: ExperimentConfig, ordered: list, plan: SplitPlan, groups_all: list,
+                     subset_preds: list, diagnostics: dict) -> EvaluationReport:
+    """Concatenate per-subset test predictions and score every roster model,
+    overall and on the inductive partition; `groups_all` are the groups of
+    every message, from which each subset's and the coverage curve's come."""
+    coverage = component_coverage(ordered, groups_all)
+    roster = config.valid_models()
+    labels = labels_of(ordered)
     all_preds: dict = {name: {} for name in roster}
     per_subset_metrics: dict = {name: [] for name in roster}
     test_ids_all: list = []
     inductive_ids: list = []
-    for preds, test_ids, ind_ids in zip(subset_preds, subset_test_ids, subset_inductive_ids):
+    for subset, preds in zip(plan.subsets, subset_preds):
+        train_msgs, _, test_msgs = subset_messages(ordered, subset)
+        train_ids = [m.id for m in train_msgs]
+        test_ids = [m.id for m in test_msgs]
+        groups_tt = restrict_groups(groups_all, train_ids + test_ids)
+        ind, _ = inductive_partition(test_ids, train_ids, groups_tt)
         test_ids_all.extend(test_ids)
-        inductive_ids.extend(ind_ids)
+        inductive_ids.extend(ind)
         for name in roster:
             all_preds[name].update(preds[name])
             per_subset_metrics[name].append(metrics_from_dicts(preds[name], labels, test_ids))
@@ -502,65 +569,30 @@ def aggregate_report(roster: list, subset_preds: list, subset_test_ids: list,
         })
     return EvaluationReport(
         models=model_entries,
-        n_messages=n_messages,
+        n_messages=len(ordered),
         n_subsets=len(subset_preds),
         n_test=len(test_ids_all),
         n_inductive=len(inductive_ids),
         n_transductive=len(test_ids_all) - len(inductive_ids),
         coverage=asdict(coverage),
         diagnostics=diagnostics,
-        config=snapshot,
+        config=config_snapshot(config),
     )
 
 
 def evaluate_experiment(messages: list, follows: list, config: ExperimentConfig) -> EvaluationReport:
     """Run the full chronological protocol in memory and aggregate the report."""
-    roster = config.valid_models()
-    ordered = sort_chronologically(messages)
+    ordered = ordered_dataset(messages)
     plan = chronological_split(ordered, config.n_subsets, config.fractions)
-    relations = relations_from_names(config.relations)
-    graph_table = None
-    if config.feature.uses_graph() and follows:
-        graph_table = compute_graph_feature_table(build_follower_graph(follows))
-
-    subset_preds, subset_test_ids, subset_inductive_ids = [], [], []
-    diagnostics = {"bp_nonconverged": 0, "map_nonconverged": 0}
-    labels = labels_of(ordered)
-
+    graph_table = graph_feature_table(config, follows)
+    subset_preds, diagnostics = [], []
     for i, subset in enumerate(plan.subsets):
-        train_msgs = ordered[subset.train[0]:subset.train[1]]
-        val_msgs = ordered[subset.validation[0]:subset.validation[1]]
-        test_msgs = ordered[subset.test[0]:subset.test[1]]
-        subset_msgs = ordered[subset.train[0]:subset.test[1]]
-
-        pipe = FeaturePipeline(config.feature)
-        if graph_table is not None:
-            pipe.graph_table = graph_table
-        pipe.fit(train_msgs, follows=None)
-        fm = pipe.transform(subset_msgs, labels_of(train_msgs))
-        fm_train = fm.select_rows([m.id for m in train_msgs])
-        fm_val = fm.select_rows([m.id for m in val_msgs])
-        fm_test = fm.select_rows([m.id for m in test_msgs])
-
-        groups_train = build_groups(train_msgs, relations)
-        groups_tt = build_groups(train_msgs + test_msgs, relations)
-
-        artifacts = train_subset_models(train_msgs, val_msgs, fm_train, fm_val,
-                                        pipe.scalable_columns(), config, groups_train)
-        preds, diag = infer_subset_models(artifacts, train_msgs, test_msgs, fm_test,
-                                          groups_tt, config)
-        for key in diagnostics:
-            diagnostics[key] += diag[key]
-
-        test_ids = [m.id for m in test_msgs]
-        ind, _ = inductive_partition(test_ids, [m.id for m in train_msgs], groups_tt)
+        _, fm = featurize_subset(ordered, subset, config, graph_table)
+        artifacts = train_subset_models(ordered, subset, fm, config)
+        preds, diag = infer_subset_models(artifacts, ordered, subset, fm, config)
         subset_preds.append(preds)
-        subset_test_ids.append(test_ids)
-        subset_inductive_ids.append(ind)
-        log.info("subset %d/%d done (%d train / %d val / %d test)",
-                 i + 1, plan.n_subsets, len(train_msgs), len(val_msgs), len(test_msgs))
-
-    coverage = component_coverage(ordered, build_groups(ordered, relations))
-    return aggregate_report(roster, subset_preds, subset_test_ids, subset_inductive_ids,
-                            labels, coverage, diagnostics, config_snapshot(config),
-                            len(ordered))
+        diagnostics.append(diag)
+        log.info("subset %d/%d done", i + 1, plan.n_subsets)
+    groups_all = build_groups(ordered, relations_from_names(config.relations))
+    return aggregate_report(config, ordered, plan, groups_all, subset_preds,
+                            sum_diagnostics(diagnostics))

@@ -374,6 +374,11 @@ def hstack_features(fm: FeatureMatrix, extra_columns: list, extra: sp.spmatrix) 
     return FeatureMatrix(fm.row_ids, list(fm.column_names) + list(extra_columns), stacked)
 
 
+def scalable_columns(column_names: list) -> list:
+    """Dense numeric columns the classifier should standardize."""
+    return [c for c in column_names if c not in BINARY_COLUMNS and not c.startswith(NGRAM_PREFIX)]
+
+
 MATRIX_FORMAT = "relspam-features v2"
 
 
@@ -458,9 +463,7 @@ class FeaturePipeline:
         return cols
 
     def scalable_columns(self) -> list:
-        """Dense numeric columns the classifier should standardize."""
-        return [c for c in self.column_names
-                if c not in BINARY_COLUMNS and not c.startswith(NGRAM_PREFIX)]
+        return scalable_columns(self.column_names)
 
     def transform(self, messages_sorted: list, known_labels: dict) -> FeatureMatrix:
         if not self._fitted:

@@ -2,8 +2,7 @@
 
 Spam probabilities from this model are the priors consumed by the stacking
 and joint-inference modules. Training is full-batch gradient descent with
-backtracking line search (deterministic); a seeded stochastic mode exists
-for larger data.
+backtracking line search, so it is deterministic.
 """
 
 from __future__ import annotations
@@ -174,7 +173,7 @@ def _margin_loss(z, y, w, l2):
 
 
 def train(X: sp.spmatrix, y: np.ndarray, l2: float = 1.0, max_iter: int = 500,
-          tol: float = 1e-6, seed: int = 0, method: str = "batch") -> LinearModel:
+          tol: float = 1e-6) -> LinearModel:
     """Minimize L2-regularized logistic loss to gradient inf-norm <= tol.
 
     Single-class targets yield a constant-probability model (with a warning)
@@ -193,9 +192,6 @@ def train(X: sp.spmatrix, y: np.ndarray, l2: float = 1.0, max_iter: int = 500,
         log.warning("single-class training data (prevalence=%.3f): constant model", prevalence)
         return LinearModel(weights=np.zeros(d), bias=_logit(prevalence), l2=l2,
                            n_iter=0, converged=True, n_columns=d)
-
-    if method == "sgd":
-        return _train_sgd(X, y, l2, max_iter, tol, seed)
 
     # X.T as CSR, built once: its products sum each column of X in ascending row
     # order, as X.T @ v does through the transposed view, so they are bit-identical
@@ -236,38 +232,11 @@ def train(X: sp.spmatrix, y: np.ndarray, l2: float = 1.0, max_iter: int = 500,
                        n_columns=d, loss_trace=trace)
 
 
-def _train_sgd(X, y, l2, max_iter, tol, seed):
-    rng = np.random.default_rng(seed)
-    n, d = X.shape
-    w = np.zeros(d)
-    b = 0.0
-    trace = []
-    for epoch in range(max_iter):
-        order = rng.permutation(n)
-        lr = 0.5 / (1.0 + 0.1 * epoch)
-        for i in order:
-            xi = X.getrow(i)
-            p = sigmoid(xi @ w + b)[0]
-            g = p - y[i]
-            w *= 1.0 - lr * l2
-            w -= lr * g * np.asarray(xi.todense()).ravel()
-            b -= lr * g
-        loss = _margin_loss(_margins(X, w, b), y, w, l2)
-        trace.append(loss)
-        if len(trace) > 1 and abs(trace[-2] - trace[-1]) < tol:
-            return LinearModel(weights=w, bias=b, l2=l2, n_iter=epoch + 1, converged=True,
-                               n_columns=d, loss_trace=trace)
-    return LinearModel(weights=w, bias=b, l2=l2, n_iter=max_iter, converged=False,
-                       n_columns=d, loss_trace=trace)
-
-
 @dataclass
 class ClassifierConfig:
     l2: float = 1.0
     max_iter: int = 500
     tol: float = 1e-6
-    seed: int = 0
-    method: str = "batch"
 
 
 def fit_classifier(fm: FeatureMatrix, labels: dict, scale_columns: list | None = None,
@@ -287,8 +256,7 @@ def fit_classifier(fm: FeatureMatrix, labels: dict, scale_columns: list | None =
         if idx:
             scaler = Scaler.fit(X, idx)
             X = scaler.transform(X)
-    model = train(X, y, l2=config.l2, max_iter=config.max_iter, tol=config.tol,
-                  seed=config.seed, method=config.method)
+    model = train(X, y, l2=config.l2, max_iter=config.max_iter, tol=config.tol)
     model.scaler = scaler
     model.columns_hash = columns_hash(fm.column_names)
     return model

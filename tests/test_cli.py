@@ -1,6 +1,9 @@
 import json
 
-from relspam.cli import main
+from relspam.cli import experiment_config, load_config, main
+from relspam.data_model import read_messages, write_messages
+from relspam.evaluation import evaluate_experiment
+from relspam.synth import GeneratorConfig, generate
 
 SMALL_CONFIG = {
     "generator": {"n_messages": 1200, "n_users": 80, "n_campaigns": 8,
@@ -81,6 +84,49 @@ class TestStages:
                (out_b / "data" / "messages.jsonl").read_bytes()
 
 
+    def test_featurize_rejects_an_id_the_artifacts_cannot_carry(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
+        path = out / "data" / "messages.jsonl"
+        messages = read_messages(path)
+        messages[7].id = "m\tseven"
+        write_messages(path, messages)
+        rc = main(["featurize", "--config", cfg, "--out", str(out)])
+        assert rc == 1
+        assert repr("m\tseven") in capsys.readouterr().err
+        assert not (out / "features").exists()
+
+
+class TestOneOrchestration:
+    def test_in_memory_protocol_matches_run_all_report_bytes(self, tmp_path):
+        # every branch of the per-subset steps: stacked, joint and combined
+        # models, l2 tuning, epsilon tuning, hinge weight learning, full
+        # features with the follower graph; noisy features and little text
+        # and link reuse leave the validation ranking room to move
+        cfg_path = write_config(tmp_path, {
+            "generator": {**SMALL_CONFIG["generator"], "feature_noise": 1.0,
+                          "text_reuse_prob": 0.3, "link_reuse_prob": 0.3},
+            "fractions": [0.5, 0.25, 0.25],
+            "models": ["independent", "sgl1", "mrf", "psl", "sgl1+mrf"],
+            "feature_mode": "full",
+            "ngram_top_k": 300,
+            "tune_epsilons": True,
+            "hinge": {"learn_steps": 2},
+            "l2_grid": [0.3, 1.0],
+        })
+        out = tmp_path / "out"
+        assert main(["run-all", "--config", cfg_path, "--out", str(out), "--seed", "3"]) == 0
+        assert (out / "data" / "follows.tsv").stat().st_size > 0
+        tuned = [json.loads(p.read_text()) for p in sorted(out.glob("models/*/epsilons.json"))]
+        assert any(set(eps.values()) != {0.1} for eps in tuned)
+
+        cfg = load_config(cfg_path, {"seed": 3})
+        messages, follows = generate(GeneratorConfig(seed=3, **cfg["generator"]))
+        report = evaluate_experiment(messages, follows, experiment_config(cfg))
+        assert report.to_json() == (out / "report.json").read_text(encoding="utf-8")
+
+
 class TestConfigValidation:
     def test_bad_fractions_fail_before_work(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"fractions": [0.5, 0.5, 0.5]})
@@ -109,6 +155,16 @@ class TestConfigValidation:
         assert rc == 1
         assert "not found" in capsys.readouterr().err
 
+    def test_classifier_method_other_than_batch_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"classifier": {"method": "sgd"}})
+        rc = main(["generate", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "classifier.method" in capsys.readouterr().err
+
+    def test_config_that_sets_threads_still_loads(self, tmp_path):
+        cfg = write_config(tmp_path, {"threads": 2})
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
     def test_unknown_relation_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"relations": ["user", "bogus"]})
         assert main(["generate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
@@ -132,14 +188,6 @@ class TestFlags:
         report = json.loads((out / "report.json").read_text())
         names = [m["model"] for m in report["models"]]
         assert "sgl1" in names and "sgl1+mrf" in names
-
-    def test_threads_flag_keeps_outputs_identical(self, tmp_path):
-        cfg = write_config(tmp_path)
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert main(["run-all", "--config", cfg, "--out", str(out_a), "--seed", "4"]) == 0
-        assert main(["run-all", "--config", cfg, "--out", str(out_b), "--seed", "4",
-                     "--threads", "3"]) == 0
-        assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
 
 
 class TestDeterminism:

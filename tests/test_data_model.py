@@ -47,6 +47,12 @@ class TestValidation:
         assert report.label_coverage == pytest.approx(0.25)
         assert report.ok
 
+    @pytest.mark.parametrize("bad", ["a\tb", "a\rb", "a\nb"])
+    def test_id_with_tab_or_line_break_flagged(self, bad):
+        report = validate_dataset([msg("ok"), msg(bad)])
+        assert not report.ok
+        assert any(repr(bad) in e for e in report.errors)
+
     def test_negative_timestamp_flagged(self):
         report = validate_dataset([msg("a", ts=-5)])
         assert report.bad_timestamps == ["a"]

@@ -11,6 +11,7 @@ from relspam.evaluation import (
     auroc,
     component_coverage,
     evaluate_experiment,
+    featurize_subset,
     inductive_partition,
     infer_subset_models,
     metrics_from_dicts,
@@ -262,26 +263,17 @@ class TestExperiment:
         config = self.small_config(models=["independent", "sgl1", "mrf", "sgl1+mrf"],
                                    n_subsets=2)
         from relspam.data_model import chronological_split, sort_chronologically
-        from relspam.features import FeaturePipeline
 
         ordered = sort_chronologically(messages)
         plan = chronological_split(ordered, 2, config.fractions)
         s = plan.subsets[0]
         train_msgs = ordered[s.train[0]:s.train[1]]
-        val_msgs = ordered[s.validation[0]:s.validation[1]]
         test_msgs = ordered[s.test[0]:s.test[1]]
-        pipe = FeaturePipeline(config.feature).fit(train_msgs)
-        fm = pipe.transform(ordered[s.train[0]:s.test[1]], labels_of(train_msgs))
-        fm_train = fm.select_rows([m.id for m in train_msgs])
-        fm_val = fm.select_rows([m.id for m in val_msgs])
-        fm_test = fm.select_rows([m.id for m in test_msgs])
+        _, fm = featurize_subset(ordered, s, config, {})
         relations = relations_from_names(config.relations)
-        groups_train = build_groups(train_msgs, relations)
         groups_tt = build_groups(train_msgs + test_msgs, relations)
-        artifacts = train_subset_models(train_msgs, val_msgs, fm_train, fm_val,
-                                        pipe.scalable_columns(), config, groups_train)
-        preds, _ = infer_subset_models(artifacts, train_msgs, test_msgs, fm_test,
-                                       groups_tt, config)
+        artifacts = train_subset_models(ordered, s, fm, config)
+        preds, _ = infer_subset_models(artifacts, ordered, s, fm, config)
 
         import numpy as np
         from relspam.linear import recenter_scores
@@ -296,6 +288,12 @@ class TestExperiment:
             expected = infer_posteriors(priors, groups_tt, config.epsilons)
             for mid in test_ids:
                 assert preds[name][mid] == pytest.approx(expected.scores[mid], abs=1e-12)
+
+    def test_validates_the_dataset_as_the_cli_does(self):
+        messages = planted_experiment_data(n=300, seed=4)
+        messages[5].id = "m\nfive"
+        with pytest.raises(DataError, match="tab, CR or newline"):
+            evaluate_experiment(messages, [], self.small_config())
 
     def test_report_serialization(self):
         messages = planted_experiment_data(n=300, seed=4)

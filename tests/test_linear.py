@@ -77,17 +77,10 @@ class TestTrain:
     def test_retraining_is_bit_reproducible(self):
         rng = np.random.default_rng(21)
         X, y = random_instance(rng, n=40, d=4)
-        a = train(X, y, l2=1.0, seed=3)
-        b = train(X, y, l2=1.0, seed=3)
+        a = train(X, y, l2=1.0)
+        b = train(X, y, l2=1.0)
         assert np.array_equal(a.weights, b.weights)
         assert a.bias == b.bias
-
-    def test_sgd_mode_is_seeded(self):
-        rng = np.random.default_rng(2)
-        X, y = random_instance(rng, n=60, d=4)
-        a = train(X, y, l2=0.1, method="sgd", max_iter=20, seed=5)
-        b = train(X, y, l2=0.1, method="sgd", max_iter=20, seed=5)
-        assert np.array_equal(a.weights, b.weights)
 
     def test_negative_l2_rejected(self):
         with pytest.raises(DataError):
