@@ -5,28 +5,34 @@ stage can be rerun in isolation; outputs are versioned and byte-deterministic
 for a fixed config and seed. `run-all` chains every stage and writes the
 final report. The protocol's work is done by the per-subset steps of
 `evaluation` that `evaluate_experiment` also runs; a stage only reads its
-inputs, calls those steps, and writes their results.
+inputs, calls those steps, and writes their results. Only `featurize` reads
+`messages.jsonl`; `train`, `infer` and `eval` read the `features/index.npz`
+message index it writes.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .data_model import (
     ConfigError,
     DataError,
-    build_groups,
-    labels_of,
+    MessageIndex,
+    build_index,
     read_follows,
+    read_index,
     read_messages,
     relations_from_names,
     chronological_split,
     SplitPlan,
     write_follows,
+    write_index,
     write_messages,
 )
 from .evaluation import (
@@ -86,7 +92,18 @@ DEFAULT_CONFIG = {
 
 
 def validate_config(cfg: dict) -> None:
-    """Schema check before any stage does work."""
+    """Schema check before any stage does work. Unknown keys fail; older
+    configs carry `threads` and `classifier.method`, which are known."""
+    known = {"": {*DEFAULT_CONFIG, "threads"}, "classifier": {*DEFAULT_CONFIG["classifier"], "method"},
+             "hinge": set(DEFAULT_CONFIG["hinge"]),
+             "generator": {f.name for f in fields(GeneratorConfig)} - {"seed"}}
+    for section, keys in known.items():
+        given = cfg[section] if section else cfg
+        if not isinstance(given, dict):
+            raise ConfigError(f"config key {section!r} must be an object")
+        unknown = sorted(set(given) - keys)
+        if unknown:
+            raise ConfigError(f"unknown config key {'.'.join(filter(None, (section, unknown[0])))!r}")
     if cfg.get("version") != CONFIG_VERSION:
         raise ConfigError(f"config version must be {CONFIG_VERSION}, got {cfg.get('version')!r}")
     if not isinstance(cfg.get("models"), list) or not cfg["models"]:
@@ -181,11 +198,12 @@ def _require(path: Path, produced_by: str) -> Path:
     return path
 
 
-def _load_dataset(cfg):
-    messages = read_messages(_require(_messages_path(cfg), "generate"))
-    follows_path = _follows_path(cfg)
-    follows = read_follows(follows_path) if follows_path.exists() else []
-    return ordered_dataset(messages), follows
+def _load_index(cfg, exp: ExperimentConfig) -> MessageIndex:
+    index = read_index(_require(_out(cfg) / "features" / "index.npz", "featurize"))
+    if index.relations != list(exp.relations):
+        raise DataError(f"the message index groups by relations {index.relations}, the config "
+                        f"by {exp.relations}; rerun the featurize stage")
+    return index
 
 
 def _subset_dir(cfg, stage_dir: str, i: int) -> Path:
@@ -216,12 +234,18 @@ def cmd_generate(cfg: dict) -> int:
 
 
 def cmd_featurize(cfg: dict) -> int:
-    messages, follows = _load_dataset(cfg)
+    path = _require(_messages_path(cfg), "generate")
+    messages = ordered_dataset(read_messages(path))
+    follows_path = _follows_path(cfg)
+    follows = read_follows(follows_path) if follows_path.exists() else []
     exp = experiment_config(cfg)
     plan = chronological_split(messages, exp.n_subsets, exp.fractions)
     feat_dir = _out(cfg) / "features"
     feat_dir.mkdir(parents=True, exist_ok=True)
     (feat_dir / "split_plan.json").write_text(plan.to_json(), encoding="utf-8")
+    # built before any subset is transformed: its transient groups add nothing to peak memory
+    write_index(feat_dir / "index.npz", build_index(
+        messages, exp.relations, hashlib.sha256(path.read_bytes()).hexdigest()))
     graph_table = graph_feature_table(exp, follows)
     (feat_dir / "graph_table.json").write_text(
         json.dumps(graph_table, sort_keys=True), encoding="utf-8")
@@ -240,9 +264,9 @@ def cmd_featurize(cfg: dict) -> int:
 def cmd_train(cfg: dict) -> int:
     exp = experiment_config(cfg)
     plan = _load_plan(cfg)
-    messages, _ = _load_dataset(cfg)
+    index = _load_index(cfg, exp)
     for i, subset in enumerate(plan.subsets):
-        artifacts = train_subset_models(messages, subset, _load_features(cfg, i), exp)
+        artifacts = train_subset_models(index, subset, _load_features(cfg, i), exp)
         out_dir = _subset_dir(cfg, "models", i)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "independent.json").write_text(artifacts["independent"].to_json(), encoding="utf-8")
@@ -284,12 +308,12 @@ def _load_artifacts(cfg, exp: ExperimentConfig, i: int) -> dict:
 def cmd_infer(cfg: dict) -> int:
     exp = experiment_config(cfg)
     plan = _load_plan(cfg)
-    messages, _ = _load_dataset(cfg)
+    index = _load_index(cfg, exp)
     pred_dir = _out(cfg) / "predictions"
     diagnostics = []
     for i, subset in enumerate(plan.subsets):
         fm = _load_features(cfg, i)
-        preds, diag = infer_subset_models(_load_artifacts(cfg, exp, i), messages, subset, fm, exp)
+        preds, diag = infer_subset_models(_load_artifacts(cfg, exp, i), index, subset, fm, exp)
         for name, scores in preds.items():
             model_dir = pred_dir / name
             model_dir.mkdir(parents=True, exist_ok=True)
@@ -314,10 +338,8 @@ def _read_predictions(path: Path) -> dict:
 def cmd_eval(cfg: dict) -> int:
     exp = experiment_config(cfg)
     plan = _load_plan(cfg)
-    messages, _ = _load_dataset(cfg)
+    index = _load_index(cfg, exp)
     roster = exp.valid_models()
-    # built before the predictions are read: its transient buckets set the stage's peak memory
-    groups_all = build_groups(messages, relations_from_names(exp.relations))
     pred_dir = _out(cfg) / "predictions"
     subset_preds = [
         {name: _read_predictions(_require(pred_dir / name / f"subset_{i:02d}.tsv", "infer"))
@@ -326,12 +348,12 @@ def cmd_eval(cfg: dict) -> int:
     ]
     diag_path = pred_dir / "diagnostics.json"
     diagnostics = json.loads(diag_path.read_text(encoding="utf-8")) if diag_path.exists() else {}
-    report = aggregate_report(exp, messages, plan, groups_all, subset_preds, diagnostics)
+    report = aggregate_report(exp, index, plan, subset_preds, diagnostics)
     out = _out(cfg)
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     (out / "report.txt").write_text(report.to_text() + "\n", encoding="utf-8")
     if cfg.get("dump_pr_curves"):
-        labels = labels_of(messages)
+        labels = index.labels_in(0, len(index.ids))
         curves = {}
         for name in roster:
             merged = {mid: score for preds in subset_preds

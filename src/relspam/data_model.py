@@ -1,8 +1,12 @@
-"""Core data types: messages, relation groups, dataset validation, chronological splits.
+"""Core data types: messages, relation groups, the message index, dataset
+validation, chronological splits.
 
 Messages are ingested from line-delimited JSON records. Groups ("hubs") collect
 messages that share a relation key: same author, same normalized text, same
-link, and so on. All downstream modules consume these types read-only.
+link, and so on; `build_groups` is the one group builder. A `MessageIndex`
+holds ids, labels and every message's groups as arrays, and restricts the
+groups to a subset by an edge mask. All downstream modules consume these types
+read-only.
 """
 
 from __future__ import annotations
@@ -10,8 +14,12 @@ from __future__ import annotations
 import json
 import string
 import unicodedata
-from dataclasses import dataclass, field, asdict
+import zipfile
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -26,6 +34,7 @@ SPAM = 1
 HAM = 0
 
 RELATION_NAMES = ("user", "text", "link", "hashtag", "mention", "track", "user_hashtag")
+HUB_PREFIX = "hub:"  # of hub variable ids, which message ids may not share
 
 
 @dataclass
@@ -155,18 +164,127 @@ def build_groups(messages: list, relations: list) -> list:
     return out
 
 
-def restrict_groups(groups: list, ids) -> list:
-    """The groups `build_groups` gives for the messages whose ids are in `ids`,
-    from the groups of a superset: non-members are dropped from each group,
-    then groups left with fewer than 2 members."""
-    keep = set(ids)
-    out = []
-    for g in groups:
-        members = tuple(mid for mid in g.member_ids if mid in keep)
-        if len(members) >= 2:
-            out.append(g if len(members) == len(g.member_ids) else
-                       Group(relation=g.relation, key=g.key, member_ids=members))
-    return out
+class GroupTable(Sequence):
+    """Groups as arrays, one edge per (group, member) in group then member
+    order: the form both joint models ground from (`GroupTable.of`). Indexing
+    makes a `Group`, so a table stands in for a list of groups."""
+
+    def __init__(self, relations: list, group_relation, keys: list, sizes, members):
+        self.relations = relations  # sorted relation names
+        self.group_relation = np.asarray(group_relation, dtype=np.int64)  # group -> relation index
+        self.keys = keys  # group -> key
+        self.sizes = np.asarray(sizes, dtype=np.int64)  # group -> member count
+        self.members = members  # edge -> member id; in an index, its chronological position
+        self.group = np.repeat(np.arange(len(keys)), self.sizes)  # edge -> group
+        self.relation = self.group_relation[self.group]  # edge -> relation index
+        self._ends = np.cumsum(self.sizes).tolist()
+
+    @classmethod
+    def of(cls, groups, relations: list | None = None) -> "GroupTable":
+        """The table of a list of groups, its relation codes indexing
+        `relations` (default: the names present, sorted); a table is returned as it is."""
+        if isinstance(groups, GroupTable):
+            return groups
+        relations = relations or sorted({g.relation for g in groups})
+        return cls(relations, [relations.index(g.relation) for g in groups],
+                   [g.key for g in groups], [len(g.member_ids) for g in groups],
+                   [mid for g in groups for mid in g.member_ids])
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, i: int) -> Group:
+        i = range(len(self))[i]
+        end = self._ends[i]
+        return Group(relation=self.relations[self.group_relation[i]], key=self.keys[i],
+                     member_ids=tuple(self.members[end - int(self.sizes[i]):end]))
+
+    def hub_ids(self) -> list:  # `mrf.hub_id` of each group
+        return [f"{HUB_PREFIX}{self.relations[r]}:{key}"
+                for r, key in zip(self.group_relation.tolist(), self.keys)]
+
+
+INDEX_FORMAT = "relspam-index v1"
+
+
+@dataclass(frozen=True, eq=False)
+class MessageIndex:
+    """What the stages after featurize need of the dataset: the ids in
+    chronological order, their labels (int8, -1 unlabeled), the configured
+    relations, and the groups of every message in `build_groups` order, as a
+    table whose members are chronological positions (int32)."""
+
+    ids: list
+    labels: np.ndarray
+    relations: list
+    table: GroupTable
+    source_sha256: str = ""  # of the JSONL the index was built from
+
+    def inside(self, *ranges) -> np.ndarray:
+        """Edge mask: the member lies in one of the half-open position ranges."""
+        pos = self.table.members
+        return np.any([(pos >= a) & (pos < b) for a, b in ranges], axis=0)
+
+    def labels_in(self, a: int, b: int) -> dict:
+        """id -> gold label of the labeled messages in positions [a, b), in order."""
+        return {mid: y for mid, y in zip(self.ids[a:b], self.labels[a:b].tolist()) if y >= 0}
+
+    def groups(self, *ranges) -> GroupTable:
+        """The groups `build_groups` gives for the messages in the position
+        ranges: the edges inside them, less groups left with < 2 members."""
+        t = self.table
+        inside = self.inside(*ranges)
+        sizes = np.bincount(t.group[inside], minlength=len(t))
+        kept = sizes >= 2
+        inside &= kept[t.group]
+        present, codes = np.unique(t.group_relation[kept], return_inverse=True)
+        return GroupTable([t.relations[r] for r in present], codes,
+                          [t.keys[g] for g in np.flatnonzero(kept).tolist()], sizes[kept],
+                          [self.ids[p] for p in t.members[inside].tolist()])
+
+
+def build_index(ordered: list, relations: list, source_sha256: str = "") -> MessageIndex:
+    """The index of chronologically sorted messages, grouped by `build_groups`."""
+    t = GroupTable.of(build_groups(ordered, relations), sorted(set(relations)))
+    position = {m.id: i for i, m in enumerate(ordered)}
+    members = np.array([position[mid] for mid in t.members], dtype=np.int32)
+    labels = np.array([-1 if m.label is None else m.label for m in ordered], dtype=np.int8)
+    return MessageIndex([m.id for m in ordered], labels, list(relations),
+                        GroupTable(t.relations, t.group_relation, t.keys, t.sizes, members),
+                        source_sha256)
+
+
+def write_index(path, index: MessageIndex) -> None:
+    """One compressed npz archive: the label, group and edge arrays, and
+    `header`, the UTF-8 JSON of the format tag, relations, source sha256, ids
+    and group keys. Written through an open file so numpy adds no suffix."""
+    t = index.table
+    header = json.dumps({"format": INDEX_FORMAT, "relations": index.relations,
+                         "source_sha256": index.source_sha256, "ids": index.ids, "keys": t.keys},
+                        ensure_ascii=False).encode("utf-8")
+    with open(path, "wb") as fh:
+        np.savez_compressed(fh, header=np.frombuffer(header, dtype=np.uint8), labels=index.labels,
+                            group_relation=t.group_relation.astype(np.int8),
+                            group_size=t.sizes.astype(np.int32), member=t.members)
+
+
+def read_index(path) -> MessageIndex:
+    """Read a `write_index` file; anything else raises `DataError`."""
+    try:
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as archive:
+            header = json.loads(archive["header"].tobytes().decode("utf-8"))
+            labels, codes, sizes, member = (archive[k] for k in
+                                            ("labels", "group_relation", "group_size", "member"))
+        if header["format"] != INDEX_FORMAT:
+            raise ValueError(f"format {header['format']!r}")
+        ids, keys = header["ids"], header["keys"]
+        if (len(labels), len(codes), int(sizes.sum())) != (len(ids), len(keys), len(member)):
+            raise ValueError("array lengths do not match the header")
+    except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+        raise DataError(f"not a {INDEX_FORMAT} message index: {path} ({exc}); "
+                        "rerun the featurize stage") from exc
+    table = GroupTable(sorted(set(header["relations"])), codes, keys, sizes, member)
+    return MessageIndex(ids, labels, header["relations"], table, header["source_sha256"])
 
 
 @dataclass
@@ -184,7 +302,8 @@ class ValidationReport:
 
 def validate_dataset(messages: list) -> ValidationReport:
     """Report duplicate ids, ids the TSV artifacts cannot carry (a tab, CR or
-    newline), invalid timestamps and label coverage. Never mutates."""
+    newline), ids that could collide with a hub id, invalid timestamps and
+    label coverage. Never mutates."""
     report = ValidationReport(n_messages=len(messages))
     seen = set()
     dups = set()
@@ -195,6 +314,8 @@ def validate_dataset(messages: list) -> ValidationReport:
         seen.add(m.id)
         if "\t" in m.id or "\r" in m.id or "\n" in m.id:
             report.errors.append(f"message id contains a tab, CR or newline: {m.id!r}")
+        if m.id.startswith(HUB_PREFIX):
+            report.errors.append(f"message id starts with the hub id prefix {HUB_PREFIX!r}: {m.id!r}")
         if not isinstance(m.timestamp, int) or m.timestamp < 0:
             report.bad_timestamps.append(m.id)
         if m.label is not None:
@@ -309,7 +430,7 @@ def message_from_record(rec: Mapping, fallback_index: int = 0) -> Message:
 
 
 def message_to_record(m: Message) -> dict:
-    rec = asdict(m)
+    rec = dict(vars(m))
     if rec["label"] is None:
         del rec["label"]
     if rec["target_id"] is None:

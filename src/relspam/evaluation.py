@@ -6,7 +6,8 @@ The protocol is written once, as per-subset steps on in-memory inputs:
 roster needs (tuning on validation), `infer_subset_models` predicts the test
 slice with every roster model (stacked, joint, and combined), and
 `aggregate_report` concatenates the test predictions across subsets and scores
-them overall and on the inductive / transductive partition.
+them overall and on the inductive / transductive partition; all but the first
+take the dataset's `MessageIndex` in place of its messages.
 `evaluate_experiment` runs these steps in one process; the `cli` stages run
 the same steps and only read and write the artifacts between them.
 """
@@ -23,13 +24,13 @@ import numpy as np
 from .data_model import (
     ConfigError,
     DataError,
+    GroupTable,
+    MessageIndex,
     SplitPlan,
     SubsetSplit,
-    build_groups,
+    build_index,
     chronological_split,
     labels_of,
-    relations_from_names,
-    restrict_groups,
     sort_chronologically,
     validate_dataset,
 )
@@ -131,44 +132,19 @@ def metrics_from_dicts(predictions: dict, labels: dict, ids) -> dict:
 
 # --- inductive / transductive split ---
 
-def inductive_partition(test_ids, train_ids, groups) -> tuple:
+def inductive_partition(index: MessageIndex, train: tuple, test: tuple) -> tuple:
     """A test message is transductive iff it shares a group with a training
-    message; the partition is exhaustive and disjoint."""
-    test_set = set(test_ids)
-    train_set = set(train_ids)
-    transductive = set()
-    for g in groups:
-        members = set(g.member_ids)
-        if members & train_set:
-            transductive |= members & test_set
-    inductive = sorted(test_set - transductive)
-    return inductive, sorted(transductive)
+    message; train and test are position ranges. -> sorted (inductive, transductive) ids."""
+    group = index.table.group
+    has_train = np.bincount(group[index.inside(train)], minlength=len(index.table)) > 0
+    shared = np.zeros(len(index.ids), dtype=bool)
+    shared[index.table.members[index.inside(test) & has_train[group]]] = True
+    ids, flags = index.ids[slice(*test)], shared[slice(*test)].tolist()
+    return (sorted(m for m, f in zip(ids, flags) if not f),
+            sorted(m for m, f in zip(ids, flags) if f))
 
 
 # --- connected-component coverage ---
-
-class UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-        self.size = {x: 1 for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
 
 @dataclass
 class CoverageCurve:
@@ -178,35 +154,35 @@ class CoverageCurve:
     ham_cumulative: list
 
 
-def component_coverage(messages: list, groups: list) -> CoverageCurve:
-    """Cumulative fraction of messages covered by the largest-first connected
-    components of the co-membership graph, split by label."""
-    ids = [m.id for m in messages]
-    uf = UnionFind(ids)
-    for g in groups:
-        first = g.member_ids[0]
-        for other in g.member_ids[1:]:
-            uf.union(first, other)
-    comps: dict = {}
-    for mid in ids:
-        comps.setdefault(uf.find(mid), []).append(mid)
-    components = sorted(comps.values(), key=lambda c: (-len(c), min(c)))
+def component_coverage(index: MessageIndex) -> CoverageCurve:
+    """Cumulative fraction of messages covered by the connected components of
+    the co-membership graph, largest first and then by smallest id, split by label."""
+    n = len(index.ids)
+    rank = np.empty(n, dtype=np.int64)
+    rank[sorted(range(n), key=index.ids.__getitem__)] = np.arange(n)
+    # min-label propagation with pointer jumping: each root is its component's smallest id rank
+    t = index.table
+    root, member, starts = np.arange(n), rank[t.members], np.cumsum(t.sizes) - t.sizes
+    while len(member):
+        hooked = root.copy()
+        np.minimum.at(hooked, root[member], np.minimum.reduceat(root[member], starts)[t.group])
+        while not np.array_equal(hooked[hooked], hooked):
+            hooked = hooked[hooked]
+        if np.array_equal(hooked, root):
+            break
+        root = hooked
+    root = root[rank]  # by chronological position
+    sizes = np.bincount(root, minlength=n)
+    order = np.flatnonzero(sizes)
+    order = order[np.argsort(-sizes[order], kind="stable")]
 
-    labels = labels_of(messages)
-    n_all = len(ids)
-    n_spam = sum(1 for v in labels.values() if v == 1)
-    n_ham = sum(1 for v in labels.values() if v == 0)
-    sizes, cum_all, cum_spam, cum_ham = [], [], [], []
-    got_all = got_spam = got_ham = 0
-    for comp in components:
-        sizes.append(len(comp))
-        got_all += len(comp)
-        got_spam += sum(1 for mid in comp if labels.get(mid) == 1)
-        got_ham += sum(1 for mid in comp if labels.get(mid) == 0)
-        cum_all.append(got_all / n_all)
-        cum_spam.append(got_spam / n_spam if n_spam else 0.0)
-        cum_ham.append(got_ham / n_ham if n_ham else 0.0)
-    return CoverageCurve(sizes, cum_all, cum_spam, cum_ham)
+    def cumulative(of: np.ndarray) -> list:
+        total = int(of.sum())
+        got = np.cumsum(np.bincount(root[of], minlength=n)[order])
+        return (got / total).tolist() if total else [0.0] * len(order)
+
+    return CoverageCurve(sizes[order].tolist(), cumulative(np.ones(n, dtype=bool)),
+                         cumulative(index.labels == 1), cumulative(index.labels == 0))
 
 
 # --- experiment configuration and roster ---
@@ -292,7 +268,7 @@ def tune_epsilons(priors: dict, groups: list, labels: dict, relations: list,
     except DataError:
         return eps  # AUPR is undefined on these labels whatever the epsilons
     # a grouped message scores its marginal, any other its prior
-    grouped = {mid for g in groups for mid in g.member_ids}
+    grouped = set(GroupTable.of(groups).members)
     position = graph.var_index()
     rows = [k for k, i in enumerate(ids) if i in grouped]
     cols = [position[ids[k]] for k in rows]
@@ -349,11 +325,6 @@ def ordered_dataset(messages: list) -> list:
     return sort_chronologically(messages)
 
 
-def subset_messages(ordered: list, subset: SubsetSplit) -> tuple:
-    """(train, validation, test) messages of one subset of the sorted dataset."""
-    return tuple(ordered[a:b] for a, b in (subset.train, subset.validation, subset.test))
-
-
 def graph_feature_table(config: ExperimentConfig, follows: list) -> dict:
     """Per-user follower-graph features shared by every subset's pipeline;
     empty when the feature mode drops them or there are no follows."""
@@ -366,7 +337,8 @@ def featurize_subset(ordered: list, subset: SubsetSplit, config: ExperimentConfi
                      graph_table: dict) -> tuple:
     """Fit the feature pipeline on the subset's training slice and transform
     the whole subset: -> (pipeline, matrix of the train, validation and test rows)."""
-    train_msgs, val_msgs, test_msgs = subset_messages(ordered, subset)
+    train_msgs, val_msgs, test_msgs = (ordered[a:b] for a, b in
+                                       (subset.train, subset.validation, subset.test))
     pipe = FeaturePipeline(config.feature)
     pipe.graph_table = graph_table
     pipe.fit(train_msgs)
@@ -381,39 +353,39 @@ def center_mrf_priors(priors: dict, config: ExperimentConfig) -> dict:
     return recenter_scores(priors, center) if center else priors
 
 
-def train_subset_models(ordered: list, subset: SubsetSplit, fm: FeatureMatrix,
+def train_subset_models(index: MessageIndex, subset: SubsetSplit, fm: FeatureMatrix,
                         config: ExperimentConfig) -> dict:
     """Fit every artifact the roster needs on one subset's training slice,
     tuning on its validation slice; `fm` is the subset's feature matrix."""
-    train_msgs, val_msgs, _ = subset_messages(ordered, subset)
-    fm_train = fm.select_rows([m.id for m in train_msgs])
-    fm_val = fm.select_rows([m.id for m in val_msgs])
+    train_ids = index.ids[slice(*subset.train)]
+    fm_train = fm.select_rows(train_ids)
+    fm_val = fm.select_rows(index.ids[slice(*subset.validation)])
     scale_columns = scalable_columns(fm.column_names)
-    relations = relations_from_names(config.relations)
-    labels = labels_of(train_msgs)
+    labels, val_labels = index.labels_in(*subset.train), index.labels_in(*subset.validation)
     clf_config = config.classifier
     if config.l2_grid:
-        best = tune_l2(fm_train, labels, fm_val, labels_of(val_msgs),
+        best = tune_l2(fm_train, labels, fm_val, val_labels,
                        scale_columns, clf_config, config.l2_grid)
         clf_config = replace(clf_config, l2=best)
     artifacts = {"independent": fit_classifier(fm_train, labels, scale_columns, clf_config)}
     stacks = config.required_stacks()
-    groups_train = build_groups(train_msgs, relations) if stacks else []
+    groups_train = index.groups(subset.train) if stacks else []
     for k in stacks:
         artifacts[f"sgl{k}"] = train_stacked(
-            train_msgs, fm_train, labels, groups_train, K=k, relations=config.relations,
+            train_ids, fm_train, labels, groups_train, K=k, relations=config.relations,
             scale_columns=scale_columns, config=clf_config, pseudo_mode=config.stack_mode)
 
     joints = {parse_model_name(m)[1] for m in config.valid_models()}
-    learn_psl = "psl" in joints and config.psl_learn_steps > 0 and bool(val_msgs)
-    tune_mrf = "mrf" in joints and config.tune_epsilons and bool(val_msgs)
+    has_val = subset.validation[1] > subset.validation[0]
+    learn_psl = "psl" in joints and config.psl_learn_steps > 0 and has_val
+    tune_mrf = "mrf" in joints and config.tune_epsilons and has_val
     if learn_psl or tune_mrf:
-        val_groups = build_groups(val_msgs, relations)
+        val_groups = index.groups(subset.validation)
         val_priors = artifacts["independent"].predict_proba(fm_val)
     if "psl" in joints:
         weights = config.hinge_weights.copy()
         if learn_psl:
-            weights, _ = learn_weights(weights, val_msgs, val_groups, val_priors,
+            weights, _ = learn_weights(weights, val_labels, val_groups, val_priors,
                                        steps=config.psl_learn_steps,
                                        learning_rate=config.psl_learning_rate,
                                        p=config.hinge_exponent)
@@ -423,24 +395,23 @@ def train_subset_models(ordered: list, subset: SubsetSplit, fm: FeatureMatrix,
         if tune_mrf:
             default = eps if isinstance(eps, float) else 0.1
             eps = tune_epsilons(center_mrf_priors(val_priors, config), val_groups,
-                                labels_of(val_msgs), config.relations, default=default)
+                                val_labels, config.relations, default=default)
         artifacts["epsilons"] = eps
     return artifacts
 
 
-def infer_subset_models(artifacts: dict, ordered: list, subset: SubsetSplit, fm: FeatureMatrix,
-                        config: ExperimentConfig) -> tuple:
+def infer_subset_models(artifacts: dict, index: MessageIndex, subset: SubsetSplit,
+                        fm: FeatureMatrix, config: ExperimentConfig) -> tuple:
     """Test predictions for every roster model on one subset; `fm` is the
     subset's feature matrix. -> (predictions by model, diagnostics)
 
     Joint models see training messages as observed evidence: gold labels act
     as (clamped) priors in the MRF and as fixed values in the HL-MRF.
     """
-    train_msgs, _, test_msgs = subset_messages(ordered, subset)
-    test_ids = [m.id for m in test_msgs]
+    test_ids = index.ids[slice(*subset.test)]
     fm_test = fm.select_rows(test_ids)
-    groups_tt = build_groups(train_msgs + test_msgs, relations_from_names(config.relations))
-    context = {mid: float(v) for mid, v in labels_of(train_msgs).items()}
+    groups_tt = index.groups(subset.train, subset.test)
+    context = {mid: float(v) for mid, v in index.labels_in(*subset.train).items()}
     diagnostics = {"bp_nonconverged": 0, "map_nonconverged": 0}
 
     base_preds = artifacts["independent"].predict_proba(fm_test)
@@ -535,24 +506,20 @@ def config_snapshot(config: ExperimentConfig) -> dict:
     }
 
 
-def aggregate_report(config: ExperimentConfig, ordered: list, plan: SplitPlan, groups_all: list,
+def aggregate_report(config: ExperimentConfig, index: MessageIndex, plan: SplitPlan,
                      subset_preds: list, diagnostics: dict) -> EvaluationReport:
     """Concatenate per-subset test predictions and score every roster model,
-    overall and on the inductive partition; `groups_all` are the groups of
-    every message, from which each subset's and the coverage curve's come."""
-    coverage = component_coverage(ordered, groups_all)
+    overall and on the inductive partition."""
+    coverage = component_coverage(index)
     roster = config.valid_models()
-    labels = labels_of(ordered)
+    labels = index.labels_in(0, len(index.ids))
     all_preds: dict = {name: {} for name in roster}
     per_subset_metrics: dict = {name: [] for name in roster}
     test_ids_all: list = []
     inductive_ids: list = []
     for subset, preds in zip(plan.subsets, subset_preds):
-        train_msgs, _, test_msgs = subset_messages(ordered, subset)
-        train_ids = [m.id for m in train_msgs]
-        test_ids = [m.id for m in test_msgs]
-        groups_tt = restrict_groups(groups_all, train_ids + test_ids)
-        ind, _ = inductive_partition(test_ids, train_ids, groups_tt)
+        test_ids = index.ids[slice(*subset.test)]
+        ind, _ = inductive_partition(index, subset.train, subset.test)
         test_ids_all.extend(test_ids)
         inductive_ids.extend(ind)
         for name in roster:
@@ -569,7 +536,7 @@ def aggregate_report(config: ExperimentConfig, ordered: list, plan: SplitPlan, g
         })
     return EvaluationReport(
         models=model_entries,
-        n_messages=len(ordered),
+        n_messages=len(index.ids),
         n_subsets=len(subset_preds),
         n_test=len(test_ids_all),
         n_inductive=len(inductive_ids),
@@ -583,16 +550,15 @@ def aggregate_report(config: ExperimentConfig, ordered: list, plan: SplitPlan, g
 def evaluate_experiment(messages: list, follows: list, config: ExperimentConfig) -> EvaluationReport:
     """Run the full chronological protocol in memory and aggregate the report."""
     ordered = ordered_dataset(messages)
+    index = build_index(ordered, config.relations)
     plan = chronological_split(ordered, config.n_subsets, config.fractions)
     graph_table = graph_feature_table(config, follows)
     subset_preds, diagnostics = [], []
     for i, subset in enumerate(plan.subsets):
         _, fm = featurize_subset(ordered, subset, config, graph_table)
-        artifacts = train_subset_models(ordered, subset, fm, config)
-        preds, diag = infer_subset_models(artifacts, ordered, subset, fm, config)
+        artifacts = train_subset_models(index, subset, fm, config)
+        preds, diag = infer_subset_models(artifacts, index, subset, fm, config)
         subset_preds.append(preds)
         diagnostics.append(diag)
         log.info("subset %d/%d done", i + 1, plan.n_subsets)
-    groups_all = build_groups(ordered, relations_from_names(config.relations))
-    return aggregate_report(config, ordered, plan, groups_all, subset_preds,
-                            sum_diagnostics(diagnostics))
+    return aggregate_report(config, index, plan, subset_preds, sum_diagnostics(diagnostics))

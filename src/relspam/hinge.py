@@ -2,7 +2,7 @@
 
 The four rule templates (negative prior, positive prior, member-to-hub and
 hub-to-member propagation) are grounded straight from the groups' (group,
-member) edge arrays, the form `mrf.hub_edges` shares with the hub MRF, into
+member) edge arrays, the `GroupTable` the hub MRF builds from too, into
 one row per weighted hinge potential max(0, l)^p, with l linear in the
 variables, held as a sparse coefficient matrix, a constant and a weight vector
 and a template id per row. `GroundHinge` objects are made only when a caller
@@ -21,8 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .data_model import ConfigError, DataError
-from .mrf import hub_edges, hub_id
+from .data_model import ConfigError, DataError, GroupTable
 
 log = logging.getLogger(__name__)
 
@@ -236,7 +235,7 @@ def ground_rules(priors: dict, groups: list, weights: HingeWeights, p: int = 2,
     if p not in (1, 2):
         raise ConfigError(f"hinge exponent must be 1 or 2, got {p}")
     observed = observed or {}
-    edges = hub_edges(groups)
+    edges = GroupTable.of(groups)
     relations = edges.relations
     weights.validate(relations)
 
@@ -246,7 +245,7 @@ def ground_rules(priors: dict, groups: list, weights: HingeWeights, p: int = 2,
         raise DataError(f"{len(missing)} grouped messages lack priors (first: {missing[0]})")
 
     free = [mid for mid in grouped if mid not in observed]
-    n_free, n_groups = len(free), len(groups)
+    n_free, n_groups = len(free), len(edges)
     index = {mid: j for j, mid in enumerate(free)}
     prior = np.clip(np.array([priors[mid] for mid in free], dtype=float), 0.0, 1.0)
 
@@ -296,12 +295,12 @@ def ground_rules(priors: dict, groups: list, weights: HingeWeights, p: int = 2,
         if i < 2 * n_free:
             return f"{kind}:{free[i // 2]}"
         pair = (i - 2 * n_free) // 2
-        g = groups[group_of[pair]]
+        g = edges[group_of[pair]]
         return f"{kind}:{g.relation}:{g.key}:{members[pair]}"
 
     table = _PotentialTable(A, const, per_template[template_id], template_id, templates, p, tag)
     hub_mean = np.bincount(group_of, weights=value, minlength=n_groups) / edges.sizes
-    return GroundHingeModel(var_ids=free + [hub_id(g.relation, g.key) for g in groups],
+    return GroundHingeModel(var_ids=free + edges.hub_ids(),
                             var_kinds=["message"] * n_free + ["hub"] * n_groups,
                             potentials=table,
                             init=np.clip(np.concatenate([prior, hub_mean]), 0.0, 1.0),
@@ -423,17 +422,16 @@ def _template_sums(model: GroundHingeModel, x: np.ndarray) -> dict:
     return {t: float(s) for t, s, r in zip(table.templates, sums, rows) if r}
 
 
-def learn_weights(init: HingeWeights, messages: list, groups: list, priors: dict,
+def learn_weights(init: HingeWeights, labels: dict, groups: list, priors: dict,
                   steps: int = 10, learning_rate: float = 0.05, p: int = 2):
     """Approximate likelihood ascent for the template weights.
 
     The gradient of each template weight is the template's summed hinge value
     at the current MAP state minus its value at the observed state (gold
-    labels, hubs imputed as member means); weights are projected to >= 0.
-    The model is grounded once and re-weighted at every step.
-    Returns (weights, objective_trace).
+    labels, id -> 0/1, with hubs imputed as member means); weights are
+    projected to >= 0. The model is grounded once and re-weighted at every
+    step. Returns (weights, objective_trace).
     """
-    labels = {m.id: m.label for m in messages if m.label is not None}
     if not labels:
         log.warning("no labeled validation data; returning initial weights")
         return init.copy(), []
@@ -447,13 +445,10 @@ def learn_weights(init: HingeWeights, messages: list, groups: list, priors: dict
         float(labels.get(vid, priors.get(vid, 0.5))) if kind == "message" else 0.0
         for vid, kind in zip(model.var_ids, model.var_kinds)
     ])
-    # hubs observed as the mean of their members' observed values
-    pos = {vid: j for j, vid in enumerate(model.var_ids)}
-    for g in groups:
-        hid = hub_id(g.relation, g.key)
-        if hid in pos:
-            vals = [float(labels.get(mid, priors.get(mid, 0.5))) for mid in g.member_ids]
-            observed_x[pos[hid]] = float(np.mean(vals))
+    # hubs, one per group after the messages, observed as their members' mean
+    for j, g in enumerate(groups, len(model.var_ids) - len(groups)):
+        vals = [float(labels.get(mid, priors.get(mid, 0.5))) for mid in g.member_ids]
+        observed_x[j] = float(np.mean(vals))
     phi_obs = _template_sums(model, observed_x)
 
     for _ in range(steps):

@@ -6,8 +6,9 @@ n edges rather than n-choose-2. `build_factor_graph` fills the graph's arrays
 straight from the groups: per variable an id, a kind and a (phi_ham, phi_spam)
 row; per edge the message index, the hub index, the relation code and epsilon.
 `VariableNode` and `PairwiseFactor` objects are made only when a caller reads
-`graph.variables` or `graph.factors`. The (group, member) edge form comes from
-`hub_edges`, which the hinge-loss MRF grounds from too.
+`graph.variables` or `graph.factors`. The (group, member) edge form is a
+`data_model.GroupTable` (`GroupTable.of`), which the hinge-loss MRF grounds from
+too and the message index restricts to a subset without building groups.
 
 Approximate marginals come from damped synchronous loopy belief propagation,
 one kernel over the arrays that runs a batch of epsilon settings at once;
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_model import ConfigError, DataError
+from .data_model import HUB_PREFIX, ConfigError, DataError, GroupTable
 
 log = logging.getLogger(__name__)
 
@@ -45,28 +46,6 @@ class PairwiseFactor:
     def table(self) -> list:
         e = self.epsilon
         return [[1.0 - e, e], [e, 1.0 - e]]
-
-
-@dataclass(frozen=True)
-class HubEdges:
-    """The (group, member) pairs of a list of groups, in group then member order."""
-
-    members: list  # member id per edge
-    group: np.ndarray  # edge -> group index
-    sizes: np.ndarray  # group -> member count
-    relations: list  # relation names present, sorted
-    relation: np.ndarray  # edge -> index into relations
-
-
-def hub_edges(groups: list) -> HubEdges:
-    n_groups = len(groups)
-    sizes = np.fromiter((len(g.member_ids) for g in groups), dtype=np.int64, count=n_groups)
-    group = np.repeat(np.arange(n_groups, dtype=np.int64), sizes)
-    relations = sorted({g.relation for g in groups})
-    code = {r: k for k, r in enumerate(relations)}
-    per_group = np.fromiter((code[g.relation] for g in groups), dtype=np.int64, count=n_groups)
-    return HubEdges(members=[mid for g in groups for mid in g.member_ids], group=group,
-                    sizes=sizes, relations=relations, relation=per_group[group])
 
 
 class _VariableTable(Sequence):
@@ -148,7 +127,7 @@ class FactorGraph:
 
 
 def hub_id(relation: str, key: str) -> str:
-    return f"hub:{relation}:{key}"
+    return f"{HUB_PREFIX}{relation}:{key}"
 
 
 def _edge_epsilons(relations: list, relation: np.ndarray, epsilons) -> np.ndarray:
@@ -171,7 +150,7 @@ def build_factor_graph(priors: dict, groups: list, epsilons) -> FactorGraph:
     one pairwise factor per (group, member). Ungrouped messages are excluded:
     their posterior is their prior by definition.
     """
-    edges = hub_edges(groups)
+    edges = GroupTable.of(groups)
     grouped_ids = sorted(set(edges.members))
     missing = [mid for mid in grouped_ids if mid not in priors]
     if missing:
@@ -183,7 +162,7 @@ def build_factor_graph(priors: dict, groups: list, epsilons) -> FactorGraph:
     if n_clamped:
         log.debug("clamped %d priors into (0,1)", n_clamped)
     n_messages = len(grouped_ids)
-    phi = np.full((n_messages + len(groups), 2), 0.5)  # hubs are uninformative
+    phi = np.full((n_messages + len(edges), 2), 0.5)  # hubs are uninformative
     phi[:n_messages, 0] = 1.0 - p
     phi[:n_messages, 1] = p
     index = {mid: j for j, mid in enumerate(grouped_ids)}
@@ -191,8 +170,7 @@ def build_factor_graph(priors: dict, groups: list, epsilons) -> FactorGraph:
                         count=len(edges.members))
     eps = _edge_epsilons(edges.relations, edges.relation, epsilons)
     factors = _EdgeTable(var_a, n_messages + edges.group, edges.relation, edges.relations, eps)
-    variables = _VariableTable(grouped_ids + [hub_id(g.relation, g.key) for g in groups],
-                               n_messages, phi)
+    variables = _VariableTable(grouped_ids + edges.hub_ids(), n_messages, phi)
     return FactorGraph(variables=variables, factors=factors)
 
 

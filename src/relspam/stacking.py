@@ -115,12 +115,13 @@ def _slice_bounds(n: int, parts: int) -> list:
     return [(i * n // parts, (i + 1) * n // parts) for i in range(parts)]
 
 
-def train_stacked(messages: list, fm: FeatureMatrix, labels: dict, groups: list,
+def train_stacked(ids: list, fm: FeatureMatrix, labels: dict, groups: list,
                   K: int, relations: list, scale_columns: list | None = None,
                   config: ClassifierConfig | None = None,
                   pseudo_mode: str = "soft",
                   score_center: float | str | None = "auto") -> StackedModel:
-    """Fit f^0..f^K on K+1 contiguous time slices of the training data.
+    """Fit f^0..f^K on K+1 contiguous time slices of the training messages,
+    given by their ids in chronological order.
 
     Predictions roll forward through the chain: slice k sees pseudo-relational
     features computed from f^{k-1}'s predictions on that same slice, plus the
@@ -130,17 +131,16 @@ def train_stacked(messages: list, fm: FeatureMatrix, labels: dict, groups: list,
     """
     if K < 0:
         raise ConfigError("K must be >= 0")
-    if K + 1 > len(messages):
-        raise DataError(f"cannot build {K + 1} stack slices from {len(messages)} messages")
+    if K + 1 > len(ids):
+        raise DataError(f"cannot build {K + 1} stack slices from {len(ids)} messages")
     config = config or ClassifierConfig()
-    ids = [m.id for m in messages]
     if ids != list(fm.row_ids):
         fm = fm.select_rows(ids)
     if score_center == "auto":
         labeled = [labels[i] for i in ids if i in labels]
         score_center = (sum(labeled) / len(labeled)) if labeled else None
 
-    bounds = _slice_bounds(len(messages), K + 1)
+    bounds = _slice_bounds(len(ids), K + 1)
     slice_ids = [ids[a:b] for a, b in bounds]
     submodels = [fit_classifier(fm.select_rows(slice_ids[0]), labels, scale_columns, config)]
     model = StackedModel(submodels=submodels, relations=list(relations),

@@ -358,7 +358,7 @@ def test_criterion_10_degenerate_stack_identity():
     groups_train = build_groups(train, relations)
     groups_tt = build_groups(ordered, relations)
     cfg = ClassifierConfig(l2=1.0, max_iter=300)
-    stacked = train_stacked(train, fm_train, labels, groups_train, K=0,
+    stacked = train_stacked([m.id for m in train], fm_train, labels, groups_train, K=0,
                             relations=["user", "text", "link"],
                             scale_columns=pipe.scalable_columns(), config=cfg)
     independent = fit_classifier(fm_train, labels, pipe.scalable_columns(), cfg)

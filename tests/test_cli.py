@@ -1,7 +1,11 @@
+import importlib
 import json
+from pathlib import Path
+
+import pytest
 
 from relspam.cli import experiment_config, load_config, main
-from relspam.data_model import read_messages, write_messages
+from relspam.data_model import ConfigError, read_messages, write_messages
 from relspam.evaluation import evaluate_experiment
 from relspam.synth import GeneratorConfig, generate
 
@@ -98,6 +102,53 @@ class TestStages:
         assert not (out / "features").exists()
 
 
+    def test_featurize_rejects_an_id_that_names_a_hub(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
+        path = out / "data" / "messages.jsonl"
+        messages = read_messages(path)
+        messages[7].id = "hub:user:u1"
+        write_messages(path, messages)
+        assert main(["featurize", "--config", cfg, "--out", str(out)]) == 1
+        assert "hub id prefix" in capsys.readouterr().err
+        assert not (out / "features").exists()
+
+
+class TestMessageIndex:
+    def test_index_is_byte_idempotent(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["featurize", "--config", cfg, "--out", str(out)]) == 0
+        first = (out / "features" / "index.npz").read_bytes()
+        assert main(["featurize", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "features" / "index.npz").read_bytes() == first
+
+    def test_relations_changed_after_featurize_name_featurize(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["featurize", "--config", cfg, "--out", str(out)]) == 0
+        changed = write_config(tmp_path, {"relations": ["user", "text"]})
+        assert main(["train", "--config", changed, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "relations" in err and "rerun the featurize stage" in err
+
+    def test_stages_after_featurize_never_read_messages(self, tmp_path):
+        cfg = write_config(tmp_path, {"models": ["independent", "sgl1", "mrf", "psl"],
+                                      "dump_pr_curves": True})
+        staged, whole = tmp_path / "staged", tmp_path / "whole"
+        assert main(["run-all", "--config", cfg, "--out", str(whole), "--seed", "4"]) == 0
+        for stage in ("generate", "featurize"):
+            assert main([stage, "--config", cfg, "--out", str(staged), "--seed", "4"]) == 0
+        (staged / "data" / "messages.jsonl").unlink()
+        for stage in ("train", "infer", "eval"):
+            assert main([stage, "--config", cfg, "--out", str(staged), "--seed", "4"]) == 0
+        for name in ("report.json", "pr_curves.json"):
+            assert (staged / name).read_bytes() == (whole / name).read_bytes()
+
+
 class TestOneOrchestration:
     def test_in_memory_protocol_matches_run_all_report_bytes(self, tmp_path):
         # every branch of the per-subset steps: stacked, joint and combined
@@ -164,6 +215,32 @@ class TestConfigValidation:
     def test_config_that_sets_threads_still_loads(self, tmp_path):
         cfg = write_config(tmp_path, {"threads": 2})
         assert main(["generate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("extra, key", [
+        ({"n_subset": 3}, "'n_subset'"),
+        ({"classifier": {"l2": 1.0, "max_iters": 10}}, "'classifier.max_iters'"),
+        ({"hinge": {"learn_step": 2}}, "'hinge.learn_step'"),
+        ({"generator": {"n_message": 100}}, "'generator.n_message'"),
+        ({"generator": {"seed": 3}}, "'generator.seed'"),
+    ])
+    def test_unknown_key_is_named(self, tmp_path, extra, key):
+        with pytest.raises(ConfigError, match=key):
+            load_config(write_config(tmp_path, extra), {})
+
+    def test_section_that_is_not_an_object_is_named(self, tmp_path):
+        with pytest.raises(ConfigError, match="'classifier' must be an object"):
+            load_config(write_config(tmp_path, {"classifier": 5}), {})
+
+    def test_every_benchmark_workload_config_loads(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        workloads = importlib.import_module("workloads")
+        assert workloads.WORKLOADS
+        for name, workload in workloads.WORKLOADS.items():
+            cfg_path = tmp_path / f"{name}.json"
+            cfg_path.write_text(json.dumps(workload.full_config(42, str(tmp_path / name))))
+            cfg = load_config(str(cfg_path), {})
+            experiment_config(cfg)
+            assert cfg["relations"] == workload.config["relations"]
 
     def test_unknown_relation_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"relations": ["user", "bogus"]})

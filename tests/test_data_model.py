@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,18 +9,23 @@ from relspam.data_model import (
     ConfigError,
     DataError,
     Group,
+    GroupTable,
+    HUB_PREFIX,
+    INDEX_FORMAT,
     Message,
     SplitPlan,
     build_groups,
+    build_index,
     chronological_split,
     message_from_record,
     normalize_link,
     normalize_text,
+    read_index,
     read_messages,
     relations_from_names,
-    restrict_groups,
     sort_chronologically,
     validate_dataset,
+    write_index,
     write_messages,
 )
 
@@ -52,6 +58,15 @@ class TestValidation:
         report = validate_dataset([msg("ok"), msg(bad)])
         assert not report.ok
         assert any(repr(bad) in e for e in report.errors)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.text(max_size=12))
+    def test_an_id_that_could_name_a_hub_is_flagged(self, suffix):
+        # hub variables are named hub:<relation>:<key>; a message of that id
+        # would be scored as the hub's marginal
+        for mid, flagged in ((HUB_PREFIX + suffix, True), ("m" + suffix, False)):
+            errors = validate_dataset([msg("ok"), msg(mid)]).errors
+            assert any("hub id prefix" in e and repr(mid) in e for e in errors) == flagged
 
     def test_negative_timestamp_flagged(self):
         report = validate_dataset([msg("a", ts=-5)])
@@ -219,20 +234,61 @@ def test_split_invariant_property(rows):
     st.lists(
         st.tuples(st.sampled_from(["u1", "u2", "u3"]), st.sampled_from(["x", "y", "X!", ""]),
                   st.lists(st.sampled_from(["http://a.io/1", "HTTP://A.io/1", "http://b.io"]), max_size=2),
-                  st.lists(st.sampled_from(["tag", "Tag", "other"]), max_size=2)),
+                  st.lists(st.sampled_from(["tag", "Tag", "other"]), max_size=2),
+                  st.integers(0, 9)),
         max_size=25,
     ),
     st.lists(st.sampled_from(["user", "text", "link", "hashtag", "user_hashtag"]), unique=True),
-    st.sets(st.integers(0, 24)),
+    st.lists(st.integers(0, 25), min_size=4, max_size=4),
 )
-def test_restricted_groups_equal_groups_of_the_subset(rows, relation_names, kept):
-    messages = [msg(f"m{i:02d}", user=u, text=t, links=links, hashtags=tags)
-                for i, (u, t, links, tags) in enumerate(rows)]
-    relations = relations_from_names(relation_names)
-    ids = {f"m{i:02d}" for i in kept}
-    expected = build_groups([m for m in messages if m.id in ids], relations)
-    assert restrict_groups(build_groups(messages, relations), ids) == expected
-    assert restrict_groups(build_groups(messages, relations), sorted(ids)) == expected
+def test_restricted_groups_equal_groups_of_the_subset(rows, relation_names, cuts):
+    ordered = sort_chronologically([msg(f"m{i:02d}", user=u, text=t, links=links, hashtags=tags, ts=ts)
+                                    for i, (u, t, links, tags, ts) in enumerate(rows)])
+    a, b, c, d = sorted(cuts)
+    expected = build_groups(ordered[a:b] + ordered[c:d], relations_from_names(relation_names))
+    table = build_index(ordered, relation_names).groups((a, b), (c, d))
+    assert list(table) == expected
+    # the same edge arrays the joint models would take from the group list
+    want = GroupTable.of(expected)
+    assert (table.relations, table.keys, table.members) == (want.relations, want.keys, want.members)
+    for name in ("group_relation", "sizes", "group", "relation"):
+        assert np.array_equal(getattr(table, name), getattr(want, name))
+
+
+class TestIndexFile:
+    def index(self):
+        messages = [msg("b", user="u", text="hi", ts=0, label=1), msg("a", user="u", ts=1),
+                    msg("c", user="v", text="hi", ts=2, label=0)]
+        return build_index(messages, ["user", "text"], source_sha256="0" * 64)
+
+    def test_round_trip_and_byte_idempotent(self, tmp_path):
+        index = self.index()
+        write_index(tmp_path / "a.npz", index)
+        write_index(tmp_path / "b.npz", read_index(tmp_path / "a.npz"))
+        assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+        back = read_index(tmp_path / "b.npz")
+        assert (back.ids, back.relations, back.table.keys, back.source_sha256) == \
+               (["b", "a", "c"], ["user", "text"], ["hi", "u"], "0" * 64)
+        assert back.labels.tolist() == [1, -1, 0] and back.labels.dtype == np.int8
+        assert back.table.members.tolist() == [0, 2, 1, 0] and back.table.members.dtype == np.int32
+
+    def test_truncated_file_raises_data_error(self, tmp_path):
+        path = tmp_path / "index.npz"
+        write_index(path, self.index())
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        with pytest.raises(DataError, match="featurize"):
+            read_index(path)
+
+    def test_other_format_tag_raises_data_error(self, tmp_path):
+        path = tmp_path / "index.npz"
+        header = json.dumps({"format": "relspam-index v0", "relations": [], "source_sha256": "",
+                             "ids": [], "keys": []}).encode()
+        empty = np.zeros(0, dtype=np.int32)
+        with open(path, "wb") as fh:
+            np.savez_compressed(fh, header=np.frombuffer(header, dtype=np.uint8), labels=empty,
+                                group_relation=empty, group_size=empty, member=empty)
+        with pytest.raises(DataError, match=INDEX_FORMAT):
+            read_index(path)
 
 
 class TestIngestion:

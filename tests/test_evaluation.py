@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relspam.data_model import DataError, Group, Message, build_groups, labels_of, relations_from_names
+from relspam.data_model import (
+    DataError,
+    Group,
+    Message,
+    build_groups,
+    build_index,
+    labels_of,
+    relations_from_names,
+    sort_chronologically,
+)
 from relspam.evaluation import (
     ExperimentConfig,
     aupr,
@@ -122,61 +131,154 @@ class TestAuroc:
             auroc([s ** 3 + 1 for s in scores], labels), abs=1e-12)
 
 
+def user_index(rows, labels=None):
+    """The "user" index of messages given as (id, user) in chronological order."""
+    messages = [Message(id=mid, user_id=user, timestamp=i,
+                        label=None if labels is None else labels[i])
+                for i, (mid, user) in enumerate(rows)]
+    return build_index(messages, ["user"])
+
+
 class TestInductivePartition:
     def test_shared_group_with_train_is_transductive(self):
-        groups = [group("user", "u", ["t1", "tr1"])]
-        ind, trans = inductive_partition(["t1", "t2"], ["tr1"], groups)
+        index = user_index([("tr1", "u"), ("t1", "u"), ("t2", "v")])
+        ind, trans = inductive_partition(index, (0, 1), (1, 3))
         assert trans == ["t1"]
         assert ind == ["t2"]
 
     def test_no_groups_is_inductive(self):
-        ind, trans = inductive_partition(["t1"], ["tr1"], [])
+        index = user_index([("tr1", "a"), ("t1", "b")])
+        ind, trans = inductive_partition(index, (0, 1), (1, 2))
         assert ind == ["t1"] and trans == []
 
     def test_test_only_groups_stay_inductive(self):
-        groups = [group("text", "x", ["t1", "t2"])]
-        ind, trans = inductive_partition(["t1", "t2"], ["tr1"], groups)
+        index = user_index([("tr1", "a"), ("t1", "x"), ("t2", "x")])
+        ind, trans = inductive_partition(index, (0, 1), (1, 3))
         assert ind == ["t1", "t2"] and trans == []
 
     def test_partition_exhaustive_and_disjoint(self):
         rng = random.Random(7)
-        test_ids = [f"t{i}" for i in range(20)]
-        train_ids = [f"r{i}" for i in range(20)]
-        groups = [group("user", f"u{j}", rng.sample(test_ids + train_ids, 4)) for j in range(6)]
-        ind, trans = inductive_partition(test_ids, train_ids, groups)
-        assert sorted(ind + trans) == sorted(test_ids)
+        rows = [(f"r{i}", f"u{rng.randrange(6)}") for i in range(20)]
+        rows += [(f"t{i}", f"u{rng.randrange(6)}") for i in range(20)]
+        ind, trans = inductive_partition(user_index(rows), (0, 20), (20, 40))
+        assert sorted(ind + trans) == sorted(mid for mid, _ in rows[20:])
         assert not set(ind) & set(trans)
 
 
 class TestComponentCoverage:
-    def messages(self, n, labels=None):
-        return [Message(id=f"m{i}", user_id=f"u{i}", timestamp=i,
-                        label=None if labels is None else labels[i]) for i in range(n)]
+    def index(self, users, labels=None):
+        return user_index([(f"m{i}", u) for i, u in enumerate(users)], labels)
 
     def test_single_group_covers_everything(self):
-        msgs = self.messages(5)
-        curve = component_coverage(msgs, [group("user", "u", [m.id for m in msgs])])
+        curve = component_coverage(self.index(["u"] * 5))
         assert curve.all_cumulative[0] == 1.0
 
     def test_no_groups_linear_curve(self):
-        msgs = self.messages(4)
-        curve = component_coverage(msgs, [])
+        curve = component_coverage(self.index(["a", "b", "c", "d"]))
         assert curve.all_cumulative == pytest.approx([0.25, 0.5, 0.75, 1.0])
 
     def test_two_disjoint_groups(self):
-        msgs = self.messages(10)
-        groups = [group("user", "a", [f"m{i}" for i in range(6)]),
-                  group("user", "b", [f"m{i}" for i in range(6, 10)])]
-        curve = component_coverage(msgs, groups)
+        curve = component_coverage(self.index(["a"] * 6 + ["b"] * 4))
         assert curve.all_cumulative[:2] == pytest.approx([0.6, 1.0])
 
     def test_label_split(self):
-        labels = [1, 1, 0, 0]
-        msgs = self.messages(4, labels)
-        groups = [group("user", "a", ["m0", "m1"])]
-        curve = component_coverage(msgs, groups)
+        curve = component_coverage(self.index(["a", "a", "b", "c"], labels=[1, 1, 0, 0]))
         assert curve.spam_cumulative[0] == 1.0
         assert curve.ham_cumulative[0] == 0.0
+
+
+# The set and union-find code the array passes replaced, kept as their oracle.
+
+def reference_inductive_partition(test_ids, train_ids, groups) -> tuple:
+    test_set = set(test_ids)
+    train_set = set(train_ids)
+    transductive = set()
+    for g in groups:
+        members = set(g.member_ids)
+        if members & train_set:
+            transductive |= members & test_set
+    return sorted(test_set - transductive), sorted(transductive)
+
+
+class ReferenceUnionFind:
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+        self.size = {x: 1 for x in items}
+
+    def find(self, x):
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+
+
+def reference_component_coverage(messages: list, groups: list) -> dict:
+    ids = [m.id for m in messages]
+    uf = ReferenceUnionFind(ids)
+    for g in groups:
+        for other in g.member_ids[1:]:
+            uf.union(g.member_ids[0], other)
+    comps: dict = {}
+    for mid in ids:
+        comps.setdefault(uf.find(mid), []).append(mid)
+    components = sorted(comps.values(), key=lambda c: (-len(c), min(c)))
+    labels = labels_of(messages)
+    n_spam = sum(1 for v in labels.values() if v == 1)
+    n_ham = sum(1 for v in labels.values() if v == 0)
+    sizes, cum_all, cum_spam, cum_ham = [], [], [], []
+    got_all = got_spam = got_ham = 0
+    for comp in components:
+        sizes.append(len(comp))
+        got_all += len(comp)
+        got_spam += sum(1 for mid in comp if labels.get(mid) == 1)
+        got_ham += sum(1 for mid in comp if labels.get(mid) == 0)
+        cum_all.append(got_all / len(ids))
+        cum_spam.append(got_spam / n_spam if n_spam else 0.0)
+        cum_ham.append(got_ham / n_ham if n_ham else 0.0)
+    return {"component_sizes": sizes, "all_cumulative": cum_all,
+            "spam_cumulative": cum_spam, "ham_cumulative": cum_ham}
+
+
+relational_messages = st.lists(
+    st.tuples(st.integers(0, 30), st.sampled_from(["u1", "u2", "u3", "u4", "u5", "u6"]),
+              st.sampled_from(["x", "y", "z", "w", "v", ""]),
+              st.lists(st.sampled_from(["http://a.io", "http://b.io", "http://c.io"]), max_size=2),
+              st.sampled_from([None, 0, 1])),
+    min_size=1, max_size=40)
+
+
+def ordered_messages(rows) -> list:
+    # ids out of time order, so chronological position and id order differ
+    return sort_chronologically([
+        Message(id=f"m{(7 * i) % 41:02d}", user_id=u, text=t, links=links, timestamp=ts, label=y)
+        for i, (ts, u, t, links, y) in enumerate(rows)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(relational_messages, st.lists(st.sampled_from(["user", "text", "link"]), unique=True),
+       st.lists(st.integers(0, 40), min_size=3, max_size=3))
+def test_array_partition_and_coverage_match_the_set_and_union_find_code(rows, relations, cuts):
+    ordered = ordered_messages(rows)
+    a, b, c = sorted(min(x, len(ordered)) for x in cuts)
+    index = build_index(ordered, relations)
+    train, test = ordered[:a], ordered[b:c]
+    groups_tt = build_groups(train + test, relations_from_names(relations))
+    assert inductive_partition(index, (0, a), (b, c)) == reference_inductive_partition(
+        [m.id for m in test], [m.id for m in train], groups_tt)
+    curve = component_coverage(index)
+    assert curve.__dict__ == reference_component_coverage(
+        ordered, build_groups(ordered, relations_from_names(relations)))
 
 
 class TestModelNames:
@@ -272,8 +374,9 @@ class TestExperiment:
         _, fm = featurize_subset(ordered, s, config, {})
         relations = relations_from_names(config.relations)
         groups_tt = build_groups(train_msgs + test_msgs, relations)
-        artifacts = train_subset_models(ordered, s, fm, config)
-        preds, _ = infer_subset_models(artifacts, ordered, s, fm, config)
+        index = build_index(ordered, config.relations)
+        artifacts = train_subset_models(index, s, fm, config)
+        preds, _ = infer_subset_models(artifacts, index, s, fm, config)
 
         import numpy as np
         from relspam.linear import recenter_scores
@@ -294,6 +397,14 @@ class TestExperiment:
         messages[5].id = "m\nfive"
         with pytest.raises(DataError, match="tab, CR or newline"):
             evaluate_experiment(messages, [], self.small_config())
+
+    def test_an_id_that_names_a_hub_fails_before_any_work(self):
+        # a message "hub:user:..." in a ham group would otherwise score the
+        # user hub's marginal instead of its own
+        messages = planted_experiment_data(n=300, seed=4)
+        messages[5].id = f"hub:user:{messages[5].user_id}"
+        with pytest.raises(DataError, match="hub id prefix"):
+            evaluate_experiment(messages, [], self.small_config(models=["independent", "mrf"]))
 
     def test_report_serialization(self):
         messages = planted_experiment_data(n=300, seed=4)

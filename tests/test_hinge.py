@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relspam.data_model import ConfigError, Group, Message
+from relspam.data_model import ConfigError, Group, Message, labels_of
 from relspam.hinge import (
     GroundHinge,
     GroundHingeModel,
@@ -420,14 +420,14 @@ class TestLearnWeights:
     def test_zero_steps_returns_init(self):
         messages, groups, priors = self.make_validation()
         init = HingeWeights(neg=1.5, prior=0.5)
-        out, trace = learn_weights(init, messages, groups, priors, steps=0)
+        out, trace = learn_weights(init, labels_of(messages), groups, priors, steps=0)
         assert out.neg == 1.5 and out.prior == 0.5
         assert trace == []
 
     def test_no_labels_warns_and_returns_init(self, caplog):
         messages = [Message(id="a", user_id="u", timestamp=0), Message(id="b", user_id="u", timestamp=1)]
         with caplog.at_level("WARNING"):
-            out, trace = learn_weights(HingeWeights(), messages, [group("user", "u", ["a", "b"])],
+            out, trace = learn_weights(HingeWeights(), labels_of(messages), [group("user", "u", ["a", "b"])],
                                        {"a": 0.5, "b": 0.5}, steps=3)
         assert out.neg == 1.0
         assert trace == []
@@ -435,7 +435,7 @@ class TestLearnWeights:
     def test_prior_weight_grows_when_priors_match_labels(self):
         messages, groups, priors = self.make_validation()
         init = HingeWeights()
-        out, _ = learn_weights(init, messages, groups, priors, steps=5, learning_rate=0.05)
+        out, _ = learn_weights(init, labels_of(messages), groups, priors, steps=5, learning_rate=0.05)
         assert out.prior / max(out.neg, 1e-9) > init.prior / init.neg
 
     def test_pure_campaign_groups_keep_positive_relation_weights(self):
@@ -452,14 +452,14 @@ class TestLearnWeights:
         ham_ids = [m.id for m in messages if m.label == 0]
         pure_groups.append(group("text", "s", spam_ids))
         pure_groups.append(group("text", "h", ham_ids))
-        out, _ = learn_weights(HingeWeights(), messages, pure_groups, priors, steps=5)
+        out, _ = learn_weights(HingeWeights(), labels_of(messages), pure_groups, priors, steps=5)
         for rel in {g.relation for g in pure_groups}:
             assert out.c(rel) > 0
             assert out.d(rel) > 0
 
     def test_weights_stay_nonnegative(self):
         messages, groups, priors = self.make_validation()
-        out, _ = learn_weights(HingeWeights(), messages, groups, priors,
+        out, _ = learn_weights(HingeWeights(), labels_of(messages), groups, priors,
                                steps=20, learning_rate=5.0)
         assert out.neg >= 0 and out.prior >= 0
         for rel in {g.relation for g in groups}:

@@ -96,7 +96,7 @@ def planted_dataset(n_users=30, msgs_per_user=6, noise=1.5, seed=0):
 class TestTrainStacked:
     def test_k0_equals_base_model(self):
         messages, fm, labels, groups = planted_dataset()
-        stacked = train_stacked(messages, fm, labels, groups, K=0, relations=["user"],
+        stacked = train_stacked([m.id for m in messages], fm, labels, groups, K=0, relations=["user"],
                                 config=ClassifierConfig(l2=0.1))
         base = fit_classifier(fm.select_rows([m.id for m in messages[:len(messages)]]),
                               labels, None, ClassifierConfig(l2=0.1))
@@ -108,7 +108,7 @@ class TestTrainStacked:
 
     def test_k1_learns_positive_group_weight(self):
         messages, fm, labels, groups = planted_dataset(seed=5)
-        stacked = train_stacked(messages, fm, labels, groups, K=1, relations=["user"],
+        stacked = train_stacked([m.id for m in messages], fm, labels, groups, K=1, relations=["user"],
                                 config=ClassifierConfig(l2=0.1))
         f1 = stacked.submodels[1]
         j = stacked.base_columns.index("signal") + 1  # pr_user is right after base columns
@@ -119,7 +119,7 @@ class TestTrainStacked:
     def test_k2_slices_evenly(self):
         messages, fm, labels, groups = planted_dataset(n_users=10, msgs_per_user=3)
         n = len(messages)
-        stacked = train_stacked(messages, fm, labels, groups, K=2, relations=["user"],
+        stacked = train_stacked([m.id for m in messages], fm, labels, groups, K=2, relations=["user"],
                                 config=ClassifierConfig(l2=1.0))
         assert len(stacked.submodels) == 3
         third = n // 3
@@ -130,11 +130,11 @@ class TestTrainStacked:
     def test_too_many_stacks_rejected(self):
         messages, fm, labels, groups = planted_dataset(n_users=2, msgs_per_user=1)
         with pytest.raises(DataError):
-            train_stacked(messages, fm, labels, groups, K=5, relations=["user"])
+            train_stacked([m.id for m in messages], fm, labels, groups, K=5, relations=["user"])
 
     def test_serialization_round_trip(self):
         messages, fm, labels, groups = planted_dataset(seed=2)
-        stacked = train_stacked(messages, fm, labels, groups, K=1, relations=["user"],
+        stacked = train_stacked([m.id for m in messages], fm, labels, groups, K=1, relations=["user"],
                                 config=ClassifierConfig(l2=0.5))
         restored = StackedModel.from_json(stacked.to_json())
         a = infer_stacked(stacked, fm, groups)
@@ -145,7 +145,7 @@ class TestTrainStacked:
 class TestInferStacked:
     def test_unrelated_message_sees_neutral_ratios(self):
         messages, fm, labels, groups = planted_dataset(seed=1)
-        stacked = train_stacked(messages, fm, labels, groups, K=1, relations=["user"],
+        stacked = train_stacked([m.id for m in messages], fm, labels, groups, K=1, relations=["user"],
                                 config=ClassifierConfig(l2=0.1))
         lone = FeatureMatrix(["x1"], ["signal"], sp.csr_matrix(np.array([[0.7]])))
         lone2 = FeatureMatrix(["x2"], ["signal"], sp.csr_matrix(np.array([[0.7]])))
@@ -155,7 +155,7 @@ class TestInferStacked:
 
     def test_identical_grouped_messages_get_identical_scores(self):
         messages, fm, labels, groups = planted_dataset(seed=3)
-        stacked = train_stacked(messages, fm, labels, groups, K=1, relations=["user"],
+        stacked = train_stacked([m.id for m in messages], fm, labels, groups, K=1, relations=["user"],
                                 config=ClassifierConfig(l2=0.1))
         twins = FeatureMatrix(["t1", "t2"], ["signal"],
                               sp.csr_matrix(np.array([[0.4], [0.4]])))
@@ -183,7 +183,7 @@ class TestInferStacked:
         fm_train = fm.select_rows([m.id for m in train_msgs])
         fm_test = fm.select_rows([m.id for m in test_msgs])
         train_groups = build_groups(train_msgs, relations_from_names(["text"]))
-        stacked = train_stacked(train_msgs, fm_train, labels, train_groups, K=1,
+        stacked = train_stacked([m.id for m in train_msgs], fm_train, labels, train_groups, K=1,
                                 relations=["text"], config=ClassifierConfig(l2=0.1))
         context = {m.id: float(labels[m.id]) for m in train_msgs}
         final = infer_stacked(stacked, fm_test, groups, context_scores=context)
@@ -193,23 +193,23 @@ class TestInferStacked:
 
     def test_missing_relation_errors_when_declared(self):
         messages, fm, labels, groups = planted_dataset(seed=4)
-        stacked = train_stacked(messages, fm, labels, groups, K=1, relations=["user"],
+        stacked = train_stacked([m.id for m in messages], fm, labels, groups, K=1, relations=["user"],
                                 config=ClassifierConfig(l2=0.1))
         with pytest.raises(ConfigError):
             infer_stacked(stacked, fm, groups, available_relations=["text"])
 
     def test_column_mismatch_rejected(self):
         messages, fm, labels, groups = planted_dataset(seed=6)
-        stacked = train_stacked(messages, fm, labels, groups, K=0, relations=["user"])
+        stacked = train_stacked([m.id for m in messages], fm, labels, groups, K=0, relations=["user"])
         bad = FeatureMatrix(["z"], ["other"], sp.csr_matrix(np.array([[1.0]])))
         with pytest.raises(DataError):
             infer_stacked(stacked, bad, groups)
 
     def test_deterministic_end_to_end(self):
         messages, fm, labels, groups = planted_dataset(seed=8)
-        a = train_stacked(messages, fm, labels, groups, K=1, relations=["user"],
+        a = train_stacked([m.id for m in messages], fm, labels, groups, K=1, relations=["user"],
                           config=ClassifierConfig(l2=0.2))
-        b = train_stacked(messages, fm, labels, groups, K=1, relations=["user"],
+        b = train_stacked([m.id for m in messages], fm, labels, groups, K=1, relations=["user"],
                           config=ClassifierConfig(l2=0.2))
         assert infer_stacked(a, fm, groups) == infer_stacked(b, fm, groups)
 
