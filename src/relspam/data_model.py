@@ -199,7 +199,7 @@ class GroupTable(Sequence):
         return Group(relation=self.relations[self.group_relation[i]], key=self.keys[i],
                      member_ids=tuple(self.members[end - int(self.sizes[i]):end]))
 
-    def hub_ids(self) -> list:  # `mrf.hub_id` of each group
+    def hub_ids(self) -> list:  # the hub variable id of each group
         return [f"{HUB_PREFIX}{self.relations[r]}:{key}"
                 for r, key in zip(self.group_relation.tolist(), self.keys)]
 
@@ -302,7 +302,8 @@ class ValidationReport:
 
 def validate_dataset(messages: list) -> ValidationReport:
     """Report duplicate ids, ids the TSV artifacts cannot carry (a tab, CR or
-    newline), ids that could collide with a hub id, invalid timestamps and
+    newline), ids that could collide with a hub id, string fields that the
+    UTF-8 artifacts cannot carry (a lone surrogate), invalid timestamps and
     label coverage. Never mutates."""
     report = ValidationReport(n_messages=len(messages))
     seen = set()
@@ -316,6 +317,11 @@ def validate_dataset(messages: list) -> ValidationReport:
             report.errors.append(f"message id contains a tab, CR or newline: {m.id!r}")
         if m.id.startswith(HUB_PREFIX):
             report.errors.append(f"message id starts with the hub id prefix {HUB_PREFIX!r}: {m.id!r}")
+        try:
+            for text in (m.id, m.user_id, m.text, m.target_id, *m.links, *m.hashtags, *m.mentions):
+                str(text).encode("utf-8")
+        except UnicodeEncodeError:
+            report.errors.append(f"message has a string field that is not valid UTF-8: {m.id!r}")
         if not isinstance(m.timestamp, int) or m.timestamp < 0:
             report.bad_timestamps.append(m.id)
         if m.label is not None:

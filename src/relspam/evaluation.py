@@ -269,7 +269,7 @@ def tune_epsilons(priors: dict, groups: list, labels: dict, relations: list,
         return eps  # AUPR is undefined on these labels whatever the epsilons
     # a grouped message scores its marginal, any other its prior
     grouped = set(GroupTable.of(groups).members)
-    position = graph.var_index()
+    position = {vid: i for i, vid in enumerate(graph.ids)}
     rows = [k for k, i in enumerate(ids) if i in grouped]
     cols = [position[ids[k]] for k in rows]
     prior = np.array([priors[i] for i in ids], dtype=float)
@@ -339,9 +339,7 @@ def featurize_subset(ordered: list, subset: SubsetSplit, config: ExperimentConfi
     the whole subset: -> (pipeline, matrix of the train, validation and test rows)."""
     train_msgs, val_msgs, test_msgs = (ordered[a:b] for a, b in
                                        (subset.train, subset.validation, subset.test))
-    pipe = FeaturePipeline(config.feature)
-    pipe.graph_table = graph_table
-    pipe.fit(train_msgs)
+    pipe = FeaturePipeline(config.feature, graph_table).fit(train_msgs)
     return pipe, pipe.transform(train_msgs + val_msgs + test_msgs, labels_of(train_msgs))
 
 

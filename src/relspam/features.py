@@ -434,22 +434,21 @@ class FeaturePipeline:
     """Fit on training data only; transform any chronologically sorted slice.
 
     The column dictionary is frozen at fit time, so train / validation / test
-    matrices of one experiment always align.
+    matrices of one experiment always align. `graph_table` maps a user id to
+    its follower-graph features (`compute_graph_feature_table`).
     """
 
-    def __init__(self, config: FeatureConfig | None = None):
+    def __init__(self, config: FeatureConfig | None = None, graph_table: dict | None = None):
         self.config = config or FeatureConfig()
         self.vocabulary: list = []
-        self.graph_table: dict = {}
+        self.graph_table: dict = graph_table or {}
         self._fitted = False
 
-    def fit(self, train_messages: list, follows: list | None = None) -> "FeaturePipeline":
+    def fit(self, train_messages: list) -> "FeaturePipeline":
         cfg = self.config
         if cfg.uses_ngrams():
             self.vocabulary = fit_ngram_vocabulary(
                 [m.text for m in train_messages], n=cfg.ngram_n, top_k=cfg.ngram_top_k)
-        if cfg.uses_graph() and follows:
-            self.graph_table = compute_graph_feature_table(build_follower_graph(follows))
         self._fitted = True
         return self
 
@@ -461,9 +460,6 @@ class FeaturePipeline:
         if self.config.uses_ngrams():
             cols += [NGRAM_PREFIX + g for g in self.vocabulary]
         return cols
-
-    def scalable_columns(self) -> list:
-        return scalable_columns(self.column_names)
 
     def transform(self, messages_sorted: list, known_labels: dict) -> FeatureMatrix:
         if not self._fitted:
@@ -507,8 +503,7 @@ class FeaturePipeline:
     def from_json(cls, text: str) -> "FeaturePipeline":
         payload = json.loads(text)
         cfg = FeatureConfig(**payload["config"])
-        pipe = cls(cfg)
+        pipe = cls(cfg, payload["graph_table"])
         pipe.vocabulary = payload["vocabulary"]
-        pipe.graph_table = payload["graph_table"]
         pipe._fitted = True
         return pipe

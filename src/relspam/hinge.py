@@ -5,17 +5,14 @@ hub-to-member propagation) are grounded straight from the groups' (group,
 member) edge arrays, the `GroupTable` the hub MRF builds from too, into
 one row per weighted hinge potential max(0, l)^p, with l linear in the
 variables, held as a sparse coefficient matrix, a constant and a weight vector
-and a template id per row. `GroundHinge` objects are made only when a caller
-reads `model.potentials`. MAP inference minimizes the convex weighted sum by
+and a template id per row. MAP inference minimizes the convex weighted sum by
 Jacobi-scaled projected gradient descent; template weights can be learned from
 labeled validation data.
 """
 
 from __future__ import annotations
 
-import copy
 import logging
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -87,109 +84,48 @@ class HingeWeights:
             raise ConfigError(f"unknown template {template!r}")
 
 
-@dataclass(frozen=True)
-class GroundHinge:
-    coeffs: tuple  # ((var_index, coefficient), ...)
-    const: float
-    weight: float
-    exponent: int
-    template: tuple  # ("neg",) | ("prior",) | ("c", relation) | ("d", relation)
-    tag: str  # human-readable provenance
-
-    def linear_value(self, x: np.ndarray) -> float:
-        return self.const + sum(c * x[j] for j, c in self.coeffs)
-
-    def value(self, x: np.ndarray) -> float:
-        return max(0.0, self.linear_value(x)) ** self.exponent
-
-
-class _PotentialTable(Sequence):
-    """Hinge potentials as array rows; indexing makes a `GroundHinge` on demand.
-
-    Row i is weight[i] * max(0, const[i] + A[i] @ x)^exponent with template
-    templates[template_id[i]]. Each CSR row keeps its entries in the hinge's
-    coefficient order, which need not be sorted by variable, so a `GroundHinge`
-    read back prints as it was grounded.
-    """
-
-    def __init__(self, A, const, weight, template_id, templates, exponent, tag):
-        self.A = A
-        # CSR copy of A.T for gradients: its products sum each column of A in
-        # ascending row order, as A.T @ v does, so they are bit-identical
-        self.AT = A.T.tocsr()
-        self.const = const
-        self.weight = weight
-        self.template_id = template_id
-        self.templates = templates
-        self.exponent = exponent
-        self.tag = tag  # row index -> provenance string
-
-    @classmethod
-    def from_hinges(cls, hinges, n_vars: int, exponent: int) -> "_PotentialTable":
-        hinges = list(hinges)
-        lengths = [len(h.coeffs) for h in hinges]
-        indptr = np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)])
-        A = sp.csr_matrix((np.array([c for h in hinges for _, c in h.coeffs], dtype=float),
-                           np.array([j for h in hinges for j, _ in h.coeffs], dtype=np.int64),
-                           indptr), shape=(len(hinges), n_vars))
-        templates = list(dict.fromkeys(h.template for h in hinges))
-        position = {t: k for k, t in enumerate(templates)}
-        return cls(A, np.array([h.const for h in hinges], dtype=float),
-                   np.array([h.weight for h in hinges], dtype=float),
-                   np.array([position[h.template] for h in hinges], dtype=np.int64),
-                   templates, exponent, lambda i: hinges[i].tag)
-
-    def with_weights(self, weight: np.ndarray) -> "_PotentialTable":
-        table = copy.copy(self)
-        table.weight = weight
-        return table
-
-    def __len__(self) -> int:
-        return len(self.const)
-
-    def __getitem__(self, i: int) -> GroundHinge:
-        i = range(len(self))[i]
-        a, b = self.A.indptr[i], self.A.indptr[i + 1]
-        coeffs = tuple(zip(self.A.indices[a:b].tolist(), self.A.data[a:b].tolist()))
-        return GroundHinge(coeffs=coeffs, const=float(self.const[i]), weight=float(self.weight[i]),
-                           exponent=self.exponent, template=self.templates[self.template_id[i]],
-                           tag=self.tag(i))
-
-
-@dataclass
+@dataclass(eq=False)
 class GroundHingeModel:
-    """A grounded hinge-loss MRF.
+    """A grounded hinge-loss MRF as arrays.
 
-    `potentials` is a sequence of `GroundHinge`: a list when the model is built
-    by hand, or the lazy array table `ground_rules` fills. Either way the
-    objective and gradient run on the arrays.
+    Row i of `A` is the potential weight[i] * max(0, const[i] + A[i] @ x)^exponent,
+    grounded from the rule template templates[template_id[i]]. A row keeps its
+    entries in the order its template writes them, which need not be sorted
+    by variable, and its products sum in that order.
     """
 
     var_ids: list
     var_kinds: list  # "message" or "hub", aligned with var_ids
-    potentials: Sequence
+    A: sp.csr_matrix  # (n_potentials, n_vars)
+    const: np.ndarray
+    weight: np.ndarray
+    template_id: np.ndarray
+    templates: list  # ("neg",) | ("prior",) | ("c", relation) | ("d", relation)
     init: np.ndarray
     exponent: int
+    # CSR copy of A.T for gradients: its products sum each column of A in
+    # ascending row order, as A.T @ v does, so they are bit-identical
+    AT: sp.csr_matrix = field(init=False)
 
     def __post_init__(self):
-        table = self.potentials
-        if not isinstance(table, _PotentialTable):
-            table = _PotentialTable.from_hinges(table, len(self.var_ids), self.exponent)
-        self._table = table
-        self._A, self._AT, self._const, self._w = table.A, table.AT, table.const, table.weight
+        self.AT = self.A.T.tocsr()
 
     @property
     def n_vars(self) -> int:
         return len(self.var_ids)
 
+    @property
+    def potentials(self) -> range:
+        """The potentials' row numbers."""
+        return range(len(self.const))
+
     def reweighted(self, weights: HingeWeights) -> "GroundHingeModel":
         """The same potentials, each weighted by its template's weight in `weights`."""
-        table = self._table
-        per_template = np.array([weights.of_template(t) for t in table.templates], dtype=float)
-        return replace(self, potentials=table.with_weights(per_template[table.template_id]))
+        per_template = np.array([weights.of_template(t) for t in self.templates], dtype=float)
+        return replace(self, weight=per_template[self.template_id])
 
     def linear_values(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self._A @ x).ravel() + self._const
+        return np.asarray(self.A @ x).ravel() + self.const
 
     def objective(self, x: np.ndarray) -> float:
         return self._objective_at(self.linear_values(x))
@@ -199,25 +135,18 @@ class GroundHingeModel:
 
     # The same two quantities from linear values the caller already holds.
     def _objective_at(self, lin: np.ndarray) -> float:
-        return float(self._w @ np.maximum(0.0, lin) ** self.exponent)
+        return float(self.weight @ np.maximum(0.0, lin) ** self.exponent)
 
     def _gradient_at(self, lin: np.ndarray) -> np.ndarray:
         active = np.maximum(0.0, lin)
         if self.exponent == 2:
-            coef = 2.0 * self._w * active
+            coef = 2.0 * self.weight * active
         else:
-            coef = self._w * (active > 0)
-        return np.asarray(self._AT @ coef).ravel()
+            coef = self.weight * (active > 0)
+        return np.asarray(self.AT @ coef).ravel()
 
     def potential_values(self, x: np.ndarray) -> np.ndarray:
         return np.maximum(0.0, self.linear_values(x)) ** self.exponent
-
-    def dump(self) -> str:
-        lines = [f"var {k} {v}" for v, k in zip(self.var_ids, self.var_kinds)]
-        for h in self.potentials:
-            terms = " + ".join(f"{c:+g}*x[{j}]" for j, c in h.coeffs)
-            lines.append(f"hinge w={h.weight:g} max(0, {h.const:+g} {terms})^{h.exponent}  [{h.tag}]")
-        return "\n".join(lines)
 
 
 def ground_rules(priors: dict, groups: list, weights: HingeWeights, p: int = 2,
@@ -289,20 +218,11 @@ def ground_rules(priors: dict, groups: list, weights: HingeWeights, p: int = 2,
     A = sp.csr_matrix((coef.ravel()[keep], cols.ravel()[keep], indptr),
                       shape=(n_rows, n_free + n_groups))
     per_template = np.array([weights.of_template(t) for t in templates], dtype=float)
-
-    def tag(i: int) -> str:
-        kind = templates[template_id[i]][0]
-        if i < 2 * n_free:
-            return f"{kind}:{free[i // 2]}"
-        pair = (i - 2 * n_free) // 2
-        g = edges[group_of[pair]]
-        return f"{kind}:{g.relation}:{g.key}:{members[pair]}"
-
-    table = _PotentialTable(A, const, per_template[template_id], template_id, templates, p, tag)
     hub_mean = np.bincount(group_of, weights=value, minlength=n_groups) / edges.sizes
     return GroundHingeModel(var_ids=free + edges.hub_ids(),
                             var_kinds=["message"] * n_free + ["hub"] * n_groups,
-                            potentials=table,
+                            A=A, const=const, weight=per_template[template_id],
+                            template_id=template_id, templates=templates,
                             init=np.clip(np.concatenate([prior, hub_mean]), 0.0, 1.0),
                             exponent=p)
 
@@ -320,7 +240,7 @@ def _jacobi_scale(model: GroundHingeModel) -> np.ndarray:
     """1 / (2 * sum_k w_k * A_kj^2) per variable: the inverse diagonal of the
     p=2 objective's Hessian with every hinge active; 0 where no potential
     touches the variable."""
-    diag = 2.0 * np.asarray(model._A.multiply(model._A).T @ model._w).ravel()
+    diag = 2.0 * np.asarray(model.A.multiply(model.A).T @ model.weight).ravel()
     return np.divide(1.0, diag, out=np.zeros_like(diag), where=diag > 0)
 
 
@@ -415,11 +335,10 @@ def infer_hinge_posteriors(priors: dict, groups: list, weights: HingeWeights | N
 
 def _template_sums(model: GroundHingeModel, x: np.ndarray) -> dict:
     # unweighted hinge values summed per template (the likelihood-gradient features)
-    table = model._table
-    n = len(table.templates)
-    sums = np.bincount(table.template_id, weights=model.potential_values(x), minlength=n)
-    rows = np.bincount(table.template_id, minlength=n)
-    return {t: float(s) for t, s, r in zip(table.templates, sums, rows) if r}
+    n = len(model.templates)
+    sums = np.bincount(model.template_id, weights=model.potential_values(x), minlength=n)
+    rows = np.bincount(model.template_id, minlength=n)
+    return {t: float(s) for t, s, r in zip(model.templates, sums, rows) if r}
 
 
 def learn_weights(init: HingeWeights, labels: dict, groups: list, priors: dict,

@@ -3,12 +3,12 @@
 Each group of related messages contributes one latent hub variable plus one
 agreement-favoring pairwise factor per member, so a group of n messages costs
 n edges rather than n-choose-2. `build_factor_graph` fills the graph's arrays
-straight from the groups: per variable an id, a kind and a (phi_ham, phi_spam)
-row; per edge the message index, the hub index, the relation code and epsilon.
-`VariableNode` and `PairwiseFactor` objects are made only when a caller reads
-`graph.variables` or `graph.factors`. The (group, member) edge form is a
-`data_model.GroupTable` (`GroupTable.of`), which the hinge-loss MRF grounds from
-too and the message index restricts to a subset without building groups.
+straight from the groups: per variable an id and a (phi_ham, phi_spam) row;
+per edge the message index, the hub index, epsilon and the relation code.
+The (group, member) edge form is a `data_model.GroupTable` (`GroupTable.of`),
+which the hinge-loss MRF grounds from too and the message index restricts to a
+subset without building groups. A graph that is not a hub graph, such as a
+test's random tree, is given as the same arrays.
 
 Approximate marginals come from damped synchronous loopy belief propagation,
 one kernel over the arrays that runs a batch of epsilon settings at once;
@@ -18,116 +18,34 @@ small graphs can be checked against exact enumeration.
 from __future__ import annotations
 
 import logging
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import HUB_PREFIX, ConfigError, DataError, GroupTable
+from .data_model import ConfigError, DataError, GroupTable
 
 log = logging.getLogger(__name__)
 
 PRIOR_CLAMP = 1e-6
 
 
-@dataclass(frozen=True)
-class VariableNode:
-    kind: str  # "message" or "hub"
-    id: str
-    phi: tuple  # (phi_ham, phi_spam), both positive
-
-
-@dataclass(frozen=True)
-class PairwiseFactor:
-    var_a: int
-    var_b: int
-    epsilon: float  # table [[1-e, e], [e, 1-e]], agreement-favoring for e < 0.5
-
-    def table(self) -> list:
-        e = self.epsilon
-        return [[1.0 - e, e], [e, 1.0 - e]]
-
-
-class _VariableTable(Sequence):
-    """Variables as arrays, messages first and then hubs; indexing makes a `VariableNode`."""
-
-    def __init__(self, ids: list, n_messages: int, phi: np.ndarray):
-        self.ids = ids
-        self.n_messages = n_messages
-        self.phi = phi  # (n, 2)
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __getitem__(self, i: int) -> VariableNode:
-        i = range(len(self))[i]
-        return VariableNode(kind="message" if i < self.n_messages else "hub", id=self.ids[i],
-                            phi=(float(self.phi[i, 0]), float(self.phi[i, 1])))
-
-
-class _EdgeTable(Sequence):
-    """Edges as arrays: message index, hub index, relation code and epsilon;
-    indexing makes a `PairwiseFactor`."""
-
-    def __init__(self, var_a, var_b, relation, relations: list, epsilon):
-        self.var_a = var_a
-        self.var_b = var_b
-        self.relation = relation
-        self.relations = relations
-        self.epsilon = epsilon
-
-    def __len__(self) -> int:
-        return len(self.var_a)
-
-    def __getitem__(self, i: int) -> PairwiseFactor:
-        i = range(len(self))[i]
-        return PairwiseFactor(var_a=int(self.var_a[i]), var_b=int(self.var_b[i]),
-                              epsilon=float(self.epsilon[i]))
-
-
-@dataclass
+@dataclass(eq=False)
 class FactorGraph:
-    """Binary variables joined by pairwise factors.
+    """Binary variables joined by agreement-favoring pairwise factors, as arrays.
 
-    Built by hand, `variables` and `factors` are lists of `VariableNode` and
-    `PairwiseFactor`. From `build_factor_graph` they are lazy views of the
-    graph's arrays, and `len()` costs nothing. BP runs on arrays either way.
+    Variable i is ids[i], messages first; phi[i] is its (phi_ham, phi_spam),
+    both positive. Factor f joins variables factors[f, 0] and factors[f, 1]
+    with the table [[1-e, e], [e, 1-e]], e = epsilon[f], and belongs to
+    relation relations[relation[f]].
     """
 
-    variables: Sequence = field(default_factory=list)
-    factors: Sequence = field(default_factory=list)
-
-    def var_index(self) -> dict:
-        return {vid: i for i, vid in enumerate(self._ids())}
-
-    def dump(self) -> str:
-        """Human-readable dump for debugging."""
-        lines = []
-        for v in self.variables:
-            lines.append(f"var {v.kind} {v.id} phi=({v.phi[0]:.6g},{v.phi[1]:.6g})")
-        for f in self.factors:
-            a, b = self.variables[f.var_a], self.variables[f.var_b]
-            lines.append(f"factor {a.id} -- {b.id} eps={f.epsilon:.6g}")
-        return "\n".join(lines)
-
-    def _ids(self) -> list:
-        v = self.variables
-        return v.ids if isinstance(v, _VariableTable) else [x.id for x in v]
-
-    def _arrays(self) -> tuple:
-        """(phi, var_a, var_b, epsilon), read from the node lists of a hand-built graph."""
-        v, f = self.variables, self.factors
-        phi = v.phi if isinstance(v, _VariableTable) else \
-            np.array([x.phi for x in v], dtype=float).reshape(len(v), 2)
-        if isinstance(f, _EdgeTable):
-            return phi, f.var_a, f.var_b, f.epsilon
-        return (phi, np.array([x.var_a for x in f], dtype=np.int64),
-                np.array([x.var_b for x in f], dtype=np.int64),
-                np.array([x.epsilon for x in f], dtype=float))
-
-
-def hub_id(relation: str, key: str) -> str:
-    return f"{HUB_PREFIX}{relation}:{key}"
+    ids: list
+    n_messages: int
+    phi: np.ndarray  # (n_variables, 2)
+    factors: np.ndarray  # (n_factors, 2) variable indices
+    epsilon: np.ndarray  # (n_factors,)
+    relation: np.ndarray  # (n_factors,)
+    relations: list
 
 
 def _edge_epsilons(relations: list, relation: np.ndarray, epsilons) -> np.ndarray:
@@ -168,10 +86,10 @@ def build_factor_graph(priors: dict, groups: list, epsilons) -> FactorGraph:
     index = {mid: j for j, mid in enumerate(grouped_ids)}
     var_a = np.fromiter((index[mid] for mid in edges.members), dtype=np.int64,
                         count=len(edges.members))
-    eps = _edge_epsilons(edges.relations, edges.relation, epsilons)
-    factors = _EdgeTable(var_a, n_messages + edges.group, edges.relation, edges.relations, eps)
-    variables = _VariableTable(grouped_ids + edges.hub_ids(), n_messages, phi)
-    return FactorGraph(variables=variables, factors=factors)
+    return FactorGraph(grouped_ids + edges.hub_ids(), n_messages, phi,
+                       np.column_stack([var_a, n_messages + edges.group]),
+                       _edge_epsilons(edges.relations, edges.relation, epsilons),
+                       edges.relation, edges.relations)
 
 
 @dataclass
@@ -181,19 +99,21 @@ class BPResult:
     n_iters: int
 
 
-def _bp_rows(phi, var_a, var_b, eps, max_iters: int, damping: float, tol: float) -> tuple:
-    """Synchronous damped BP on one graph for each row of `eps` (B x n_edges).
+def _bp_rows(graph: FactorGraph, eps, max_iters: int, damping: float, tol: float) -> tuple:
+    """Synchronous damped BP on `graph` for each row of `eps` (B x n_edges).
 
     Every row stops at its own iteration, and no sum mixes rows, so a row of a
     batch equals the same row run alone bit for bit. Returns the spam
     marginals (B x n_vars), the iterations and the convergence flags.
     """
     n_rows, n_edges = eps.shape
+    phi = graph.phi
     n_vars = len(phi)
     if n_edges == 0:
         marginals = np.broadcast_to(phi[:, 1] / (phi[:, 0] + phi[:, 1]), (n_rows, n_vars))
         return marginals, np.zeros(n_rows, dtype=np.int64), np.ones(n_rows, dtype=bool)
 
+    var_a, var_b = np.ascontiguousarray(graph.factors.T)
     log_phi = np.log(phi)
     # A belief sums, in log space so large hubs cannot underflow the product,
     # the variable's log-potential and then its incoming log-messages in edge
@@ -263,9 +183,8 @@ def loopy_bp(graph: FactorGraph, max_iters: int = 100, damping: float = 0.5,
     Non-convergence is not an error: the current beliefs are returned with
     converged=False.
     """
-    phi, var_a, var_b, eps = graph._arrays()
-    spam, n_iters, converged = _bp_rows(phi, var_a, var_b, eps[None, :], max_iters, damping, tol)
-    return BPResult(marginals=dict(zip(graph._ids(), spam[0].tolist())),
+    spam, n_iters, converged = _bp_rows(graph, graph.epsilon[None, :], max_iters, damping, tol)
+    return BPResult(marginals=dict(zip(graph.ids, spam[0].tolist())),
                     converged=bool(converged[0]), n_iters=int(n_iters[0]))
 
 
@@ -279,31 +198,28 @@ def loopy_bp_batch(graph: FactorGraph, epsilons: list, max_iters: int = 100,
     epsilons[b], bit for bit. Returns (spam marginals as a B x n_variables
     array in variable order, iterations, convergence flags).
     """
-    phi, var_a, var_b, _ = graph._arrays()
-    f = graph.factors
-    rows = np.array([_edge_epsilons(f.relations, f.relation, e) for e in epsilons], dtype=float)
-    return _bp_rows(phi, var_a, var_b, rows.reshape(len(epsilons), len(var_a)),
-                    max_iters, damping, tol)
+    rows = np.array([_edge_epsilons(graph.relations, graph.relation, e) for e in epsilons],
+                    dtype=float)
+    return _bp_rows(graph, rows.reshape(len(epsilons), len(graph.factors)), max_iters, damping, tol)
 
 
 def exact_marginals(graph: FactorGraph) -> dict:
     """Brute-force marginals by enumerating every assignment. Test oracle only."""
-    n = len(graph.variables)
+    n = len(graph.ids)
     if n > 20:
         raise DataError(f"exact enumeration capped at 20 variables, got {n}")
     if n == 0:
         return {}
     states = ((np.arange(2 ** n, dtype=np.int64)[:, None] >> np.arange(n)[None, :]) & 1).astype(np.int8)
     w = np.ones(2 ** n)
-    for i, v in enumerate(graph.variables):
-        w *= np.where(states[:, i] == 1, v.phi[1], v.phi[0])
-    for f in graph.factors:
-        agree = states[:, f.var_a] == states[:, f.var_b]
-        w *= np.where(agree, 1.0 - f.epsilon, f.epsilon)
+    for i, (ham, spam) in enumerate(graph.phi):
+        w *= np.where(states[:, i] == 1, spam, ham)
+    for (a, b), e in zip(graph.factors, graph.epsilon):
+        w *= np.where(states[:, a] == states[:, b], 1.0 - e, e)
     z = w.sum()
     if z <= 0:
         raise DataError("partition function vanished; check potentials")
-    return {v.id: float(w[states[:, i] == 1].sum() / z) for i, v in enumerate(graph.variables)}
+    return {vid: float(w[states[:, i] == 1].sum() / z) for i, vid in enumerate(graph.ids)}
 
 
 @dataclass
@@ -324,10 +240,10 @@ def infer_posteriors(priors: dict, groups: list, epsilons=0.1, max_iters: int = 
     """
     graph = build_factor_graph(priors, groups, epsilons)
     result = loopy_bp(graph, max_iters=max_iters, damping=damping, tol=tol)
-    ids, n_messages = graph.variables.ids, graph.variables.n_messages
+    ids, n_messages = graph.ids, graph.n_messages
     scores = dict(priors)
     scores.update((vid, result.marginals[vid]) for vid in ids[:n_messages])
     hub_scores = {vid: result.marginals[vid] for vid in ids[n_messages:]}
     return JointResult(scores=scores, hub_scores=hub_scores, converged=result.converged,
-                       n_iters=result.n_iters, n_variables=len(graph.variables),
+                       n_iters=result.n_iters, n_variables=len(graph.ids),
                        n_factors=len(graph.factors))

@@ -8,6 +8,7 @@ import random
 import time
 
 import numpy as np
+import scipy.sparse as sp
 
 from relspam.data_model import (
     Group,
@@ -21,21 +22,16 @@ from relspam.evaluation import ExperimentConfig, aupr, auroc, evaluate_experimen
 from relspam.features import (
     FeatureConfig,
     build_follower_graph,
+    compute_graph_feature_table,
     extract_user_features_sequential,
     k_core,
     pagerank,
+    scalable_columns,
     triangle_count,
 )
-from relspam.hinge import GroundHinge, GroundHingeModel, HingeWeights, ground_rules, map_inference
+from relspam.hinge import GroundHingeModel, HingeWeights, ground_rules, map_inference
 from relspam.linear import ClassifierConfig, fit_classifier
-from relspam.mrf import (
-    FactorGraph,
-    PairwiseFactor,
-    VariableNode,
-    build_factor_graph,
-    exact_marginals,
-    loopy_bp,
-)
+from relspam.mrf import FactorGraph, build_factor_graph, exact_marginals, loopy_bp
 from relspam.stacking import infer_stacked, train_stacked
 from relspam.synth import GeneratorConfig, generate
 
@@ -52,13 +48,13 @@ def group(relation, key, members):
 
 def random_tree(rng):
     n = rng.randint(2, 15)
-    variables, factors = [], []
-    for i in range(n):
-        p = rng.uniform(0.05, 0.95)
-        variables.append(VariableNode("message", f"v{i}", (1.0 - p, p)))
+    phi = np.array([(1.0 - p, p) for p in (rng.uniform(0.05, 0.95) for _ in range(n))])
+    factors, epsilons = [], []
     for i in range(1, n):
-        factors.append(PairwiseFactor(rng.randrange(i), i, rng.uniform(0.01, 0.49)))
-    return FactorGraph(variables=variables, factors=factors)
+        factors.append((rng.randrange(i), i))
+        epsilons.append(rng.uniform(0.01, 0.49))
+    return FactorGraph([f"v{i}" for i in range(n)], n, phi, np.array(factors, dtype=np.int64),
+                       np.array(epsilons), np.zeros(n - 1, dtype=np.int64), ["tree"])
 
 
 def test_criterion_01_bp_tree_exactness():
@@ -100,7 +96,8 @@ def test_criterion_03_psl_saturation():
         return model, map_inference(model, tol=1e-15, max_iter=50000)
 
     model4, r4 = solve(4)
-    d_active = max(h.linear_value(r4.x) for h in model4.potentials if h.template[0] == "d")
+    d_rows = [model4.templates[t][0] == "d" for t in model4.template_id]
+    d_active = max(model4.linear_values(r4.x)[d_rows])
     _, r3 = solve(3)
     drift = max(abs(r3.assignment[f"m{i}"] - r4.assignment[f"m{i}"]) for i in range(3))
     report(3, d_active <= 1e-6 and drift <= 1e-6,
@@ -109,32 +106,29 @@ def test_criterion_03_psl_saturation():
 
 
 def _random_hinge_model(rng, n_vars):
-    hinges = []
+    # rows (coefficients, const, weight, template id) over templates neg, prior and c
+    rows = []
     for j in range(n_vars):
-        hinges.append(GroundHinge(((j, 1.0),), 0.0, rng.uniform(0.1, 1.0), 2, ("neg",), "a"))
-        hinges.append(GroundHinge(((j, -1.0),), rng.uniform(0.1, 0.9), rng.uniform(0.1, 1.0),
-                                  2, ("prior",), "b"))
+        rows.append((((j, 1.0),), 0.0, rng.uniform(0.1, 1.0), 0))
+        rows.append((((j, -1.0),), rng.uniform(0.1, 0.9), rng.uniform(0.1, 1.0), 1))
     for _ in range(rng.randrange(1, 4)):
         if n_vars > 1:
             a, b = rng.sample(range(n_vars), k=2)
-            hinges.append(GroundHinge(((a, 1.0), (b, -1.0)), rng.uniform(-0.3, 0.3),
-                                      rng.uniform(0.1, 2.0), 2, ("c", "user"), "c"))
+            rows.append((((a, 1.0), (b, -1.0)), rng.uniform(-0.3, 0.3), rng.uniform(0.1, 2.0), 2))
+    coeffs, const, weight, template_id = zip(*rows)
+    A = sp.csr_matrix(([c for r in coeffs for _, c in r], [j for r in coeffs for j, _ in r],
+                       np.cumsum([0] + [len(r) for r in coeffs])), shape=(len(rows), n_vars))
     return GroundHingeModel(var_ids=[f"v{i}" for i in range(n_vars)],
-                            var_kinds=["message"] * n_vars,
-                            potentials=hinges, init=np.full(n_vars, 0.5), exponent=2)
+                            var_kinds=["message"] * n_vars, A=A, const=np.array(const),
+                            weight=np.array(weight), template_id=np.array(template_id),
+                            templates=[("neg",), ("prior",), ("c", "user")],
+                            init=np.full(n_vars, 0.5), exponent=2)
 
 
 def _batch_objective(model, X):
-    n_pot = len(model.potentials)
-    A = np.zeros((n_pot, model.n_vars))
-    const = np.zeros(n_pot)
-    w = np.zeros(n_pot)
-    for i, h in enumerate(model.potentials):
-        for j, c in h.coeffs:
-            A[i, j] += c
-        const[i] = h.const
-        w[i] = h.weight
-    return w @ np.maximum(0.0, A @ X.T + const[:, None]) ** model.exponent
+    # dense, so independent of the sparse products the model's objective uses
+    A = model.A.toarray()
+    return model.weight @ np.maximum(0.0, A @ X.T + model.const[:, None]) ** model.exponent
 
 
 def _grid_oracle(model, step=0.01, refinements=3):
@@ -189,7 +183,7 @@ def test_criterion_05_hub_linearity():
     g = group("link", "l", priors)
     mrf_graph = build_factor_graph(priors, [g], 0.1)
     hinge_model = ground_rules(priors, [g], HingeWeights())
-    relational = [h for h in hinge_model.potentials if h.template[0] in ("c", "d")]
+    relational = [t for t in hinge_model.template_id if hinge_model.templates[t][0] in ("c", "d")]
     pairwise_edges = sum(1 for _ in itertools.combinations(g.member_ids, 2))
     report(5, len(mrf_graph.factors) == 100 and len(relational) == 200 and pairwise_edges == 4950,
            f"hub: {len(mrf_graph.factors)} factors / {len(relational)} hinges; "
@@ -349,7 +343,8 @@ def test_criterion_10_degenerate_stack_identity():
     ordered = sort_chronologically(messages)
     train, test = ordered[:1000], ordered[1000:]
     from relspam.features import FeaturePipeline
-    pipe = FeaturePipeline(FeatureConfig(mode="limited")).fit(train, follows)
+    pipe = FeaturePipeline(FeatureConfig(mode="limited"),
+                           compute_graph_feature_table(build_follower_graph(follows))).fit(train)
     labels = labels_of(train)
     fm = pipe.transform(ordered, labels)
     fm_train = fm.select_rows([m.id for m in train])
@@ -360,8 +355,8 @@ def test_criterion_10_degenerate_stack_identity():
     cfg = ClassifierConfig(l2=1.0, max_iter=300)
     stacked = train_stacked([m.id for m in train], fm_train, labels, groups_train, K=0,
                             relations=["user", "text", "link"],
-                            scale_columns=pipe.scalable_columns(), config=cfg)
-    independent = fit_classifier(fm_train, labels, pipe.scalable_columns(), cfg)
+                            scale_columns=scalable_columns(pipe.column_names), config=cfg)
+    independent = fit_classifier(fm_train, labels, scalable_columns(pipe.column_names), cfg)
     got = infer_stacked(stacked, fm_test, groups_tt,
                         context_scores={m.id: float(labels[m.id]) for m in train})
     want = independent.predict_proba(fm_test)

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from relspam.cli import experiment_config, load_config, main
-from relspam.data_model import ConfigError, read_messages, write_messages
+from relspam.data_model import ConfigError, message_to_record, read_messages, write_messages
 from relspam.evaluation import evaluate_experiment
 from relspam.synth import GeneratorConfig, generate
 
@@ -112,6 +112,26 @@ class TestStages:
         write_messages(path, messages)
         assert main(["featurize", "--config", cfg, "--out", str(out)]) == 1
         assert "hub id prefix" in capsys.readouterr().err
+        assert not (out / "features").exists()
+
+    @pytest.mark.parametrize("field", ["id", "user_id"])
+    def test_featurize_rejects_a_lone_surrogate(self, tmp_path, capsys, field):
+        # valid JSON ("\ud800"), but the UTF-8 index and matrix headers cannot
+        # carry it; a user id reaches them as the key of the user's group
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
+        path = out / "data" / "messages.jsonl"
+        messages = read_messages(path)
+        old = getattr(messages[7], field)
+        for m in messages:
+            if getattr(m, field) == old:
+                setattr(m, field, "m\ud800x")
+        path.write_text("".join(json.dumps(message_to_record(m)) + "\n" for m in messages))
+        assert main(["featurize", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not valid UTF-8" in err
+        assert repr(messages[7].id) in err
         assert not (out / "features").exists()
 
 

@@ -68,6 +68,15 @@ class TestValidation:
             errors = validate_dataset([msg("ok"), msg(mid)]).errors
             assert any("hub id prefix" in e and repr(mid) in e for e in errors) == flagged
 
+    @pytest.mark.parametrize("field, value", [("id", "m\ud800x"), ("user_id", "u\udfff"),
+                                              ("text", "hi \ud800"), ("hashtags", ["\udc00"])])
+    def test_string_field_utf8_cannot_carry_flagged(self, field, value):
+        # a lone surrogate is valid JSON ("\ud800") but not encodable as UTF-8
+        m = msg("m1")
+        setattr(m, field, value)
+        assert validate_dataset([msg("ok"), m]).errors == \
+            [f"message has a string field that is not valid UTF-8: {m.id!r}"]
+
     def test_negative_timestamp_flagged(self):
         report = validate_dataset([msg("a", ts=-5)])
         assert report.bad_timestamps == ["a"]

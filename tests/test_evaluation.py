@@ -406,6 +406,12 @@ class TestExperiment:
         with pytest.raises(DataError, match="hub id prefix"):
             evaluate_experiment(messages, [], self.small_config(models=["independent", "mrf"]))
 
+    def test_a_lone_surrogate_fails_before_any_work(self):
+        messages = planted_experiment_data(n=300, seed=4)
+        messages[5].user_id = "u\udfff"
+        with pytest.raises(DataError, match="not valid UTF-8"):
+            evaluate_experiment(messages, [], self.small_config())
+
     def test_report_serialization(self):
         messages = planted_experiment_data(n=300, seed=4)
         report = evaluate_experiment(messages, [], self.small_config())

@@ -14,6 +14,7 @@ from relspam.features import (
     FeaturePipeline,
     build_follower_graph,
     char_ngrams,
+    compute_graph_feature_table,
     degrees,
     extract_content_features,
     extract_user_features_sequential,
@@ -29,6 +30,10 @@ from relspam.features import (
 
 def msg(mid, user="u", text="", ts=0, **kw):
     return Message(id=mid, user_id=user, text=text, timestamp=ts, **kw)
+
+
+def graph_table(follows):
+    return compute_graph_feature_table(build_follower_graph(follows))
 
 
 def assert_same_matrix(back, fm):
@@ -297,7 +302,7 @@ class TestPipeline:
     def test_transform_reproducible(self):
         messages = self.build_messages()
         follows = [("u0", "u1"), ("u1", "u2"), ("u2", "u0")]
-        pipe = FeaturePipeline(FeatureConfig(ngram_top_k=50)).fit(messages[:30], follows)
+        pipe = FeaturePipeline(FeatureConfig(ngram_top_k=50), graph_table(follows)).fit(messages[:30])
         labels = {m.id: 0 for m in messages[:30]}
         a = pipe.transform(messages, labels)
         b = pipe.transform(messages, labels)
@@ -306,7 +311,7 @@ class TestPipeline:
 
     def test_columns_frozen_across_slices(self):
         messages = self.build_messages()
-        pipe = FeaturePipeline(FeatureConfig(ngram_top_k=20)).fit(messages[:30], [])
+        pipe = FeaturePipeline(FeatureConfig(ngram_top_k=20)).fit(messages[:30])
         fm = pipe.transform(messages, {})
         train = fm.select_rows([m.id for m in messages[:30]])
         test = fm.select_rows([m.id for m in messages[30:]])
@@ -314,25 +319,28 @@ class TestPipeline:
 
     def test_limited_mode_drops_ngrams(self):
         messages = self.build_messages()
-        pipe = FeaturePipeline(FeatureConfig(mode="limited", limited_drop="ngrams")).fit(messages, [])
+        pipe = FeaturePipeline(FeatureConfig(mode="limited", limited_drop="ngrams")).fit(messages)
         assert not any(c.startswith("ng:") for c in pipe.column_names)
 
     def test_limited_mode_can_drop_graph(self):
         messages = self.build_messages()
-        pipe = FeaturePipeline(FeatureConfig(mode="limited", limited_drop="graph", ngram_top_k=5))
-        pipe.fit(messages, [("u0", "u1"), ("u1", "u0")])
+        pipe = FeaturePipeline(FeatureConfig(mode="limited", limited_drop="graph", ngram_top_k=5),
+                               graph_table([("u0", "u1"), ("u1", "u0")]))
+        pipe.fit(messages)
         assert "pagerank" not in pipe.column_names
 
     def test_user_missing_from_graph_gets_zeros(self):
         messages = [msg("m1", user="stranger", ts=0)]
-        pipe = FeaturePipeline(FeatureConfig(ngram_top_k=5)).fit(messages, [("a", "b"), ("b", "a")])
+        pipe = FeaturePipeline(FeatureConfig(ngram_top_k=5),
+                               graph_table([("a", "b"), ("b", "a")])).fit(messages)
         fm = pipe.transform(messages, {})
         j = fm.column_index["pagerank"]
         assert fm.matrix[0, j] == 0.0
 
     def test_serialization_round_trip(self):
         messages = self.build_messages()
-        pipe = FeaturePipeline(FeatureConfig(ngram_top_k=10)).fit(messages, [("u0", "u1"), ("u1", "u0")])
+        pipe = FeaturePipeline(FeatureConfig(ngram_top_k=10),
+                               graph_table([("u0", "u1"), ("u1", "u0")])).fit(messages)
         restored = FeaturePipeline.from_json(pipe.to_json())
         fm_a = pipe.transform(messages, {})
         fm_b = restored.transform(messages, {})
@@ -341,7 +349,7 @@ class TestPipeline:
 
     def test_matrix_file_round_trip(self, tmp_path):
         messages = self.build_messages()
-        pipe = FeaturePipeline(FeatureConfig(ngram_top_k=10)).fit(messages[:20], [])
+        pipe = FeaturePipeline(FeatureConfig(ngram_top_k=10)).fit(messages[:20])
         fm = pipe.transform(messages[:20], {})
         path = tmp_path / "feats.npz"
         write_feature_matrix(path, fm)
@@ -350,7 +358,7 @@ class TestPipeline:
 
     def test_matrix_file_idempotent_bytes(self, tmp_path):
         messages = self.build_messages()
-        pipe = FeaturePipeline(FeatureConfig(ngram_top_k=10)).fit(messages[:20], [])
+        pipe = FeaturePipeline(FeatureConfig(ngram_top_k=10)).fit(messages[:20])
         fm = pipe.transform(messages[:20], {})
         p1, p2 = tmp_path / "a.npz", tmp_path / "b.npz"
         write_feature_matrix(p1, fm)

@@ -3,11 +3,11 @@ import random
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from relspam.data_model import ConfigError, Group, Message, labels_of
 from relspam.hinge import (
-    GroundHinge,
     GroundHingeModel,
     HingeWeights,
     _jacobi_scale,
@@ -16,26 +16,54 @@ from relspam.hinge import (
     learn_weights,
     map_inference,
 )
-from relspam.mrf import hub_id
 
 
 def group(relation, key, members):
     return Group(relation=relation, key=key, member_ids=tuple(sorted(members)))
 
 
-def make_model(hinges, n_vars, init=None, p=2):
+def make_model(hinges, n_vars, init=None, p=2, var_ids=None, var_kinds=None):
+    """A model from `hinge` rows, each row's coefficients kept in the given order."""
+    templates = list(dict.fromkeys(h[3] for h in hinges))
+    indptr = np.cumsum([0] + [len(h[0]) for h in hinges])
+    A = sp.csr_matrix((np.array([c for h in hinges for _, c in h[0]], dtype=float),
+                       np.array([j for h in hinges for j, _ in h[0]], dtype=np.int64), indptr),
+                      shape=(len(hinges), n_vars))
     return GroundHingeModel(
-        var_ids=[f"v{i}" for i in range(n_vars)],
-        var_kinds=["message"] * n_vars,
-        potentials=hinges,
+        var_ids=var_ids or [f"v{i}" for i in range(n_vars)],
+        var_kinds=var_kinds or ["message"] * n_vars,
+        A=A,
+        const=np.array([h[1] for h in hinges], dtype=float),
+        weight=np.array([h[2] for h in hinges], dtype=float),
+        template_id=np.array([templates.index(h[3]) for h in hinges], dtype=np.int64),
+        templates=templates,
         init=np.full(n_vars, 0.5) if init is None else np.asarray(init, dtype=float),
         exponent=p,
     )
 
 
-def hinge(coeffs, const, weight, p=2, template=("neg",)):
-    return GroundHinge(coeffs=tuple(coeffs), const=const, weight=weight,
-                       exponent=p, template=template, tag="test")
+def hinge(coeffs, const, weight, template=("neg",)):
+    """One potential weight * max(0, const + sum of c * x[j] over coeffs)^p, as a row."""
+    return tuple((int(j), float(c)) for j, c in coeffs), float(const), float(weight), template
+
+
+def rows_of(model) -> list:
+    """The model's potentials read back as `hinge` rows."""
+    A = model.A
+    return [hinge(zip(A.indices[A.indptr[i]:A.indptr[i + 1]].tolist(),
+                      A.data[A.indptr[i]:A.indptr[i + 1]].tolist()),
+                  model.const[i], model.weight[i], model.templates[model.template_id[i]])
+            for i in model.potentials]
+
+
+def linear_value(h, x) -> float:
+    coeffs, const, _, _ = h
+    return const + sum(c * x[j] for j, c in coeffs)
+
+
+def template_rows(model, kinds) -> np.ndarray:
+    """Mask of the potentials grounded from a template of one of these kinds."""
+    return np.array([model.templates[t][0] in kinds for t in model.template_id], dtype=bool)
 
 
 class TestGrounding:
@@ -48,22 +76,21 @@ class TestGrounding:
     def test_counts_scale_with_group_size(self):
         priors = {f"m{i:03d}": 0.6 for i in range(100)}
         model = ground_rules(priors, [group("link", "l", priors)], HingeWeights())
-        relational = [h for h in model.potentials if h.template[0] in ("c", "d")]
-        assert len(relational) == 200
+        assert template_rows(model, ("c", "d")).sum() == 200
         assert len(model.potentials) == 2 * 100 + 200
 
     def test_prior_rule_arithmetic(self):
         priors = {"a": 0.9, "b": 0.9}
         model = ground_rules(priors, [group("user", "u", priors)], HingeWeights())
-        b_hinges = [h for h in model.potentials if h.template == ("prior",)]
         x = np.full(model.n_vars, 0.6)
         # l = prior - s = 0.3; squared hinge = 0.09
-        assert b_hinges[0].value(x) == pytest.approx(0.09, abs=1e-12)
+        assert model.potential_values(x)[template_rows(model, ("prior",))][0] == \
+            pytest.approx(0.09, abs=1e-12)
 
     def test_inactive_hinge_is_zero(self):
-        h = hinge([(0, 1.0), (1, -1.0)], 0.0, 1.0)  # l = spamRel - spam_e
+        model = make_model([hinge([(0, 1.0), (1, -1.0)], 0.0, 1.0)], 2)  # l = spamRel - spam_e
         x = np.array([0.2, 0.7])
-        assert h.value(x) == 0.0
+        assert model.potential_values(x)[0] == 0.0
 
     def test_negative_weight_rejected(self):
         priors = {"a": 0.5, "b": 0.5}
@@ -80,13 +107,13 @@ class TestGrounding:
                              observed={"a": 1.0})
         assert model.var_ids == ["b", "hub:user:u"]
         # observed member contributes only relational hinges
-        assert sum(h.template[0] in ("neg", "prior") for h in model.potentials) == 2
+        assert template_rows(model, ("neg", "prior")).sum() == 2
 
     def test_every_variable_touches_a_potential(self):
         priors = {f"m{i}": 0.5 for i in range(6)}
         groups = [group("user", "u", ["m0", "m1"]), group("text", "t", ["m2", "m3", "m4", "m5"])]
         model = ground_rules(priors, groups, HingeWeights())
-        touched = {j for h in model.potentials for j, _ in h.coeffs}
+        touched = set(model.A.indices.tolist())
         assert touched == set(range(model.n_vars))
 
 
@@ -96,11 +123,11 @@ def batch_objective(model, X):
     A = np.zeros((n_pot, model.n_vars))
     const = np.zeros(n_pot)
     w = np.zeros(n_pot)
-    for i, h in enumerate(model.potentials):
-        for j, c in h.coeffs:
+    for i, (coeffs, c0, weight, _) in enumerate(rows_of(model)):
+        for j, c in coeffs:
             A[i, j] += c
-        const[i] = h.const
-        w[i] = h.weight
+        const[i] = c0
+        w[i] = weight
     active = np.maximum(0.0, A @ X.T + const[:, None])
     return w @ active ** model.exponent
 
@@ -129,19 +156,19 @@ def random_hinge_model(rng, n_vars, p=2):
     """Random instance with per-variable anchors so the optimum is unique."""
     hinges = []
     for j in range(n_vars):
-        hinges.append(hinge([(j, 1.0)], 0.0, rng.uniform(0.1, 1.0), p))
-        hinges.append(hinge([(j, -1.0)], rng.uniform(0.1, 0.9), rng.uniform(0.1, 1.0), p))
+        hinges.append(hinge([(j, 1.0)], 0.0, rng.uniform(0.1, 1.0)))
+        hinges.append(hinge([(j, -1.0)], rng.uniform(0.1, 0.9), rng.uniform(0.1, 1.0)))
     for _ in range(rng.randrange(1, 4)):
         a, b = rng.sample(range(n_vars), k=min(2, n_vars)) if n_vars > 1 else (0, 0)
         if a == b:
             continue
         hinges.append(hinge([(a, 1.0), (b, -1.0)], rng.uniform(-0.3, 0.3),
-                            rng.uniform(0.1, 2.0), p))
+                            rng.uniform(0.1, 2.0)))
     return make_model(hinges, n_vars, p=p)
 
 
 def reference_hinges(priors, groups, weights, p=2, observed=None):
-    """The rule templates grounded one GroundHinge at a time, in ground_rules' row order."""
+    """The rule templates grounded one `hinge` row at a time, in ground_rules' row order."""
     observed = observed or {}
     grouped = sorted({mid for g in groups for mid in g.member_ids})
     free = [mid for mid in grouped if mid not in observed]
@@ -149,9 +176,8 @@ def reference_hinges(priors, groups, weights, p=2, observed=None):
     hinges = []
     for mid in free:
         pr = min(max(priors[mid], 0.0), 1.0)
-        hinges.append(GroundHinge(((index[mid], 1.0),), 0.0, weights.neg, p, ("neg",), f"neg:{mid}"))
-        hinges.append(GroundHinge(((index[mid], -1.0),), pr, weights.prior, p, ("prior",),
-                                  f"prior:{mid}"))
+        hinges.append(hinge(((index[mid], 1.0),), 0.0, weights.neg, ("neg",)))
+        hinges.append(hinge(((index[mid], -1.0),), pr, weights.prior, ("prior",)))
     for k, g in enumerate(groups):
         h = len(free) + k
         for mid in g.member_ids:
@@ -161,10 +187,8 @@ def reference_hinges(priors, groups, weights, p=2, observed=None):
             else:
                 c = (((index[mid], 1.0), (h, -1.0)), 0.0)
                 d = (((h, 1.0), (index[mid], -1.0)), 0.0)
-            hinges.append(GroundHinge(*c, weights.c(g.relation), p, ("c", g.relation),
-                                      f"c:{g.relation}:{g.key}:{mid}"))
-            hinges.append(GroundHinge(*d, weights.d(g.relation), p, ("d", g.relation),
-                                      f"d:{g.relation}:{g.key}:{mid}"))
+            hinges.append(hinge(*c, weights.c(g.relation), ("c", g.relation)))
+            hinges.append(hinge(*d, weights.d(g.relation), ("d", g.relation)))
     return hinges
 
 
@@ -173,10 +197,11 @@ def hinge_sums(hinges, x, p):
     f = 0.0
     grad = np.zeros_like(x)
     for h in hinges:
-        active = max(0.0, h.linear_value(x))
-        f += h.weight * active ** p
-        slope = h.weight * (2.0 * active if p == 2 else float(active > 0))
-        for j, c in h.coeffs:
+        coeffs, _, weight, _ = h
+        active = max(0.0, linear_value(h, x))
+        f += weight * active ** p
+        slope = weight * (2.0 * active if p == 2 else float(active > 0))
+        for j, c in coeffs:
             grad[j] += slope * c
     return f, grad
 
@@ -205,15 +230,13 @@ def test_array_grounding_matches_per_hinge_reference(inputs):
     priors, groups, weights, observed, p, seed = inputs
     model = ground_rules(priors, groups, weights, p=p, observed=observed)
     ref = reference_hinges(priors, groups, weights, p=p, observed=observed)
-    ref_model = GroundHingeModel(var_ids=model.var_ids, var_kinds=model.var_kinds,
-                                 potentials=ref, init=model.init, exponent=p)
+    ref_model = make_model(ref, model.n_vars, model.init, p, model.var_ids, model.var_kinds)
 
     free = [v for v, kind in zip(model.var_ids, model.var_kinds) if kind == "message"]
     assert free == sorted({m for g in groups for m in g.member_ids} - set(observed))
-    assert model.var_ids[len(free):] == [hub_id(g.relation, g.key) for g in groups]
+    assert model.var_ids[len(free):] == [f"hub:{g.relation}:{g.key}" for g in groups]
     assert len(model.potentials) == 2 * len(free) + 2 * sum(len(g) for g in groups)
-    assert list(model.potentials) == ref
-    assert model.dump() == ref_model.dump()
+    assert rows_of(model) == ref
 
     hub_means = [np.mean([observed.get(m, priors.get(m)) for m in g.member_ids]) for g in groups]
     expected_init = [min(max(priors[m], 0.0), 1.0) for m in free] + hub_means
@@ -235,9 +258,9 @@ def test_array_grounding_matches_per_hinge_reference(inputs):
 def jacobi_diagonal(model):
     """2 * sum_k w_k * A_kj^2 per variable, from the potentials one by one."""
     diag = np.zeros(model.n_vars)
-    for h in model.potentials:
-        for j, c in h.coeffs:
-            diag[j] += 2.0 * h.weight * c * c
+    for coeffs, _, weight, _ in rows_of(model):
+        for j, c in coeffs:
+            diag[j] += 2.0 * weight * c * c
     return diag
 
 
@@ -365,9 +388,10 @@ class TestMapInference:
 
         r3 = solve(3)
         r4 = solve(4)
-        d_values = [h.linear_value(r4.x) for h in ground_rules(
+        model4 = ground_rules(
             {f"m{i}": 0.9 for i in range(4)}, [group("user", "u", [f"m{i}" for i in range(4)])],
-            HingeWeights()).potentials if h.template[0] == "d"]
+            HingeWeights())
+        d_values = model4.linear_values(r4.x)[template_rows(model4, ("d",))]
         assert max(d_values) <= 1e-6  # rule-(d) hinges inactive
         for i in range(3):
             assert abs(r3.assignment[f"m{i}"] - r4.assignment[f"m{i}"]) < 1e-6
@@ -464,14 +488,6 @@ class TestLearnWeights:
         assert out.neg >= 0 and out.prior >= 0
         for rel in {g.relation for g in groups}:
             assert out.c(rel) >= 0 and out.d(rel) >= 0
-
-
-def test_model_dump_lists_variables_and_hinges():
-    priors = {"a": 0.8, "b": 0.6}
-    model = ground_rules(priors, [group("user", "u", ["a", "b"])], HingeWeights())
-    text = model.dump()
-    assert "var message a" in text
-    assert "hinge" in text and "prior:a" in text
 
 
 def test_map_inference_subgradient_p1():

@@ -8,11 +8,8 @@ from hypothesis import given, settings, strategies as st
 from relspam.data_model import ConfigError, DataError, Group
 from relspam.mrf import (
     FactorGraph,
-    PairwiseFactor,
-    VariableNode,
     build_factor_graph,
     exact_marginals,
-    hub_id,
     infer_posteriors,
     loopy_bp,
     loopy_bp_batch,
@@ -23,28 +20,30 @@ def group(relation, key, members):
     return Group(relation=relation, key=key, member_ids=tuple(sorted(members)))
 
 
+def message_graph(ids, priors, factors, epsilons) -> FactorGraph:
+    """A graph of message variables only, every factor of one relation."""
+    return FactorGraph(list(ids), len(ids), np.array([(1.0 - p, p) for p in priors]).reshape(-1, 2),
+                       np.array(factors, dtype=np.int64).reshape(-1, 2),
+                       np.array(epsilons, dtype=float), np.zeros(len(epsilons), dtype=np.int64),
+                       ["user"])
+
+
 def build_pairwise_reference(priors: dict, g: Group, epsilon: float) -> FactorGraph:
     """Direct message-message construction: one factor per member pair.
 
     Reference model used only to demonstrate the quadratic edge blowup the
     hub construction avoids.
     """
-    graph = FactorGraph()
-    index = {}
-    for mid in g.member_ids:
-        p = priors[mid]
-        index[mid] = len(graph.variables)
-        graph.variables.append(VariableNode(kind="message", id=mid, phi=(1.0 - p, p)))
-    for a, b in itertools.combinations(g.member_ids, 2):
-        graph.factors.append(PairwiseFactor(var_a=index[a], var_b=index[b], epsilon=epsilon))
-    return graph
+    pairs = list(itertools.combinations(range(len(g)), 2))
+    return message_graph(g.member_ids, [priors[mid] for mid in g.member_ids], pairs,
+                         [epsilon] * len(pairs))
 
 
 class TestBuild:
     def test_six_member_group_shape(self):
         priors = {f"m{i}": 0.6 for i in range(6)}
         graph = build_factor_graph(priors, [group("user", "u", priors)], {"user": 0.1})
-        assert len(graph.variables) == 7
+        assert len(graph.ids) == 7
         assert len(graph.factors) == 6
 
     def test_message_in_no_group_excluded(self):
@@ -52,10 +51,6 @@ class TestBuild:
         result = infer_posteriors(priors, [group("user", "u", ["a", "b"])], {"user": 0.1})
         assert result.scores["c"] == 0.3
         assert result.n_variables == 3  # a, b, hub
-
-    def test_factor_table(self):
-        f = PairwiseFactor(0, 1, 0.1)
-        assert f.table() == [[0.9, 0.1], [0.1, 0.9]]
 
     def test_epsilon_bounds_enforced(self):
         priors = {"a": 0.5, "b": 0.5}
@@ -68,8 +63,7 @@ class TestBuild:
         priors = {"a": 1.0, "b": 0.0}
         with caplog.at_level("DEBUG", logger="relspam.mrf"):
             graph = build_factor_graph(priors, [group("user", "u", ["a", "b"])], {"user": 0.1})
-        for v in graph.variables:
-            assert v.phi[0] > 0 and v.phi[1] > 0
+        assert (graph.phi > 0).all()
         assert [r.levelname for r in caplog.records] == ["DEBUG"]
 
     def test_missing_prior_rejected(self):
@@ -80,9 +74,9 @@ class TestBuild:
         priors = {f"m{i}": 0.5 for i in range(5)}
         groups = [group("user", "u", ["m0", "m1", "m2"]), group("text", "t", ["m2", "m3", "m4"])]
         graph = build_factor_graph(priors, groups, 0.1)
-        for f in graph.factors:
-            kinds = {graph.variables[f.var_a].kind, graph.variables[f.var_b].kind}
-            assert kinds == {"message", "hub"}
+        for a, b in graph.factors:
+            kinds = {a < graph.n_messages, b < graph.n_messages}  # is each a message?
+            assert kinds == {True, False}
 
     def test_edge_count_linear_in_group_size(self):
         priors = {f"m{i:03d}": 0.6 for i in range(100)}
@@ -95,10 +89,10 @@ class TestBuild:
 
 class TestExactMarginals:
     def test_empty_graph(self):
-        assert exact_marginals(FactorGraph()) == {}
+        assert exact_marginals(message_graph([], [], [], [])) == {}
 
     def test_single_unary_variable(self):
-        graph = FactorGraph(variables=[VariableNode("message", "a", (0.3, 0.7))])
+        graph = message_graph(["a"], [0.7], [], [])
         assert exact_marginals(graph)["a"] == pytest.approx(0.7)
 
     def test_hand_expanded_eight_term_sum(self):
@@ -113,22 +107,19 @@ class TestExactMarginals:
         assert marg["hub:user:u"] == pytest.approx(0.3042 / 0.3284, abs=1e-12)
 
     def test_size_guard(self):
-        variables = [VariableNode("message", f"v{i}", (0.5, 0.5)) for i in range(21)]
+        graph = message_graph([f"v{i}" for i in range(21)], [0.5] * 21, [], [])
         with pytest.raises(DataError):
-            exact_marginals(FactorGraph(variables=variables))
+            exact_marginals(graph)
 
 
 def random_tree_graph(rng, n_vars):
     """Random tree over message/hub variables with random priors and epsilons."""
-    variables = []
-    factors = []
-    for i in range(n_vars):
-        p = rng.uniform(0.05, 0.95)
-        variables.append(VariableNode("message", f"v{i}", (1.0 - p, p)))
+    priors = [rng.uniform(0.05, 0.95) for _ in range(n_vars)]
+    factors, epsilons = [], []
     for i in range(1, n_vars):
-        parent = rng.randrange(i)
-        factors.append(PairwiseFactor(parent, i, rng.uniform(0.01, 0.49)))
-    return FactorGraph(variables=variables, factors=factors)
+        factors.append((rng.randrange(i), i))
+        epsilons.append(rng.uniform(0.01, 0.49))
+    return message_graph([f"v{i}" for i in range(n_vars)], priors, factors, epsilons)
 
 
 class TestLoopyBP:
@@ -197,7 +188,7 @@ class TestLoopyBP:
         graph = build_factor_graph(priors, groups, 0.05)
         result = loopy_bp(graph, max_iters=1, tol=1e-15)
         assert result.converged is False
-        assert set(result.marginals) == {v.id for v in graph.variables}
+        assert set(result.marginals) == set(graph.ids)
 
     def test_loopy_graph_close_to_exact(self):
         # two overlapping groups form a cycle; loopy BP should still land close
@@ -210,39 +201,38 @@ class TestLoopyBP:
             assert bp.marginals[vid] == pytest.approx(exact[vid], abs=5e-2)
 
 
-def test_dump_is_readable():
-    priors = {"a": 0.8, "b": 0.6}
-    graph = build_factor_graph(priors, [group("user", "u", ["a", "b"])], {"user": 0.1})
-    text = graph.dump()
-    assert "hub:user:u" in text
-    assert "eps=0.1" in text
-
-
 def reference_factor_graph(priors: dict, groups: list, epsilons) -> FactorGraph:
-    """The hub graph built one node object at a time, as build_factor_graph once did."""
+    """The hub graph built one variable and one factor at a time, as
+    build_factor_graph once did."""
     if isinstance(epsilons, (int, float)):
         epsilons = {g.relation: float(epsilons) for g in groups}
-    graph = FactorGraph()
+    relations = sorted({g.relation for g in groups})
+    ids, phi, factors, eps, relation = [], [], [], [], []
     index = {}
     for mid in sorted({mid for g in groups for mid in g.member_ids}):
         p = min(max(priors[mid], 1e-6), 1.0 - 1e-6)
-        index[mid] = len(graph.variables)
-        graph.variables.append(VariableNode(kind="message", id=mid, phi=(1.0 - p, p)))
+        index[mid] = len(ids)
+        ids.append(mid)
+        phi.append((1.0 - p, p))
+    n_messages = len(ids)
     for g in groups:
-        eps = epsilons.get(g.relation, 0.1) if isinstance(epsilons, dict) else 0.1
-        h = len(graph.variables)
-        graph.variables.append(VariableNode(kind="hub", id=hub_id(g.relation, g.key), phi=(0.5, 0.5)))
+        h = len(ids)
+        ids.append(f"hub:{g.relation}:{g.key}")
+        phi.append((0.5, 0.5))
         for mid in g.member_ids:
-            graph.factors.append(PairwiseFactor(var_a=index[mid], var_b=h, epsilon=eps))
-    return graph
+            factors.append((index[mid], h))
+            eps.append(epsilons.get(g.relation, 0.1) if isinstance(epsilons, dict) else 0.1)
+            relation.append(relations.index(g.relation))
+    return FactorGraph(ids, n_messages, np.array(phi).reshape(-1, 2),
+                       np.array(factors, dtype=np.int64).reshape(-1, 2), np.array(eps, dtype=float),
+                       np.array(relation, dtype=np.int64), relations)
 
 
 def reference_loopy_bp(graph: FactorGraph, max_iters: int, damping: float = 0.5, tol: float = 1e-6):
-    """Per-object BP with unbuffered np.add.at accumulation, as loopy_bp once ran."""
-    phi = np.array([v.phi for v in graph.variables])
-    a_idx = np.array([f.var_a for f in graph.factors])
-    b_idx = np.array([f.var_b for f in graph.factors])
-    eps = np.array([f.epsilon for f in graph.factors])
+    """Per-edge-list BP with unbuffered np.add.at accumulation, as loopy_bp once ran."""
+    phi = graph.phi
+    a_idx, b_idx = graph.factors[:, 0], graph.factors[:, 1]
+    eps = graph.epsilon
     msg_ab = np.full((len(graph.factors), 2), 0.5)
     msg_ba = np.full((len(graph.factors), 2), 0.5)
     log_phi = np.log(phi)
@@ -309,22 +299,17 @@ def test_array_graph_matches_per_object_reference(inputs, epsilons, stop):
     priors, groups = inputs
     graph = build_factor_graph(priors, groups, epsilons)
     ref = reference_factor_graph(priors, groups, epsilons)
-    assert len(graph.variables) == len(ref.variables)
-    assert len(graph.factors) == len(ref.factors)
-    assert list(graph.variables) == ref.variables
-    assert list(graph.factors) == ref.factors
-    if ref.factors:
-        assert graph.variables[-1] == ref.variables[-1]
-        assert graph.factors[-1] == ref.factors[-1]
-    assert graph.dump() == ref.dump()
-    assert graph.var_index() == ref.var_index()
+    assert (graph.ids, graph.n_messages, graph.relations) == (ref.ids, ref.n_messages, ref.relations)
+    for name in ("phi", "factors", "epsilon", "relation"):
+        assert getattr(graph, name).shape == getattr(ref, name).shape
+        assert getattr(graph, name).tolist() == getattr(ref, name).tolist()
 
-    # the array graph, the same graph built by hand, and the per-object loop agree bit for bit
+    # the array graph, the same graph built by hand, and the per-edge loop agree bit for bit
     max_iters, tol = stop
-    if ref.factors:
+    if len(ref.factors):
         expected = reference_loopy_bp(ref, max_iters, tol=tol)
     else:
-        expected = [v.phi[1] / (v.phi[0] + v.phi[1]) for v in ref.variables], True, 0
+        expected = (ref.phi[:, 1] / (ref.phi[:, 0] + ref.phi[:, 1])).tolist(), True, 0
     for g in (graph, ref):
         bp = loopy_bp(g, max_iters=max_iters, tol=tol)
         assert (list(bp.marginals.values()), bp.converged, bp.n_iters) == expected
@@ -339,7 +324,7 @@ def test_batched_rows_equal_single_runs_bit_for_bit(inputs, settings_list, stop)
     max_iters, tol = stop
     graph = build_factor_graph(priors, groups, 0.1)
     spam, n_iters, converged = loopy_bp_batch(graph, settings_list, max_iters=max_iters, tol=tol)
-    assert spam.shape == (len(settings_list), len(graph.variables))
+    assert spam.shape == (len(settings_list), len(graph.ids))
     for eps, row, row_iters, row_converged in zip(settings_list, spam, n_iters, converged):
         single = loopy_bp(build_factor_graph(priors, groups, eps), max_iters=max_iters, tol=tol)
         assert row.tolist() == list(single.marginals.values())
