@@ -7,7 +7,8 @@ final report. The protocol's work is done by the per-subset steps of
 `evaluation` that `evaluate_experiment` also runs; a stage only reads its
 inputs, calls those steps, and writes their results. Only `featurize` reads
 `messages.jsonl`; `train`, `infer` and `eval` read the `features/index.npz`
-message index it writes.
+message index it writes. A run's settings are one `RunConfig`, which
+`load_config` builds from the JSON config and checks before any stage runs.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import hashlib
 import json
 import logging
 import sys
-from dataclasses import fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .data_model import (
@@ -25,10 +26,11 @@ from .data_model import (
     DataError,
     MessageIndex,
     build_index,
+    check_setting,
+    is_int,
     read_follows,
     read_index,
     read_messages,
-    relations_from_names,
     chronological_split,
     SplitPlan,
     write_follows,
@@ -37,7 +39,6 @@ from .data_model import (
 )
 from .evaluation import (
     ExperimentConfig,
-    KNOWN_MODELS,
     aggregate_report,
     featurize_subset,
     graph_feature_table,
@@ -47,9 +48,9 @@ from .evaluation import (
     sum_diagnostics,
     train_subset_models,
 )
-from .features import FeatureConfig, read_feature_matrix, write_feature_matrix
+from .features import read_feature_matrix, write_feature_matrix
 from .hinge import HingeWeights
-from .linear import ClassifierConfig, LinearModel
+from .linear import LinearModel
 from .stacking import StackedModel
 from .synth import GeneratorConfig, generate
 
@@ -57,139 +58,94 @@ log = logging.getLogger(__name__)
 
 CONFIG_VERSION = 1
 
-DEFAULT_CONFIG = {
-    "version": CONFIG_VERSION,
-    "seed": 0,
-    "out": "out",
-    "messages": None,        # defaults to <out>/data/messages.jsonl (the generate stage output)
-    "follows": None,         # defaults to <out>/data/follows.tsv when present
-    "relations": ["user", "text", "link"],
-    "models": ["independent", "sgl1", "mrf", "psl", "sgl1+mrf"],
-    "n_subsets": 10,
-    "fractions": [0.7, 0.05, 0.25],
-    "feature_mode": "full",
-    "limited_drop": "ngrams",
-    "ngram_top_k": 10000,
-    "classifier": {"l2": 1.0, "max_iter": 300, "tol": 1e-6},
-    "l2_grid": None,
-    "epsilons": 0.1,
-    "tune_epsilons": False,
-    "mrf_prior_center": "auto",
-    "hinge": {"exponent": 2, "weights": None, "learn_steps": 0, "learning_rate": 0.05},
-    "stack_mode": "soft",
-    "dump_pr_curves": False,
-    "generator": {
-        "n_users": 400,
-        "n_messages": 20000,
-        "spam_prevalence": 0.05,
-        "n_campaigns": 40,
-        "text_reuse_prob": 0.9,
-        "link_reuse_prob": 0.8,
-        "follower_density": 4.0,
-        "feature_noise": 0.45,
-    },
+# keys older configs carry: accepted and checked, but they set nothing
+LEGACY_KEYS = {
+    "threads": (lambda v: is_int(v) and v >= 1, "a positive integer"),
+    "classifier.method": (lambda v: v == "batch", "'batch', the only solver"),
 }
+# the generator's seed is the run's `seed`, not a key of its own
+NOT_KEYS = {"generator.seed"}
 
 
-def validate_config(cfg: dict) -> None:
-    """Schema check before any stage does work. Unknown keys fail; older
-    configs carry `threads` and `classifier.method`, which are known."""
-    known = {"": {*DEFAULT_CONFIG, "threads"}, "classifier": {*DEFAULT_CONFIG["classifier"], "method"},
-             "hinge": set(DEFAULT_CONFIG["hinge"]),
-             "generator": {f.name for f in fields(GeneratorConfig)} - {"seed"}}
-    for section, keys in known.items():
-        given = cfg[section] if section else cfg
-        if not isinstance(given, dict):
-            raise ConfigError(f"config key {section!r} must be an object")
-        unknown = sorted(set(given) - keys)
-        if unknown:
-            raise ConfigError(f"unknown config key {'.'.join(filter(None, (section, unknown[0])))!r}")
-    if cfg.get("version") != CONFIG_VERSION:
-        raise ConfigError(f"config version must be {CONFIG_VERSION}, got {cfg.get('version')!r}")
-    if not isinstance(cfg.get("models"), list) or not cfg["models"]:
-        raise ConfigError("models must be a non-empty list")
-    for name in cfg["models"]:
-        if name not in KNOWN_MODELS:
-            log.warning("roster model %r is not one of %s; it will be skipped", name, KNOWN_MODELS)
-    fr = cfg.get("fractions")
-    if not isinstance(fr, (list, tuple)) or len(fr) != 3 or abs(sum(fr) - 1.0) > 1e-9 or min(fr) < 0:
-        raise ConfigError(f"fractions must be three non-negative numbers summing to 1, got {fr!r}")
-    if not isinstance(cfg.get("n_subsets"), int) or cfg["n_subsets"] < 1:
-        raise ConfigError("n_subsets must be a positive integer")
-    if cfg.get("feature_mode") not in ("full", "limited"):
-        raise ConfigError("feature_mode must be 'full' or 'limited'")
-    if cfg.get("limited_drop") not in ("ngrams", "graph"):
-        raise ConfigError("limited_drop must be 'ngrams' or 'graph'")
-    for rel in cfg.get("relations", []):
-        relations_from_names([rel])  # raises on unknown tags
-    eps = cfg.get("epsilons")
-    values = eps.values() if isinstance(eps, dict) else [eps]
-    for e in values:
-        if not (0.0 < float(e) < 0.5):
-            raise ConfigError(f"epsilons must lie in (0, 0.5), got {e}")
-    if not isinstance(cfg.get("seed"), int):
-        raise ConfigError("seed must be an integer")
-    method = cfg["classifier"].get("method", "batch")
-    if method != "batch":
-        raise ConfigError(f"classifier.method must be 'batch', the only solver, got {method!r}")
+@dataclass
+class RunConfig(ExperimentConfig):
+    """A command-line run: the experiment, and where its data and artifacts live."""
+
+    version: int = CONFIG_VERSION
+    out: str = "out"
+    messages: str | None = None  # default: <out>/data/messages.jsonl, the generate stage's output
+    follows: str | None = None  # default: <out>/data/follows.tsv when present
+    dump_pr_curves: bool = False
+    generator: GeneratorConfig = field(default_factory=GeneratorConfig)
+
+    def check(self) -> None:
+        check_setting(is_int(self.version) and self.version == CONFIG_VERSION, "version",
+                      str(CONFIG_VERSION), self.version)
+        super().check()
+        check_setting(isinstance(self.out, str) and self.out != "", "out", "a directory path",
+                      self.out)
+        for key in ("messages", "follows"):
+            value = getattr(self, key)
+            check_setting(value is None or isinstance(value, str) and value != "", key,
+                          "null or a file path", value)
+        check_setting(isinstance(self.dump_pr_curves, bool), "dump_pr_curves", "true or false",
+                      self.dump_pr_curves)
+        self.generator.validate()
 
 
-def load_config(path: str | None, overrides: dict) -> dict:
-    cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
+def _merge(config, given, key: str = ""):
+    """A copy of the config dataclass `config` with the JSON object `given`
+    merged over it: an object merges into its section, and null leaves a
+    section at its defaults. A key that is not a field fails, named."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"config key {key!r} must be an object" if key else
+                          "a config must be a JSON object")
+    known = {f.name for f in fields(config)}
+    changes = {}
+    for name, value in given.items():
+        path = f"{key}.{name}" if key else name
+        if path in LEGACY_KEYS:
+            ok, accepts = LEGACY_KEYS[path]
+            check_setting(ok(value), path, accepts, value)
+        elif name not in known or path in NOT_KEYS:
+            raise ConfigError(f"unknown config key {path!r}")
+        elif not is_dataclass(getattr(config, name)):
+            changes[name] = value
+        elif value is not None:
+            changes[name] = _merge(getattr(config, name), value, path)
+    return replace(config, **changes)
+
+
+def load_config(path: str | None, overrides: dict) -> RunConfig:
+    """The defaults, with the JSON config file at `path` and then the
+    non-None `overrides` merged over them, every value checked."""
+    cfg = RunConfig()
     if path:
         p = Path(path)
         if not p.exists():
             raise ConfigError(f"config file not found: {p}")
-        user_cfg = json.loads(p.read_text(encoding="utf-8"))
-        for key, value in user_cfg.items():
-            if isinstance(value, dict) and isinstance(cfg.get(key), dict):
-                cfg[key].update(value)
-            else:
-                cfg[key] = value
-    for key, value in overrides.items():
-        if value is not None:
-            cfg[key] = value
-    validate_config(cfg)
+        try:
+            given = json.loads(p.read_text(encoding="utf-8"))
+        except ValueError as exc:  # also a bad UTF-8 byte
+            raise ConfigError(f"config file {p} is not UTF-8 JSON: {exc}") from None
+        cfg = _merge(cfg, given)
+    cfg = _merge(cfg, {k: v for k, v in overrides.items() if v is not None})
+    cfg.check()
     return cfg
-
-
-def experiment_config(cfg: dict) -> ExperimentConfig:
-    clf = cfg["classifier"]
-    hinge_cfg = cfg["hinge"]
-    weights = HingeWeights.from_dict(hinge_cfg["weights"]) if hinge_cfg.get("weights") else HingeWeights()
-    return ExperimentConfig(
-        relations=list(cfg["relations"]),
-        models=list(cfg["models"]),
-        n_subsets=cfg["n_subsets"],
-        fractions=tuple(cfg["fractions"]),
-        feature=FeatureConfig(mode=cfg["feature_mode"], limited_drop=cfg["limited_drop"],
-                              ngram_top_k=cfg["ngram_top_k"]),
-        classifier=ClassifierConfig(l2=clf["l2"], max_iter=clf["max_iter"], tol=clf["tol"]),
-        l2_grid=cfg["l2_grid"],
-        epsilons=cfg["epsilons"],
-        tune_epsilons=cfg["tune_epsilons"],
-        mrf_prior_center=cfg["mrf_prior_center"],
-        hinge_weights=weights,
-        hinge_exponent=hinge_cfg["exponent"],
-        psl_learn_steps=hinge_cfg["learn_steps"],
-        psl_learning_rate=hinge_cfg["learning_rate"],
-        stack_mode=cfg["stack_mode"],
-        seed=cfg["seed"],
-    )
 
 
 # --- stage file layout ---
 
-def _out(cfg) -> Path:
-    return Path(cfg["out"])
+def _out(cfg: RunConfig) -> Path:
+    return Path(cfg.out)
 
 
-def _messages_path(cfg) -> Path:
-    return Path(cfg["messages"]) if cfg.get("messages") else _out(cfg) / "data" / "messages.jsonl"
+def _messages_path(cfg: RunConfig) -> Path:
+    return Path(cfg.messages) if cfg.messages else _out(cfg) / "data" / "messages.jsonl"
 
 
-def _follows_path(cfg) -> Path:
-    return Path(cfg["follows"]) if cfg.get("follows") else _out(cfg) / "data" / "follows.tsv"
+def _follows_path(cfg: RunConfig) -> Path:
+    return Path(cfg.follows) if cfg.follows else _out(cfg) / "data" / "follows.tsv"
 
 
 def _require(path: Path, produced_by: str) -> Path:
@@ -198,11 +154,11 @@ def _require(path: Path, produced_by: str) -> Path:
     return path
 
 
-def _load_index(cfg, exp: ExperimentConfig) -> MessageIndex:
+def _load_index(cfg: RunConfig) -> MessageIndex:
     index = read_index(_require(_out(cfg) / "features" / "index.npz", "featurize"))
-    if index.relations != list(exp.relations):
+    if index.relations != list(cfg.relations):
         raise DataError(f"the message index groups by relations {index.relations}, the config "
-                        f"by {exp.relations}; rerun the featurize stage")
+                        f"by {cfg.relations}; rerun the featurize stage")
     return index
 
 
@@ -221,8 +177,8 @@ def _load_features(cfg, i: int):
 
 # --- stages ---
 
-def cmd_generate(cfg: dict) -> int:
-    gen = GeneratorConfig(seed=cfg["seed"], **cfg["generator"])
+def cmd_generate(cfg: RunConfig) -> int:
+    gen = replace(cfg.generator, seed=cfg.seed)
     log.info("generate: %s", gen)
     messages, follows = generate(gen)
     data_dir = _out(cfg) / "data"
@@ -233,48 +189,45 @@ def cmd_generate(cfg: dict) -> int:
     return 0
 
 
-def cmd_featurize(cfg: dict) -> int:
+def cmd_featurize(cfg: RunConfig) -> int:
     path = _require(_messages_path(cfg), "generate")
     messages = ordered_dataset(read_messages(path))
     follows_path = _follows_path(cfg)
     follows = read_follows(follows_path) if follows_path.exists() else []
-    exp = experiment_config(cfg)
-    plan = chronological_split(messages, exp.n_subsets, exp.fractions)
+    plan = chronological_split(messages, cfg.n_subsets, cfg.fractions)
     feat_dir = _out(cfg) / "features"
     feat_dir.mkdir(parents=True, exist_ok=True)
     (feat_dir / "split_plan.json").write_text(plan.to_json(), encoding="utf-8")
     # built before any subset is transformed: its transient groups add nothing to peak memory
     write_index(feat_dir / "index.npz", build_index(
-        messages, exp.relations, hashlib.sha256(path.read_bytes()).hexdigest()))
-    graph_table = graph_feature_table(exp, follows)
+        messages, cfg.relations, hashlib.sha256(path.read_bytes()).hexdigest()))
+    graph_table = graph_feature_table(cfg, follows)
     (feat_dir / "graph_table.json").write_text(
         json.dumps(graph_table, sort_keys=True), encoding="utf-8")
     for i, subset in enumerate(plan.subsets):
-        pipe, fm = featurize_subset(messages, subset, exp, graph_table)
+        fm = featurize_subset(messages, subset, cfg, graph_table)
         sub_dir = _subset_dir(cfg, "features", i)
         sub_dir.mkdir(parents=True, exist_ok=True)
-        (sub_dir / "pipeline.json").write_text(pipe.to_json(), encoding="utf-8")
         write_feature_matrix(sub_dir / "features.npz", fm)
         # not held while the next subset is transformed, which sets the stage's peak memory
-        del pipe, fm
+        del fm
     log.info("featurize: wrote %d subset matrices under %s", plan.n_subsets, feat_dir)
     return 0
 
 
-def cmd_train(cfg: dict) -> int:
-    exp = experiment_config(cfg)
+def cmd_train(cfg: RunConfig) -> int:
     plan = _load_plan(cfg)
-    index = _load_index(cfg, exp)
+    index = _load_index(cfg)
     for i, subset in enumerate(plan.subsets):
-        artifacts = train_subset_models(index, subset, _load_features(cfg, i), exp)
+        artifacts = train_subset_models(index, subset, _load_features(cfg, i), cfg)
         out_dir = _subset_dir(cfg, "models", i)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "independent.json").write_text(artifacts["independent"].to_json(), encoding="utf-8")
-        for k in exp.required_stacks():
+        for k in cfg.required_stacks():
             (out_dir / f"sgl{k}.json").write_text(artifacts[f"sgl{k}"].to_json(), encoding="utf-8")
         if "psl_weights" in artifacts:
             payload = {
-                "weights": artifacts["psl_weights"].to_dict(),
+                "weights": asdict(artifacts["psl_weights"]),
                 "validation": {"subset": i, "range": list(subset.validation),
                                "n_messages": subset.validation[1] - subset.validation[0]},
             }
@@ -288,32 +241,31 @@ def cmd_train(cfg: dict) -> int:
     return 0
 
 
-def _load_artifacts(cfg, exp: ExperimentConfig, i: int) -> dict:
+def _load_artifacts(cfg: RunConfig, i: int) -> dict:
     out_dir = _subset_dir(cfg, "models", i)
     artifacts = {"independent": LinearModel.from_json(
         _require(out_dir / "independent.json", "train").read_text(encoding="utf-8"))}
-    for k in exp.required_stacks():
+    for k in cfg.required_stacks():
         artifacts[f"sgl{k}"] = StackedModel.from_json(
             _require(out_dir / f"sgl{k}.json", "train").read_text(encoding="utf-8"))
     psl_path = out_dir / "psl_weights.json"
     if psl_path.exists():
         payload = json.loads(psl_path.read_text(encoding="utf-8"))
-        artifacts["psl_weights"] = HingeWeights.from_dict(payload["weights"])
+        artifacts["psl_weights"] = HingeWeights(**payload["weights"])
     eps_path = out_dir / "epsilons.json"
     if eps_path.exists():
         artifacts["epsilons"] = json.loads(eps_path.read_text(encoding="utf-8"))
     return artifacts
 
 
-def cmd_infer(cfg: dict) -> int:
-    exp = experiment_config(cfg)
+def cmd_infer(cfg: RunConfig) -> int:
     plan = _load_plan(cfg)
-    index = _load_index(cfg, exp)
+    index = _load_index(cfg)
     pred_dir = _out(cfg) / "predictions"
     diagnostics = []
     for i, subset in enumerate(plan.subsets):
         fm = _load_features(cfg, i)
-        preds, diag = infer_subset_models(_load_artifacts(cfg, exp, i), index, subset, fm, exp)
+        preds, diag = infer_subset_models(_load_artifacts(cfg, i), index, subset, fm, cfg)
         for name, scores in preds.items():
             model_dir = pred_dir / name
             model_dir.mkdir(parents=True, exist_ok=True)
@@ -335,11 +287,10 @@ def _read_predictions(path: Path) -> dict:
     return scores
 
 
-def cmd_eval(cfg: dict) -> int:
-    exp = experiment_config(cfg)
+def cmd_eval(cfg: RunConfig) -> int:
     plan = _load_plan(cfg)
-    index = _load_index(cfg, exp)
-    roster = exp.valid_models()
+    index = _load_index(cfg)
+    roster = cfg.models
     pred_dir = _out(cfg) / "predictions"
     subset_preds = [
         {name: _read_predictions(_require(pred_dir / name / f"subset_{i:02d}.tsv", "infer"))
@@ -348,11 +299,11 @@ def cmd_eval(cfg: dict) -> int:
     ]
     diag_path = pred_dir / "diagnostics.json"
     diagnostics = json.loads(diag_path.read_text(encoding="utf-8")) if diag_path.exists() else {}
-    report = aggregate_report(exp, index, plan, subset_preds, diagnostics)
+    report = aggregate_report(cfg, index, plan, subset_preds, diagnostics)
     out = _out(cfg)
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     (out / "report.txt").write_text(report.to_text() + "\n", encoding="utf-8")
-    if cfg.get("dump_pr_curves"):
+    if cfg.dump_pr_curves:
         labels = index.labels_in(0, len(index.ids))
         curves = {}
         for name in roster:
@@ -367,7 +318,7 @@ def cmd_eval(cfg: dict) -> int:
     return 0
 
 
-def cmd_run_all(cfg: dict) -> int:
+def cmd_run_all(cfg: RunConfig) -> int:
     for stage in (cmd_generate, cmd_featurize, cmd_train, cmd_infer, cmd_eval):
         rc = stage(cfg)
         if rc != 0:
@@ -415,11 +366,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
-    overrides = {
-        "seed": args.seed,
-        "feature_mode": args.feature_mode,
-        "out": args.out,
-    }
+    overrides = {"seed": args.seed, "feature_mode": args.feature_mode, "out": args.out}
     if args.models:
         overrides["models"] = [m.strip() for m in args.models.split(",") if m.strip()]
     elif args.stacks is not None:

@@ -12,6 +12,7 @@ read-only.
 from __future__ import annotations
 
 import json
+import math
 import string
 import unicodedata
 import zipfile
@@ -28,6 +29,20 @@ class ConfigError(ValueError):
 
 class DataError(ValueError):
     """Raised for datasets that cannot satisfy an operation's preconditions."""
+
+
+def check_setting(ok: bool, key: str, accepts: str, value) -> None:
+    """Raise a `ConfigError` naming the config key unless `ok`."""
+    if not ok:
+        raise ConfigError(f"config key {key!r} must be {accepts}, got {value!r}")
+
+
+def is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 SPAM = 1
@@ -302,9 +317,9 @@ class ValidationReport:
 
 def validate_dataset(messages: list) -> ValidationReport:
     """Report duplicate ids, ids the TSV artifacts cannot carry (a tab, CR or
-    newline), ids that could collide with a hub id, string fields that the
-    UTF-8 artifacts cannot carry (a lone surrogate), invalid timestamps and
-    label coverage. Never mutates."""
+    newline), ids that could collide with a hub id, string fields that are
+    not strings or that the UTF-8 artifacts cannot carry (a lone surrogate),
+    invalid timestamps and label coverage. Never mutates."""
     report = ValidationReport(n_messages=len(messages))
     seen = set()
     dups = set()
@@ -318,10 +333,13 @@ def validate_dataset(messages: list) -> ValidationReport:
         if m.id.startswith(HUB_PREFIX):
             report.errors.append(f"message id starts with the hub id prefix {HUB_PREFIX!r}: {m.id!r}")
         try:
-            for text in (m.id, m.user_id, m.text, m.target_id, *m.links, *m.hashtags, *m.mentions):
-                str(text).encode("utf-8")
+            for text in (m.id, m.user_id, m.text, str(m.target_id), *m.links, *m.hashtags, *m.mentions):
+                text.encode("utf-8")
         except UnicodeEncodeError:
             report.errors.append(f"message has a string field that is not valid UTF-8: {m.id!r}")
+        except AttributeError:
+            report.errors.append(f"message has a text, user, link, hashtag or mention that is "
+                                 f"not a string: {m.id!r}")
         if not isinstance(m.timestamp, int) or m.timestamp < 0:
             report.bad_timestamps.append(m.id)
         if m.label is not None:
@@ -403,8 +421,11 @@ def chronological_split(messages: list, n_subsets: int, fractions: tuple) -> Spl
 
 # --- line-delimited ingestion / serialization ---
 
-_MESSAGE_FIELDS = ("id", "user_id", "text", "timestamp", "target_id",
-                   "links", "hashtags", "mentions", "is_retweet", "label")
+def _int_field(rec: Mapping, name: str, default):
+    try:
+        return default if rec.get(name) is None else int(rec[name])
+    except (ValueError, TypeError, OverflowError):
+        raise DataError(f"{name!r} must be an integer, got {rec[name]!r}") from None
 
 
 def message_from_record(rec: Mapping, fallback_index: int = 0) -> Message:
@@ -413,19 +434,19 @@ def message_from_record(rec: Mapping, fallback_index: int = 0) -> Message:
     A missing or null timestamp falls back to the record's position in the file,
     so datasets without true time are still processable in a stable order.
     """
-    ts = rec.get("timestamp")
-    if ts is None:
-        ts = fallback_index
-    label = rec.get("label")
-    if label is not None:
-        label = int(label)
-        if label not in (HAM, SPAM):
-            raise DataError(f"label must be 0, 1 or absent, got {label!r}")
+    if "id" not in rec:
+        raise DataError("the record has no 'id'")
+    label = _int_field(rec, "label", None)
+    if label not in (HAM, SPAM, None):
+        raise DataError(f"label must be 0, 1 or absent, got {label!r}")
+    for name in ("links", "hashtags", "mentions"):
+        if type(rec.get(name, [])) is not list:
+            raise DataError(f"{name!r} must be a list, got {rec[name]!r}")
     return Message(
         id=str(rec["id"]),
         user_id=str(rec.get("user_id", "")),
         text=str(rec.get("text", "")),
-        timestamp=int(ts),
+        timestamp=_int_field(rec, "timestamp", fallback_index),
         target_id=rec.get("target_id"),
         links=list(rec.get("links", [])),
         hashtags=list(rec.get("hashtags", [])),
@@ -445,13 +466,22 @@ def message_to_record(m: Message) -> dict:
 
 
 def read_messages(path) -> list:
+    """The messages of a JSONL file, one object per line. A line that is not
+    UTF-8, not a JSON object or not a message raises `DataError` naming the
+    file and the line."""
     messages = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for i, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            messages.append(message_from_record(json.loads(line), fallback_index=i))
+            try:
+                text = line.decode("utf-8").strip()
+                if not text:
+                    continue
+                rec = json.loads(text)
+                if not isinstance(rec, dict):
+                    raise DataError("not a JSON object")
+                messages.append(message_from_record(rec, fallback_index=i))
+            except (ValueError, TypeError) as exc:  # bad UTF-8 and bad JSON are ValueErrors
+                raise DataError(f"{path}, line {i + 1}: {exc}") from None
     return messages
 
 

@@ -17,11 +17,14 @@ from __future__ import annotations
 import json
 import logging
 import math
+import re
 from dataclasses import dataclass, field, asdict, replace
+from operator import attrgetter
 
 import numpy as np
 
 from .data_model import (
+    RELATION_NAMES,
     ConfigError,
     DataError,
     GroupTable,
@@ -29,7 +32,10 @@ from .data_model import (
     SplitPlan,
     SubsetSplit,
     build_index,
+    check_setting,
     chronological_split,
+    is_int,
+    is_number,
     labels_of,
     sort_chronologically,
     validate_dataset,
@@ -42,7 +48,7 @@ from .features import (
     compute_graph_feature_table,
     scalable_columns,
 )
-from .hinge import HingeWeights, infer_hinge_posteriors, learn_weights
+from .hinge import HingeConfig, infer_hinge_posteriors, learn_weights
 from .linear import ClassifierConfig, fit_classifier, recenter_scores
 from .mrf import build_factor_graph, infer_posteriors, loopy_bp_batch
 from .stacking import infer_stacked, train_stacked
@@ -50,6 +56,9 @@ from .stacking import infer_stacked, train_stacked
 log = logging.getLogger(__name__)
 
 EPSILON_GRID = (0.05, 0.1, 0.2, 0.3, 0.4)
+# the config keys a report records
+REPORTED_SETTINGS = ("relations", "models", "n_subsets", "fractions", "feature_mode",
+                     "limited_drop", "seed")
 
 
 # --- ranking metrics ---
@@ -187,77 +196,116 @@ def component_coverage(index: MessageIndex) -> CoverageCurve:
 
 # --- experiment configuration and roster ---
 
-KNOWN_MODELS = ("independent", "sgl1", "sgl2", "mrf", "psl",
-                "sgl1+mrf", "sgl1+psl", "sgl2+mrf", "sgl2+psl")
+_ROSTER_NAME = re.compile(r"sgl([1-9][0-9]*)(?:\+(mrf|psl))?|(mrf|psl)")
 
 
-def parse_model_name(name: str) -> tuple:
-    """-> (stack depth or None, joint method or None)."""
+def parse_model_name(name) -> tuple:
+    """-> (stack depth or None, joint method or None) of a roster name:
+    independent, sglK (K >= 1), mrf, psl, sglK+mrf or sglK+psl."""
     if name == "independent":
         return None, None
-    parts = name.split("+")
-    stacks = None
-    joint = None
-    for part in parts:
-        if part.startswith("sgl") and part[3:].isdigit():
-            stacks = int(part[3:])
-        elif part in ("mrf", "psl"):
-            joint = part
-        else:
-            raise ConfigError(f"unknown roster model: {name!r}")
-    if stacks is None and joint is None:
-        raise ConfigError(f"unknown roster model: {name!r}")
-    return stacks, joint
+    match = _ROSTER_NAME.fullmatch(name) if isinstance(name, str) else None
+    if match is None:
+        raise ConfigError(f"config key 'models' names an unknown roster model: {name!r}")
+    stacks, joint, alone = match.groups()
+    return (int(stacks) if stacks else None), joint or alone
+
+
+def _is_epsilon(value) -> bool:
+    return is_number(value) and 0.0 < value < 0.5
+
+
+def _is_positive_int(value) -> bool:
+    return is_int(value) and value >= 1
+
+
+def _is_non_negative(value) -> bool:
+    return is_number(value) and value >= 0
 
 
 @dataclass
 class ExperimentConfig:
+    """The settings of one experiment; the field names are the config file's
+    keys, and `classifier` and `hinge` are sections of their own."""
+
     relations: list = field(default_factory=lambda: ["user", "text", "link"])
     models: list = field(default_factory=lambda: ["independent", "sgl1", "mrf", "psl", "sgl1+mrf"])
     n_subsets: int = 10
-    fractions: tuple = (0.7, 0.05, 0.25)
-    feature: FeatureConfig = field(default_factory=FeatureConfig)
+    fractions: tuple = (0.7, 0.05, 0.25)  # train, validation, test share of each subset
+    feature_mode: str = FeatureConfig.mode
+    limited_drop: str = FeatureConfig.limited_drop
+    ngram_top_k: int = FeatureConfig.ngram_top_k
     classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
     l2_grid: list | None = None          # validation-tuned when set
-    epsilons: dict | float = 0.1         # per-relation or shared
-    tune_epsilons: bool = False
+    epsilons: dict | float = 0.1  # shared, or per relation (0.1 for one left out)
+    tune_epsilons: bool = False  # a validation pass over each relation's epsilon, from `epsilons`
     mrf_prior_center: float | str | None = "auto"  # "auto": mean of the priors; None disables
-    hinge_weights: HingeWeights = field(default_factory=HingeWeights)
-    hinge_exponent: int = 2
-    psl_learn_steps: int = 0
-    psl_learning_rate: float = 0.05
+    hinge: HingeConfig = field(default_factory=HingeConfig)
     stack_mode: str = "soft"
     seed: int = 0
 
-    def valid_models(self) -> list:
-        out = []
-        for name in self.models:
-            try:
-                parse_model_name(name)
-            except ConfigError:
-                log.warning("skipping unavailable roster model %r", name)
-                continue
-            out.append(name)
-        if not out:
-            raise ConfigError("no usable roster models configured")
-        return out
+    @property
+    def feature(self) -> FeatureConfig:
+        return FeatureConfig(self.feature_mode, self.limited_drop, ngram_top_k=self.ngram_top_k)
 
     def required_stacks(self) -> list:
-        ks = {parse_model_name(m)[0] for m in self.valid_models()}
-        return sorted(k for k in ks if k)
+        return sorted({k for k, _ in map(parse_model_name, self.models) if k})
+
+    def check(self) -> None:
+        """Raise a `ConfigError` naming the first setting of the wrong type or out of range."""
+        def per_relation(ok):  # read after `relations` has passed
+            return lambda v: (isinstance(v, dict) and set(v) <= set(self.relations)
+                              and all(map(ok, v.values())))
+
+        for key, ok, accepts in (
+            ("seed", is_int, "an integer"),
+            ("relations", lambda v: isinstance(v, list) and all(r in RELATION_NAMES for r in v),
+             f"a list of relation tags from {RELATION_NAMES}"),
+            ("models", lambda v: isinstance(v, list) and v != [], "a non-empty list of roster names"),
+            ("n_subsets", _is_positive_int, "a positive integer"),
+            ("fractions", lambda v: isinstance(v, (list, tuple)) and len(v) == 3 and all(
+                map(_is_non_negative, v)) and abs(sum(v) - 1.0) <= 1e-9,
+             "three non-negative numbers summing to 1"),
+            ("feature_mode", ("full", "limited").__contains__, "'full' or 'limited'"),
+            ("limited_drop", ("ngrams", "graph").__contains__, "'ngrams' or 'graph'"),
+            ("ngram_top_k", _is_positive_int, "a positive integer"),
+            ("classifier.l2", _is_non_negative, "a non-negative number"),
+            ("classifier.max_iter", _is_positive_int, "a positive integer"),
+            ("classifier.tol", _is_non_negative, "a non-negative number"),
+            ("l2_grid", lambda v: v is None or isinstance(v, list) and all(map(_is_non_negative, v)),
+             "null or a list of non-negative numbers"),
+            ("epsilons", lambda v: _is_epsilon(v) or per_relation(_is_epsilon)(v),
+             "a number in (0, 0.5), or an object mapping configured relations to one"),
+            ("tune_epsilons", lambda v: isinstance(v, bool), "true or false"),
+            ("mrf_prior_center", lambda v: v in (None, "auto") or is_number(v) and 0 < v < 1,
+             "'auto', null or a number in (0, 1)"),
+            ("hinge.exponent", lambda v: is_int(v) and v in (1, 2), "1 or 2"),
+            *((f"hinge.weights.{key}", _is_non_negative, "a non-negative number")
+              for key in ("neg", "prior")),
+            *((f"hinge.weights.{key}", per_relation(_is_non_negative),
+               "an object mapping configured relations to non-negative numbers")
+              for key in ("relation_c", "relation_d")),
+            ("hinge.learn_steps", lambda v: is_int(v) and v >= 0, "a non-negative integer"),
+            ("hinge.learning_rate", lambda v: is_number(v) and v > 0, "a positive number"),
+            ("stack_mode", ("soft", "hard").__contains__, "'soft' or 'hard'"),
+        ):
+            value = attrgetter(key)(self)
+            check_setting(ok(value), key, accepts, value)
+        self.required_stacks()  # parses every roster name
 
 
 def tune_epsilons(priors: dict, groups: list, labels: dict, relations: list,
-                  grid=EPSILON_GRID, default: float = 0.1) -> dict:
+                  start: dict | float = 0.1, grid=EPSILON_GRID) -> dict:
     """One coordinate-descent pass over the per-relation epsilon grid,
-    maximizing validation AUPR of the joint posteriors.
+    maximizing validation AUPR of the joint posteriors, from the epsilons
+    `start` (shared, or per relation with 0.1 for one left out).
 
     The graph is built once. Each relation's current value and grid run as
     one batched BP call, and scores are memoized by the per-relation epsilons,
     so a candidate scored before does not run again. A grid value must beat
     the best score so far strictly to replace it.
     """
-    eps = {r: default for r in relations}
+    eps = {r: start.get(r, 0.1) if isinstance(start, dict) else start for r in relations}
     ids = sorted(set(priors) & set(labels))
     if not ids or not relations:
         return eps
@@ -334,13 +382,13 @@ def graph_feature_table(config: ExperimentConfig, follows: list) -> dict:
 
 
 def featurize_subset(ordered: list, subset: SubsetSplit, config: ExperimentConfig,
-                     graph_table: dict) -> tuple:
+                     graph_table: dict) -> FeatureMatrix:
     """Fit the feature pipeline on the subset's training slice and transform
-    the whole subset: -> (pipeline, matrix of the train, validation and test rows)."""
+    the whole subset: -> the matrix of its train, validation and test rows."""
     train_msgs, val_msgs, test_msgs = (ordered[a:b] for a, b in
                                        (subset.train, subset.validation, subset.test))
     pipe = FeaturePipeline(config.feature, graph_table).fit(train_msgs)
-    return pipe, pipe.transform(train_msgs + val_msgs + test_msgs, labels_of(train_msgs))
+    return pipe.transform(train_msgs + val_msgs + test_msgs, labels_of(train_msgs))
 
 
 def center_mrf_priors(priors: dict, config: ExperimentConfig) -> dict:
@@ -373,27 +421,26 @@ def train_subset_models(index: MessageIndex, subset: SubsetSplit, fm: FeatureMat
             train_ids, fm_train, labels, groups_train, K=k, relations=config.relations,
             scale_columns=scale_columns, config=clf_config, pseudo_mode=config.stack_mode)
 
-    joints = {parse_model_name(m)[1] for m in config.valid_models()}
+    joints = {parse_model_name(m)[1] for m in config.models}
     has_val = subset.validation[1] > subset.validation[0]
-    learn_psl = "psl" in joints and config.psl_learn_steps > 0 and has_val
+    hinge = config.hinge
+    learn_psl = "psl" in joints and hinge.learn_steps > 0 and has_val
     tune_mrf = "mrf" in joints and config.tune_epsilons and has_val
     if learn_psl or tune_mrf:
         val_groups = index.groups(subset.validation)
         val_priors = artifacts["independent"].predict_proba(fm_val)
     if "psl" in joints:
-        weights = config.hinge_weights.copy()
+        weights = hinge.weights.copy()
         if learn_psl:
             weights, _ = learn_weights(weights, val_labels, val_groups, val_priors,
-                                       steps=config.psl_learn_steps,
-                                       learning_rate=config.psl_learning_rate,
-                                       p=config.hinge_exponent)
+                                       steps=hinge.learn_steps,
+                                       learning_rate=hinge.learning_rate, p=hinge.exponent)
         artifacts["psl_weights"] = weights
     if "mrf" in joints:
         eps = config.epsilons
         if tune_mrf:
-            default = eps if isinstance(eps, float) else 0.1
             eps = tune_epsilons(center_mrf_priors(val_priors, config), val_groups,
-                                val_labels, config.relations, default=default)
+                                val_labels, config.relations, start=eps)
         artifacts["epsilons"] = eps
     return artifacts
 
@@ -427,13 +474,13 @@ def infer_subset_models(artifacts: dict, index: MessageIndex, subset: SubsetSpli
             diagnostics["bp_nonconverged"] += 0 if result.converged else 1
             return {mid: result.scores[mid] for mid in test_ids}
         scores, map_result = infer_hinge_posteriors(
-            priors_test, groups_tt, artifacts.get("psl_weights", config.hinge_weights),
-            p=config.hinge_exponent, observed=context)
+            priors_test, groups_tt, artifacts.get("psl_weights", config.hinge.weights),
+            p=config.hinge.exponent, observed=context)
         diagnostics["map_nonconverged"] += 0 if map_result.converged else 1
         return {mid: scores[mid] for mid in test_ids}
 
     preds_by_model = {}
-    for name in config.valid_models():
+    for name in config.models:
         stacks, joint = parse_model_name(name)
         prior_preds = base_preds if stacks is None else stacked_preds[stacks]
         if joint is None:
@@ -492,24 +539,12 @@ def _fmt(v) -> str:
     return "n/a" if v is None else f"{v:.4f}"
 
 
-def config_snapshot(config: ExperimentConfig) -> dict:
-    return {
-        "relations": config.relations,
-        "models": config.valid_models(),
-        "n_subsets": config.n_subsets,
-        "fractions": list(config.fractions),
-        "feature_mode": config.feature.mode,
-        "limited_drop": config.feature.limited_drop,
-        "seed": config.seed,
-    }
-
-
 def aggregate_report(config: ExperimentConfig, index: MessageIndex, plan: SplitPlan,
                      subset_preds: list, diagnostics: dict) -> EvaluationReport:
     """Concatenate per-subset test predictions and score every roster model,
     overall and on the inductive partition."""
     coverage = component_coverage(index)
-    roster = config.valid_models()
+    roster = config.models
     labels = index.labels_in(0, len(index.ids))
     all_preds: dict = {name: {} for name in roster}
     per_subset_metrics: dict = {name: [] for name in roster}
@@ -541,19 +576,20 @@ def aggregate_report(config: ExperimentConfig, index: MessageIndex, plan: SplitP
         n_transductive=len(test_ids_all) - len(inductive_ids),
         coverage=asdict(coverage),
         diagnostics=diagnostics,
-        config=config_snapshot(config),
+        config={key: getattr(config, key) for key in REPORTED_SETTINGS},
     )
 
 
 def evaluate_experiment(messages: list, follows: list, config: ExperimentConfig) -> EvaluationReport:
     """Run the full chronological protocol in memory and aggregate the report."""
+    config.check()
     ordered = ordered_dataset(messages)
     index = build_index(ordered, config.relations)
     plan = chronological_split(ordered, config.n_subsets, config.fractions)
     graph_table = graph_feature_table(config, follows)
     subset_preds, diagnostics = [], []
     for i, subset in enumerate(plan.subsets):
-        _, fm = featurize_subset(ordered, subset, config, graph_table)
+        fm = featurize_subset(ordered, subset, config, graph_table)
         artifacts = train_subset_models(index, subset, fm, config)
         preds, diag = infer_subset_models(artifacts, index, subset, fm, config)
         subset_preds.append(preds)

@@ -485,25 +485,3 @@ class FeaturePipeline:
             blocks.append(ngram_features([m.text for m in messages_sorted], self.vocabulary, n=cfg.ngram_n))
         matrix = sp.hstack(blocks, format="csr") if len(blocks) > 1 else blocks[0]
         return FeatureMatrix([m.id for m in messages_sorted], self.column_names, matrix)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "version": 1,
-            "config": {
-                "mode": self.config.mode,
-                "limited_drop": self.config.limited_drop,
-                "ngram_n": self.config.ngram_n,
-                "ngram_top_k": self.config.ngram_top_k,
-            },
-            "vocabulary": self.vocabulary,
-            "graph_table": self.graph_table,
-        }, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FeaturePipeline":
-        payload = json.loads(text)
-        cfg = FeatureConfig(**payload["config"])
-        pipe = cls(cfg, payload["graph_table"])
-        pipe.vocabulary = payload["vocabulary"]
-        pipe._fitted = True
-        return pipe

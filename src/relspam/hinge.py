@@ -47,16 +47,6 @@ class HingeWeights:
     def copy(self) -> "HingeWeights":
         return HingeWeights(self.neg, self.prior, dict(self.relation_c), dict(self.relation_d))
 
-    def to_dict(self) -> dict:
-        return {"neg": self.neg, "prior": self.prior,
-                "relation_c": dict(self.relation_c), "relation_d": dict(self.relation_d)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "HingeWeights":
-        return cls(neg=d.get("neg", 1.0), prior=d.get("prior", 1.0),
-                   relation_c=dict(d.get("relation_c", {})),
-                   relation_d=dict(d.get("relation_d", {})))
-
     def of_template(self, template: tuple) -> float:
         kind = template[0]
         if kind == "neg":
@@ -82,6 +72,16 @@ class HingeWeights:
             self.relation_d[template[1]] = value
         else:
             raise ConfigError(f"unknown template {template!r}")
+
+
+@dataclass
+class HingeConfig:
+    """The hinge-loss MRF settings of an experiment."""
+
+    exponent: int = 2  # p of the hinge potentials max(0, l)^p: 1 or 2
+    weights: HingeWeights = field(default_factory=HingeWeights)  # learning starts here
+    learn_steps: int = 0  # weight-learning steps on validation; 0 keeps `weights`
+    learning_rate: float = 0.05
 
 
 @dataclass(eq=False)

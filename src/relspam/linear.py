@@ -235,7 +235,7 @@ def train(X: sp.spmatrix, y: np.ndarray, l2: float = 1.0, max_iter: int = 500,
 @dataclass
 class ClassifierConfig:
     l2: float = 1.0
-    max_iter: int = 500
+    max_iter: int = 300
     tol: float = 1e-6
 
 

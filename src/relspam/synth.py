@@ -11,9 +11,9 @@ so a config maps to exactly one dataset on every platform.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .data_model import ConfigError, Message
+from .data_model import Message, check_setting, is_int, is_number
 
 SHARED_VOCAB_SIZE = 200
 
@@ -34,16 +34,20 @@ class GeneratorConfig:
     feature_noise: float = 0.45  # fraction of spam dressed up to look like ham
 
     def validate(self):
+        """Raise a `ConfigError` naming the first field of the wrong type or out of range."""
+        for f in fields(self):
+            value, integral = getattr(self, f.name), f.type == "int"
+            check_setting(is_int(value) if integral else is_number(value), f"generator.{f.name}",
+                          "an integer" if integral else "a number", value)
         for name in ("spam_prevalence", "text_reuse_prob", "link_reuse_prob", "feature_noise"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ConfigError(f"{name} must be in [0, 1], got {v}")
-        if min(self.n_users, self.n_messages, self.n_campaigns) <= 0:
-            raise ConfigError("n_users, n_messages and n_campaigns must be positive")
+            value = getattr(self, name)
+            check_setting(0.0 <= value <= 1.0, f"generator.{name}", "in [0, 1]", value)
+        for name, least in (("n_users", 2), ("n_messages", 1), ("n_campaigns", 1)):
+            value = getattr(self, name)  # one user is the spammer, so two leave room for ham
+            check_setting(value >= least, f"generator.{name}", f"at least {least}", value)
         n_spam = round(self.n_messages * self.spam_prevalence)
-        if self.n_campaigns > max(n_spam, 0):
-            raise ConfigError(
-                f"{self.n_campaigns} campaigns cannot be planted in {n_spam} spam messages")
+        check_setting(self.n_campaigns <= n_spam, "generator.n_campaigns",
+                      f"at most the {n_spam} spam messages to plant them in", self.n_campaigns)
 
 
 def _campaign_sizes(rng: random.Random, n_spam: int, n_campaigns: int, jitter: float) -> list:
@@ -69,8 +73,6 @@ def generate(config: GeneratorConfig):
     n_spammers = max(1, min(config.n_campaigns, config.n_users // 5))
     spammers = [f"spammer{i:03d}" for i in range(n_spammers)]
     ham_users = [f"user{i:04d}" for i in range(config.n_users - n_spammers)]
-    if not ham_users:
-        raise ConfigError("n_users leaves no room for ham users")
 
     shared_vocab = [f"w{i}" for i in range(SHARED_VOCAB_SIZE)]
     ham_vocab = [f"h{i}" for i in range(config.ham_vocab_size)]

@@ -322,7 +322,8 @@ def test_criterion_09_qualitative_relational_lift():
         models=["independent", "sgl1", "mrf", "psl", "sgl1+mrf"],
         n_subsets=10,
         fractions=(0.7, 0.05, 0.25),
-        feature=FeatureConfig(mode="limited", limited_drop="ngrams"),
+        feature_mode="limited",
+        limited_drop="ngrams",
         classifier=ClassifierConfig(l2=1.0, max_iter=300),
     )
     result = evaluate_experiment(messages, follows, config)

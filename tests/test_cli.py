@@ -1,13 +1,17 @@
 import importlib
 import json
+import re
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
 
-from relspam.cli import experiment_config, load_config, main
+from relspam.cli import RunConfig, load_config, main
 from relspam.data_model import ConfigError, message_to_record, read_messages, write_messages
-from relspam.evaluation import evaluate_experiment
-from relspam.synth import GeneratorConfig, generate
+from relspam.evaluation import ExperimentConfig, evaluate_experiment
+from relspam.synth import generate
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SMALL_CONFIG = {
     "generator": {"n_messages": 1200, "n_users": 80, "n_campaigns": 8,
@@ -17,6 +21,18 @@ SMALL_CONFIG = {
     "models": ["independent", "mrf"],
     "classifier": {"l2": 1.0, "max_iter": 150, "tol": 1e-6, "method": "batch"},
 }
+
+
+def assert_reads_back(config, given):
+    """Every key of the JSON config `given` is set on the loaded `config`."""
+    for key, value in given.items():
+        if key in ("threads", "method"):  # legacy keys that set nothing
+            continue
+        got = getattr(config, key)
+        if is_dataclass(got):
+            assert_reads_back(got, value or {})
+        else:
+            assert got == value, key
 
 
 def write_config(tmp_path, extra=None):
@@ -134,6 +150,17 @@ class TestStages:
         assert repr(messages[7].id) in err
         assert not (out / "features").exists()
 
+    def test_featurize_names_a_truncated_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
+        path = out / "data" / "messages.jsonl"
+        path.write_bytes(path.read_bytes()[:-20])
+        assert main(["featurize", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "messages.jsonl, line 1200: " in err
+        assert not (out / "features").exists()
+
 
 class TestMessageIndex:
     def test_index_is_byte_idempotent(self, tmp_path):
@@ -193,8 +220,8 @@ class TestOneOrchestration:
         assert any(set(eps.values()) != {0.1} for eps in tuned)
 
         cfg = load_config(cfg_path, {"seed": 3})
-        messages, follows = generate(GeneratorConfig(seed=3, **cfg["generator"]))
-        report = evaluate_experiment(messages, follows, experiment_config(cfg))
+        messages, follows = generate(replace(cfg.generator, seed=3))
+        report = evaluate_experiment(messages, follows, cfg)
         assert report.to_json() == (out / "report.json").read_text(encoding="utf-8")
 
 
@@ -259,8 +286,59 @@ class TestConfigValidation:
             cfg_path = tmp_path / f"{name}.json"
             cfg_path.write_text(json.dumps(workload.full_config(42, str(tmp_path / name))))
             cfg = load_config(str(cfg_path), {})
-            experiment_config(cfg)
-            assert cfg["relations"] == workload.config["relations"]
+            assert_reads_back(cfg, workload.full_config(42, str(tmp_path / name)))
+
+    def test_defaults_are_the_config_object(self):
+        cfg = load_config(None, {})
+        assert cfg == RunConfig()
+        assert cfg.classifier.max_iter == ExperimentConfig().classifier.max_iter == 300
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        example = re.search(r"Example config:\s*```json\n(.*?)```", readme, re.S).group(1)
+        path = tmp_path / "example.json"
+        path.write_text(example)
+        assert_reads_back(load_config(str(path), {}), json.loads(example))
+
+    def test_readme_reference_lists_every_key_with_its_default(self):
+        rows = [line for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+                if line.startswith("| `")]
+
+        def leaves(config, prefix=""):
+            for f in fields(config):
+                key, value = f"{prefix}{f.name}", getattr(config, f.name)
+                if is_dataclass(value):
+                    yield from leaves(value, f"{key}.")
+                elif key != "generator.seed":  # the run's seed
+                    yield key, value
+
+        for key, default in leaves(RunConfig()):
+            row = next((r.split("|") for r in rows if f"`{key}`" in r.split("|")[1]), None)
+            assert row is not None and f"`{json.dumps(default)}`" in row[2], key
+
+    @pytest.mark.parametrize("extra, key", [
+        ({"epsilons": None}, "epsilons"),
+        ({"epsilons": "abc"}, "epsilons"),
+        ({"epsilons": {"user": 0.2, "hashtag": 0.2}}, "epsilons"),
+        ({"classifier": {"l2": "x"}}, "classifier.l2"),
+        ({"mrf_prior_center": "middle"}, "mrf_prior_center"),
+        ({"hinge": {"exponent": 3}}, "hinge.exponent"),
+        ({"stack_mode": "medium"}, "stack_mode"),
+        ({"hinge": {"weights": {"negative": 0.1}}}, "hinge.weights.negative"),
+        ({"relations": "user"}, "relations"),
+        ({"models": ["wat"]}, "models"),
+        ({"generator": {"n_users": 1.5}}, "generator.n_users"),
+        ({"threads": 0}, "threads"),
+    ])
+    def test_bad_value_is_named_before_any_work(self, tmp_path, capsys, extra, key):
+        cfg = write_config(tmp_path, extra)
+        with pytest.raises(ConfigError, match=f"config key '{re.escape(key)}'"):
+            load_config(cfg, {})
+        out = tmp_path / "out"
+        assert main(["run-all", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"config key '{key}'" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_unknown_relation_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"relations": ["user", "bogus"]})

@@ -77,6 +77,15 @@ class TestValidation:
         assert validate_dataset([msg("ok"), m]).errors == \
             [f"message has a string field that is not valid UTF-8: {m.id!r}"]
 
+    @pytest.mark.parametrize("field, value", [("user_id", 7), ("text", None), ("links", [1]),
+                                              ("hashtags", ["ok", None]), ("mentions", [["x"]])])
+    def test_field_that_is_not_a_string_flagged(self, field, value):
+        # JSON allows these; grouping and featurizing would fail on them
+        m = msg("m1")
+        setattr(m, field, value)
+        assert validate_dataset([msg("ok"), m]).errors == \
+            [f"message has a text, user, link, hashtag or mention that is not a string: {m.id!r}"]
+
     def test_negative_timestamp_flagged(self):
         report = validate_dataset([msg("a", ts=-5)])
         assert report.bad_timestamps == ["a"]
@@ -334,3 +343,19 @@ class TestIngestion:
     def test_bad_label_raises(self):
         with pytest.raises(DataError):
             message_from_record({"id": "a", "user_id": "u", "label": 3})
+
+    @pytest.mark.parametrize("line, says", [
+        (b'{"id": "x", "text": "caf\xff"}', "can't decode byte 0xff"),
+        (b'{"id": "x", ', "Expecting"),
+        (b'["x", "u"]', "not a JSON object"),
+        (b'{"user_id": "u"}', "no 'id'"),
+        (b'{"id": "x", "timestamp": "noon"}', "'timestamp' must be an integer"),
+        (b'{"id": "x", "label": "spam"}', "'label' must be an integer"),
+        (b'{"id": "x", "links": "http://a.io"}', "'links' must be a list"),
+    ], ids=["utf8", "truncated", "not_object", "no_id", "timestamp", "label", "list"])
+    def test_malformed_line_names_file_and_line(self, tmp_path, line, says):
+        path = tmp_path / "m.jsonl"
+        good = json.dumps({"id": "a", "user_id": "u"}).encode()
+        path.write_bytes(good + b"\n\n" + line + b"\n" + good + b"\n")
+        with pytest.raises(DataError, match=f"m.jsonl, line 3: .*{says}"):
+            read_messages(path)

@@ -1,15 +1,18 @@
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from relspam.data_model import (
+    ConfigError,
     DataError,
     Group,
     Message,
     build_groups,
     build_index,
+    chronological_split,
     labels_of,
     relations_from_names,
     sort_chronologically,
@@ -28,7 +31,7 @@ from relspam.evaluation import (
     train_subset_models,
     tune_epsilons,
 )
-from relspam.features import FeatureConfig
+from relspam.hinge import HingeConfig
 from relspam.linear import ClassifierConfig
 from relspam.mrf import infer_posteriors
 
@@ -288,10 +291,18 @@ class TestModelNames:
         assert parse_model_name("sgl2+mrf") == (2, "mrf")
         assert parse_model_name("psl") == (None, "psl")
 
-    def test_unknown_names_skipped_with_notice(self, caplog):
-        cfg = ExperimentConfig(models=["independent", "wat"])
-        with caplog.at_level("WARNING"):
-            assert cfg.valid_models() == ["independent"]
+    @pytest.mark.parametrize("name", ["wat", "sgl", "sgl0", "sgl01", "+mrf", "sgl1+",
+                                      "mrf+sgl1", "sgl1+mrf+psl", "mrf+psl", 5])
+    def test_unknown_name_raises_a_named_error(self, name):
+        with pytest.raises(ConfigError, match=f"'models'.*{re.escape(repr(name))}"):
+            parse_model_name(name)
+        with pytest.raises(ConfigError, match="'models'"):
+            ExperimentConfig(models=["independent", name]).check()
+
+    def test_any_stack_depth_is_a_roster_name(self):
+        assert parse_model_name("sgl3") == (3, None)
+        assert parse_model_name("sgl12+psl") == (12, "psl")
+        assert ExperimentConfig(models=["sgl3", "sgl2+mrf"]).required_stacks() == [2, 3]
 
 
 def planted_experiment_data(n=600, seed=0, prevalence=0.2, n_campaigns=12):
@@ -338,7 +349,8 @@ class TestExperiment:
             models=["independent"],
             n_subsets=3,
             fractions=(0.7, 0.05, 0.25),
-            feature=FeatureConfig(mode="limited", limited_drop="ngrams"),
+            feature_mode="limited",
+            limited_drop="ngrams",
             classifier=ClassifierConfig(l2=1.0, max_iter=200),
         )
         defaults.update(kw)
@@ -371,7 +383,7 @@ class TestExperiment:
         s = plan.subsets[0]
         train_msgs = ordered[s.train[0]:s.train[1]]
         test_msgs = ordered[s.test[0]:s.test[1]]
-        _, fm = featurize_subset(ordered, s, config, {})
+        fm = featurize_subset(ordered, s, config, {})
         relations = relations_from_names(config.relations)
         groups_tt = build_groups(train_msgs + test_msgs, relations)
         index = build_index(ordered, config.relations)
@@ -514,20 +526,34 @@ def tuning_inputs(draw):
 def test_tune_epsilons_matches_per_candidate_reference(inputs):
     priors, groups, labels, relations, grid, default = inputs
     expected = reference_tune_epsilons(priors, groups, labels, relations, grid, default)
-    assert tune_epsilons(priors, groups, labels, relations, grid=grid, default=default) == expected
+    assert tune_epsilons(priors, groups, labels, relations, grid=grid, start=default) == expected
 
 
 def test_tune_epsilons_without_groups_keeps_defaults():
     priors = {"a": 0.9, "b": 0.8, "c": 0.2}
-    eps = tune_epsilons(priors, [], {"a": 1, "b": 0, "c": 0}, ["user"], default=0.3)
+    eps = tune_epsilons(priors, [], {"a": 1, "b": 0, "c": 0}, ["user"], start=0.3)
     assert eps == {"user": 0.3}
 
 
 def test_tune_epsilons_single_class_labels_keep_defaults():
     priors = {"a": 0.9, "b": 0.8, "c": 0.2}
     groups = [group("user", "u", ["a", "b", "c"])]
-    eps = tune_epsilons(priors, groups, {"a": 1, "b": 1, "c": 1}, ["user", "text"], default=0.2)
+    eps = tune_epsilons(priors, groups, {"a": 1, "b": 1, "c": 1}, ["user", "text"], start=0.2)
     assert eps == {"user": 0.2, "text": 0.2}
+
+
+def test_tune_epsilons_starts_from_configured_per_relation_values():
+    # no text groups: every text candidate ties, so text keeps its configured
+    # epsilon; link is left out of the configured dict and starts at 0.1
+    priors = {"a": 0.9, "b": 0.4, "c": 0.6, "d": 0.1}
+    groups = [group("user", "u", ["a", "b"]), group("user", "v", ["c", "d"])]
+    labels = {"a": 1, "b": 1, "c": 0, "d": 0}
+    start = {"user": 0.3, "text": 0.35}
+    eps = tune_epsilons(priors, groups, labels, ["user", "text", "link"], start=start,
+                        grid=(0.05, 0.2))
+    assert eps["text"] == 0.35 and eps["link"] == 0.1
+    assert eps["user"] in (0.3, 0.05, 0.2)
+    assert start == {"user": 0.3, "text": 0.35}
 
 
 def test_metrics_from_dicts_handles_single_class():
@@ -555,9 +581,10 @@ class TestPipelineOptions:
             models=["independent", "psl"],
             n_subsets=2,
             fractions=(0.6, 0.15, 0.25),
-            feature=FeatureConfig(mode="limited", limited_drop="ngrams"),
+            feature_mode="limited",
+            limited_drop="ngrams",
             classifier=ClassifierConfig(l2=1.0, max_iter=150),
-            psl_learn_steps=2,
+            hinge=HingeConfig(learn_steps=2),
         )
         report = evaluate_experiment(messages, [], config)
         assert [m["model"] for m in report.models] == ["independent", "psl"]
@@ -569,12 +596,34 @@ class TestPipelineOptions:
             models=["independent", "mrf"],
             n_subsets=2,
             fractions=(0.6, 0.15, 0.25),
-            feature=FeatureConfig(mode="limited", limited_drop="ngrams"),
+            feature_mode="limited",
+            limited_drop="ngrams",
             classifier=ClassifierConfig(l2=1.0, max_iter=150),
             tune_epsilons=True,
         )
         report = evaluate_experiment(messages, [], config)
         assert report.models[1]["overall"]["aupr"] is not None
+
+    def test_epsilon_tuning_starts_from_per_relation_epsilons(self):
+        # the planted data has no hashtags, so every hashtag candidate ties
+        # and the configured value must survive tuning
+        messages = planted_experiment_data(n=300, seed=10)
+        config = ExperimentConfig(
+            relations=["user", "text", "hashtag"],
+            models=["independent", "mrf"],
+            n_subsets=2,
+            fractions=(0.6, 0.15, 0.25),
+            feature_mode="limited",
+            classifier=ClassifierConfig(l2=1.0, max_iter=150),
+            epsilons={"user": 0.2, "hashtag": 0.35},
+            tune_epsilons=True,
+        )
+        ordered = sort_chronologically(messages)
+        index = build_index(ordered, config.relations)
+        for subset in chronological_split(ordered, 2, config.fractions).subsets:
+            fm = featurize_subset(ordered, subset, config, {})
+            eps = train_subset_models(index, subset, fm, config)["epsilons"]
+            assert set(eps) == {"user", "text", "hashtag"} and eps["hashtag"] == 0.35
 
     def test_l2_grid_tuning_smoke(self):
         messages = planted_experiment_data(n=300, seed=11)
@@ -583,7 +632,8 @@ class TestPipelineOptions:
             models=["independent"],
             n_subsets=2,
             fractions=(0.6, 0.15, 0.25),
-            feature=FeatureConfig(mode="limited", limited_drop="ngrams"),
+            feature_mode="limited",
+            limited_drop="ngrams",
             classifier=ClassifierConfig(l2=1.0, max_iter=150),
             l2_grid=[0.1, 1.0],
         )

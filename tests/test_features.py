@@ -337,16 +337,6 @@ class TestPipeline:
         j = fm.column_index["pagerank"]
         assert fm.matrix[0, j] == 0.0
 
-    def test_serialization_round_trip(self):
-        messages = self.build_messages()
-        pipe = FeaturePipeline(FeatureConfig(ngram_top_k=10),
-                               graph_table([("u0", "u1"), ("u1", "u0")])).fit(messages)
-        restored = FeaturePipeline.from_json(pipe.to_json())
-        fm_a = pipe.transform(messages, {})
-        fm_b = restored.transform(messages, {})
-        assert fm_a.column_names == fm_b.column_names
-        assert (fm_a.matrix != fm_b.matrix).nnz == 0
-
     def test_matrix_file_round_trip(self, tmp_path):
         messages = self.build_messages()
         pipe = FeaturePipeline(FeatureConfig(ngram_top_k=10)).fit(messages[:20])
