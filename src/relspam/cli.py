@@ -7,7 +7,9 @@ final report. The protocol's work is done by the per-subset steps of
 `evaluation` that `evaluate_experiment` also runs; a stage only reads its
 inputs, calls those steps, and writes their results. Only `featurize` reads
 `messages.jsonl`; `train`, `infer` and `eval` read the `features/index.npz`
-message index it writes. A run's settings are one `RunConfig`, which
+message index it writes, and know a message by its chronological position
+in it; ids come back only in the predictions TSVs, which `eval` maps back to
+positions. A run's settings are one `RunConfig`, which
 `load_config` builds from the JSON config and checks before any stage runs.
 """
 
@@ -20,6 +22,8 @@ import logging
 import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+
+import numpy as np
 
 from .data_model import (
     ConfigError,
@@ -40,6 +44,7 @@ from .data_model import (
 from .evaluation import (
     ExperimentConfig,
     aggregate_report,
+    check_training_labels,
     featurize_subset,
     graph_feature_table,
     infer_subset_models,
@@ -195,12 +200,15 @@ def cmd_featurize(cfg: RunConfig) -> int:
     follows_path = _follows_path(cfg)
     follows = read_follows(follows_path) if follows_path.exists() else []
     plan = chronological_split(messages, cfg.n_subsets, cfg.fractions)
+    # built before any subset is transformed and not held while they are: neither
+    # it nor its transient groups add to the stage's peak memory
+    index = build_index(messages, cfg.relations, hashlib.sha256(path.read_bytes()).hexdigest())
+    check_training_labels(index, plan)
     feat_dir = _out(cfg) / "features"
     feat_dir.mkdir(parents=True, exist_ok=True)
     (feat_dir / "split_plan.json").write_text(plan.to_json(), encoding="utf-8")
-    # built before any subset is transformed: its transient groups add nothing to peak memory
-    write_index(feat_dir / "index.npz", build_index(
-        messages, cfg.relations, hashlib.sha256(path.read_bytes()).hexdigest()))
+    write_index(feat_dir / "index.npz", index)
+    del index
     graph_table = graph_feature_table(cfg, follows)
     (feat_dir / "graph_table.json").write_text(
         json.dumps(graph_table, sort_keys=True), encoding="utf-8")
@@ -266,12 +274,13 @@ def cmd_infer(cfg: RunConfig) -> int:
     for i, subset in enumerate(plan.subsets):
         fm = _load_features(cfg, i)
         preds, diag = infer_subset_models(_load_artifacts(cfg, i), index, subset, fm, cfg)
+        test_ids = index.ids[slice(*subset.test)]
         for name, scores in preds.items():
             model_dir = pred_dir / name
             model_dir.mkdir(parents=True, exist_ok=True)
             with open(model_dir / f"subset_{i:02d}.tsv", "w", encoding="utf-8") as fh:
-                for mid in sorted(scores):
-                    fh.write(f"{mid}\t{scores[mid]!r}\n")
+                fh.writelines(f"{mid}\t{score!r}\n"
+                              for mid, score in zip(test_ids, scores.tolist()))
         diagnostics.append(diag)
     (pred_dir / "diagnostics.json").write_text(
         json.dumps(sum_diagnostics(diagnostics), sort_keys=True), encoding="utf-8")
@@ -279,11 +288,31 @@ def cmd_infer(cfg: RunConfig) -> int:
     return 0
 
 
-def _read_predictions(path: Path) -> dict:
-    scores = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
-        mid, value = line.split("\t")
-        scores[mid] = float(value)
+def _read_predictions(path: Path, test_ids: list) -> np.ndarray:
+    """The scores of a predictions TSV in the order of `test_ids`, its
+    subset's test messages. A line that is not UTF-8 or not an id and a
+    float, an id that is not a test message or comes twice, and a test
+    message without a line each raise `DataError` naming the file and the line."""
+    position = {mid: i for i, mid in enumerate(test_ids)}
+    scores = np.zeros(len(test_ids))
+    seen = np.zeros(len(test_ids), dtype=bool)
+    with open(path, "rb") as fh:
+        for n, line in enumerate(fh, 1):
+            try:
+                mid, _, value = line.decode("utf-8").rstrip("\n").partition("\t")
+                score = float(value)
+            except ValueError as exc:  # bad UTF-8 is a ValueError too
+                raise DataError(f"{path}, line {n}: not an id and a score ({exc})") from None
+            i = position.get(mid)
+            if i is None:
+                raise DataError(f"{path}, line {n}: {mid!r} is not a test message of this subset")
+            if seen[i]:
+                raise DataError(f"{path}, line {n}: {mid!r} is scored twice")
+            seen[i], scores[i] = True, score
+    if not seen.all():
+        missing = np.flatnonzero(~seen)
+        raise DataError(f"{path}: no line for test message {test_ids[missing[0]]!r} "
+                        f"({len(missing)} missing)")
     return scores
 
 
@@ -292,11 +321,13 @@ def cmd_eval(cfg: RunConfig) -> int:
     index = _load_index(cfg)
     roster = cfg.models
     pred_dir = _out(cfg) / "predictions"
-    subset_preds = [
-        {name: _read_predictions(_require(pred_dir / name / f"subset_{i:02d}.tsv", "infer"))
-         for name in roster}
-        for i in range(plan.n_subsets)
-    ]
+    subset_preds = []
+    for i, subset in enumerate(plan.subsets):
+        test_ids = index.ids[slice(*subset.test)]
+        subset_preds.append({
+            name: _read_predictions(_require(pred_dir / name / f"subset_{i:02d}.tsv", "infer"),
+                                    test_ids)
+            for name in roster})
     diag_path = pred_dir / "diagnostics.json"
     diagnostics = json.loads(diag_path.read_text(encoding="utf-8")) if diag_path.exists() else {}
     report = aggregate_report(cfg, index, plan, subset_preds, diagnostics)
@@ -304,13 +335,13 @@ def cmd_eval(cfg: RunConfig) -> int:
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     (out / "report.txt").write_text(report.to_text() + "\n", encoding="utf-8")
     if cfg.dump_pr_curves:
-        labels = index.labels_in(0, len(index.ids))
+        labels = np.concatenate([index.labels[slice(*s.test)] for s in plan.subsets])
+        labeled = labels >= 0
         curves = {}
         for name in roster:
-            merged = {mid: score for preds in subset_preds
-                      for mid, score in preds[name].items() if mid in labels}
+            scores = np.concatenate([preds[name] for preds in subset_preds])
             try:
-                curves[name] = pr_curve_points(list(merged.values()), [labels[m] for m in merged])
+                curves[name] = pr_curve_points(scores[labeled], labels[labeled])
             except DataError:
                 curves[name] = []
         (out / "pr_curves.json").write_text(json.dumps(curves, sort_keys=True), encoding="utf-8")

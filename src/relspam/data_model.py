@@ -5,8 +5,9 @@ Messages are ingested from line-delimited JSON records. Groups ("hubs") collect
 messages that share a relation key: same author, same normalized text, same
 link, and so on; `build_groups` is the one group builder. A `MessageIndex`
 holds ids, labels and every message's groups as arrays, and restricts the
-groups to a subset by an edge mask. All downstream modules consume these types
-read-only.
+groups to a subset by an edge mask. Past the index a message is its
+chronological position, the form every later module takes. All downstream
+modules consume these types read-only.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import math
 import string
 import unicodedata
 import zipfile
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
@@ -49,7 +49,7 @@ SPAM = 1
 HAM = 0
 
 RELATION_NAMES = ("user", "text", "link", "hashtag", "mention", "track", "user_hashtag")
-HUB_PREFIX = "hub:"  # of hub variable ids, which message ids may not share
+HUB_PREFIX = "hub:"  # reserved for hubs: no message id may start with it
 
 
 @dataclass
@@ -179,44 +179,22 @@ def build_groups(messages: list, relations: list) -> list:
     return out
 
 
-class GroupTable(Sequence):
-    """Groups as arrays, one edge per (group, member) in group then member
-    order: the form both joint models ground from (`GroupTable.of`). Indexing
-    makes a `Group`, so a table stands in for a list of groups."""
+class GroupTable:
+    """Groups as arrays, one edge per (group, member) in group order, each
+    group's members in ascending chronological position: the form both joint
+    models ground from."""
 
     def __init__(self, relations: list, group_relation, keys: list, sizes, members):
         self.relations = relations  # sorted relation names
         self.group_relation = np.asarray(group_relation, dtype=np.int64)  # group -> relation index
         self.keys = keys  # group -> key
         self.sizes = np.asarray(sizes, dtype=np.int64)  # group -> member count
-        self.members = members  # edge -> member id; in an index, its chronological position
+        self.members = np.asarray(members, dtype=np.int32)  # edge -> member position
         self.group = np.repeat(np.arange(len(keys)), self.sizes)  # edge -> group
         self.relation = self.group_relation[self.group]  # edge -> relation index
-        self._ends = np.cumsum(self.sizes).tolist()
-
-    @classmethod
-    def of(cls, groups, relations: list | None = None) -> "GroupTable":
-        """The table of a list of groups, its relation codes indexing
-        `relations` (default: the names present, sorted); a table is returned as it is."""
-        if isinstance(groups, GroupTable):
-            return groups
-        relations = relations or sorted({g.relation for g in groups})
-        return cls(relations, [relations.index(g.relation) for g in groups],
-                   [g.key for g in groups], [len(g.member_ids) for g in groups],
-                   [mid for g in groups for mid in g.member_ids])
 
     def __len__(self) -> int:
         return len(self.keys)
-
-    def __getitem__(self, i: int) -> Group:
-        i = range(len(self))[i]
-        end = self._ends[i]
-        return Group(relation=self.relations[self.group_relation[i]], key=self.keys[i],
-                     member_ids=tuple(self.members[end - int(self.sizes[i]):end]))
-
-    def hub_ids(self) -> list:  # the hub variable id of each group
-        return [f"{HUB_PREFIX}{self.relations[r]}:{key}"
-                for r, key in zip(self.group_relation.tolist(), self.keys)]
 
 
 INDEX_FORMAT = "relspam-index v1"
@@ -227,7 +205,9 @@ class MessageIndex:
     """What the stages after featurize need of the dataset: the ids in
     chronological order, their labels (int8, -1 unlabeled), the configured
     relations, and the groups of every message in `build_groups` order, as a
-    table whose members are chronological positions (int32)."""
+    table whose members are chronological positions (int32). After featurize
+    a message is its position: every label, score and group member is read
+    by it, and `ids` names the messages only in the files a stage writes."""
 
     ids: list
     labels: np.ndarray
@@ -240,10 +220,6 @@ class MessageIndex:
         pos = self.table.members
         return np.any([(pos >= a) & (pos < b) for a, b in ranges], axis=0)
 
-    def labels_in(self, a: int, b: int) -> dict:
-        """id -> gold label of the labeled messages in positions [a, b), in order."""
-        return {mid: y for mid, y in zip(self.ids[a:b], self.labels[a:b].tolist()) if y >= 0}
-
     def groups(self, *ranges) -> GroupTable:
         """The groups `build_groups` gives for the messages in the position
         ranges: the edges inside them, less groups left with < 2 members."""
@@ -255,18 +231,21 @@ class MessageIndex:
         present, codes = np.unique(t.group_relation[kept], return_inverse=True)
         return GroupTable([t.relations[r] for r in present], codes,
                           [t.keys[g] for g in np.flatnonzero(kept).tolist()], sizes[kept],
-                          [self.ids[p] for p in t.members[inside].tolist()])
+                          t.members[inside])
 
 
 def build_index(ordered: list, relations: list, source_sha256: str = "") -> MessageIndex:
     """The index of chronologically sorted messages, grouped by `build_groups`."""
-    t = GroupTable.of(build_groups(ordered, relations), sorted(set(relations)))
     position = {m.id: i for i, m in enumerate(ordered)}
-    members = np.array([position[mid] for mid in t.members], dtype=np.int32)
+    groups = build_groups(ordered, relations)
+    names = sorted(set(relations))
+    sizes = [len(g.member_ids) for g in groups]
+    members = np.array([position[mid] for g in groups for mid in g.member_ids], dtype=np.int32)
+    group = np.repeat(np.arange(len(groups)), sizes)
+    table = GroupTable(names, [names.index(g.relation) for g in groups], [g.key for g in groups],
+                       sizes, members[np.lexsort((members, group))])
     labels = np.array([-1 if m.label is None else m.label for m in ordered], dtype=np.int8)
-    return MessageIndex([m.id for m in ordered], labels, list(relations),
-                        GroupTable(t.relations, t.group_relation, t.keys, t.sizes, members),
-                        source_sha256)
+    return MessageIndex([m.id for m in ordered], labels, list(relations), table, source_sha256)
 
 
 def write_index(path, index: MessageIndex) -> None:
@@ -422,10 +401,12 @@ def chronological_split(messages: list, n_subsets: int, fractions: tuple) -> Spl
 # --- line-delimited ingestion / serialization ---
 
 def _int_field(rec: Mapping, name: str, default):
-    try:
-        return default if rec.get(name) is None else int(rec[name])
-    except (ValueError, TypeError, OverflowError):
-        raise DataError(f"{name!r} must be an integer, got {rec[name]!r}") from None
+    value = rec.get(name)
+    if value is None:
+        return default
+    if not is_int(value):
+        raise DataError(f"{name!r} must be an integer, got {value!r}")
+    return value
 
 
 def message_from_record(rec: Mapping, fallback_index: int = 0) -> Message:

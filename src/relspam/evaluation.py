@@ -6,9 +6,11 @@ The protocol is written once, as per-subset steps on in-memory inputs:
 roster needs (tuning on validation), `infer_subset_models` predicts the test
 slice with every roster model (stacked, joint, and combined), and
 `aggregate_report` concatenates the test predictions across subsets and scores
-them overall and on the inductive / transductive partition; all but the first
-take the dataset's `MessageIndex` in place of its messages.
-`evaluate_experiment` runs these steps in one process; the `cli` stages run
+them overall and on the inductive / transductive partition. All but the first
+take the dataset's `MessageIndex` in place of its messages and know a message
+by its chronological position: labels, priors and scores are arrays over
+positions, and a subset's predictions are one array per model over its test
+slice. `evaluate_experiment` runs these steps in one process; the `cli` stages run
 the same steps and only read and write the artifacts between them.
 """
 
@@ -124,12 +126,12 @@ def pr_curve_points(scores, labels) -> list:
     return list(zip((tp / n_pos).tolist(), (tp / seen).tolist()))
 
 
-def metrics_from_dicts(predictions: dict, labels: dict, ids) -> dict:
-    """AUPR/AUROC over the given ids; None when the metric is undefined."""
-    ids = [i for i in ids if i in labels]
-    s = [predictions[i] for i in ids]
-    y = [labels[i] for i in ids]
-    out = {"n": len(ids)}
+def ranking_metrics(scores: np.ndarray, labels: np.ndarray) -> dict:
+    """AUPR/AUROC of the labeled scores (labels 0/1, or -1 for an unlabeled
+    message, which is left out); None when the metric is undefined."""
+    labeled = labels >= 0
+    s, y = scores[labeled], labels[labeled]
+    out = {"n": len(y)}
     try:
         out["aupr"] = aupr(s, y)
         out["auroc"] = auroc(s, y)
@@ -141,16 +143,15 @@ def metrics_from_dicts(predictions: dict, labels: dict, ids) -> dict:
 
 # --- inductive / transductive split ---
 
-def inductive_partition(index: MessageIndex, train: tuple, test: tuple) -> tuple:
+def inductive_partition(index: MessageIndex, train: tuple, test: tuple) -> np.ndarray:
     """A test message is transductive iff it shares a group with a training
-    message; train and test are position ranges. -> sorted (inductive, transductive) ids."""
+    message; train and test are position ranges. -> the inductive flag of
+    each test position."""
     group = index.table.group
     has_train = np.bincount(group[index.inside(train)], minlength=len(index.table)) > 0
     shared = np.zeros(len(index.ids), dtype=bool)
     shared[index.table.members[index.inside(test) & has_train[group]]] = True
-    ids, flags = index.ids[slice(*test)], shared[slice(*test)].tolist()
-    return (sorted(m for m, f in zip(ids, flags) if not f),
-            sorted(m for m, f in zip(ids, flags) if f))
+    return ~shared[slice(*test)]
 
 
 # --- connected-component coverage ---
@@ -165,13 +166,11 @@ class CoverageCurve:
 
 def component_coverage(index: MessageIndex) -> CoverageCurve:
     """Cumulative fraction of messages covered by the connected components of
-    the co-membership graph, largest first and then by smallest id, split by label."""
+    the co-membership graph, largest first and then by earliest message, split by label."""
     n = len(index.ids)
-    rank = np.empty(n, dtype=np.int64)
-    rank[sorted(range(n), key=index.ids.__getitem__)] = np.arange(n)
-    # min-label propagation with pointer jumping: each root is its component's smallest id rank
+    # min-label propagation with pointer jumping: each root is its component's earliest position
     t = index.table
-    root, member, starts = np.arange(n), rank[t.members], np.cumsum(t.sizes) - t.sizes
+    root, member, starts = np.arange(n), t.members, np.cumsum(t.sizes) - t.sizes
     while len(member):
         hooked = root.copy()
         np.minimum.at(hooked, root[member], np.minimum.reduceat(root[member], starts)[t.group])
@@ -180,7 +179,6 @@ def component_coverage(index: MessageIndex) -> CoverageCurve:
         if np.array_equal(hooked, root):
             break
         root = hooked
-    root = root[rank]  # by chronological position
     sizes = np.bincount(root, minlength=n)
     order = np.flatnonzero(sizes)
     order = order[np.argsort(-sizes[order], kind="stable")]
@@ -294,11 +292,12 @@ class ExperimentConfig:
         self.required_stacks()  # parses every roster name
 
 
-def tune_epsilons(priors: dict, groups: list, labels: dict, relations: list,
+def tune_epsilons(priors: np.ndarray, groups: GroupTable, labels: np.ndarray, relations: list,
                   start: dict | float = 0.1, grid=EPSILON_GRID) -> dict:
     """One coordinate-descent pass over the per-relation epsilon grid,
-    maximizing validation AUPR of the joint posteriors, from the epsilons
-    `start` (shared, or per relation with 0.1 for one left out).
+    maximizing the AUPR of the joint posteriors over the labeled messages
+    with a prior (`priors` over positions, NaN where none), from the
+    epsilons `start` (shared, or per relation with 0.1 for one left out).
 
     The graph is built once. Each relation's current value and grid run as
     one batched BP call, and scores are memoized by the per-relation epsilons,
@@ -306,21 +305,21 @@ def tune_epsilons(priors: dict, groups: list, labels: dict, relations: list,
     the best score so far strictly to replace it.
     """
     eps = {r: start.get(r, 0.1) if isinstance(start, dict) else start for r in relations}
-    ids = sorted(set(priors) & set(labels))
-    if not ids or not relations:
+    scored = np.flatnonzero(~np.isnan(priors) & (labels >= 0))
+    if not len(scored) or not relations:
         return eps
     graph = build_factor_graph(priors, groups, eps)
-    y = [labels[i] for i in ids]
+    y = labels[scored]
     try:
         _check_binary(y)
     except DataError:
         return eps  # AUPR is undefined on these labels whatever the epsilons
     # a grouped message scores its marginal, any other its prior
-    grouped = set(GroupTable.of(groups).members)
-    position = {vid: i for i, vid in enumerate(graph.ids)}
-    rows = [k for k, i in enumerate(ids) if i in grouped]
-    cols = [position[ids[k]] for k in rows]
-    prior = np.array([priors[i] for i in ids], dtype=float)
+    variable = np.full(len(priors), -1)
+    variable[graph.messages] = np.arange(graph.n_messages)
+    rows = np.flatnonzero(variable[scored] >= 0)
+    cols = variable[scored][rows]
+    prior = priors[scored]
     memo = {}
 
     def scores(candidates: list) -> list:
@@ -346,16 +345,16 @@ def tune_epsilons(priors: dict, groups: list, labels: dict, relations: list,
 
 def tune_l2(fm_train, labels, fm_val, val_labels, scale_columns, config: ClassifierConfig,
             grid: list) -> float:
-    """Pick the regularization strength with the best validation AUPR."""
+    """Pick the regularization strength with the best validation AUPR; the
+    labels are those of the matrices' rows."""
     best_l2, best_score = config.l2, None
-    val_ids = [i for i in fm_val.row_ids if i in val_labels]
-    if len({val_labels[i] for i in val_ids}) < 2:
+    labeled = val_labels >= 0
+    if len(set(val_labels[labeled].tolist())) < 2:
         return config.l2
     for l2 in grid:
         model = fit_classifier(fm_train, labels, scale_columns, replace(config, l2=l2))
-        preds = model.predict_proba(fm_val)
         try:
-            s = aupr([preds[i] for i in val_ids], [val_labels[i] for i in val_ids])
+            s = aupr(model.predict_proba(fm_val)[labeled], val_labels[labeled])
         except DataError:
             continue
         if best_score is None or s > best_score:
@@ -371,6 +370,17 @@ def ordered_dataset(messages: list) -> list:
     if not report.ok:
         raise DataError("dataset failed validation: " + "; ".join(report.errors[:5]))
     return sort_chronologically(messages)
+
+
+def check_training_labels(index: MessageIndex, plan: SplitPlan) -> None:
+    """Raise a `DataError` naming the subset and the first message of a
+    training slice without a label: every training message needs one."""
+    for i, subset in enumerate(plan.subsets):
+        unlabeled = np.flatnonzero(index.labels[slice(*subset.train)] < 0)
+        if len(unlabeled):
+            first = index.ids[subset.train[0] + unlabeled[0]]
+            raise DataError(f"subset {i}: {len(unlabeled)} training messages lack a label "
+                            f"(first: {first!r}); every training message needs one")
 
 
 def graph_feature_table(config: ExperimentConfig, follows: list) -> dict:
@@ -391,35 +401,48 @@ def featurize_subset(ordered: list, subset: SubsetSplit, config: ExperimentConfi
     return pipe.transform(train_msgs + val_msgs + test_msgs, labels_of(train_msgs))
 
 
-def center_mrf_priors(priors: dict, config: ExperimentConfig) -> dict:
+def center_mrf_priors(priors: np.ndarray, config: ExperimentConfig) -> np.ndarray:
     """Recenter priors on `config.mrf_prior_center` ("auto": their mean) for the MRF."""
     center = config.mrf_prior_center
     if center == "auto":
-        center = float(np.mean(list(priors.values()))) if priors else 0.5
+        center = float(np.mean(priors)) if len(priors) else 0.5
     return recenter_scores(priors, center) if center else priors
+
+
+def _rows(fm: FeatureMatrix, subset: SubsetSplit, span: tuple) -> FeatureMatrix:
+    """The rows of a subset's matrix at the position range `span`."""
+    base = subset.train[0]
+    return fm.rows(span[0] - base, span[1] - base)
+
+
+def _over_positions(n: int, span: tuple, values) -> np.ndarray:
+    """A float array over n positions: `values` at the range `span`, NaN elsewhere."""
+    out = np.full(n, np.nan)
+    out[slice(*span)] = values
+    return out
 
 
 def train_subset_models(index: MessageIndex, subset: SubsetSplit, fm: FeatureMatrix,
                         config: ExperimentConfig) -> dict:
     """Fit every artifact the roster needs on one subset's training slice,
     tuning on its validation slice; `fm` is the subset's feature matrix."""
-    train_ids = index.ids[slice(*subset.train)]
-    fm_train = fm.select_rows(train_ids)
-    fm_val = fm.select_rows(index.ids[slice(*subset.validation)])
+    fm_train, fm_val = _rows(fm, subset, subset.train), _rows(fm, subset, subset.validation)
     scale_columns = scalable_columns(fm.column_names)
-    labels, val_labels = index.labels_in(*subset.train), index.labels_in(*subset.validation)
+    labels = index.labels[slice(*subset.train)]
     clf_config = config.classifier
     if config.l2_grid:
-        best = tune_l2(fm_train, labels, fm_val, val_labels,
+        best = tune_l2(fm_train, labels, fm_val, index.labels[slice(*subset.validation)],
                        scale_columns, clf_config, config.l2_grid)
         clf_config = replace(clf_config, l2=best)
     artifacts = {"independent": fit_classifier(fm_train, labels, scale_columns, clf_config)}
     stacks = config.required_stacks()
-    groups_train = index.groups(subset.train) if stacks else []
+    if stacks:
+        groups_train = index.groups(subset.train)
     for k in stacks:
         artifacts[f"sgl{k}"] = train_stacked(
-            train_ids, fm_train, labels, groups_train, K=k, relations=config.relations,
-            scale_columns=scale_columns, config=clf_config, pseudo_mode=config.stack_mode)
+            np.arange(*subset.train), fm_train, index.labels, groups_train, K=k,
+            relations=config.relations, scale_columns=scale_columns, config=clf_config,
+            pseudo_mode=config.stack_mode)
 
     joints = {parse_model_name(m)[1] for m in config.models}
     has_val = subset.validation[1] > subset.validation[0]
@@ -429,18 +452,21 @@ def train_subset_models(index: MessageIndex, subset: SubsetSplit, fm: FeatureMat
     if learn_psl or tune_mrf:
         val_groups = index.groups(subset.validation)
         val_priors = artifacts["independent"].predict_proba(fm_val)
+    n = len(index.ids)
     if "psl" in joints:
         weights = hinge.weights.copy()
         if learn_psl:
-            weights, _ = learn_weights(weights, val_labels, val_groups, val_priors,
+            weights, _ = learn_weights(weights, index.labels, val_groups,
+                                       _over_positions(n, subset.validation, val_priors),
                                        steps=hinge.learn_steps,
                                        learning_rate=hinge.learning_rate, p=hinge.exponent)
         artifacts["psl_weights"] = weights
     if "mrf" in joints:
         eps = config.epsilons
         if tune_mrf:
-            eps = tune_epsilons(center_mrf_priors(val_priors, config), val_groups,
-                                val_labels, config.relations, start=eps)
+            centered = center_mrf_priors(val_priors, config)
+            eps = tune_epsilons(_over_positions(n, subset.validation, centered), val_groups,
+                                index.labels, config.relations, start=eps)
         artifacts["epsilons"] = eps
     return artifacts
 
@@ -448,45 +474,43 @@ def train_subset_models(index: MessageIndex, subset: SubsetSplit, fm: FeatureMat
 def infer_subset_models(artifacts: dict, index: MessageIndex, subset: SubsetSplit,
                         fm: FeatureMatrix, config: ExperimentConfig) -> tuple:
     """Test predictions for every roster model on one subset; `fm` is the
-    subset's feature matrix. -> (predictions by model, diagnostics)
+    subset's feature matrix. -> (scores of the test positions by model, diagnostics)
 
     Joint models see training messages as observed evidence: gold labels act
     as (clamped) priors in the MRF and as fixed values in the HL-MRF.
     """
-    test_ids = index.ids[slice(*subset.test)]
-    fm_test = fm.select_rows(test_ids)
+    test = slice(*subset.test)
+    fm_test = _rows(fm, subset, subset.test)
     groups_tt = index.groups(subset.train, subset.test)
-    context = {mid: float(v) for mid, v in index.labels_in(*subset.train).items()}
+    context = _over_positions(len(index.ids), subset.train, index.labels[slice(*subset.train)])
     diagnostics = {"bp_nonconverged": 0, "map_nonconverged": 0}
 
     base_preds = artifacts["independent"].predict_proba(fm_test)
     stacked_preds = {}
     for k in config.required_stacks():
-        stacked_preds[k] = infer_stacked(artifacts[f"sgl{k}"], fm_test, groups_tt,
-                                         context_scores=context,
-                                         available_relations=config.relations)
+        stacked_preds[k] = infer_stacked(artifacts[f"sgl{k}"], fm_test, np.arange(*subset.test),
+                                         groups_tt, context, available_relations=config.relations)
 
-    def joint_scores(joint: str, priors_test: dict) -> dict:
+    def joint_scores(joint: str, priors_test: np.ndarray) -> np.ndarray:
         if joint == "mrf":
-            priors = dict(context)
-            priors.update(center_mrf_priors(priors_test, config))
-            result = infer_posteriors(priors, groups_tt, artifacts.get("epsilons", config.epsilons))
-            diagnostics["bp_nonconverged"] += 0 if result.converged else 1
-            return {mid: result.scores[mid] for mid in test_ids}
+            priors = context.copy()
+            priors[test] = center_mrf_priors(priors_test, config)
+            scores, bp = infer_posteriors(priors, groups_tt,
+                                          artifacts.get("epsilons", config.epsilons))
+            diagnostics["bp_nonconverged"] += 0 if bp.converged else 1
+            return scores[test]
         scores, map_result = infer_hinge_posteriors(
-            priors_test, groups_tt, artifacts.get("psl_weights", config.hinge.weights),
-            p=config.hinge.exponent, observed=context)
+            _over_positions(len(context), subset.test, priors_test), groups_tt,
+            artifacts.get("psl_weights", config.hinge.weights), p=config.hinge.exponent,
+            observed=context)
         diagnostics["map_nonconverged"] += 0 if map_result.converged else 1
-        return {mid: scores[mid] for mid in test_ids}
+        return scores[test]
 
     preds_by_model = {}
     for name in config.models:
         stacks, joint = parse_model_name(name)
         prior_preds = base_preds if stacks is None else stacked_preds[stacks]
-        if joint is None:
-            preds_by_model[name] = {mid: prior_preds[mid] for mid in test_ids}
-        else:
-            preds_by_model[name] = joint_scores(joint, {mid: prior_preds[mid] for mid in test_ids})
+        preds_by_model[name] = prior_preds if joint is None else joint_scores(joint, prior_preds)
     return preds_by_model, diagnostics
 
 
@@ -545,35 +569,36 @@ def aggregate_report(config: ExperimentConfig, index: MessageIndex, plan: SplitP
     overall and on the inductive partition."""
     coverage = component_coverage(index)
     roster = config.models
-    labels = index.labels_in(0, len(index.ids))
-    all_preds: dict = {name: {} for name in roster}
+    scores: dict = {name: [] for name in roster}
+    inductive_scores: dict = {name: [] for name in roster}
     per_subset_metrics: dict = {name: [] for name in roster}
-    test_ids_all: list = []
-    inductive_ids: list = []
+    labels, inductive_labels = [], []
     for subset, preds in zip(plan.subsets, subset_preds):
-        test_ids = index.ids[slice(*subset.test)]
-        ind, _ = inductive_partition(index, subset.train, subset.test)
-        test_ids_all.extend(test_ids)
-        inductive_ids.extend(ind)
+        test_labels = index.labels[slice(*subset.test)]
+        inductive = inductive_partition(index, subset.train, subset.test)
+        labels.append(test_labels)
+        inductive_labels.append(test_labels[inductive])
         for name in roster:
-            all_preds[name].update(preds[name])
-            per_subset_metrics[name].append(metrics_from_dicts(preds[name], labels, test_ids))
+            scores[name].append(preds[name])
+            inductive_scores[name].append(preds[name][inductive])
+            per_subset_metrics[name].append(ranking_metrics(preds[name], test_labels))
+    labels, inductive_labels = np.concatenate(labels), np.concatenate(inductive_labels)
 
     model_entries = []
     for name in roster:
         model_entries.append({
             "model": name,
-            "overall": metrics_from_dicts(all_preds[name], labels, test_ids_all),
-            "inductive": metrics_from_dicts(all_preds[name], labels, inductive_ids),
+            "overall": ranking_metrics(np.concatenate(scores[name]), labels),
+            "inductive": ranking_metrics(np.concatenate(inductive_scores[name]), inductive_labels),
             "per_subset": per_subset_metrics[name],
         })
     return EvaluationReport(
         models=model_entries,
         n_messages=len(index.ids),
         n_subsets=len(subset_preds),
-        n_test=len(test_ids_all),
-        n_inductive=len(inductive_ids),
-        n_transductive=len(test_ids_all) - len(inductive_ids),
+        n_test=len(labels),
+        n_inductive=len(inductive_labels),
+        n_transductive=len(labels) - len(inductive_labels),
         coverage=asdict(coverage),
         diagnostics=diagnostics,
         config={key: getattr(config, key) for key in REPORTED_SETTINGS},
@@ -586,6 +611,7 @@ def evaluate_experiment(messages: list, follows: list, config: ExperimentConfig)
     ordered = ordered_dataset(messages)
     index = build_index(ordered, config.relations)
     plan = chronological_split(ordered, config.n_subsets, config.fractions)
+    check_training_labels(index, plan)
     graph_table = graph_feature_table(config, follows)
     subset_preds, diagnostics = [], []
     for i, subset in enumerate(plan.subsets):

@@ -1,6 +1,8 @@
 """Independent-model features: content, sequential user behavior, follower-graph
 scores, and hashed character n-grams, assembled into a sparse feature matrix
-with a column dictionary frozen at fit time.
+with a column dictionary frozen at fit time. A subset's matrix holds its
+messages in chronological order, so a slice of the subset is a range of rows
+(`FeatureMatrix.rows`).
 """
 
 from __future__ import annotations
@@ -363,10 +365,9 @@ class FeatureMatrix:
     def shape(self):
         return self.matrix.shape
 
-    def select_rows(self, ids: list) -> "FeatureMatrix":
-        pos = {rid: i for i, rid in enumerate(self.row_ids)}
-        idx = [pos[i] for i in ids]
-        return FeatureMatrix(list(ids), self.column_names, self.matrix[idx])
+    def rows(self, a: int, b: int) -> "FeatureMatrix":
+        """Rows a to b (exclusive)."""
+        return FeatureMatrix(self.row_ids[a:b], self.column_names, self.matrix[a:b])
 
 
 def hstack_features(fm: FeatureMatrix, extra_columns: list, extra: sp.spmatrix) -> FeatureMatrix:

@@ -5,9 +5,10 @@ hub-to-member propagation) are grounded straight from the groups' (group,
 member) edge arrays, the `GroupTable` the hub MRF builds from too, into
 one row per weighted hinge potential max(0, l)^p, with l linear in the
 variables, held as a sparse coefficient matrix, a constant and a weight vector
-and a template id per row. MAP inference minimizes the convex weighted sum by
-Jacobi-scaled projected gradient descent; template weights can be learned from
-labeled validation data.
+and a template id per row. Priors, observed values and scores are float
+arrays over chronological positions. MAP inference minimizes the convex
+weighted sum by Jacobi-scaled projected gradient descent; template weights can
+be learned from labeled validation data.
 """
 
 from __future__ import annotations
@@ -94,8 +95,7 @@ class GroundHingeModel:
     by variable, and its products sum in that order.
     """
 
-    var_ids: list
-    var_kinds: list  # "message" or "hub", aligned with var_ids
+    messages: np.ndarray  # the positions of the message variables, which come first; hubs follow
     A: sp.csr_matrix  # (n_potentials, n_vars)
     const: np.ndarray
     weight: np.ndarray
@@ -112,7 +112,7 @@ class GroundHingeModel:
 
     @property
     def n_vars(self) -> int:
-        return len(self.var_ids)
+        return self.A.shape[1]
 
     @property
     def potentials(self) -> range:
@@ -149,42 +149,46 @@ class GroundHingeModel:
         return np.maximum(0.0, self.linear_values(x)) ** self.exponent
 
 
-def ground_rules(priors: dict, groups: list, weights: HingeWeights, p: int = 2,
-                 observed: dict | None = None) -> GroundHingeModel:
+def ground_rules(priors: np.ndarray, groups: GroupTable, weights: HingeWeights, p: int = 2,
+                 observed: np.ndarray | None = None) -> GroundHingeModel:
     """Instantiate the rule templates over grouped messages and their hubs.
 
-    Messages in `observed` are fixed constants rather than variables: they
-    contribute evidence through the relational hinges but get no prior hinges
-    of their own.
+    `priors` and `observed` are float arrays over positions, NaN where a
+    message has none. Observed messages are fixed constants rather than
+    variables: they contribute evidence through the relational hinges but
+    get no prior hinges of their own.
 
-    Variables are the free messages (sorted by id), then one hub per group.
-    Rows are a neg and a prior hinge per free message, then a c and a d hinge
-    per (group, member) pair, in group and member order.
+    Variables are the free messages (in position order), then one hub per
+    group. Rows are a neg and a prior hinge per free message, then a c and a
+    d hinge per (group, member) pair, in group and member order.
     """
     if p not in (1, 2):
         raise ConfigError(f"hinge exponent must be 1 or 2, got {p}")
-    observed = observed or {}
-    edges = GroupTable.of(groups)
-    relations = edges.relations
+    relations = groups.relations
     weights.validate(relations)
+    if observed is None:
+        observed = np.full(len(priors), np.nan)
+    is_observed = ~np.isnan(observed)
+    value_of = np.where(is_observed, observed, priors)
 
-    grouped = sorted(set(edges.members))
-    missing = [mid for mid in grouped if mid not in priors and mid not in observed]
-    if missing:
-        raise DataError(f"{len(missing)} grouped messages lack priors (first: {missing[0]})")
+    grouped = np.unique(groups.members)
+    missing = grouped[np.isnan(value_of[grouped])]
+    if len(missing):
+        raise DataError(f"{len(missing)} grouped messages lack priors "
+                        f"(first: position {missing[0]})")
 
-    free = [mid for mid in grouped if mid not in observed]
-    n_free, n_groups = len(free), len(edges)
-    index = {mid: j for j, mid in enumerate(free)}
-    prior = np.clip(np.array([priors[mid] for mid in free], dtype=float), 0.0, 1.0)
+    free = grouped[~is_observed[grouped]]
+    n_free, n_groups = len(free), len(groups)
+    index = np.full(len(priors), -1, dtype=np.int64)
+    index[free] = np.arange(n_free)
+    prior = np.clip(priors[free], 0.0, 1.0)
 
     # one entry per (group, member) pair
-    members, group_of, rel = edges.members, edges.group, edges.relation
+    members, group_of, rel = groups.members, groups.group, groups.relation
     hub = n_free + group_of
-    col = np.array([index.get(mid, -1) for mid in members], dtype=np.int64)
+    col = index[members]
     is_free = col >= 0
-    value = np.array([observed[mid] if mid in observed else priors[mid] for mid in members],
-                     dtype=float)
+    value = value_of[members]
 
     # Row slices of the four templates. Each row has up to two (column, coefficient)
     # entries; an observed member's value moves into the constant and its row
@@ -218,10 +222,8 @@ def ground_rules(priors: dict, groups: list, weights: HingeWeights, p: int = 2,
     A = sp.csr_matrix((coef.ravel()[keep], cols.ravel()[keep], indptr),
                       shape=(n_rows, n_free + n_groups))
     per_template = np.array([weights.of_template(t) for t in templates], dtype=float)
-    hub_mean = np.bincount(group_of, weights=value, minlength=n_groups) / edges.sizes
-    return GroundHingeModel(var_ids=free + edges.hub_ids(),
-                            var_kinds=["message"] * n_free + ["hub"] * n_groups,
-                            A=A, const=const, weight=per_template[template_id],
+    hub_mean = np.bincount(group_of, weights=value, minlength=n_groups) / groups.sizes
+    return GroundHingeModel(messages=free, A=A, const=const, weight=per_template[template_id],
                             template_id=template_id, templates=templates,
                             init=np.clip(np.concatenate([prior, hub_mean]), 0.0, 1.0),
                             exponent=p)
@@ -229,8 +231,7 @@ def ground_rules(priors: dict, groups: list, weights: HingeWeights, p: int = 2,
 
 @dataclass
 class MapResult:
-    assignment: dict  # variable id -> value in [0, 1]
-    x: np.ndarray
+    x: np.ndarray  # per variable, in [0, 1]
     objective: float
     converged: bool
     n_iters: int
@@ -288,8 +289,7 @@ def map_inference(model: GroundHingeModel, tol: float = 1e-6, max_iter: int = 50
         x, lin, f = x_new, lin_new, f_new
     if not converged:
         log.warning("MAP inference hit max_iter=%d", max_iter)
-    assignment = {vid: float(v) for vid, v in zip(model.var_ids, x)}
-    return MapResult(assignment=assignment, x=x, objective=f, converged=converged, n_iters=it)
+    return MapResult(x=x, objective=f, converged=converged, n_iters=it)
 
 
 def _map_subgradient(model: GroundHingeModel, tol: float, max_iter: int, step: float):
@@ -314,22 +314,20 @@ def _map_subgradient(model: GroundHingeModel, tol: float, max_iter: int, step: f
     converged = it < max_iter
     if not converged:
         log.warning("MAP inference hit max_iter=%d", max_iter)
-    assignment = {vid: float(v) for vid, v in zip(model.var_ids, best_x)}
-    return MapResult(assignment=assignment, x=best_x, objective=best_f,
-                     converged=converged, n_iters=it)
+    return MapResult(x=best_x, objective=best_f, converged=converged, n_iters=it)
 
 
-def infer_hinge_posteriors(priors: dict, groups: list, weights: HingeWeights | None = None,
-                           p: int = 2, observed: dict | None = None,
-                           tol: float = 1e-9, max_iter: int = 5000):
-    """Joint PSL-style scores: MAP values for grouped messages, priors otherwise."""
+def infer_hinge_posteriors(priors: np.ndarray, groups: GroupTable,
+                           weights: HingeWeights | None = None, p: int = 2,
+                           observed: np.ndarray | None = None, tol: float = 1e-9,
+                           max_iter: int = 5000):
+    """Joint PSL-style scores over positions: MAP values for grouped free
+    messages, priors otherwise. -> (scores, MapResult)"""
     weights = weights or HingeWeights()
     model = ground_rules(priors, groups, weights, p=p, observed=observed)
     result = map_inference(model, tol=tol, max_iter=max_iter)
-    scores = dict(priors)
-    for vid, kind in zip(model.var_ids, model.var_kinds):
-        if kind == "message":
-            scores[vid] = result.assignment[vid]
+    scores = priors.copy()
+    scores[model.messages] = result.x[:len(model.messages)]
     return scores, result
 
 
@@ -341,18 +339,19 @@ def _template_sums(model: GroundHingeModel, x: np.ndarray) -> dict:
     return {t: float(s) for t, s, r in zip(model.templates, sums, rows) if r}
 
 
-def learn_weights(init: HingeWeights, labels: dict, groups: list, priors: dict,
-                  steps: int = 10, learning_rate: float = 0.05, p: int = 2):
+def learn_weights(init: HingeWeights, labels: np.ndarray, groups: GroupTable,
+                  priors: np.ndarray, steps: int = 10, learning_rate: float = 0.05, p: int = 2):
     """Approximate likelihood ascent for the template weights.
 
     The gradient of each template weight is the template's summed hinge value
-    at the current MAP state minus its value at the observed state (gold
-    labels, id -> 0/1, with hubs imputed as member means); weights are
+    at the current MAP state minus its value at the observed state (the gold
+    labels, int8 over positions with -1 unlabeled, and the prior where a
+    message has none, with hubs imputed as member means); weights are
     projected to >= 0. The model is grounded once and re-weighted at every
     step. Returns (weights, objective_trace).
     """
-    if not labels:
-        log.warning("no labeled validation data; returning initial weights")
+    if not (labels[groups.members] >= 0).any():
+        log.warning("no labeled grouped validation message; returning initial weights")
         return init.copy(), []
 
     weights = init.copy()
@@ -360,14 +359,11 @@ def learn_weights(init: HingeWeights, labels: dict, groups: list, priors: dict,
     if steps <= 0:
         return weights, trace
     model = ground_rules(priors, groups, weights, p=p)
-    observed_x = np.array([
-        float(labels.get(vid, priors.get(vid, 0.5))) if kind == "message" else 0.0
-        for vid, kind in zip(model.var_ids, model.var_kinds)
-    ])
-    # hubs, one per group after the messages, observed as their members' mean
-    for j, g in enumerate(groups, len(model.var_ids) - len(groups)):
-        vals = [float(labels.get(mid, priors.get(mid, 0.5))) for mid in g.member_ids]
-        observed_x[j] = float(np.mean(vals))
+    truth = np.where(labels >= 0, labels, priors)
+    ends = np.cumsum(groups.sizes)
+    hub_truth = [np.mean(truth[groups.members[end - size:end]])
+                 for size, end in zip(groups.sizes.tolist(), ends.tolist())]
+    observed_x = np.concatenate([truth[model.messages], hub_truth])
     phi_obs = _template_sums(model, observed_x)
 
     for _ in range(steps):

@@ -1,8 +1,9 @@
 """Regularized logistic regression: the independent per-message classifier.
 
-Spam probabilities from this model are the priors consumed by the stacking
-and joint-inference modules. Training is full-batch gradient descent with
-backtracking line search, so it is deterministic.
+Spam probabilities from this model, an array over a feature matrix's rows,
+are the priors consumed by the stacking and joint-inference modules. Training
+is full-batch gradient descent with backtracking line search, so it is
+deterministic.
 """
 
 from __future__ import annotations
@@ -38,22 +39,18 @@ def _logit(p: float) -> float:
     return float(np.log(p / (1.0 - p)))
 
 
-def recenter_scores(scores: dict, center: float) -> dict:
+def recenter_scores(scores: np.ndarray, center: float) -> np.ndarray:
     """Shift probabilities in log-odds so `center` maps to 0.5.
 
     Joint and pooled models treat 0.5 as neutral, but a calibrated classifier
     on imbalanced data scores even clear spam below 0.5; dividing out the base
     rate puts group evidence on the right side of neutral. Extreme values
-    (gold labels injected as 0/1) stay extreme.
+    (gold labels injected as 0/1) stay extreme, and NaN (unscored) stays NaN.
     """
     center = min(max(center, 1e-6), 1.0 - 1e-6)
     shift = np.log(center / (1.0 - center))
-    out = {}
-    for mid, p in scores.items():
-        p = min(max(p, 1e-12), 1.0 - 1e-12)
-        z = np.log(p / (1.0 - p)) - shift
-        out[mid] = float(1.0 / (1.0 + np.exp(-z)))
-    return out
+    p = np.clip(scores, 1e-12, 1.0 - 1e-12)
+    return 1.0 / (1.0 + np.exp(-(np.log(p / (1.0 - p)) - shift)))
 
 
 def columns_hash(column_names: list) -> str:
@@ -123,11 +120,11 @@ class LinearModel:
             raise DataError(f"feature width {X.shape[1]} does not match model ({len(self.weights)})")
         return np.clip(sigmoid(self.decision(X)), PROB_EPS, 1.0 - PROB_EPS)
 
-    def predict_proba(self, fm: FeatureMatrix) -> dict:
+    def predict_proba(self, fm: FeatureMatrix) -> np.ndarray:
+        """Spam probabilities of the matrix's rows, in row order."""
         if self.columns_hash and columns_hash(fm.column_names) != self.columns_hash:
             raise DataError("feature matrix columns do not match the model's column dictionary")
-        p = self.predict_proba_matrix(fm.matrix)
-        return {rid: float(pi) for rid, pi in zip(fm.row_ids, p)}
+        return self.predict_proba_matrix(fm.matrix)
 
     def to_json(self) -> str:
         payload = {
@@ -239,14 +236,19 @@ class ClassifierConfig:
     tol: float = 1e-6
 
 
-def fit_classifier(fm: FeatureMatrix, labels: dict, scale_columns: list | None = None,
+def fit_classifier(fm: FeatureMatrix, labels, scale_columns: list | None = None,
                    config: ClassifierConfig | None = None) -> LinearModel:
-    """Train on a labeled FeatureMatrix, standardizing the given columns."""
+    """Train on a FeatureMatrix and the labels of its rows (0/1, -1
+    unlabeled, which fails), standardizing the given columns."""
     config = config or ClassifierConfig()
-    missing = [rid for rid in fm.row_ids if rid not in labels]
-    if missing:
-        raise DataError(f"{len(missing)} training rows lack labels (first: {missing[0]})")
-    y = np.array([labels[rid] for rid in fm.row_ids], dtype=float)
+    labels = np.asarray(labels)
+    if labels.shape != (fm.shape[0],):
+        raise DataError(f"{labels.size} labels for {fm.shape[0]} training rows")
+    missing = np.flatnonzero(labels < 0)
+    if len(missing):
+        raise DataError(f"{len(missing)} training rows lack labels "
+                        f"(first: {fm.row_ids[missing[0]]})")
+    y = labels.astype(float)
 
     scaler = None
     X = fm.matrix

@@ -3,12 +3,12 @@
 Each group of related messages contributes one latent hub variable plus one
 agreement-favoring pairwise factor per member, so a group of n messages costs
 n edges rather than n-choose-2. `build_factor_graph` fills the graph's arrays
-straight from the groups: per variable an id and a (phi_ham, phi_spam) row;
-per edge the message index, the hub index, epsilon and the relation code.
-The (group, member) edge form is a `data_model.GroupTable` (`GroupTable.of`),
-which the hinge-loss MRF grounds from too and the message index restricts to a
-subset without building groups. A graph that is not a hub graph, such as a
-test's random tree, is given as the same arrays.
+straight from a `data_model.GroupTable`, the (group, member) edge form the
+hinge-loss MRF grounds from too: per variable a (phi_ham, phi_spam) row, per
+edge the message variable, the hub variable, epsilon and the relation code.
+Priors and posteriors are float arrays over chronological positions. A graph
+that is not a hub graph, such as a test's random tree, is given as the same
+arrays.
 
 Approximate marginals come from damped synchronous loopy belief propagation,
 one kernel over the arrays that runs a batch of epsilon settings at once;
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import ConfigError, DataError, GroupTable
+from .data_model import ConfigError, DataError, GroupTable, is_number
 
 log = logging.getLogger(__name__)
 
@@ -33,68 +33,70 @@ PRIOR_CLAMP = 1e-6
 class FactorGraph:
     """Binary variables joined by agreement-favoring pairwise factors, as arrays.
 
-    Variable i is ids[i], messages first; phi[i] is its (phi_ham, phi_spam),
-    both positive. Factor f joins variables factors[f, 0] and factors[f, 1]
-    with the table [[1-e, e], [e, 1-e]], e = epsilon[f], and belongs to
-    relation relations[relation[f]].
+    The first len(messages) variables are messages, variable i the message at
+    chronological position messages[i]; the rest are hubs. phi[i] is variable
+    i's (phi_ham, phi_spam), both positive. Factor f joins variables
+    factors[f, 0] and factors[f, 1] with the table [[1-e, e], [e, 1-e]],
+    e = epsilon[f], and belongs to relation relations[relation[f]].
     """
 
-    ids: list
-    n_messages: int
+    messages: np.ndarray  # (n_messages,) positions
     phi: np.ndarray  # (n_variables, 2)
     factors: np.ndarray  # (n_factors, 2) variable indices
     epsilon: np.ndarray  # (n_factors,)
     relation: np.ndarray  # (n_factors,)
     relations: list
 
+    @property
+    def n_messages(self) -> int:
+        return len(self.messages)
+
 
 def _edge_epsilons(relations: list, relation: np.ndarray, epsilons) -> np.ndarray:
     """Per-edge epsilons from one shared value or a per-relation dict (0.1 for
     a relation the dict leaves out), checked for every relation present."""
-    if isinstance(epsilons, (int, float)):
+    if is_number(epsilons):
         per_relation = [float(epsilons)] * len(relations)
     elif isinstance(epsilons, dict):
         per_relation = [epsilons.get(r, 0.1) for r in relations]
     else:
-        per_relation = [0.1] * len(relations)
+        raise ConfigError(f"epsilons must be a number or an object mapping relations to "
+                          f"numbers, got {epsilons!r}")
     for r, eps in zip(relations, per_relation):
-        if not (0.0 < eps < 0.5):
-            raise ConfigError(f"epsilon for relation {r!r} must lie in (0, 0.5), got {eps}")
+        if not (is_number(eps) and 0.0 < eps < 0.5):
+            raise ConfigError(f"epsilon for relation {r!r} must lie in (0, 0.5), got {eps!r}")
     return np.array(per_relation, dtype=float)[relation]
 
 
-def build_factor_graph(priors: dict, groups: list, epsilons) -> FactorGraph:
-    """One message variable per grouped message, one hub variable per group,
-    one pairwise factor per (group, member). Ungrouped messages are excluded:
-    their posterior is their prior by definition.
+def build_factor_graph(priors: np.ndarray, groups: GroupTable, epsilons) -> FactorGraph:
+    """One message variable per grouped message, in position order, one hub
+    variable per group, one pairwise factor per (group, member). `priors` is
+    a float array over positions. Ungrouped messages are excluded: their
+    posterior is their prior by definition.
     """
-    edges = GroupTable.of(groups)
-    grouped_ids = sorted(set(edges.members))
-    missing = [mid for mid in grouped_ids if mid not in priors]
-    if missing:
-        raise DataError(f"{len(missing)} grouped messages lack priors (first: {missing[0]})")
-
-    raw = np.array([priors[mid] for mid in grouped_ids], dtype=float)
+    grouped = np.unique(groups.members)
+    raw = priors[grouped]
+    missing = grouped[np.isnan(raw)]
+    if len(missing):
+        raise DataError(f"{len(missing)} grouped messages lack priors "
+                        f"(first: position {missing[0]})")
     p = np.clip(raw, PRIOR_CLAMP, 1.0 - PRIOR_CLAMP)
     n_clamped = int(np.count_nonzero(p != raw))
     if n_clamped:
         log.debug("clamped %d priors into (0,1)", n_clamped)
-    n_messages = len(grouped_ids)
-    phi = np.full((n_messages + len(edges), 2), 0.5)  # hubs are uninformative
+    n_messages = len(grouped)
+    phi = np.full((n_messages + len(groups), 2), 0.5)  # hubs are uninformative
     phi[:n_messages, 0] = 1.0 - p
     phi[:n_messages, 1] = p
-    index = {mid: j for j, mid in enumerate(grouped_ids)}
-    var_a = np.fromiter((index[mid] for mid in edges.members), dtype=np.int64,
-                        count=len(edges.members))
-    return FactorGraph(grouped_ids + edges.hub_ids(), n_messages, phi,
-                       np.column_stack([var_a, n_messages + edges.group]),
-                       _edge_epsilons(edges.relations, edges.relation, epsilons),
-                       edges.relation, edges.relations)
+    var_a = np.searchsorted(grouped, groups.members)
+    return FactorGraph(grouped, phi, np.column_stack([var_a, n_messages + groups.group]),
+                       _edge_epsilons(groups.relations, groups.relation, epsilons),
+                       groups.relation, groups.relations)
 
 
 @dataclass
 class BPResult:
-    marginals: dict  # variable id -> spam marginal
+    marginals: np.ndarray  # spam marginal per variable
     converged: bool
     n_iters: int
 
@@ -184,8 +186,7 @@ def loopy_bp(graph: FactorGraph, max_iters: int = 100, damping: float = 0.5,
     converged=False.
     """
     spam, n_iters, converged = _bp_rows(graph, graph.epsilon[None, :], max_iters, damping, tol)
-    return BPResult(marginals=dict(zip(graph.ids, spam[0].tolist())),
-                    converged=bool(converged[0]), n_iters=int(n_iters[0]))
+    return BPResult(marginals=spam[0], converged=bool(converged[0]), n_iters=int(n_iters[0]))
 
 
 def loopy_bp_batch(graph: FactorGraph, epsilons: list, max_iters: int = 100,
@@ -203,13 +204,13 @@ def loopy_bp_batch(graph: FactorGraph, epsilons: list, max_iters: int = 100,
     return _bp_rows(graph, rows.reshape(len(epsilons), len(graph.factors)), max_iters, damping, tol)
 
 
-def exact_marginals(graph: FactorGraph) -> dict:
-    """Brute-force marginals by enumerating every assignment. Test oracle only."""
-    n = len(graph.ids)
+def exact_marginals(graph: FactorGraph) -> np.ndarray:
+    """Brute-force spam marginals by enumerating every assignment. Test oracle only."""
+    n = len(graph.phi)
     if n > 20:
         raise DataError(f"exact enumeration capped at 20 variables, got {n}")
     if n == 0:
-        return {}
+        return np.zeros(0)
     states = ((np.arange(2 ** n, dtype=np.int64)[:, None] >> np.arange(n)[None, :]) & 1).astype(np.int8)
     w = np.ones(2 ** n)
     for i, (ham, spam) in enumerate(graph.phi):
@@ -219,31 +220,18 @@ def exact_marginals(graph: FactorGraph) -> dict:
     z = w.sum()
     if z <= 0:
         raise DataError("partition function vanished; check potentials")
-    return {vid: float(w[states[:, i] == 1].sum() / z) for i, vid in enumerate(graph.ids)}
+    return np.array([w[states[:, i] == 1].sum() / z for i in range(n)])
 
 
-@dataclass
-class JointResult:
-    scores: dict  # message id -> posterior spam probability
-    hub_scores: dict
-    converged: bool
-    n_iters: int
-    n_variables: int
-    n_factors: int
-
-
-def infer_posteriors(priors: dict, groups: list, epsilons=0.1, max_iters: int = 100,
-                     damping: float = 0.5, tol: float = 1e-6) -> JointResult:
+def infer_posteriors(priors: np.ndarray, groups: GroupTable, epsilons=0.1, max_iters: int = 100,
+                     damping: float = 0.5, tol: float = 1e-6) -> tuple:
     """Full inference path: build the hub graph, run BP, and merge posteriors.
+    -> (scores over positions, BPResult)
 
     Messages not in any group keep their prior.
     """
     graph = build_factor_graph(priors, groups, epsilons)
     result = loopy_bp(graph, max_iters=max_iters, damping=damping, tol=tol)
-    ids, n_messages = graph.ids, graph.n_messages
-    scores = dict(priors)
-    scores.update((vid, result.marginals[vid]) for vid in ids[:n_messages])
-    hub_scores = {vid: result.marginals[vid] for vid in ids[n_messages:]}
-    return JointResult(scores=scores, hub_scores=hub_scores, converged=result.converged,
-                       n_iters=result.n_iters, n_variables=len(graph.ids),
-                       n_factors=len(graph.factors))
+    scores = priors.copy()
+    scores[graph.messages] = result.marginals[:graph.n_messages]
+    return scores, result

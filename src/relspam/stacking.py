@@ -4,7 +4,9 @@ pseudo-relational features built from the previous one's predictions.
 Training uses the holdout scheme: the (chronologically sorted) training data
 is split into K+1 contiguous slices, the base model trains on the first, and
 each later submodel trains on its own slice augmented with grouped-prediction
-ratios rolled forward from the earlier submodels.
+ratios rolled forward from the earlier submodels. Messages are chronological
+positions; scores, labels and the ratios are arrays over them, and the ratios
+are one array pass per relation over a group table's edges.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .data_model import ConfigError, DataError
+from .data_model import SPAM, ConfigError, DataError, GroupTable
 from .features import FeatureMatrix, hstack_features
 from .linear import ClassifierConfig, LinearModel, fit_classifier, recenter_scores
 
@@ -30,53 +32,50 @@ def pseudo_columns(relations: list) -> list:
     return [PSEUDO_PREFIX + r for r in relations]
 
 
-def compute_pseudo_features(message_ids: list, groups: list, predictions: dict,
-                            relations: list, mode: str = "soft",
-                            threshold: float = 0.5) -> dict:
+def compute_pseudo_features(rows, groups: GroupTable, scores: np.ndarray, relations: list,
+                            mode: str = "soft", threshold: float = 0.5) -> np.ndarray:
     """Per message and relation: mean predicted spamminess of its co-members.
 
-    The message's own prediction is always excluded. Messages in several
-    groups of one relation pool the union of the other members. Co-members
-    without a prediction are skipped; with no scored co-member at all the
-    neutral 0.5 is emitted. `mode="hard"` averages thresholded labels
-    instead of raw probabilities.
+    `rows` are message positions and `scores` a float array over positions,
+    NaN where unscored; -> a (len(rows), len(relations)) array. The message's
+    own score is always excluded. Messages in several groups of one relation
+    pool the union of the other members. Unscored co-members are skipped;
+    with no scored co-member at all the neutral 0.5 is emitted. `mode="hard"`
+    averages thresholded scores instead of raw probabilities. A mean adds its
+    co-members' scores in position order.
     """
     if mode not in ("soft", "hard"):
         raise ConfigError(f"pseudo-feature mode must be 'soft' or 'hard', got {mode!r}")
-    peers: dict = {rel: {} for rel in relations}
-    wanted = set(message_ids)
-    for g in groups:
-        if g.relation not in peers:
+    rows = np.asarray(rows, dtype=np.int64)
+    n = len(scores)
+    row_of = np.full(n, -1, dtype=np.int64)
+    row_of[rows] = np.arange(len(rows))
+    value = scores if mode == "soft" else (scores >= threshold).astype(float)
+    first = np.cumsum(groups.sizes) - groups.sizes  # each group's first edge
+    out = np.full((len(rows), len(relations)), NEUTRAL_SCORE)
+    for j, rel in enumerate(relations):
+        if rel not in groups.relations:
             continue
-        rel_peers = peers[g.relation]
-        for mid in g.member_ids:
-            if mid in wanted:
-                rel_peers.setdefault(mid, set()).update(m for m in g.member_ids if m != mid)
-
-    out = {}
-    for mid in message_ids:
-        row = {}
-        for rel in relations:
-            others = peers[rel].get(mid)
-            scores = []
-            if others:
-                for other in sorted(others):
-                    p = predictions.get(other)
-                    if p is not None:
-                        scores.append(float(p >= threshold) if mode == "hard" else float(p))
-            row[PSEUDO_PREFIX + rel] = sum(scores) / len(scores) if scores else NEUTRAL_SCORE
-        out[mid] = row
+        # pair each edge of the relation whose member is a row with every edge of its group
+        edge = np.flatnonzero((groups.relation == groups.relations.index(rel))
+                              & (row_of[groups.members] >= 0))
+        group = groups.group[edge]
+        size = groups.sizes[group]
+        offset = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+        mine = np.repeat(groups.members[edge].astype(np.int64), size)
+        peer = groups.members[np.repeat(first[group], size) + offset]
+        keep = (mine != peer) & ~np.isnan(scores[peer])
+        pair = np.unique(mine[keep] * n + peer[keep])  # the union, in (message, peer) order
+        slot = row_of[pair // n]
+        total = np.bincount(slot, weights=value[pair % n], minlength=len(out))
+        count = np.bincount(slot, minlength=len(out))
+        scored = count > 0
+        out[scored, j] = total[scored] / count[scored]
     return out
 
 
-def _pseudo_matrix(fm: FeatureMatrix, pseudo: dict, relations: list) -> FeatureMatrix:
-    cols = pseudo_columns(relations)
-    block = np.zeros((len(fm.row_ids), len(cols)))
-    for i, mid in enumerate(fm.row_ids):
-        row = pseudo[mid]
-        for j, c in enumerate(cols):
-            block[i, j] = row[c]
-    return hstack_features(fm, cols, sp.csr_matrix(block))
+def _pseudo_matrix(fm: FeatureMatrix, pseudo: np.ndarray, relations: list) -> FeatureMatrix:
+    return hstack_features(fm, pseudo_columns(relations), sp.csr_matrix(pseudo))
 
 
 @dataclass
@@ -115,13 +114,14 @@ def _slice_bounds(n: int, parts: int) -> list:
     return [(i * n // parts, (i + 1) * n // parts) for i in range(parts)]
 
 
-def train_stacked(ids: list, fm: FeatureMatrix, labels: dict, groups: list,
+def train_stacked(rows, fm: FeatureMatrix, labels: np.ndarray, groups: GroupTable,
                   K: int, relations: list, scale_columns: list | None = None,
                   config: ClassifierConfig | None = None,
                   pseudo_mode: str = "soft",
                   score_center: float | str | None = "auto") -> StackedModel:
-    """Fit f^0..f^K on K+1 contiguous time slices of the training messages,
-    given by their ids in chronological order.
+    """Fit f^0..f^K on K+1 contiguous time slices of the training messages:
+    the rows of `fm`, at the chronological positions `rows`, labeled by
+    `labels`, the labels of every position.
 
     Predictions roll forward through the chain: slice k sees pseudo-relational
     features computed from f^{k-1}'s predictions on that same slice, plus the
@@ -131,18 +131,18 @@ def train_stacked(ids: list, fm: FeatureMatrix, labels: dict, groups: list,
     """
     if K < 0:
         raise ConfigError("K must be >= 0")
-    if K + 1 > len(ids):
-        raise DataError(f"cannot build {K + 1} stack slices from {len(ids)} messages")
+    rows = np.asarray(rows, dtype=np.int64)
+    if K + 1 > len(rows):
+        raise DataError(f"cannot build {K + 1} stack slices from {len(rows)} messages")
+    if fm.shape[0] != len(rows):
+        raise DataError(f"{fm.shape[0]} feature rows for {len(rows)} training messages")
     config = config or ClassifierConfig()
-    if ids != list(fm.row_ids):
-        fm = fm.select_rows(ids)
+    y = labels[rows]
     if score_center == "auto":
-        labeled = [labels[i] for i in ids if i in labels]
-        score_center = (sum(labeled) / len(labeled)) if labeled else None
+        score_center = int((y == SPAM).sum()) / len(y)
 
-    bounds = _slice_bounds(len(ids), K + 1)
-    slice_ids = [ids[a:b] for a, b in bounds]
-    submodels = [fit_classifier(fm.select_rows(slice_ids[0]), labels, scale_columns, config)]
+    bounds = _slice_bounds(len(rows), K + 1)
+    submodels = [fit_classifier(fm.rows(*bounds[0]), y[slice(*bounds[0])], scale_columns, config)]
     model = StackedModel(submodels=submodels, relations=list(relations),
                          base_columns=list(fm.column_names), pseudo_mode=pseudo_mode,
                          score_center=score_center)
@@ -150,47 +150,47 @@ def train_stacked(ids: list, fm: FeatureMatrix, labels: dict, groups: list,
     # standardizing the ratio columns keeps ridge shrinkage from flattening
     # them: their within-slice variance is small but their signal is not
     aug_scale = list(scale_columns or []) + pseudo_columns(relations)
-    for k in range(1, K + 1):
-        fm_k = fm.select_rows(slice_ids[k])
+    for a, b in bounds[1:]:
+        fm_k = fm.rows(a, b)
         # earlier slices are the past: their gold labels are known, mirroring how
         # training neighbors contribute labels at inference time
-        past = {mid: float(labels[mid])
-                for s in slice_ids[:k] for mid in s if mid in labels}
-        preds = _roll_forward(model, fm_k, groups, context=past)
-        pseudo = _pooled_features(model, slice_ids[k], groups, past, preds)
-        fm_aug = _pseudo_matrix(fm_k, pseudo, relations)
-        submodels.append(fit_classifier(fm_aug, labels, aug_scale, config))
+        past = np.full(len(labels), np.nan)
+        past[rows[:a]] = y[:a]
+        preds = _roll_forward(model, fm_k, rows[a:b], groups, past)
+        pseudo = _pooled_features(model, rows[a:b], groups, past, preds)
+        submodels.append(fit_classifier(_pseudo_matrix(fm_k, pseudo, relations), y[a:b],
+                                        aug_scale, config))
     return model
 
 
-def _pooled_features(model: StackedModel, ids: list, groups: list,
-                     context: dict | None, preds: dict) -> dict:
-    score_map = dict(context) if context else {}
-    score_map.update(preds)
+def _pooled_features(model: StackedModel, rows, groups: GroupTable, context: np.ndarray,
+                     preds: np.ndarray) -> np.ndarray:
+    scores = context.copy()
+    scores[rows] = preds
     if model.score_center is not None:
-        score_map = recenter_scores(score_map, model.score_center)
-    return compute_pseudo_features(ids, groups, score_map, model.relations, model.pseudo_mode)
+        scores = recenter_scores(scores, model.score_center)
+    return compute_pseudo_features(rows, groups, scores, model.relations, model.pseudo_mode)
 
 
-def _roll_forward(model: StackedModel, fm_base: FeatureMatrix, groups: list,
-                  context: dict | None = None) -> dict:
+def _roll_forward(model: StackedModel, fm_base: FeatureMatrix, rows, groups: GroupTable,
+                  context: np.ndarray) -> np.ndarray:
     """Apply the submodel chain to one slice, re-deriving pseudo features at each step."""
     preds = model.submodels[0].predict_proba(fm_base)
     for f_k in model.submodels[1:]:
-        pseudo = _pooled_features(model, fm_base.row_ids, groups, context, preds)
-        fm_aug = _pseudo_matrix(fm_base, pseudo, model.relations)
-        preds = f_k.predict_proba(fm_aug)
+        pseudo = _pooled_features(model, rows, groups, context, preds)
+        preds = f_k.predict_proba(_pseudo_matrix(fm_base, pseudo, model.relations))
     return preds
 
 
-def infer_stacked(model: StackedModel, fm_test: FeatureMatrix, groups: list,
-                  context_scores: dict | None = None,
-                  available_relations: list | None = None) -> dict:
-    """Chain inference on test rows: f^0, then alternate pseudo features and f^k.
+def infer_stacked(model: StackedModel, fm_test: FeatureMatrix, rows, groups: GroupTable,
+                  context: np.ndarray, available_relations: list | None = None) -> np.ndarray:
+    """Chain inference on test rows, at the positions `rows`: f^0, then
+    alternate pseudo features and f^k. -> the rows' scores.
 
-    `groups` should be built over train and test jointly; `context_scores`
-    supplies spamminess values (gold labels or predictions) for non-test
-    group members so test messages can draw on their training neighbors.
+    `groups` should be built over train and test jointly; `context` holds a
+    spamminess value (gold label or prediction) for each non-test group
+    member that has one, NaN elsewhere, so test messages can draw on their
+    training neighbors.
     """
     if available_relations is not None:
         missing = [r for r in model.relations if r not in available_relations]
@@ -198,4 +198,4 @@ def infer_stacked(model: StackedModel, fm_test: FeatureMatrix, groups: list,
             raise ConfigError(f"relations configured at train time are absent now: {missing}")
     if list(fm_test.column_names) != list(model.base_columns):
         raise DataError("test feature columns do not match the stacked model's base columns")
-    return _roll_forward(model, fm_test, groups, context=context_scores)
+    return _roll_forward(model, fm_test, rows, groups, context)

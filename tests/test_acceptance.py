@@ -11,11 +11,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from relspam.data_model import (
-    Group,
-    build_groups,
+    build_index,
     chronological_split,
     labels_of,
-    relations_from_names,
     sort_chronologically,
 )
 from relspam.evaluation import ExperimentConfig, aupr, auroc, evaluate_experiment
@@ -35,15 +33,13 @@ from relspam.mrf import FactorGraph, build_factor_graph, exact_marginals, loopy_
 from relspam.stacking import infer_stacked, train_stacked
 from relspam.synth import GeneratorConfig, generate
 
+from tables import hub_table
+
 
 def report(criterion, ok, detail):
     line = f"criterion {criterion:>2}: {'PASS' if ok else 'FAIL'} — {detail}"
     print(line)
     assert ok, line
-
-
-def group(relation, key, members):
-    return Group(relation=relation, key=key, member_ids=tuple(sorted(members)))
 
 
 def random_tree(rng):
@@ -53,7 +49,7 @@ def random_tree(rng):
     for i in range(1, n):
         factors.append((rng.randrange(i), i))
         epsilons.append(rng.uniform(0.01, 0.49))
-    return FactorGraph([f"v{i}" for i in range(n)], n, phi, np.array(factors, dtype=np.int64),
+    return FactorGraph(np.arange(n), phi, np.array(factors, dtype=np.int64),
                        np.array(epsilons), np.zeros(n - 1, dtype=np.int64), ["tree"])
 
 
@@ -64,9 +60,7 @@ def test_criterion_01_bp_tree_exactness():
     for _ in range(100):
         graph = random_tree(rng)
         bp = loopy_bp(graph, max_iters=500, tol=1e-10)
-        exact = exact_marginals(graph)
-        for vid, m in exact.items():
-            worst = max(worst, abs(bp.marginals[vid] - m))
+        worst = max(worst, float(np.abs(bp.marginals - exact_marginals(graph)).max()))
     elapsed = time.time() - start
     report(1, worst < 1e-6 and elapsed < 10.0,
            f"100 random trees, max |BP - exact| = {worst:.2e}, runtime {elapsed:.1f}s")
@@ -76,12 +70,12 @@ def test_criterion_02_posterior_push():
     posteriors = {}
     exact_gap = 0.0
     for n in (2, 5, 8):
-        priors = {f"m{i}": 0.85 for i in range(n)}
-        graph = build_factor_graph(priors, [group("user", "u", priors)], {"user": 0.1})
+        graph = build_factor_graph(np.full(n, 0.85), hub_table(("user", "u", range(n))),
+                                   {"user": 0.1})
         bp = loopy_bp(graph, max_iters=1000, tol=1e-12)
         exact = exact_marginals(graph)
-        posteriors[n] = bp.marginals["m0"]
-        exact_gap = max(exact_gap, abs(bp.marginals["m0"] - exact["m0"]))
+        posteriors[n] = bp.marginals[0]
+        exact_gap = max(exact_gap, abs(bp.marginals[0] - exact[0]))
     increasing = posteriors[2] < posteriors[5] < posteriors[8]
     beyond = all(v > 0.85 for v in posteriors.values())
     report(2, increasing and beyond and exact_gap < 1e-6,
@@ -91,15 +85,14 @@ def test_criterion_02_posterior_push():
 
 def test_criterion_03_psl_saturation():
     def solve(n):
-        priors = {f"m{i}": 0.9 for i in range(n)}
-        model = ground_rules(priors, [group("user", "u", priors)], HingeWeights())
+        model = ground_rules(np.full(n, 0.9), hub_table(("user", "u", range(n))), HingeWeights())
         return model, map_inference(model, tol=1e-15, max_iter=50000)
 
     model4, r4 = solve(4)
     d_rows = [model4.templates[t][0] == "d" for t in model4.template_id]
     d_active = max(model4.linear_values(r4.x)[d_rows])
     _, r3 = solve(3)
-    drift = max(abs(r3.assignment[f"m{i}"] - r4.assignment[f"m{i}"]) for i in range(3))
+    drift = max(abs(r3.x[i] - r4.x[i]) for i in range(3))
     report(3, d_active <= 1e-6 and drift <= 1e-6,
            f"rule-(d) distance to satisfaction {d_active:.2e}, "
            f"score drift from extra satisfied member {drift:.2e}")
@@ -118,8 +111,7 @@ def _random_hinge_model(rng, n_vars):
     coeffs, const, weight, template_id = zip(*rows)
     A = sp.csr_matrix(([c for r in coeffs for _, c in r], [j for r in coeffs for j, _ in r],
                        np.cumsum([0] + [len(r) for r in coeffs])), shape=(len(rows), n_vars))
-    return GroundHingeModel(var_ids=[f"v{i}" for i in range(n_vars)],
-                            var_kinds=["message"] * n_vars, A=A, const=np.array(const),
+    return GroundHingeModel(messages=np.arange(n_vars), A=A, const=np.array(const),
                             weight=np.array(weight), template_id=np.array(template_id),
                             templates=[("neg",), ("prior",), ("c", "user")],
                             init=np.full(n_vars, 0.5), exponent=2)
@@ -179,12 +171,12 @@ def test_criterion_04_hinge_map_correctness():
 
 
 def test_criterion_05_hub_linearity():
-    priors = {f"m{i:03d}": 0.6 for i in range(100)}
-    g = group("link", "l", priors)
-    mrf_graph = build_factor_graph(priors, [g], 0.1)
-    hinge_model = ground_rules(priors, [g], HingeWeights())
+    priors = np.full(100, 0.6)
+    g = hub_table(("link", "l", range(100)))
+    mrf_graph = build_factor_graph(priors, g, 0.1)
+    hinge_model = ground_rules(priors, g, HingeWeights())
     relational = [t for t in hinge_model.template_id if hinge_model.templates[t][0] in ("c", "d")]
-    pairwise_edges = sum(1 for _ in itertools.combinations(g.member_ids, 2))
+    pairwise_edges = sum(1 for _ in itertools.combinations(range(100), 2))
     report(5, len(mrf_graph.factors) == 100 and len(relational) == 200 and pairwise_edges == 4950,
            f"hub: {len(mrf_graph.factors)} factors / {len(relational)} hinges; "
            f"pairwise reference: {pairwise_edges} edges")
@@ -346,22 +338,20 @@ def test_criterion_10_degenerate_stack_identity():
     from relspam.features import FeaturePipeline
     pipe = FeaturePipeline(FeatureConfig(mode="limited"),
                            compute_graph_feature_table(build_follower_graph(follows))).fit(train)
-    labels = labels_of(train)
-    fm = pipe.transform(ordered, labels)
-    fm_train = fm.select_rows([m.id for m in train])
-    fm_test = fm.select_rows([m.id for m in test])
-    relations = relations_from_names(["user", "text", "link"])
-    groups_train = build_groups(train, relations)
-    groups_tt = build_groups(ordered, relations)
+    fm = pipe.transform(ordered, labels_of(train))
+    fm_train, fm_test = fm.rows(0, 1000), fm.rows(1000, len(ordered))
+    index = build_index(ordered, ["user", "text", "link"])
     cfg = ClassifierConfig(l2=1.0, max_iter=300)
-    stacked = train_stacked([m.id for m in train], fm_train, labels, groups_train, K=0,
+    stacked = train_stacked(np.arange(1000), fm_train, index.labels, index.groups((0, 1000)), K=0,
                             relations=["user", "text", "link"],
                             scale_columns=scalable_columns(pipe.column_names), config=cfg)
-    independent = fit_classifier(fm_train, labels, scalable_columns(pipe.column_names), cfg)
-    got = infer_stacked(stacked, fm_test, groups_tt,
-                        context_scores={m.id: float(labels[m.id]) for m in train})
+    independent = fit_classifier(fm_train, index.labels[:1000],
+                                 scalable_columns(pipe.column_names), cfg)
+    context = np.full(len(ordered), np.nan)
+    context[:1000] = index.labels[:1000]
+    got = infer_stacked(stacked, fm_test, np.arange(1000, len(ordered)), index.table, context)
     want = independent.predict_proba(fm_test)
-    identical = got == want
+    identical = got.tolist() == want.tolist()
     report(10, identical, f"K=0 predictions exactly equal the independent model "
                           f"on {len(test)} test messages")
 

@@ -4,7 +4,9 @@ these tests hold that contract on a small case whose counts are known."""
 import importlib
 from pathlib import Path
 
-from relspam.data_model import Message, build_groups
+import numpy as np
+
+from relspam.data_model import Message, build_groups, build_index
 from relspam.hinge import HingeWeights, ground_rules, map_inference
 from relspam.mrf import build_factor_graph, loopy_bp
 
@@ -20,7 +22,8 @@ def test_span_observers_read_the_known_counts(monkeypatch):
     groups = build_groups(messages, relations)
     for _ in range(2):
         spans._observe_groups(tracer, (messages, relations), groups)
-    priors = {"a": 0.9, "b": 0.8, "c": 0.7, "d": 0.2, "e": 0.4}
+    priors = np.array([0.9, 0.8, 0.7, 0.2, 0.4])
+    groups = build_index(messages, relations).table
     graph = build_factor_graph(priors, groups, 0.1)
     spans._observe_graph(tracer, (priors, groups, 0.1), graph)
     # one run stopped at its first iteration, one run to convergence

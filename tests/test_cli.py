@@ -162,6 +162,61 @@ class TestStages:
         assert not (out / "features").exists()
 
 
+    def test_featurize_rejects_an_unlabeled_training_message(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
+        path = out / "data" / "messages.jsonl"
+        messages = read_messages(path)
+        first = min(messages, key=lambda m: (m.timestamp, m.id))  # in subset 0's training slice
+        first.label = None
+        write_messages(path, messages)
+        assert main(["featurize", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: subset 0: ") and repr(first.id) in err
+        assert not (out / "features").exists()
+
+    def test_eval_names_a_predictions_file_that_does_not_match_its_subset(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run-all", "--config", cfg, "--out", str(out), "--seed", "1"]) == 0
+        path = out / "predictions" / "mrf" / "subset_00.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        first_id = lines[0].split("\t")[0]
+        for edited, says in [
+            (lines[1:], f"subset_00.tsv: no line for test message {first_id!r}"),
+            (["zzz\t0.5\n"] + lines[1:], "subset_00.tsv, line 1: 'zzz' is not a test message"),
+            (lines + lines[:1], f"subset_00.tsv, line {len(lines) + 1}: {first_id!r} is scored twice"),
+            (lines[:2] + [f"{lines[2].split()[0]}\tabc\n"] + lines[3:],
+             "subset_00.tsv, line 3: not an id and a score (could not convert string to float: "
+             "'abc')"),
+            (lines[:2] + [lines[2].replace("\t", " ")] + lines[3:],
+             "subset_00.tsv, line 3: not an id and a score"),
+            (lines[:2] + ["m\udcff\t0.5\n"] + lines[3:],
+             "subset_00.tsv, line 3: not an id and a score ('utf-8' codec can't decode byte 0xff"),
+        ]:
+            path.write_bytes("".join(edited).encode("utf-8", "surrogateescape"))
+            capsys.readouterr()
+            assert main(["eval", "--config", cfg, "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and says in err, err
+        path.write_text("".join(lines), encoding="utf-8")
+        assert main(["eval", "--config", cfg, "--out", str(out)]) == 0
+
+
+    def test_an_id_with_a_unicode_line_separator_reads_back(self, tmp_path):
+        # U+2028 is a line break to str.splitlines, not to the TSV's lines
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
+        path = out / "data" / "messages.jsonl"
+        messages = read_messages(path)
+        messages[-1].id = "m\u2028last"
+        write_messages(path, messages)
+        for stage in ("featurize", "train", "infer", "eval"):
+            assert main([stage, "--config", cfg, "--out", str(out)]) == 0
+
+
 class TestMessageIndex:
     def test_index_is_byte_idempotent(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -223,6 +278,24 @@ class TestOneOrchestration:
         messages, follows = generate(replace(cfg.generator, seed=3))
         report = evaluate_experiment(messages, follows, cfg)
         assert report.to_json() == (out / "report.json").read_text(encoding="utf-8")
+
+
+    def test_report_does_not_depend_on_id_order(self, tmp_path):
+        # ids renamed so that their order is the reverse of time order, with
+        # unique timestamps so that the chronological order stays the same
+        cfg = load_config(write_config(tmp_path, {
+            "fractions": [0.5, 0.25, 0.25], "feature_mode": "full", "ngram_top_k": 300,
+            "models": ["independent", "sgl1", "mrf", "psl", "sgl1+mrf", "sgl1+psl"],
+            "tune_epsilons": True, "hinge": {"learn_steps": 2}}),
+            {"seed": 4})
+        messages, follows = generate(replace(cfg.generator, seed=4))
+        messages.sort(key=lambda m: (m.timestamp, m.id))
+        for t, m in enumerate(messages):
+            m.timestamp = t
+        before = evaluate_experiment(messages, follows, cfg).to_json()
+        for t, m in enumerate(messages):
+            m.id = f"x{len(messages) - t:05d}"
+        assert evaluate_experiment(messages, follows, cfg).to_json() == before
 
 
 class TestConfigValidation:

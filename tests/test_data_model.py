@@ -9,7 +9,6 @@ from relspam.data_model import (
     ConfigError,
     DataError,
     Group,
-    GroupTable,
     HUB_PREFIX,
     INDEX_FORMAT,
     Message,
@@ -265,12 +264,16 @@ def test_restricted_groups_equal_groups_of_the_subset(rows, relation_names, cuts
     a, b, c, d = sorted(cuts)
     expected = build_groups(ordered[a:b] + ordered[c:d], relations_from_names(relation_names))
     table = build_index(ordered, relation_names).groups((a, b), (c, d))
-    assert list(table) == expected
-    # the same edge arrays the joint models would take from the group list
-    want = GroupTable.of(expected)
-    assert (table.relations, table.keys, table.members) == (want.relations, want.keys, want.members)
-    for name in ("group_relation", "sizes", "group", "relation"):
-        assert np.array_equal(getattr(table, name), getattr(want, name))
+    # the groups as edge arrays, each group's members in position order
+    position = {m.id: i for i, m in enumerate(ordered)}
+    members = [sorted(position[mid] for mid in g.member_ids) for g in expected]
+    assert [(table.relations[r], k) for r, k in zip(table.group_relation.tolist(), table.keys)] == \
+        [(g.relation, g.key) for g in expected]
+    assert table.relations == sorted({g.relation for g in expected})
+    assert table.sizes.tolist() == [len(m) for m in members]
+    assert table.members.tolist() == [p for m in members for p in m]
+    assert table.group.tolist() == [j for j, m in enumerate(members) for _ in m]
+    assert table.relation.tolist() == table.group_relation[table.group].tolist()
 
 
 class TestIndexFile:
@@ -288,7 +291,8 @@ class TestIndexFile:
         assert (back.ids, back.relations, back.table.keys, back.source_sha256) == \
                (["b", "a", "c"], ["user", "text"], ["hi", "u"], "0" * 64)
         assert back.labels.tolist() == [1, -1, 0] and back.labels.dtype == np.int8
-        assert back.table.members.tolist() == [0, 2, 1, 0] and back.table.members.dtype == np.int32
+        # groups ("text", "hi") and ("user", "u"), members in position order
+        assert back.table.members.tolist() == [0, 2, 0, 1] and back.table.members.dtype == np.int32
 
     def test_truncated_file_raises_data_error(self, tmp_path):
         path = tmp_path / "index.npz"
@@ -352,7 +356,12 @@ class TestIngestion:
         (b'{"id": "x", "timestamp": "noon"}', "'timestamp' must be an integer"),
         (b'{"id": "x", "label": "spam"}', "'label' must be an integer"),
         (b'{"id": "x", "links": "http://a.io"}', "'links' must be a list"),
-    ], ids=["utf8", "truncated", "not_object", "no_id", "timestamp", "label", "list"])
+        (b'{"id": "x", "label": 0.7}', "'label' must be an integer, got 0.7"),
+        (b'{"id": "x", "label": true}', "'label' must be an integer, got True"),
+        (b'{"id": "x", "timestamp": 1.9}', "'timestamp' must be an integer, got 1.9"),
+        (b'{"id": "x", "label": "1"}', "'label' must be an integer, got '1'"),
+    ], ids=["utf8", "truncated", "not_object", "no_id", "timestamp", "label", "list",
+            "label_fraction", "label_bool", "timestamp_fraction", "label_string"])
     def test_malformed_line_names_file_and_line(self, tmp_path, line, says):
         path = tmp_path / "m.jsonl"
         good = json.dumps({"id": "a", "user_id": "u"}).encode()

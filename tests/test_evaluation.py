@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from relspam.data_model import (
     ConfigError,
     DataError,
-    Group,
     Message,
     build_groups,
     build_index,
@@ -26,18 +25,16 @@ from relspam.evaluation import (
     featurize_subset,
     inductive_partition,
     infer_subset_models,
-    metrics_from_dicts,
     parse_model_name,
+    ranking_metrics,
     train_subset_models,
     tune_epsilons,
 )
 from relspam.hinge import HingeConfig
-from relspam.linear import ClassifierConfig
+from relspam.linear import ClassifierConfig, recenter_scores
 from relspam.mrf import infer_posteriors
 
-
-def group(relation, key, members):
-    return Group(relation=relation, key=key, member_ids=tuple(sorted(members)))
+from tables import hub_table, over
 
 
 def ap_oracle(scores, labels):
@@ -145,27 +142,24 @@ def user_index(rows, labels=None):
 class TestInductivePartition:
     def test_shared_group_with_train_is_transductive(self):
         index = user_index([("tr1", "u"), ("t1", "u"), ("t2", "v")])
-        ind, trans = inductive_partition(index, (0, 1), (1, 3))
-        assert trans == ["t1"]
-        assert ind == ["t2"]
+        assert inductive_partition(index, (0, 1), (1, 3)).tolist() == [False, True]
 
     def test_no_groups_is_inductive(self):
         index = user_index([("tr1", "a"), ("t1", "b")])
-        ind, trans = inductive_partition(index, (0, 1), (1, 2))
-        assert ind == ["t1"] and trans == []
+        assert inductive_partition(index, (0, 1), (1, 2)).tolist() == [True]
 
     def test_test_only_groups_stay_inductive(self):
         index = user_index([("tr1", "a"), ("t1", "x"), ("t2", "x")])
-        ind, trans = inductive_partition(index, (0, 1), (1, 3))
-        assert ind == ["t1", "t2"] and trans == []
+        assert inductive_partition(index, (0, 1), (1, 3)).tolist() == [True, True]
 
     def test_partition_exhaustive_and_disjoint(self):
         rng = random.Random(7)
         rows = [(f"r{i}", f"u{rng.randrange(6)}") for i in range(20)]
         rows += [(f"t{i}", f"u{rng.randrange(6)}") for i in range(20)]
-        ind, trans = inductive_partition(user_index(rows), (0, 20), (20, 40))
-        assert sorted(ind + trans) == sorted(mid for mid, _ in rows[20:])
-        assert not set(ind) & set(trans)
+        inductive = inductive_partition(user_index(rows), (0, 20), (20, 40))
+        assert inductive.shape == (20,) and inductive.dtype == bool
+        train_users = {u for _, u in rows[:20]}
+        assert inductive.tolist() == [u not in train_users for _, u in rows[20:]]
 
 
 class TestComponentCoverage:
@@ -227,7 +221,10 @@ class ReferenceUnionFind:
 
 
 def reference_component_coverage(messages: list, groups: list) -> dict:
+    """Components largest first, then by earliest message; `messages` in
+    chronological order."""
     ids = [m.id for m in messages]
+    position = {mid: i for i, mid in enumerate(ids)}
     uf = ReferenceUnionFind(ids)
     for g in groups:
         for other in g.member_ids[1:]:
@@ -235,7 +232,7 @@ def reference_component_coverage(messages: list, groups: list) -> dict:
     comps: dict = {}
     for mid in ids:
         comps.setdefault(uf.find(mid), []).append(mid)
-    components = sorted(comps.values(), key=lambda c: (-len(c), min(c)))
+    components = sorted(comps.values(), key=lambda c: (-len(c), min(map(position.get, c))))
     labels = labels_of(messages)
     n_spam = sum(1 for v in labels.values() if v == 1)
     n_ham = sum(1 for v in labels.values() if v == 0)
@@ -277,8 +274,10 @@ def test_array_partition_and_coverage_match_the_set_and_union_find_code(rows, re
     index = build_index(ordered, relations)
     train, test = ordered[:a], ordered[b:c]
     groups_tt = build_groups(train + test, relations_from_names(relations))
-    assert inductive_partition(index, (0, a), (b, c)) == reference_inductive_partition(
-        [m.id for m in test], [m.id for m in train], groups_tt)
+    inductive = inductive_partition(index, (0, a), (b, c))
+    flags = dict(zip(index.ids[b:c], inductive.tolist()))
+    assert (sorted(m for m, f in flags.items() if f), sorted(m for m, f in flags.items() if not f)) \
+        == reference_inductive_partition([m.id for m in test], [m.id for m in train], groups_tt)
     curve = component_coverage(index)
     assert curve.__dict__ == reference_component_coverage(
         ordered, build_groups(ordered, relations_from_names(relations)))
@@ -381,28 +380,23 @@ class TestExperiment:
         ordered = sort_chronologically(messages)
         plan = chronological_split(ordered, 2, config.fractions)
         s = plan.subsets[0]
-        train_msgs = ordered[s.train[0]:s.train[1]]
-        test_msgs = ordered[s.test[0]:s.test[1]]
         fm = featurize_subset(ordered, s, config, {})
-        relations = relations_from_names(config.relations)
-        groups_tt = build_groups(train_msgs + test_msgs, relations)
         index = build_index(ordered, config.relations)
         artifacts = train_subset_models(index, s, fm, config)
         preds, _ = infer_subset_models(artifacts, index, s, fm, config)
 
-        import numpy as np
-        from relspam.linear import recenter_scores
-
-        context = {mid: float(v) for mid, v in labels_of(train_msgs).items()}
-        test_ids = [m.id for m in test_msgs]
-        for name, prior_preds in (("mrf", preds["independent"]), ("sgl1+mrf", preds["sgl1"])):
-            priors_test = {mid: prior_preds[mid] for mid in test_ids}
-            center = float(np.mean(list(priors_test.values())))
-            priors = dict(context)
-            priors.update(recenter_scores(priors_test, center))
-            expected = infer_posteriors(priors, groups_tt, config.epsilons)
-            for mid in test_ids:
-                assert preds[name][mid] == pytest.approx(expected.scores[mid], abs=1e-12)
+        # the groups of the train and test messages, built from the messages themselves
+        tt = ordered[s.train[0]:s.train[1]] + ordered[s.test[0]:s.test[1]]
+        position = {m.id: i for i, m in enumerate(ordered)}
+        groups_tt = hub_table(*((g.relation, g.key, [position[mid] for mid in g.member_ids])
+                                for g in build_groups(tt, relations_from_names(config.relations))))
+        context = over(len(ordered), {i: float(ordered[i].label) for i in range(*s.train)})
+        for name, priors_test in (("mrf", preds["independent"]), ("sgl1+mrf", preds["sgl1"])):
+            priors = context.copy()
+            priors[slice(*s.test)] = recenter_scores(priors_test, float(np.mean(priors_test)))
+            expected, _ = infer_posteriors(priors, groups_tt, config.epsilons)
+            np.testing.assert_allclose(preds[name], expected[slice(*s.test)], rtol=0,
+                                       atol=1e-12)
 
     def test_validates_the_dataset_as_the_cli_does(self):
         messages = planted_experiment_data(n=300, seed=4)
@@ -424,6 +418,18 @@ class TestExperiment:
         with pytest.raises(DataError, match="not valid UTF-8"):
             evaluate_experiment(messages, [], self.small_config())
 
+    def test_unlabeled_training_message_fails_before_any_work(self):
+        messages = planted_experiment_data(n=300, seed=4)
+        messages[3].label = None  # in subset 0's training slice
+        with pytest.raises(DataError, match="subset 0: .*'m0003'"):
+            evaluate_experiment(messages, [], self.small_config())
+
+    def test_unlabeled_test_message_is_scored_but_not_counted(self):
+        messages = planted_experiment_data(n=300, seed=4)
+        messages[-1].label = None  # in the last subset's test slice
+        report = evaluate_experiment(messages, [], self.small_config())
+        assert report.models[0]["overall"]["n"] == report.n_test - 1
+
     def test_report_serialization(self):
         messages = planted_experiment_data(n=300, seed=4)
         report = evaluate_experiment(messages, [], self.small_config())
@@ -444,38 +450,32 @@ class TestExperiment:
 
 class TestTuneEpsilons:
     def test_returns_defaults_without_labels(self):
-        eps = tune_epsilons({}, [], {}, ["user"])
+        eps = tune_epsilons(np.zeros(0), hub_table(), np.zeros(0, dtype=np.int8), ["user"])
         assert eps == {"user": 0.1}
 
     def test_picks_epsilon_from_grid(self):
         rng = random.Random(5)
-        priors, labels = {}, {}
-        groups = []
-        for j in range(10):
-            members = []
-            lab = j % 2
-            for i in range(4):
-                mid = f"g{j}m{i}"
-                members.append(mid)
-                priors[mid] = 0.5 + 0.2 * (1 if lab else -1) * rng.random()
-                labels[mid] = lab
-            groups.append(group("user", f"u{j}", members))
+        # ten users of four messages each, alternately ham and spam
+        labels = np.repeat(np.arange(10) % 2, 4).astype(np.int8)
+        priors = np.array([0.5 + 0.2 * (1 if y else -1) * rng.random() for y in labels])
+        groups = hub_table(*(("user", f"u{j}", range(4 * j, 4 * j + 4)) for j in range(10)))
         eps = tune_epsilons(priors, groups, labels, ["user"])
         assert set(eps) == {"user"}
         assert 0.0 < eps["user"] < 0.5
 
 
 def reference_tune_epsilons(priors, groups, labels, relations, grid, default):
-    """Coordinate descent with one full inference per candidate, as tune_epsilons once ran."""
+    """Coordinate descent with one full inference per candidate, as
+    tune_epsilons once ran; priors and labels are arrays over positions."""
     eps = {r: default for r in relations}
-    ids = sorted(set(priors) & set(labels))
+    ids = [i for i in range(len(priors)) if not np.isnan(priors[i]) and labels[i] >= 0]
     if not ids:
         return eps
 
     def score(candidate):
-        result = infer_posteriors(priors, groups, candidate)
+        scores, _ = infer_posteriors(priors, groups, candidate)
         try:
-            return aupr([result.scores[i] for i in ids], [labels[i] for i in ids])
+            return aupr(scores[ids], labels[ids])
         except DataError:
             return None
 
@@ -498,27 +498,29 @@ TUNE_VALUES = (0.05, 0.1, 0.2, 0.3, 0.4)
 
 @st.composite
 def tuning_inputs(draw):
-    ids = [f"m{i}" for i in range(draw(st.integers(2, 14)))]
+    n = draw(st.integers(2, 14))
     groups = []
     for relation in ("user", "text", "link"):
         for key in ("k0", "k1", "k2")[:draw(st.integers(0, 3))]:
-            members = draw(st.lists(st.sampled_from(ids), min_size=2, max_size=len(ids), unique=True))
-            groups.append(group(relation, key, members))
+            members = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True))
+            groups.append((relation, key, members))
     # coarse priors make ties, and so the strict tie rule, likely
-    priors = {mid: draw(st.one_of(st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]), st.floats(0.0, 1.0)))
-              for mid in sorted(set(draw(st.lists(st.sampled_from(ids), unique=True, min_size=1)))
-                                | {m for g in groups for m in g.member_ids})}
+    prior = st.one_of(st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]), st.floats(0.0, 1.0))
+    priors = over(n, {i: draw(prior) for i in sorted(
+        set(draw(st.lists(st.integers(0, n - 1), unique=True, min_size=1)))
+        | {m for _, _, members in groups for m in members})})
     # labels may leave messages out, or cover one class only
-    labels = {mid: draw(st.sampled_from([0, 1])) for mid in ids if draw(st.integers(0, 3))}
+    labels = np.array([draw(st.sampled_from([0, 1])) if draw(st.integers(0, 3)) else -1
+                       for _ in range(n)], dtype=np.int8)
     if draw(st.integers(0, 7)) == 0:
-        labels = dict.fromkeys(labels, draw(st.sampled_from([0, 1])))
+        labels[labels >= 0] = draw(st.sampled_from([0, 1]))
     relations = draw(st.lists(st.sampled_from(["user", "text", "link", "hashtag"]), min_size=1,
                               max_size=3, unique=True))
     default = draw(st.sampled_from(TUNE_VALUES))
     grid = draw(st.lists(st.sampled_from(TUNE_VALUES), min_size=1, max_size=5))
     if draw(st.booleans()):
         grid.insert(draw(st.integers(0, len(grid))), default)  # the grid repeats the current value
-    return priors, groups, labels, relations, tuple(grid), default
+    return priors, hub_table(*groups), labels, relations, tuple(grid), default
 
 
 @settings(max_examples=100, deadline=None)
@@ -530,24 +532,25 @@ def test_tune_epsilons_matches_per_candidate_reference(inputs):
 
 
 def test_tune_epsilons_without_groups_keeps_defaults():
-    priors = {"a": 0.9, "b": 0.8, "c": 0.2}
-    eps = tune_epsilons(priors, [], {"a": 1, "b": 0, "c": 0}, ["user"], start=0.3)
+    priors = np.array([0.9, 0.8, 0.2])
+    eps = tune_epsilons(priors, hub_table(), np.array([1, 0, 0], dtype=np.int8), ["user"],
+                        start=0.3)
     assert eps == {"user": 0.3}
 
 
 def test_tune_epsilons_single_class_labels_keep_defaults():
-    priors = {"a": 0.9, "b": 0.8, "c": 0.2}
-    groups = [group("user", "u", ["a", "b", "c"])]
-    eps = tune_epsilons(priors, groups, {"a": 1, "b": 1, "c": 1}, ["user", "text"], start=0.2)
+    priors = np.array([0.9, 0.8, 0.2])
+    groups = hub_table(("user", "u", [0, 1, 2]))
+    eps = tune_epsilons(priors, groups, np.ones(3, dtype=np.int8), ["user", "text"], start=0.2)
     assert eps == {"user": 0.2, "text": 0.2}
 
 
 def test_tune_epsilons_starts_from_configured_per_relation_values():
     # no text groups: every text candidate ties, so text keeps its configured
     # epsilon; link is left out of the configured dict and starts at 0.1
-    priors = {"a": 0.9, "b": 0.4, "c": 0.6, "d": 0.1}
-    groups = [group("user", "u", ["a", "b"]), group("user", "v", ["c", "d"])]
-    labels = {"a": 1, "b": 1, "c": 0, "d": 0}
+    priors = np.array([0.9, 0.4, 0.6, 0.1])
+    groups = hub_table(("user", "u", [0, 1]), ("user", "v", [2, 3]))
+    labels = np.array([1, 1, 0, 0], dtype=np.int8)
     start = {"user": 0.3, "text": 0.35}
     eps = tune_epsilons(priors, groups, labels, ["user", "text", "link"], start=start,
                         grid=(0.05, 0.2))
@@ -556,9 +559,15 @@ def test_tune_epsilons_starts_from_configured_per_relation_values():
     assert start == {"user": 0.3, "text": 0.35}
 
 
-def test_metrics_from_dicts_handles_single_class():
-    out = metrics_from_dicts({"a": 0.4, "b": 0.5}, {"a": 1, "b": 1}, ["a", "b"])
-    assert out["aupr"] is None
+def test_ranking_metrics_handles_single_class():
+    out = ranking_metrics(np.array([0.4, 0.5, 0.1]), np.array([1, 1, -1], dtype=np.int8))
+    assert out == {"n": 2, "aupr": None, "auroc": None}
+
+
+def test_ranking_metrics_skip_unlabeled_messages():
+    scores = np.array([0.9, 0.2, 0.5, 0.1])
+    out = ranking_metrics(scores, np.array([1, 0, -1, 0], dtype=np.int8))
+    assert out == {"n": 3, "aupr": 1.0, "auroc": 1.0}
 
 
 class TestPrCurve:

@@ -313,9 +313,10 @@ class TestPipeline:
         messages = self.build_messages()
         pipe = FeaturePipeline(FeatureConfig(ngram_top_k=20)).fit(messages[:30])
         fm = pipe.transform(messages, {})
-        train = fm.select_rows([m.id for m in messages[:30]])
-        test = fm.select_rows([m.id for m in messages[30:]])
+        train, test = fm.rows(0, 30), fm.rows(30, 40)
         assert train.column_names == test.column_names == fm.column_names
+        assert train.row_ids + test.row_ids == [m.id for m in messages]
+        assert (sp.vstack([train.matrix, test.matrix]) != fm.matrix).nnz == 0
 
     def test_limited_mode_drops_ngrams(self):
         messages = self.build_messages()

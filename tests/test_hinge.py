@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from relspam.data_model import ConfigError, Group, Message, labels_of
+from relspam.data_model import ConfigError, DataError
 from relspam.hinge import (
     GroundHingeModel,
     HingeWeights,
@@ -17,12 +17,14 @@ from relspam.hinge import (
     map_inference,
 )
 
-
-def group(relation, key, members):
-    return Group(relation=relation, key=key, member_ids=tuple(sorted(members)))
+from tables import hub_table, over
 
 
-def make_model(hinges, n_vars, init=None, p=2, var_ids=None, var_kinds=None):
+def one_group(n, relation="user"):
+    return hub_table((relation, "u", range(n)))
+
+
+def make_model(hinges, n_vars, init=None, p=2, messages=None):
     """A model from `hinge` rows, each row's coefficients kept in the given order."""
     templates = list(dict.fromkeys(h[3] for h in hinges))
     indptr = np.cumsum([0] + [len(h[0]) for h in hinges])
@@ -30,8 +32,7 @@ def make_model(hinges, n_vars, init=None, p=2, var_ids=None, var_kinds=None):
                        np.array([j for h in hinges for j, _ in h[0]], dtype=np.int64), indptr),
                       shape=(len(hinges), n_vars))
     return GroundHingeModel(
-        var_ids=var_ids or [f"v{i}" for i in range(n_vars)],
-        var_kinds=var_kinds or ["message"] * n_vars,
+        messages=np.arange(n_vars) if messages is None else messages,
         A=A,
         const=np.array([h[1] for h in hinges], dtype=float),
         weight=np.array([h[2] for h in hinges], dtype=float),
@@ -68,20 +69,17 @@ def template_rows(model, kinds) -> np.ndarray:
 
 class TestGrounding:
     def test_potential_counts(self):
-        priors = {"a": 0.9, "b": 0.8, "c": 0.7}
-        model = ground_rules(priors, [group("user", "u", priors)], HingeWeights())
-        assert len(model.var_ids) == 4  # 3 messages + 1 hub
+        model = ground_rules(np.array([0.9, 0.8, 0.7]), one_group(3), HingeWeights())
+        assert model.n_vars == 4  # 3 messages + 1 hub
         assert len(model.potentials) == 12  # 3a + 3b + 3c + 3d
 
     def test_counts_scale_with_group_size(self):
-        priors = {f"m{i:03d}": 0.6 for i in range(100)}
-        model = ground_rules(priors, [group("link", "l", priors)], HingeWeights())
+        model = ground_rules(np.full(100, 0.6), one_group(100, "link"), HingeWeights())
         assert template_rows(model, ("c", "d")).sum() == 200
         assert len(model.potentials) == 2 * 100 + 200
 
     def test_prior_rule_arithmetic(self):
-        priors = {"a": 0.9, "b": 0.9}
-        model = ground_rules(priors, [group("user", "u", priors)], HingeWeights())
+        model = ground_rules(np.full(2, 0.9), one_group(2), HingeWeights())
         x = np.full(model.n_vars, 0.6)
         # l = prior - s = 0.3; squared hinge = 0.09
         assert model.potential_values(x)[template_rows(model, ("prior",))][0] == \
@@ -93,26 +91,28 @@ class TestGrounding:
         assert model.potential_values(x)[0] == 0.0
 
     def test_negative_weight_rejected(self):
-        priors = {"a": 0.5, "b": 0.5}
         with pytest.raises(ConfigError):
-            ground_rules(priors, [group("user", "u", priors)], HingeWeights(neg=-1.0))
+            ground_rules(np.full(2, 0.5), one_group(2), HingeWeights(neg=-1.0))
 
     def test_bad_exponent_rejected(self):
         with pytest.raises(ConfigError):
-            ground_rules({"a": 0.5, "b": 0.5}, [group("user", "u", ["a", "b"])], HingeWeights(), p=3)
+            ground_rules(np.full(2, 0.5), one_group(2), HingeWeights(), p=3)
+
+    def test_missing_prior_rejected(self):
+        with pytest.raises(DataError, match="position 1"):
+            ground_rules(np.array([0.5, np.nan]), one_group(2), HingeWeights())
 
     def test_observed_members_become_constants(self):
-        priors = {"a": 0.9, "b": 0.8}
-        model = ground_rules(priors, [group("user", "u", ["a", "b"])], HingeWeights(),
-                             observed={"a": 1.0})
-        assert model.var_ids == ["b", "hub:user:u"]
+        model = ground_rules(np.array([0.9, 0.8]), one_group(2), HingeWeights(),
+                             observed=over(2, {0: 1.0}))
+        assert model.messages.tolist() == [1]
+        assert model.n_vars == 2  # message 1 and the hub
         # observed member contributes only relational hinges
         assert template_rows(model, ("neg", "prior")).sum() == 2
 
     def test_every_variable_touches_a_potential(self):
-        priors = {f"m{i}": 0.5 for i in range(6)}
-        groups = [group("user", "u", ["m0", "m1"]), group("text", "t", ["m2", "m3", "m4", "m5"])]
-        model = ground_rules(priors, groups, HingeWeights())
+        groups = hub_table(("user", "u", [0, 1]), ("text", "t", [2, 3, 4, 5]))
+        model = ground_rules(np.full(6, 0.5), groups, HingeWeights())
         touched = set(model.A.indices.tolist())
         assert touched == set(range(model.n_vars))
 
@@ -168,9 +168,10 @@ def random_hinge_model(rng, n_vars, p=2):
 
 
 def reference_hinges(priors, groups, weights, p=2, observed=None):
-    """The rule templates grounded one `hinge` row at a time, in ground_rules' row order."""
+    """The rule templates grounded one `hinge` row at a time, in ground_rules'
+    row order, from dicts and (relation, members) groups."""
     observed = observed or {}
-    grouped = sorted({mid for g in groups for mid in g.member_ids})
+    grouped = sorted({mid for _, members in groups for mid in members})
     free = [mid for mid in grouped if mid not in observed]
     index = {mid: j for j, mid in enumerate(free)}
     hinges = []
@@ -178,17 +179,17 @@ def reference_hinges(priors, groups, weights, p=2, observed=None):
         pr = min(max(priors[mid], 0.0), 1.0)
         hinges.append(hinge(((index[mid], 1.0),), 0.0, weights.neg, ("neg",)))
         hinges.append(hinge(((index[mid], -1.0),), pr, weights.prior, ("prior",)))
-    for k, g in enumerate(groups):
+    for k, (relation, members) in enumerate(groups):
         h = len(free) + k
-        for mid in g.member_ids:
+        for mid in sorted(members):
             if mid in observed:
                 v = float(observed[mid])
                 c, d = (((h, -1.0),), v), (((h, 1.0),), -v)
             else:
                 c = (((index[mid], 1.0), (h, -1.0)), 0.0)
                 d = (((h, 1.0), (index[mid], -1.0)), 0.0)
-            hinges.append(hinge(*c, weights.c(g.relation), ("c", g.relation)))
-            hinges.append(hinge(*d, weights.d(g.relation), ("d", g.relation)))
+            hinges.append(hinge(*c, weights.c(relation), ("c", relation)))
+            hinges.append(hinge(*d, weights.d(relation), ("d", relation)))
     return hinges
 
 
@@ -208,37 +209,48 @@ def hinge_sums(hinges, x, p):
 
 @st.composite
 def grounding_inputs(draw):
-    ids = [f"m{i}" for i in range(draw(st.integers(2, 9)))]
+    """(priors, groups as (relation, members) pairs, weights, observed, p, seed)
+    with priors and observed values as position -> value dicts."""
+    n = draw(st.integers(2, 9))
     groups = []
     for relation in ("user", "text"):
         for key in ("k0", "k1", "k2")[:draw(st.integers(0, 3))]:
-            members = draw(st.lists(st.sampled_from(ids), min_size=2, max_size=len(ids), unique=True))
-            groups.append(group(relation, key, members))
+            members = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True))
+            groups.append((relation, members))
     value = st.floats(-0.5, 1.5, allow_nan=False)
     observed = {mid: draw(st.sampled_from([0.0, 1.0]))
-                for mid in draw(st.lists(st.sampled_from(ids), unique=True))}
-    priors = {mid: draw(value) for mid in ids if mid not in observed or draw(st.booleans())}
+                for mid in draw(st.lists(st.integers(0, n - 1), unique=True))}
+    priors = {mid: draw(value) for mid in range(n) if mid not in observed or draw(st.booleans())}
     weights = HingeWeights(neg=draw(st.floats(0, 2)), prior=draw(st.floats(0, 2)),
                            relation_c={"user": draw(st.floats(0, 2))},
                            relation_d={"text": draw(st.floats(0, 2))})
     return priors, groups, weights, observed, draw(st.sampled_from([1, 2])), draw(st.integers(0, 99))
 
 
+def array_inputs(priors: dict, groups: list, observed: dict) -> tuple:
+    """The priors, table and observed values of `grounding_inputs` in array form."""
+    n = 1 + max([*priors, *observed])
+    return over(n, priors), hub_table(*((r, str(k), m) for k, (r, m) in enumerate(groups))), \
+        over(n, observed)
+
+
 @settings(max_examples=60, deadline=None)
 @given(grounding_inputs())
 def test_array_grounding_matches_per_hinge_reference(inputs):
     priors, groups, weights, observed, p, seed = inputs
-    model = ground_rules(priors, groups, weights, p=p, observed=observed)
+    arrays = array_inputs(priors, groups, observed)
+    model = ground_rules(arrays[0], arrays[1], weights, p=p, observed=arrays[2])
     ref = reference_hinges(priors, groups, weights, p=p, observed=observed)
-    ref_model = make_model(ref, model.n_vars, model.init, p, model.var_ids, model.var_kinds)
+    ref_model = make_model(ref, model.n_vars, model.init, p, model.messages)
 
-    free = [v for v, kind in zip(model.var_ids, model.var_kinds) if kind == "message"]
-    assert free == sorted({m for g in groups for m in g.member_ids} - set(observed))
-    assert model.var_ids[len(free):] == [f"hub:{g.relation}:{g.key}" for g in groups]
-    assert len(model.potentials) == 2 * len(free) + 2 * sum(len(g) for g in groups)
+    free = model.messages.tolist()
+    assert free == sorted({m for _, members in groups for m in members} - set(observed))
+    assert model.n_vars == len(free) + len(groups)
+    assert len(model.potentials) == 2 * len(free) + 2 * sum(len(m) for _, m in groups)
     assert rows_of(model) == ref
 
-    hub_means = [np.mean([observed.get(m, priors.get(m)) for m in g.member_ids]) for g in groups]
+    hub_means = [np.mean([observed.get(m, priors.get(m)) for m in sorted(members)])
+                 for _, members in groups]
     expected_init = [min(max(priors[m], 0.0), 1.0) for m in free] + hub_means
     assert np.allclose(model.init, np.clip(expected_init, 0.0, 1.0), rtol=0, atol=1e-12)
 
@@ -247,7 +259,7 @@ def test_array_grounding_matches_per_hinge_reference(inputs):
     np.testing.assert_allclose([model.objective(x) for x in X], batch_objective(ref_model, X),
                                rtol=1e-12, atol=1e-12)
     other = HingeWeights(neg=0.3, prior=1.7, relation_c={"text": 0.0}, relation_d={"user": 2.5})
-    regrounded = ground_rules(priors, groups, other, p=p, observed=observed)
+    regrounded = ground_rules(arrays[0], arrays[1], other, p=p, observed=arrays[2])
     for x in X:
         f, grad = hinge_sums(ref, x, p)
         assert model.objective(x) == pytest.approx(f, rel=1e-12, abs=1e-12)
@@ -298,7 +310,8 @@ def reference_map_p2(model, tol, max_iter, step=1.0):
 @given(grounding_inputs(), st.sampled_from([(1e-9, 5000), (1e-13, 40)]))
 def test_map_iterates_match_reference_loop_bit_for_bit(inputs, stop):
     priors, groups, weights, observed, _, _ = inputs
-    model = ground_rules(priors, groups, weights, p=2, observed=observed)
+    arrays = array_inputs(priors, groups, observed)
+    model = ground_rules(arrays[0], arrays[1], weights, p=2, observed=arrays[2])
     tol, max_iter = stop
     result = map_inference(model, tol=tol, max_iter=max_iter)
     x, f, n_iters, converged = reference_map_p2(model, tol, max_iter)
@@ -311,19 +324,18 @@ class TestMapInference:
     def test_balanced_prior_pulls(self):
         # one message, equal weights on the zero-pull and the prior-pull of 0.8:
         # minimize w*s^2 + w*(0.8-s)^2 -> s = 0.4
-        priors = {"a": 0.8, "b": 0.8}
         w = HingeWeights(neg=1.0, prior=1.0, relation_c={"user": 0.0}, relation_d={"user": 0.0})
-        model = ground_rules(priors, [group("user", "u", priors)], w)
+        model = ground_rules(np.full(2, 0.8), one_group(2), w)
         result = map_inference(model, tol=1e-14, max_iter=20000)
-        assert result.assignment["a"] == pytest.approx(0.4, abs=1e-4)
+        assert result.x[0] == pytest.approx(0.4, abs=1e-4)
 
     def test_zero_prior_weight_collapses_to_zero(self):
-        priors = {"a": 0.9, "b": 0.7}
         w = HingeWeights(prior=0.0)
-        scores, result = infer_hinge_posteriors(priors, [group("user", "u", priors)], w,
+        scores, result = infer_hinge_posteriors(np.array([0.9, 0.7, 0.6]), one_group(2), w,
                                                 tol=1e-14, max_iter=20000)
-        assert scores["a"] == pytest.approx(0.0, abs=1e-4)
-        assert scores["b"] == pytest.approx(0.0, abs=1e-4)
+        assert scores[0] == pytest.approx(0.0, abs=1e-4)
+        assert scores[1] == pytest.approx(0.0, abs=1e-4)
+        assert scores[2] == 0.6  # ungrouped: its prior
 
     def test_output_stays_in_box(self):
         rng = random.Random(3)
@@ -381,20 +393,16 @@ class TestMapInference:
         # relational hinges have zero distance to satisfaction; adding one more
         # identical member must not move anyone
         def solve(n):
-            priors = {f"m{i}": 0.9 for i in range(n)}
-            g = group("user", "u", priors)
-            model = ground_rules(priors, [g], HingeWeights())
+            model = ground_rules(np.full(n, 0.9), one_group(n), HingeWeights())
             return map_inference(model, tol=1e-15, max_iter=50000)
 
         r3 = solve(3)
         r4 = solve(4)
-        model4 = ground_rules(
-            {f"m{i}": 0.9 for i in range(4)}, [group("user", "u", [f"m{i}" for i in range(4)])],
-            HingeWeights())
+        model4 = ground_rules(np.full(4, 0.9), one_group(4), HingeWeights())
         d_values = model4.linear_values(r4.x)[template_rows(model4, ("d",))]
         assert max(d_values) <= 1e-6  # rule-(d) hinges inactive
         for i in range(3):
-            assert abs(r3.assignment[f"m{i}"] - r4.assignment[f"m{i}"]) < 1e-6
+            assert abs(r3.x[i] - r4.x[i]) < 1e-6
 
 
     def test_large_observed_hub_with_zero_weight_converges(self):
@@ -403,11 +411,12 @@ class TestMapInference:
         # curvature is hundreds of times a message's, the shape on which unscaled
         # steps stop at max_iter
         rng = random.Random(5)
-        observed = {f"o{i:03d}": float(rng.random() < 0.3) for i in range(400)}
-        priors = {f"f{i}": rng.uniform(0.2, 0.95) for i in range(6)}
-        groups = [group("user", "u", list(observed) + ["f0", "f1", "f2"]),
-                  group("text", "t", list(observed)[:150] + ["f3", "f4", "f5"]),
-                  group("link", "l", ["f0", "f3", "f5"])]
+        # positions 0-399 observed, 400-405 free
+        observed = over(406, {i: float(rng.random() < 0.3) for i in range(400)})
+        priors = over(406, {400 + i: rng.uniform(0.2, 0.95) for i in range(6)})
+        groups = hub_table(("user", "u", [*range(400), 400, 401, 402]),
+                           ("text", "t", [*range(150), 403, 404, 405]),
+                           ("link", "l", [400, 403, 405]))
         w = HingeWeights(neg=0.0, relation_d={"text": 0.4})
         model = ground_rules(priors, groups, w, observed=observed)
         result = map_inference(model, tol=1e-12, max_iter=1000)
@@ -427,72 +436,59 @@ class TestMapInference:
 
 
 class TestLearnWeights:
-    def make_validation(self, n=12, seed=0):
-        rng = random.Random(seed)
-        messages = []
-        priors = {}
-        for i in range(n):
-            label = 1 if i < n // 2 else 0
-            mid = f"m{i:02d}"
-            messages.append(Message(id=mid, user_id=f"u{i % 4}", timestamp=i, label=label))
-            priors[mid] = 0.9 if label else 0.1
-        groups = [group("user", f"u{j}", [m.id for m in messages if m.user_id == f"u{j}"])
-                  for j in range(4)]
-        groups = [g for g in groups if len(g) >= 2]
-        return messages, groups, priors
+    def make_validation(self, n=12):
+        """Labels, groups (messages by user i % 4) and priors of n messages,
+        the first half spam."""
+        labels = np.array([1 if i < n // 2 else 0 for i in range(n)], dtype=np.int8)
+        groups = hub_table(*(("user", f"u{j}", range(j, n, 4)) for j in range(4)))
+        return labels, groups, np.where(labels == 1, 0.9, 0.1)
 
     def test_zero_steps_returns_init(self):
-        messages, groups, priors = self.make_validation()
+        labels, groups, priors = self.make_validation()
         init = HingeWeights(neg=1.5, prior=0.5)
-        out, trace = learn_weights(init, labels_of(messages), groups, priors, steps=0)
+        out, trace = learn_weights(init, labels, groups, priors, steps=0)
         assert out.neg == 1.5 and out.prior == 0.5
         assert trace == []
 
     def test_no_labels_warns_and_returns_init(self, caplog):
-        messages = [Message(id="a", user_id="u", timestamp=0), Message(id="b", user_id="u", timestamp=1)]
+        unlabeled = np.full(2, -1, dtype=np.int8)
         with caplog.at_level("WARNING"):
-            out, trace = learn_weights(HingeWeights(), labels_of(messages), [group("user", "u", ["a", "b"])],
-                                       {"a": 0.5, "b": 0.5}, steps=3)
+            out, trace = learn_weights(HingeWeights(), unlabeled, one_group(2), np.full(2, 0.5),
+                                       steps=3)
         assert out.neg == 1.0
         assert trace == []
+        assert "no labeled" in caplog.text
 
     def test_prior_weight_grows_when_priors_match_labels(self):
-        messages, groups, priors = self.make_validation()
+        labels, groups, priors = self.make_validation()
         init = HingeWeights()
-        out, _ = learn_weights(init, labels_of(messages), groups, priors, steps=5, learning_rate=0.05)
+        out, _ = learn_weights(init, labels, groups, priors, steps=5, learning_rate=0.05)
         assert out.prior / max(out.neg, 1e-9) > init.prior / init.neg
 
     def test_pure_campaign_groups_keep_positive_relation_weights(self):
         # groups pure spam or pure ham: observed relational hinge values are zero,
         # so relation weights can only grow from their positive initialization
-        messages, groups, priors = self.make_validation()
-        pure_groups = []
-        labels = {m.id: m.label for m in messages}
-        for g in groups:
-            member_labels = {labels[mid] for mid in g.member_ids}
-            if len(member_labels) == 1:
-                pure_groups.append(g)
-        spam_ids = [m.id for m in messages if m.label == 1]
-        ham_ids = [m.id for m in messages if m.label == 0]
-        pure_groups.append(group("text", "s", spam_ids))
-        pure_groups.append(group("text", "h", ham_ids))
-        out, _ = learn_weights(HingeWeights(), labels_of(messages), pure_groups, priors, steps=5)
-        for rel in {g.relation for g in pure_groups}:
+        labels, _, priors = self.make_validation()
+        pure_groups = hub_table(*(("user", f"u{j}", range(j, 12, 4)) for j in range(4)
+                                  if len(set(labels[j::4].tolist())) == 1),
+                                ("text", "s", np.flatnonzero(labels == 1)),
+                                ("text", "h", np.flatnonzero(labels == 0)))
+        out, _ = learn_weights(HingeWeights(), labels, pure_groups, priors, steps=5)
+        for rel in pure_groups.relations:
             assert out.c(rel) > 0
             assert out.d(rel) > 0
 
     def test_weights_stay_nonnegative(self):
-        messages, groups, priors = self.make_validation()
-        out, _ = learn_weights(HingeWeights(), labels_of(messages), groups, priors,
+        labels, groups, priors = self.make_validation()
+        out, _ = learn_weights(HingeWeights(), labels, groups, priors,
                                steps=20, learning_rate=5.0)
         assert out.neg >= 0 and out.prior >= 0
-        for rel in {g.relation for g in groups}:
+        for rel in groups.relations:
             assert out.c(rel) >= 0 and out.d(rel) >= 0
 
 
 def test_map_inference_subgradient_p1():
-    priors = {"a": 0.8, "b": 0.7, "c": 0.4}
-    model = ground_rules(priors, [group("user", "u", priors)], HingeWeights(), p=1)
+    model = ground_rules(np.array([0.8, 0.7, 0.4]), one_group(3), HingeWeights(), p=1)
     result = map_inference(model, tol=1e-10, max_iter=20000)
     assert (result.x >= 0).all() and (result.x <= 1).all()
     # with equal unit weights the all-zero point attains the flat optimum 1.9;

@@ -10,6 +10,7 @@ from relspam.linear import (
     Scaler,
     columns_hash,
     fit_classifier,
+    recenter_scores,
     sigmoid,
     train,
 )
@@ -153,30 +154,40 @@ class TestFitClassifier:
         X = rng.normal(size=(n, 2))
         y = (X[:, 0] + 0.3 * rng.normal(size=n) > 0).astype(int)
         fm = FeatureMatrix([f"m{i}" for i in range(n)], ["f0", "f1"], sp.csr_matrix(X))
-        labels = {f"m{i}": int(y[i]) for i in range(n)}
-        return fm, labels
+        return fm, y.astype(np.int8)
 
     def test_fit_and_predict(self):
         fm, labels = self.make_fm()
         model = fit_classifier(fm, labels, scale_columns=["f0", "f1"])
         preds = model.predict_proba(fm)
-        assert set(preds) == set(fm.row_ids)
-        assert all(0 < p < 1 for p in preds.values())
+        assert preds.shape == (len(fm.row_ids),)
+        assert ((0 < preds) & (preds < 1)).all()
 
     def test_missing_labels_rejected(self):
         fm, labels = self.make_fm()
-        del labels["m0"]
-        with pytest.raises(DataError):
+        labels[3] = -1
+        with pytest.raises(DataError, match="first: m3"):
             fit_classifier(fm, labels)
+
+    def test_label_count_must_match_rows(self):
+        fm, labels = self.make_fm()
+        with pytest.raises(DataError):
+            fit_classifier(fm, labels[1:])
 
     def test_serialization_round_trip(self):
         fm, labels = self.make_fm()
         model = fit_classifier(fm, labels, scale_columns=["f0"],
                                config=ClassifierConfig(l2=0.5))
         restored = LinearModel.from_json(model.to_json())
-        a = model.predict_proba(fm)
-        b = restored.predict_proba(fm)
-        assert a == b
+        assert model.predict_proba(fm).tolist() == restored.predict_proba(fm).tolist()
+
+
+def test_recenter_maps_center_to_neutral_and_keeps_extremes_and_nan():
+    out = recenter_scores(np.array([0.2, 0.0, 1.0, np.nan, 0.5]), 0.2)
+    assert out[0] == pytest.approx(0.5, abs=1e-12)
+    assert out[1] < 1e-9 and out[2] > 1 - 1e-9
+    assert np.isnan(out[3])
+    assert out[4] > 0.5
 
 
 def test_sigmoid_extremes_stay_in_unit_interval():
