@@ -210,8 +210,6 @@ def cmd_featurize(cfg: RunConfig) -> int:
     write_index(feat_dir / "index.npz", index)
     del index
     graph_table = graph_feature_table(cfg, follows)
-    (feat_dir / "graph_table.json").write_text(
-        json.dumps(graph_table, sort_keys=True), encoding="utf-8")
     for i, subset in enumerate(plan.subsets):
         fm = featurize_subset(messages, subset, cfg, graph_table)
         sub_dir = _subset_dir(cfg, "features", i)

@@ -49,7 +49,6 @@ SPAM = 1
 HAM = 0
 
 RELATION_NAMES = ("user", "text", "link", "hashtag", "mention", "track", "user_hashtag")
-HUB_PREFIX = "hub:"  # reserved for hubs: no message id may start with it
 
 
 @dataclass
@@ -296,9 +295,9 @@ class ValidationReport:
 
 def validate_dataset(messages: list) -> ValidationReport:
     """Report duplicate ids, ids the TSV artifacts cannot carry (a tab, CR or
-    newline), ids that could collide with a hub id, string fields that are
-    not strings or that the UTF-8 artifacts cannot carry (a lone surrogate),
-    invalid timestamps and label coverage. Never mutates."""
+    newline), string fields that are not strings or that the UTF-8 artifacts
+    cannot carry (a lone surrogate), invalid timestamps and label coverage.
+    Never mutates."""
     report = ValidationReport(n_messages=len(messages))
     seen = set()
     dups = set()
@@ -309,16 +308,15 @@ def validate_dataset(messages: list) -> ValidationReport:
         seen.add(m.id)
         if "\t" in m.id or "\r" in m.id or "\n" in m.id:
             report.errors.append(f"message id contains a tab, CR or newline: {m.id!r}")
-        if m.id.startswith(HUB_PREFIX):
-            report.errors.append(f"message id starts with the hub id prefix {HUB_PREFIX!r}: {m.id!r}")
         try:
-            for text in (m.id, m.user_id, m.text, str(m.target_id), *m.links, *m.hashtags, *m.mentions):
+            target = "" if m.target_id is None else m.target_id
+            for text in (m.id, m.user_id, m.text, target, *m.links, *m.hashtags, *m.mentions):
                 text.encode("utf-8")
         except UnicodeEncodeError:
             report.errors.append(f"message has a string field that is not valid UTF-8: {m.id!r}")
         except AttributeError:
-            report.errors.append(f"message has a text, user, link, hashtag or mention that is "
-                                 f"not a string: {m.id!r}")
+            report.errors.append(f"message has a text, user, target, link, hashtag or mention "
+                                 f"that is not a string: {m.id!r}")
         if not isinstance(m.timestamp, int) or m.timestamp < 0:
             report.bad_timestamps.append(m.id)
         if m.label is not None:
@@ -423,6 +421,8 @@ def message_from_record(rec: Mapping, fallback_index: int = 0) -> Message:
     for name in ("links", "hashtags", "mentions"):
         if type(rec.get(name, [])) is not list:
             raise DataError(f"{name!r} must be a list, got {rec[name]!r}")
+    if not isinstance(rec.get("target_id"), (str, type(None))):
+        raise DataError(f"'target_id' must be a string or null, got {rec['target_id']!r}")
     return Message(
         id=str(rec["id"]),
         user_id=str(rec.get("user_id", "")),

@@ -38,7 +38,6 @@ from .data_model import (
     chronological_split,
     is_int,
     is_number,
-    labels_of,
     sort_chronologically,
     validate_dataset,
 )
@@ -394,11 +393,13 @@ def graph_feature_table(config: ExperimentConfig, follows: list) -> dict:
 def featurize_subset(ordered: list, subset: SubsetSplit, config: ExperimentConfig,
                      graph_table: dict) -> FeatureMatrix:
     """Fit the feature pipeline on the subset's training slice and transform
-    the whole subset: -> the matrix of its train, validation and test rows."""
-    train_msgs, val_msgs, test_msgs = (ordered[a:b] for a, b in
-                                       (subset.train, subset.validation, subset.test))
-    pipe = FeaturePipeline(config.feature, graph_table).fit(train_msgs)
-    return pipe.transform(train_msgs + val_msgs + test_msgs, labels_of(train_msgs))
+    the whole subset, knowing only the training labels: -> the matrix of its
+    train, validation and test rows."""
+    (a, b), end = subset.train, subset.test[1]
+    labels = np.full(end - a, -1)
+    labels[:b - a] = [-1 if m.label is None else m.label for m in ordered[a:b]]
+    pipe = FeaturePipeline(config.feature, graph_table).fit(ordered[a:b])
+    return pipe.transform(ordered[a:end], labels)
 
 
 def center_mrf_priors(priors: np.ndarray, config: ExperimentConfig) -> np.ndarray:

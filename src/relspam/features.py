@@ -1,7 +1,9 @@
 """Independent-model features: content, sequential user behavior, follower-graph
-scores, and hashed character n-grams, assembled into a sparse feature matrix
-with a column dictionary frozen at fit time. A subset's matrix holds its
-messages in chronological order, so a slice of the subset is a range of rows
+scores and character n-grams. Each feature family is a block of columns whose
+row i is the message at position i of a chronologically sorted slice, and
+`FeaturePipeline.transform` stacks the blocks into one sparse matrix under a
+column list frozen at fit time. A subset's matrix holds its messages in
+chronological order, so a slice of the subset is a range of rows
 (`FeatureMatrix.rows`).
 """
 
@@ -18,8 +20,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data_model import (
+    HAM,
+    SPAM,
     DataError,
-    Message,
     message_hashtags,
     message_links,
     message_mentions,
@@ -42,6 +45,7 @@ GRAPH_COLUMNS = ("pagerank", "triangle_count", "k_core", "in_degree", "out_degre
 # Indicator columns stay unscaled when the classifier standardizes inputs.
 BINARY_COLUMNS = frozenset({"is_retweet", "user_blacklist", "user_whitelist"})
 NGRAM_PREFIX = "ng:"
+NGRAM_N = 3  # characters per n-gram
 
 BLACKLIST_SPAM_THRESHOLD = 3
 WHITELIST_HAM_THRESHOLD = 10
@@ -77,99 +81,63 @@ def sentiment_scores(text: str) -> tuple:
     return pol, sub
 
 
-def extract_content_features(m: Message) -> dict:
-    pol, sub = sentiment_scores(m.text)
-    return {
-        "num_chars": float(len(m.text)),
-        "num_hashtags": float(len(message_hashtags(m))),
-        "num_links": float(len(message_links(m))),
-        "num_mentions": float(len(message_mentions(m))),
-        "is_retweet": 1.0 if m.is_retweet else 0.0,
-        "polarity": pol,
-        "subjectivity": sub,
-    }
+def extract_content_features(messages: list) -> np.ndarray:
+    """The content block: a row of `CONTENT_COLUMNS` per message."""
+    return np.array([(len(m.text), len(message_hashtags(m)), len(message_links(m)),
+                      len(message_mentions(m)), bool(m.is_retweet), *sentiment_scores(m.text))
+                     for m in messages], dtype=float).reshape(len(messages), len(CONTENT_COLUMNS))
 
 
-def extract_user_features_sequential(messages: list, known_labels: dict) -> list:
-    """Per-message user features from strictly earlier messages in the stream.
+def _codes(keys) -> np.ndarray:
+    """Each key's number, in order of first appearance."""
+    number: dict = {}
+    return np.array([number.setdefault(k, len(number)) for k in keys], dtype=np.int64)
 
-    `messages` must be sorted by (timestamp, id). Every feature for position i
-    is a function of positions < i only, so appending future messages never
-    changes past features. Label-derived features (black/whitelist) see only
-    the ids present in `known_labels` (the training period).
+
+def _earlier(values, key: np.ndarray, op: np.ufunc) -> np.ndarray:
+    """Per position, `op` folded in position order over the rows of `values`
+    at the earlier positions of the same key; 0 where there is none."""
+    values = np.asarray(values, dtype=float)
+    out = np.zeros(values.shape)
+    order = np.argsort(key, kind="stable")
+    for run in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+        out[run[1:]] = op.accumulate(values[run[:-1]])
+    return out
+
+
+def extract_user_features_sequential(messages: list, labels) -> np.ndarray:
+    """The user block: a row of `USER_COLUMNS` per message, from strictly
+    earlier messages in the stream.
+
+    `messages` must be sorted by (timestamp, id), and `labels` holds a label
+    per message, -1 where it is not known. Row i is a function of positions
+    < i only, so appending future messages never changes past rows. The
+    label-derived columns (black/whitelist) count only the known labels (the
+    training period's).
     """
-
-    class _UserState:
-        __slots__ = ("count", "n_hashtag", "n_mention", "n_link", "n_spam", "n_ham",
-                     "len_sum", "len_max", "len_min")
-
-        def __init__(self):
-            self.count = 0
-            self.n_hashtag = 0
-            self.n_mention = 0
-            self.n_link = 0
-            self.n_spam = 0
-            self.n_ham = 0
-            self.len_sum = 0.0
-            self.len_max = 0.0
-            self.len_min = 0.0
-
     for prev, cur in zip(messages, messages[1:]):
         if (prev.timestamp, prev.id) > (cur.timestamp, cur.id):
             raise DataError("messages must be sorted by (timestamp, id) for sequential features")
-
-    users: dict = {}
-    tracks: Counter = Counter()
-    out = []
-    for m in messages:
-        st = users.get(m.user_id)
-        if st is None:
-            st = users[m.user_id] = _UserState()
-        if st.count:
-            feats = {
-                "user_msgs": float(st.count),
-                "user_hashtag_ratio": st.n_hashtag / st.count,
-                "user_mention_ratio": st.n_mention / st.count,
-                "user_link_ratio": st.n_link / st.count,
-                "user_len_max": st.len_max,
-                "user_len_min": st.len_min,
-                "user_len_mean": st.len_sum / st.count,
-            }
-        else:
-            feats = {
-                "user_msgs": 0.0,
-                "user_hashtag_ratio": 0.0,
-                "user_mention_ratio": 0.0,
-                "user_link_ratio": 0.0,
-                "user_len_max": 0.0,
-                "user_len_min": 0.0,
-                "user_len_mean": 0.0,
-            }
-        feats["user_blacklist"] = 1.0 if st.n_spam >= BLACKLIST_SPAM_THRESHOLD else 0.0
-        feats["user_whitelist"] = 1.0 if st.n_ham >= WHITELIST_HAM_THRESHOLD else 0.0
-        feats["track_msgs"] = float(tracks[m.target_id]) if m.target_id else 0.0
-        out.append(feats)
-
-        # fold the current message into the running state
-        length = float(len(m.text))
-        st.len_max = length if st.count == 0 else max(st.len_max, length)
-        st.len_min = length if st.count == 0 else min(st.len_min, length)
-        st.len_sum += length
-        st.count += 1
-        if message_hashtags(m):
-            st.n_hashtag += 1
-        if message_mentions(m):
-            st.n_mention += 1
-        if message_links(m):
-            st.n_link += 1
-        label = known_labels.get(m.id)
-        if label == 1:
-            st.n_spam += 1
-        elif label == 0:
-            st.n_ham += 1
-        if m.target_id:
-            tracks[m.target_id] += 1
-    return out
+    labels = np.asarray(labels)
+    if labels.shape != (len(messages),):
+        raise DataError(f"{labels.size} labels for {len(messages)} messages")
+    user = _codes(m.user_id for m in messages)
+    length = np.array([len(m.text) for m in messages], dtype=float)
+    # what each message adds to its user's history
+    history = np.column_stack([
+        np.ones(len(messages)),
+        [bool(message_hashtags(m)) for m in messages],
+        [bool(message_mentions(m)) for m in messages],
+        [bool(message_links(m)) for m in messages],
+        labels == SPAM, labels == HAM, length])
+    count, hashtags, mentions, links, spam, ham, length_sum = _earlier(history, user, np.add).T
+    seen = np.maximum(count, 1.0)  # a user's first message has no history: its ratios are 0
+    tracked = np.array([bool(m.target_id) for m in messages], dtype=float)
+    return np.column_stack([
+        count, hashtags / seen, mentions / seen, links / seen,
+        spam >= BLACKLIST_SPAM_THRESHOLD, ham >= WHITELIST_HAM_THRESHOLD,
+        _earlier(length, user, np.maximum), _earlier(length, user, np.minimum), length_sum / seen,
+        tracked * _earlier(tracked, _codes(m.target_id for m in messages), np.add)])
 
 
 # --- follower graph and graph features ---
@@ -292,24 +260,15 @@ def degrees(g: FollowerGraph) -> dict:
 
 
 def compute_graph_feature_table(g: FollowerGraph) -> dict:
-    """Per-user graph feature map; users absent from the graph get all zeros."""
+    """Per-user graph features: user -> a row of `GRAPH_COLUMNS`. Users absent
+    from the graph get all zeros in the graph block."""
     if not g.out_adj:
         return {}
     pr, _ = pagerank(g)
     tri = triangle_count(g)
     cores = k_core(g)
     degs = degrees(g)
-    table = {}
-    for v in g.nodes:
-        din, dout = degs[v]
-        table[v] = {
-            "pagerank": pr[v],
-            "triangle_count": float(tri[v]),
-            "k_core": float(cores[v]),
-            "in_degree": float(din),
-            "out_degree": float(dout),
-        }
-    return table
+    return {v: (pr[v], float(tri[v]), float(cores[v]), *map(float, degs[v])) for v in g.nodes}
 
 
 # --- n-gram vocabulary ---
@@ -318,14 +277,14 @@ def char_ngrams(text: str, n: int) -> list:
     return [text[i:i + n] for i in range(len(text) - n + 1)]
 
 
-def fit_ngram_vocabulary(texts: list, n: int = 3, top_k: int = 10000) -> list:
-    """Top character n-grams of the normalized texts by raw term frequency.
+def fit_ngram_vocabulary(texts: list, top_k: int = 10000) -> list:
+    """Top character `NGRAM_N`-grams of the normalized texts by raw term frequency.
 
     Ties broken lexicographically; the returned order is the column order.
     """
     counts: Counter = Counter()
     for t in texts:
-        counts.update(char_ngrams(normalize_text(t), n))
+        counts.update(char_ngrams(normalize_text(t), NGRAM_N))
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     vocab = [gram for gram, _ in ranked[:top_k]]
     if not vocab:
@@ -333,13 +292,13 @@ def fit_ngram_vocabulary(texts: list, n: int = 3, top_k: int = 10000) -> list:
     return vocab
 
 
-def ngram_features(texts: list, vocabulary: list, n: int = 3) -> sp.csr_matrix:
+def ngram_features(texts: list, vocabulary: list) -> sp.csr_matrix:
     """Binary presence matrix over the fitted vocabulary; OOV grams are ignored."""
     index = {gram: j for j, gram in enumerate(vocabulary)}
     rows, cols = [], []
     for i, t in enumerate(texts):
         seen = set()
-        for gram in char_ngrams(normalize_text(t), n):
+        for gram in char_ngrams(normalize_text(t), NGRAM_N):
             j = index.get(gram)
             if j is not None and j not in seen:
                 seen.add(j)
@@ -353,7 +312,8 @@ def ngram_features(texts: list, vocabulary: list, n: int = 3) -> sp.csr_matrix:
 
 @dataclass
 class FeatureMatrix:
-    row_ids: list
+    """Row i is the message at position i of a chronologically sorted slice."""
+
     column_names: list
     matrix: sp.csr_matrix
 
@@ -367,12 +327,12 @@ class FeatureMatrix:
 
     def rows(self, a: int, b: int) -> "FeatureMatrix":
         """Rows a to b (exclusive)."""
-        return FeatureMatrix(self.row_ids[a:b], self.column_names, self.matrix[a:b])
+        return FeatureMatrix(self.column_names, self.matrix[a:b])
 
 
 def hstack_features(fm: FeatureMatrix, extra_columns: list, extra: sp.spmatrix) -> FeatureMatrix:
     stacked = sp.hstack([fm.matrix, sp.csr_matrix(extra)], format="csr")
-    return FeatureMatrix(fm.row_ids, list(fm.column_names) + list(extra_columns), stacked)
+    return FeatureMatrix(list(fm.column_names) + list(extra_columns), stacked)
 
 
 def scalable_columns(column_names: list) -> list:
@@ -380,18 +340,18 @@ def scalable_columns(column_names: list) -> list:
     return [c for c in column_names if c not in BINARY_COLUMNS and not c.startswith(NGRAM_PREFIX)]
 
 
-MATRIX_FORMAT = "relspam-features v2"
+MATRIX_FORMAT = "relspam-features v3"
 
 
 def write_feature_matrix(path, fm: FeatureMatrix) -> None:
     """One uncompressed npz archive: the canonical CSR arrays (`data`, `indices`,
-    `indptr`, `shape`) and `header`, the UTF-8 JSON of the format tag, row ids
-    and column names. Written through an open file so numpy adds no suffix.
+    `indptr`, `shape`) and `header`, the UTF-8 JSON of the format tag and the
+    column names. Written through an open file so numpy adds no suffix.
     """
     matrix = sp.csr_matrix(fm.matrix, dtype=np.float64, copy=True)
     matrix.sum_duplicates()
     matrix.sort_indices()
-    header = json.dumps({"format": MATRIX_FORMAT, "rows": fm.row_ids, "columns": fm.column_names},
+    header = json.dumps({"format": MATRIX_FORMAT, "columns": fm.column_names},
                         ensure_ascii=False).encode("utf-8")
     with open(path, "wb") as fh:
         np.savez(fh, header=np.frombuffer(header, dtype=np.uint8), data=matrix.data,
@@ -407,21 +367,20 @@ def read_feature_matrix(path) -> FeatureMatrix:
             data, indices, indptr, shape = (archive[k] for k in ("data", "indices", "indptr", "shape"))
         if header["format"] != MATRIX_FORMAT:
             raise ValueError(f"format {header['format']!r}")
-        row_ids, columns = header["rows"], header["columns"]
-        if shape.tolist() != [len(row_ids), len(columns)]:
+        columns = header["columns"]
+        if len(shape) != 2 or shape[1] != len(columns):
             raise ValueError(f"shape {shape.tolist()} does not match the header")
-        matrix = sp.csr_matrix((data, indices, indptr), shape=(len(row_ids), len(columns)))
+        matrix = sp.csr_matrix((data, indices, indptr), shape=(int(shape[0]), len(columns)))
     except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
         raise DataError(f"not a {MATRIX_FORMAT} feature matrix: {path} ({exc}); "
                         "rerun the featurize stage") from exc
-    return FeatureMatrix(row_ids, columns, matrix)
+    return FeatureMatrix(columns, matrix)
 
 
 @dataclass
 class FeatureConfig:
     mode: str = "full"            # "full" or "limited"
     limited_drop: str = "ngrams"  # feature family removed in limited mode: "ngrams" or "graph"
-    ngram_n: int = 3
     ngram_top_k: int = 10000
 
     def uses_ngrams(self) -> bool:
@@ -436,7 +395,7 @@ class FeaturePipeline:
 
     The column dictionary is frozen at fit time, so train / validation / test
     matrices of one experiment always align. `graph_table` maps a user id to
-    its follower-graph features (`compute_graph_feature_table`).
+    its row of the graph block (`compute_graph_feature_table`).
     """
 
     def __init__(self, config: FeatureConfig | None = None, graph_table: dict | None = None):
@@ -449,7 +408,7 @@ class FeaturePipeline:
         cfg = self.config
         if cfg.uses_ngrams():
             self.vocabulary = fit_ngram_vocabulary(
-                [m.text for m in train_messages], n=cfg.ngram_n, top_k=cfg.ngram_top_k)
+                [m.text for m in train_messages], top_k=cfg.ngram_top_k)
         self._fitted = True
         return self
 
@@ -462,27 +421,18 @@ class FeaturePipeline:
             cols += [NGRAM_PREFIX + g for g in self.vocabulary]
         return cols
 
-    def transform(self, messages_sorted: list, known_labels: dict) -> FeatureMatrix:
+    def transform(self, messages: list, labels) -> FeatureMatrix:
+        """The matrix of chronologically sorted messages, a row per message,
+        with `labels` as `extract_user_features_sequential` takes them."""
         if not self._fitted:
             raise DataError("FeaturePipeline.transform called before fit")
-        cfg = self.config
-        n = len(messages_sorted)
-        user_rows = extract_user_features_sequential(messages_sorted, known_labels)
-
-        dense_cols = list(CONTENT_COLUMNS) + list(USER_COLUMNS)
-        if cfg.uses_graph():
-            dense_cols += list(GRAPH_COLUMNS)
-        dense = np.zeros((n, len(dense_cols)))
-        for i, m in enumerate(messages_sorted):
-            row = extract_content_features(m)
-            row.update(user_rows[i])
-            if cfg.uses_graph():
-                row.update(self.graph_table.get(m.user_id) or dict.fromkeys(GRAPH_COLUMNS, 0.0))
-            for j, c in enumerate(dense_cols):
-                dense[i, j] = row[c]
-
-        blocks = [sp.csr_matrix(dense)]
-        if cfg.uses_ngrams():
-            blocks.append(ngram_features([m.text for m in messages_sorted], self.vocabulary, n=cfg.ngram_n))
-        matrix = sp.hstack(blocks, format="csr") if len(blocks) > 1 else blocks[0]
-        return FeatureMatrix([m.id for m in messages_sorted], self.column_names, matrix)
+        blocks = [extract_content_features(messages),
+                  extract_user_features_sequential(messages, labels)]
+        if self.config.uses_graph():
+            absent = (0.0,) * len(GRAPH_COLUMNS)
+            blocks.append(np.array([self.graph_table.get(m.user_id, absent) for m in messages],
+                                   dtype=float).reshape(len(messages), len(GRAPH_COLUMNS)))
+        blocks = [sp.csr_matrix(np.hstack(blocks))]
+        if self.config.uses_ngrams():
+            blocks.append(ngram_features([m.text for m in messages], self.vocabulary))
+        return FeatureMatrix(self.column_names, sp.hstack(blocks, format="csr"))

@@ -6,9 +6,11 @@ member) edge arrays, the `GroupTable` the hub MRF builds from too, into
 one row per weighted hinge potential max(0, l)^p, with l linear in the
 variables, held as a sparse coefficient matrix, a constant and a weight vector
 and a template id per row. Priors, observed values and scores are float
-arrays over chronological positions. MAP inference minimizes the convex
-weighted sum by Jacobi-scaled projected gradient descent; template weights can
-be learned from labeled validation data.
+arrays over chronological positions. The objective and its gradient take
+the linear values A @ x + const, which the MAP line search keeps from one step
+to the next. MAP inference minimizes the convex weighted sum by Jacobi-scaled
+projected gradient descent; template weights can be learned from labeled
+validation data.
 """
 
 from __future__ import annotations
@@ -127,17 +129,13 @@ class GroundHingeModel:
     def linear_values(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.A @ x).ravel() + self.const
 
-    def objective(self, x: np.ndarray) -> float:
-        return self._objective_at(self.linear_values(x))
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self._gradient_at(self.linear_values(x))
-
-    # The same two quantities from linear values the caller already holds.
-    def _objective_at(self, lin: np.ndarray) -> float:
+    def objective(self, lin: np.ndarray) -> float:
+        """The weighted sum of the potentials at the linear values `lin`
+        (`linear_values` of a point)."""
         return float(self.weight @ np.maximum(0.0, lin) ** self.exponent)
 
-    def _gradient_at(self, lin: np.ndarray) -> np.ndarray:
+    def gradient(self, lin: np.ndarray) -> np.ndarray:
+        """The objective's (sub)gradient in the variables at the linear values `lin`."""
         active = np.maximum(0.0, lin)
         if self.exponent == 2:
             coef = 2.0 * self.weight * active
@@ -265,16 +263,16 @@ def map_inference(model: GroundHingeModel, tol: float = 1e-6, max_iter: int = 50
     # lin = A @ x + const at the current point, kept from the line search for the next gradient
     x = model.init.copy()
     lin = model.linear_values(x)
-    f = model._objective_at(lin)
+    f = model.objective(lin)
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        g = scale * model._gradient_at(lin)
+        g = scale * model.gradient(lin)
         improved = False
         while step > 1e-15:
             x_new = np.clip(x - step * g, 0.0, 1.0)
             lin_new = model.linear_values(x_new)
-            f_new = model._objective_at(lin_new)
+            f_new = model.objective(lin_new)
             if f_new < f:
                 improved = True
                 break
@@ -295,16 +293,16 @@ def map_inference(model: GroundHingeModel, tol: float = 1e-6, max_iter: int = 50
 def _map_subgradient(model: GroundHingeModel, tol: float, max_iter: int, step: float):
     x = model.init.copy()
     best_x = x.copy()
-    best_f = model.objective(x)
+    best_f = model.objective(model.linear_values(x))
     last_gain_iter = 0
     it = 0
     for it in range(1, max_iter + 1):
-        g = model.gradient(x)
+        g = model.gradient(model.linear_values(x))
         gnorm = float(np.linalg.norm(g))
         if gnorm == 0.0:
             break
         x = np.clip(x - (step / (np.sqrt(it) * gnorm)) * g, 0.0, 1.0)
-        f = model.objective(x)
+        f = model.objective(model.linear_values(x))
         if f < best_f - tol:
             best_f = f
             best_x = x.copy()
@@ -370,7 +368,7 @@ def learn_weights(init: HingeWeights, labels: np.ndarray, groups: GroupTable,
         model = model.reweighted(weights)
         map_state = map_inference(model, tol=1e-9, max_iter=5000)
         phi_map = _template_sums(model, map_state.x)
-        trace.append(map_state.objective - model.objective(observed_x))
+        trace.append(map_state.objective - model.objective(model.linear_values(observed_x)))
         for template in sorted(set(phi_map) | set(phi_obs)):
             grad = phi_map.get(template, 0.0) - phi_obs.get(template, 0.0)
             weights.set_template(template, weights.of_template(template) + learning_rate * grad)

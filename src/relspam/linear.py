@@ -107,7 +107,6 @@ class LinearModel:
     n_iter: int = 0
     converged: bool = True
     columns_hash: str = ""
-    n_columns: int = 0
     scaler: Scaler | None = None
     loss_trace: list = field(default_factory=list, repr=False)
 
@@ -130,7 +129,6 @@ class LinearModel:
         payload = {
             "version": 1,
             "columns_hash": self.columns_hash,
-            "n_columns": self.n_columns or len(self.weights),
             "weights": [float(w) for w in self.weights],
             "bias": float(self.bias),
             "l2": self.l2,
@@ -153,7 +151,6 @@ class LinearModel:
             n_iter=d["n_iter"],
             converged=d["converged"],
             columns_hash=d["columns_hash"],
-            n_columns=d["n_columns"],
             scaler=scaler,
         )
 
@@ -188,7 +185,7 @@ def train(X: sp.spmatrix, y: np.ndarray, l2: float = 1.0, max_iter: int = 500,
     if n == 0 or prevalence in (0.0, 1.0):
         log.warning("single-class training data (prevalence=%.3f): constant model", prevalence)
         return LinearModel(weights=np.zeros(d), bias=_logit(prevalence), l2=l2,
-                           n_iter=0, converged=True, n_columns=d)
+                           n_iter=0, converged=True)
 
     # X.T as CSR, built once: its products sum each column of X in ascending row
     # order, as X.T @ v does through the transposed view, so they are bit-identical
@@ -226,7 +223,7 @@ def train(X: sp.spmatrix, y: np.ndarray, l2: float = 1.0, max_iter: int = 500,
     if not converged:
         log.warning("training stopped at max_iter=%d (gradient norm above tol)", max_iter)
     return LinearModel(weights=w, bias=b, l2=l2, n_iter=it, converged=converged,
-                       n_columns=d, loss_trace=trace)
+                       loss_trace=trace)
 
 
 @dataclass
@@ -247,7 +244,7 @@ def fit_classifier(fm: FeatureMatrix, labels, scale_columns: list | None = None,
     missing = np.flatnonzero(labels < 0)
     if len(missing):
         raise DataError(f"{len(missing)} training rows lack labels "
-                        f"(first: {fm.row_ids[missing[0]]})")
+                        f"(first: row {missing[0]})")
     y = labels.astype(float)
 
     scaler = None

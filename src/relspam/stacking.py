@@ -6,7 +6,9 @@ is split into K+1 contiguous slices, the base model trains on the first, and
 each later submodel trains on its own slice augmented with grouped-prediction
 ratios rolled forward from the earlier submodels. Messages are chronological
 positions; scores, labels and the ratios are arrays over them, and the ratios
-are one array pass per relation over a group table's edges.
+are one array pass per relation over a group table's edges. A submodel's
+columns are the base columns and one ratio column per relation, and its
+column hash is the one check that a matrix matches it.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ def pseudo_columns(relations: list) -> list:
 
 
 def compute_pseudo_features(rows, groups: GroupTable, scores: np.ndarray, relations: list,
-                            mode: str = "soft", threshold: float = 0.5) -> np.ndarray:
+                            mode: str = "soft") -> np.ndarray:
     """Per message and relation: mean predicted spamminess of its co-members.
 
     `rows` are message positions and `scores` a float array over positions,
@@ -41,8 +43,8 @@ def compute_pseudo_features(rows, groups: GroupTable, scores: np.ndarray, relati
     own score is always excluded. Messages in several groups of one relation
     pool the union of the other members. Unscored co-members are skipped;
     with no scored co-member at all the neutral 0.5 is emitted. `mode="hard"`
-    averages thresholded scores instead of raw probabilities. A mean adds its
-    co-members' scores in position order.
+    averages scores thresholded at 0.5 instead of raw probabilities. A mean
+    adds its co-members' scores in position order.
     """
     if mode not in ("soft", "hard"):
         raise ConfigError(f"pseudo-feature mode must be 'soft' or 'hard', got {mode!r}")
@@ -50,7 +52,7 @@ def compute_pseudo_features(rows, groups: GroupTable, scores: np.ndarray, relati
     n = len(scores)
     row_of = np.full(n, -1, dtype=np.int64)
     row_of[rows] = np.arange(len(rows))
-    value = scores if mode == "soft" else (scores >= threshold).astype(float)
+    value = scores if mode == "soft" else (scores >= NEUTRAL_SCORE).astype(float)
     first = np.cumsum(groups.sizes) - groups.sizes  # each group's first edge
     out = np.full((len(rows), len(relations)), NEUTRAL_SCORE)
     for j, rel in enumerate(relations):
@@ -82,9 +84,8 @@ def _pseudo_matrix(fm: FeatureMatrix, pseudo: np.ndarray, relations: list) -> Fe
 class StackedModel:
     submodels: list  # LinearModel f^0 .. f^K
     relations: list
-    base_columns: list
-    pseudo_mode: str = "soft"
-    score_center: float | None = None  # scores recentered so this maps to 0.5 in the pools
+    pseudo_mode: str
+    score_center: float  # the training prevalence, which recentered scores map to 0.5 in the pools
 
     @property
     def n_stacks(self) -> int:
@@ -94,8 +95,6 @@ class StackedModel:
         return json.dumps({
             "version": 1,
             "relations": self.relations,
-            "base_columns_n": len(self.base_columns),
-            "base_columns": self.base_columns,
             "pseudo_mode": self.pseudo_mode,
             "score_center": self.score_center,
             "submodels": [json.loads(m.to_json()) for m in self.submodels],
@@ -105,9 +104,8 @@ class StackedModel:
     def from_json(cls, text: str) -> "StackedModel":
         d = json.loads(text)
         submodels = [LinearModel.from_json(json.dumps(m)) for m in d["submodels"]]
-        return cls(submodels=submodels, relations=d["relations"],
-                   base_columns=d["base_columns"], pseudo_mode=d["pseudo_mode"],
-                   score_center=d.get("score_center"))
+        return cls(submodels=submodels, relations=d["relations"], pseudo_mode=d["pseudo_mode"],
+                   score_center=d["score_center"])
 
 
 def _slice_bounds(n: int, parts: int) -> list:
@@ -117,17 +115,15 @@ def _slice_bounds(n: int, parts: int) -> list:
 def train_stacked(rows, fm: FeatureMatrix, labels: np.ndarray, groups: GroupTable,
                   K: int, relations: list, scale_columns: list | None = None,
                   config: ClassifierConfig | None = None,
-                  pseudo_mode: str = "soft",
-                  score_center: float | str | None = "auto") -> StackedModel:
+                  pseudo_mode: str = "soft") -> StackedModel:
     """Fit f^0..f^K on K+1 contiguous time slices of the training messages:
     the rows of `fm`, at the chronological positions `rows`, labeled by
     `labels`, the labels of every position.
 
     Predictions roll forward through the chain: slice k sees pseudo-relational
     features computed from f^{k-1}'s predictions on that same slice, plus the
-    gold labels of the earlier (past) slices. With `score_center="auto"` the
-    scores entering the pools are recentered so the training prevalence maps
-    to the 0.5 neutral point.
+    gold labels of the earlier (past) slices. The scores entering the pools
+    are recentered so the training prevalence maps to the 0.5 neutral point.
     """
     if K < 0:
         raise ConfigError("K must be >= 0")
@@ -138,14 +134,15 @@ def train_stacked(rows, fm: FeatureMatrix, labels: np.ndarray, groups: GroupTabl
         raise DataError(f"{fm.shape[0]} feature rows for {len(rows)} training messages")
     config = config or ClassifierConfig()
     y = labels[rows]
-    if score_center == "auto":
-        score_center = int((y == SPAM).sum()) / len(y)
+    unlabeled = rows[y < 0]
+    if len(unlabeled):
+        raise DataError(f"{len(unlabeled)} training messages lack labels "
+                        f"(first: position {unlabeled[0]})")
 
     bounds = _slice_bounds(len(rows), K + 1)
     submodels = [fit_classifier(fm.rows(*bounds[0]), y[slice(*bounds[0])], scale_columns, config)]
-    model = StackedModel(submodels=submodels, relations=list(relations),
-                         base_columns=list(fm.column_names), pseudo_mode=pseudo_mode,
-                         score_center=score_center)
+    model = StackedModel(submodels=submodels, relations=list(relations), pseudo_mode=pseudo_mode,
+                         score_center=int((y == SPAM).sum()) / len(y))
 
     # standardizing the ratio columns keeps ridge shrinkage from flattening
     # them: their within-slice variance is small but their signal is not
@@ -167,9 +164,8 @@ def _pooled_features(model: StackedModel, rows, groups: GroupTable, context: np.
                      preds: np.ndarray) -> np.ndarray:
     scores = context.copy()
     scores[rows] = preds
-    if model.score_center is not None:
-        scores = recenter_scores(scores, model.score_center)
-    return compute_pseudo_features(rows, groups, scores, model.relations, model.pseudo_mode)
+    return compute_pseudo_features(rows, groups, recenter_scores(scores, model.score_center),
+                                   model.relations, model.pseudo_mode)
 
 
 def _roll_forward(model: StackedModel, fm_base: FeatureMatrix, rows, groups: GroupTable,
@@ -196,6 +192,4 @@ def infer_stacked(model: StackedModel, fm_test: FeatureMatrix, rows, groups: Gro
         missing = [r for r in model.relations if r not in available_relations]
         if missing:
             raise ConfigError(f"relations configured at train time are absent now: {missing}")
-    if list(fm_test.column_names) != list(model.base_columns):
-        raise DataError("test feature columns do not match the stacked model's base columns")
     return _roll_forward(model, fm_test, rows, groups, context)

@@ -1,5 +1,6 @@
 """Inputs in the form the models take: groups as a `GroupTable` whose members
-are message positions, and scores as float arrays over positions."""
+are message positions, and scores as float arrays over positions; and a hinge
+model's objective and gradient at a point."""
 
 import numpy as np
 
@@ -22,3 +23,13 @@ def over(n: int, values: dict) -> np.ndarray:
     for position, value in values.items():
         out[position] = value
     return out
+
+
+def objective_at(model, x: np.ndarray) -> float:
+    """A hinge model's objective at the point x."""
+    return model.objective(model.linear_values(x))
+
+
+def gradient_at(model, x: np.ndarray) -> np.ndarray:
+    """A hinge model's gradient at the point x."""
+    return model.gradient(model.linear_values(x))

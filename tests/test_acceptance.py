@@ -13,7 +13,6 @@ import scipy.sparse as sp
 from relspam.data_model import (
     build_index,
     chronological_split,
-    labels_of,
     sort_chronologically,
 )
 from relspam.evaluation import ExperimentConfig, aupr, auroc, evaluate_experiment
@@ -33,7 +32,7 @@ from relspam.mrf import FactorGraph, build_factor_graph, exact_marginals, loopy_
 from relspam.stacking import infer_stacked, train_stacked
 from relspam.synth import GeneratorConfig, generate
 
-from tables import hub_table
+from tables import gradient_at, hub_table, objective_at
 
 
 def report(criterion, ok, detail):
@@ -156,12 +155,12 @@ def test_criterion_04_hinge_map_correctness():
     while checked < 100:
         model = _random_hinge_model(rng, rng.randint(1, 4))
         x = np_rng.uniform(0.05, 0.95, size=model.n_vars)
-        analytic = model.gradient(x)
+        analytic = gradient_at(model, x)
         fd = np.zeros_like(x)
         for j in range(len(x)):
             e = np.zeros_like(x)
             e[j] = h
-            fd[j] = (model.objective(x + e) - model.objective(x - e)) / (2 * h)
+            fd[j] = (objective_at(model, x + e) - objective_at(model, x - e)) / (2 * h)
         scale = max(1.0, float(np.abs(analytic).max()))
         worst_grad = max(worst_grad, float(np.abs(analytic - fd).max()) / scale)
         checked += 1
@@ -219,14 +218,15 @@ def test_criterion_06_metric_correctness():
 def test_criterion_07_temporal_causality():
     messages, _ = generate(GeneratorConfig(seed=77, n_messages=2000, n_users=100, n_campaigns=10))
     ordered = sort_chronologically(messages)
-    labels = {m.id: m.label for m in ordered[:1000] if m.label is not None}
+    labels = np.array([-1 if m.label is None or i >= 1000 else m.label
+                       for i, m in enumerate(ordered)])
     full = extract_user_features_sequential(ordered, labels)
     rng = random.Random(7)
     causal = True
     for _ in range(50):
         cut = rng.randint(1, len(ordered))
-        prefix = extract_user_features_sequential(ordered[:cut], labels)
-        causal = causal and prefix == full[:cut]
+        prefix = extract_user_features_sequential(ordered[:cut], labels[:cut])
+        causal = causal and np.array_equal(prefix, full[:cut])
     plan = chronological_split(ordered, 10, (0.7, 0.05, 0.25))
     leakage_free = True
     for s in plan.subsets:
@@ -338,9 +338,9 @@ def test_criterion_10_degenerate_stack_identity():
     from relspam.features import FeaturePipeline
     pipe = FeaturePipeline(FeatureConfig(mode="limited"),
                            compute_graph_feature_table(build_follower_graph(follows))).fit(train)
-    fm = pipe.transform(ordered, labels_of(train))
-    fm_train, fm_test = fm.rows(0, 1000), fm.rows(1000, len(ordered))
     index = build_index(ordered, ["user", "text", "link"])
+    fm = pipe.transform(ordered, np.where(np.arange(len(ordered)) < 1000, index.labels, -1))
+    fm_train, fm_test = fm.rows(0, 1000), fm.rows(1000, len(ordered))
     cfg = ClassifierConfig(l2=1.0, max_iter=300)
     stacked = train_stacked(np.arange(1000), fm_train, index.labels, index.groups((0, 1000)), K=0,
                             relations=["user", "text", "link"],

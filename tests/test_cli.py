@@ -1,6 +1,7 @@
 import importlib
 import json
 import re
+from collections import Counter
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
@@ -118,17 +119,30 @@ class TestStages:
         assert not (out / "features").exists()
 
 
-    def test_featurize_rejects_an_id_that_names_a_hub(self, tmp_path, capsys):
-        cfg = write_config(tmp_path)
-        out = tmp_path / "out"
-        assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
-        path = out / "data" / "messages.jsonl"
+    def test_an_id_that_names_a_hub_keeps_its_own_score(self, tmp_path):
+        # hubs are numbered after the messages, so a message "hub:user:<its
+        # user>" is scored as itself, not as its user's hub
+        cfg = write_config(tmp_path, {"models": ["independent", "mrf", "psl"]})
+        original, renamed = tmp_path / "original", tmp_path / "renamed"
+        for out in (original, renamed):
+            assert main(["generate", "--config", cfg, "--out", str(out), "--seed", "5"]) == 0
+        path = renamed / "data" / "messages.jsonl"
         messages = read_messages(path)
-        messages[7].id = "hub:user:u1"
+        ties = Counter(m.timestamp for m in messages)
+        # a test message of subset 0 whose position no id can change
+        m = next(m for m in sorted(messages, key=lambda m: m.timestamp)[300:]
+                 if ties[m.timestamp] == 1)
+        old_id, m.id = m.id, f"hub:user:{m.user_id}"
         write_messages(path, messages)
-        assert main(["featurize", "--config", cfg, "--out", str(out)]) == 1
-        assert "hub id prefix" in capsys.readouterr().err
-        assert not (out / "features").exists()
+        for out in (original, renamed):
+            for stage in ("featurize", "train", "infer"):
+                assert main([stage, "--config", cfg, "--out", str(out), "--seed", "5"]) == 0
+        for model in ("independent", "mrf", "psl"):
+            before = (original / "predictions" / model / "subset_00.tsv").read_text().splitlines()
+            after = (renamed / "predictions" / model / "subset_00.tsv").read_text().splitlines()
+            assert [line.split("\t")[0] for line in after].count(m.id) == 1
+            assert after == [re.sub(f"^{re.escape(old_id)}\t", f"{m.id}\t", line)
+                             for line in before], model
 
     @pytest.mark.parametrize("field", ["id", "user_id"])
     def test_featurize_rejects_a_lone_surrogate(self, tmp_path, capsys, field):

@@ -9,7 +9,6 @@ from relspam.data_model import (
     ConfigError,
     DataError,
     Group,
-    HUB_PREFIX,
     INDEX_FORMAT,
     Message,
     SplitPlan,
@@ -59,13 +58,14 @@ class TestValidation:
         assert any(repr(bad) in e for e in report.errors)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.text(max_size=12))
-    def test_an_id_that_could_name_a_hub_is_flagged(self, suffix):
-        # hub variables are named hub:<relation>:<key>; a message of that id
-        # would be scored as the hub's marginal
-        for mid, flagged in ((HUB_PREFIX + suffix, True), ("m" + suffix, False)):
-            errors = validate_dataset([msg("ok"), msg(mid)]).errors
-            assert any("hub id prefix" in e and repr(mid) in e for e in errors) == flagged
+    @given(st.text(max_size=12).filter(lambda t: not set(t) & set("\t\r\n")))
+    def test_an_id_of_the_hub_form_is_accepted(self, suffix):
+        # hubs are numbered after the messages, so no message id can name one
+        messages = [msg("ok", ts=0), msg("hub:user:" + suffix, ts=1)]
+        assert validate_dataset(messages).ok
+        index = build_index(messages, ["user"])
+        assert index.ids == ["ok", "hub:user:" + suffix]
+        assert index.table.members.tolist() == [0, 1]
 
     @pytest.mark.parametrize("field, value", [("id", "m\ud800x"), ("user_id", "u\udfff"),
                                               ("text", "hi \ud800"), ("hashtags", ["\udc00"])])
@@ -77,13 +77,15 @@ class TestValidation:
             [f"message has a string field that is not valid UTF-8: {m.id!r}"]
 
     @pytest.mark.parametrize("field, value", [("user_id", 7), ("text", None), ("links", [1]),
-                                              ("hashtags", ["ok", None]), ("mentions", [["x"]])])
+                                              ("hashtags", ["ok", None]), ("mentions", [["x"]]),
+                                              ("target_id", 7), ("target_id", [7])])
     def test_field_that_is_not_a_string_flagged(self, field, value):
         # JSON allows these; grouping and featurizing would fail on them
         m = msg("m1")
         setattr(m, field, value)
         assert validate_dataset([msg("ok"), m]).errors == \
-            [f"message has a text, user, link, hashtag or mention that is not a string: {m.id!r}"]
+            [f"message has a text, user, target, link, hashtag or mention that is not a string: "
+             f"{m.id!r}"]
 
     def test_negative_timestamp_flagged(self):
         report = validate_dataset([msg("a", ts=-5)])
@@ -360,8 +362,12 @@ class TestIngestion:
         (b'{"id": "x", "label": true}', "'label' must be an integer, got True"),
         (b'{"id": "x", "timestamp": 1.9}', "'timestamp' must be an integer, got 1.9"),
         (b'{"id": "x", "label": "1"}', "'label' must be an integer, got '1'"),
+        (b'{"id": "x", "target_id": 7}', "'target_id' must be a string or null, got 7"),
+        (b'{"id": "x", "target_id": [7]}', "'target_id' must be a string or null, got \\[7\\]"),
+        (b'{"id": "x", "target_id": {}}', "'target_id' must be a string or null, got {}"),
     ], ids=["utf8", "truncated", "not_object", "no_id", "timestamp", "label", "list",
-            "label_fraction", "label_bool", "timestamp_fraction", "label_string"])
+            "label_fraction", "label_bool", "timestamp_fraction", "label_string", "target_int",
+            "target_list", "target_object"])
     def test_malformed_line_names_file_and_line(self, tmp_path, line, says):
         path = tmp_path / "m.jsonl"
         good = json.dumps({"id": "a", "user_id": "u"}).encode()

@@ -25,6 +25,7 @@ from relspam.evaluation import (
     featurize_subset,
     inductive_partition,
     infer_subset_models,
+    ordered_dataset,
     parse_model_name,
     ranking_metrics,
     train_subset_models,
@@ -404,13 +405,26 @@ class TestExperiment:
         with pytest.raises(DataError, match="tab, CR or newline"):
             evaluate_experiment(messages, [], self.small_config())
 
-    def test_an_id_that_names_a_hub_fails_before_any_work(self):
-        # a message "hub:user:..." in a ham group would otherwise score the
-        # user hub's marginal instead of its own
-        messages = planted_experiment_data(n=300, seed=4)
-        messages[5].id = f"hub:user:{messages[5].user_id}"
-        with pytest.raises(DataError, match="hub id prefix"):
-            evaluate_experiment(messages, [], self.small_config(models=["independent", "mrf"]))
+    def test_an_id_that_names_a_hub_keeps_its_own_score(self):
+        # hubs are numbered after the messages, so a message "hub:user:..."
+        # in a group is scored as itself, not as its user's hub
+        config = self.small_config(models=["independent", "mrf", "psl"])
+        runs = []
+        for renamed in (False, True):
+            messages = planted_experiment_data(n=300, seed=4)
+            if renamed:
+                messages[80].id = f"hub:user:{messages[80].user_id}"  # in subset 0's test slice
+            ordered = ordered_dataset(messages)
+            index = build_index(ordered, config.relations)
+            subset = chronological_split(ordered, 3, config.fractions).subsets[0]
+            fm = featurize_subset(ordered, subset, config, {})
+            artifacts = train_subset_models(index, subset, fm, config)
+            runs.append((index, infer_subset_models(artifacts, index, subset, fm, config)[0]))
+        (original, before), (renamed, after) = runs
+        assert renamed.ids[80] == f"hub:user:{messages[80].user_id}" != original.ids[80]
+        assert 80 in renamed.table.members and subset.test[0] <= 80 < subset.test[1]
+        for name in config.models:
+            assert after[name].tolist() == before[name].tolist(), name
 
     def test_a_lone_surrogate_fails_before_any_work(self):
         messages = planted_experiment_data(n=300, seed=4)

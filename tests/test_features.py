@@ -7,8 +7,11 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from relspam.data_model import DataError, Message
+from relspam.data_model import DataError, Message, message_hashtags, message_links, message_mentions
 from relspam.features import (
+    CONTENT_COLUMNS,
+    GRAPH_COLUMNS,
+    USER_COLUMNS,
     FeatureConfig,
     FeatureMatrix,
     FeaturePipeline,
@@ -36,12 +39,26 @@ def graph_table(follows):
     return compute_graph_feature_table(build_follower_graph(follows))
 
 
+def content(m):
+    """The content block row of one message, by column name."""
+    return dict(zip(CONTENT_COLUMNS, extract_content_features([m])[0]))
+
+
+def column(block, name):
+    """A column of the user block, by name."""
+    return block[:, USER_COLUMNS.index(name)].tolist()
+
+
+def known(messages, labels):
+    """A label per message from an id -> label map, -1 where it has none."""
+    return np.array([labels.get(m.id, -1) for m in messages])
+
+
 def assert_same_matrix(back, fm):
-    """Exact equality with fm's canonical CSR form: ids, names and every array."""
+    """Exact equality with fm's canonical CSR form: names and every array."""
     expected = fm.matrix.tocsr(copy=True)
     expected.sum_duplicates()
     expected.sort_indices()
-    assert back.row_ids == fm.row_ids
     assert back.column_names == fm.column_names
     assert back.matrix.shape == expected.shape
     assert np.array_equal(back.matrix.indptr, expected.indptr)
@@ -52,33 +69,53 @@ def assert_same_matrix(back, fm):
 
 class TestContentFeatures:
     def test_empty_text(self):
-        f = extract_content_features(msg("m"))
+        f = content(msg("m"))
         assert f["num_chars"] == 0
         assert f["num_hashtags"] == 0
 
     def test_counts_from_text(self):
-        f = extract_content_features(msg("m", text="check #win #free http://x.co @bob"))
+        f = content(msg("m", text="check #win #free http://x.co @bob"))
         assert f["num_hashtags"] == 2
         assert f["num_links"] == 1
         assert f["num_mentions"] == 1
 
     def test_neutral_text_scores_zero(self):
-        f = extract_content_features(msg("m", text="the weather report for Tuesday"))
+        f = content(msg("m", text="the weather report for Tuesday"))
         assert f["polarity"] == 0.0
         assert f["subjectivity"] == 0.0
 
     def test_annotations_preferred_over_text(self):
-        f = extract_content_features(msg("m", text="no tags here", hashtags=["a", "b", "c"]))
+        f = content(msg("m", text="no tags here", hashtags=["a", "b", "c"]))
         assert f["num_hashtags"] == 3
 
     def test_retweet_flag(self):
-        assert extract_content_features(msg("m", is_retweet=True))["is_retweet"] == 1.0
+        assert content(msg("m", is_retweet=True))["is_retweet"] == 1.0
+
+
+def user_rows_reference(messages, labels):
+    """The user block from a running state per user and per target, one message at a time."""
+    state, tracks, rows = {}, {}, []
+    for m, label in zip(messages, labels):
+        count, tags, mentions, links, spam, ham, total, longest, shortest = \
+            state.get(m.user_id, (0,) * 9)
+        seen = max(count, 1)
+        rows.append([count, tags / seen, mentions / seen, links / seen, spam >= 3, ham >= 10,
+                     longest, shortest, total / seen,
+                     tracks.get(m.target_id, 0) if m.target_id else 0])
+        n = len(m.text)
+        state[m.user_id] = (count + 1, tags + bool(message_hashtags(m)),
+                            mentions + bool(message_mentions(m)), links + bool(message_links(m)),
+                            spam + (label == 1), ham + (label == 0), total + n,
+                            max(longest, n) if count else n, min(shortest, n) if count else n)
+        if m.target_id:
+            tracks[m.target_id] = tracks.get(m.target_id, 0) + 1
+    return np.array(rows, dtype=float)
 
 
 class TestUserFeaturesSequential:
     def test_first_message_has_zero_count(self):
-        rows = extract_user_features_sequential([msg("m1", user="u", ts=0)], {})
-        assert rows[0]["user_msgs"] == 0.0
+        rows = extract_user_features_sequential([msg("m1", user="u", ts=0)], [-1])
+        assert column(rows, "user_msgs") == [0.0]
 
     def test_hashtag_ratio_over_prior_messages(self):
         messages = [
@@ -88,27 +125,27 @@ class TestUserFeaturesSequential:
             msg("m4", user="u", text="plain", ts=3),
             msg("m5", user="u", text="plain", ts=4),
         ]
-        rows = extract_user_features_sequential(messages, {})
-        assert rows[4]["user_hashtag_ratio"] == pytest.approx(0.5)
+        rows = extract_user_features_sequential(messages, known(messages, {}))
+        assert column(rows, "user_hashtag_ratio")[4] == pytest.approx(0.5)
 
     def test_blacklist_after_three_prior_spam(self):
         messages = [msg(f"m{i}", user="u", ts=i) for i in range(5)]
         labels = {"m0": 1, "m1": 1, "m2": 1}
-        rows = extract_user_features_sequential(messages, labels)
-        assert rows[2]["user_blacklist"] == 0.0
-        assert rows[3]["user_blacklist"] == 1.0
+        rows = extract_user_features_sequential(messages, known(messages, labels))
+        assert column(rows, "user_blacklist")[2] == 0.0
+        assert column(rows, "user_blacklist")[3] == 1.0
 
     def test_whitelist_needs_ten_prior_ham(self):
         messages = [msg(f"m{i:02d}", user="u", ts=i) for i in range(12)]
         labels = {m.id: 0 for m in messages}
-        rows = extract_user_features_sequential(messages, labels)
-        assert rows[9]["user_whitelist"] == 0.0
-        assert rows[10]["user_whitelist"] == 1.0
+        rows = extract_user_features_sequential(messages, known(messages, labels))
+        assert column(rows, "user_whitelist")[9] == 0.0
+        assert column(rows, "user_whitelist")[10] == 1.0
 
     def test_unsorted_input_rejected(self):
         messages = [msg("m1", ts=5), msg("m2", ts=1)]
         with pytest.raises(DataError):
-            extract_user_features_sequential(messages, {})
+            extract_user_features_sequential(messages, known(messages, {}))
 
     def test_track_counts(self):
         messages = [
@@ -116,8 +153,8 @@ class TestUserFeaturesSequential:
             msg("m2", user="b", ts=1, target_id="t1"),
             msg("m3", user="c", ts=2, target_id="t1"),
         ]
-        rows = extract_user_features_sequential(messages, {})
-        assert [r["track_msgs"] for r in rows] == [0.0, 1.0, 2.0]
+        rows = extract_user_features_sequential(messages, known(messages, {}))
+        assert column(rows, "track_msgs") == [0.0, 1.0, 2.0]
 
     def test_length_stats(self):
         messages = [
@@ -125,10 +162,10 @@ class TestUserFeaturesSequential:
             msg("m2", user="u", text="aaaa", ts=1),
             msg("m3", user="u", text="x", ts=2),
         ]
-        rows = extract_user_features_sequential(messages, {})
-        assert rows[2]["user_len_max"] == 4.0
-        assert rows[2]["user_len_min"] == 2.0
-        assert rows[2]["user_len_mean"] == 3.0
+        rows = extract_user_features_sequential(messages, known(messages, {}))
+        assert column(rows, "user_len_max")[2] == 4.0
+        assert column(rows, "user_len_min")[2] == 2.0
+        assert column(rows, "user_len_mean")[2] == 3.0
 
     def test_temporal_causality_on_prefixes(self):
         rng = random.Random(11)
@@ -137,11 +174,21 @@ class TestUserFeaturesSequential:
                 ts=i, target_id=rng.choice([None, "t1", "t2"]))
             for i in range(120)
         ]
-        labels = {m.id: rng.randrange(2) for m in messages[:60]}
+        labels = known(messages, {m.id: rng.randrange(2) for m in messages[:60]})
         full = extract_user_features_sequential(messages, labels)
         for cut in [1, 7, 33, 80, 119]:
-            prefix = extract_user_features_sequential(messages[:cut], labels)
-            assert prefix == full[:cut]
+            prefix = extract_user_features_sequential(messages[:cut], labels[:cut])
+            assert np.array_equal(prefix, full[:cut])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_a_running_state_reference(self, seed):
+        rng = random.Random(seed)
+        texts = ["#a", "x", "@b y", "http://z.co", "", "#a @b http://z.co long text"]
+        messages = [msg(f"m{i:03d}", user=f"u{rng.randrange(8)}", text=rng.choice(texts), ts=i,
+                        target_id=rng.choice([None, "", "t1", "t2"])) for i in range(300)]
+        labels = np.array([rng.choice([-1, 0, 1, 1]) for _ in messages])
+        assert np.array_equal(extract_user_features_sequential(messages, labels),
+                              user_rows_reference(messages, labels))
 
 
 class TestFollowerGraph:
@@ -303,7 +350,7 @@ class TestPipeline:
         messages = self.build_messages()
         follows = [("u0", "u1"), ("u1", "u2"), ("u2", "u0")]
         pipe = FeaturePipeline(FeatureConfig(ngram_top_k=50), graph_table(follows)).fit(messages[:30])
-        labels = {m.id: 0 for m in messages[:30]}
+        labels = known(messages, {m.id: 0 for m in messages[:30]})
         a = pipe.transform(messages, labels)
         b = pipe.transform(messages, labels)
         assert a.column_names == b.column_names
@@ -312,10 +359,10 @@ class TestPipeline:
     def test_columns_frozen_across_slices(self):
         messages = self.build_messages()
         pipe = FeaturePipeline(FeatureConfig(ngram_top_k=20)).fit(messages[:30])
-        fm = pipe.transform(messages, {})
+        fm = pipe.transform(messages, known(messages, {}))
         train, test = fm.rows(0, 30), fm.rows(30, 40)
         assert train.column_names == test.column_names == fm.column_names
-        assert train.row_ids + test.row_ids == [m.id for m in messages]
+        assert (train.shape[0], test.shape[0]) == (30, 10)
         assert (sp.vstack([train.matrix, test.matrix]) != fm.matrix).nnz == 0
 
     def test_limited_mode_drops_ngrams(self):
@@ -334,14 +381,14 @@ class TestPipeline:
         messages = [msg("m1", user="stranger", ts=0)]
         pipe = FeaturePipeline(FeatureConfig(ngram_top_k=5),
                                graph_table([("a", "b"), ("b", "a")])).fit(messages)
-        fm = pipe.transform(messages, {})
+        fm = pipe.transform(messages, [-1])
         j = fm.column_index["pagerank"]
         assert fm.matrix[0, j] == 0.0
 
     def test_matrix_file_round_trip(self, tmp_path):
         messages = self.build_messages()
         pipe = FeaturePipeline(FeatureConfig(ngram_top_k=10)).fit(messages[:20])
-        fm = pipe.transform(messages[:20], {})
+        fm = pipe.transform(messages[:20], known(messages[:20], {}))
         path = tmp_path / "feats.npz"
         write_feature_matrix(path, fm)
         back = read_feature_matrix(path)
@@ -350,7 +397,7 @@ class TestPipeline:
     def test_matrix_file_idempotent_bytes(self, tmp_path):
         messages = self.build_messages()
         pipe = FeaturePipeline(FeatureConfig(ngram_top_k=10)).fit(messages[:20])
-        fm = pipe.transform(messages[:20], {})
+        fm = pipe.transform(messages[:20], known(messages[:20], {}))
         p1, p2 = tmp_path / "a.npz", tmp_path / "b.npz"
         write_feature_matrix(p1, fm)
         write_feature_matrix(p2, fm)
@@ -362,11 +409,11 @@ def test_graph_table_covers_exactly_the_node_set():
     from relspam.features import compute_graph_feature_table
     table = compute_graph_feature_table(g)
     assert sorted(table) == g.nodes
-    total = sum(row["pagerank"] for row in table.values())
+    total = sum(row[GRAPH_COLUMNS.index("pagerank")] for row in table.values())
     assert total == pytest.approx(1.0, abs=1e-6)
 
 
-# ids a line- or tab-split artifact would corrupt, non-ASCII ids and hub-prefixed ids
+# names a line- or tab-split artifact would corrupt, non-ASCII names and hub-prefixed names
 awkward_ids = st.one_of(
     st.text(max_size=8),
     st.text(max_size=4).map(lambda t: "hub:user:" + t),
@@ -377,16 +424,16 @@ awkward_ids = st.one_of(
 @st.composite
 def feature_matrices(draw):
     """FeatureMatrix with raw CSR rows that may hold unsorted and duplicate columns."""
-    row_ids = draw(st.lists(awkward_ids, unique=True, max_size=6))
+    n_rows = draw(st.integers(0, 6))
     columns = draw(st.lists(awkward_ids, unique=True, max_size=5))
     entries = [draw(st.lists(st.tuples(st.integers(0, len(columns) - 1),
                                        st.floats(allow_nan=False, width=64)), max_size=4))
-               if columns else [] for _ in row_ids]
+               if columns else [] for _ in range(n_rows)]
     indptr = np.cumsum([0] + [len(e) for e in entries])
     indices = np.array([j for e in entries for j, _ in e], dtype=np.int32)
     data = np.array([v for e in entries for _, v in e], dtype=float)
-    matrix = sp.csr_matrix((data, indices, indptr), shape=(len(row_ids), len(columns)))
-    return FeatureMatrix(row_ids, columns, matrix)
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(n_rows, len(columns)))
+    return FeatureMatrix(columns, matrix)
 
 
 @settings(max_examples=80, deadline=None)
@@ -399,8 +446,7 @@ def test_matrix_file_round_trip_is_exact(tmp_path_factory, fm):
 
 @pytest.mark.parametrize("n_rows,n_cols", [(3, 4), (0, 4), (0, 0)])
 def test_matrix_file_round_trip_without_nonzeros(tmp_path, n_rows, n_cols):
-    fm = FeatureMatrix([f"hub:text:{i}\t" for i in range(n_rows)], [f"c{j}" for j in range(n_cols)],
-                       sp.csr_matrix((n_rows, n_cols)))
+    fm = FeatureMatrix([f"hub:text:{j}\t" for j in range(n_cols)], sp.csr_matrix((n_rows, n_cols)))
     write_feature_matrix(tmp_path / "f.npz", fm)
     back = read_feature_matrix(tmp_path / "f.npz")
     assert back.matrix.nnz == 0
@@ -417,7 +463,7 @@ def test_old_triplet_file_raises_data_error(tmp_path):
 
 @pytest.mark.parametrize("kept", [0.0, 0.01, 0.5, 0.99])
 def test_truncated_matrix_file_raises_data_error(tmp_path, kept):
-    fm = FeatureMatrix(["m1", "m2"], ["a", "b"], sp.csr_matrix(np.array([[1.0, 0.0], [0.5, 2.0]])))
+    fm = FeatureMatrix(["a", "b"], sp.csr_matrix(np.array([[1.0, 0.0], [0.5, 2.0]])))
     path = tmp_path / "features.npz"
     write_feature_matrix(path, fm)
     raw = path.read_bytes()
@@ -427,11 +473,15 @@ def test_truncated_matrix_file_raises_data_error(tmp_path, kept):
 
 
 def test_matrix_file_with_other_format_tag_raises_data_error(tmp_path):
-    header = json.dumps({"format": "relspam-features v1", "rows": [], "columns": []}).encode()
-    path = tmp_path / "features.npz"
-    with open(path, "wb") as fh:
-        np.savez(fh, header=np.frombuffer(header, dtype=np.uint8), data=np.zeros(0),
-                 indices=np.zeros(0, dtype=np.int32), indptr=np.zeros(1, dtype=np.int32),
-                 shape=np.zeros(2, dtype=np.int64))
-    with pytest.raises(DataError, match="v1"):
-        read_feature_matrix(path)
+    # v2 is the layout whose header also lists the row ids
+    for tag, rows in (("v1", []), ("v2", ["m1"])):
+        header = json.dumps({"format": f"relspam-features {tag}", "rows": rows,
+                             "columns": ["c"]}).encode()
+        path = tmp_path / "features.npz"
+        with open(path, "wb") as fh:
+            np.savez(fh, header=np.frombuffer(header, dtype=np.uint8), data=np.ones(len(rows)),
+                     indices=np.zeros(len(rows), dtype=np.int32),
+                     indptr=np.arange(len(rows) + 1, dtype=np.int32),
+                     shape=np.array([len(rows), 1], dtype=np.int64))
+        with pytest.raises(DataError, match=f"'relspam-features {tag}'.*rerun the featurize"):
+            read_feature_matrix(path)

@@ -17,7 +17,7 @@ from relspam.hinge import (
     map_inference,
 )
 
-from tables import hub_table, over
+from tables import gradient_at, hub_table, objective_at, over
 
 
 def one_group(n, relation="user"):
@@ -256,15 +256,15 @@ def test_array_grounding_matches_per_hinge_reference(inputs):
 
     rng = np.random.default_rng(seed)
     X = rng.random((5, model.n_vars))
-    np.testing.assert_allclose([model.objective(x) for x in X], batch_objective(ref_model, X),
+    np.testing.assert_allclose([objective_at(model, x) for x in X], batch_objective(ref_model, X),
                                rtol=1e-12, atol=1e-12)
     other = HingeWeights(neg=0.3, prior=1.7, relation_c={"text": 0.0}, relation_d={"user": 2.5})
     regrounded = ground_rules(arrays[0], arrays[1], other, p=p, observed=arrays[2])
     for x in X:
         f, grad = hinge_sums(ref, x, p)
-        assert model.objective(x) == pytest.approx(f, rel=1e-12, abs=1e-12)
-        np.testing.assert_allclose(model.gradient(x), grad, rtol=1e-12, atol=1e-12)
-        assert model.reweighted(other).objective(x) == regrounded.objective(x)
+        assert objective_at(model, x) == pytest.approx(f, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(gradient_at(model, x), grad, rtol=1e-12, atol=1e-12)
+        assert objective_at(model.reweighted(other), x) == objective_at(regrounded, x)
 
 
 def jacobi_diagonal(model):
@@ -278,19 +278,19 @@ def jacobi_diagonal(model):
 
 def reference_map_p2(model, tol, max_iter, step=1.0):
     """The p=2 MAP loop as it was before it kept the accepted point's linear
-    values: the public objective and gradient each recompute A @ x + const.
+    values: the objective and gradient each recompute A @ x + const.
     Returns (x, objective, n_iters, converged)."""
     scale = _jacobi_scale(model)
     x = model.init.copy()
-    f = model.objective(x)
+    f = objective_at(model, x)
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        g = scale * model.gradient(x)
+        g = scale * gradient_at(model, x)
         improved = False
         while step > 1e-15:
             x_new = np.clip(x - step * g, 0.0, 1.0)
-            f_new = model.objective(x_new)
+            f_new = objective_at(model, x_new)
             if f_new < f:
                 improved = True
                 break
@@ -369,12 +369,12 @@ class TestMapInference:
             model = random_hinge_model(rng, rng.randint(1, 4))
             for _ in range(5):
                 x = np_rng.uniform(0.05, 0.95, size=model.n_vars)
-                analytic = model.gradient(x)
+                analytic = gradient_at(model, x)
                 fd = np.zeros_like(x)
                 for j in range(len(x)):
                     e = np.zeros_like(x)
                     e[j] = h
-                    fd[j] = (model.objective(x + e) - model.objective(x - e)) / (2 * h)
+                    fd[j] = (objective_at(model, x + e) - objective_at(model, x - e)) / (2 * h)
                 scale = max(1.0, np.abs(analytic).max())
                 assert np.abs(analytic - fd).max() / scale < 1e-4
 
@@ -385,8 +385,8 @@ class TestMapInference:
         for _ in range(50):
             a = np_rng.random(3)
             b = np_rng.random(3)
-            mid = model.objective((a + b) / 2)
-            assert mid <= (model.objective(a) + model.objective(b)) / 2 + 1e-12
+            mid = objective_at(model, (a + b) / 2)
+            assert mid <= (objective_at(model, a) + objective_at(model, b)) / 2 + 1e-12
 
     def test_saturation_extra_satisfied_member(self):
         # symmetric group: every member sits at the same optimum as the hub, so all
@@ -423,7 +423,7 @@ class TestMapInference:
         assert result.converged and result.n_iters <= 1000
 
         diag = jacobi_diagonal(model)
-        scaled = np.divide(model.gradient(result.x), diag, out=np.zeros(model.n_vars),
+        scaled = np.divide(gradient_at(model, result.x), diag, out=np.zeros(model.n_vars),
                            where=diag > 0)
         assert np.max(np.abs(result.x - np.clip(result.x - scaled, 0.0, 1.0))) <= 1e-6
 
@@ -432,7 +432,7 @@ class TestMapInference:
     def test_no_worse_than_grid_search_oracle(self, seed, n_vars):
         model = random_hinge_model(random.Random(seed), n_vars)
         result = map_inference(model, tol=1e-13, max_iter=30000)
-        assert result.objective <= model.objective(grid_search_oracle(model)) + 1e-6
+        assert result.objective <= objective_at(model, grid_search_oracle(model)) + 1e-6
 
 
 class TestLearnWeights:
@@ -494,4 +494,4 @@ def test_map_inference_subgradient_p1():
     # with equal unit weights the all-zero point attains the flat optimum 1.9;
     # a kink must not trap the solver above it
     zero = np.zeros(model.n_vars)
-    assert result.objective <= model.objective(zero) + 1e-3
+    assert result.objective <= objective_at(model, zero) + 1e-3

@@ -116,7 +116,7 @@ class TestPredict:
             model.predict_proba_matrix(sp.csr_matrix(np.ones((2, 4))))
 
     def test_column_hash_mismatch_rejected(self):
-        fm = FeatureMatrix(["r1"], ["a", "b"], sp.csr_matrix(np.ones((1, 2))))
+        fm = FeatureMatrix(["a", "b"], sp.csr_matrix(np.ones((1, 2))))
         model = LinearModel(weights=np.zeros(2), bias=0.0, l2=1.0,
                             columns_hash=columns_hash(["a", "c"]))
         with pytest.raises(DataError):
@@ -153,20 +153,20 @@ class TestFitClassifier:
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(n, 2))
         y = (X[:, 0] + 0.3 * rng.normal(size=n) > 0).astype(int)
-        fm = FeatureMatrix([f"m{i}" for i in range(n)], ["f0", "f1"], sp.csr_matrix(X))
+        fm = FeatureMatrix(["f0", "f1"], sp.csr_matrix(X))
         return fm, y.astype(np.int8)
 
     def test_fit_and_predict(self):
         fm, labels = self.make_fm()
         model = fit_classifier(fm, labels, scale_columns=["f0", "f1"])
         preds = model.predict_proba(fm)
-        assert preds.shape == (len(fm.row_ids),)
+        assert preds.shape == (fm.shape[0],)
         assert ((0 < preds) & (preds < 1)).all()
 
     def test_missing_labels_rejected(self):
         fm, labels = self.make_fm()
         labels[3] = -1
-        with pytest.raises(DataError, match="first: m3"):
+        with pytest.raises(DataError, match="first: row 3"):
             fit_classifier(fm, labels)
 
     def test_label_count_must_match_rows(self):

@@ -148,7 +148,7 @@ def planted_dataset(n_users=30, msgs_per_user=6, noise=1.5, seed=0):
             messages.append(Message(id=f"m{t:04d}", user_id=f"u{u:02d}", timestamp=t, label=label))
             rows.append([label + noise * rng.standard_normal()])
             t += 1
-    fm = FeatureMatrix([m.id for m in messages], ["signal"], sp.csr_matrix(np.array(rows)))
+    fm = FeatureMatrix(["signal"], sp.csr_matrix(np.array(rows)))
     return fm, build_index(messages, ["user"])
 
 
@@ -176,7 +176,7 @@ class TestTrainStacked:
         stacked = train_stacked(everything(index), fm, index.labels, index.table, K=1,
                                 relations=["user"], config=ClassifierConfig(l2=0.1))
         f1 = stacked.submodels[1]
-        aug_cols = stacked.base_columns + pseudo_columns(["user"])
+        aug_cols = fm.column_names + pseudo_columns(["user"])
         j = aug_cols.index("pr_user")
         assert f1.weights[j] > 0
 
@@ -200,7 +200,7 @@ class TestTrainStacked:
         fm, index = planted_dataset(n_users=4, msgs_per_user=3)
         labels = index.labels.copy()
         labels[7] = -1
-        with pytest.raises(DataError, match="m0007"):
+        with pytest.raises(DataError, match="position 7"):
             train_stacked(everything(index), fm, labels, index.table, K=1, relations=["user"])
 
     def test_serialization_round_trip(self):
@@ -217,18 +217,16 @@ class TestInferStacked:
         fm, index = planted_dataset(seed=1)
         stacked = train_stacked(everything(index), fm, index.labels, index.table, K=1,
                                 relations=["user"], config=ClassifierConfig(l2=0.1))
-        lone = FeatureMatrix(["x1"], ["signal"], sp.csr_matrix(np.array([[0.7]])))
-        lone2 = FeatureMatrix(["x2"], ["signal"], sp.csr_matrix(np.array([[0.7]])))
+        lone = FeatureMatrix(["signal"], sp.csr_matrix(np.array([[0.7]])))
         a = infer_stacked(stacked, lone, [0], hub_table(), np.full(1, np.nan))
-        b = infer_stacked(stacked, lone2, [1], hub_table(), np.full(2, np.nan))
+        b = infer_stacked(stacked, lone, [1], hub_table(), np.full(2, np.nan))
         assert a[0] == b[0]  # function of the base features only
 
     def test_identical_grouped_messages_get_identical_scores(self):
         fm, index = planted_dataset(seed=3)
         stacked = train_stacked(everything(index), fm, index.labels, index.table, K=1,
                                 relations=["user"], config=ClassifierConfig(l2=0.1))
-        twins = FeatureMatrix(["t1", "t2"], ["signal"],
-                              sp.csr_matrix(np.array([[0.4], [0.4]])))
+        twins = FeatureMatrix(["signal"], sp.csr_matrix(np.array([[0.4], [0.4]])))
         preds = infer_stacked(stacked, twins, [0, 1], hub_table(("user", "tw", [0, 1])),
                               np.full(2, np.nan))
         assert preds[0] == pytest.approx(preds[1], abs=1e-12)
@@ -245,7 +243,7 @@ class TestInferStacked:
             messages.append(Message(id=f"m{i:04d}", user_id=f"u{i % 40:02d}", text=text,
                                     timestamp=i, label=label))
             rows.append([label + 2.0 * rng.standard_normal()])
-        fm = FeatureMatrix([m.id for m in messages], ["signal"], sp.csr_matrix(np.array(rows)))
+        fm = FeatureMatrix(["signal"], sp.csr_matrix(np.array(rows)))
         index = build_index(messages, ["text"])
         fm_train, fm_test = fm.rows(0, 300), fm.rows(300, 400)
         stacked = train_stacked(np.arange(300), fm_train, index.labels, index.groups((0, 300)),
@@ -268,7 +266,7 @@ class TestInferStacked:
         fm, index = planted_dataset(seed=6)
         stacked = train_stacked(everything(index), fm, index.labels, index.table, K=0,
                                 relations=["user"])
-        bad = FeatureMatrix(["z"], ["other"], sp.csr_matrix(np.array([[1.0]])))
+        bad = FeatureMatrix(["other"], sp.csr_matrix(np.array([[1.0]])))
         with pytest.raises(DataError):
             infer_stacked(stacked, bad, [0], index.table, no_context(index))
 
