@@ -37,6 +37,7 @@ from .data_model import (
     read_messages,
     chronological_split,
     SplitPlan,
+    SubsetSplit,
     write_follows,
     write_index,
     write_messages,
@@ -49,11 +50,10 @@ from .evaluation import (
     graph_feature_table,
     infer_subset_models,
     ordered_dataset,
-    pr_curve_points,
     sum_diagnostics,
     train_subset_models,
 )
-from .features import read_feature_matrix, write_feature_matrix
+from .features import FeatureMatrix, read_feature_matrix, write_feature_matrix
 from .hinge import HingeWeights
 from .linear import LinearModel
 from .stacking import StackedModel
@@ -63,10 +63,20 @@ log = logging.getLogger(__name__)
 
 CONFIG_VERSION = 1
 
+
+def _only(value, says: str) -> tuple:
+    """The check of a legacy key that accepts one value, the one the program runs."""
+    return (lambda v: type(v) is type(value) and v == value), says
+
+
 # keys older configs carry: accepted and checked, but they set nothing
 LEGACY_KEYS = {
     "threads": (lambda v: is_int(v) and v >= 1, "a positive integer"),
-    "classifier.method": (lambda v: v == "batch", "'batch', the only solver"),
+    "classifier.method": _only("batch", "'batch', the only solver"),
+    "hinge.exponent": _only(2, "2, the squared hinge"),
+    "mrf_prior_center": _only("auto", "'auto', the mean prior"),
+    "stack_mode": _only("soft", "'soft', the mean score"),
+    "dump_pr_curves": _only(False, "false"),
 }
 # the generator's seed is the run's `seed`, not a key of its own
 NOT_KEYS = {"generator.seed"}
@@ -80,7 +90,6 @@ class RunConfig(ExperimentConfig):
     out: str = "out"
     messages: str | None = None  # default: <out>/data/messages.jsonl, the generate stage's output
     follows: str | None = None  # default: <out>/data/follows.tsv when present
-    dump_pr_curves: bool = False
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
 
     def check(self) -> None:
@@ -93,8 +102,6 @@ class RunConfig(ExperimentConfig):
             value = getattr(self, key)
             check_setting(value is None or isinstance(value, str) and value != "", key,
                           "null or a file path", value)
-        check_setting(isinstance(self.dump_pr_curves, bool), "dump_pr_curves", "true or false",
-                      self.dump_pr_curves)
         self.generator.validate()
 
 
@@ -176,8 +183,15 @@ def _load_plan(cfg) -> SplitPlan:
     return SplitPlan.from_json(path.read_text(encoding="utf-8"))
 
 
-def _load_features(cfg, i: int):
-    return read_feature_matrix(_require(_subset_dir(cfg, "features", i) / "features.npz", "featurize"))
+def _load_features(cfg, i: int, subset: SubsetSplit) -> FeatureMatrix:
+    """Subset i's feature matrix, one row per message of its span in the split plan."""
+    path = _require(_subset_dir(cfg, "features", i) / "features.npz", "featurize")
+    fm = read_feature_matrix(path)
+    expected = subset.test[1] - subset.train[0]
+    if fm.shape[0] != expected:
+        raise DataError(f"{path}: {fm.shape[0]} rows, but subset {i} of split_plan.json has "
+                        f"{expected} messages; rerun the featurize stage")
+    return fm
 
 
 # --- stages ---
@@ -225,7 +239,7 @@ def cmd_train(cfg: RunConfig) -> int:
     plan = _load_plan(cfg)
     index = _load_index(cfg)
     for i, subset in enumerate(plan.subsets):
-        artifacts = train_subset_models(index, subset, _load_features(cfg, i), cfg)
+        artifacts = train_subset_models(index, subset, _load_features(cfg, i, subset), cfg)
         out_dir = _subset_dir(cfg, "models", i)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "independent.json").write_text(artifacts["independent"].to_json(), encoding="utf-8")
@@ -270,8 +284,8 @@ def cmd_infer(cfg: RunConfig) -> int:
     pred_dir = _out(cfg) / "predictions"
     diagnostics = []
     for i, subset in enumerate(plan.subsets):
-        fm = _load_features(cfg, i)
-        preds, diag = infer_subset_models(_load_artifacts(cfg, i), index, subset, fm, cfg)
+        preds, diag = infer_subset_models(_load_artifacts(cfg, i), index, subset,
+                                          _load_features(cfg, i, subset), cfg)
         test_ids = index.ids[slice(*subset.test)]
         for name, scores in preds.items():
             model_dir = pred_dir / name
@@ -317,7 +331,6 @@ def _read_predictions(path: Path, test_ids: list) -> np.ndarray:
 def cmd_eval(cfg: RunConfig) -> int:
     plan = _load_plan(cfg)
     index = _load_index(cfg)
-    roster = cfg.models
     pred_dir = _out(cfg) / "predictions"
     subset_preds = []
     for i, subset in enumerate(plan.subsets):
@@ -325,24 +338,13 @@ def cmd_eval(cfg: RunConfig) -> int:
         subset_preds.append({
             name: _read_predictions(_require(pred_dir / name / f"subset_{i:02d}.tsv", "infer"),
                                     test_ids)
-            for name in roster})
+            for name in cfg.models})
     diag_path = pred_dir / "diagnostics.json"
     diagnostics = json.loads(diag_path.read_text(encoding="utf-8")) if diag_path.exists() else {}
     report = aggregate_report(cfg, index, plan, subset_preds, diagnostics)
     out = _out(cfg)
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     (out / "report.txt").write_text(report.to_text() + "\n", encoding="utf-8")
-    if cfg.dump_pr_curves:
-        labels = np.concatenate([index.labels[slice(*s.test)] for s in plan.subsets])
-        labeled = labels >= 0
-        curves = {}
-        for name in roster:
-            scores = np.concatenate([preds[name] for preds in subset_preds])
-            try:
-                curves[name] = pr_curve_points(scores[labeled], labels[labeled])
-            except DataError:
-                curves[name] = []
-        (out / "pr_curves.json").write_text(json.dumps(curves, sort_keys=True), encoding="utf-8")
     print(report.to_text())
     return 0
 

@@ -78,27 +78,22 @@ def _tie_block_ends(s: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.append(s[1:] != s[:-1], True)) + 1
 
 
-def _pr_sweep(scores, labels) -> tuple:
-    """(true positives, items seen, n_pos) at the end of each tie block along
-    the descending-score sweep."""
+def aupr(scores, labels) -> float:
+    """Non-interpolated average precision; tied scores form one block.
+
+    The descending-score sweep stops at the end of each tie block. Each
+    block's precision tp/seen is at most 1 and its weights sum exactly to
+    n_pos, so the correctly rounded sum cannot exceed 1.
+    """
     y = _check_binary(labels)
     s = np.asarray(scores, dtype=float)
     if s.shape != y.shape:
         raise DataError("scores and labels must align")
     order = np.argsort(-s, kind="stable")
     seen = _tie_block_ends(s[order])
-    return np.cumsum(y[order])[seen - 1], seen, y.sum()
-
-
-def aupr(scores, labels) -> float:
-    """Non-interpolated average precision; tied scores form one block.
-
-    Each block's precision tp/seen is at most 1 and its weights sum exactly
-    to n_pos, so the correctly rounded sum cannot exceed 1.
-    """
-    tp, seen, n_pos = _pr_sweep(scores, labels)
+    tp = np.cumsum(y[order])[seen - 1]
     block_tp = np.diff(tp, prepend=0.0)
-    return float(math.fsum(block_tp * (tp / seen)) / n_pos)
+    return float(math.fsum(block_tp * (tp / seen)) / y.sum())
 
 
 def auroc(scores, labels) -> float:
@@ -116,13 +111,6 @@ def auroc(scores, labels) -> float:
     n_neg = len(s) - n_pos
     u = ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
-
-
-def pr_curve_points(scores, labels) -> list:
-    """(recall, precision) at the end of each tie block along the
-    descending-score sweep, for plotting."""
-    tp, seen, n_pos = _pr_sweep(scores, labels)
-    return list(zip((tp / n_pos).tolist(), (tp / seen).tolist()))
 
 
 def ranking_metrics(scores: np.ndarray, labels: np.ndarray) -> dict:
@@ -236,9 +224,7 @@ class ExperimentConfig:
     l2_grid: list | None = None          # validation-tuned when set
     epsilons: dict | float = 0.1  # shared, or per relation (0.1 for one left out)
     tune_epsilons: bool = False  # a validation pass over each relation's epsilon, from `epsilons`
-    mrf_prior_center: float | str | None = "auto"  # "auto": mean of the priors; None disables
     hinge: HingeConfig = field(default_factory=HingeConfig)
-    stack_mode: str = "soft"
     seed: int = 0
 
     @property
@@ -274,9 +260,6 @@ class ExperimentConfig:
             ("epsilons", lambda v: _is_epsilon(v) or per_relation(_is_epsilon)(v),
              "a number in (0, 0.5), or an object mapping configured relations to one"),
             ("tune_epsilons", lambda v: isinstance(v, bool), "true or false"),
-            ("mrf_prior_center", lambda v: v in (None, "auto") or is_number(v) and 0 < v < 1,
-             "'auto', null or a number in (0, 1)"),
-            ("hinge.exponent", lambda v: is_int(v) and v in (1, 2), "1 or 2"),
             *((f"hinge.weights.{key}", _is_non_negative, "a non-negative number")
               for key in ("neg", "prior")),
             *((f"hinge.weights.{key}", per_relation(_is_non_negative),
@@ -284,7 +267,6 @@ class ExperimentConfig:
               for key in ("relation_c", "relation_d")),
             ("hinge.learn_steps", lambda v: is_int(v) and v >= 0, "a non-negative integer"),
             ("hinge.learning_rate", lambda v: is_number(v) and v > 0, "a positive number"),
-            ("stack_mode", ("soft", "hard").__contains__, "'soft' or 'hard'"),
         ):
             value = attrgetter(key)(self)
             check_setting(ok(value), key, accepts, value)
@@ -402,11 +384,9 @@ def featurize_subset(ordered: list, subset: SubsetSplit, config: ExperimentConfi
     return pipe.transform(ordered[a:end], labels)
 
 
-def center_mrf_priors(priors: np.ndarray, config: ExperimentConfig) -> np.ndarray:
-    """Recenter priors on `config.mrf_prior_center` ("auto": their mean) for the MRF."""
-    center = config.mrf_prior_center
-    if center == "auto":
-        center = float(np.mean(priors)) if len(priors) else 0.5
+def center_mrf_priors(priors: np.ndarray) -> np.ndarray:
+    """The priors recentered on their mean for the MRF; left as they are when it is 0."""
+    center = float(np.mean(priors)) if len(priors) else 0.5
     return recenter_scores(priors, center) if center else priors
 
 
@@ -442,8 +422,7 @@ def train_subset_models(index: MessageIndex, subset: SubsetSplit, fm: FeatureMat
     for k in stacks:
         artifacts[f"sgl{k}"] = train_stacked(
             np.arange(*subset.train), fm_train, index.labels, groups_train, K=k,
-            relations=config.relations, scale_columns=scale_columns, config=clf_config,
-            pseudo_mode=config.stack_mode)
+            relations=config.relations, scale_columns=scale_columns, config=clf_config)
 
     joints = {parse_model_name(m)[1] for m in config.models}
     has_val = subset.validation[1] > subset.validation[0]
@@ -460,12 +439,12 @@ def train_subset_models(index: MessageIndex, subset: SubsetSplit, fm: FeatureMat
             weights, _ = learn_weights(weights, index.labels, val_groups,
                                        _over_positions(n, subset.validation, val_priors),
                                        steps=hinge.learn_steps,
-                                       learning_rate=hinge.learning_rate, p=hinge.exponent)
+                                       learning_rate=hinge.learning_rate)
         artifacts["psl_weights"] = weights
     if "mrf" in joints:
         eps = config.epsilons
         if tune_mrf:
-            centered = center_mrf_priors(val_priors, config)
+            centered = center_mrf_priors(val_priors)
             eps = tune_epsilons(_over_positions(n, subset.validation, centered), val_groups,
                                 index.labels, config.relations, start=eps)
         artifacts["epsilons"] = eps
@@ -495,15 +474,14 @@ def infer_subset_models(artifacts: dict, index: MessageIndex, subset: SubsetSpli
     def joint_scores(joint: str, priors_test: np.ndarray) -> np.ndarray:
         if joint == "mrf":
             priors = context.copy()
-            priors[test] = center_mrf_priors(priors_test, config)
+            priors[test] = center_mrf_priors(priors_test)
             scores, bp = infer_posteriors(priors, groups_tt,
                                           artifacts.get("epsilons", config.epsilons))
             diagnostics["bp_nonconverged"] += 0 if bp.converged else 1
             return scores[test]
         scores, map_result = infer_hinge_posteriors(
             _over_positions(len(context), subset.test, priors_test), groups_tt,
-            artifacts.get("psl_weights", config.hinge.weights), p=config.hinge.exponent,
-            observed=context)
+            artifacts.get("psl_weights", config.hinge.weights), observed=context)
         diagnostics["map_nonconverged"] += 0 if map_result.converged else 1
         return scores[test]
 

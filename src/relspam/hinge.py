@@ -3,7 +3,7 @@
 The four rule templates (negative prior, positive prior, member-to-hub and
 hub-to-member propagation) are grounded straight from the groups' (group,
 member) edge arrays, the `GroupTable` the hub MRF builds from too, into
-one row per weighted hinge potential max(0, l)^p, with l linear in the
+one row per weighted squared hinge potential max(0, l)^2, with l linear in the
 variables, held as a sparse coefficient matrix, a constant and a weight vector
 and a template id per row. Priors, observed values and scores are float
 arrays over chronological positions. The objective and its gradient take
@@ -81,7 +81,6 @@ class HingeWeights:
 class HingeConfig:
     """The hinge-loss MRF settings of an experiment."""
 
-    exponent: int = 2  # p of the hinge potentials max(0, l)^p: 1 or 2
     weights: HingeWeights = field(default_factory=HingeWeights)  # learning starts here
     learn_steps: int = 0  # weight-learning steps on validation; 0 keeps `weights`
     learning_rate: float = 0.05
@@ -91,7 +90,7 @@ class HingeConfig:
 class GroundHingeModel:
     """A grounded hinge-loss MRF as arrays.
 
-    Row i of `A` is the potential weight[i] * max(0, const[i] + A[i] @ x)^exponent,
+    Row i of `A` is the potential weight[i] * max(0, const[i] + A[i] @ x)^2,
     grounded from the rule template templates[template_id[i]]. A row keeps its
     entries in the order its template writes them, which need not be sorted
     by variable, and its products sum in that order.
@@ -104,7 +103,6 @@ class GroundHingeModel:
     template_id: np.ndarray
     templates: list  # ("neg",) | ("prior",) | ("c", relation) | ("d", relation)
     init: np.ndarray
-    exponent: int
     # CSR copy of A.T for gradients: its products sum each column of A in
     # ascending row order, as A.T @ v does, so they are bit-identical
     AT: sp.csr_matrix = field(init=False)
@@ -132,22 +130,17 @@ class GroundHingeModel:
     def objective(self, lin: np.ndarray) -> float:
         """The weighted sum of the potentials at the linear values `lin`
         (`linear_values` of a point)."""
-        return float(self.weight @ np.maximum(0.0, lin) ** self.exponent)
+        return float(self.weight @ np.maximum(0.0, lin) ** 2)
 
     def gradient(self, lin: np.ndarray) -> np.ndarray:
-        """The objective's (sub)gradient in the variables at the linear values `lin`."""
-        active = np.maximum(0.0, lin)
-        if self.exponent == 2:
-            coef = 2.0 * self.weight * active
-        else:
-            coef = self.weight * (active > 0)
-        return np.asarray(self.AT @ coef).ravel()
+        """The objective's gradient in the variables at the linear values `lin`."""
+        return np.asarray(self.AT @ (2.0 * self.weight * np.maximum(0.0, lin))).ravel()
 
     def potential_values(self, x: np.ndarray) -> np.ndarray:
-        return np.maximum(0.0, self.linear_values(x)) ** self.exponent
+        return np.maximum(0.0, self.linear_values(x)) ** 2
 
 
-def ground_rules(priors: np.ndarray, groups: GroupTable, weights: HingeWeights, p: int = 2,
+def ground_rules(priors: np.ndarray, groups: GroupTable, weights: HingeWeights,
                  observed: np.ndarray | None = None) -> GroundHingeModel:
     """Instantiate the rule templates over grouped messages and their hubs.
 
@@ -160,8 +153,6 @@ def ground_rules(priors: np.ndarray, groups: GroupTable, weights: HingeWeights, 
     group. Rows are a neg and a prior hinge per free message, then a c and a
     d hinge per (group, member) pair, in group and member order.
     """
-    if p not in (1, 2):
-        raise ConfigError(f"hinge exponent must be 1 or 2, got {p}")
     relations = groups.relations
     weights.validate(relations)
     if observed is None:
@@ -223,8 +214,7 @@ def ground_rules(priors: np.ndarray, groups: GroupTable, weights: HingeWeights, 
     hub_mean = np.bincount(group_of, weights=value, minlength=n_groups) / groups.sizes
     return GroundHingeModel(messages=free, A=A, const=const, weight=per_template[template_id],
                             template_id=template_id, templates=templates,
-                            init=np.clip(np.concatenate([prior, hub_mean]), 0.0, 1.0),
-                            exponent=p)
+                            init=np.clip(np.concatenate([prior, hub_mean]), 0.0, 1.0))
 
 
 @dataclass
@@ -237,7 +227,7 @@ class MapResult:
 
 def _jacobi_scale(model: GroundHingeModel) -> np.ndarray:
     """1 / (2 * sum_k w_k * A_kj^2) per variable: the inverse diagonal of the
-    p=2 objective's Hessian with every hinge active; 0 where no potential
+    objective's Hessian with every hinge active; 0 where no potential
     touches the variable."""
     diag = 2.0 * np.asarray(model.A.multiply(model.A).T @ model.weight).ravel()
     return np.divide(1.0, diag, out=np.zeros_like(diag), where=diag > 0)
@@ -245,20 +235,16 @@ def _jacobi_scale(model: GroundHingeModel) -> np.ndarray:
 
 def map_inference(model: GroundHingeModel, tol: float = 1e-6, max_iter: int = 5000,
                   step: float = 1.0) -> MapResult:
-    """Projected (sub)gradient descent on the box [0,1]^n.
+    """Projected gradient descent on the box [0,1]^n.
 
     Deterministic: starts from the priors (hubs at the mean of member priors).
-    For the smooth p=2 objective each step moves along the gradient scaled by
-    the constant Jacobi diagonal (`_jacobi_scale`) and clips to the box; the
-    step is halved on non-improvement. A hub with many members has a curvature
-    hundreds of times a message's, so one unscaled step size for both would
-    crawl. Under a diagonal metric the projection onto a box is still the
-    plain clip, so this is scaled projected gradient for any hinge model. For
-    p=1 a chosen subgradient need not be a descent direction at a kink, so a
-    diminishing-step schedule runs instead and the best iterate is kept.
+    Each step moves along the gradient scaled by the constant Jacobi diagonal
+    (`_jacobi_scale`) and clips to the box; the step is halved on
+    non-improvement. A hub with many members has a curvature hundreds of
+    times a message's, so one unscaled step size for both would crawl. Under
+    a diagonal metric the projection onto a box is still the plain clip, so
+    this is scaled projected gradient for any hinge model.
     """
-    if model.exponent == 1:
-        return _map_subgradient(model, tol, max_iter, step)
     scale = _jacobi_scale(model)
     # lin = A @ x + const at the current point, kept from the line search for the next gradient
     x = model.init.copy()
@@ -290,39 +276,14 @@ def map_inference(model: GroundHingeModel, tol: float = 1e-6, max_iter: int = 50
     return MapResult(x=x, objective=f, converged=converged, n_iters=it)
 
 
-def _map_subgradient(model: GroundHingeModel, tol: float, max_iter: int, step: float):
-    x = model.init.copy()
-    best_x = x.copy()
-    best_f = model.objective(model.linear_values(x))
-    last_gain_iter = 0
-    it = 0
-    for it in range(1, max_iter + 1):
-        g = model.gradient(model.linear_values(x))
-        gnorm = float(np.linalg.norm(g))
-        if gnorm == 0.0:
-            break
-        x = np.clip(x - (step / (np.sqrt(it) * gnorm)) * g, 0.0, 1.0)
-        f = model.objective(model.linear_values(x))
-        if f < best_f - tol:
-            best_f = f
-            best_x = x.copy()
-            last_gain_iter = it
-        if it - last_gain_iter > 200:
-            break
-    converged = it < max_iter
-    if not converged:
-        log.warning("MAP inference hit max_iter=%d", max_iter)
-    return MapResult(x=best_x, objective=best_f, converged=converged, n_iters=it)
-
-
 def infer_hinge_posteriors(priors: np.ndarray, groups: GroupTable,
-                           weights: HingeWeights | None = None, p: int = 2,
+                           weights: HingeWeights | None = None,
                            observed: np.ndarray | None = None, tol: float = 1e-9,
                            max_iter: int = 5000):
     """Joint PSL-style scores over positions: MAP values for grouped free
     messages, priors otherwise. -> (scores, MapResult)"""
     weights = weights or HingeWeights()
-    model = ground_rules(priors, groups, weights, p=p, observed=observed)
+    model = ground_rules(priors, groups, weights, observed=observed)
     result = map_inference(model, tol=tol, max_iter=max_iter)
     scores = priors.copy()
     scores[model.messages] = result.x[:len(model.messages)]
@@ -338,7 +299,7 @@ def _template_sums(model: GroundHingeModel, x: np.ndarray) -> dict:
 
 
 def learn_weights(init: HingeWeights, labels: np.ndarray, groups: GroupTable,
-                  priors: np.ndarray, steps: int = 10, learning_rate: float = 0.05, p: int = 2):
+                  priors: np.ndarray, steps: int = 10, learning_rate: float = 0.05):
     """Approximate likelihood ascent for the template weights.
 
     The gradient of each template weight is the template's summed hinge value
@@ -356,7 +317,7 @@ def learn_weights(init: HingeWeights, labels: np.ndarray, groups: GroupTable,
     trace = []
     if steps <= 0:
         return weights, trace
-    model = ground_rules(priors, groups, weights, p=p)
+    model = ground_rules(priors, groups, weights)
     truth = np.where(labels >= 0, labels, priors)
     ends = np.cumsum(groups.sizes)
     hub_truth = [np.mean(truth[groups.members[end - size:end]])

@@ -28,31 +28,28 @@ log = logging.getLogger(__name__)
 
 PSEUDO_PREFIX = "pr_"
 NEUTRAL_SCORE = 0.5
+MODEL_VERSION = 2
 
 
 def pseudo_columns(relations: list) -> list:
     return [PSEUDO_PREFIX + r for r in relations]
 
 
-def compute_pseudo_features(rows, groups: GroupTable, scores: np.ndarray, relations: list,
-                            mode: str = "soft") -> np.ndarray:
+def compute_pseudo_features(rows, groups: GroupTable, scores: np.ndarray,
+                            relations: list) -> np.ndarray:
     """Per message and relation: mean predicted spamminess of its co-members.
 
     `rows` are message positions and `scores` a float array over positions,
     NaN where unscored; -> a (len(rows), len(relations)) array. The message's
     own score is always excluded. Messages in several groups of one relation
     pool the union of the other members. Unscored co-members are skipped;
-    with no scored co-member at all the neutral 0.5 is emitted. `mode="hard"`
-    averages scores thresholded at 0.5 instead of raw probabilities. A mean
-    adds its co-members' scores in position order.
+    with no scored co-member at all the neutral 0.5 is emitted. A mean adds
+    its co-members' scores in position order.
     """
-    if mode not in ("soft", "hard"):
-        raise ConfigError(f"pseudo-feature mode must be 'soft' or 'hard', got {mode!r}")
     rows = np.asarray(rows, dtype=np.int64)
     n = len(scores)
     row_of = np.full(n, -1, dtype=np.int64)
     row_of[rows] = np.arange(len(rows))
-    value = scores if mode == "soft" else (scores >= NEUTRAL_SCORE).astype(float)
     first = np.cumsum(groups.sizes) - groups.sizes  # each group's first edge
     out = np.full((len(rows), len(relations)), NEUTRAL_SCORE)
     for j, rel in enumerate(relations):
@@ -69,7 +66,7 @@ def compute_pseudo_features(rows, groups: GroupTable, scores: np.ndarray, relati
         keep = (mine != peer) & ~np.isnan(scores[peer])
         pair = np.unique(mine[keep] * n + peer[keep])  # the union, in (message, peer) order
         slot = row_of[pair // n]
-        total = np.bincount(slot, weights=value[pair % n], minlength=len(out))
+        total = np.bincount(slot, weights=scores[pair % n], minlength=len(out))
         count = np.bincount(slot, minlength=len(out))
         scored = count > 0
         out[scored, j] = total[scored] / count[scored]
@@ -84,7 +81,6 @@ def _pseudo_matrix(fm: FeatureMatrix, pseudo: np.ndarray, relations: list) -> Fe
 class StackedModel:
     submodels: list  # LinearModel f^0 .. f^K
     relations: list
-    pseudo_mode: str
     score_center: float  # the training prevalence, which recentered scores map to 0.5 in the pools
 
     @property
@@ -93,9 +89,8 @@ class StackedModel:
 
     def to_json(self) -> str:
         return json.dumps({
-            "version": 1,
+            "version": MODEL_VERSION,
             "relations": self.relations,
-            "pseudo_mode": self.pseudo_mode,
             "score_center": self.score_center,
             "submodels": [json.loads(m.to_json()) for m in self.submodels],
         }, sort_keys=True)
@@ -103,9 +98,11 @@ class StackedModel:
     @classmethod
     def from_json(cls, text: str) -> "StackedModel":
         d = json.loads(text)
+        if d.get("version") != MODEL_VERSION:
+            raise DataError(f"unsupported stacked model version: {d.get('version')} "
+                            f"(this version reads {MODEL_VERSION}); rerun the train stage")
         submodels = [LinearModel.from_json(json.dumps(m)) for m in d["submodels"]]
-        return cls(submodels=submodels, relations=d["relations"], pseudo_mode=d["pseudo_mode"],
-                   score_center=d["score_center"])
+        return cls(submodels=submodels, relations=d["relations"], score_center=d["score_center"])
 
 
 def _slice_bounds(n: int, parts: int) -> list:
@@ -114,8 +111,7 @@ def _slice_bounds(n: int, parts: int) -> list:
 
 def train_stacked(rows, fm: FeatureMatrix, labels: np.ndarray, groups: GroupTable,
                   K: int, relations: list, scale_columns: list | None = None,
-                  config: ClassifierConfig | None = None,
-                  pseudo_mode: str = "soft") -> StackedModel:
+                  config: ClassifierConfig | None = None) -> StackedModel:
     """Fit f^0..f^K on K+1 contiguous time slices of the training messages:
     the rows of `fm`, at the chronological positions `rows`, labeled by
     `labels`, the labels of every position.
@@ -141,7 +137,7 @@ def train_stacked(rows, fm: FeatureMatrix, labels: np.ndarray, groups: GroupTabl
 
     bounds = _slice_bounds(len(rows), K + 1)
     submodels = [fit_classifier(fm.rows(*bounds[0]), y[slice(*bounds[0])], scale_columns, config)]
-    model = StackedModel(submodels=submodels, relations=list(relations), pseudo_mode=pseudo_mode,
+    model = StackedModel(submodels=submodels, relations=list(relations),
                          score_center=int((y == SPAM).sum()) / len(y))
 
     # standardizing the ratio columns keeps ridge shrinkage from flattening
@@ -165,7 +161,7 @@ def _pooled_features(model: StackedModel, rows, groups: GroupTable, context: np.
     scores = context.copy()
     scores[rows] = preds
     return compute_pseudo_features(rows, groups, recenter_scores(scores, model.score_center),
-                                   model.relations, model.pseudo_mode)
+                                   model.relations)
 
 
 def _roll_forward(model: StackedModel, fm_base: FeatureMatrix, rows, groups: GroupTable,

@@ -113,13 +113,13 @@ def _random_hinge_model(rng, n_vars):
     return GroundHingeModel(messages=np.arange(n_vars), A=A, const=np.array(const),
                             weight=np.array(weight), template_id=np.array(template_id),
                             templates=[("neg",), ("prior",), ("c", "user")],
-                            init=np.full(n_vars, 0.5), exponent=2)
+                            init=np.full(n_vars, 0.5))
 
 
 def _batch_objective(model, X):
     # dense, so independent of the sparse products the model's objective uses
     A = model.A.toarray()
-    return model.weight @ np.maximum(0.0, A @ X.T + model.const[:, None]) ** model.exponent
+    return model.weight @ np.maximum(0.0, A @ X.T + model.const[:, None]) ** 2
 
 
 def _grid_oracle(model, step=0.01, refinements=3):

@@ -7,31 +7,44 @@ from pathlib import Path
 
 import pytest
 
-from relspam.cli import RunConfig, load_config, main
-from relspam.data_model import ConfigError, message_to_record, read_messages, write_messages
+from relspam.cli import LEGACY_KEYS, RunConfig, load_config, main
+from relspam.data_model import (
+    ConfigError,
+    chronological_split,
+    message_to_record,
+    read_messages,
+    sort_chronologically,
+    write_messages,
+)
 from relspam.evaluation import ExperimentConfig, evaluate_experiment
-from relspam.synth import generate
+from relspam.features import read_feature_matrix, write_feature_matrix
+from relspam.synth import GeneratorConfig, generate
 
 ROOT = Path(__file__).resolve().parents[1]
 
 SMALL_CONFIG = {
-    "generator": {"n_messages": 1200, "n_users": 80, "n_campaigns": 8,
+    "generator": {"n_messages": 1200, "n_users": 80, "n_campaigns": 12,
                   "spam_prevalence": 0.08},
     "n_subsets": 3,
     "feature_mode": "limited",
     "models": ["independent", "mrf"],
     "classifier": {"l2": 1.0, "max_iter": 150, "tol": 1e-6, "method": "batch"},
 }
+# noisy features and little text and link reuse leave the validation ranking room to move
+NOISY_GENERATOR = {**SMALL_CONFIG["generator"], "feature_noise": 1.0, "text_reuse_prob": 0.3,
+                   "link_reuse_prob": 0.3}
+# every seed the tests below run
+SEEDS = (0, 1, 4, 5, 9, 11)
 
 
-def assert_reads_back(config, given):
+def assert_reads_back(config, given, prefix=""):
     """Every key of the JSON config `given` is set on the loaded `config`."""
     for key, value in given.items():
-        if key in ("threads", "method"):  # legacy keys that set nothing
+        if prefix + key in LEGACY_KEYS:  # accepted, and sets nothing
             continue
         got = getattr(config, key)
         if is_dataclass(got):
-            assert_reads_back(got, value or {})
+            assert_reads_back(got, value or {}, f"{prefix}{key}.")
         else:
             assert got == value, key
 
@@ -85,6 +98,21 @@ class TestStages:
         assert rc == 1
         err = capsys.readouterr().err
         assert "feature matrix" in err and "featurize" in err
+
+    def test_feature_matrix_with_too_few_rows_is_named(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        for stage in ("generate", "featurize", "train"):
+            assert main([stage, "--config", cfg, "--out", str(out), "--seed", "5"]) == 0
+        path = out / "features" / "subset_00" / "features.npz"
+        fm = read_feature_matrix(path)
+        write_feature_matrix(path, fm.rows(0, fm.shape[0] - 30))
+        for stage in ("train", "infer"):
+            capsys.readouterr()
+            assert main([stage, "--config", cfg, "--out", str(out), "--seed", "5"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: 370 rows, but subset 0 of split_plan.json "
+                                  "has 400 messages; rerun the featurize stage"), err
 
     def test_featurize_is_byte_idempotent(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -252,8 +280,7 @@ class TestMessageIndex:
         assert "relations" in err and "rerun the featurize stage" in err
 
     def test_stages_after_featurize_never_read_messages(self, tmp_path):
-        cfg = write_config(tmp_path, {"models": ["independent", "sgl1", "mrf", "psl"],
-                                      "dump_pr_curves": True})
+        cfg = write_config(tmp_path, {"models": ["independent", "sgl1", "mrf", "psl"]})
         staged, whole = tmp_path / "staged", tmp_path / "whole"
         assert main(["run-all", "--config", cfg, "--out", str(whole), "--seed", "4"]) == 0
         for stage in ("generate", "featurize"):
@@ -261,19 +288,16 @@ class TestMessageIndex:
         (staged / "data" / "messages.jsonl").unlink()
         for stage in ("train", "infer", "eval"):
             assert main([stage, "--config", cfg, "--out", str(staged), "--seed", "4"]) == 0
-        for name in ("report.json", "pr_curves.json"):
-            assert (staged / name).read_bytes() == (whole / name).read_bytes()
+        assert (staged / "report.json").read_bytes() == (whole / "report.json").read_bytes()
 
 
 class TestOneOrchestration:
     def test_in_memory_protocol_matches_run_all_report_bytes(self, tmp_path):
         # every branch of the per-subset steps: stacked, joint and combined
         # models, l2 tuning, epsilon tuning, hinge weight learning, full
-        # features with the follower graph; noisy features and little text
-        # and link reuse leave the validation ranking room to move
+        # features with the follower graph
         cfg_path = write_config(tmp_path, {
-            "generator": {**SMALL_CONFIG["generator"], "feature_noise": 1.0,
-                          "text_reuse_prob": 0.3, "link_reuse_prob": 0.3},
+            "generator": NOISY_GENERATOR,
             "fractions": [0.5, 0.25, 0.25],
             "models": ["independent", "sgl1", "mrf", "psl", "sgl1+mrf"],
             "feature_mode": "full",
@@ -283,13 +307,13 @@ class TestOneOrchestration:
             "l2_grid": [0.3, 1.0],
         })
         out = tmp_path / "out"
-        assert main(["run-all", "--config", cfg_path, "--out", str(out), "--seed", "3"]) == 0
+        assert main(["run-all", "--config", cfg_path, "--out", str(out), "--seed", "11"]) == 0
         assert (out / "data" / "follows.tsv").stat().st_size > 0
         tuned = [json.loads(p.read_text()) for p in sorted(out.glob("models/*/epsilons.json"))]
         assert any(set(eps.values()) != {0.1} for eps in tuned)
 
-        cfg = load_config(cfg_path, {"seed": 3})
-        messages, follows = generate(replace(cfg.generator, seed=3))
+        cfg = load_config(cfg_path, {"seed": 11})
+        messages, follows = generate(replace(cfg.generator, seed=11))
         report = evaluate_experiment(messages, follows, cfg)
         assert report.to_json() == (out / "report.json").read_text(encoding="utf-8")
 
@@ -416,6 +440,11 @@ class TestConfigValidation:
         ({"models": ["wat"]}, "models"),
         ({"generator": {"n_users": 1.5}}, "generator.n_users"),
         ({"threads": 0}, "threads"),
+        ({"hinge": {"exponent": 1}}, "hinge.exponent"),
+        ({"stack_mode": "hard"}, "stack_mode"),
+        ({"mrf_prior_center": 0.3}, "mrf_prior_center"),
+        ({"mrf_prior_center": None}, "mrf_prior_center"),
+        ({"dump_pr_curves": True}, "dump_pr_curves"),
     ])
     def test_bad_value_is_named_before_any_work(self, tmp_path, capsys, extra, key):
         cfg = write_config(tmp_path, extra)
@@ -462,11 +491,18 @@ class TestDeterminism:
         assert (out_a / "report.txt").read_bytes() == (out_b / "report.txt").read_bytes()
 
 
-def test_pr_curve_dump(tmp_path):
-    cfg = write_config(tmp_path, {"dump_pr_curves": True})
-    out = tmp_path / "out"
-    assert main(["run-all", "--config", cfg, "--out", str(out), "--seed", "2"]) == 0
-    curves = json.loads((out / "pr_curves.json").read_text())
-    assert set(curves) == {"independent", "mrf"}
-    for points in curves.values():
-        assert all(0 <= r <= 1 and 0 <= p <= 1 for r, p in points)
+
+def test_every_training_slice_has_both_classes():
+    # a slice with one class trains a constant model, which no test could tell from a broken one
+    ran = {int(seed) for seed in re.findall(r'(?:"--seed", "|\bseed=)(\d+)',
+                                            Path(__file__).read_text(encoding="utf-8"))}
+    assert ran | {0} <= set(SEEDS)  # 0 is the default seed
+    for seed in SEEDS:
+        for generator in (SMALL_CONFIG["generator"], NOISY_GENERATOR):
+            messages, _ = generate(GeneratorConfig(seed=seed, **generator))
+            messages = sort_chronologically(messages)
+            for fractions in (ExperimentConfig.fractions, (0.5, 0.25, 0.25)):
+                plan = chronological_split(messages, SMALL_CONFIG["n_subsets"], fractions)
+                for i, subset in enumerate(plan.subsets):
+                    labels = {m.label for m in messages[slice(*subset.train)]}
+                    assert labels == {0, 1}, (seed, generator, fractions, i)

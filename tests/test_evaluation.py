@@ -584,18 +584,6 @@ def test_ranking_metrics_skip_unlabeled_messages():
     assert out == {"n": 3, "aupr": 1.0, "auroc": 1.0}
 
 
-class TestPrCurve:
-    def test_points_for_clean_ranking(self):
-        from relspam.evaluation import pr_curve_points
-        points = pr_curve_points([0.9, 0.8, 0.7], [1, 0, 1])
-        assert points == [(0.5, 1.0), (0.5, 0.5), (1.0, 2 / 3)]
-
-    def test_tied_scores_form_one_block(self):
-        from relspam.evaluation import pr_curve_points
-        points = pr_curve_points([0.5, 0.5, 0.5, 0.5], [1, 0, 1, 0])
-        assert points == [(1.0, 0.5)]
-
-
 class TestPipelineOptions:
     def test_psl_weight_learning_smoke(self):
         messages = planted_experiment_data(n=300, seed=9)

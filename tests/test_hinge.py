@@ -24,7 +24,7 @@ def one_group(n, relation="user"):
     return hub_table((relation, "u", range(n)))
 
 
-def make_model(hinges, n_vars, init=None, p=2, messages=None):
+def make_model(hinges, n_vars, init=None, messages=None):
     """A model from `hinge` rows, each row's coefficients kept in the given order."""
     templates = list(dict.fromkeys(h[3] for h in hinges))
     indptr = np.cumsum([0] + [len(h[0]) for h in hinges])
@@ -39,12 +39,11 @@ def make_model(hinges, n_vars, init=None, p=2, messages=None):
         template_id=np.array([templates.index(h[3]) for h in hinges], dtype=np.int64),
         templates=templates,
         init=np.full(n_vars, 0.5) if init is None else np.asarray(init, dtype=float),
-        exponent=p,
     )
 
 
 def hinge(coeffs, const, weight, template=("neg",)):
-    """One potential weight * max(0, const + sum of c * x[j] over coeffs)^p, as a row."""
+    """One potential weight * max(0, const + sum of c * x[j] over coeffs)^2, as a row."""
     return tuple((int(j), float(c)) for j, c in coeffs), float(const), float(weight), template
 
 
@@ -94,10 +93,6 @@ class TestGrounding:
         with pytest.raises(ConfigError):
             ground_rules(np.full(2, 0.5), one_group(2), HingeWeights(neg=-1.0))
 
-    def test_bad_exponent_rejected(self):
-        with pytest.raises(ConfigError):
-            ground_rules(np.full(2, 0.5), one_group(2), HingeWeights(), p=3)
-
     def test_missing_prior_rejected(self):
         with pytest.raises(DataError, match="position 1"):
             ground_rules(np.array([0.5, np.nan]), one_group(2), HingeWeights())
@@ -129,7 +124,7 @@ def batch_objective(model, X):
         const[i] = c0
         w[i] = weight
     active = np.maximum(0.0, A @ X.T + const[:, None])
-    return w @ active ** model.exponent
+    return w @ active ** 2
 
 
 def grid_search_oracle(model, step=0.01, refinements=3):
@@ -152,7 +147,7 @@ def grid_search_oracle(model, step=0.01, refinements=3):
     return best
 
 
-def random_hinge_model(rng, n_vars, p=2):
+def random_hinge_model(rng, n_vars):
     """Random instance with per-variable anchors so the optimum is unique."""
     hinges = []
     for j in range(n_vars):
@@ -164,10 +159,10 @@ def random_hinge_model(rng, n_vars, p=2):
             continue
         hinges.append(hinge([(a, 1.0), (b, -1.0)], rng.uniform(-0.3, 0.3),
                             rng.uniform(0.1, 2.0)))
-    return make_model(hinges, n_vars, p=p)
+    return make_model(hinges, n_vars)
 
 
-def reference_hinges(priors, groups, weights, p=2, observed=None):
+def reference_hinges(priors, groups, weights, observed=None):
     """The rule templates grounded one `hinge` row at a time, in ground_rules'
     row order, from dicts and (relation, members) groups."""
     observed = observed or {}
@@ -193,15 +188,15 @@ def reference_hinges(priors, groups, weights, p=2, observed=None):
     return hinges
 
 
-def hinge_sums(hinges, x, p):
+def hinge_sums(hinges, x):
     """Objective and gradient summed hinge by hinge."""
     f = 0.0
     grad = np.zeros_like(x)
     for h in hinges:
         coeffs, _, weight, _ = h
         active = max(0.0, linear_value(h, x))
-        f += weight * active ** p
-        slope = weight * (2.0 * active if p == 2 else float(active > 0))
+        f += weight * active ** 2
+        slope = weight * (2.0 * active)
         for j, c in coeffs:
             grad[j] += slope * c
     return f, grad
@@ -209,7 +204,7 @@ def hinge_sums(hinges, x, p):
 
 @st.composite
 def grounding_inputs(draw):
-    """(priors, groups as (relation, members) pairs, weights, observed, p, seed)
+    """(priors, groups as (relation, members) pairs, weights, observed, seed)
     with priors and observed values as position -> value dicts."""
     n = draw(st.integers(2, 9))
     groups = []
@@ -224,7 +219,7 @@ def grounding_inputs(draw):
     weights = HingeWeights(neg=draw(st.floats(0, 2)), prior=draw(st.floats(0, 2)),
                            relation_c={"user": draw(st.floats(0, 2))},
                            relation_d={"text": draw(st.floats(0, 2))})
-    return priors, groups, weights, observed, draw(st.sampled_from([1, 2])), draw(st.integers(0, 99))
+    return priors, groups, weights, observed, draw(st.integers(0, 99))
 
 
 def array_inputs(priors: dict, groups: list, observed: dict) -> tuple:
@@ -237,11 +232,11 @@ def array_inputs(priors: dict, groups: list, observed: dict) -> tuple:
 @settings(max_examples=60, deadline=None)
 @given(grounding_inputs())
 def test_array_grounding_matches_per_hinge_reference(inputs):
-    priors, groups, weights, observed, p, seed = inputs
+    priors, groups, weights, observed, seed = inputs
     arrays = array_inputs(priors, groups, observed)
-    model = ground_rules(arrays[0], arrays[1], weights, p=p, observed=arrays[2])
-    ref = reference_hinges(priors, groups, weights, p=p, observed=observed)
-    ref_model = make_model(ref, model.n_vars, model.init, p, model.messages)
+    model = ground_rules(arrays[0], arrays[1], weights, observed=arrays[2])
+    ref = reference_hinges(priors, groups, weights, observed=observed)
+    ref_model = make_model(ref, model.n_vars, model.init, model.messages)
 
     free = model.messages.tolist()
     assert free == sorted({m for _, members in groups for m in members} - set(observed))
@@ -259,9 +254,9 @@ def test_array_grounding_matches_per_hinge_reference(inputs):
     np.testing.assert_allclose([objective_at(model, x) for x in X], batch_objective(ref_model, X),
                                rtol=1e-12, atol=1e-12)
     other = HingeWeights(neg=0.3, prior=1.7, relation_c={"text": 0.0}, relation_d={"user": 2.5})
-    regrounded = ground_rules(arrays[0], arrays[1], other, p=p, observed=arrays[2])
+    regrounded = ground_rules(arrays[0], arrays[1], other, observed=arrays[2])
     for x in X:
-        f, grad = hinge_sums(ref, x, p)
+        f, grad = hinge_sums(ref, x)
         assert objective_at(model, x) == pytest.approx(f, rel=1e-12, abs=1e-12)
         np.testing.assert_allclose(gradient_at(model, x), grad, rtol=1e-12, atol=1e-12)
         assert objective_at(model.reweighted(other), x) == objective_at(regrounded, x)
@@ -276,8 +271,8 @@ def jacobi_diagonal(model):
     return diag
 
 
-def reference_map_p2(model, tol, max_iter, step=1.0):
-    """The p=2 MAP loop as it was before it kept the accepted point's linear
+def reference_map(model, tol, max_iter, step=1.0):
+    """The MAP loop as it was before it kept the accepted point's linear
     values: the objective and gradient each recompute A @ x + const.
     Returns (x, objective, n_iters, converged)."""
     scale = _jacobi_scale(model)
@@ -309,12 +304,12 @@ def reference_map_p2(model, tol, max_iter, step=1.0):
 @settings(max_examples=60, deadline=None)
 @given(grounding_inputs(), st.sampled_from([(1e-9, 5000), (1e-13, 40)]))
 def test_map_iterates_match_reference_loop_bit_for_bit(inputs, stop):
-    priors, groups, weights, observed, _, _ = inputs
+    priors, groups, weights, observed, _ = inputs
     arrays = array_inputs(priors, groups, observed)
-    model = ground_rules(arrays[0], arrays[1], weights, p=2, observed=arrays[2])
+    model = ground_rules(arrays[0], arrays[1], weights, observed=arrays[2])
     tol, max_iter = stop
     result = map_inference(model, tol=tol, max_iter=max_iter)
-    x, f, n_iters, converged = reference_map_p2(model, tol, max_iter)
+    x, f, n_iters, converged = reference_map(model, tol, max_iter)
     assert result.x.tobytes() == x.tobytes()
     assert result.objective == f
     assert (result.n_iters, result.converged) == (n_iters, converged)
@@ -486,12 +481,3 @@ class TestLearnWeights:
         for rel in groups.relations:
             assert out.c(rel) >= 0 and out.d(rel) >= 0
 
-
-def test_map_inference_subgradient_p1():
-    model = ground_rules(np.array([0.8, 0.7, 0.4]), one_group(3), HingeWeights(), p=1)
-    result = map_inference(model, tol=1e-10, max_iter=20000)
-    assert (result.x >= 0).all() and (result.x <= 1).all()
-    # with equal unit weights the all-zero point attains the flat optimum 1.9;
-    # a kink must not trap the solver above it
-    zero = np.zeros(model.n_vars)
-    assert result.objective <= objective_at(model, zero) + 1e-3

@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -21,8 +22,8 @@ from relspam.stacking import (
 from tables import hub_table, over
 
 
-def pseudo(rows, groups, scores, relations, **kw) -> list:
-    return compute_pseudo_features(rows, groups, scores, relations, **kw).tolist()
+def pseudo(rows, groups, scores, relations) -> list:
+    return compute_pseudo_features(rows, groups, scores, relations).tolist()
 
 
 class TestPseudoFeatures:
@@ -50,11 +51,6 @@ class TestPseudoFeatures:
         out = pseudo([0], hub_table(("user", "u", [0, 1, 2])), over(3, {0: 0.9, 1: 0.3}), ["user"])
         assert out[0][0] == pytest.approx(0.3)
 
-    def test_hard_mode_thresholds(self):
-        out = pseudo([0], hub_table(("user", "u", [0, 1, 2])), np.array([0.9, 0.6, 0.4]), ["user"],
-                     mode="hard")
-        assert out[0][0] == pytest.approx(0.5)
-
     def test_values_stay_in_unit_interval(self):
         rng = random.Random(3)
         groups = hub_table(*(("user", f"u{j}", rng.sample(range(30), 4)) for j in range(8)))
@@ -63,13 +59,9 @@ class TestPseudoFeatures:
         assert out.shape == (30, 2)
         assert ((out >= 0.0) & (out <= 1.0)).all()
 
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ConfigError):
-            compute_pseudo_features([0], hub_table(), np.array([0.5]), ["user"], mode="fuzzy")
-
 
 def reference_pseudo_features(message_ids: list, groups: list, predictions: dict,
-                              relations: list, mode: str = "soft", threshold: float = 0.5) -> dict:
+                              relations: list) -> dict:
     """compute_pseudo_features over id sets and dicts, as it was before it
     became one array pass per relation; `groups` are (relation, member ids)."""
     peers: dict = {rel: {} for rel in relations}
@@ -92,7 +84,7 @@ def reference_pseudo_features(message_ids: list, groups: list, predictions: dict
                 for other in sorted(others):
                     p = predictions.get(other)
                     if p is not None:
-                        scores.append(float(p >= threshold) if mode == "hard" else float(p))
+                        scores.append(float(p))
             # added left to right, as `sum` did before Python 3.12
             total = 0
             for score in scores:
@@ -119,18 +111,17 @@ def pooling_inputs(draw):
     scores = {i: draw(score) for i in draw(st.lists(st.integers(0, n - 1), unique=True))}
     rows = draw(st.lists(st.integers(0, n - 1), unique=True))
     relations = draw(st.lists(st.sampled_from(["user", "text", "link", "hashtag"]), unique=True))
-    return ids, groups, scores, rows, relations, draw(st.sampled_from(["soft", "hard"]))
+    return ids, groups, scores, rows, relations
 
 
 @settings(max_examples=300, deadline=None)
 @given(pooling_inputs())
 def test_array_pooling_matches_id_reference_bit_for_bit(inputs):
-    ids, groups, scores, rows, relations, mode = inputs
-    got = compute_pseudo_features(rows, hub_table(*groups), over(len(ids), scores), relations,
-                                  mode=mode)
+    ids, groups, scores, rows, relations = inputs
+    got = compute_pseudo_features(rows, hub_table(*groups), over(len(ids), scores), relations)
     want = reference_pseudo_features(
         [ids[i] for i in rows], [(r, [ids[i] for i in m]) for r, _, m in groups],
-        {ids[i]: p for i, p in scores.items()}, relations, mode=mode)
+        {ids[i]: p for i, p in scores.items()}, relations)
     assert got.shape == (len(rows), len(relations))
     assert got.tolist() == [[want[ids[i]][PSEUDO_PREFIX + r] for r in relations] for i in rows]
 
@@ -210,6 +201,15 @@ class TestTrainStacked:
         restored = StackedModel.from_json(stacked.to_json())
         args = (fm, everything(index), index.table, no_context(index))
         assert infer_stacked(stacked, *args).tolist() == infer_stacked(restored, *args).tolist()
+
+    def test_version_1_file_rejected(self):
+        # version 1 carried a pooling mode, which may have been "hard"
+        fm, index = planted_dataset(n_users=4, msgs_per_user=3)
+        stacked = train_stacked(everything(index), fm, index.labels, index.table, K=1,
+                                relations=["user"])
+        old = {**json.loads(stacked.to_json()), "version": 1, "pseudo_mode": "hard"}
+        with pytest.raises(DataError, match="stacked model version: 1 .*rerun the train stage"):
+            StackedModel.from_json(json.dumps(old))
 
 
 class TestInferStacked:
