@@ -1,15 +1,18 @@
 """Batch command-line pipeline: generate -> featurize -> train -> infer -> eval.
 
 Stages communicate only through files under the output directory, so any
-stage can be rerun in isolation; outputs are versioned and byte-deterministic
-for a fixed config and seed. `run-all` chains every stage and writes the
-final report. The protocol's work is done by the per-subset steps of
-`evaluation` that `evaluate_experiment` also runs; a stage only reads its
-inputs, calls those steps, and writes their results. Only `featurize` reads
-`messages.jsonl`; `train`, `infer` and `eval` read the `features/index.npz`
-message index it writes, and know a message by its chronological position
-in it; ids come back only in the predictions TSVs, which `eval` maps back to
-positions. A run's settings are one `RunConfig`, which
+stage can be rerun in isolation; outputs are byte-deterministic for a fixed
+config and seed. `run-all` chains every stage and writes the final report. A
+stage only reads its inputs, calls the per-subset steps of `evaluation` that
+`evaluate_experiment` also runs, and writes their results. Only `featurize`
+reads `messages.jsonl`; it writes `features/split_plan.json`, the
+`features/index.npz` message index and each subset's `features.npz`, `train`
+each subset's `models.json`, and `infer` the predictions TSVs and
+`predictions/diagnostics.json`. Every file but the TSVs goes through
+`write_artifact` under a format tag and back through `read_artifact`, so one
+that is missing, damaged or of another tag fails with a `DataError` naming it
+and the stage to rerun. Past featurize a message is its position in the index;
+ids come back only in the TSVs. A run's settings are one `RunConfig`, which
 `load_config` builds from the JSON config and checks before any stage runs.
 """
 
@@ -32,12 +35,14 @@ from .data_model import (
     build_index,
     check_setting,
     is_int,
+    read_artifact,
     read_follows,
     read_index,
     read_messages,
     chronological_split,
     SplitPlan,
     SubsetSplit,
+    write_artifact,
     write_follows,
     write_index,
     write_messages,
@@ -50,6 +55,7 @@ from .evaluation import (
     graph_feature_table,
     infer_subset_models,
     ordered_dataset,
+    parse_model_name,
     sum_diagnostics,
     train_subset_models,
 )
@@ -62,6 +68,9 @@ from .synth import GeneratorConfig, generate
 log = logging.getLogger(__name__)
 
 CONFIG_VERSION = 1
+PLAN_FORMAT = "relspam-split-plan v1"
+MODELS_FORMAT = "relspam-models v1"
+DIAGNOSTICS_FORMAT = "relspam-diagnostics v1"
 
 
 def _only(value, says: str) -> tuple:
@@ -133,13 +142,13 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     non-None `overrides` merged over them, every value checked."""
     cfg = RunConfig()
     if path:
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"config file not found: {p}")
         try:
-            given = json.loads(p.read_text(encoding="utf-8"))
+            given = json.loads(Path(path).read_text(encoding="utf-8"))
+        except OSError as exc:  # also a directory
+            raise ConfigError(f"config file not found or not readable: {path} "
+                              f"({exc.strerror})") from None
         except ValueError as exc:  # also a bad UTF-8 byte
-            raise ConfigError(f"config file {p} is not UTF-8 JSON: {exc}") from None
+            raise ConfigError(f"config file {path} is not UTF-8 JSON: {exc}") from None
         cfg = _merge(cfg, given)
     cfg = _merge(cfg, {k: v for k, v in overrides.items() if v is not None})
     cfg.check()
@@ -160,14 +169,8 @@ def _follows_path(cfg: RunConfig) -> Path:
     return Path(cfg.follows) if cfg.follows else _out(cfg) / "data" / "follows.tsv"
 
 
-def _require(path: Path, produced_by: str) -> Path:
-    if not path.exists():
-        raise DataError(f"missing input artifact: {path} (run the '{produced_by}' stage first)")
-    return path
-
-
 def _load_index(cfg: RunConfig) -> MessageIndex:
-    index = read_index(_require(_out(cfg) / "features" / "index.npz", "featurize"))
+    index = read_index(_out(cfg) / "features" / "index.npz")
     if index.relations != list(cfg.relations):
         raise DataError(f"the message index groups by relations {index.relations}, the config "
                         f"by {cfg.relations}; rerun the featurize stage")
@@ -179,19 +182,43 @@ def _subset_dir(cfg, stage_dir: str, i: int) -> Path:
 
 
 def _load_plan(cfg) -> SplitPlan:
-    path = _require(_out(cfg) / "features" / "split_plan.json", "featurize")
-    return SplitPlan.from_json(path.read_text(encoding="utf-8"))
+    return read_artifact(_out(cfg) / "features" / "split_plan.json", PLAN_FORMAT, "featurize",
+                         lambda header, _: SplitPlan.from_dict(header))
 
 
 def _load_features(cfg, i: int, subset: SubsetSplit) -> FeatureMatrix:
     """Subset i's feature matrix, one row per message of its span in the split plan."""
-    path = _require(_subset_dir(cfg, "features", i) / "features.npz", "featurize")
+    path = _subset_dir(cfg, "features", i) / "features.npz"
     fm = read_feature_matrix(path)
     expected = subset.test[1] - subset.train[0]
     if fm.shape[0] != expected:
         raise DataError(f"{path}: {fm.shape[0]} rows, but subset {i} of split_plan.json has "
                         f"{expected} messages; rerun the featurize stage")
     return fm
+
+
+def _artifact_to_dict(value):
+    """A `train_subset_models` artifact as JSON: a model's dict, weights' fields, or epsilons."""
+    if isinstance(value, HingeWeights):
+        return asdict(value)
+    return value.to_dict() if hasattr(value, "to_dict") else value
+
+
+def _load_models(cfg: RunConfig, i: int) -> dict:
+    """Subset i's `train_subset_models` artifacts that the roster needs, each required."""
+    joints = {parse_model_name(m)[1] for m in cfg.models}
+    needed = {"independent": LinearModel.from_dict,
+              **{f"sgl{k}": StackedModel.from_dict for k in cfg.required_stacks()},
+              **({"psl_weights": lambda d: HingeWeights(**d)} if "psl" in joints else {}),
+              **({"epsilons": lambda eps: eps} if "mrf" in joints else {})}
+
+    def parse(header, _):
+        missing = [name for name in needed if name not in header]
+        if missing:
+            raise ValueError(f"no {missing[0]!r} artifact, which the roster needs")
+        return {name: load(header[name]) for name, load in needed.items()}
+    return read_artifact(_subset_dir(cfg, "models", i) / "models.json", MODELS_FORMAT, "train",
+                         parse)
 
 
 # --- stages ---
@@ -209,7 +236,9 @@ def cmd_generate(cfg: RunConfig) -> int:
 
 
 def cmd_featurize(cfg: RunConfig) -> int:
-    path = _require(_messages_path(cfg), "generate")
+    path = _messages_path(cfg)
+    if not path.is_file():
+        raise DataError(f"no messages file {path}; run the generate stage or set 'messages'")
     messages = ordered_dataset(read_messages(path))
     follows_path = _follows_path(cfg)
     follows = read_follows(follows_path) if follows_path.exists() else []
@@ -220,7 +249,7 @@ def cmd_featurize(cfg: RunConfig) -> int:
     check_training_labels(index, plan)
     feat_dir = _out(cfg) / "features"
     feat_dir.mkdir(parents=True, exist_ok=True)
-    (feat_dir / "split_plan.json").write_text(plan.to_json(), encoding="utf-8")
+    write_artifact(feat_dir / "split_plan.json", PLAN_FORMAT, asdict(plan))
     write_index(feat_dir / "index.npz", index)
     del index
     graph_table = graph_feature_table(cfg, follows)
@@ -242,40 +271,11 @@ def cmd_train(cfg: RunConfig) -> int:
         artifacts = train_subset_models(index, subset, _load_features(cfg, i, subset), cfg)
         out_dir = _subset_dir(cfg, "models", i)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "independent.json").write_text(artifacts["independent"].to_json(), encoding="utf-8")
-        for k in cfg.required_stacks():
-            (out_dir / f"sgl{k}.json").write_text(artifacts[f"sgl{k}"].to_json(), encoding="utf-8")
-        if "psl_weights" in artifacts:
-            payload = {
-                "weights": asdict(artifacts["psl_weights"]),
-                "validation": {"subset": i, "range": list(subset.validation),
-                               "n_messages": subset.validation[1] - subset.validation[0]},
-            }
-            (out_dir / "psl_weights.json").write_text(
-                json.dumps(payload, sort_keys=True), encoding="utf-8")
-        if "epsilons" in artifacts:
-            (out_dir / "epsilons.json").write_text(
-                json.dumps(artifacts["epsilons"], sort_keys=True), encoding="utf-8")
+        write_artifact(out_dir / "models.json", MODELS_FORMAT,
+                       {name: _artifact_to_dict(value) for name, value in artifacts.items()})
     log.info("train: wrote model artifacts for %d subsets under %s", plan.n_subsets,
              _out(cfg) / "models")
     return 0
-
-
-def _load_artifacts(cfg: RunConfig, i: int) -> dict:
-    out_dir = _subset_dir(cfg, "models", i)
-    artifacts = {"independent": LinearModel.from_json(
-        _require(out_dir / "independent.json", "train").read_text(encoding="utf-8"))}
-    for k in cfg.required_stacks():
-        artifacts[f"sgl{k}"] = StackedModel.from_json(
-            _require(out_dir / f"sgl{k}.json", "train").read_text(encoding="utf-8"))
-    psl_path = out_dir / "psl_weights.json"
-    if psl_path.exists():
-        payload = json.loads(psl_path.read_text(encoding="utf-8"))
-        artifacts["psl_weights"] = HingeWeights(**payload["weights"])
-    eps_path = out_dir / "epsilons.json"
-    if eps_path.exists():
-        artifacts["epsilons"] = json.loads(eps_path.read_text(encoding="utf-8"))
-    return artifacts
 
 
 def cmd_infer(cfg: RunConfig) -> int:
@@ -284,7 +284,7 @@ def cmd_infer(cfg: RunConfig) -> int:
     pred_dir = _out(cfg) / "predictions"
     diagnostics = []
     for i, subset in enumerate(plan.subsets):
-        preds, diag = infer_subset_models(_load_artifacts(cfg, i), index, subset,
+        preds, diag = infer_subset_models(_load_models(cfg, i), index, subset,
                                           _load_features(cfg, i, subset), cfg)
         test_ids = index.ids[slice(*subset.test)]
         for name, scores in preds.items():
@@ -294,8 +294,7 @@ def cmd_infer(cfg: RunConfig) -> int:
                 fh.writelines(f"{mid}\t{score!r}\n"
                               for mid, score in zip(test_ids, scores.tolist()))
         diagnostics.append(diag)
-    (pred_dir / "diagnostics.json").write_text(
-        json.dumps(sum_diagnostics(diagnostics), sort_keys=True), encoding="utf-8")
+    write_artifact(pred_dir / "diagnostics.json", DIAGNOSTICS_FORMAT, sum_diagnostics(diagnostics))
     log.info("infer: wrote predictions for %d subsets under %s", plan.n_subsets, pred_dir)
     return 0
 
@@ -308,7 +307,11 @@ def _read_predictions(path: Path, test_ids: list) -> np.ndarray:
     position = {mid: i for i, mid in enumerate(test_ids)}
     scores = np.zeros(len(test_ids))
     seen = np.zeros(len(test_ids), dtype=bool)
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror}; rerun the infer stage") from None
+    with fh:
         for n, line in enumerate(fh, 1):
             try:
                 mid, _, value = line.decode("utf-8").rstrip("\n").partition("\t")
@@ -336,11 +339,10 @@ def cmd_eval(cfg: RunConfig) -> int:
     for i, subset in enumerate(plan.subsets):
         test_ids = index.ids[slice(*subset.test)]
         subset_preds.append({
-            name: _read_predictions(_require(pred_dir / name / f"subset_{i:02d}.tsv", "infer"),
-                                    test_ids)
+            name: _read_predictions(pred_dir / name / f"subset_{i:02d}.tsv", test_ids)
             for name in cfg.models})
-    diag_path = pred_dir / "diagnostics.json"
-    diagnostics = json.loads(diag_path.read_text(encoding="utf-8")) if diag_path.exists() else {}
+    diagnostics = read_artifact(pred_dir / "diagnostics.json", DIAGNOSTICS_FORMAT, "infer",
+                                lambda header, _: header)
     report = aggregate_report(cfg, index, plan, subset_preds, diagnostics)
     out = _out(cfg)
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")

@@ -31,6 +31,45 @@ class DataError(ValueError):
     """Raised for datasets that cannot satisfy an operation's preconditions."""
 
 
+def write_artifact(path, tag: str, header: dict, arrays: dict | None = None,
+                   compress: bool = False) -> None:
+    """Write a file one stage leaves for another: the JSON object of `header`
+    after a "format" key holding `tag`, alone when `arrays` is None, else as
+    the `header` bytes (UTF-8) of an npz archive of `arrays`, in that order.
+    An archive is written through an open file so numpy adds no suffix."""
+    text = json.dumps({"format": tag, **header}, ensure_ascii=False)
+    if arrays is None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return
+    with open(path, "wb") as fh:
+        (np.savez_compressed if compress else np.savez)(
+            fh, header=np.frombuffer(text.encode("utf-8"), dtype=np.uint8), **arrays)
+
+
+def read_artifact(path, tag: str, stage: str, parse):
+    """`parse(header, arrays)` of a `write_artifact` file (an npz archive by its
+    `.npz` suffix), the header without its "format" key. A file that is
+    missing, damaged or of another tag, or that `parse` cannot read, raises
+    one `DataError` naming the file and the stage that writes it."""
+    try:
+        if str(path).endswith(".npz"):
+            with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as archive:
+                arrays = {k: archive[k] for k in archive.files}
+            header = json.loads(arrays.pop("header").tobytes().decode("utf-8"))
+        else:
+            with open(path, "rb") as fh:
+                header, arrays = json.loads(fh.read().decode("utf-8")), {}
+        found = header.pop("format", None) if isinstance(header, dict) else None
+        if found != tag:
+            raise ValueError(f"format {found!r}")
+        return parse(header, arrays)
+    except (OSError, ValueError, KeyError, TypeError, IndexError, EOFError,
+            zipfile.BadZipFile) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise DataError(f"{path}: not a {tag} file ({reason}); rerun the {stage} stage") from exc
+
+
 def check_setting(ok: bool, key: str, accepts: str, value) -> None:
     """Raise a `ConfigError` naming the config key unless `ok`."""
     if not ok:
@@ -248,36 +287,27 @@ def build_index(ordered: list, relations: list, source_sha256: str = "") -> Mess
 
 
 def write_index(path, index: MessageIndex) -> None:
-    """One compressed npz archive: the label, group and edge arrays, and
-    `header`, the UTF-8 JSON of the format tag, relations, source sha256, ids
-    and group keys. Written through an open file so numpy adds no suffix."""
+    """A compressed `write_artifact` archive: the label, group and edge arrays,
+    and a header of the relations, source sha256, ids and group keys."""
     t = index.table
-    header = json.dumps({"format": INDEX_FORMAT, "relations": index.relations,
-                         "source_sha256": index.source_sha256, "ids": index.ids, "keys": t.keys},
-                        ensure_ascii=False).encode("utf-8")
-    with open(path, "wb") as fh:
-        np.savez_compressed(fh, header=np.frombuffer(header, dtype=np.uint8), labels=index.labels,
-                            group_relation=t.group_relation.astype(np.int8),
-                            group_size=t.sizes.astype(np.int32), member=t.members)
+    write_artifact(path, INDEX_FORMAT, {"relations": index.relations,
+                                        "source_sha256": index.source_sha256, "ids": index.ids,
+                                        "keys": t.keys},
+                   {"labels": index.labels, "group_relation": t.group_relation.astype(np.int8),
+                    "group_size": t.sizes.astype(np.int32), "member": t.members}, compress=True)
 
 
 def read_index(path) -> MessageIndex:
     """Read a `write_index` file; anything else raises `DataError`."""
-    try:
-        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as archive:
-            header = json.loads(archive["header"].tobytes().decode("utf-8"))
-            labels, codes, sizes, member = (archive[k] for k in
-                                            ("labels", "group_relation", "group_size", "member"))
-        if header["format"] != INDEX_FORMAT:
-            raise ValueError(f"format {header['format']!r}")
+    def parse(header, arrays):
         ids, keys = header["ids"], header["keys"]
+        labels, codes, sizes, member = (arrays[k] for k in
+                                        ("labels", "group_relation", "group_size", "member"))
         if (len(labels), len(codes), int(sizes.sum())) != (len(ids), len(keys), len(member)):
             raise ValueError("array lengths do not match the header")
-    except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
-        raise DataError(f"not a {INDEX_FORMAT} message index: {path} ({exc}); "
-                        "rerun the featurize stage") from exc
-    table = GroupTable(sorted(set(header["relations"])), codes, keys, sizes, member)
-    return MessageIndex(ids, labels, header["relations"], table, header["source_sha256"])
+        table = GroupTable(sorted(set(header["relations"])), codes, keys, sizes, member)
+        return MessageIndex(ids, labels, header["relations"], table, header["source_sha256"])
+    return read_artifact(path, INDEX_FORMAT, "featurize", parse)
 
 
 @dataclass
@@ -348,26 +378,11 @@ class SplitPlan:
     n_subsets: int
     subsets: list
 
-    def to_json(self) -> str:
-        payload = {
-            "version": 1,
-            "n_messages": self.n_messages,
-            "n_subsets": self.n_subsets,
-            "subsets": [
-                {"train": list(s.train), "validation": list(s.validation), "test": list(s.test)}
-                for s in self.subsets
-            ],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
     @classmethod
-    def from_json(cls, text: str) -> "SplitPlan":
-        payload = json.loads(text)
-        subsets = [
-            SubsetSplit(tuple(s["train"]), tuple(s["validation"]), tuple(s["test"]))
-            for s in payload["subsets"]
-        ]
-        return cls(n_messages=payload["n_messages"], n_subsets=payload["n_subsets"], subsets=subsets)
+    def from_dict(cls, d: dict) -> "SplitPlan":
+        """The plan whose `dataclasses.asdict` is `d`, as JSON gives it back."""
+        return cls(d["n_messages"], d["n_subsets"],
+                   [SubsetSplit(**{k: tuple(v) for k, v in s.items()}) for s in d["subsets"]])
 
 
 def chronological_split(messages: list, n_subsets: int, fractions: tuple) -> SplitPlan:
@@ -474,17 +489,21 @@ def write_messages(path, messages: Iterable[Message]) -> None:
 
 
 def read_follows(path) -> list:
-    """Read (follower, followee) pairs from a two-column tab-separated file."""
+    """(follower, followee) pairs of a two-column tab-separated file. A line
+    that is not UTF-8 or not two columns raises `DataError` naming the file
+    and the line."""
     follows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
+    with open(path, "rb") as fh:
+        for i, line in enumerate(fh, 1):
+            try:
+                parts = line.decode("utf-8").rstrip("\r\n").split("\t")
+            except ValueError as exc:  # bad UTF-8
+                raise DataError(f"{path}, line {i}: {exc}") from None
+            if parts == [""]:
                 continue
-            parts = line.split("\t")
             if len(parts) != 2:
-                raise DataError(f"malformed follows line: {line!r}")
-            follows.append((parts[0], parts[1]))
+                raise DataError(f"{path}, line {i}: {len(parts)} tab-separated columns, not 2")
+            follows.append(tuple(parts))
     return follows
 
 

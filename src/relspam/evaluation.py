@@ -475,13 +475,12 @@ def infer_subset_models(artifacts: dict, index: MessageIndex, subset: SubsetSpli
         if joint == "mrf":
             priors = context.copy()
             priors[test] = center_mrf_priors(priors_test)
-            scores, bp = infer_posteriors(priors, groups_tt,
-                                          artifacts.get("epsilons", config.epsilons))
+            scores, bp = infer_posteriors(priors, groups_tt, artifacts["epsilons"])
             diagnostics["bp_nonconverged"] += 0 if bp.converged else 1
             return scores[test]
         scores, map_result = infer_hinge_posteriors(
             _over_positions(len(context), subset.test, priors_test), groups_tt,
-            artifacts.get("psl_weights", config.hinge.weights), observed=context)
+            artifacts["psl_weights"], observed=context)
         diagnostics["map_nonconverged"] += 0 if map_result.converged else 1
         return scores[test]
 

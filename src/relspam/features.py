@@ -9,10 +9,8 @@ chronological order, so a slice of the subset is a range of rows
 
 from __future__ import annotations
 
-import json
 import logging
 import re
-import zipfile
 from collections import Counter
 from dataclasses import dataclass
 
@@ -27,6 +25,8 @@ from .data_model import (
     message_links,
     message_mentions,
     normalize_text,
+    read_artifact,
+    write_artifact,
 )
 
 log = logging.getLogger(__name__)
@@ -344,37 +344,26 @@ MATRIX_FORMAT = "relspam-features v3"
 
 
 def write_feature_matrix(path, fm: FeatureMatrix) -> None:
-    """One uncompressed npz archive: the canonical CSR arrays (`data`, `indices`,
-    `indptr`, `shape`) and `header`, the UTF-8 JSON of the format tag and the
-    column names. Written through an open file so numpy adds no suffix.
-    """
+    """An uncompressed `write_artifact` archive: the canonical CSR arrays
+    (`data`, `indices`, `indptr`, `shape`) and a header of the column names."""
     matrix = sp.csr_matrix(fm.matrix, dtype=np.float64, copy=True)
     matrix.sum_duplicates()
     matrix.sort_indices()
-    header = json.dumps({"format": MATRIX_FORMAT, "columns": fm.column_names},
-                        ensure_ascii=False).encode("utf-8")
-    with open(path, "wb") as fh:
-        np.savez(fh, header=np.frombuffer(header, dtype=np.uint8), data=matrix.data,
-                 indices=matrix.indices, indptr=matrix.indptr,
-                 shape=np.array(matrix.shape, dtype=np.int64))
+    write_artifact(path, MATRIX_FORMAT, {"columns": fm.column_names},
+                   {"data": matrix.data, "indices": matrix.indices, "indptr": matrix.indptr,
+                    "shape": np.array(matrix.shape, dtype=np.int64)})
 
 
 def read_feature_matrix(path) -> FeatureMatrix:
     """Read a `write_feature_matrix` file; anything else raises `DataError`."""
-    try:
-        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as archive:
-            header = json.loads(archive["header"].tobytes().decode("utf-8"))
-            data, indices, indptr, shape = (archive[k] for k in ("data", "indices", "indptr", "shape"))
-        if header["format"] != MATRIX_FORMAT:
-            raise ValueError(f"format {header['format']!r}")
-        columns = header["columns"]
+    def parse(header, arrays):
+        columns, shape = header["columns"], arrays["shape"]
         if len(shape) != 2 or shape[1] != len(columns):
             raise ValueError(f"shape {shape.tolist()} does not match the header")
-        matrix = sp.csr_matrix((data, indices, indptr), shape=(int(shape[0]), len(columns)))
-    except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
-        raise DataError(f"not a {MATRIX_FORMAT} feature matrix: {path} ({exc}); "
-                        "rerun the featurize stage") from exc
-    return FeatureMatrix(columns, matrix)
+        data, indices, indptr = (arrays[k] for k in ("data", "indices", "indptr"))
+        return FeatureMatrix(columns, sp.csr_matrix((data, indices, indptr),
+                                                    shape=(int(shape[0]), len(columns))))
+    return read_artifact(path, MATRIX_FORMAT, "featurize", parse)
 
 
 @dataclass

@@ -9,7 +9,6 @@ deterministic.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 from dataclasses import dataclass, field
 
@@ -125,34 +124,16 @@ class LinearModel:
             raise DataError("feature matrix columns do not match the model's column dictionary")
         return self.predict_proba_matrix(fm.matrix)
 
-    def to_json(self) -> str:
-        payload = {
-            "version": 1,
-            "columns_hash": self.columns_hash,
-            "weights": [float(w) for w in self.weights],
-            "bias": float(self.bias),
-            "l2": self.l2,
-            "n_iter": self.n_iter,
-            "converged": self.converged,
-            "scaler": self.scaler.to_dict() if self.scaler is not None else None,
-        }
-        return json.dumps(payload, sort_keys=True)
+    def to_dict(self) -> dict:
+        return {"columns_hash": self.columns_hash, "weights": self.weights.tolist(),
+                "bias": float(self.bias), "l2": self.l2, "n_iter": self.n_iter,
+                "converged": self.converged,
+                "scaler": self.scaler.to_dict() if self.scaler is not None else None}
 
     @classmethod
-    def from_json(cls, text: str) -> "LinearModel":
-        d = json.loads(text)
-        if d.get("version") != 1:
-            raise DataError(f"unsupported model version: {d.get('version')}")
-        scaler = Scaler.from_dict(d["scaler"]) if d.get("scaler") else None
-        return cls(
-            weights=np.array(d["weights"], dtype=float),
-            bias=d["bias"],
-            l2=d["l2"],
-            n_iter=d["n_iter"],
-            converged=d["converged"],
-            columns_hash=d["columns_hash"],
-            scaler=scaler,
-        )
+    def from_dict(cls, d: dict) -> "LinearModel":
+        return cls(**{**d, "weights": np.array(d["weights"], dtype=float),
+                      "scaler": Scaler.from_dict(d["scaler"]) if d["scaler"] else None})
 
 
 def _margins(X, w, b):

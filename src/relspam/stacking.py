@@ -13,7 +13,6 @@ column hash is the one check that a matrix matches it.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
@@ -28,7 +27,6 @@ log = logging.getLogger(__name__)
 
 PSEUDO_PREFIX = "pr_"
 NEUTRAL_SCORE = 0.5
-MODEL_VERSION = 2
 
 
 def pseudo_columns(relations: list) -> list:
@@ -87,22 +85,13 @@ class StackedModel:
     def n_stacks(self) -> int:
         return len(self.submodels) - 1
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "version": MODEL_VERSION,
-            "relations": self.relations,
-            "score_center": self.score_center,
-            "submodels": [json.loads(m.to_json()) for m in self.submodels],
-        }, sort_keys=True)
+    def to_dict(self) -> dict:
+        return {"relations": self.relations, "score_center": self.score_center,
+                "submodels": [m.to_dict() for m in self.submodels]}
 
     @classmethod
-    def from_json(cls, text: str) -> "StackedModel":
-        d = json.loads(text)
-        if d.get("version") != MODEL_VERSION:
-            raise DataError(f"unsupported stacked model version: {d.get('version')} "
-                            f"(this version reads {MODEL_VERSION}); rerun the train stage")
-        submodels = [LinearModel.from_json(json.dumps(m)) for m in d["submodels"]]
-        return cls(submodels=submodels, relations=d["relations"], score_center=d["score_center"])
+    def from_dict(cls, d: dict) -> "StackedModel":
+        return cls(**{**d, "submodels": [LinearModel.from_dict(m) for m in d["submodels"]]})
 
 
 def _slice_bounds(n: int, parts: int) -> list:

@@ -1,10 +1,12 @@
 import importlib
 import json
 import re
+import shutil
 from collections import Counter
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from relspam.cli import LEGACY_KEYS, RunConfig, load_config, main
@@ -97,7 +99,7 @@ class TestStages:
         rc = main(["train", "--config", cfg, "--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "feature matrix" in err and "featurize" in err
+        assert "not a relspam-features v3 file" in err and "featurize" in err
 
     def test_feature_matrix_with_too_few_rows_is_named(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -291,6 +293,99 @@ class TestMessageIndex:
         assert (staged / "report.json").read_bytes() == (whole / "report.json").read_bytes()
 
 
+# each stage file: the stage that reads it first, and the stage that writes it
+STAGE_FILES = {
+    "features/index.npz": ("train", "featurize"),
+    "features/subset_00/features.npz": ("train", "featurize"),
+    "features/split_plan.json": ("train", "featurize"),
+    "models/subset_00/models.json": ("infer", "train"),
+    "predictions/diagnostics.json": ("eval", "infer"),
+}
+
+
+def retag(path, tag):
+    """Rewrite a stage file with its "format" set to `tag`."""
+    if path.suffix != ".npz":
+        path.write_text(json.dumps({**json.loads(path.read_text()), "format": tag}))
+        return
+    with np.load(path) as archive:
+        arrays = dict(archive)
+    header = {**json.loads(arrays["header"].tobytes()), "format": tag}
+    arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+class TestStageFiles:
+    @pytest.fixture(scope="class")
+    def finished(self, tmp_path_factory):
+        """A run-all output directory and its config."""
+        root = tmp_path_factory.mktemp("finished")
+        cfg = write_config(root)
+        assert main(["run-all", "--config", cfg, "--out", str(root / "out"), "--seed", "5"]) == 0
+        return root / "out", cfg
+
+    def copy(self, finished, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(finished[0], out)
+        return out
+
+    def stage(self, stage, finished, out, *extra):
+        return main([stage, "--config", finished[1], "--out", str(out), "--seed", "5", *extra])
+
+    @pytest.mark.parametrize("damage", ["append", "retag", "delete"])
+    @pytest.mark.parametrize("name", list(STAGE_FILES))
+    def test_damaged_stage_file_is_named(self, finished, tmp_path, capsys, name, damage):
+        out = self.copy(finished, tmp_path)
+        path = out / name
+        if damage == "append":
+            path.write_bytes(path.read_bytes() + b"x")
+        elif damage == "retag":
+            retag(path, "relspam-other v0")
+        else:
+            path.unlink()
+        reader, writer = STAGE_FILES[name]
+        capsys.readouterr()
+        rc = self.stage(reader, finished, out)
+        err = capsys.readouterr().err
+        if damage == "append" and path.suffix == ".npz":
+            assert rc == 0  # a zip archive reads past a trailing byte
+            return
+        assert rc == 1 and "Traceback" not in err
+        assert re.match(f"error: {re.escape(str(path))}: .*; rerun the {writer} stage$", err), err
+        if damage == "retag":
+            assert "format 'relspam-other v0'" in err
+
+    @pytest.mark.parametrize("model, artifact", [("psl", "psl_weights"), ("sgl2", "sgl2"),
+                                                 ("sgl1+mrf", "sgl1")])
+    def test_infer_names_a_roster_model_train_did_not_fit(self, finished, tmp_path, capsys,
+                                                          model, artifact):
+        # train fitted the independent model and the mrf epsilons only
+        out = self.copy(finished, tmp_path)
+        capsys.readouterr()
+        assert self.stage("infer", finished, out, "--models", f"independent,mrf,{model}") == 1
+        err = capsys.readouterr().err
+        path = out / "models" / "subset_00" / "models.json"
+        assert err.startswith(f"error: {path}: not a relspam-models v1 file (no {artifact!r} "
+                              "artifact, which the roster needs); rerun the train stage"), err
+
+    def test_model_directory_of_the_four_file_layout_is_named(self, finished, tmp_path, capsys):
+        # the layout before models.json: one file per artifact, the models versioned
+        out = self.copy(finished, tmp_path)
+        for i in range(3):
+            sub = out / "models" / f"subset_{i:02d}"
+            models = json.loads((sub / "models.json").read_text())
+            (sub / "independent.json").write_text(json.dumps({**models["independent"],
+                                                              "version": 1}))
+            (sub / "epsilons.json").write_text(json.dumps(models["epsilons"]))
+            (sub / "models.json").unlink()
+        capsys.readouterr()
+        assert self.stage("infer", finished, out) == 1
+        err = capsys.readouterr().err
+        assert re.match(f"error: {re.escape(str(out / 'models' / 'subset_00' / 'models.json'))}: "
+                        ".*; rerun the train stage$", err), err
+
+
 class TestOneOrchestration:
     def test_in_memory_protocol_matches_run_all_report_bytes(self, tmp_path):
         # every branch of the per-subset steps: stacked, joint and combined
@@ -309,7 +404,8 @@ class TestOneOrchestration:
         out = tmp_path / "out"
         assert main(["run-all", "--config", cfg_path, "--out", str(out), "--seed", "11"]) == 0
         assert (out / "data" / "follows.tsv").stat().st_size > 0
-        tuned = [json.loads(p.read_text()) for p in sorted(out.glob("models/*/epsilons.json"))]
+        tuned = [json.loads(p.read_text())["epsilons"]
+                 for p in sorted(out.glob("models/*/models.json"))]
         assert any(set(eps.values()) != {0.1} for eps in tuned)
 
         cfg = load_config(cfg_path, {"seed": 11})
@@ -363,6 +459,11 @@ class TestConfigValidation:
         rc = main(["generate", "--config", str(tmp_path / "nope.json")])
         assert rc == 1
         assert "not found" in capsys.readouterr().err
+
+    def test_config_path_that_is_a_directory_is_named(self, tmp_path, capsys):
+        assert main(["generate", "--config", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file not found or not readable: {tmp_path} ("), err
 
     def test_classifier_method_other_than_batch_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"classifier": {"method": "sgd"}})

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from relspam.data_model import (
     message_from_record,
     normalize_link,
     normalize_text,
+    read_follows,
     read_index,
     read_messages,
     relations_from_names,
@@ -225,7 +227,7 @@ class TestChronologicalSplit:
     def test_json_round_trip(self):
         messages = [msg(f"m{i}", ts=i) for i in range(20)]
         plan = chronological_split(messages, 4, (0.7, 0.05, 0.25))
-        restored = SplitPlan.from_json(plan.to_json())
+        restored = SplitPlan.from_dict(json.loads(json.dumps(asdict(plan))))
         assert restored == plan
 
 
@@ -374,3 +376,19 @@ class TestIngestion:
         path.write_bytes(good + b"\n\n" + line + b"\n" + good + b"\n")
         with pytest.raises(DataError, match=f"m.jsonl, line 3: .*{says}"):
             read_messages(path)
+
+    def test_follows_round_trip_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "follows.tsv"
+        path.write_bytes(b"a\tb\n\nc\td\n")
+        assert read_follows(path) == [("a", "b"), ("c", "d")]
+
+    @pytest.mark.parametrize("line, says", [
+        (b"a\tb\tc", "3 tab-separated columns, not 2"),
+        (b"a", "1 tab-separated columns, not 2"),
+        (b"a\tcaf\xff", "can't decode byte 0xff"),
+    ], ids=["three_columns", "one_column", "utf8"])
+    def test_malformed_follows_line_names_file_and_line(self, tmp_path, line, says):
+        path = tmp_path / "follows.tsv"
+        path.write_bytes(b"u1\tu2\n\n" + line + b"\nu2\tu1\n")
+        with pytest.raises(DataError, match=f"follows.tsv, line 3: .*{says}"):
+            read_follows(path)

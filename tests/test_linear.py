@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -178,7 +180,7 @@ class TestFitClassifier:
         fm, labels = self.make_fm()
         model = fit_classifier(fm, labels, scale_columns=["f0"],
                                config=ClassifierConfig(l2=0.5))
-        restored = LinearModel.from_json(model.to_json())
+        restored = LinearModel.from_dict(json.loads(json.dumps(model.to_dict())))
         assert model.predict_proba(fm).tolist() == restored.predict_proba(fm).tolist()
 
 

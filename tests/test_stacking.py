@@ -6,7 +6,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from relspam.data_model import ConfigError, DataError, Message, build_index
+from relspam.data_model import (ConfigError, DataError, Message, build_index, read_artifact,
+                                write_artifact)
 from relspam.features import FeatureMatrix
 from relspam.linear import ClassifierConfig, fit_classifier
 from relspam.stacking import (
@@ -198,18 +199,21 @@ class TestTrainStacked:
         fm, index = planted_dataset(seed=2)
         stacked = train_stacked(everything(index), fm, index.labels, index.table, K=1,
                                 relations=["user"], config=ClassifierConfig(l2=0.5))
-        restored = StackedModel.from_json(stacked.to_json())
+        restored = StackedModel.from_dict(json.loads(json.dumps(stacked.to_dict())))
         args = (fm, everything(index), index.table, no_context(index))
         assert infer_stacked(stacked, *args).tolist() == infer_stacked(restored, *args).tolist()
 
-    def test_version_1_file_rejected(self):
+    def test_version_1_file_rejected(self, tmp_path):
         # version 1 carried a pooling mode, which may have been "hard"
         fm, index = planted_dataset(n_users=4, msgs_per_user=3)
         stacked = train_stacked(everything(index), fm, index.labels, index.table, K=1,
                                 relations=["user"])
-        old = {**json.loads(stacked.to_json()), "version": 1, "pseudo_mode": "hard"}
-        with pytest.raises(DataError, match="stacked model version: 1 .*rerun the train stage"):
-            StackedModel.from_json(json.dumps(old))
+        path = tmp_path / "models.json"
+        write_artifact(path, "relspam-models v1",
+                       {**stacked.to_dict(), "version": 1, "pseudo_mode": "hard"})
+        with pytest.raises(DataError, match="models.json: .*'version'.*rerun the train stage"):
+            read_artifact(path, "relspam-models v1", "train",
+                          lambda header, _: StackedModel.from_dict(header))
 
 
 class TestInferStacked:
