@@ -54,8 +54,15 @@ def read_artifact(path, tag: str, stage: str, parse):
     one `DataError` naming the file and the stage that writes it."""
     try:
         if str(path).endswith(".npz"):
-            with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as archive:
-                arrays = {k: archive[k] for k in archive.files}
+            with open(path, "rb") as fh:
+                # numpy reads past trailing bytes: the file must end in the archive's end record
+                fh.seek(max(fh.seek(0, 2) - 22, 0))
+                end = fh.read()
+                if len(end) != 22 or end[:4] != b"PK\x05\x06" or end[-2:] != b"\0\0":
+                    raise ValueError("the file does not end in a zip end-of-archive record")
+                fh.seek(0)
+                with np.load(fh, allow_pickle=False) as archive:
+                    arrays = {k: archive[k] for k in archive.files}
             header = json.loads(arrays.pop("header").tobytes().decode("utf-8"))
         else:
             with open(path, "rb") as fh:

@@ -2,8 +2,11 @@
 
 Spam probabilities from this model, an array over a feature matrix's rows,
 are the priors consumed by the stacking and joint-inference modules. Training
-is full-batch gradient descent with backtracking line search, so it is
-deterministic.
+is a truncated Newton-CG: each Newton step solves H d = -g by conjugate
+gradients on Hessian-vector products, never forming H, then backtracks to an
+Armijo point, so it is deterministic. Standardizing columns is folded into
+those products: the weights live in the standardized space, but every
+product runs on the raw CSR matrix.
 """
 
 from __future__ import annotations
@@ -24,18 +27,9 @@ PROB_EPS = 1e-15
 
 
 def sigmoid(z):
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def _logit(p: float) -> float:
-    p = min(max(p, 1e-9), 1.0 - 1e-9)
-    return float(np.log(p / (1.0 - p)))
+    z = np.asarray(z, dtype=float)
+    ez = np.exp(-np.abs(z))  # never overflows
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
 def recenter_scores(scores: np.ndarray, center: float) -> np.ndarray:
@@ -58,7 +52,7 @@ def columns_hash(column_names: list) -> str:
 
 
 class Scaler:
-    """Standardizes a chosen subset of columns with training statistics."""
+    """Training means and stds of the columns a model standardizes (see `_fold`)."""
 
     def __init__(self, column_indices, means, stds):
         self.column_indices = list(column_indices)
@@ -68,30 +62,13 @@ class Scaler:
     @classmethod
     def fit(cls, X: sp.spmatrix, column_indices: list) -> "Scaler":
         sub = np.asarray(X.tocsc()[:, column_indices].todense())
-        means = sub.mean(axis=0)
         stds = sub.std(axis=0)
         stds[stds < 1e-12] = 1.0
-        return cls(column_indices, means, stds)
-
-    def transform(self, X: sp.spmatrix) -> sp.csr_matrix:
-        if not self.column_indices:
-            return X.tocsr()
-        Xc = X.tocsc()
-        scaled = (np.asarray(Xc[:, self.column_indices].todense()) - self.means) / self.stds
-        rest_idx = [j for j in range(X.shape[1]) if j not in set(self.column_indices)]
-        combined = sp.hstack([sp.csr_matrix(scaled), Xc[:, rest_idx]], format="csr")
-        # restore the original column order
-        perm = list(self.column_indices) + rest_idx
-        inverse = np.empty(len(perm), dtype=int)
-        inverse[perm] = np.arange(len(perm))
-        return combined[:, inverse].tocsr()
+        return cls(column_indices, sub.mean(axis=0), stds)
 
     def to_dict(self) -> dict:
-        return {
-            "column_indices": self.column_indices,
-            "means": self.means.tolist(),
-            "stds": self.stds.tolist(),
-        }
+        return {"column_indices": self.column_indices, "means": self.means.tolist(),
+                "stds": self.stds.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scaler":
@@ -110,8 +87,8 @@ class LinearModel:
     loss_trace: list = field(default_factory=list, repr=False)
 
     def decision(self, X: sp.spmatrix) -> np.ndarray:
-        Xs = self.scaler.transform(X) if self.scaler is not None else X
-        return np.asarray(Xs @ self.weights).ravel() + self.bias
+        s, m = _fold(self.scaler, len(self.weights))
+        return np.asarray(X @ (s * self.weights)).ravel() + (self.bias - m @ self.weights)
 
     def predict_proba_matrix(self, X: sp.spmatrix) -> np.ndarray:
         if X.shape[1] != len(self.weights):
@@ -136,20 +113,49 @@ class LinearModel:
                       "scaler": Scaler.from_dict(d["scaler"]) if d["scaler"] else None})
 
 
-def _margins(X, w, b):
-    return np.asarray(X @ w).ravel() + b
+def _fold(scaler: Scaler | None, width: int):
+    """(s, m) such that the standardized matrix is X * s - m row by row:
+    s = 1/std and m = mean/std on the scaled columns, 1 and 0 elsewhere."""
+    s, m = np.ones(width), np.zeros(width)
+    if scaler is not None:
+        s[scaler.column_indices] = 1.0 / scaler.stds
+        m[scaler.column_indices] = scaler.means / scaler.stds
+    return s, m
 
 
 def _margin_loss(z, y, w, l2):
     # mean of log(1 + exp(-s*z)) with s = +-1 at margins z, computed stably
-    sz = np.where(y > 0.5, z, -z)
-    per_row = np.where(sz > 0, np.log1p(np.exp(-sz)), -sz + np.log1p(np.exp(sz)))
-    return per_row.mean() + 0.5 * l2 * float(w @ w)
+    return np.logaddexp(0.0, np.where(y > 0.5, -z, z)).mean() + 0.5 * l2 * float(w @ w)
+
+
+CG_RTOL = 0.1  # a CG solve stops once its residual is this share of the gradient
+CG_MAX_ITER = 100
+
+
+def _newton_direction(hess_vec, g):
+    """Truncated conjugate gradients on H d = -g: stops at ||r|| <= CG_RTOL ||g||,
+    after CG_MAX_ITER products, or on non-positive curvature."""
+    d, r, p = np.zeros_like(g), -g, -g
+    rr = gg = float(g @ g)
+    for _ in range(CG_MAX_ITER):
+        Hp = hess_vec(p)
+        curvature = float(p @ Hp)
+        if curvature <= 0.0:
+            break
+        alpha = rr / curvature
+        d, r = d + alpha * p, r - alpha * Hp
+        rr, rr_old = float(r @ r), rr
+        if rr <= CG_RTOL * CG_RTOL * gg:
+            break
+        p = r + (rr / rr_old) * p
+    return d if d.any() else -g
 
 
 def train(X: sp.spmatrix, y: np.ndarray, l2: float = 1.0, max_iter: int = 500,
-          tol: float = 1e-6) -> LinearModel:
-    """Minimize L2-regularized logistic loss to gradient inf-norm <= tol.
+          tol: float = 1e-6, scaler: Scaler | None = None) -> LinearModel:
+    """Minimize L2-regularized logistic loss over the columns of X, those of
+    `scaler` standardized, to gradient inf-norm <= tol in at most `max_iter`
+    Newton iterations. The bias is not regularized.
 
     Single-class targets yield a constant-probability model (with a warning)
     rather than an error.
@@ -165,46 +171,50 @@ def train(X: sp.spmatrix, y: np.ndarray, l2: float = 1.0, max_iter: int = 500,
     prevalence = y.mean() if n else 0.0
     if n == 0 or prevalence in (0.0, 1.0):
         log.warning("single-class training data (prevalence=%.3f): constant model", prevalence)
-        return LinearModel(weights=np.zeros(d), bias=_logit(prevalence), l2=l2,
-                           n_iter=0, converged=True)
+        p = min(max(prevalence, 1e-9), 1.0 - 1e-9)
+        return LinearModel(weights=np.zeros(d), bias=float(np.log(p / (1.0 - p))), l2=l2,
+                           scaler=scaler)
 
-    # X.T as CSR, built once: its products sum each column of X in ascending row
-    # order, as X.T @ v does through the transposed view, so they are bit-identical
+    # x = (w, b) acts through A = [X * s - m, 1], whose products run on X and XT
     XT = X.T.tocsr()
-    # z = X @ w + b at the current point, kept from the line search for the next gradient
-    w = np.zeros(d)
-    b = 0.0
-    z = _margins(X, w, b)
-    loss = _margin_loss(z, y, w, l2)
+    s, m = _fold(scaler, d)
+    reg = np.append(np.full(d, float(l2)), 0.0)
+
+    def product(v):  # A @ v
+        return X @ (s * v[:d]) + (v[d] - m @ v[:d])
+
+    def adjoint(u):  # A.T @ u
+        total = u.sum()
+        return np.append(s * (XT @ u) - m * total, total)
+
+    x = np.zeros(d + 1)
+    z = np.zeros(n)  # margins A @ x, carried along each accepted step
+    loss = _margin_loss(z, y, x[:d], l2)
     trace = [loss]
-    step = 1.0
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
         p = sigmoid(z)
-        resid = (p - y) / n
-        grad_w = np.asarray(XT @ resid).ravel() + l2 * w
-        grad_b = resid.sum()
-        gnorm = max(np.abs(grad_w).max(initial=0.0), abs(grad_b))
-        if gnorm <= tol:
+        g = adjoint((p - y) / n) + reg * x
+        if np.abs(g).max() <= tol:
             converged = True
             break
-        gsq = float(grad_w @ grad_w) + grad_b * grad_b
-        step = min(step * 2.0, 64.0)
-        while step > 1e-16:
-            w_new = w - step * grad_w
-            b_new = b - step * grad_b
-            z_new = _margins(X, w_new, b_new)
-            loss_new = _margin_loss(z_new, y, w_new, l2)
-            if loss_new <= loss - 1e-4 * step * gsq:
+        curv = p * (1.0 - p) / n
+        direction = _newton_direction(lambda v: adjoint(curv * product(v)) + reg * v, g)
+        z_dir = product(direction)
+        slope = float(g @ direction)
+        for step in 0.5 ** np.arange(50):  # Armijo backtracking
+            loss_new = _margin_loss(z + step * z_dir, y, x[:d] + step * direction[:d], l2)
+            if loss_new <= loss + 1e-4 * step * slope:
                 break
-            step *= 0.5
-        w, b, z, loss = w_new, b_new, z_new, loss_new
+        else:
+            break  # no step lowers the loss: the fit is at rounding level
+        x, z, loss = x + step * direction, z + step * z_dir, loss_new
         trace.append(loss)
     if not converged:
-        log.warning("training stopped at max_iter=%d (gradient norm above tol)", max_iter)
-    return LinearModel(weights=w, bias=b, l2=l2, n_iter=it, converged=converged,
-                       loss_trace=trace)
+        log.warning("training stopped after %d Newton iterations (gradient norm above tol)", it)
+    return LinearModel(weights=x[:d], bias=float(x[d]), l2=l2, n_iter=it, converged=converged,
+                       scaler=scaler, loss_trace=trace)
 
 
 @dataclass
@@ -226,17 +236,10 @@ def fit_classifier(fm: FeatureMatrix, labels, scale_columns: list | None = None,
     if len(missing):
         raise DataError(f"{len(missing)} training rows lack labels "
                         f"(first: row {missing[0]})")
-    y = labels.astype(float)
-
-    scaler = None
-    X = fm.matrix
-    if scale_columns:
-        col_index = fm.column_index
-        idx = [col_index[c] for c in scale_columns if c in col_index]
-        if idx:
-            scaler = Scaler.fit(X, idx)
-            X = scaler.transform(X)
-    model = train(X, y, l2=config.l2, max_iter=config.max_iter, tol=config.tol)
-    model.scaler = scaler
+    col_index = fm.column_index
+    idx = [col_index[c] for c in scale_columns or () if c in col_index]
+    scaler = Scaler.fit(fm.matrix, idx) if idx else None
+    model = train(fm.matrix, labels, l2=config.l2, max_iter=config.max_iter, tol=config.tol,
+                  scaler=scaler)
     model.columns_hash = columns_hash(fm.column_names)
     return model

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from relspam.data_model import DataError
-from relspam.features import FeatureMatrix
+from relspam.data_model import DataError, chronological_split
+from relspam.evaluation import ExperimentConfig, featurize_subset, ordered_dataset
+from relspam.features import FeatureMatrix, scalable_columns
 from relspam.linear import (
     ClassifierConfig,
     LinearModel,
@@ -16,6 +17,7 @@ from relspam.linear import (
     sigmoid,
     train,
 )
+from relspam.synth import GeneratorConfig, generate
 
 
 def random_instance(rng, n=50, d=5):
@@ -125,11 +127,29 @@ class TestPredict:
             model.predict_proba(fm)
 
 
+def seen_matrix(scaler, X):
+    """The matrix a model with `scaler` scores, column j as the decision of weight e_j."""
+    d = X.shape[1]
+    return np.column_stack([LinearModel(weights=np.eye(d)[j], bias=0.0, l2=1.0,
+                                        scaler=scaler).decision(X) for j in range(d)])
+
+
+def assert_decision_matches_dense(scaler, X, seed=0):
+    rng = np.random.default_rng(seed)
+    w, b = rng.normal(size=X.shape[1]), float(rng.normal())
+    dense = np.asarray(X.todense())
+    cols = scaler.column_indices
+    dense[:, cols] = (dense[:, cols] - scaler.means) / scaler.stds
+    decision = LinearModel(weights=w, bias=b, l2=1.0, scaler=scaler).decision(X)
+    np.testing.assert_allclose(decision, dense @ w + b, rtol=0, atol=1e-12)
+
+
 class TestScaler:
     def test_standardizes_selected_columns(self):
         X = sp.csr_matrix(np.array([[1.0, 5.0], [3.0, 5.0], [5.0, 5.0]]))
         scaler = Scaler.fit(X, [0])
-        out = np.asarray(scaler.transform(X).todense())
+        assert_decision_matches_dense(scaler, X)
+        out = seen_matrix(scaler, X)
         assert out[:, 0].mean() == pytest.approx(0.0, abs=1e-12)
         assert out[:, 0].std() == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(out[:, 1], 5.0)
@@ -137,14 +157,15 @@ class TestScaler:
     def test_constant_column_left_finite(self):
         X = sp.csr_matrix(np.full((4, 1), 2.0))
         scaler = Scaler.fit(X, [0])
-        out = np.asarray(scaler.transform(X).todense())
-        assert np.isfinite(out).all()
+        assert_decision_matches_dense(scaler, X)
+        assert np.isfinite(seen_matrix(scaler, X)).all()
 
     def test_column_order_preserved(self):
         rng = np.random.default_rng(4)
         X = sp.csr_matrix(rng.normal(size=(6, 4)))
         scaler = Scaler.fit(X, [1, 3])
-        out = np.asarray(scaler.transform(X).todense())
+        assert_decision_matches_dense(scaler, X)
+        out = seen_matrix(scaler, X)
         dense = np.asarray(X.todense())
         assert np.allclose(out[:, 0], dense[:, 0])
         assert np.allclose(out[:, 2], dense[:, 2])
@@ -200,9 +221,8 @@ def test_sigmoid_extremes_stay_in_unit_interval():
 
 
 def reference_batch_train(X, y, l2, max_iter, tol):
-    """The batch solver as it was before it kept the line search's margins: it
-    recomputes X @ w + b at the start of every iteration. Returns
-    (weights, bias, n_iter, converged, loss_trace)."""
+    """Full-batch gradient descent with backtracking, the solver before
+    Newton-CG. Returns (weights, bias, n_iter, converged, loss_trace)."""
     def loss_at(w, b):
         z = np.asarray(X @ w).ravel() + b
         sz = np.where(y > 0.5, z, -z)
@@ -248,18 +268,60 @@ def sparse_binary_instance(seed, n=300, d=40):
     return sp.csr_matrix(np.hstack([dense, binary])), y
 
 
+def dense_objective_and_gradient(X, y, l2, w, b, scaler=None):
+    """The objective at (w, b) and its gradient over (w, b), by dense numpy on
+    the matrix with the scaler's columns standardized."""
+    dense = np.asarray(X.todense())
+    if scaler is not None:
+        cols = scaler.column_indices
+        dense[:, cols] = (dense[:, cols] - scaler.means) / scaler.stds
+    z = dense @ w + b
+    objective = np.logaddexp(0.0, np.where(y > 0.5, -z, z)).mean() + 0.5 * l2 * float(w @ w)
+    resid = (1.0 / (1.0 + np.exp(-z)) - y) / len(y)
+    return objective, np.append(dense.T @ resid + l2 * w, resid.sum())
+
+
 @pytest.mark.parametrize("make,l2,max_iter,tol", [
     (lambda: random_instance(np.random.default_rng(31), n=60, d=5), 0.1, 5000, 1e-8),
     (lambda: random_instance(np.random.default_rng(32), n=40, d=3), 1.0, 500, 1e-6),
     (lambda: sparse_binary_instance(33), 1.0, 300, 1e-6),
-    (lambda: sparse_binary_instance(34), 0.01, 25, 1e-6),  # stops at max_iter
+    (lambda: sparse_binary_instance(34), 0.01, 25, 1e-6),  # the reference stops at max_iter
+    (lambda: sparse_binary_instance(35), 1e-3, 300, 1e-6),
+    (lambda: sparse_binary_instance(36), 1e-2, 300, 1e-6),
 ])
-def test_batch_solver_matches_reference_loop_bit_for_bit(make, l2, max_iter, tol):
+def test_solver_is_optimal_against_reference_loop(make, l2, max_iter, tol):
     X, y = make()
     model = train(X, y, l2=l2, max_iter=max_iter, tol=tol)
-    w, b, n_iter, converged, trace = reference_batch_train(X, y, l2, max_iter, tol)
-    assert model.weights.tobytes() == w.tobytes()
-    assert model.bias == b
-    assert model.n_iter == n_iter
-    assert model.converged == converged
-    assert model.loss_trace == trace
+    w, b, _, converged, _ = reference_batch_train(X, y, l2, max_iter, tol)
+    objective, grad = dense_objective_and_gradient(X, y, l2, model.weights, model.bias)
+    reference, _ = dense_objective_and_gradient(X, y, l2, w, b)
+    assert model.converged and model.n_iter <= max_iter
+    assert np.abs(grad).max() <= tol
+    if converged:
+        assert objective <= reference + 1e-12
+    else:
+        assert objective < reference
+
+
+@pytest.fixture(scope="module")
+def generated_training_slice():
+    """The training slice of subset 0 of a generated dataset, fully featurized."""
+    messages, _ = generate(GeneratorConfig(seed=42, n_messages=3000, n_users=150,
+                                           n_campaigns=15))
+    config = ExperimentConfig()
+    ordered = ordered_dataset(messages)
+    subset = chronological_split(ordered, 3, config.fractions).subsets[0]
+    a, b = subset.train
+    fm = featurize_subset(ordered, subset, config, {}).rows(0, b - a)
+    return fm, np.array([m.label for m in ordered[a:b]], dtype=np.int8)
+
+
+@pytest.mark.parametrize("l2", [1e-3, 1e-2, 0.1, 1.0])
+def test_fit_converges_across_the_l2_grid(generated_training_slice, l2):
+    fm, labels = generated_training_slice
+    model = fit_classifier(fm, labels, scalable_columns(fm.column_names),
+                           ClassifierConfig(l2=l2, max_iter=300))
+    assert model.converged and model.n_iter <= 300
+    _, grad = dense_objective_and_gradient(fm.matrix, labels.astype(float), l2,
+                                           model.weights, model.bias, model.scaler)
+    assert np.abs(grad).max() <= 1e-6
