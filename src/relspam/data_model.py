@@ -19,6 +19,7 @@ import unicodedata
 import zipfile
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
+from urllib.parse import urlsplit, urlunsplit
 
 import numpy as np
 
@@ -113,8 +114,9 @@ class Message:
 
 def normalize_text(text: str) -> str:
     """Canonical text key: NFC, lowercase, collapsed whitespace, ends stripped of punctuation."""
-    s = unicodedata.normalize("NFC", text).lower()
-    s = " ".join(s.split())
+    s = " ".join(unicodedata.normalize("NFC", text).lower().split())
+    if s[:1].isalnum() and s[-1:].isalnum():  # letters and digits are never punctuation
+        return s
     start, end = 0, len(s)
     while start < end and unicodedata.category(s[start]).startswith("P"):
         start += 1
@@ -125,42 +127,24 @@ def normalize_text(text: str) -> str:
 
 def normalize_link(url: str) -> str:
     """Lowercase the scheme and host of a URL, leave path/query untouched."""
-    from urllib.parse import urlsplit, urlunsplit
-
     parts = urlsplit(url.strip())
     if not parts.netloc:
         return url.strip()
     return urlunsplit((parts.scheme.lower(), parts.netloc.lower(), parts.path, parts.query, parts.fragment))
 
 
-def _extract_hashtags(text: str) -> list:
-    return [w[1:] for w in text.split() if w.startswith("#") and len(w) > 1]
-
-
-def _extract_mentions(text: str) -> list:
-    return [w[1:].rstrip(string.punctuation) for w in text.split() if w.startswith("@") and len(w) > 1]
-
-
-def _extract_links(text: str) -> list:
-    return [w for w in text.split() if w.startswith(("http://", "https://"))]
-
-
-def message_hashtags(m: Message) -> list:
-    """Explicit hashtag annotations, falling back to #tokens parsed from the text."""
-    return list(m.hashtags) if m.hashtags else _extract_hashtags(m.text)
-
-
-def message_mentions(m: Message) -> list:
-    return list(m.mentions) if m.mentions else _extract_mentions(m.text)
-
-
-def message_links(m: Message) -> list:
-    return list(m.links) if m.links else _extract_links(m.text)
+def _entities(m: Message) -> tuple:
+    """(hashtags, links, mentions): each the message's list, else parsed from one split of its text."""
+    words = m.text.split() if "#" in m.text or "@" in m.text or "http" in m.text else ()
+    return (m.hashtags or [w[1:] for w in words if w.startswith("#") and len(w) > 1],
+            m.links or [w for w in words if w.startswith(("http://", "https://"))],
+            m.mentions or [w[1:].rstrip(string.punctuation)
+                           for w in words if w.startswith("@") and len(w) > 1])
 
 
 @dataclass(frozen=True)
 class RelationType:
-    """A grouping relation: maps each message to zero or more grouping keys."""
+    """A grouping relation: maps a message, with its `_entities`, to zero or more keys."""
 
     name: str
 
@@ -168,22 +152,22 @@ class RelationType:
         if self.name not in RELATION_NAMES:
             raise ConfigError(f"unknown relation tag: {self.name!r} (expected one of {RELATION_NAMES})")
 
-    def keys_for(self, m: Message) -> list:
+    def keys_for(self, m: Message, hashtags, links, mentions) -> Iterable[str]:
         if self.name == "user":
             return [m.user_id]
         if self.name == "text":
             key = normalize_text(m.text)
             return [key] if key else []
         if self.name == "link":
-            return sorted({normalize_link(u) for u in message_links(m)})
+            return {normalize_link(u) for u in links}
         if self.name == "hashtag":
-            return sorted({h.lower() for h in message_hashtags(m)})
+            return {h.lower() for h in hashtags}
         if self.name == "mention":
-            return sorted({x.lower() for x in message_mentions(m)})
+            return {x.lower() for x in mentions}
         if self.name == "track":
             return [m.target_id] if m.target_id else []
         if self.name == "user_hashtag":
-            return sorted({f"{m.user_id}\x1f{h.lower()}" for h in message_hashtags(m)})
+            return {f"{m.user_id}\x1f{h.lower()}" for h in hashtags}
         raise ConfigError(f"unknown relation tag: {self.name!r}")
 
 
@@ -207,21 +191,19 @@ def build_groups(messages: list, relations: list) -> list:
     """Group messages by relation key; singleton groups are dropped.
 
     Deterministic and permutation-invariant: the output is sorted by
-    (relation, key) and member ids are sorted within each group.
+    (relation, key) and member ids are sorted within each group. A message's
+    text is split once (`_entities`) for all of its relations' keys.
     """
-    buckets: dict = {}
-    for rel in relations:
-        if not isinstance(rel, RelationType):
-            rel = RelationType(str(rel))
-        for m in messages:
-            for key in rel.keys_for(m):
-                buckets.setdefault((rel.name, key), set()).add(m.id)
-    out = []
-    for (rel_name, key) in sorted(buckets):
-        members = buckets[(rel_name, key)]
-        if len(members) >= 2:
-            out.append(Group(relation=rel_name, key=key, member_ids=tuple(sorted(members))))
-    return out
+    rels = [r if isinstance(r, RelationType) else RelationType(str(r)) for r in relations]
+    buckets: dict = {r.name: {} for r in rels}  # relation -> key -> member ids
+    for m in messages:
+        entities = _entities(m)
+        for rel in rels:
+            for key in rel.keys_for(m, *entities):
+                buckets[rel.name].setdefault(key, []).append(m.id)
+    groups = (Group(name, key, tuple(sorted(set(ids)))) for name in sorted(buckets)
+              for key, ids in sorted(buckets[name].items()) if len(ids) > 1)
+    return [g for g in groups if len(g) >= 2]  # ids may repeat
 
 
 class GroupTable:

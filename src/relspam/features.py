@@ -5,13 +5,17 @@ row i is the message at position i of a chronologically sorted slice, and
 column list frozen at fit time. A subset's matrix holds its messages in
 chronological order, so a slice of the subset is a range of rows
 (`FeatureMatrix.rows`).
+
+A transform splits each text once, for the hashtag, link and mention counts of
+the content block, which the user block reuses. Its character 3-grams are
+int64 codes c0·2⁴² + c1·2²¹ + c2, read with numpy from the UTF-32 of the
+normalized texts: code points are below 2²¹, so codes order as the strings do.
 """
 
 from __future__ import annotations
 
 import logging
 import re
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +25,7 @@ from .data_model import (
     HAM,
     SPAM,
     DataError,
-    message_hashtags,
-    message_links,
-    message_mentions,
+    _entities,
     normalize_text,
     read_artifact,
     write_artifact,
@@ -45,7 +47,7 @@ GRAPH_COLUMNS = ("pagerank", "triangle_count", "k_core", "in_degree", "out_degre
 # Indicator columns stay unscaled when the classifier standardizes inputs.
 BINARY_COLUMNS = frozenset({"is_retweet", "user_blacklist", "user_whitelist"})
 NGRAM_PREFIX = "ng:"
-NGRAM_N = 3  # characters per n-gram
+NGRAM_N = 3  # characters per n-gram; at most 3, for NGRAM_N 21-bit code points fit an int64
 
 BLACKLIST_SPAM_THRESHOLD = 3
 WHITELIST_HAM_THRESHOLD = 10
@@ -83,8 +85,8 @@ def sentiment_scores(text: str) -> tuple:
 
 def extract_content_features(messages: list) -> np.ndarray:
     """The content block: a row of `CONTENT_COLUMNS` per message."""
-    return np.array([(len(m.text), len(message_hashtags(m)), len(message_links(m)),
-                      len(message_mentions(m)), bool(m.is_retweet), *sentiment_scores(m.text))
+    return np.array([(len(m.text), *map(len, _entities(m)), bool(m.is_retweet),
+                      *sentiment_scores(m.text))
                      for m in messages], dtype=float).reshape(len(messages), len(CONTENT_COLUMNS))
 
 
@@ -105,7 +107,8 @@ def _earlier(values, key: np.ndarray, op: np.ufunc) -> np.ndarray:
     return out
 
 
-def extract_user_features_sequential(messages: list, labels) -> np.ndarray:
+def extract_user_features_sequential(messages: list, labels,
+                                     content: np.ndarray | None = None) -> np.ndarray:
     """The user block: a row of `USER_COLUMNS` per message, from strictly
     earlier messages in the stream.
 
@@ -113,7 +116,8 @@ def extract_user_features_sequential(messages: list, labels) -> np.ndarray:
     per message, -1 where it is not known. Row i is a function of positions
     < i only, so appending future messages never changes past rows. The
     label-derived columns (black/whitelist) count only the known labels (the
-    training period's).
+    training period's). Lengths and hashtag, link and mention presence are
+    read from the messages' content block, `content` when given.
     """
     for prev, cur in zip(messages, messages[1:]):
         if (prev.timestamp, prev.id) > (cur.timestamp, cur.id):
@@ -121,15 +125,13 @@ def extract_user_features_sequential(messages: list, labels) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.shape != (len(messages),):
         raise DataError(f"{labels.size} labels for {len(messages)} messages")
+    if content is None:
+        content = extract_content_features(messages)
     user = _codes(m.user_id for m in messages)
-    length = np.array([len(m.text) for m in messages], dtype=float)
+    length, n_hashtags, n_links, n_mentions = content[:, :4].T
     # what each message adds to its user's history
-    history = np.column_stack([
-        np.ones(len(messages)),
-        [bool(message_hashtags(m)) for m in messages],
-        [bool(message_mentions(m)) for m in messages],
-        [bool(message_links(m)) for m in messages],
-        labels == SPAM, labels == HAM, length])
+    history = np.column_stack([np.ones(len(messages)), n_hashtags > 0, n_mentions > 0,
+                               n_links > 0, labels == SPAM, labels == HAM, length])
     count, hashtags, mentions, links, spam, ham, length_sum = _earlier(history, user, np.add).T
     seen = np.maximum(count, 1.0)  # a user's first message has no history: its ratios are 0
     tracked = np.array([bool(m.target_id) for m in messages], dtype=float)
@@ -273,8 +275,21 @@ def compute_graph_feature_table(g: FollowerGraph) -> dict:
 
 # --- n-gram vocabulary ---
 
-def char_ngrams(text: str, n: int) -> list:
-    return [text[i:i + n] for i in range(len(text) - n + 1)]
+# texts per block of the presence matrix: small arrays reuse freed heap, so peak RSS holds
+_CHUNK = 256
+
+
+def _gram_codes(texts: list) -> tuple:
+    """(row, code) of every character `NGRAM_N`-gram of the texts, in text order."""
+    chars = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    row = np.repeat(np.arange(len(texts), dtype=np.int32), [len(t) for t in texts])
+    n = max(len(chars) - NGRAM_N + 1, 0)
+    code = np.zeros(n, dtype=np.int64)
+    for k in range(NGRAM_N):
+        code <<= 21
+        code |= chars[k:k + n]
+    whole = row[:n] == row[NGRAM_N - 1:]  # the gram lies within one text
+    return row[:n][whole], code[whole]
 
 
 def fit_ngram_vocabulary(texts: list, top_k: int = 10000) -> list:
@@ -282,11 +297,12 @@ def fit_ngram_vocabulary(texts: list, top_k: int = 10000) -> list:
 
     Ties broken lexicographically; the returned order is the column order.
     """
-    counts: Counter = Counter()
-    for t in texts:
-        counts.update(char_ngrams(normalize_text(t), NGRAM_N))
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    vocab = [gram for gram, _ in ranked[:top_k]]
+    grams, counts = np.unique(_gram_codes([normalize_text(t) for t in texts])[1],
+                              return_counts=True)
+    # `grams` ascend, so a stable sort by count keeps each tie in code, that is string, order
+    top = grams[np.argsort(-counts, kind="stable")[:top_k]]
+    chars = (top[:, None] >> 21 * np.arange(NGRAM_N - 1, -1, -1)) & ((1 << 21) - 1)
+    vocab = ["".join(map(chr, gram)) for gram in chars.tolist()]
     if not vocab:
         log.warning("empty n-gram vocabulary: no training text")
     return vocab
@@ -294,18 +310,25 @@ def fit_ngram_vocabulary(texts: list, top_k: int = 10000) -> list:
 
 def ngram_features(texts: list, vocabulary: list) -> sp.csr_matrix:
     """Binary presence matrix over the fitted vocabulary; OOV grams are ignored."""
-    index = {gram: j for j, gram in enumerate(vocabulary)}
-    rows, cols = [], []
-    for i, t in enumerate(texts):
-        seen = set()
-        for gram in char_ngrams(normalize_text(t), NGRAM_N):
-            j = index.get(gram)
-            if j is not None and j not in seen:
-                seen.add(j)
-                rows.append(i)
-                cols.append(j)
-    data = np.ones(len(rows))
-    return sp.csr_matrix((data, (rows, cols)), shape=(len(texts), len(vocabulary)))
+    shape = (len(texts), len(vocabulary))
+    if not vocabulary:
+        return sp.csr_matrix(shape)
+    vocab = _gram_codes(vocabulary)[1]  # a fitted gram is one code
+    order = np.argsort(vocab)
+    vocab = vocab[order]
+    indices, counts = [np.zeros(0, np.int32)], [np.zeros(1, np.int64)]  # counts[0] opens indptr
+    for a in range(0, len(texts), _CHUNK):
+        chunk = [normalize_text(t) for t in texts[a:a + _CHUNK]]
+        row, code = _gram_codes(chunk)
+        j = np.searchsorted(vocab, code).clip(max=len(vocab) - 1)
+        hit = vocab[j] == code
+        cells = np.sort(row[hit] * np.int64(len(vocab)) + order[j[hit]])  # np.unique hashes: slower
+        row, col = np.divmod(cells[np.diff(cells, prepend=-1) != 0], len(vocab))
+        indices.append(col.astype(np.int32))
+        counts.append(np.bincount(row, minlength=len(chunk)))
+    indices = np.concatenate(indices)
+    return sp.csr_matrix((np.ones(len(indices)), indices, np.cumsum(np.concatenate(counts))),
+                         shape=shape)
 
 
 # --- assembled feature matrix ---
@@ -415,8 +438,8 @@ class FeaturePipeline:
         with `labels` as `extract_user_features_sequential` takes them."""
         if not self._fitted:
             raise DataError("FeaturePipeline.transform called before fit")
-        blocks = [extract_content_features(messages),
-                  extract_user_features_sequential(messages, labels)]
+        content = extract_content_features(messages)
+        blocks = [content, extract_user_features_sequential(messages, labels, content)]
         if self.config.uses_graph():
             absent = (0.0,) * len(GRAPH_COLUMNS)
             blocks.append(np.array([self.graph_table.get(m.user_id, absent) for m in messages],

@@ -203,9 +203,9 @@ def train(X: sp.spmatrix, y: np.ndarray, l2: float = 1.0, max_iter: int = 500,
         direction = _newton_direction(lambda v: adjoint(curv * product(v)) + reg * v, g)
         z_dir = product(direction)
         slope = float(g @ direction)
-        for step in 0.5 ** np.arange(50):  # Armijo backtracking
+        for step in 0.5 ** np.arange(50):  # Armijo backtracking, strict: a step must lower the loss
             loss_new = _margin_loss(z + step * z_dir, y, x[:d] + step * direction[:d], l2)
-            if loss_new <= loss + 1e-4 * step * slope:
+            if loss_new < loss + 1e-4 * step * slope:
                 break
         else:
             break  # no step lowers the loss: the fit is at rounding level

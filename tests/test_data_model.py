@@ -1,5 +1,6 @@
 import json
 import random
+import unicodedata
 from dataclasses import asdict
 
 import numpy as np
@@ -101,6 +102,19 @@ class TestNormalization:
 
     def test_strips_leading_and_trailing_punctuation(self):
         assert normalize_text("!!hello there??") == "hello there"
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(st.one_of(st.characters(max_codepoint=0x10FFFF),
+                             st.sampled_from("!?.,;:'\"()-_#@ \t\u2026\u3002\uff01\u0301a1")),
+                   max_size=8))
+    def test_text_normalization_matches_a_per_character_reference(self, text):
+        s = " ".join(unicodedata.normalize("NFC", text).lower().split())
+        start, end = 0, len(s)
+        while start < end and unicodedata.category(s[start]).startswith("P"):
+            start += 1
+        while end > start and unicodedata.category(s[end - 1]).startswith("P"):
+            end -= 1
+        assert normalize_text(text) == s[start:end]
 
     def test_link_normalization_lowercases_scheme_and_host(self):
         assert normalize_link("HTTP://Example.COM/Path?Q=1") == "http://example.com/Path?Q=1"

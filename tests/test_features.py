@@ -1,13 +1,23 @@
 import itertools
 import json
 import random
+import string
+from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from relspam.data_model import DataError, Message, message_hashtags, message_links, message_mentions
+from relspam.data_model import (
+    RELATION_NAMES,
+    DataError,
+    Message,
+    build_groups,
+    normalize_link,
+    normalize_text,
+    relations_from_names,
+)
 from relspam.features import (
     CONTENT_COLUMNS,
     GRAPH_COLUMNS,
@@ -16,7 +26,6 @@ from relspam.features import (
     FeatureMatrix,
     FeaturePipeline,
     build_follower_graph,
-    char_ngrams,
     compute_graph_feature_table,
     degrees,
     extract_content_features,
@@ -33,6 +42,26 @@ from relspam.features import (
 
 def msg(mid, user="u", text="", ts=0, **kw):
     return Message(id=mid, user_id=user, text=text, timestamp=ts, **kw)
+
+
+# A message's hashtags, mentions and links, each from a split of its own: the
+# listed ones, else those parsed from the text. The reference for the single
+# split that the content block, the user block and the group keys share.
+
+def message_hashtags(m):
+    return list(m.hashtags) if m.hashtags else [w[1:] for w in m.text.split()
+                                                if w.startswith("#") and len(w) > 1]
+
+
+def message_mentions(m):
+    return list(m.mentions) if m.mentions else [w[1:].rstrip(string.punctuation)
+                                                for w in m.text.split()
+                                                if w.startswith("@") and len(w) > 1]
+
+
+def message_links(m):
+    return list(m.links) if m.links else [w for w in m.text.split()
+                                          if w.startswith(("http://", "https://"))]
 
 
 def graph_table(follows):
@@ -191,6 +220,61 @@ class TestUserFeaturesSequential:
                               user_rows_reference(messages, labels))
 
 
+def reference_keys(m, relation):
+    """A message's group keys under one relation, from `message_*` parses of its own."""
+    if relation == "user":
+        return {m.user_id}
+    if relation == "text":
+        return {normalize_text(m.text)} - {""}
+    if relation == "link":
+        return {normalize_link(u) for u in message_links(m)}
+    if relation == "hashtag":
+        return {h.lower() for h in message_hashtags(m)}
+    if relation == "mention":
+        return {x.lower() for x in message_mentions(m)}
+    if relation == "track":
+        return {m.target_id} - {None}
+    return {f"{m.user_id}\x1f{h.lower()}" for h in message_hashtags(m)}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_one_entity_parse_matches_the_message_accessors(seed):
+    """The content block, the user block and every group key read a message's
+    hashtags, links and mentions as `message_hashtags`, `message_links` and
+    `message_mentions` do, whether they are listed, in the text, or both."""
+    rng = random.Random(seed)
+    words = ["#Win", "#win", "#", "@Bob,", "@bob", "@", "http://X.co/A", "https://x.co/A",
+             "HTTP://x.co", "plain", "free", "e\u0301"]
+    listed = {"hashtags": [[], ["Win"], ["a", "A"]], "links": [[], ["HTTP://X.CO/A"], ["y.io"]],
+              "mentions": [[], ["Bob"], ["c", "d"]]}
+    messages = [msg(f"m{i:03d}", user=f"u{rng.randrange(5)}", ts=i,
+                    text=" ".join(rng.choices(words, k=rng.randrange(5))),
+                    target_id=rng.choice([None, "t1"]),
+                    **{name: rng.choice(options) for name, options in listed.items()})
+                for i in range(120)]
+    labels = np.array([rng.choice([-1, 0, 1]) for _ in messages])
+
+    block = extract_content_features(messages)
+    for name, accessor in [("num_hashtags", message_hashtags), ("num_links", message_links),
+                           ("num_mentions", message_mentions)]:
+        assert block[:, CONTENT_COLUMNS.index(name)].tolist() == [len(accessor(m)) for m in messages]
+    user = user_rows_reference(messages, labels)
+    assert np.array_equal(extract_user_features_sequential(messages, labels, block), user)
+    fm = FeaturePipeline(FeatureConfig(mode="limited")).fit(messages).transform(messages, labels)
+    width = len(CONTENT_COLUMNS)
+    assert np.array_equal(fm.matrix.toarray()[:, width:width + len(USER_COLUMNS)], user)
+
+    buckets = {}
+    for relation in RELATION_NAMES:
+        for m in messages:
+            for key in reference_keys(m, relation):
+                buckets.setdefault((relation, key), []).append(m.id)
+    expected = [(r, k, tuple(sorted(ids))) for (r, k), ids in sorted(buckets.items()) if len(ids) > 1]
+    groups = build_groups(messages, relations_from_names(RELATION_NAMES))
+    assert [(g.relation, g.key, g.member_ids) for g in groups] == expected
+    assert {r for r, _, _ in expected} >= {"link", "hashtag", "mention", "user_hashtag"}
+
+
 class TestFollowerGraph:
     def test_parallel_edges_collapse(self):
         g = build_follower_graph([("a", "b"), ("a", "b")])
@@ -310,6 +394,63 @@ class TestTrianglesAndCores:
             adj = g.undirected_adj()
             assert triangle_count(g) == brute_force_triangles(adj)
             assert k_core(g) == brute_force_core_numbers(adj)
+
+
+def char_ngrams(text, n):
+    return [text[i:i + n] for i in range(len(text) - n + 1)]
+
+
+def reference_vocabulary(texts, top_k=10000):
+    """The string n-gram ranking: a Counter of 3-grams, ranked by (-count, gram)."""
+    counts = Counter()
+    for t in texts:
+        counts.update(char_ngrams(normalize_text(t), 3))
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    return [gram for gram, _ in ranked[:top_k]]
+
+
+def reference_ngram_features(texts, vocabulary):
+    """The string presence matrix: each text's grams looked up in a dict, once per column."""
+    index = {gram: j for j, gram in enumerate(vocabulary)}
+    rows, cols = [], []
+    for i, t in enumerate(texts):
+        seen = set()
+        for gram in char_ngrams(normalize_text(t), 3):
+            j = index.get(gram)
+            if j is not None and j not in seen:
+                seen.add(j)
+                rows.append(i)
+                cols.append(j)
+    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(len(texts), len(vocabulary)))
+
+
+# pieces that NFC merges (e + combining acute, A + ring above, the angstrom sign),
+# astral and top code points, punctuation-only runs, short and self-repeating texts
+text_pieces = st.one_of(
+    st.text(st.characters(max_codepoint=0x10FFFF), max_size=5),
+    st.sampled_from(["e\u0301", "A\u030a", "\u212b", "\U0001F600", "\U0010FFFF", "\U00020000",
+                     "!?", "...", " ", "ab", "aaaa", "abcabc", "#Win", "x\u0301\u0301"]),
+)
+ngram_texts = st.lists(st.lists(text_pieces, max_size=4).map("".join), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts=ngram_texts, top_k=st.one_of(st.integers(1, 12), st.just(10000)), other=ngram_texts)
+@example(texts=["abcabc"], top_k=2, other=["cab"])  # the cut falls inside the bca/cab tie
+@example(texts=["the cat and the hat sat on the mat by the vat", "abcdefghijklmnop"], top_k=10000,
+         other=["the bat"])  # many ties among mixed counts
+@example(texts=["!!", "é", "e\u0301e\u0301e\u0301"], top_k=1, other=["", "ab"])
+def test_ngram_path_matches_string_reference(texts, top_k, other):
+    vocabulary = fit_ngram_vocabulary(texts, top_k)
+    assert vocabulary == reference_vocabulary(texts, top_k)
+    for batch in (texts, other):
+        got, want = ngram_features(batch, vocabulary), reference_ngram_features(batch, vocabulary)
+        got.sort_indices()
+        want.sort_indices()
+        assert got.shape == want.shape
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
 
 
 class TestNgrams:

@@ -87,6 +87,16 @@ class TestTrain:
         assert np.array_equal(a.weights, b.weights)
         assert a.bias == b.bias
 
+    def test_tol_zero_ends_once_no_step_lowers_the_loss(self):
+        # tol 0 is never met: the fit must end where the loss stops falling, not
+        # run out max_iter Newton steps that leave it as it is
+        X, y = random_instance(np.random.default_rng(31), 60, 5)
+        model = train(X, y, l2=0.1, max_iter=300, tol=0.0)
+        assert not model.converged and model.n_iter <= 20
+        assert (np.diff(model.loss_trace) < 0).all()
+        # the loss a fit that also takes loss-preserving steps stands at after 300 iterations
+        assert model.loss_trace[-1] == pytest.approx(0.5417822234808224, rel=1e-15, abs=0)
+
     def test_negative_l2_rejected(self):
         with pytest.raises(DataError):
             train(sp.csr_matrix(np.ones((2, 1))), np.array([0.0, 1.0]), l2=-1)
