@@ -45,9 +45,7 @@ from .features import (
     FeatureConfig,
     FeatureMatrix,
     FeaturePipeline,
-    build_follower_graph,
     compute_graph_feature_table,
-    scalable_columns,
 )
 from .hinge import HingeConfig, infer_hinge_posteriors, learn_weights
 from .linear import ClassifierConfig, fit_classifier, recenter_scores
@@ -324,8 +322,7 @@ def tune_epsilons(priors: np.ndarray, groups: GroupTable, labels: np.ndarray, re
     return eps
 
 
-def tune_l2(fm_train, labels, fm_val, val_labels, scale_columns, config: ClassifierConfig,
-            grid: list) -> float:
+def tune_l2(fm_train, labels, fm_val, val_labels, config: ClassifierConfig, grid: list) -> float:
     """Pick the regularization strength with the best validation AUPR; the
     labels are those of the matrices' rows."""
     best_l2, best_score = config.l2, None
@@ -333,7 +330,7 @@ def tune_l2(fm_train, labels, fm_val, val_labels, scale_columns, config: Classif
     if len(set(val_labels[labeled].tolist())) < 2:
         return config.l2
     for l2 in grid:
-        model = fit_classifier(fm_train, labels, scale_columns, replace(config, l2=l2))
+        model = fit_classifier(fm_train, labels, replace(config, l2=l2))
         try:
             s = aupr(model.predict_proba(fm_val)[labeled], val_labels[labeled])
         except DataError:
@@ -367,9 +364,7 @@ def check_training_labels(index: MessageIndex, plan: SplitPlan) -> None:
 def graph_feature_table(config: ExperimentConfig, follows: list) -> dict:
     """Per-user follower-graph features shared by every subset's pipeline;
     empty when the feature mode drops them or there are no follows."""
-    if config.feature.uses_graph() and follows:
-        return compute_graph_feature_table(build_follower_graph(follows))
-    return {}
+    return compute_graph_feature_table(follows) if config.feature.uses_graph() else {}
 
 
 def featurize_subset(ordered: list, subset: SubsetSplit, config: ExperimentConfig,
@@ -408,21 +403,20 @@ def train_subset_models(index: MessageIndex, subset: SubsetSplit, fm: FeatureMat
     """Fit every artifact the roster needs on one subset's training slice,
     tuning on its validation slice; `fm` is the subset's feature matrix."""
     fm_train, fm_val = _rows(fm, subset, subset.train), _rows(fm, subset, subset.validation)
-    scale_columns = scalable_columns(fm.column_names)
     labels = index.labels[slice(*subset.train)]
     clf_config = config.classifier
     if config.l2_grid:
         best = tune_l2(fm_train, labels, fm_val, index.labels[slice(*subset.validation)],
-                       scale_columns, clf_config, config.l2_grid)
+                       clf_config, config.l2_grid)
         clf_config = replace(clf_config, l2=best)
-    artifacts = {"independent": fit_classifier(fm_train, labels, scale_columns, clf_config)}
+    artifacts = {"independent": fit_classifier(fm_train, labels, clf_config)}
     stacks = config.required_stacks()
     if stacks:
         groups_train = index.groups(subset.train)
     for k in stacks:
         artifacts[f"sgl{k}"] = train_stacked(
             np.arange(*subset.train), fm_train, index.labels, groups_train, K=k,
-            relations=config.relations, scale_columns=scale_columns, config=clf_config)
+            relations=config.relations, config=clf_config)
 
     joints = {parse_model_name(m)[1] for m in config.models}
     has_val = subset.validation[1] > subset.validation[0]

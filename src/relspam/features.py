@@ -10,10 +10,15 @@ A transform splits each text once, for the hashtag, link and mention counts of
 the content block, which the user block reuses. Its character 3-grams are
 int64 codes c0·2⁴² + c1·2²¹ + c2, read with numpy from the UTF-32 of the
 normalized texts: code points are below 2²¹, so codes order as the strings do.
+
+The graph block comes from one CSR follow matrix A (`follower_graph`): PageRank
+by power iteration, degrees as A's column and row counts, and triangles and
+core numbers on the undirected A + Aᵀ.
 """
 
 from __future__ import annotations
 
+import heapq
 import logging
 import re
 from dataclasses import dataclass
@@ -144,62 +149,29 @@ def extract_user_features_sequential(messages: list, labels,
 
 # --- follower graph and graph features ---
 
-class FollowerGraph:
-    """Directed follow graph; self-loops dropped, parallel edges collapsed."""
-
-    def __init__(self):
-        self.out_adj: dict = {}
-        self.in_adj: dict = {}
-
-    def add_node(self, v: str):
-        self.out_adj.setdefault(v, set())
-        self.in_adj.setdefault(v, set())
-
-    def add_edge(self, follower: str, followee: str):
-        if follower == followee:
-            return
-        self.add_node(follower)
-        self.add_node(followee)
-        self.out_adj[follower].add(followee)
-        self.in_adj[followee].add(follower)
-
-    @property
-    def nodes(self) -> list:
-        return sorted(self.out_adj)
-
-    def n_edges(self) -> int:
-        return sum(len(s) for s in self.out_adj.values())
-
-    def undirected_adj(self) -> dict:
-        return {v: self.out_adj[v] | self.in_adj[v] for v in self.out_adj}
+def follower_graph(follows: list) -> tuple:
+    """(users, A): the sorted users of the follows and their CSR follow matrix,
+    A[i, j] = 1 when user i follows user j. Self-follows are dropped and a
+    repeated pair counts once."""
+    pairs = [(a, b) for a, b in follows if a != b]
+    users = sorted({u for pair in pairs for u in pair})
+    index = {u: i for i, u in enumerate(users)}
+    ends = np.array([(index[a], index[b]) for a, b in pairs], dtype=np.int64).reshape(-1, 2)
+    A = sp.csr_matrix((np.ones(len(pairs)), ends.T), shape=(len(users), len(users)))
+    return users, A.sign()  # the conversion summed repeated pairs
 
 
-def build_follower_graph(follows: list) -> FollowerGraph:
-    g = FollowerGraph()
-    for a, b in follows:
-        g.add_edge(a, b)
-    return g
+def pagerank(A: sp.csr_matrix, damping: float = 0.85, tol: float = 1e-8, max_iter: int = 200):
+    """Power iteration over the follow matrix `A` with uniform teleport;
+    dangling mass spread uniformly.
 
-
-def pagerank(g: FollowerGraph, damping: float = 0.85, tol: float = 1e-8, max_iter: int = 200):
-    """Power iteration with uniform teleport; dangling mass spread uniformly.
-
-    Returns (scores, converged). Scores sum to 1.
+    Returns (scores, converged): an array over A's nodes that sums to 1.
     """
-    nodes = g.nodes
-    n = len(nodes)
+    n = A.shape[0]
     if n == 0:
         raise DataError("pagerank requires a non-empty graph")
-    index = {v: i for i, v in enumerate(nodes)}
-    out_deg = np.array([len(g.out_adj[v]) for v in nodes], dtype=float)
-    # sparse column-stochastic transition for the non-dangling part
-    rows, cols = [], []
-    for v in nodes:
-        for w in g.out_adj[v]:
-            rows.append(index[w])
-            cols.append(index[v])
-    data = np.ones(len(rows))
-    adj = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+    out_deg = np.diff(A.indptr).astype(float)
+    adj = A.T.tocsr()  # column-stochastic once scaled by inv_out: row w sums w's followers
     inv_out = np.where(out_deg > 0, 1.0 / np.maximum(out_deg, 1.0), 0.0)
     dangling = out_deg == 0
 
@@ -216,61 +188,59 @@ def pagerank(g: FollowerGraph, damping: float = 0.85, tol: float = 1e-8, max_ite
         r = new_r
     if not converged:
         log.warning("pagerank did not converge in %d iterations", max_iter)
-    return {v: float(r[index[v]]) for v in nodes}, converged
+    return r, converged
 
 
-def triangle_count(g: FollowerGraph) -> dict:
-    """Triangles per node on the undirected projection."""
-    adj = g.undirected_adj()
-    counts = {}
-    for v, nbrs in adj.items():
-        t = 0
-        for u in nbrs:
-            t += len(nbrs & adj[u])
-        counts[v] = t // 2
+def _triangles(S: sp.csr_matrix) -> np.ndarray:
+    """Triangles per node of the 0/1 undirected graph `S` (Latapy, 2008).
+
+    U holds each edge from the lower to the higher (degree, index) node, so a
+    triangle a < b < c is a→b, a→c, b→c, and no node has over sqrt(2m)
+    out-edges. Neither U @ U (a→b→c, at a, c) nor Uᵀ @ U (a→b and a→c, at
+    b, c) pairs up the followers of a hub: they rank below it.
+    """
+    order = np.argsort(np.diff(S.indptr), kind="stable")
+    U = sp.triu(S[order][:, order], k=1, format="csr")
+    lowest_top, middle_top = (U @ U).multiply(U), (U.T @ U).multiply(U)
+    counts = np.empty(len(order))
+    counts[order] = lowest_top.sum(1).A1 + lowest_top.sum(0).A1 + middle_top.sum(1).A1
     return counts
 
 
-def k_core(g: FollowerGraph) -> dict:
-    """Core number per node: the pruning level at which the node is removed."""
-    adj = {v: set(nbrs) for v, nbrs in g.undirected_adj().items()}
-    deg = {v: len(nbrs) for v, nbrs in adj.items()}
-    core = {}
-    remaining = set(adj)
+def _core_numbers(S: sp.csr_matrix) -> np.ndarray:
+    """Core number per node of the 0/1 undirected graph `S`: peel a node of least
+    remaining degree until none is left (Batagelj & Zaversnik, 2003); a node's
+    core is the largest degree peeled up to it."""
+    indptr, indices = S.indptr.tolist(), S.indices.tolist()
+    degree = np.diff(S.indptr).tolist()
+    heap = [(d, v) for v, d in enumerate(degree)]
+    heapq.heapify(heap)
+    core = [-1] * len(degree)
     k = 0
-    while remaining:
-        peel = [v for v in remaining if deg[v] <= k]
-        if not peel:
-            k += 1
-            continue
-        while peel:
-            v = peel.pop()
-            core[v] = k
-            remaining.discard(v)
-            for u in adj[v]:
-                if u in remaining:
-                    deg[u] -= 1
-                    if deg[u] <= k and core.get(u) is None and u not in peel:
-                        peel.append(u)
-            adj[v] = set()
-    return core
+    while heap:
+        d, v = heapq.heappop(heap)
+        if core[v] >= 0 or d != degree[v]:
+            continue  # peeled already, or a stale degree
+        k = max(k, d)
+        core[v] = k
+        for u in indices[indptr[v]:indptr[v + 1]]:
+            if core[u] < 0:
+                degree[u] -= 1
+                heapq.heappush(heap, (degree[u], u))
+    return np.array(core, dtype=float)
 
 
-def degrees(g: FollowerGraph) -> dict:
-    """Node -> (in_degree, out_degree) on the directed graph."""
-    return {v: (len(g.in_adj[v]), len(g.out_adj[v])) for v in g.out_adj}
-
-
-def compute_graph_feature_table(g: FollowerGraph) -> dict:
-    """Per-user graph features: user -> a row of `GRAPH_COLUMNS`. Users absent
-    from the graph get all zeros in the graph block."""
-    if not g.out_adj:
+def compute_graph_feature_table(follows: list) -> dict:
+    """Per-user graph features: user -> a row of `GRAPH_COLUMNS`, for every
+    user in a follow pair that is not a self-follow. Users absent from the
+    graph get all zeros in the graph block."""
+    users, A = follower_graph(follows)
+    if not users:
         return {}
-    pr, _ = pagerank(g)
-    tri = triangle_count(g)
-    cores = k_core(g)
-    degs = degrees(g)
-    return {v: (pr[v], float(tri[v]), float(cores[v]), *map(float, degs[v])) for v in g.nodes}
+    S = (A + A.T).sign()  # the undirected projection
+    rows = np.column_stack([pagerank(A)[0], _triangles(S), _core_numbers(S),
+                            np.bincount(A.indices, minlength=len(users)), np.diff(A.indptr)])
+    return dict(zip(users, map(tuple, rows.tolist())))
 
 
 # --- n-gram vocabulary ---
@@ -359,7 +329,9 @@ def hstack_features(fm: FeatureMatrix, extra_columns: list, extra: sp.spmatrix) 
 
 
 def scalable_columns(column_names: list) -> list:
-    """Dense numeric columns the classifier should standardize."""
+    """Dense numeric columns the classifier standardizes: all but indicators
+    and n-grams. The stacked model's `pr_*` ratio columns are among them, which
+    keeps ridge shrinkage from flattening their small within-slice variance."""
     return [c for c in column_names if c not in BINARY_COLUMNS and not c.startswith(NGRAM_PREFIX)]
 
 

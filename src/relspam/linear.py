@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data_model import DataError
-from .features import FeatureMatrix
+from .features import FeatureMatrix, scalable_columns
 
 log = logging.getLogger(__name__)
 
@@ -224,10 +224,9 @@ class ClassifierConfig:
     tol: float = 1e-6
 
 
-def fit_classifier(fm: FeatureMatrix, labels, scale_columns: list | None = None,
-                   config: ClassifierConfig | None = None) -> LinearModel:
+def fit_classifier(fm: FeatureMatrix, labels, config: ClassifierConfig | None = None) -> LinearModel:
     """Train on a FeatureMatrix and the labels of its rows (0/1, -1
-    unlabeled, which fails), standardizing the given columns."""
+    unlabeled, which fails), standardizing its `scalable_columns`."""
     config = config or ClassifierConfig()
     labels = np.asarray(labels)
     if labels.shape != (fm.shape[0],):
@@ -237,7 +236,7 @@ def fit_classifier(fm: FeatureMatrix, labels, scale_columns: list | None = None,
         raise DataError(f"{len(missing)} training rows lack labels "
                         f"(first: row {missing[0]})")
     col_index = fm.column_index
-    idx = [col_index[c] for c in scale_columns or () if c in col_index]
+    idx = [col_index[c] for c in scalable_columns(fm.column_names)]
     scaler = Scaler.fit(fm.matrix, idx) if idx else None
     model = train(fm.matrix, labels, l2=config.l2, max_iter=config.max_iter, tol=config.tol,
                   scaler=scaler)

@@ -99,8 +99,7 @@ def _slice_bounds(n: int, parts: int) -> list:
 
 
 def train_stacked(rows, fm: FeatureMatrix, labels: np.ndarray, groups: GroupTable,
-                  K: int, relations: list, scale_columns: list | None = None,
-                  config: ClassifierConfig | None = None) -> StackedModel:
+                  K: int, relations: list, config: ClassifierConfig | None = None) -> StackedModel:
     """Fit f^0..f^K on K+1 contiguous time slices of the training messages:
     the rows of `fm`, at the chronological positions `rows`, labeled by
     `labels`, the labels of every position.
@@ -125,13 +124,10 @@ def train_stacked(rows, fm: FeatureMatrix, labels: np.ndarray, groups: GroupTabl
                         f"(first: position {unlabeled[0]})")
 
     bounds = _slice_bounds(len(rows), K + 1)
-    submodels = [fit_classifier(fm.rows(*bounds[0]), y[slice(*bounds[0])], scale_columns, config)]
+    submodels = [fit_classifier(fm.rows(*bounds[0]), y[slice(*bounds[0])], config)]
     model = StackedModel(submodels=submodels, relations=list(relations),
                          score_center=int((y == SPAM).sum()) / len(y))
 
-    # standardizing the ratio columns keeps ridge shrinkage from flattening
-    # them: their within-slice variance is small but their signal is not
-    aug_scale = list(scale_columns or []) + pseudo_columns(relations)
     for a, b in bounds[1:]:
         fm_k = fm.rows(a, b)
         # earlier slices are the past: their gold labels are known, mirroring how
@@ -140,8 +136,7 @@ def train_stacked(rows, fm: FeatureMatrix, labels: np.ndarray, groups: GroupTabl
         past[rows[:a]] = y[:a]
         preds = _roll_forward(model, fm_k, rows[a:b], groups, past)
         pseudo = _pooled_features(model, rows[a:b], groups, past, preds)
-        submodels.append(fit_classifier(_pseudo_matrix(fm_k, pseudo, relations), y[a:b],
-                                        aug_scale, config))
+        submodels.append(fit_classifier(_pseudo_matrix(fm_k, pseudo, relations), y[a:b], config))
     return model
 
 

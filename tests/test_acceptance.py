@@ -17,14 +17,12 @@ from relspam.data_model import (
 )
 from relspam.evaluation import ExperimentConfig, aupr, auroc, evaluate_experiment
 from relspam.features import (
+    GRAPH_COLUMNS,
     FeatureConfig,
-    build_follower_graph,
     compute_graph_feature_table,
     extract_user_features_sequential,
-    k_core,
+    follower_graph,
     pagerank,
-    scalable_columns,
-    triangle_count,
 )
 from relspam.hinge import GroundHingeModel, HingeWeights, ground_rules, map_inference
 from relspam.linear import ClassifierConfig, fit_classifier
@@ -258,6 +256,15 @@ def _dense_pagerank(nodes, edges, damping=0.85):
     return {v: r[idx[v]] for v in nodes}
 
 
+def _undirected(edges):
+    adj = {}
+    for a, b in edges:
+        if a != b:
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+    return adj
+
+
 def _brute_triangles(adj):
     counts = dict.fromkeys(adj, 0)
     for a, b, c in itertools.combinations(sorted(adj), 3):
@@ -291,15 +298,18 @@ def test_criterion_08_graph_feature_oracles():
     for _ in range(20):
         nodes = [f"n{i}" for i in range(30)]
         edges = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(70)]
-        g = build_follower_graph(edges)
-        if not g.out_adj:
+        users, A = follower_graph(edges)
+        if not users:
             continue
-        scores, _ = pagerank(g, tol=1e-13, max_iter=5000)
-        expected = _dense_pagerank(g.nodes, edges)
-        worst_pr = max(worst_pr, max(abs(scores[v] - expected[v]) for v in g.nodes))
-        adj = g.undirected_adj()
-        exact_structural = exact_structural and triangle_count(g) == _brute_triangles(adj)
-        exact_structural = exact_structural and k_core(g) == _brute_cores(adj)
+        scores, _ = pagerank(A, tol=1e-13, max_iter=5000)
+        expected = _dense_pagerank(users, edges)
+        worst_pr = max(worst_pr, max(abs(s - expected[v]) for v, s in zip(users, scores)))
+        table = compute_graph_feature_table(edges)
+        adj = _undirected(edges)
+        for name, oracle in (("triangle_count", _brute_triangles), ("k_core", _brute_cores)):
+            j = GRAPH_COLUMNS.index(name)
+            exact_structural = exact_structural and oracle(adj) == {
+                v: row[j] for v, row in table.items()}
     report(8, worst_pr < 1e-8 and exact_structural,
            f"20 random 30-node graphs: max pagerank error {worst_pr:.2e}; "
            f"triangles and cores exactly equal brute force")
@@ -337,16 +347,14 @@ def test_criterion_10_degenerate_stack_identity():
     train, test = ordered[:1000], ordered[1000:]
     from relspam.features import FeaturePipeline
     pipe = FeaturePipeline(FeatureConfig(mode="limited"),
-                           compute_graph_feature_table(build_follower_graph(follows))).fit(train)
+                           compute_graph_feature_table(follows)).fit(train)
     index = build_index(ordered, ["user", "text", "link"])
     fm = pipe.transform(ordered, np.where(np.arange(len(ordered)) < 1000, index.labels, -1))
     fm_train, fm_test = fm.rows(0, 1000), fm.rows(1000, len(ordered))
     cfg = ClassifierConfig(l2=1.0, max_iter=300)
     stacked = train_stacked(np.arange(1000), fm_train, index.labels, index.groups((0, 1000)), K=0,
-                            relations=["user", "text", "link"],
-                            scale_columns=scalable_columns(pipe.column_names), config=cfg)
-    independent = fit_classifier(fm_train, index.labels[:1000],
-                                 scalable_columns(pipe.column_names), cfg)
+                            relations=["user", "text", "link"], config=cfg)
+    independent = fit_classifier(fm_train, index.labels[:1000], cfg)
     context = np.full(len(ordered), np.nan)
     context[:1000] = index.labels[:1000]
     got = infer_stacked(stacked, fm_test, np.arange(1000, len(ordered)), index.table, context)

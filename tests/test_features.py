@@ -25,17 +25,14 @@ from relspam.features import (
     FeatureConfig,
     FeatureMatrix,
     FeaturePipeline,
-    build_follower_graph,
     compute_graph_feature_table,
-    degrees,
     extract_content_features,
     extract_user_features_sequential,
     fit_ngram_vocabulary,
-    k_core,
+    follower_graph,
     ngram_features,
     pagerank,
     read_feature_matrix,
-    triangle_count,
     write_feature_matrix,
 )
 
@@ -64,8 +61,10 @@ def message_links(m):
                                           if w.startswith(("http://", "https://"))]
 
 
-def graph_table(follows):
-    return compute_graph_feature_table(build_follower_graph(follows))
+def graph_column(follows, name):
+    """A column of the graph block, by name: user -> value."""
+    j = GRAPH_COLUMNS.index(name)
+    return {user: row[j] for user, row in compute_graph_feature_table(follows).items()}
 
 
 def content(m):
@@ -277,17 +276,21 @@ def test_one_entity_parse_matches_the_message_accessors(seed):
 
 class TestFollowerGraph:
     def test_parallel_edges_collapse(self):
-        g = build_follower_graph([("a", "b"), ("a", "b")])
-        assert g.n_edges() == 1
+        users, A = follower_graph([("a", "b"), ("a", "b")])
+        assert users == ["a", "b"]
+        assert A.nnz == 1 and A[0, 1] == 1.0
 
     def test_self_loop_dropped(self):
-        g = build_follower_graph([("a", "a")])
-        assert g.n_edges() == 0
+        users, A = follower_graph([("a", "a")])
+        assert users == [] and A.nnz == 0
+        with_self_follow = compute_graph_feature_table([("a", "a"), ("a", "b")])
+        assert with_self_follow == compute_graph_feature_table([("a", "b")])
 
     def test_reciprocal_edges_kept(self):
-        g = build_follower_graph([("a", "b"), ("b", "a")])
-        assert g.n_edges() == 2
-        assert degrees(g)["a"] == (1, 1)
+        users, A = follower_graph([("a", "b"), ("b", "a")])
+        assert A.nnz == 2
+        assert graph_column([("a", "b"), ("b", "a")], "in_degree")["a"] == 1.0
+        assert graph_column([("a", "b"), ("b", "a")], "out_degree")["a"] == 1.0
 
 
 def dense_pagerank_oracle(nodes, edges, damping=0.85, iters=5000):
@@ -310,26 +313,29 @@ def dense_pagerank_oracle(nodes, edges, damping=0.85, iters=5000):
     return {v: r[idx[v]] for v in nodes}
 
 
+def pagerank_of(edges, **kw):
+    users, A = follower_graph(edges)
+    scores, converged = pagerank(A, **kw)
+    return dict(zip(users, scores.tolist())), converged
+
+
 class TestPagerank:
     def test_three_cycle_is_uniform(self):
-        g = build_follower_graph([("a", "b"), ("b", "c"), ("c", "a")])
-        scores, converged = pagerank(g)
+        scores, converged = pagerank_of([("a", "b"), ("b", "c"), ("c", "a")])
         assert converged
         for v in "abc":
             assert scores[v] == pytest.approx(1 / 3, abs=1e-9)
 
     def test_two_node_mutual(self):
-        g = build_follower_graph([("a", "b"), ("b", "a")])
-        scores, _ = pagerank(g)
+        scores, _ = pagerank_of([("a", "b"), ("b", "a")])
         assert scores["a"] == pytest.approx(0.5, abs=1e-9)
 
     def test_star_matches_dense_oracle(self):
         edges = [("l1", "hub"), ("l2", "hub"), ("l3", "hub")]
-        g = build_follower_graph(edges)
-        scores, converged = pagerank(g, tol=1e-12)
+        scores, converged = pagerank_of(edges, tol=1e-12)
         assert converged
-        expected = dense_pagerank_oracle(g.nodes, edges)
-        for v in g.nodes:
+        expected = dense_pagerank_oracle(sorted(scores), edges)
+        for v in scores:
             assert scores[v] == pytest.approx(expected[v], abs=1e-8)
 
     def test_scores_sum_to_one_on_random_graphs(self):
@@ -337,11 +343,22 @@ class TestPagerank:
         for trial in range(5):
             nodes = [f"n{i}" for i in range(12)]
             edges = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(25)]
-            g = build_follower_graph(edges)
-            if not g.out_adj:
-                continue
-            scores, _ = pagerank(g)
+            scores, _ = pagerank_of(edges)
             assert sum(scores.values()) == pytest.approx(1.0, abs=1e-6)
+
+    def test_empty_graph_rejected(self):
+        with pytest.raises(DataError):
+            pagerank(follower_graph([])[1])
+
+
+def undirected_adjacency(edges):
+    """The undirected projection of a follow list, self-follows dropped."""
+    adj = {}
+    for a, b in edges:
+        if a != b:
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+    return adj
 
 
 def brute_force_triangles(adj):
@@ -374,26 +391,37 @@ def brute_force_core_numbers(adj):
 
 class TestTrianglesAndCores:
     def test_triangle_graph(self):
-        g = build_follower_graph([("a", "b"), ("b", "c"), ("c", "a")])
-        assert triangle_count(g) == {"a": 1, "b": 1, "c": 1}
-        assert k_core(g) == {"a": 2, "b": 2, "c": 2}
+        edges = [("a", "b"), ("b", "c"), ("c", "a")]
+        assert graph_column(edges, "triangle_count") == {"a": 1, "b": 1, "c": 1}
+        assert graph_column(edges, "k_core") == {"a": 2, "b": 2, "c": 2}
 
     def test_path_graph(self):
-        g = build_follower_graph([("a", "b"), ("b", "c")])
-        assert triangle_count(g) == {"a": 0, "b": 0, "c": 0}
-        assert k_core(g) == {"a": 1, "b": 1, "c": 1}
+        edges = [("a", "b"), ("b", "c")]
+        assert graph_column(edges, "triangle_count") == {"a": 0, "b": 0, "c": 0}
+        assert graph_column(edges, "k_core") == {"a": 1, "b": 1, "c": 1}
 
     def test_random_graphs_match_brute_force(self):
         rng = random.Random(42)
-        for trial in range(5):
-            nodes = [f"n{i}" for i in range(10)]
-            edges = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(18)]
-            g = build_follower_graph(edges)
-            if not g.out_adj:
-                continue
-            adj = g.undirected_adj()
-            assert triangle_count(g) == brute_force_triangles(adj)
-            assert k_core(g) == brute_force_core_numbers(adj)
+        for trial in range(200):
+            nodes = [f"n{i}" for i in range(rng.randint(1, 14))]
+            edges = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(rng.randint(1, 40))]
+            adj = undirected_adjacency(edges)
+            assert graph_column(edges, "triangle_count") == brute_force_triangles(adj)
+            assert graph_column(edges, "k_core") == brute_force_core_numbers(adj)
+
+    def test_star_with_one_leaf_edge(self):
+        # a hub with 20,000 followers: no triangle may come from pairing them up
+        edges = [(f"leaf{i}", "hub") for i in range(20000)] + [("leaf0", "leaf1")]
+        table = compute_graph_feature_table(edges)
+        on_triangle = {"hub", "leaf0", "leaf1"}
+        assert table["hub"][GRAPH_COLUMNS.index("in_degree")] == 20000
+        assert graph_column(edges, "triangle_count") == {v: float(v in on_triangle) for v in table}
+        assert graph_column(edges, "k_core") == {v: 1.0 + (v in on_triangle) for v in table}
+
+    def test_chain(self):
+        edges = [(f"v{i}", f"v{i + 1}") for i in range(20000)]
+        assert set(graph_column(edges, "triangle_count").values()) == {0.0}
+        assert set(graph_column(edges, "k_core").values()) == {1.0}
 
 
 def char_ngrams(text, n):
@@ -490,7 +518,8 @@ class TestPipeline:
     def test_transform_reproducible(self):
         messages = self.build_messages()
         follows = [("u0", "u1"), ("u1", "u2"), ("u2", "u0")]
-        pipe = FeaturePipeline(FeatureConfig(ngram_top_k=50), graph_table(follows)).fit(messages[:30])
+        pipe = FeaturePipeline(FeatureConfig(ngram_top_k=50), compute_graph_feature_table(follows))
+        pipe.fit(messages[:30])
         labels = known(messages, {m.id: 0 for m in messages[:30]})
         a = pipe.transform(messages, labels)
         b = pipe.transform(messages, labels)
@@ -514,14 +543,14 @@ class TestPipeline:
     def test_limited_mode_can_drop_graph(self):
         messages = self.build_messages()
         pipe = FeaturePipeline(FeatureConfig(mode="limited", limited_drop="graph", ngram_top_k=5),
-                               graph_table([("u0", "u1"), ("u1", "u0")]))
+                               compute_graph_feature_table([("u0", "u1"), ("u1", "u0")]))
         pipe.fit(messages)
         assert "pagerank" not in pipe.column_names
 
     def test_user_missing_from_graph_gets_zeros(self):
         messages = [msg("m1", user="stranger", ts=0)]
         pipe = FeaturePipeline(FeatureConfig(ngram_top_k=5),
-                               graph_table([("a", "b"), ("b", "a")])).fit(messages)
+                               compute_graph_feature_table([("a", "b"), ("b", "a")])).fit(messages)
         fm = pipe.transform(messages, [-1])
         j = fm.column_index["pagerank"]
         assert fm.matrix[0, j] == 0.0
@@ -546,10 +575,8 @@ class TestPipeline:
 
 
 def test_graph_table_covers_exactly_the_node_set():
-    g = build_follower_graph([("a", "b"), ("c", "b"), ("d", "a")])
-    from relspam.features import compute_graph_feature_table
-    table = compute_graph_feature_table(g)
-    assert sorted(table) == g.nodes
+    table = compute_graph_feature_table([("a", "b"), ("c", "b"), ("d", "a"), ("e", "e")])
+    assert list(table) == ["a", "b", "c", "d"]
     total = sum(row[GRAPH_COLUMNS.index("pagerank")] for row in table.values())
     assert total == pytest.approx(1.0, abs=1e-6)
 

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from relspam.data_model import DataError, chronological_split
 from relspam.evaluation import ExperimentConfig, featurize_subset, ordered_dataset
-from relspam.features import FeatureMatrix, scalable_columns
+from relspam.features import FeatureMatrix
 from relspam.linear import (
     ClassifierConfig,
     LinearModel,
@@ -191,7 +191,7 @@ class TestFitClassifier:
 
     def test_fit_and_predict(self):
         fm, labels = self.make_fm()
-        model = fit_classifier(fm, labels, scale_columns=["f0", "f1"])
+        model = fit_classifier(fm, labels)
         preds = model.predict_proba(fm)
         assert preds.shape == (fm.shape[0],)
         assert ((0 < preds) & (preds < 1)).all()
@@ -207,10 +207,21 @@ class TestFitClassifier:
         with pytest.raises(DataError):
             fit_classifier(fm, labels[1:])
 
+    def test_scaler_covers_dense_and_pseudo_columns_only(self):
+        columns = ["num_chars", "is_retweet", "ng:abc", "user_blacklist", "pagerank",
+                   "user_whitelist", "ng:xyz", "pr_user", "pr_text"]
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(40, len(columns)))
+        binary = [1, 2, 3, 5, 6]  # the indicators and n-grams hold 0/1
+        X[:, binary] = X[:, binary] > 0
+        labels = (X[:, 0] > 0).astype(np.int8)
+        model = fit_classifier(FeatureMatrix(columns, sp.csr_matrix(X)), labels)
+        assert [columns[j] for j in model.scaler.column_indices] == [
+            "num_chars", "pagerank", "pr_user", "pr_text"]
+
     def test_serialization_round_trip(self):
         fm, labels = self.make_fm()
-        model = fit_classifier(fm, labels, scale_columns=["f0"],
-                               config=ClassifierConfig(l2=0.5))
+        model = fit_classifier(fm, labels, config=ClassifierConfig(l2=0.5))
         restored = LinearModel.from_dict(json.loads(json.dumps(model.to_dict())))
         assert model.predict_proba(fm).tolist() == restored.predict_proba(fm).tolist()
 
@@ -329,8 +340,7 @@ def generated_training_slice():
 @pytest.mark.parametrize("l2", [1e-3, 1e-2, 0.1, 1.0])
 def test_fit_converges_across_the_l2_grid(generated_training_slice, l2):
     fm, labels = generated_training_slice
-    model = fit_classifier(fm, labels, scalable_columns(fm.column_names),
-                           ClassifierConfig(l2=l2, max_iter=300))
+    model = fit_classifier(fm, labels, ClassifierConfig(l2=l2, max_iter=300))
     assert model.converged and model.n_iter <= 300
     _, grad = dense_objective_and_gradient(fm.matrix, labels.astype(float), l2,
                                            model.weights, model.bias, model.scaler)

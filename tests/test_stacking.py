@@ -157,7 +157,7 @@ class TestTrainStacked:
         fm, index = planted_dataset()
         stacked = train_stacked(everything(index), fm, index.labels, index.table, K=0,
                                 relations=["user"], config=ClassifierConfig(l2=0.1))
-        base = fit_classifier(fm, index.labels, None, ClassifierConfig(l2=0.1))
+        base = fit_classifier(fm, index.labels, ClassifierConfig(l2=0.1))
         # same data, same config: identical predictions
         assert stacked.n_stacks == 0
         got = infer_stacked(stacked, fm, everything(index), index.table, no_context(index))
