@@ -427,16 +427,21 @@ def message_from_record(rec: Mapping, fallback_index: int = 0) -> Message:
             raise DataError(f"{name!r} must be a list, got {rec[name]!r}")
     if not isinstance(rec.get("target_id"), (str, type(None))):
         raise DataError(f"'target_id' must be a string or null, got {rec['target_id']!r}")
+    for name in ("user_id", "text"):
+        if type(rec.get(name, "")) is not str:
+            raise DataError(f"{name!r} must be a string, got {rec[name]!r}")
+    if type(rec.get("is_retweet", False)) is not bool:
+        raise DataError(f"'is_retweet' must be true or false, got {rec['is_retweet']!r}")
     return Message(
         id=str(rec["id"]),
-        user_id=str(rec.get("user_id", "")),
-        text=str(rec.get("text", "")),
+        user_id=rec.get("user_id", ""),
+        text=rec.get("text", ""),
         timestamp=_int_field(rec, "timestamp", fallback_index),
         target_id=rec.get("target_id"),
         links=list(rec.get("links", [])),
         hashtags=list(rec.get("hashtags", [])),
         mentions=list(rec.get("mentions", [])),
-        is_retweet=bool(rec.get("is_retweet", False)),
+        is_retweet=rec.get("is_retweet", False),
         label=label,
     )
 

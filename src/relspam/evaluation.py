@@ -281,7 +281,8 @@ def tune_epsilons(priors: np.ndarray, groups: GroupTable, labels: np.ndarray, re
     The graph is built once. Each relation's current value and grid run as
     one batched BP call, and scores are memoized by the per-relation epsilons,
     so a candidate scored before does not run again. A grid value must beat
-    the best score so far strictly to replace it.
+    the best score so far strictly to replace it. A candidate whose BP did not
+    converge scores -inf, so it never does.
     """
     eps = {r: start.get(r, 0.1) if isinstance(start, dict) else start for r in relations}
     scored = np.flatnonzero(~np.isnan(priors) & (labels >= 0))
@@ -301,19 +302,24 @@ def tune_epsilons(priors: np.ndarray, groups: GroupTable, labels: np.ndarray, re
     prior = priors[scored]
     memo = {}
 
-    def scores(candidates: list) -> list:
+    def scores(rel: str, candidates: list) -> list:
         keys = [tuple(c[r] for r in relations) for c in candidates]
         todo = list(dict.fromkeys(k for k in keys if k not in memo))
         if todo:
-            spam, _, _ = loopy_bp_batch(graph, [dict(zip(relations, k)) for k in todo])
-            for k, marginals in zip(todo, spam):
+            spam, _, converged = loopy_bp_batch(graph, [dict(zip(relations, k)) for k in todo])
+            for k, marginals, ok in zip(todo, spam, converged):
+                if not ok:  # not a fixed point: never ranked
+                    log.warning("epsilon tuning of %r: loopy BP did not converge at %s; "
+                                "candidate skipped", rel, dict(zip(relations, k)))
+                    memo[k] = -np.inf
+                    continue
                 joint = prior.copy()
                 joint[rows] = marginals[cols]
                 memo[k] = aupr(joint, y)
         return [memo[k] for k in keys]
 
     for rel in relations:
-        best_score, *grid_scores = scores([eps] + [{**eps, rel: e} for e in grid])
+        best_score, *grid_scores = scores(rel, [eps] + [{**eps, rel: e} for e in grid])
         best_eps = eps[rel]
         for e, s in zip(grid, grid_scores):
             if s > best_score:

@@ -10,9 +10,12 @@ Priors and posteriors are float arrays over chronological positions. A graph
 that is not a hub graph, such as a test's random tree, is given as the same
 arrays.
 
-Approximate marginals come from damped synchronous loopy belief propagation,
-one kernel over the arrays that runs a batch of epsilon settings at once;
-small graphs can be checked against exact enumeration.
+Approximate marginals come from damped synchronous loopy belief propagation
+in log-odds form, one kernel over the arrays that runs a batch of epsilon
+settings at once: a message is one number per edge direction,
+m_a->b = 2 atanh((1 - 2e) tanh((h_a - m_b->a) / 2)), where the field h is a
+variable's prior log-odds plus its incoming messages. Small graphs can be
+checked against exact enumeration.
 """
 
 from __future__ import annotations
@@ -102,90 +105,66 @@ class BPResult:
 
 
 def _bp_rows(graph: FactorGraph, eps, max_iters: int, damping: float, tol: float) -> tuple:
-    """Synchronous damped BP on `graph` for each row of `eps` (B x n_edges).
+    """Synchronous damped BP on `graph` for each row of `eps` (B x n_edges),
+    one log-odds message per edge direction and row.
 
     Every row stops at its own iteration, and no sum mixes rows, so a row of a
     batch equals the same row run alone bit for bit. Returns the spam
     marginals (B x n_vars), the iterations and the convergence flags.
     """
     n_rows, n_edges = eps.shape
-    phi = graph.phi
-    n_vars = len(phi)
+    n_vars = len(graph.phi)
+    h0 = np.log(graph.phi[:, 1]) - np.log(graph.phi[:, 0])
     if n_edges == 0:
-        marginals = np.broadcast_to(phi[:, 1] / (phi[:, 0] + phi[:, 1]), (n_rows, n_vars))
-        return marginals, np.zeros(n_rows, dtype=np.int64), np.ones(n_rows, dtype=bool)
+        return (np.broadcast_to((1.0 + np.tanh(h0 / 2)) / 2, (n_rows, n_vars)),
+                np.zeros(n_rows, dtype=np.int64), np.ones(n_rows, dtype=bool))
 
-    var_a, var_b = np.ascontiguousarray(graph.factors.T)
-    log_phi = np.log(phi)
-    # A belief sums, in log space so large hubs cannot underflow the product,
-    # the variable's log-potential and then its incoming log-messages in edge
-    # order, first those into var_a and then those into var_b. bincount adds
-    # in input order, so these are the slots of one row's terms in that order.
-    slots = (np.concatenate([np.arange(n_vars), var_a, var_b])[:, None] * 2
-             + np.arange(2)).ravel()
+    # message d runs src[d] -> dst[d]: first every edge's var_b -> var_a, then
+    # every edge's var_a -> var_b, so the reverse of d is n_edges places away
+    src, dst = graph.factors[:, ::-1].T.ravel(), graph.factors.T.ravel()
+    # the table [[1-e, e], [e, 1-e]] scales tanh(x/2) by 1-2e
+    gain = np.tile(1.0 - 2.0 * eps, 2)
 
-    def beliefs(m_ab, m_ba):
-        k = len(m_ab)
-        terms = np.concatenate([np.broadcast_to(log_phi, (k, n_vars, 2)),
-                                np.log(m_ba), np.log(m_ab)], axis=1)
-        idx = slots if k == 1 else (np.arange(k)[:, None] * (2 * n_vars) + slots).ravel()
-        bl = np.bincount(idx, weights=terms.ravel(), minlength=2 * n_vars * k)
-        bl = bl.reshape(k, n_vars, 2)
-        bl -= bl.max(axis=2, keepdims=True)
-        bel = np.exp(bl)
-        return bel / bel.sum(axis=2, keepdims=True)
+    def fields(m):
+        # h0 plus the incoming messages in message order; row r owns slots r*n_vars onwards
+        idx = (np.arange(len(m))[:, None] * n_vars + dst).ravel()
+        incoming = np.bincount(idx, weights=m.ravel(), minlength=len(m) * n_vars)
+        return h0 + incoming.reshape(len(m), n_vars)
 
-    # msg_ab[r, f] = message var_a -> var_b of edge f in row r, msg_ba the reverse
-    msg_ab = np.full((n_rows, n_edges, 2), 0.5)
-    msg_ba = np.full((n_rows, n_edges, 2), 0.5)
-    final_ab, final_ba = msg_ab.copy(), msg_ba.copy()
+    m = np.zeros((n_rows, 2 * n_edges))
+    final = np.empty_like(m)
     n_iters = np.full(n_rows, max_iters, dtype=np.int64)
     converged = np.zeros(n_rows, dtype=bool)
     rows = np.arange(n_rows)  # the rows still iterating
-    stay = 1.0 - eps
     for it in range(1, max_iters + 1):
-        bel = beliefs(msg_ab, msg_ba)
-        out_a = bel[:, var_a] / msg_ba  # cavity: belief at a without f's incoming
-        out_b = bel[:, var_b] / msg_ab
-        # symmetric table: out(x) -> (1-e)*out(x) + e*out(1-x)
-        new_ab = np.empty_like(msg_ab)
-        new_ab[..., 0] = stay * out_a[..., 0] + eps * out_a[..., 1]
-        new_ab[..., 1] = eps * out_a[..., 0] + stay * out_a[..., 1]
-        new_ba = np.empty_like(msg_ba)
-        new_ba[..., 0] = stay * out_b[..., 0] + eps * out_b[..., 1]
-        new_ba[..., 1] = eps * out_b[..., 0] + stay * out_b[..., 1]
-        new_ab /= new_ab.sum(axis=2, keepdims=True)
-        new_ba /= new_ba.sum(axis=2, keepdims=True)
-        new_ab = damping * msg_ab + (1.0 - damping) * new_ab
-        new_ba = damping * msg_ba + (1.0 - damping) * new_ba
-        delta = np.maximum(np.abs(new_ab - msg_ab).max(axis=(1, 2)),
-                           np.abs(new_ba - msg_ba).max(axis=(1, 2)))
-        msg_ab, msg_ba = new_ab, new_ba
-        done = delta < tol
+        # the sender's field without the reverse message, through the table
+        cavity = fields(m)[:, src] - np.roll(m, n_edges, axis=1)
+        new = 2.0 * np.arctanh(gain * np.tanh(cavity / 2))
+        new = damping * m + (1.0 - damping) * new
+        done = np.abs(new - m).max(axis=1) < tol
+        m = new
         if done.any():
             stop = rows[done]
-            final_ab[stop], final_ba[stop] = msg_ab[done], msg_ba[done]
+            final[stop] = m[done]
             n_iters[stop] = it
             converged[stop] = True
-            keep = ~done
-            rows, msg_ab, msg_ba = rows[keep], msg_ab[keep], msg_ba[keep]
-            eps, stay = eps[keep], stay[keep]
+            rows, m, gain = rows[~done], m[~done], gain[~done]
             if not len(rows):
                 break
-    final_ab[rows], final_ba[rows] = msg_ab, msg_ba
-    for _ in rows:
-        log.warning("loopy BP did not converge in %d iterations", max_iters)
-    return beliefs(final_ab, final_ba)[..., 1], n_iters, converged
+    final[rows] = m
+    # P(spam) = (1 + tanh(h/2)) / 2, where 1 / (1 + exp(-h)) overflows on a large hub's field
+    return (1.0 + np.tanh(fields(final) / 2)) / 2, n_iters, converged
 
 
 def loopy_bp(graph: FactorGraph, max_iters: int = 100, damping: float = 0.5,
              tol: float = 1e-6) -> BPResult:
-    """Synchronous damped belief propagation; exact on trees.
-
-    Non-convergence is not an error: the current beliefs are returned with
-    converged=False.
+    """Synchronous damped belief propagation; exact on trees. BP has converged
+    once an iteration moves no message by `tol` or more in log-odds; if it has
+    not, that is logged, and the current beliefs return with converged=False.
     """
     spam, n_iters, converged = _bp_rows(graph, graph.epsilon[None, :], max_iters, damping, tol)
+    if not converged[0]:
+        log.warning("loopy BP did not converge in %d iterations", max_iters)
     return BPResult(marginals=spam[0], converged=bool(converged[0]), n_iters=int(n_iters[0]))
 
 
@@ -196,8 +175,8 @@ def loopy_bp_batch(graph: FactorGraph, epsilons: list, max_iters: int = 100,
 
     Each entry is a shared value or a per-relation dict, as
     `build_factor_graph` takes. Row b equals `loopy_bp` on the graph built with
-    epsilons[b], bit for bit. Returns (spam marginals as a B x n_variables
-    array in variable order, iterations, convergence flags).
+    epsilons[b], bit for bit, but is not logged. Returns (spam marginals as a
+    B x n_variables array in variable order, iterations, convergence flags).
     """
     rows = np.array([_edge_epsilons(graph.relations, graph.relation, e) for e in epsilons],
                     dtype=float)

@@ -381,9 +381,17 @@ class TestIngestion:
         (b'{"id": "x", "target_id": 7}', "'target_id' must be a string or null, got 7"),
         (b'{"id": "x", "target_id": [7]}', "'target_id' must be a string or null, got \\[7\\]"),
         (b'{"id": "x", "target_id": {}}', "'target_id' must be a string or null, got {}"),
+        (b'{"id": "x", "user_id": null}', "'user_id' must be a string, got None"),
+        (b'{"id": "x", "user_id": 5}', "'user_id' must be a string, got 5"),
+        (b'{"id": "x", "text": null}', "'text' must be a string, got None"),
+        (b'{"id": "x", "text": ["x"]}', "'text' must be a string, got \\['x'\\]"),
+        (b'{"id": "x", "is_retweet": "false"}', "'is_retweet' must be true or false, got 'false'"),
+        (b'{"id": "x", "is_retweet": 1}', "'is_retweet' must be true or false, got 1"),
+        (b'{"id": "x", "is_retweet": null}', "'is_retweet' must be true or false, got None"),
     ], ids=["utf8", "truncated", "not_object", "no_id", "timestamp", "label", "list",
             "label_fraction", "label_bool", "timestamp_fraction", "label_string", "target_int",
-            "target_list", "target_object"])
+            "target_list", "target_object", "user_null", "user_int", "text_null", "text_list",
+            "retweet_string", "retweet_int", "retweet_null"])
     def test_malformed_line_names_file_and_line(self, tmp_path, line, says):
         path = tmp_path / "m.jsonl"
         good = json.dumps({"id": "a", "user_id": "u"}).encode()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from relspam import evaluation
 from relspam.data_model import (
     ConfigError,
     DataError,
@@ -477,6 +478,30 @@ class TestTuneEpsilons:
         assert set(eps) == {"user"}
         assert 0.0 < eps["user"] < 0.5
 
+    def test_unconverged_candidate_never_chosen(self, monkeypatch, caplog):
+        # ten users of four noisy messages each, alternately ham and spam
+        labels = np.repeat(np.arange(10) % 2, 4).astype(np.int8)
+        rng = random.Random(3)
+        priors = np.array([min(max(0.5 + (0.15 if y else -0.15) + rng.gauss(0, 0.2), 0.01), 0.99)
+                           for y in labels])
+        groups = hub_table(*(("user", f"u{j}", range(4 * j, 4 * j + 4)) for j in range(10)))
+        best = tune_epsilons(priors, groups, labels, ["user"], start=0.4)["user"]
+        assert best != 0.4
+
+        real = evaluation.loopy_bp_batch
+
+        def best_row_unconverged(graph, candidates, **kw):
+            spam, n_iters, converged = real(graph, candidates, **kw)
+            return spam, n_iters, converged & [c["user"] != best for c in candidates]
+
+        monkeypatch.setattr(evaluation, "loopy_bp_batch", best_row_unconverged)
+        with caplog.at_level("WARNING", logger="relspam.evaluation"):
+            eps = tune_epsilons(priors, groups, labels, ["user"], start=0.4)
+        assert eps["user"] not in (best, 0.4)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"epsilon tuning of 'user': loopy BP did not converge at {{'user': {best}}}; "
+            "candidate skipped"]
+
 
 def reference_tune_epsilons(priors, groups, labels, relations, grid, default):
     """Coordinate descent with one full inference per candidate, as
@@ -487,7 +512,9 @@ def reference_tune_epsilons(priors, groups, labels, relations, grid, default):
         return eps
 
     def score(candidate):
-        scores, _ = infer_posteriors(priors, groups, candidate)
+        scores, bp = infer_posteriors(priors, groups, candidate)
+        if not bp.converged:
+            return -np.inf
         try:
             return aupr(scores[ids], labels[ids])
         except DataError:
