@@ -211,20 +211,19 @@ class GroupTable:
     group's members in ascending chronological position: the form both joint
     models ground from."""
 
-    def __init__(self, relations: list, group_relation, keys: list, sizes, members):
+    def __init__(self, relations: list, group_relation, sizes, members):
         self.relations = relations  # sorted relation names
         self.group_relation = np.asarray(group_relation, dtype=np.int64)  # group -> relation index
-        self.keys = keys  # group -> key
         self.sizes = np.asarray(sizes, dtype=np.int64)  # group -> member count
         self.members = np.asarray(members, dtype=np.int32)  # edge -> member position
-        self.group = np.repeat(np.arange(len(keys)), self.sizes)  # edge -> group
+        self.group = np.repeat(np.arange(len(self.sizes)), self.sizes)  # edge -> group
         self.relation = self.group_relation[self.group]  # edge -> relation index
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self.sizes)
 
 
-INDEX_FORMAT = "relspam-index v1"
+INDEX_FORMAT = "relspam-index v2"
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,8 +255,7 @@ class MessageIndex:
         kept = sizes >= 2
         inside &= kept[t.group]
         present, codes = np.unique(t.group_relation[kept], return_inverse=True)
-        return GroupTable([t.relations[r] for r in present], codes,
-                          [t.keys[g] for g in np.flatnonzero(kept).tolist()], sizes[kept],
+        return GroupTable([t.relations[r] for r in present], codes, sizes[kept],
                           t.members[inside])
 
 
@@ -269,19 +267,18 @@ def build_index(ordered: list, relations: list, source_sha256: str = "") -> Mess
     sizes = [len(g.member_ids) for g in groups]
     members = np.array([position[mid] for g in groups for mid in g.member_ids], dtype=np.int32)
     group = np.repeat(np.arange(len(groups)), sizes)
-    table = GroupTable(names, [names.index(g.relation) for g in groups], [g.key for g in groups],
-                       sizes, members[np.lexsort((members, group))])
+    table = GroupTable(names, [names.index(g.relation) for g in groups], sizes,
+                       members[np.lexsort((members, group))])
     labels = np.array([-1 if m.label is None else m.label for m in ordered], dtype=np.int8)
     return MessageIndex([m.id for m in ordered], labels, list(relations), table, source_sha256)
 
 
 def write_index(path, index: MessageIndex) -> None:
     """A compressed `write_artifact` archive: the label, group and edge arrays,
-    and a header of the relations, source sha256, ids and group keys."""
+    and a header of the relations, source sha256 and ids."""
     t = index.table
     write_artifact(path, INDEX_FORMAT, {"relations": index.relations,
-                                        "source_sha256": index.source_sha256, "ids": index.ids,
-                                        "keys": t.keys},
+                                        "source_sha256": index.source_sha256, "ids": index.ids},
                    {"labels": index.labels, "group_relation": t.group_relation.astype(np.int8),
                     "group_size": t.sizes.astype(np.int32), "member": t.members}, compress=True)
 
@@ -289,64 +286,45 @@ def write_index(path, index: MessageIndex) -> None:
 def read_index(path) -> MessageIndex:
     """Read a `write_index` file; anything else raises `DataError`."""
     def parse(header, arrays):
-        ids, keys = header["ids"], header["keys"]
+        ids = header["ids"]
         labels, codes, sizes, member = (arrays[k] for k in
                                         ("labels", "group_relation", "group_size", "member"))
-        if (len(labels), len(codes), int(sizes.sum())) != (len(ids), len(keys), len(member)):
+        if (len(labels), len(codes), int(sizes.sum())) != (len(ids), len(sizes), len(member)):
             raise ValueError("array lengths do not match the header")
-        table = GroupTable(sorted(set(header["relations"])), codes, keys, sizes, member)
+        table = GroupTable(sorted(set(header["relations"])), codes, sizes, member)
         return MessageIndex(ids, labels, header["relations"], table, header["source_sha256"])
     return read_artifact(path, INDEX_FORMAT, "featurize", parse)
 
 
-@dataclass
-class ValidationReport:
-    n_messages: int = 0
-    duplicate_ids: list = field(default_factory=list)
-    bad_timestamps: list = field(default_factory=list)
-    label_coverage: float = 0.0
-    errors: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-
-def validate_dataset(messages: list) -> ValidationReport:
-    """Report duplicate ids, ids the TSV artifacts cannot carry (a tab, CR or
-    newline), string fields that are not strings or that the UTF-8 artifacts
-    cannot carry (a lone surrogate), invalid timestamps and label coverage.
-    Never mutates."""
-    report = ValidationReport(n_messages=len(messages))
+def validate_dataset(messages: list) -> list:
+    """The errors of a dataset, empty when it is valid: duplicate ids, ids the
+    TSV artifacts cannot carry (a tab, CR or newline), string fields that are
+    not strings or that the UTF-8 artifacts cannot carry (a lone surrogate)
+    and invalid timestamps. Never mutates."""
+    errors = []
     seen = set()
     dups = set()
-    n_labeled = 0
+    bad_timestamps = []
     for m in messages:
         if m.id in seen:
             dups.add(m.id)
         seen.add(m.id)
         if "\t" in m.id or "\r" in m.id or "\n" in m.id:
-            report.errors.append(f"message id contains a tab, CR or newline: {m.id!r}")
+            errors.append(f"message id contains a tab, CR or newline: {m.id!r}")
         try:
             target = "" if m.target_id is None else m.target_id
             for text in (m.id, m.user_id, m.text, target, *m.links, *m.hashtags, *m.mentions):
                 text.encode("utf-8")
         except UnicodeEncodeError:
-            report.errors.append(f"message has a string field that is not valid UTF-8: {m.id!r}")
+            errors.append(f"message has a string field that is not valid UTF-8: {m.id!r}")
         except AttributeError:
-            report.errors.append(f"message has a text, user, target, link, hashtag or mention "
-                                 f"that is not a string: {m.id!r}")
+            errors.append(f"message has a text, user, target, link, hashtag or mention "
+                          f"that is not a string: {m.id!r}")
         if not isinstance(m.timestamp, int) or m.timestamp < 0:
-            report.bad_timestamps.append(m.id)
-        if m.label is not None:
-            n_labeled += 1
-    report.duplicate_ids = sorted(dups)
-    report.label_coverage = n_labeled / len(messages) if messages else 0.0
-    for mid in report.duplicate_ids:
-        report.errors.append(f"duplicate message id: {mid}")
-    for mid in report.bad_timestamps:
-        report.errors.append(f"invalid timestamp on message: {mid}")
-    return report
+            bad_timestamps.append(m.id)
+    errors += [f"duplicate message id: {mid}" for mid in sorted(dups)]
+    errors += [f"invalid timestamp on message: {mid}" for mid in bad_timestamps]
+    return errors
 
 
 def sort_chronologically(messages: list) -> list:

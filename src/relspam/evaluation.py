@@ -350,9 +350,9 @@ def tune_l2(fm_train, labels, fm_val, val_labels, config: ClassifierConfig, grid
 
 def ordered_dataset(messages: list) -> list:
     """The messages sorted chronologically; `DataError` if they fail validation."""
-    report = validate_dataset(messages)
-    if not report.ok:
-        raise DataError("dataset failed validation: " + "; ".join(report.errors[:5]))
+    errors = validate_dataset(messages)
+    if errors:
+        raise DataError("dataset failed validation: " + "; ".join(errors[:5]))
     return sort_chronologically(messages)
 
 
@@ -434,7 +434,7 @@ def train_subset_models(index: MessageIndex, subset: SubsetSplit, fm: FeatureMat
         val_priors = artifacts["independent"].predict_proba(fm_val)
     n = len(index.ids)
     if "psl" in joints:
-        weights = hinge.weights.copy()
+        weights = hinge.weights
         if learn_psl:
             weights, _ = learn_weights(weights, index.labels, val_groups,
                                        _over_positions(n, subset.validation, val_priors),

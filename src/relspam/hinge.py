@@ -5,12 +5,14 @@ hub-to-member propagation) are grounded straight from the groups' (group,
 member) edge arrays, the `GroupTable` the hub MRF builds from too, into
 one row per weighted squared hinge potential max(0, l)^2, with l linear in the
 variables, held as a sparse coefficient matrix, a constant and a weight vector
-and a template id per row. Priors, observed values and scores are float
-arrays over chronological positions. The objective and its gradient take
-the linear values A @ x + const, which the MAP line search keeps from one step
-to the next. MAP inference minimizes the convex weighted sum by Jacobi-scaled
-projected gradient descent; template weights can be learned from labeled
-validation data.
+and a template id per row. The template weights are one vector in template-id
+order (neg, prior, then c and d of each relation), which the row weights
+index. Priors, observed values and scores are float arrays over chronological
+positions. The objective and its gradient take the linear values
+A @ x + const, which the MAP line search keeps from one step to the next. MAP
+inference minimizes the convex weighted sum by Jacobi-scaled projected
+gradient descent; the weight vector can be learned from labeled validation
+data.
 """
 
 from __future__ import annotations
@@ -35,46 +37,11 @@ class HingeWeights:
     relation_c: dict = field(default_factory=dict)  # member-to-hub propagation
     relation_d: dict = field(default_factory=dict)  # hub-to-member propagation
 
-    def c(self, relation: str) -> float:
-        return self.relation_c.get(relation, 1.0)
-
-    def d(self, relation: str) -> float:
-        return self.relation_d.get(relation, 1.0)
-
-    def validate(self, relations):
-        values = [self.neg, self.prior]
-        values += [self.c(r) for r in relations] + [self.d(r) for r in relations]
-        if any(w < 0 for w in values):
-            raise ConfigError("hinge template weights must be >= 0")
-
-    def copy(self) -> "HingeWeights":
-        return HingeWeights(self.neg, self.prior, dict(self.relation_c), dict(self.relation_d))
-
-    def of_template(self, template: tuple) -> float:
-        kind = template[0]
-        if kind == "neg":
-            return self.neg
-        if kind == "prior":
-            return self.prior
-        if kind == "c":
-            return self.c(template[1])
-        if kind == "d":
-            return self.d(template[1])
-        raise ConfigError(f"unknown template {template!r}")
-
-    def set_template(self, template: tuple, value: float):
-        kind = template[0]
-        value = max(0.0, value)
-        if kind == "neg":
-            self.neg = value
-        elif kind == "prior":
-            self.prior = value
-        elif kind == "c":
-            self.relation_c[template[1]] = value
-        elif kind == "d":
-            self.relation_d[template[1]] = value
-        else:
-            raise ConfigError(f"unknown template {template!r}")
+    def vector(self, relations: list) -> np.ndarray:
+        """The weights in template-id order: neg, prior, then c and d of each
+        relation in `relations` (1.0 for a relation the dicts leave out)."""
+        return np.array([self.neg, self.prior] + [w for r in relations for w in (
+            self.relation_c.get(r, 1.0), self.relation_d.get(r, 1.0))], dtype=float)
 
 
 @dataclass
@@ -91,7 +58,8 @@ class GroundHingeModel:
     """A grounded hinge-loss MRF as arrays.
 
     Row i of `A` is the potential weight[i] * max(0, const[i] + A[i] @ x)^2,
-    grounded from the rule template templates[template_id[i]]. A row keeps its
+    grounded from rule template template_id[i]: 0 neg, 1 prior, then 2 + 2k
+    and 3 + 2k the c and d templates of relation relations[k]. A row keeps its
     entries in the order its template writes them, which need not be sorted
     by variable, and its products sum in that order.
     """
@@ -101,7 +69,7 @@ class GroundHingeModel:
     const: np.ndarray
     weight: np.ndarray
     template_id: np.ndarray
-    templates: list  # ("neg",) | ("prior",) | ("c", relation) | ("d", relation)
+    relations: list  # the groups' relation names
     init: np.ndarray
     # CSR copy of A.T for gradients: its products sum each column of A in
     # ascending row order, as A.T @ v does, so they are bit-identical
@@ -118,11 +86,6 @@ class GroundHingeModel:
     def potentials(self) -> range:
         """The potentials' row numbers."""
         return range(len(self.const))
-
-    def reweighted(self, weights: HingeWeights) -> "GroundHingeModel":
-        """The same potentials, each weighted by its template's weight in `weights`."""
-        per_template = np.array([weights.of_template(t) for t in self.templates], dtype=float)
-        return replace(self, weight=per_template[self.template_id])
 
     def linear_values(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.A @ x).ravel() + self.const
@@ -153,8 +116,9 @@ def ground_rules(priors: np.ndarray, groups: GroupTable, weights: HingeWeights,
     group. Rows are a neg and a prior hinge per free message, then a c and a
     d hinge per (group, member) pair, in group and member order.
     """
-    relations = groups.relations
-    weights.validate(relations)
+    per_template = weights.vector(groups.relations)
+    if (per_template < 0).any():
+        raise ConfigError("hinge template weights must be >= 0")
     if observed is None:
         observed = np.full(len(priors), np.nan)
     is_observed = ~np.isnan(observed)
@@ -204,16 +168,14 @@ def ground_rules(priors: np.ndarray, groups: GroupTable, weights: HingeWeights,
     const[c] = np.where(is_free, 0.0, value)
     const[d] = np.where(is_free, 0.0, -value)
     template_id[c], template_id[d] = 2 + 2 * rel, 3 + 2 * rel
-    templates = [("neg",), ("prior",)] + [(kind, r) for r in relations for kind in ("c", "d")]
 
     keep = np.column_stack([np.ones(n_rows, dtype=bool), two]).ravel()
     indptr = np.concatenate([[0], np.cumsum(1 + two, dtype=np.int64)])
     A = sp.csr_matrix((coef.ravel()[keep], cols.ravel()[keep], indptr),
                       shape=(n_rows, n_free + n_groups))
-    per_template = np.array([weights.of_template(t) for t in templates], dtype=float)
     hub_mean = np.bincount(group_of, weights=value, minlength=n_groups) / groups.sizes
     return GroundHingeModel(messages=free, A=A, const=const, weight=per_template[template_id],
-                            template_id=template_id, templates=templates,
+                            template_id=template_id, relations=groups.relations,
                             init=np.clip(np.concatenate([prior, hub_mean]), 0.0, 1.0))
 
 
@@ -290,14 +252,6 @@ def infer_hinge_posteriors(priors: np.ndarray, groups: GroupTable,
     return scores, result
 
 
-def _template_sums(model: GroundHingeModel, x: np.ndarray) -> dict:
-    # unweighted hinge values summed per template (the likelihood-gradient features)
-    n = len(model.templates)
-    sums = np.bincount(model.template_id, weights=model.potential_values(x), minlength=n)
-    rows = np.bincount(model.template_id, minlength=n)
-    return {t: float(s) for t, s, r in zip(model.templates, sums, rows) if r}
-
-
 def learn_weights(init: HingeWeights, labels: np.ndarray, groups: GroupTable,
                   priors: np.ndarray, steps: int = 10, learning_rate: float = 0.05):
     """Approximate likelihood ascent for the template weights.
@@ -307,30 +261,35 @@ def learn_weights(init: HingeWeights, labels: np.ndarray, groups: GroupTable,
     labels, int8 over positions with -1 unlabeled, and the prior where a
     message has none, with hubs imputed as member means); weights are
     projected to >= 0. The model is grounded once and re-weighted at every
-    step. Returns (weights, objective_trace).
+    step, and both template sums are taken over its template ids. Returns
+    (weights, objective_trace). `init` is never changed; the learned weights
+    keep the relations it names that `groups` lacks.
     """
     if not (labels[groups.members] >= 0).any():
         log.warning("no labeled grouped validation message; returning initial weights")
-        return init.copy(), []
-
-    weights = init.copy()
-    trace = []
+        return init, []
     if steps <= 0:
-        return weights, trace
-    model = ground_rules(priors, groups, weights)
+        return init, []
+
+    model = ground_rules(priors, groups, init)
+    w = init.vector(model.relations)
+    n = len(w)
     truth = np.where(labels >= 0, labels, priors)
     ends = np.cumsum(groups.sizes)
     hub_truth = [np.mean(truth[groups.members[end - size:end]])
                  for size, end in zip(groups.sizes.tolist(), ends.tolist())]
     observed_x = np.concatenate([truth[model.messages], hub_truth])
-    phi_obs = _template_sums(model, observed_x)
-
+    phi_obs = np.bincount(model.template_id, weights=model.potential_values(observed_x),
+                          minlength=n)
+    trace = []
     for _ in range(steps):
-        model = model.reweighted(weights)
+        model = replace(model, weight=w[model.template_id])
         map_state = map_inference(model, tol=1e-9, max_iter=5000)
-        phi_map = _template_sums(model, map_state.x)
+        phi_map = np.bincount(model.template_id, weights=model.potential_values(map_state.x),
+                              minlength=n)
         trace.append(map_state.objective - model.objective(model.linear_values(observed_x)))
-        for template in sorted(set(phi_map) | set(phi_obs)):
-            grad = phi_map.get(template, 0.0) - phi_obs.get(template, 0.0)
-            weights.set_template(template, weights.of_template(template) + learning_rate * grad)
-    return weights, trace
+        w = np.maximum(0.0, w + learning_rate * (phi_map - phi_obs))
+    neg, prior, *per_relation = w.tolist()
+    c = dict(zip(model.relations, per_relation[0::2]))
+    d = dict(zip(model.relations, per_relation[1::2]))
+    return HingeWeights(neg, prior, {**init.relation_c, **c}, {**init.relation_d, **d}), trace

@@ -4,8 +4,9 @@ Each group of related messages contributes one latent hub variable plus one
 agreement-favoring pairwise factor per member, so a group of n messages costs
 n edges rather than n-choose-2. `build_factor_graph` fills the graph's arrays
 straight from a `data_model.GroupTable`, the (group, member) edge form the
-hinge-loss MRF grounds from too: per variable a (phi_ham, phi_spam) row, per
-edge the message variable, the hub variable, epsilon and the relation code.
+hinge-loss MRF grounds from too: per variable its prior log-odds (0 for a
+hub), per edge the message variable, the hub variable, epsilon and the
+relation code.
 Priors and posteriors are float arrays over chronological positions. A graph
 that is not a hub graph, such as a test's random tree, is given as the same
 arrays.
@@ -15,7 +16,8 @@ in log-odds form, one kernel over the arrays that runs a batch of epsilon
 settings at once: a message is one number per edge direction,
 m_a->b = 2 atanh((1 - 2e) tanh((h_a - m_b->a) / 2)), where the field h is a
 variable's prior log-odds plus its incoming messages. Small graphs can be
-checked against exact enumeration.
+checked against exact enumeration, which weights each state by the prior
+log-odds of its spam variables and by the factor tables.
 """
 
 from __future__ import annotations
@@ -37,14 +39,14 @@ class FactorGraph:
     """Binary variables joined by agreement-favoring pairwise factors, as arrays.
 
     The first len(messages) variables are messages, variable i the message at
-    chronological position messages[i]; the rest are hubs. phi[i] is variable
-    i's (phi_ham, phi_spam), both positive. Factor f joins variables
-    factors[f, 0] and factors[f, 1] with the table [[1-e, e], [e, 1-e]],
+    chronological position messages[i]; the rest are hubs. h0[i] is variable
+    i's prior log-odds log(P(spam) / P(ham)), 0 for a hub. Factor f joins
+    variables factors[f, 0] and factors[f, 1] with the table [[1-e, e], [e, 1-e]],
     e = epsilon[f], and belongs to relation relations[relation[f]].
     """
 
     messages: np.ndarray  # (n_messages,) positions
-    phi: np.ndarray  # (n_variables, 2)
+    h0: np.ndarray  # (n_variables,)
     factors: np.ndarray  # (n_factors, 2) variable indices
     epsilon: np.ndarray  # (n_factors,)
     relation: np.ndarray  # (n_factors,)
@@ -88,11 +90,9 @@ def build_factor_graph(priors: np.ndarray, groups: GroupTable, epsilons) -> Fact
     if n_clamped:
         log.debug("clamped %d priors into (0,1)", n_clamped)
     n_messages = len(grouped)
-    phi = np.full((n_messages + len(groups), 2), 0.5)  # hubs are uninformative
-    phi[:n_messages, 0] = 1.0 - p
-    phi[:n_messages, 1] = p
+    h0 = np.concatenate([np.log(p) - np.log(1.0 - p), np.zeros(len(groups))])  # hubs: 0
     var_a = np.searchsorted(grouped, groups.members)
-    return FactorGraph(grouped, phi, np.column_stack([var_a, n_messages + groups.group]),
+    return FactorGraph(grouped, h0, np.column_stack([var_a, n_messages + groups.group]),
                        _edge_epsilons(groups.relations, groups.relation, epsilons),
                        groups.relation, groups.relations)
 
@@ -113,8 +113,8 @@ def _bp_rows(graph: FactorGraph, eps, max_iters: int, damping: float, tol: float
     marginals (B x n_vars), the iterations and the convergence flags.
     """
     n_rows, n_edges = eps.shape
-    n_vars = len(graph.phi)
-    h0 = np.log(graph.phi[:, 1]) - np.log(graph.phi[:, 0])
+    h0 = graph.h0
+    n_vars = len(h0)
     if n_edges == 0:
         return (np.broadcast_to((1.0 + np.tanh(h0 / 2)) / 2, (n_rows, n_vars)),
                 np.zeros(n_rows, dtype=np.int64), np.ones(n_rows, dtype=bool))
@@ -185,15 +185,14 @@ def loopy_bp_batch(graph: FactorGraph, epsilons: list, max_iters: int = 100,
 
 def exact_marginals(graph: FactorGraph) -> np.ndarray:
     """Brute-force spam marginals by enumerating every assignment. Test oracle only."""
-    n = len(graph.phi)
+    n = len(graph.h0)
     if n > 20:
         raise DataError(f"exact enumeration capped at 20 variables, got {n}")
     if n == 0:
         return np.zeros(0)
     states = ((np.arange(2 ** n, dtype=np.int64)[:, None] >> np.arange(n)[None, :]) & 1).astype(np.int8)
-    w = np.ones(2 ** n)
-    for i, (ham, spam) in enumerate(graph.phi):
-        w *= np.where(states[:, i] == 1, spam, ham)
+    # a state's prior weight, up to a constant: exp of its spam variables' summed log-odds
+    w = np.exp(states @ graph.h0)
     for (a, b), e in zip(graph.factors, graph.epsilon):
         w *= np.where(states[:, a] == states[:, b], 1.0 - e, e)
     z = w.sum()

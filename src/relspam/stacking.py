@@ -81,10 +81,6 @@ class StackedModel:
     relations: list
     score_center: float  # the training prevalence, which recentered scores map to 0.5 in the pools
 
-    @property
-    def n_stacks(self) -> int:
-        return len(self.submodels) - 1
-
     def to_dict(self) -> dict:
         return {"relations": self.relations, "score_center": self.score_center,
                 "submodels": [m.to_dict() for m in self.submodels]}

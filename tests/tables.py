@@ -9,11 +9,12 @@ from relspam.data_model import GroupTable
 
 def hub_table(*groups) -> GroupTable:
     """The table of (relation, key, member positions) groups, in the given
-    order, each group's members sorted; relation codes index the sorted names."""
+    order, each group's members sorted; relation codes index the sorted names.
+    The key only names a group for the reader: the table keeps none."""
     relations = sorted({relation for relation, _, _ in groups})
     members = [sorted(m) for _, _, m in groups]
     return GroupTable(relations, [relations.index(relation) for relation, _, _ in groups],
-                      [key for _, key, _ in groups], [len(m) for m in members],
+                      [len(m) for m in members],
                       np.array([p for m in members for p in m], dtype=np.int32))
 
 

@@ -41,12 +41,13 @@ def report(criterion, ok, detail):
 
 def random_tree(rng):
     n = rng.randint(2, 15)
-    phi = np.array([(1.0 - p, p) for p in (rng.uniform(0.05, 0.95) for _ in range(n))])
+    priors = [rng.uniform(0.05, 0.95) for _ in range(n)]
+    h0 = np.array([np.log(p) - np.log(1.0 - p) for p in priors])
     factors, epsilons = [], []
     for i in range(1, n):
         factors.append((rng.randrange(i), i))
         epsilons.append(rng.uniform(0.01, 0.49))
-    return FactorGraph(np.arange(n), phi, np.array(factors, dtype=np.int64),
+    return FactorGraph(np.arange(n), h0, np.array(factors, dtype=np.int64),
                        np.array(epsilons), np.zeros(n - 1, dtype=np.int64), ["tree"])
 
 
@@ -86,7 +87,7 @@ def test_criterion_03_psl_saturation():
         return model, map_inference(model, tol=1e-15, max_iter=50000)
 
     model4, r4 = solve(4)
-    d_rows = [model4.templates[t][0] == "d" for t in model4.template_id]
+    d_rows = (model4.template_id >= 2) & (model4.template_id % 2 == 1)  # ids 3, 5, ...
     d_active = max(model4.linear_values(r4.x)[d_rows])
     _, r3 = solve(3)
     drift = max(abs(r3.x[i] - r4.x[i]) for i in range(3))
@@ -96,7 +97,7 @@ def test_criterion_03_psl_saturation():
 
 
 def _random_hinge_model(rng, n_vars):
-    # rows (coefficients, const, weight, template id) over templates neg, prior and c
+    # rows (coefficients, const, weight, template id) over templates neg, prior and c of "user"
     rows = []
     for j in range(n_vars):
         rows.append((((j, 1.0),), 0.0, rng.uniform(0.1, 1.0), 0))
@@ -110,7 +111,7 @@ def _random_hinge_model(rng, n_vars):
                        np.cumsum([0] + [len(r) for r in coeffs])), shape=(len(rows), n_vars))
     return GroundHingeModel(messages=np.arange(n_vars), A=A, const=np.array(const),
                             weight=np.array(weight), template_id=np.array(template_id),
-                            templates=[("neg",), ("prior",), ("c", "user")],
+                            relations=["user"],
                             init=np.full(n_vars, 0.5))
 
 
@@ -172,7 +173,7 @@ def test_criterion_05_hub_linearity():
     g = hub_table(("link", "l", range(100)))
     mrf_graph = build_factor_graph(priors, g, 0.1)
     hinge_model = ground_rules(priors, g, HingeWeights())
-    relational = [t for t in hinge_model.template_id if hinge_model.templates[t][0] in ("c", "d")]
+    relational = [t for t in hinge_model.template_id if t >= 2]  # c and d
     pairwise_edges = sum(1 for _ in itertools.combinations(range(100), 2))
     report(5, len(mrf_graph.factors) == 100 and len(relational) == 200 and pairwise_edges == 4950,
            f"hub: {len(mrf_graph.factors)} factors / {len(relational)} hinges; "

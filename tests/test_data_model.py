@@ -26,6 +26,7 @@ from relspam.data_model import (
     relations_from_names,
     sort_chronologically,
     validate_dataset,
+    write_artifact,
     write_index,
     write_messages,
 )
@@ -37,35 +38,28 @@ def msg(mid, user="u", text="", ts=0, **kw):
 
 class TestValidation:
     def test_duplicate_ids_reported(self):
-        report = validate_dataset([msg("m1"), msg("m1"), msg("m2")])
-        assert report.duplicate_ids == ["m1"]
-        assert not report.ok
+        assert validate_dataset([msg("m1"), msg("m1"), msg("m2")]) == \
+            ["duplicate message id: m1"]
 
     def test_empty_dataset_is_valid(self):
-        report = validate_dataset([])
-        assert report.ok
-        assert report.n_messages == 0
-        assert report.label_coverage == 0.0
+        assert validate_dataset([]) == []
 
-    def test_label_coverage(self):
+    def test_partly_labeled_dataset_is_valid(self):
         messages = [msg("a"), msg("b"), msg("c"), msg("d", **{})]
         messages[0].label = 1
-        report = validate_dataset(messages)
-        assert report.label_coverage == pytest.approx(0.25)
-        assert report.ok
+        assert validate_dataset(messages) == []
 
     @pytest.mark.parametrize("bad", ["a\tb", "a\rb", "a\nb"])
     def test_id_with_tab_or_line_break_flagged(self, bad):
-        report = validate_dataset([msg("ok"), msg(bad)])
-        assert not report.ok
-        assert any(repr(bad) in e for e in report.errors)
+        assert validate_dataset([msg("ok"), msg(bad)]) == \
+            [f"message id contains a tab, CR or newline: {bad!r}"]
 
     @settings(max_examples=60, deadline=None)
     @given(st.text(max_size=12).filter(lambda t: not set(t) & set("\t\r\n")))
     def test_an_id_of_the_hub_form_is_accepted(self, suffix):
         # hubs are numbered after the messages, so no message id can name one
         messages = [msg("ok", ts=0), msg("hub:user:" + suffix, ts=1)]
-        assert validate_dataset(messages).ok
+        assert validate_dataset(messages) == []
         index = build_index(messages, ["user"])
         assert index.ids == ["ok", "hub:user:" + suffix]
         assert index.table.members.tolist() == [0, 1]
@@ -76,7 +70,7 @@ class TestValidation:
         # a lone surrogate is valid JSON ("\ud800") but not encodable as UTF-8
         m = msg("m1")
         setattr(m, field, value)
-        assert validate_dataset([msg("ok"), m]).errors == \
+        assert validate_dataset([msg("ok"), m]) == \
             [f"message has a string field that is not valid UTF-8: {m.id!r}"]
 
     @pytest.mark.parametrize("field, value", [("user_id", 7), ("text", None), ("links", [1]),
@@ -86,14 +80,12 @@ class TestValidation:
         # JSON allows these; grouping and featurizing would fail on them
         m = msg("m1")
         setattr(m, field, value)
-        assert validate_dataset([msg("ok"), m]).errors == \
+        assert validate_dataset([msg("ok"), m]) == \
             [f"message has a text, user, target, link, hashtag or mention that is not a string: "
              f"{m.id!r}"]
 
     def test_negative_timestamp_flagged(self):
-        report = validate_dataset([msg("a", ts=-5)])
-        assert report.bad_timestamps == ["a"]
-        assert not report.ok
+        assert validate_dataset([msg("a", ts=-5)]) == ["invalid timestamp on message: a"]
 
 
 class TestNormalization:
@@ -285,8 +277,9 @@ def test_restricted_groups_equal_groups_of_the_subset(rows, relation_names, cuts
     # the groups as edge arrays, each group's members in position order
     position = {m.id: i for i, m in enumerate(ordered)}
     members = [sorted(position[mid] for mid in g.member_ids) for g in expected]
-    assert [(table.relations[r], k) for r, k in zip(table.group_relation.tolist(), table.keys)] == \
-        [(g.relation, g.key) for g in expected]
+    assert [(table.relations[r], table.members[table.group == j].tolist())
+            for j, r in enumerate(table.group_relation.tolist())] == \
+        [(g.relation, m) for g, m in zip(expected, members)]
     assert table.relations == sorted({g.relation for g in expected})
     assert table.sizes.tolist() == [len(m) for m in members]
     assert table.members.tolist() == [p for m in members for p in m]
@@ -306,11 +299,26 @@ class TestIndexFile:
         write_index(tmp_path / "b.npz", read_index(tmp_path / "a.npz"))
         assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
         back = read_index(tmp_path / "b.npz")
-        assert (back.ids, back.relations, back.table.keys, back.source_sha256) == \
-               (["b", "a", "c"], ["user", "text"], ["hi", "u"], "0" * 64)
+        assert (back.ids, back.relations, back.source_sha256) == \
+               (["b", "a", "c"], ["user", "text"], "0" * 64)
         assert back.labels.tolist() == [1, -1, 0] and back.labels.dtype == np.int8
         # groups ("text", "hi") and ("user", "u"), members in position order
+        assert back.table.relations == ["text", "user"]
+        assert back.table.group_relation.tolist() == [0, 1]
+        assert back.table.sizes.tolist() == [2, 2]
         assert back.table.members.tolist() == [0, 2, 0, 1] and back.table.members.dtype == np.int32
+
+    def test_group_count_mismatch_raises_data_error(self, tmp_path):
+        # three relation codes for two group sizes
+        path = tmp_path / "index.npz"
+        write_artifact(path, INDEX_FORMAT, {"relations": ["user"], "source_sha256": "",
+                                            "ids": ["a", "b"]},
+                       {"labels": np.zeros(2, dtype=np.int8),
+                        "group_relation": np.zeros(3, dtype=np.int8),
+                        "group_size": np.array([1, 1], dtype=np.int32),
+                        "member": np.array([0, 1], dtype=np.int32)}, compress=True)
+        with pytest.raises(DataError, match="array lengths"):
+            read_index(path)
 
     def test_truncated_file_raises_data_error(self, tmp_path):
         path = tmp_path / "index.npz"
@@ -322,7 +330,7 @@ class TestIndexFile:
     def test_other_format_tag_raises_data_error(self, tmp_path):
         path = tmp_path / "index.npz"
         header = json.dumps({"format": "relspam-index v0", "relations": [], "source_sha256": "",
-                             "ids": [], "keys": []}).encode()
+                             "ids": []}).encode()
         empty = np.zeros(0, dtype=np.int32)
         with open(path, "wb") as fh:
             np.savez_compressed(fh, header=np.frombuffer(header, dtype=np.uint8), labels=empty,

@@ -19,9 +19,13 @@ from relspam.mrf import (
 from tables import hub_table
 
 
+def log_odds(p: float) -> float:
+    return np.log(p) - np.log(1.0 - p)
+
+
 def message_graph(priors, factors, epsilons) -> FactorGraph:
     """A graph of message variables only, every factor of one relation."""
-    return FactorGraph(np.arange(len(priors)), np.array([(1.0 - p, p) for p in priors]).reshape(-1, 2),
+    return FactorGraph(np.arange(len(priors)), np.array([log_odds(p) for p in priors], dtype=float),
                        np.array(factors, dtype=np.int64).reshape(-1, 2),
                        np.array(epsilons, dtype=float), np.zeros(len(epsilons), dtype=np.int64),
                        ["user"])
@@ -44,7 +48,7 @@ def one_group(n, relation="user"):
 class TestBuild:
     def test_six_member_group_shape(self):
         graph = build_factor_graph(np.full(6, 0.6), one_group(6), {"user": 0.1})
-        assert len(graph.phi) == 7
+        assert len(graph.h0) == 7
         assert len(graph.factors) == 6
 
     def test_message_in_no_group_excluded(self):
@@ -67,7 +71,7 @@ class TestBuild:
         # gold labels enter as 0/1 priors on every call, so clamping is no warning
         with caplog.at_level("DEBUG", logger="relspam.mrf"):
             graph = build_factor_graph(np.array([1.0, 0.0]), one_group(2), {"user": 0.1})
-        assert (graph.phi > 0).all()
+        assert np.isfinite(graph.h0).all()
         assert [r.levelname for r in caplog.records] == ["DEBUG"]
 
     def test_missing_prior_rejected(self):
@@ -85,7 +89,8 @@ class TestBuild:
         groups = hub_table(("user", "u", [4, 1]), ("text", "t", [3, 1]))
         graph = build_factor_graph(np.linspace(0.1, 0.9, 6), groups, 0.1)
         assert graph.messages.tolist() == [1, 3, 4]
-        assert graph.phi[:3, 1].tolist() == np.linspace(0.1, 0.9, 6)[[1, 3, 4]].tolist()
+        assert graph.h0[:3].tolist() == [log_odds(p) for p in np.linspace(0.1, 0.9, 6)[[1, 3, 4]]]
+        assert graph.h0[3:].tolist() == [0.0, 0.0]  # the hubs
 
     def test_edge_count_linear_in_group_size(self):
         priors = np.full(100, 0.6)
@@ -183,7 +188,7 @@ class TestLoopyBP:
         graph = build_factor_graph(np.full(4, 0.9), groups, 0.05)
         result = loopy_bp(graph, max_iters=1, tol=1e-15)
         assert result.converged is False
-        assert result.marginals.shape == (len(graph.phi),)
+        assert result.marginals.shape == (len(graph.h0),)
 
     def test_loopy_graph_close_to_exact(self):
         # two overlapping groups form a cycle; loopy BP should still land close
@@ -206,7 +211,7 @@ class TestLoopyBP:
         spam = build_factor_graph(np.ones(n), one_group(n), epsilon)
         bp = loopy_bp(spam)
         assert bp.converged
-        assert (bp.marginals[:n] >= spam.phi[:n, 1]).all()
+        assert (bp.marginals[:n] >= 1.0 - 1e-6).all()
 
 
 def reference_factor_graph(priors: dict, groups: list, epsilons) -> FactorGraph:
@@ -215,21 +220,21 @@ def reference_factor_graph(priors: dict, groups: list, epsilons) -> FactorGraph:
     if isinstance(epsilons, (int, float)):
         epsilons = {relation: float(epsilons) for relation, _ in groups}
     relations = sorted({relation for relation, _ in groups})
-    messages, phi, factors, eps, relation_code = [], [], [], [], []
+    messages, h0, factors, eps, relation_code = [], [], [], [], []
     index = {}
     for mid in sorted({mid for _, members in groups for mid in members}):
         p = min(max(priors[mid], 1e-6), 1.0 - 1e-6)
         index[mid] = len(messages)
         messages.append(mid)
-        phi.append((1.0 - p, p))
+        h0.append(log_odds(p))
     for relation, members in groups:
-        h = len(phi)
-        phi.append((0.5, 0.5))
+        h = len(h0)
+        h0.append(0.0)
         for mid in sorted(members):
             factors.append((index[mid], h))
             eps.append(epsilons.get(relation, 0.1) if isinstance(epsilons, dict) else 0.1)
             relation_code.append(relations.index(relation))
-    return FactorGraph(np.array(messages, dtype=np.int64), np.array(phi).reshape(-1, 2),
+    return FactorGraph(np.array(messages, dtype=np.int64), np.array(h0, dtype=float),
                        np.array(factors, dtype=np.int64).reshape(-1, 2), np.array(eps, dtype=float),
                        np.array(relation_code, dtype=np.int64), relations)
 
@@ -238,7 +243,7 @@ def reference_loopy_bp(graph: FactorGraph, max_iters: int, damping: float = 0.5,
     """Per-edge-list log-odds BP with unbuffered np.add.at accumulation."""
     a_idx, b_idx = graph.factors[:, 0], graph.factors[:, 1]
     gain = 1.0 - 2.0 * graph.epsilon
-    h0 = np.log(graph.phi[:, 1]) - np.log(graph.phi[:, 0])
+    h0 = graph.h0
     msg_ab = np.zeros(len(graph.factors))
     msg_ba = np.zeros(len(graph.factors))
 
@@ -295,7 +300,7 @@ def test_array_graph_matches_per_object_reference(inputs, epsilons, stop):
     graph = build_factor_graph(priors, table, epsilons)
     ref = reference_factor_graph(priors, groups, epsilons)
     assert graph.relations == ref.relations
-    for name in ("messages", "phi", "factors", "epsilon", "relation"):
+    for name in ("messages", "h0", "factors", "epsilon", "relation"):
         assert getattr(graph, name).shape == getattr(ref, name).shape
         assert getattr(graph, name).tolist() == getattr(ref, name).tolist()
 
@@ -304,7 +309,7 @@ def test_array_graph_matches_per_object_reference(inputs, epsilons, stop):
     if len(ref.factors):
         expected = reference_loopy_bp(ref, max_iters, tol=tol)
     else:
-        expected = (ref.phi[:, 1] / (ref.phi[:, 0] + ref.phi[:, 1])).tolist(), True, 0
+        expected = [], True, 0  # no groups, so no variables
     for g in (graph, ref):
         bp = loopy_bp(g, max_iters=max_iters, tol=tol)
         assert (bp.marginals.tolist(), bp.converged, bp.n_iters) == expected
@@ -319,7 +324,7 @@ def test_batched_rows_equal_single_runs_bit_for_bit(inputs, settings_list, stop)
     max_iters, tol = stop
     graph = build_factor_graph(priors, table, 0.1)
     spam, n_iters, converged = loopy_bp_batch(graph, settings_list, max_iters=max_iters, tol=tol)
-    assert spam.shape == (len(settings_list), len(graph.phi))
+    assert spam.shape == (len(settings_list), len(graph.h0))
     for eps, row, row_iters, row_converged in zip(settings_list, spam, n_iters, converged):
         single = loopy_bp(build_factor_graph(priors, table, eps), max_iters=max_iters, tol=tol)
         assert row.tolist() == single.marginals.tolist()

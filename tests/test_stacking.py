@@ -159,7 +159,7 @@ class TestTrainStacked:
                                 relations=["user"], config=ClassifierConfig(l2=0.1))
         base = fit_classifier(fm, index.labels, ClassifierConfig(l2=0.1))
         # same data, same config: identical predictions
-        assert stacked.n_stacks == 0
+        assert len(stacked.submodels) - 1 == 0
         got = infer_stacked(stacked, fm, everything(index), index.table, no_context(index))
         assert got.tolist() == base.predict_proba(fm).tolist()
 
