@@ -1,7 +1,8 @@
 """Core data types: messages, relation groups, the message index, dataset
 validation, chronological splits.
 
-Messages are ingested from line-delimited JSON records. Groups ("hubs") collect
+Messages are ingested from line-delimited JSON records, and every message
+checks its fields against one table, `MESSAGE_FIELDS`. Groups ("hubs") collect
 messages that share a relation key: same author, same normalized text, same
 link, and so on; `build_groups` is the one group builder. A `MessageIndex`
 holds ids, labels and every message's groups as arrays, and restricts the
@@ -14,11 +15,13 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import string
 import unicodedata
 import zipfile
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 from urllib.parse import urlsplit, urlunsplit
 
 import numpy as np
@@ -96,10 +99,59 @@ SPAM = 1
 HAM = 0
 
 RELATION_NAMES = ("user", "text", "link", "hashtag", "mention", "track", "user_hashtag")
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _utf8(s) -> bool:
+    """A string the UTF-8 artifacts can carry: one without a lone surrogate."""
+    return isinstance(s, str) and (s.isascii() or not _SURROGATE.search(s))
+
+
+class MessageField(NamedTuple):
+    """A message field: `check` passes what `accepts` says, in the words of its error
+    and of the README table; `absent` is what a record without it holds (None: required)."""
+
+    name: str
+    accepts: str
+    check: Callable
+    absent: Optional[str] = None
+    nullable: bool = False  # a null reads as absent
+
+
+_STRINGS = ("a list of strings without a lone surrogate",
+            lambda v: type(v) is list and (not v or all(map(_utf8, v))), "`[]`")
+MESSAGE_FIELDS = (
+    MessageField("id", "a string without a tab, CR, newline or lone surrogate",
+                 lambda v: _utf8(v) and "\t" not in v and "\r" not in v and "\n" not in v),
+    MessageField("user_id", "a non-empty string without a lone surrogate",
+                 lambda v: v != "" and _utf8(v)),
+    MessageField("text", "a string without a lone surrogate", _utf8, '`""`'),
+    MessageField("timestamp", "a non-negative integer", lambda v: type(v) is int and v >= 0,
+                 "the index of its line, from 0", nullable=True),
+    MessageField("target_id", "a string without a lone surrogate, or null",
+                 lambda v: v is None or _utf8(v), "no target", nullable=True),
+    MessageField("links", *_STRINGS),
+    MessageField("hashtags", *_STRINGS),
+    MessageField("mentions", *_STRINGS),
+    MessageField("is_retweet", "true or false", lambda v: v is True or v is False, "`false`"),
+    MessageField("label", "0, 1 or null", lambda v: v is None or (type(v) is int and v in (0, 1)),
+                 "unlabeled", nullable=True),
+)
+
+
+def check_message(m: Message) -> None:
+    """Raise a `DataError` naming the first field of `m` that fails `MESSAGE_FIELDS`."""
+    for f in MESSAGE_FIELDS:
+        value = getattr(m, f.name)
+        if not f.check(value):
+            raise DataError(f"{f.name!r} must be {f.accepts}, got {value!r}")
 
 
 @dataclass
 class Message:
+    """A message whose fields pass `MESSAGE_FIELDS` when it is built (a field that
+    fails raises `DataError`); one assigned later is checked by calling `check_message`."""
+
     id: str
     user_id: str
     text: str = ""
@@ -110,6 +162,8 @@ class Message:
     mentions: list = field(default_factory=list)
     is_retweet: bool = False
     label: Optional[int] = None  # 1 spam, 0 ham, None unlabeled
+
+    __post_init__ = check_message
 
 
 def normalize_text(text: str) -> str:
@@ -297,34 +351,9 @@ def read_index(path) -> MessageIndex:
 
 
 def validate_dataset(messages: list) -> list:
-    """The errors of a dataset, empty when it is valid: duplicate ids, ids the
-    TSV artifacts cannot carry (a tab, CR or newline), string fields that are
-    not strings or that the UTF-8 artifacts cannot carry (a lone surrogate)
-    and invalid timestamps. Never mutates."""
-    errors = []
-    seen = set()
-    dups = set()
-    bad_timestamps = []
-    for m in messages:
-        if m.id in seen:
-            dups.add(m.id)
-        seen.add(m.id)
-        if "\t" in m.id or "\r" in m.id or "\n" in m.id:
-            errors.append(f"message id contains a tab, CR or newline: {m.id!r}")
-        try:
-            target = "" if m.target_id is None else m.target_id
-            for text in (m.id, m.user_id, m.text, target, *m.links, *m.hashtags, *m.mentions):
-                text.encode("utf-8")
-        except UnicodeEncodeError:
-            errors.append(f"message has a string field that is not valid UTF-8: {m.id!r}")
-        except AttributeError:
-            errors.append(f"message has a text, user, target, link, hashtag or mention "
-                          f"that is not a string: {m.id!r}")
-        if not isinstance(m.timestamp, int) or m.timestamp < 0:
-            bad_timestamps.append(m.id)
-    errors += [f"duplicate message id: {mid}" for mid in sorted(dups)]
-    errors += [f"invalid timestamp on message: {mid}" for mid in bad_timestamps]
-    return errors
+    """The errors of a dataset, empty when it is valid: its duplicate ids."""
+    dups = sorted(mid for mid, n in Counter(m.id for m in messages).items() if n > 1)
+    return [f"duplicate message id: {mid}" for mid in dups]
 
 
 def sort_chronologically(messages: list) -> list:
@@ -380,57 +409,21 @@ def chronological_split(messages: list, n_subsets: int, fractions: tuple) -> Spl
 
 # --- line-delimited ingestion / serialization ---
 
-def _int_field(rec: Mapping, name: str, default):
-    value = rec.get(name)
-    if value is None:
-        return default
-    if not is_int(value):
-        raise DataError(f"{name!r} must be an integer, got {value!r}")
-    return value
-
-
 def message_from_record(rec: Mapping, fallback_index: int = 0) -> Message:
-    """Build a Message from a parsed record; unknown fields are ignored.
-
-    A missing or null timestamp falls back to the record's position in the file,
-    so datasets without true time are still processable in a stable order.
-    """
-    if "id" not in rec:
-        raise DataError("the record has no 'id'")
-    label = _int_field(rec, "label", None)
-    if label not in (HAM, SPAM, None):
-        raise DataError(f"label must be 0, 1 or absent, got {label!r}")
-    for name in ("links", "hashtags", "mentions"):
-        if type(rec.get(name, [])) is not list:
-            raise DataError(f"{name!r} must be a list, got {rec[name]!r}")
-    if not isinstance(rec.get("target_id"), (str, type(None))):
-        raise DataError(f"'target_id' must be a string or null, got {rec['target_id']!r}")
-    for name in ("user_id", "text"):
-        if type(rec.get(name, "")) is not str:
-            raise DataError(f"{name!r} must be a string, got {rec[name]!r}")
-    if type(rec.get("is_retweet", False)) is not bool:
-        raise DataError(f"'is_retweet' must be true or false, got {rec['is_retweet']!r}")
-    return Message(
-        id=str(rec["id"]),
-        user_id=rec.get("user_id", ""),
-        text=rec.get("text", ""),
-        timestamp=_int_field(rec, "timestamp", fallback_index),
-        target_id=rec.get("target_id"),
-        links=list(rec.get("links", [])),
-        hashtags=list(rec.get("hashtags", [])),
-        mentions=list(rec.get("mentions", [])),
-        is_retweet=rec.get("is_retweet", False),
-        label=label,
-    )
+    """The Message of a parsed JSON record, unknown fields ignored: a null reads as absent
+    in a nullable field, and a record without a timestamp takes `fallback_index`."""
+    kwargs = {"timestamp": fallback_index}
+    for f in MESSAGE_FIELDS:
+        value = rec.get(f.name)
+        if value is not None or (f.name in rec and not f.nullable):
+            kwargs[f.name] = value
+        elif f.absent is None:
+            raise DataError(f"the record has no {f.name!r}")
+    return Message(**kwargs)
 
 
 def message_to_record(m: Message) -> dict:
-    rec = dict(vars(m))
-    if rec["label"] is None:
-        del rec["label"]
-    if rec["target_id"] is None:
-        del rec["target_id"]
-    return rec
+    return {k: v for k, v in vars(m).items() if v is not None}
 
 
 def read_messages(path) -> list:
@@ -462,8 +455,8 @@ def write_messages(path, messages: Iterable[Message]) -> None:
 
 def read_follows(path) -> list:
     """(follower, followee) pairs of a two-column tab-separated file. A line
-    that is not UTF-8 or not two columns raises `DataError` naming the file
-    and the line."""
+    that is not UTF-8, not two columns or has an empty one raises `DataError`
+    naming the file and the line."""
     follows = []
     with open(path, "rb") as fh:
         for i, line in enumerate(fh, 1):
@@ -475,6 +468,8 @@ def read_follows(path) -> list:
                 continue
             if len(parts) != 2:
                 raise DataError(f"{path}, line {i}: {len(parts)} tab-separated columns, not 2")
+            if "" in parts:
+                raise DataError(f"{path}, line {i}: an empty column")
             follows.append(tuple(parts))
     return follows
 

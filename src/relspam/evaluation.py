@@ -34,6 +34,7 @@ from .data_model import (
     SplitPlan,
     SubsetSplit,
     build_index,
+    check_message,
     check_setting,
     chronological_split,
     is_int,
@@ -121,8 +122,7 @@ def ranking_metrics(scores: np.ndarray, labels: np.ndarray) -> dict:
         out["aupr"] = aupr(s, y)
         out["auroc"] = auroc(s, y)
     except DataError:
-        out["aupr"] = None
-        out["auroc"] = None
+        out["aupr"] = out["auroc"] = None
     return out
 
 
@@ -586,6 +586,8 @@ def aggregate_report(config: ExperimentConfig, index: MessageIndex, plan: SplitP
 def evaluate_experiment(messages: list, follows: list, config: ExperimentConfig) -> EvaluationReport:
     """Run the full chronological protocol in memory and aggregate the report."""
     config.check()
+    for m in messages:  # a caller may have assigned a field after building the message
+        check_message(m)
     ordered = ordered_dataset(messages)
     index = build_index(ordered, config.relations)
     plan = chronological_split(ordered, config.n_subsets, config.fractions)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields
+from itertools import accumulate
 
 from .data_model import Message, check_setting, is_int, is_number
 
@@ -75,12 +76,12 @@ def generate(config: GeneratorConfig):
     ham_users = [f"user{i:04d}" for i in range(config.n_users - n_spammers)]
 
     shared_vocab = [f"w{i}" for i in range(SHARED_VOCAB_SIZE)]
-    ham_vocab = [f"h{i}" for i in range(config.ham_vocab_size)]
-    spam_vocab = [f"s{i}" for i in range(config.spam_vocab_size)]
+    ham_words = shared_vocab + [f"h{i}" for i in range(config.ham_vocab_size)]
+    spam_words = [f"s{i}" for i in range(config.spam_vocab_size)] + shared_vocab
 
     # ham users repeat common phrases, so ham forms text groups too
     common_phrases = [
-        " ".join(rng.choices(shared_vocab + ham_vocab, k=rng.randint(3, 6)))
+        " ".join(rng.choices(ham_words, k=rng.randint(3, 6)))
         for _ in range(max(4, config.n_messages // 50))
     ]
     ham_links = [f"http://site{i}.example/page" for i in range(max(2, config.n_messages // 40))]
@@ -93,7 +94,7 @@ def generate(config: GeneratorConfig):
     sizes = _campaign_sizes(rng, n_spam, config.n_campaigns, config.campaign_size_jitter)
     for c, size in enumerate(sizes):
         author = spammers[c % n_spammers]
-        template = [f"promo{c}"] + rng.choices(spam_vocab + shared_vocab, k=rng.randint(4, 8))
+        template = [f"promo{c}"] + rng.choices(spam_words, k=rng.randint(4, 8))
         link = f"http://promo{c}.example/win"
         tag = f"deal{c}" if rng.random() < 0.5 else None
         center = rng.uniform(0.02, 0.98) * horizon
@@ -107,7 +108,7 @@ def generate(config: GeneratorConfig):
             else:
                 mutated = list(template)
                 for _ in range(rng.randint(1, 2)):
-                    mutated[rng.randrange(1, len(mutated))] = rng.choice(spam_vocab + shared_vocab)
+                    mutated[rng.randrange(1, len(mutated))] = rng.choice(spam_words)
                 text = " ".join(mutated)
             links = [] if disguised else ([link] if rng.random() < config.link_reuse_prob else [])
             hashtags = [tag] if tag and not disguised and rng.random() < 0.4 else []
@@ -118,13 +119,14 @@ def generate(config: GeneratorConfig):
 
     # heavy-tailed ham activity: a few prolific users post bursts of their own,
     # so raw message counts alone do not separate the classes
-    ham_weights = [1.0 / (i + 1) ** 0.7 for i in range(len(ham_users))]
+    # cumulative once: `choices` with `weights` would re-accumulate them per draw
+    ham_cum = list(accumulate(1.0 / (i + 1) ** 0.7 for i in range(len(ham_users))))
     for _ in range(n_ham):
-        user = rng.choices(ham_users, weights=ham_weights, k=1)[0]
+        user = rng.choices(ham_users, cum_weights=ham_cum, k=1)[0]
         if rng.random() < 0.2:
             text = rng.choice(common_phrases)
         else:
-            text = " ".join(rng.choices(shared_vocab + ham_vocab, k=rng.randint(4, 9)))
+            text = " ".join(rng.choices(ham_words, k=rng.randint(4, 9)))
         links = [rng.choice(ham_links)] if rng.random() < 0.15 else []
         hashtags = [rng.choice(ham_tags)] if rng.random() < 0.12 else []
         mentions = [rng.choice(ham_users)] if rng.random() < 0.1 else []

@@ -182,16 +182,17 @@ class TestStages:
         out = tmp_path / "out"
         assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
         path = out / "data" / "messages.jsonl"
-        messages = read_messages(path)
-        old = getattr(messages[7], field)
-        for m in messages:
-            if getattr(m, field) == old:
-                setattr(m, field, "m\ud800x")
-        path.write_text("".join(json.dumps(message_to_record(m)) + "\n" for m in messages))
+        records = [message_to_record(m) for m in read_messages(path)]
+        old = records[7][field]
+        for rec in records:
+            if rec[field] == old:
+                rec[field] = "m\ud800x"
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
         assert main(["featurize", "--config", cfg, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "not valid UTF-8" in err
-        assert repr(messages[7].id) in err
+        line = next(i for i, rec in enumerate(records, 1) if rec[field] == "m\ud800x")
+        assert err.startswith(f"error: {path}, line {line}: '{field}' must be ")
+        assert "lone surrogate, got 'm\\ud800x'" in err
         assert not (out / "features").exists()
 
     def test_featurize_names_a_truncated_line(self, tmp_path, capsys):

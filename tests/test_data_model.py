@@ -2,6 +2,7 @@ import json
 import random
 import unicodedata
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from relspam.data_model import (
     DataError,
     Group,
     INDEX_FORMAT,
+    MESSAGE_FIELDS,
     Message,
     SplitPlan,
     build_groups,
     build_index,
+    check_message,
     chronological_split,
     message_from_record,
     normalize_link,
@@ -36,6 +39,64 @@ def msg(mid, user="u", text="", ts=0, **kw):
     return Message(id=mid, user_id=user, text=text, timestamp=ts, **kw)
 
 
+ABSENT = object()
+VALID_RECORD = {"id": "m1", "user_id": "u1", "text": "hi", "timestamp": 5, "target_id": "t1",
+                "links": ["http://x.co"], "hashtags": ["h"], "mentions": ["a"],
+                "is_retweet": True, "label": 1}
+LINE_3_INDEX = 2  # the timestamp of a record on line 3 without one
+
+
+def documented(field, value):
+    """What the README's input table says a record holding `value` in `field`
+    (ABSENT: without the field) loads as, written out field by field; ABSENT
+    when it must fail."""
+    def utf8(v):
+        return type(v) is str and not any(0xD800 <= ord(c) <= 0xDFFF for c in v)
+
+    if value is None and field in ("timestamp", "target_id", "label"):
+        value = ABSENT
+    if value is ABSENT:
+        return {"id": ABSENT, "user_id": ABSENT, "text": "", "timestamp": LINE_3_INDEX,
+                "target_id": None, "links": [], "hashtags": [], "mentions": [],
+                "is_retweet": False, "label": None}[field]
+    ok = {"id": utf8(value) and not set(value) & set("\t\r\n"),
+          "user_id": utf8(value) and value != "",
+          "text": utf8(value),
+          "timestamp": type(value) is int and value >= 0,
+          "target_id": utf8(value),
+          "is_retweet": type(value) is bool,
+          "label": type(value) is int and value in (0, 1)}.get(field)
+    if ok is None:  # the three lists
+        ok = type(value) is list and all(map(utf8, value))
+    return value if ok else ABSENT
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.integers(), st.floats(allow_nan=False),
+    st.sampled_from(["", "u", "a\tb", "a\rb", "a\nb", "a\ud800", "\udfff", "0", "1", "false"]),
+    st.text(st.sampled_from("u0\t\r\n\ud800\udfff"), max_size=3), st.text(max_size=4))
+JSON_VALUES = st.one_of(JSON_SCALARS, st.lists(JSON_SCALARS, max_size=3),
+                        st.dictionaries(st.text(max_size=2), JSON_SCALARS, max_size=2))
+UTF8_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+MESSAGES = st.builds(
+    Message, id=UTF8_TEXT.filter(lambda t: not set(t) & set("\t\r\n")),
+    user_id=UTF8_TEXT.filter(bool), text=UTF8_TEXT, timestamp=st.integers(0, 2 ** 63),
+    target_id=st.none() | UTF8_TEXT, links=st.lists(UTF8_TEXT, max_size=2),
+    hashtags=st.lists(UTF8_TEXT, max_size=2), mentions=st.lists(UTF8_TEXT, max_size=2),
+    is_retweet=st.booleans(), label=st.sampled_from([None, 0, 1]))
+
+
+def assert_rejected(field, value, match):
+    """Building a message with the value fails, and so does `check_message`
+    after the value is assigned to a valid message."""
+    with pytest.raises(DataError, match=match):
+        Message(**{"id": "m1", "user_id": "u", field: value})
+    m = Message("m1", "u")
+    setattr(m, field, value)
+    with pytest.raises(DataError, match=match):
+        check_message(m)
+
+
 class TestValidation:
     def test_duplicate_ids_reported(self):
         assert validate_dataset([msg("m1"), msg("m1"), msg("m2")]) == \
@@ -51,8 +112,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("bad", ["a\tb", "a\rb", "a\nb"])
     def test_id_with_tab_or_line_break_flagged(self, bad):
-        assert validate_dataset([msg("ok"), msg(bad)]) == \
-            [f"message id contains a tab, CR or newline: {bad!r}"]
+        assert_rejected("id", bad, "'id' must be a string without a tab, CR, newline")
 
     @settings(max_examples=60, deadline=None)
     @given(st.text(max_size=12).filter(lambda t: not set(t) & set("\t\r\n")))
@@ -68,24 +128,17 @@ class TestValidation:
                                               ("text", "hi \ud800"), ("hashtags", ["\udc00"])])
     def test_string_field_utf8_cannot_carry_flagged(self, field, value):
         # a lone surrogate is valid JSON ("\ud800") but not encodable as UTF-8
-        m = msg("m1")
-        setattr(m, field, value)
-        assert validate_dataset([msg("ok"), m]) == \
-            [f"message has a string field that is not valid UTF-8: {m.id!r}"]
+        assert_rejected(field, value, f"'{field}' must be .*lone surrogate, got ")
 
     @pytest.mark.parametrize("field, value", [("user_id", 7), ("text", None), ("links", [1]),
                                               ("hashtags", ["ok", None]), ("mentions", [["x"]]),
                                               ("target_id", 7), ("target_id", [7])])
     def test_field_that_is_not_a_string_flagged(self, field, value):
         # JSON allows these; grouping and featurizing would fail on them
-        m = msg("m1")
-        setattr(m, field, value)
-        assert validate_dataset([msg("ok"), m]) == \
-            [f"message has a text, user, target, link, hashtag or mention that is not a string: "
-             f"{m.id!r}"]
+        assert_rejected(field, value, f"'{field}' must be .*string.*, got ")
 
     def test_negative_timestamp_flagged(self):
-        assert validate_dataset([msg("a", ts=-5)]) == ["invalid timestamp on message: a"]
+        assert_rejected("timestamp", -5, "'timestamp' must be a non-negative integer, got -5")
 
 
 class TestNormalization:
@@ -379,33 +432,86 @@ class TestIngestion:
         (b'{"id": "x", ', "Expecting"),
         (b'["x", "u"]', "not a JSON object"),
         (b'{"user_id": "u"}', "no 'id'"),
-        (b'{"id": "x", "timestamp": "noon"}', "'timestamp' must be an integer"),
-        (b'{"id": "x", "label": "spam"}', "'label' must be an integer"),
-        (b'{"id": "x", "links": "http://a.io"}', "'links' must be a list"),
-        (b'{"id": "x", "label": 0.7}', "'label' must be an integer, got 0.7"),
-        (b'{"id": "x", "label": true}', "'label' must be an integer, got True"),
-        (b'{"id": "x", "timestamp": 1.9}', "'timestamp' must be an integer, got 1.9"),
-        (b'{"id": "x", "label": "1"}', "'label' must be an integer, got '1'"),
-        (b'{"id": "x", "target_id": 7}', "'target_id' must be a string or null, got 7"),
-        (b'{"id": "x", "target_id": [7]}', "'target_id' must be a string or null, got \\[7\\]"),
-        (b'{"id": "x", "target_id": {}}', "'target_id' must be a string or null, got {}"),
-        (b'{"id": "x", "user_id": null}', "'user_id' must be a string, got None"),
-        (b'{"id": "x", "user_id": 5}', "'user_id' must be a string, got 5"),
-        (b'{"id": "x", "text": null}', "'text' must be a string, got None"),
-        (b'{"id": "x", "text": ["x"]}', "'text' must be a string, got \\['x'\\]"),
-        (b'{"id": "x", "is_retweet": "false"}', "'is_retweet' must be true or false, got 'false'"),
-        (b'{"id": "x", "is_retweet": 1}', "'is_retweet' must be true or false, got 1"),
-        (b'{"id": "x", "is_retweet": null}', "'is_retweet' must be true or false, got None"),
+        (b'{"id": "x", "user_id": "u", "timestamp": "noon"}',
+         "'timestamp' must be a non-negative integer, got 'noon'"),
+        (b'{"id": "x", "user_id": "u", "label": "spam"}', "'label' must be 0, 1 or null, got 'spam'"),
+        (b'{"id": "x", "user_id": "u", "links": "http://a.io"}', "'links' must be a list of strings"),
+        (b'{"id": "x", "user_id": "u", "label": 0.7}', "'label' must be 0, 1 or null, got 0.7"),
+        (b'{"id": "x", "user_id": "u", "label": true}', "'label' must be 0, 1 or null, got True"),
+        (b'{"id": "x", "user_id": "u", "timestamp": 1.9}',
+         "'timestamp' must be a non-negative integer, got 1.9"),
+        (b'{"id": "x", "user_id": "u", "label": "1"}', "'label' must be 0, 1 or null, got '1'"),
+        (b'{"id": "x", "user_id": "u", "target_id": 7}',
+         "'target_id' must be a string without a lone surrogate, or null, got 7"),
+        (b'{"id": "x", "user_id": "u", "target_id": [7]}', "'target_id' must be .*, got \\[7\\]"),
+        (b'{"id": "x", "user_id": "u", "target_id": {}}', "'target_id' must be .*, got {}"),
+        (b'{"id": "x", "user_id": null}',
+         "'user_id' must be a non-empty string without a lone surrogate, got None"),
+        (b'{"id": "x", "user_id": 5}', "'user_id' must be .*, got 5"),
+        (b'{"id": "x", "user_id": "u", "text": null}',
+         "'text' must be a string without a lone surrogate, got None"),
+        (b'{"id": "x", "user_id": "u", "text": ["x"]}', "'text' must be .*, got \\['x'\\]"),
+        (b'{"id": "x", "user_id": "u", "is_retweet": "false"}',
+         "'is_retweet' must be true or false, got 'false'"),
+        (b'{"id": "x", "user_id": "u", "is_retweet": 1}', "'is_retweet' must be true or false, got 1"),
+        (b'{"id": "x", "user_id": "u", "is_retweet": null}',
+         "'is_retweet' must be true or false, got None"),
+        # the contract's own decisions, and values that once failed later, naming only the id
+        (b'{"id": null, "user_id": "u"}', "'id' must be a string .*, got None"),
+        (b'{"id": 7, "user_id": "u"}', "'id' must be a string .*, got 7"),
+        (b'{"id": "a"}', "the record has no 'user_id'"),
+        (b'{"id": "a", "user_id": ""}', "'user_id' must be a non-empty string .*, got ''"),
+        (b'{"id": "c", "user_id": "u", "links": [3]}', "'links' must be .*, got \\[3\\]"),
+        (b'{"id": "h\\tx", "user_id": "u"}', "'id' must be a string without a tab.*, got 'h\\\\tx'"),
+        (b'{"id": "g", "user_id": "a\\ud800"}', "'user_id' must be .*lone surrogate, got 'a\\\\ud800'"),
+        (b'{"id": "t", "user_id": "u", "timestamp": -3}',
+         "'timestamp' must be a non-negative integer, got -3"),
     ], ids=["utf8", "truncated", "not_object", "no_id", "timestamp", "label", "list",
             "label_fraction", "label_bool", "timestamp_fraction", "label_string", "target_int",
             "target_list", "target_object", "user_null", "user_int", "text_null", "text_list",
-            "retweet_string", "retweet_int", "retweet_null"])
+            "retweet_string", "retweet_int", "retweet_null", "id_null", "id_int", "no_user",
+            "user_empty", "links_int", "id_tab", "user_surrogate", "timestamp_negative"])
     def test_malformed_line_names_file_and_line(self, tmp_path, line, says):
         path = tmp_path / "m.jsonl"
         good = json.dumps({"id": "a", "user_id": "u"}).encode()
         path.write_bytes(good + b"\n\n" + line + b"\n" + good + b"\n")
         with pytest.raises(DataError, match=f"m.jsonl, line 3: .*{says}"):
             read_messages(path)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from([f.name for f in MESSAGE_FIELDS]), st.just(ABSENT) | JSON_VALUES)
+    def test_a_field_of_any_json_type_loads_as_documented_or_fails_by_name(self, tmp_path_factory,
+                                                                          field, value):
+        if value is not ABSENT:  # what the line holds: JSON reads "\ud800\udfff" as one character
+            value = json.loads(json.dumps(value))
+        rec = {k: v for k, v in {**VALID_RECORD, field: value}.items() if v is not ABSENT}
+        path = tmp_path_factory.mktemp("records") / "m.jsonl"
+        path.write_text(json.dumps({"id": "m0", "user_id": "u0"}) + "\n\n" + json.dumps(rec) + "\n")
+        expected = documented(field, value)
+        if expected is ABSENT:
+            with pytest.raises(DataError, match=f"m.jsonl, line 3: .*'{field}'"):
+                read_messages(path)
+            return
+        loaded = read_messages(path)[-1]
+        got = getattr(loaded, field)
+        assert got == expected and type(got) is type(expected), (field, value, got)
+        assert loaded == Message(**{**VALID_RECORD, field: expected})
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(MESSAGES, max_size=5))
+    def test_drawn_messages_round_trip(self, tmp_path_factory, messages):
+        path = tmp_path_factory.mktemp("messages") / "m.jsonl"
+        write_messages(path, messages)
+        assert read_messages(path) == messages
+
+    def test_readme_input_table_is_the_field_table(self):
+        lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8").splitlines()
+        start = lines.index("| field | JSON value | absent | null |") + 2
+        rows = lines[start:start + len(MESSAGE_FIELDS) + 1]
+        assert rows == [f"| `{f.name}` | {f.accepts} | {f.absent or 'an error'} | "
+                        f"{'as absent' if f.nullable else 'an error'} |"
+                        for f in MESSAGE_FIELDS] + [""]
 
     def test_follows_round_trip_skips_blank_lines(self, tmp_path):
         path = tmp_path / "follows.tsv"
@@ -416,7 +522,8 @@ class TestIngestion:
         (b"a\tb\tc", "3 tab-separated columns, not 2"),
         (b"a", "1 tab-separated columns, not 2"),
         (b"a\tcaf\xff", "can't decode byte 0xff"),
-    ], ids=["three_columns", "one_column", "utf8"])
+        (b"a\t", "an empty column"),
+    ], ids=["three_columns", "one_column", "utf8", "empty_column"])
     def test_malformed_follows_line_names_file_and_line(self, tmp_path, line, says):
         path = tmp_path / "follows.tsv"
         path.write_bytes(b"u1\tu2\n\n" + line + b"\nu2\tu1\n")

@@ -403,7 +403,10 @@ class TestExperiment:
     def test_validates_the_dataset_as_the_cli_does(self):
         messages = planted_experiment_data(n=300, seed=4)
         messages[5].id = "m\nfive"
-        with pytest.raises(DataError, match="tab, CR or newline"):
+        with pytest.raises(DataError, match="'id' must be a string without a tab, CR, newline"):
+            evaluate_experiment(messages, [], self.small_config())
+        messages[5].id = messages[4].id
+        with pytest.raises(DataError, match=f"duplicate message id: {messages[4].id}"):
             evaluate_experiment(messages, [], self.small_config())
 
     def test_an_id_that_names_a_hub_keeps_its_own_score(self):
@@ -430,7 +433,7 @@ class TestExperiment:
     def test_a_lone_surrogate_fails_before_any_work(self):
         messages = planted_experiment_data(n=300, seed=4)
         messages[5].user_id = "u\udfff"
-        with pytest.raises(DataError, match="not valid UTF-8"):
+        with pytest.raises(DataError, match="'user_id' must be .*lone surrogate, got 'u\\\\udfff'"):
             evaluate_experiment(messages, [], self.small_config())
 
     def test_unlabeled_training_message_fails_before_any_work(self):
