@@ -5,13 +5,15 @@ stage can be rerun in isolation; outputs are byte-deterministic for a fixed
 config and seed. `run-all` chains every stage and writes the final report. A
 stage only reads its inputs, calls the per-subset steps of `evaluation` that
 `evaluate_experiment` also runs, and writes their results. Only `featurize`
-reads `messages.jsonl`; it writes `features/split_plan.json`, the
-`features/index.npz` message index and each subset's `features.npz`, `train`
-each subset's `models.json`, and `infer` the predictions TSVs and
+reads `messages.jsonl`; it writes `features/split_plan.json`, which records
+the settings it ran under, the `features/index.npz` message index and each
+subset's `features.npz`, `train` each subset's `models.json` (whose format
+`evaluation` owns), and `infer` the predictions TSVs and
 `predictions/diagnostics.json`. Every file but the TSVs goes through
 `write_artifact` under a format tag and back through `read_artifact`, so one
 that is missing, damaged or of another tag fails with a `DataError` naming it
-and the stage to rerun. Past featurize a message is its position in the index;
+and the stage to rerun, and so does a later stage run under other featurize
+settings. Past featurize a message is its position in the index;
 ids come back only in the TSVs. A run's settings are one `RunConfig`, which
 `load_config` builds from the JSON config and checks before any stage runs.
 """
@@ -31,7 +33,6 @@ import numpy as np
 from .data_model import (
     ConfigError,
     DataError,
-    MessageIndex,
     build_index,
     check_setting,
     is_int,
@@ -55,21 +56,18 @@ from .evaluation import (
     graph_feature_table,
     infer_subset_models,
     ordered_dataset,
-    parse_model_name,
+    read_models,
     sum_diagnostics,
     train_subset_models,
+    write_models,
 )
 from .features import FeatureMatrix, read_feature_matrix, write_feature_matrix
-from .hinge import HingeWeights
-from .linear import LinearModel
-from .stacking import StackedModel
 from .synth import GeneratorConfig, generate
 
 log = logging.getLogger(__name__)
 
 CONFIG_VERSION = 1
-PLAN_FORMAT = "relspam-split-plan v1"
-MODELS_FORMAT = "relspam-models v1"
+PLAN_FORMAT = "relspam-split-plan v2"
 DIAGNOSTICS_FORMAT = "relspam-diagnostics v1"
 
 
@@ -89,6 +87,9 @@ LEGACY_KEYS = {
 }
 # the generator's seed is the run's `seed`, not a key of its own
 NOT_KEYS = {"generator.seed"}
+# the settings featurize's outputs depend on, which split_plan.json records
+FEATURIZE_SETTINGS = ("relations", "n_subsets", "fractions", "feature_mode", "limited_drop",
+                      "ngram_top_k")
 
 
 @dataclass
@@ -161,29 +162,26 @@ def _out(cfg: RunConfig) -> Path:
     return Path(cfg.out)
 
 
-def _messages_path(cfg: RunConfig) -> Path:
-    return Path(cfg.messages) if cfg.messages else _out(cfg) / "data" / "messages.jsonl"
-
-
-def _follows_path(cfg: RunConfig) -> Path:
-    return Path(cfg.follows) if cfg.follows else _out(cfg) / "data" / "follows.tsv"
-
-
-def _load_index(cfg: RunConfig) -> MessageIndex:
-    index = read_index(_out(cfg) / "features" / "index.npz")
-    if index.relations != list(cfg.relations):
-        raise DataError(f"the message index groups by relations {index.relations}, the config "
-                        f"by {cfg.relations}; rerun the featurize stage")
-    return index
-
-
 def _subset_dir(cfg, stage_dir: str, i: int) -> Path:
     return _out(cfg) / stage_dir / f"subset_{i:02d}"
 
 
-def _load_plan(cfg) -> SplitPlan:
-    return read_artifact(_out(cfg) / "features" / "split_plan.json", PLAN_FORMAT, "featurize",
-                         lambda header, _: SplitPlan.from_dict(header))
+def _featurize_settings(cfg: RunConfig) -> dict:
+    """The config's `FEATURIZE_SETTINGS` as JSON gives them back."""
+    return json.loads(json.dumps({key: getattr(cfg, key) for key in FEATURIZE_SETTINGS}))
+
+
+def _load_featurized(cfg: RunConfig) -> tuple:
+    """(split plan, message index) that featurize wrote; a `DataError` naming
+    the first setting it ran under that the config does not share."""
+    path = _out(cfg) / "features" / "split_plan.json"
+    plan, ran = read_artifact(path, PLAN_FORMAT, "featurize", lambda header, _: (
+        SplitPlan.from_dict(header), {key: header["settings"][key] for key in FEATURIZE_SETTINGS}))
+    for key, value in _featurize_settings(cfg).items():
+        if ran[key] != value:
+            raise DataError(f"{path}: featurize ran with {key} {ran[key]!r}, the config sets "
+                            f"{value!r}; rerun the featurize stage")
+    return plan, read_index(_out(cfg) / "features" / "index.npz")
 
 
 def _load_features(cfg, i: int, subset: SubsetSplit) -> FeatureMatrix:
@@ -195,30 +193,6 @@ def _load_features(cfg, i: int, subset: SubsetSplit) -> FeatureMatrix:
         raise DataError(f"{path}: {fm.shape[0]} rows, but subset {i} of split_plan.json has "
                         f"{expected} messages; rerun the featurize stage")
     return fm
-
-
-def _artifact_to_dict(value):
-    """A `train_subset_models` artifact as JSON: a model's dict, weights' fields, or epsilons."""
-    if isinstance(value, HingeWeights):
-        return asdict(value)
-    return value.to_dict() if hasattr(value, "to_dict") else value
-
-
-def _load_models(cfg: RunConfig, i: int) -> dict:
-    """Subset i's `train_subset_models` artifacts that the roster needs, each required."""
-    joints = {parse_model_name(m)[1] for m in cfg.models}
-    needed = {"independent": LinearModel.from_dict,
-              **{f"sgl{k}": StackedModel.from_dict for k in cfg.required_stacks()},
-              **({"psl_weights": lambda d: HingeWeights(**d)} if "psl" in joints else {}),
-              **({"epsilons": lambda eps: eps} if "mrf" in joints else {})}
-
-    def parse(header, _):
-        missing = [name for name in needed if name not in header]
-        if missing:
-            raise ValueError(f"no {missing[0]!r} artifact, which the roster needs")
-        return {name: load(header[name]) for name, load in needed.items()}
-    return read_artifact(_subset_dir(cfg, "models", i) / "models.json", MODELS_FORMAT, "train",
-                         parse)
 
 
 # --- stages ---
@@ -236,12 +210,13 @@ def cmd_generate(cfg: RunConfig) -> int:
 
 
 def cmd_featurize(cfg: RunConfig) -> int:
-    path = _messages_path(cfg)
+    path = Path(cfg.messages or _out(cfg) / "data" / "messages.jsonl")
     if not path.is_file():
         raise DataError(f"no messages file {path}; run the generate stage or set 'messages'")
     messages = ordered_dataset(read_messages(path))
-    follows_path = _follows_path(cfg)
-    follows = read_follows(follows_path) if follows_path.exists() else []
+    follows_path = Path(cfg.follows or _out(cfg) / "data" / "follows.tsv")
+    # only the default follows file may be absent
+    follows = read_follows(follows_path) if cfg.follows or follows_path.exists() else []
     plan = chronological_split(messages, cfg.n_subsets, cfg.fractions)
     # built before any subset is transformed and not held while they are: neither
     # it nor its transient groups add to the stage's peak memory
@@ -249,7 +224,8 @@ def cmd_featurize(cfg: RunConfig) -> int:
     check_training_labels(index, plan)
     feat_dir = _out(cfg) / "features"
     feat_dir.mkdir(parents=True, exist_ok=True)
-    write_artifact(feat_dir / "split_plan.json", PLAN_FORMAT, asdict(plan))
+    write_artifact(feat_dir / "split_plan.json", PLAN_FORMAT,
+                   {**asdict(plan), "settings": _featurize_settings(cfg)})
     write_index(feat_dir / "index.npz", index)
     del index
     graph_table = graph_feature_table(cfg, follows)
@@ -265,26 +241,24 @@ def cmd_featurize(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    plan = _load_plan(cfg)
-    index = _load_index(cfg)
+    plan, index = _load_featurized(cfg)
     for i, subset in enumerate(plan.subsets):
         artifacts = train_subset_models(index, subset, _load_features(cfg, i, subset), cfg)
         out_dir = _subset_dir(cfg, "models", i)
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_artifact(out_dir / "models.json", MODELS_FORMAT,
-                       {name: _artifact_to_dict(value) for name, value in artifacts.items()})
+        write_models(out_dir / "models.json", artifacts, cfg)
     log.info("train: wrote model artifacts for %d subsets under %s", plan.n_subsets,
              _out(cfg) / "models")
     return 0
 
 
 def cmd_infer(cfg: RunConfig) -> int:
-    plan = _load_plan(cfg)
-    index = _load_index(cfg)
+    plan, index = _load_featurized(cfg)
     pred_dir = _out(cfg) / "predictions"
     diagnostics = []
     for i, subset in enumerate(plan.subsets):
-        preds, diag = infer_subset_models(_load_models(cfg, i), index, subset,
+        artifacts = read_models(_subset_dir(cfg, "models", i) / "models.json", cfg)
+        preds, diag = infer_subset_models(artifacts, index, subset,
                                           _load_features(cfg, i, subset), cfg)
         test_ids = index.ids[slice(*subset.test)]
         for name, scores in preds.items():
@@ -332,8 +306,7 @@ def _read_predictions(path: Path, test_ids: list) -> np.ndarray:
 
 
 def cmd_eval(cfg: RunConfig) -> int:
-    plan = _load_plan(cfg)
-    index = _load_index(cfg)
+    plan, index = _load_featurized(cfg)
     pred_dir = _out(cfg) / "predictions"
     subset_preds = []
     for i, subset in enumerate(plan.subsets):

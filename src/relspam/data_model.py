@@ -454,11 +454,15 @@ def write_messages(path, messages: Iterable[Message]) -> None:
 
 
 def read_follows(path) -> list:
-    """(follower, followee) pairs of a two-column tab-separated file. A line
-    that is not UTF-8, not two columns or has an empty one raises `DataError`
-    naming the file and the line."""
+    """(follower, followee) pairs of a two-column tab-separated file. A file
+    that cannot be read, and a line that is not UTF-8, not two columns or has
+    an empty one, raise `DataError` naming the file (and the line)."""
     follows = []
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:  # also a directory
+        raise DataError(f"follows file {path}: {exc.strerror}") from None
+    with fh:
         for i, line in enumerate(fh, 1):
             try:
                 parts = line.decode("utf-8").rstrip("\r\n").split("\t")

@@ -39,8 +39,10 @@ from .data_model import (
     chronological_split,
     is_int,
     is_number,
+    read_artifact,
     sort_chronologically,
     validate_dataset,
+    write_artifact,
 )
 from .features import (
     FeatureConfig,
@@ -48,14 +50,15 @@ from .features import (
     FeaturePipeline,
     compute_graph_feature_table,
 )
-from .hinge import HingeConfig, infer_hinge_posteriors, learn_weights
-from .linear import ClassifierConfig, fit_classifier, recenter_scores
+from .hinge import HingeConfig, HingeWeights, infer_hinge_posteriors, learn_weights
+from .linear import ClassifierConfig, LinearModel, fit_classifier, recenter_scores
 from .mrf import build_factor_graph, infer_posteriors, loopy_bp_batch
-from .stacking import infer_stacked, train_stacked
+from .stacking import StackedModel, infer_stacked, train_stacked
 
 log = logging.getLogger(__name__)
 
 EPSILON_GRID = (0.05, 0.1, 0.2, 0.3, 0.4)
+MODELS_FORMAT = "relspam-models v2"
 # the config keys a report records
 REPORTED_SETTINGS = ("relations", "models", "n_subsets", "fractions", "feature_mode",
                      "limited_drop", "seed")
@@ -449,6 +452,36 @@ def train_subset_models(index: MessageIndex, subset: SubsetSplit, fm: FeatureMat
                                 index.labels, config.relations, start=eps)
         artifacts["epsilons"] = eps
     return artifacts
+
+
+def _artifact_codecs(config: ExperimentConfig) -> dict:
+    """(to JSON, from JSON) of each artifact `train_subset_models` fits for
+    the roster of `config`, by name."""
+    joints = {parse_model_name(m)[1] for m in config.models}
+    stacked = (StackedModel.to_dict, StackedModel.from_dict)
+    return {"independent": (LinearModel.to_dict, LinearModel.from_dict),
+            **{f"sgl{k}": stacked for k in config.required_stacks()},
+            **({"psl_weights": (asdict, lambda d: HingeWeights(**d))} if "psl" in joints else {}),
+            **({"epsilons": (lambda eps: eps,) * 2} if "mrf" in joints else {})}
+
+
+def write_models(path, artifacts: dict, config: ExperimentConfig) -> None:
+    """Write one subset's `train_subset_models` artifacts as its models.json."""
+    write_artifact(path, MODELS_FORMAT, {name: encode(artifacts[name]) for name, (encode, _)
+                                         in _artifact_codecs(config).items()})
+
+
+def read_models(path, config: ExperimentConfig) -> dict:
+    """The artifacts of a `write_models` file that the roster of `config`
+    needs, each required; a `DataError` names the first one missing."""
+    codecs = _artifact_codecs(config)
+
+    def parse(header, _):
+        missing = [name for name in codecs if name not in header]
+        if missing:
+            raise ValueError(f"no {missing[0]!r} artifact, which the roster needs")
+        return {name: decode(header[name]) for name, (_, decode) in codecs.items()}
+    return read_artifact(path, MODELS_FORMAT, "train", parse)
 
 
 def infer_subset_models(artifacts: dict, index: MessageIndex, subset: SubsetSplit,

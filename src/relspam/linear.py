@@ -4,9 +4,10 @@ Spam probabilities from this model, an array over a feature matrix's rows,
 are the priors consumed by the stacking and joint-inference modules. Training
 is a truncated Newton-CG: each Newton step solves H d = -g by conjugate
 gradients on Hessian-vector products, never forming H, then backtracks to an
-Armijo point, so it is deterministic. Standardizing columns is folded into
-those products: the weights live in the standardized space, but every
-product runs on the raw CSR matrix.
+Armijo point, so it is deterministic. The solver works on standardized
+columns to condition those steps, the standardization folded into the
+products so that each runs on the raw CSR matrix; a fitted model is the
+raw-space weights and bias it predicts with.
 """
 
 from __future__ import annotations
@@ -51,44 +52,21 @@ def columns_hash(column_names: list) -> str:
     return h[:16]
 
 
-class Scaler:
-    """Training means and stds of the columns a model standardizes (see `_fold`)."""
-
-    def __init__(self, column_indices, means, stds):
-        self.column_indices = list(column_indices)
-        self.means = np.asarray(means, dtype=float)
-        self.stds = np.asarray(stds, dtype=float)
-
-    @classmethod
-    def fit(cls, X: sp.spmatrix, column_indices: list) -> "Scaler":
-        sub = np.asarray(X.tocsc()[:, column_indices].todense())
-        stds = sub.std(axis=0)
-        stds[stds < 1e-12] = 1.0
-        return cls(column_indices, sub.mean(axis=0), stds)
-
-    def to_dict(self) -> dict:
-        return {"column_indices": self.column_indices, "means": self.means.tolist(),
-                "stds": self.stds.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Scaler":
-        return cls(d["column_indices"], d["means"], d["stds"])
-
-
 @dataclass
 class LinearModel:
+    """A logistic classifier over raw feature columns, decision X @ weights +
+    bias; `l2` is the penalty of its fit, on the standardized weights."""
+
     weights: np.ndarray
     bias: float
     l2: float
     n_iter: int = 0
     converged: bool = True
     columns_hash: str = ""
-    scaler: Scaler | None = None
     loss_trace: list = field(default_factory=list, repr=False)
 
     def decision(self, X: sp.spmatrix) -> np.ndarray:
-        s, m = _fold(self.scaler, len(self.weights))
-        return np.asarray(X @ (s * self.weights)).ravel() + (self.bias - m @ self.weights)
+        return np.asarray(X @ self.weights).ravel() + self.bias
 
     def predict_proba_matrix(self, X: sp.spmatrix) -> np.ndarray:
         if X.shape[1] != len(self.weights):
@@ -104,22 +82,24 @@ class LinearModel:
     def to_dict(self) -> dict:
         return {"columns_hash": self.columns_hash, "weights": self.weights.tolist(),
                 "bias": float(self.bias), "l2": self.l2, "n_iter": self.n_iter,
-                "converged": self.converged,
-                "scaler": self.scaler.to_dict() if self.scaler is not None else None}
+                "converged": self.converged}
 
     @classmethod
     def from_dict(cls, d: dict) -> "LinearModel":
-        return cls(**{**d, "weights": np.array(d["weights"], dtype=float),
-                      "scaler": Scaler.from_dict(d["scaler"]) if d["scaler"] else None})
+        return cls(**{**d, "weights": np.array(d["weights"], dtype=float)})
 
 
-def _fold(scaler: Scaler | None, width: int):
-    """(s, m) such that the standardized matrix is X * s - m row by row:
-    s = 1/std and m = mean/std on the scaled columns, 1 and 0 elsewhere."""
-    s, m = np.ones(width), np.zeros(width)
-    if scaler is not None:
-        s[scaler.column_indices] = 1.0 / scaler.stds
-        m[scaler.column_indices] = scaler.means / scaler.stds
+def _standardization(X: sp.csr_matrix, columns: list):
+    """(s, m) such that the matrix with `columns` standardized by their means
+    and stds is X * s - m row by row: s = 1/std and m = mean/std there, 1 and
+    0 elsewhere. A constant column keeps std 1."""
+    s, m = np.ones(X.shape[1]), np.zeros(X.shape[1])
+    if len(columns):
+        sub = np.asarray(X.tocsc()[:, columns].todense())
+        stds = sub.std(axis=0)
+        stds[stds < 1e-12] = 1.0
+        s[columns] = 1.0 / stds
+        m[columns] = sub.mean(axis=0) / stds
     return s, m
 
 
@@ -152,10 +132,11 @@ def _newton_direction(hess_vec, g):
 
 
 def train(X: sp.spmatrix, y: np.ndarray, l2: float = 1.0, max_iter: int = 500,
-          tol: float = 1e-6, scaler: Scaler | None = None) -> LinearModel:
-    """Minimize L2-regularized logistic loss over the columns of X, those of
-    `scaler` standardized, to gradient inf-norm <= tol in at most `max_iter`
-    Newton iterations. The bias is not regularized.
+          tol: float = 1e-6, standardize: list = ()) -> LinearModel:
+    """Minimize L2-regularized logistic loss over the columns of X, those at
+    the indices `standardize` standardized, to gradient inf-norm <= tol in at
+    most `max_iter` Newton iterations, and return the minimizer as raw-space
+    weights and bias. The bias is not regularized.
 
     Single-class targets yield a constant-probability model (with a warning)
     rather than an error.
@@ -172,12 +153,11 @@ def train(X: sp.spmatrix, y: np.ndarray, l2: float = 1.0, max_iter: int = 500,
     if n == 0 or prevalence in (0.0, 1.0):
         log.warning("single-class training data (prevalence=%.3f): constant model", prevalence)
         p = min(max(prevalence, 1e-9), 1.0 - 1e-9)
-        return LinearModel(weights=np.zeros(d), bias=float(np.log(p / (1.0 - p))), l2=l2,
-                           scaler=scaler)
+        return LinearModel(weights=np.zeros(d), bias=float(np.log(p / (1.0 - p))), l2=l2)
 
     # x = (w, b) acts through A = [X * s - m, 1], whose products run on X and XT
     XT = X.T.tocsr()
-    s, m = _fold(scaler, d)
+    s, m = _standardization(X, standardize)
     reg = np.append(np.full(d, float(l2)), 0.0)
 
     def product(v):  # A @ v
@@ -213,8 +193,9 @@ def train(X: sp.spmatrix, y: np.ndarray, l2: float = 1.0, max_iter: int = 500,
         trace.append(loss)
     if not converged:
         log.warning("training stopped after %d Newton iterations (gradient norm above tol)", it)
-    return LinearModel(weights=x[:d], bias=float(x[d]), l2=l2, n_iter=it, converged=converged,
-                       scaler=scaler, loss_trace=trace)
+    w = x[:d]
+    return LinearModel(weights=s * w, bias=float(x[d] - m @ w), l2=l2, n_iter=it,
+                       converged=converged, loss_trace=trace)
 
 
 @dataclass
@@ -236,9 +217,7 @@ def fit_classifier(fm: FeatureMatrix, labels, config: ClassifierConfig | None = 
         raise DataError(f"{len(missing)} training rows lack labels "
                         f"(first: row {missing[0]})")
     col_index = fm.column_index
-    idx = [col_index[c] for c in scalable_columns(fm.column_names)]
-    scaler = Scaler.fit(fm.matrix, idx) if idx else None
     model = train(fm.matrix, labels, l2=config.l2, max_iter=config.max_iter, tol=config.tol,
-                  scaler=scaler)
+                  standardize=[col_index[c] for c in scalable_columns(fm.column_names)])
     model.columns_hash = columns_hash(fm.column_names)
     return model

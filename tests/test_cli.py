@@ -195,6 +195,22 @@ class TestStages:
         assert "lone surrogate, got 'm\\ud800x'" in err
         assert not (out / "features").exists()
 
+    @pytest.mark.parametrize("follows, says", [("typo.tsv", "No such file or directory"),
+                                               ("", "Is a directory")])
+    def test_featurize_names_a_configured_follows_file_it_cannot_read(self, tmp_path, capsys,
+                                                                      follows, says):
+        out = tmp_path / "out"
+        assert main(["generate", "--config", write_config(tmp_path), "--out", str(out)]) == 0
+        path = tmp_path / follows
+        cfg = write_config(tmp_path, {"follows": str(path)})
+        capsys.readouterr()
+        assert main(["featurize", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: follows file {path}: {says}\n"
+        assert not (out / "features").exists()
+        # only the default follows file may be absent
+        (out / "data" / "follows.tsv").unlink()
+        assert main(["featurize", "--config", write_config(tmp_path), "--out", str(out)]) == 0
+
     def test_featurize_names_a_truncated_line(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
@@ -282,6 +298,29 @@ class TestMessageIndex:
         err = capsys.readouterr().err
         assert "relations" in err and "rerun the featurize stage" in err
 
+    @pytest.mark.parametrize("stage, changes, named", [
+        ("train", {"n_subsets": 2, "feature_mode": "full"}, "n_subsets 3, the config sets 2"),
+        ("infer", {"n_subsets": 2, "feature_mode": "full"}, "n_subsets 3, the config sets 2"),
+        ("eval", {"n_subsets": 2, "feature_mode": "full"}, "n_subsets 3, the config sets 2"),
+        ("train", {"fractions": [0.6, 0.15, 0.25]},
+         "fractions [0.7, 0.05, 0.25], the config sets [0.6, 0.15, 0.25]"),
+        ("train", {"feature_mode": "full"}, "feature_mode 'limited', the config sets 'full'"),
+        ("train", {"limited_drop": "graph"}, "limited_drop 'ngrams', the config sets 'graph'"),
+        ("train", {"ngram_top_k": 50}, "ngram_top_k 10000, the config sets 50"),
+    ])
+    def test_stage_under_other_featurize_settings_names_the_setting(self, tmp_path, capsys,
+                                                                    stage, changes, named):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        for s in ("generate", "featurize"):
+            assert main([s, "--config", cfg, "--out", str(out)]) == 0
+        changed = write_config(tmp_path, changes)
+        capsys.readouterr()
+        assert main([stage, "--config", changed, "--out", str(out)]) == 1
+        path = out / "features" / "split_plan.json"
+        assert capsys.readouterr().err == (f"error: {path}: featurize ran with {named}; "
+                                           "rerun the featurize stage\n")
+
     def test_stages_after_featurize_never_read_messages(self, tmp_path):
         cfg = write_config(tmp_path, {"models": ["independent", "sgl1", "mrf", "psl"]})
         staged, whole = tmp_path / "staged", tmp_path / "whole"
@@ -364,8 +403,18 @@ class TestStageFiles:
         assert self.stage("infer", finished, out, "--models", f"independent,mrf,{model}") == 1
         err = capsys.readouterr().err
         path = out / "models" / "subset_00" / "models.json"
-        assert err.startswith(f"error: {path}: not a relspam-models v1 file (no {artifact!r} "
+        assert err.startswith(f"error: {path}: not a relspam-models v2 file (no {artifact!r} "
                               "artifact, which the roster needs); rerun the train stage"), err
+
+    def test_models_file_of_the_first_format_is_named(self, finished, tmp_path, capsys):
+        # relspam-models v1 held each linear model's weights in standardized space
+        out = self.copy(finished, tmp_path)
+        path = out / "models" / "subset_00" / "models.json"
+        retag(path, "relspam-models v1")
+        capsys.readouterr()
+        assert self.stage("infer", finished, out) == 1
+        assert capsys.readouterr().err == (f"error: {path}: not a relspam-models v2 file (format "
+                                           "'relspam-models v1'); rerun the train stage\n")
 
     def test_model_directory_of_the_four_file_layout_is_named(self, finished, tmp_path, capsys):
         # the layout before models.json: one file per artifact, the models versioned

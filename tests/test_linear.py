@@ -6,11 +6,10 @@ import scipy.sparse as sp
 
 from relspam.data_model import DataError, chronological_split
 from relspam.evaluation import ExperimentConfig, featurize_subset, ordered_dataset
-from relspam.features import FeatureMatrix
+from relspam.features import FeatureMatrix, scalable_columns
 from relspam.linear import (
     ClassifierConfig,
     LinearModel,
-    Scaler,
     columns_hash,
     fit_classifier,
     recenter_scores,
@@ -137,48 +136,62 @@ class TestPredict:
             model.predict_proba(fm)
 
 
-def seen_matrix(scaler, X):
-    """The matrix a model with `scaler` scores, column j as the decision of weight e_j."""
-    d = X.shape[1]
-    return np.column_stack([LinearModel(weights=np.eye(d)[j], bias=0.0, l2=1.0,
-                                        scaler=scaler).decision(X) for j in range(d)])
-
-
-def assert_decision_matches_dense(scaler, X, seed=0):
-    rng = np.random.default_rng(seed)
-    w, b = rng.normal(size=X.shape[1]), float(rng.normal())
+def dense_standardized(X, cols):
+    """X as a dense array with the columns `cols` standardized by their means and
+    stds (std 1 for a constant column), independently of the solver."""
     dense = np.asarray(X.todense())
-    cols = scaler.column_indices
-    dense[:, cols] = (dense[:, cols] - scaler.means) / scaler.stds
-    decision = LinearModel(weights=w, bias=b, l2=1.0, scaler=scaler).decision(X)
-    np.testing.assert_allclose(decision, dense @ w + b, rtol=0, atol=1e-12)
+    means, stds = dense[:, cols].mean(axis=0), dense[:, cols].std(axis=0)
+    stds[stds < 1e-12] = 1.0
+    dense[:, cols] = (dense[:, cols] - means) / stds
+    return dense, means, stds
+
+
+def standardized_fit(model, X, cols):
+    """(weights, bias) over `dense_standardized(X, cols)` that decide as the
+    raw-space `model` does over X."""
+    _, means, stds = dense_standardized(X, cols)
+    w = model.weights.copy()
+    w[cols] *= stds
+    return w, model.bias + float(means @ model.weights[cols])
+
+
+def assert_decision_matches_dense(X, y, cols):
+    """A fit standardizing `cols` decides over X as the fit on the dense
+    standardized matrix does over it, and is that fit in raw space."""
+    model = train(X, y, l2=1.0, standardize=cols)
+    dense = sp.csr_matrix(dense_standardized(X, cols)[0])
+    reference = train(dense, y, l2=1.0)
+    np.testing.assert_allclose(model.decision(X), reference.decision(dense), rtol=0, atol=1e-12)
+    w, b = standardized_fit(model, X, cols)
+    np.testing.assert_allclose(w, reference.weights, rtol=0, atol=1e-12)
+    assert b == pytest.approx(reference.bias, abs=1e-12)
+    return model, reference
 
 
 class TestScaler:
+    """The column scaling the solver works in, seen through the raw-space model."""
+
     def test_standardizes_selected_columns(self):
         X = sp.csr_matrix(np.array([[1.0, 5.0], [3.0, 5.0], [5.0, 5.0]]))
-        scaler = Scaler.fit(X, [0])
-        assert_decision_matches_dense(scaler, X)
-        out = seen_matrix(scaler, X)
-        assert out[:, 0].mean() == pytest.approx(0.0, abs=1e-12)
-        assert out[:, 0].std() == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(out[:, 1], 5.0)
+        model, reference = assert_decision_matches_dense(X, np.array([0.0, 1.0, 1.0]), [0])
+        # column 0 is seen as (x - 3) / std, so its raw weight is the standardized one / std
+        assert model.weights[0] * np.std([1.0, 3.0, 5.0]) == pytest.approx(
+            reference.weights[0], abs=1e-12)
+        assert model.weights[1] == pytest.approx(reference.weights[1], abs=1e-12)
 
     def test_constant_column_left_finite(self):
         X = sp.csr_matrix(np.full((4, 1), 2.0))
-        scaler = Scaler.fit(X, [0])
-        assert_decision_matches_dense(scaler, X)
-        assert np.isfinite(seen_matrix(scaler, X)).all()
+        model, _ = assert_decision_matches_dense(X, np.array([0.0, 1.0, 0.0, 1.0]), [0])
+        assert np.isfinite(model.weights).all() and np.isfinite(model.bias)
+        assert np.isfinite(model.decision(X)).all()
 
     def test_column_order_preserved(self):
         rng = np.random.default_rng(4)
         X = sp.csr_matrix(rng.normal(size=(6, 4)))
-        scaler = Scaler.fit(X, [1, 3])
-        assert_decision_matches_dense(scaler, X)
-        out = seen_matrix(scaler, X)
-        dense = np.asarray(X.todense())
-        assert np.allclose(out[:, 0], dense[:, 0])
-        assert np.allclose(out[:, 2], dense[:, 2])
+        model, reference = assert_decision_matches_dense(
+            X, np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0]), [1, 3])
+        # the columns left raw keep their weights in place
+        assert np.allclose(model.weights[[0, 2]], reference.weights[[0, 2]])
 
 
 class TestFitClassifier:
@@ -215,9 +228,17 @@ class TestFitClassifier:
         binary = [1, 2, 3, 5, 6]  # the indicators and n-grams hold 0/1
         X[:, binary] = X[:, binary] > 0
         labels = (X[:, 0] > 0).astype(np.int8)
-        model = fit_classifier(FeatureMatrix(columns, sp.csr_matrix(X)), labels)
-        assert [columns[j] for j in model.scaler.column_indices] == [
-            "num_chars", "pagerank", "pr_user", "pr_text"]
+        X = sp.csr_matrix(X)
+        model = fit_classifier(FeatureMatrix(columns, X), labels)
+        scaled = [columns.index(c) for c in ("num_chars", "pagerank", "pr_user", "pr_text")]
+        assert [columns[j] for j in scaled] == scalable_columns(columns)
+
+        def gradient(cols):  # of the fit's objective with `cols` standardized
+            w, b = standardized_fit(model, X, cols)
+            return np.abs(dense_objective_and_gradient(X, labels, 1.0, w, b, cols)[1]).max()
+        # the fit is the minimizer with exactly those columns standardized
+        assert gradient(scaled) <= 1e-6
+        assert gradient([]) > 1e-3 and gradient(list(range(len(columns)))) > 1e-3
 
     def test_serialization_round_trip(self):
         fm, labels = self.make_fm()
@@ -289,13 +310,10 @@ def sparse_binary_instance(seed, n=300, d=40):
     return sp.csr_matrix(np.hstack([dense, binary])), y
 
 
-def dense_objective_and_gradient(X, y, l2, w, b, scaler=None):
+def dense_objective_and_gradient(X, y, l2, w, b, cols=()):
     """The objective at (w, b) and its gradient over (w, b), by dense numpy on
-    the matrix with the scaler's columns standardized."""
-    dense = np.asarray(X.todense())
-    if scaler is not None:
-        cols = scaler.column_indices
-        dense[:, cols] = (dense[:, cols] - scaler.means) / scaler.stds
+    the matrix with the columns `cols` standardized."""
+    dense = dense_standardized(X, list(cols))[0]
     z = dense @ w + b
     objective = np.logaddexp(0.0, np.where(y > 0.5, -z, z)).mean() + 0.5 * l2 * float(w @ w)
     resid = (1.0 / (1.0 + np.exp(-z)) - y) / len(y)
@@ -342,6 +360,8 @@ def test_fit_converges_across_the_l2_grid(generated_training_slice, l2):
     fm, labels = generated_training_slice
     model = fit_classifier(fm, labels, ClassifierConfig(l2=l2, max_iter=300))
     assert model.converged and model.n_iter <= 300
-    _, grad = dense_objective_and_gradient(fm.matrix, labels.astype(float), l2,
-                                           model.weights, model.bias, model.scaler)
+    # stationary in the standardized space the solver works in
+    cols = [fm.column_index[c] for c in scalable_columns(fm.column_names)]
+    w, b = standardized_fit(model, fm.matrix, cols)
+    _, grad = dense_objective_and_gradient(fm.matrix, labels.astype(float), l2, w, b, cols)
     assert np.abs(grad).max() <= 1e-6
