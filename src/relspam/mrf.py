@@ -15,9 +15,7 @@ Approximate marginals come from damped synchronous loopy belief propagation
 in log-odds form, one kernel over the arrays that runs a batch of epsilon
 settings at once: a message is one number per edge direction,
 m_a->b = 2 atanh((1 - 2e) tanh((h_a - m_b->a) / 2)), where the field h is a
-variable's prior log-odds plus its incoming messages. Small graphs can be
-checked against exact enumeration, which weights each state by the prior
-log-odds of its spam variables and by the factor tables.
+variable's prior log-odds plus its incoming messages.
 """
 
 from __future__ import annotations
@@ -181,24 +179,6 @@ def loopy_bp_batch(graph: FactorGraph, epsilons: list, max_iters: int = 100,
     rows = np.array([_edge_epsilons(graph.relations, graph.relation, e) for e in epsilons],
                     dtype=float)
     return _bp_rows(graph, rows.reshape(len(epsilons), len(graph.factors)), max_iters, damping, tol)
-
-
-def exact_marginals(graph: FactorGraph) -> np.ndarray:
-    """Brute-force spam marginals by enumerating every assignment. Test oracle only."""
-    n = len(graph.h0)
-    if n > 20:
-        raise DataError(f"exact enumeration capped at 20 variables, got {n}")
-    if n == 0:
-        return np.zeros(0)
-    states = ((np.arange(2 ** n, dtype=np.int64)[:, None] >> np.arange(n)[None, :]) & 1).astype(np.int8)
-    # a state's prior weight, up to a constant: exp of its spam variables' summed log-odds
-    w = np.exp(states @ graph.h0)
-    for (a, b), e in zip(graph.factors, graph.epsilon):
-        w *= np.where(states[:, a] == states[:, b], 1.0 - e, e)
-    z = w.sum()
-    if z <= 0:
-        raise DataError("partition function vanished; check potentials")
-    return np.array([w[states[:, i] == 1].sum() / z for i in range(n)])
 
 
 def infer_posteriors(priors: np.ndarray, groups: GroupTable, epsilons=0.1, max_iters: int = 100,

@@ -1,10 +1,10 @@
 """Inputs in the form the models take: groups as a `GroupTable` whose members
-are message positions, and scores as float arrays over positions; and a hinge
-model's objective and gradient at a point."""
+are message positions, and scores as float arrays over positions; a hinge
+model's objective and gradient at a point; and the MRF's exact marginals."""
 
 import numpy as np
 
-from relspam.data_model import GroupTable
+from relspam.data_model import DataError, GroupTable
 
 
 def hub_table(*groups) -> GroupTable:
@@ -34,3 +34,23 @@ def objective_at(model, x: np.ndarray) -> float:
 def gradient_at(model, x: np.ndarray) -> np.ndarray:
     """A hinge model's gradient at the point x."""
     return model.gradient(model.linear_values(x))
+
+
+def exact_marginals(graph) -> np.ndarray:
+    """An MRF factor graph's spam marginals by enumerating every assignment,
+    each weighted by the prior log-odds of its spam variables and by the
+    factor tables."""
+    n = len(graph.h0)
+    if n > 20:
+        raise DataError(f"exact enumeration capped at 20 variables, got {n}")
+    if n == 0:
+        return np.zeros(0)
+    states = ((np.arange(2 ** n, dtype=np.int64)[:, None] >> np.arange(n)[None, :]) & 1).astype(np.int8)
+    # a state's prior weight, up to a constant: exp of its spam variables' summed log-odds
+    w = np.exp(states @ graph.h0)
+    for (a, b), e in zip(graph.factors, graph.epsilon):
+        w *= np.where(states[:, a] == states[:, b], 1.0 - e, e)
+    z = w.sum()
+    if z <= 0:
+        raise DataError("partition function vanished; check potentials")
+    return np.array([w[states[:, i] == 1].sum() / z for i in range(n)])

@@ -26,11 +26,11 @@ from relspam.features import (
 )
 from relspam.hinge import GroundHingeModel, HingeWeights, ground_rules, map_inference
 from relspam.linear import ClassifierConfig, fit_classifier
-from relspam.mrf import FactorGraph, build_factor_graph, exact_marginals, loopy_bp
+from relspam.mrf import FactorGraph, build_factor_graph, loopy_bp
 from relspam.stacking import infer_stacked, train_stacked
 from relspam.synth import GeneratorConfig, generate
 
-from tables import gradient_at, hub_table, objective_at
+from tables import exact_marginals, gradient_at, hub_table, objective_at
 
 
 def report(criterion, ok, detail):

@@ -12,7 +12,6 @@ from relspam.data_model import ConfigError, DataError
 from relspam.hinge import (
     GroundHingeModel,
     HingeWeights,
-    _jacobi_scale,
     ground_rules,
     infer_hinge_posteriors,
     learn_weights,
@@ -281,48 +280,19 @@ def jacobi_diagonal(model):
     return diag
 
 
-def reference_map(model, tol, max_iter, step=1.0):
-    """The MAP loop as it was before it kept the accepted point's linear
-    values: the objective and gradient each recompute A @ x + const.
-    Returns (x, objective, n_iters, converged)."""
-    scale = _jacobi_scale(model)
-    x = model.init.copy()
-    f = objective_at(model, x)
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        g = scale * gradient_at(model, x)
-        improved = False
-        while step > 1e-15:
-            x_new = np.clip(x - step * g, 0.0, 1.0)
-            f_new = objective_at(model, x_new)
-            if f_new < f:
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            converged = True
-            break
-        if f - f_new < tol and np.max(np.abs(x_new - x)) < np.sqrt(tol):
-            x, f = x_new, f_new
-            converged = True
-            break
-        x, f = x_new, f_new
-    return x, f, it, converged
-
-
 @settings(max_examples=60, deadline=None)
-@given(grounding_inputs(), st.sampled_from([(1e-9, 5000), (1e-13, 40)]))
-def test_map_iterates_match_reference_loop_bit_for_bit(inputs, stop):
+@given(grounding_inputs())
+def test_map_ends_at_a_stationary_point_of_the_box(inputs):
     priors, groups, weights, observed, _ = inputs
     arrays = array_inputs(priors, groups, observed)
     model = ground_rules(arrays[0], arrays[1], weights, observed=arrays[2])
-    tol, max_iter = stop
-    result = map_inference(model, tol=tol, max_iter=max_iter)
-    x, f, n_iters, converged = reference_map(model, tol, max_iter)
-    assert result.x.tobytes() == x.tobytes()
-    assert result.objective == f
-    assert (result.n_iters, result.converged) == (n_iters, converged)
+    result = map_inference(model)
+    x = result.x
+    assert result.converged
+    assert ((x >= 0.0) & (x <= 1.0)).all()
+    # the projected gradient: zero at, and only at, a minimizer of the convex objective
+    assert np.max(np.abs(x - np.clip(x - gradient_at(model, x), 0.0, 1.0)), initial=0.0) <= 1e-8
+    assert result.objective == objective_at(model, x)
 
 
 class TestMapInference:
@@ -336,8 +306,7 @@ class TestMapInference:
 
     def test_zero_prior_weight_collapses_to_zero(self):
         w = HingeWeights(prior=0.0)
-        scores, result = infer_hinge_posteriors(np.array([0.9, 0.7, 0.6]), one_group(2), w,
-                                                tol=1e-14, max_iter=20000)
+        scores, result = infer_hinge_posteriors(np.array([0.9, 0.7, 0.6]), one_group(2), w)
         assert scores[0] == pytest.approx(0.0, abs=1e-4)
         assert scores[1] == pytest.approx(0.0, abs=1e-4)
         assert scores[2] == 0.6  # ungrouped: its prior
@@ -424,8 +393,8 @@ class TestMapInference:
                            ("link", "l", [400, 403, 405]))
         w = HingeWeights(neg=0.0, relation_d={"text": 0.4})
         model = ground_rules(priors, groups, w, observed=observed)
-        result = map_inference(model, tol=1e-12, max_iter=1000)
-        assert result.converged and result.n_iters <= 1000
+        result = map_inference(model, tol=1e-12)
+        assert result.converged and result.n_iters <= 30
 
         diag = jacobi_diagonal(model)
         scaled = np.divide(gradient_at(model, result.x), diag, out=np.zeros(model.n_vars),
@@ -530,7 +499,7 @@ def reference_learn_weights(init, labels, groups, priors, steps, learning_rate):
     for _ in range(steps):
         per_template = np.array([get(t) for t in templates], dtype=float)
         model = replace(model, weight=per_template[model.template_id])
-        map_state = map_inference(model, tol=1e-9, max_iter=5000)
+        map_state = map_inference(model)
         phi_map = sums(model, map_state.x)
         trace.append(map_state.objective - model.objective(model.linear_values(observed_x)))
         for template in sorted(set(phi_map) | set(phi_obs)):

@@ -10,13 +10,12 @@ from relspam.data_model import ConfigError, DataError
 from relspam.mrf import (
     FactorGraph,
     build_factor_graph,
-    exact_marginals,
     infer_posteriors,
     loopy_bp,
     loopy_bp_batch,
 )
 
-from tables import hub_table
+from tables import exact_marginals, hub_table
 
 
 def log_odds(p: float) -> float:
