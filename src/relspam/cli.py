@@ -340,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in [
         ("generate", "write a synthetic dataset"),
-        ("featurize", "fit feature pipelines and write per-subset matrices"),
+        ("featurize", "write the message index and per-subset feature matrices"),
         ("train", "train per-subset models"),
         ("infer", "write per-model test predictions"),
         ("eval", "score predictions and write the report"),

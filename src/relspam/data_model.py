@@ -4,11 +4,12 @@ validation, chronological splits.
 Messages are ingested from line-delimited JSON records, and every message
 checks its fields against one table, `MESSAGE_FIELDS`. Groups ("hubs") collect
 messages that share a relation key: same author, same normalized text, same
-link, and so on; `build_groups` is the one group builder. A `MessageIndex`
-holds ids, labels and every message's groups as arrays, and restricts the
-groups to a subset by an edge mask. Past the index a message is its
-chronological position, the form every later module takes. All downstream
-modules consume these types read-only.
+link, and so on. One pass over the messages gives each relation's keys and
+their members: `build_index` fills a `GroupTable` from it, and `build_groups`
+is its view by message id. A `MessageIndex` holds ids, labels and every
+message's groups as arrays, and restricts the groups to a subset by an edge
+mask. Past the index a message is its chronological position, the form every
+later module takes. All downstream modules consume these types read-only.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import re
 import string
 import unicodedata
 import zipfile
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 from urllib.parse import urlsplit, urlunsplit
@@ -98,7 +99,6 @@ def is_number(value) -> bool:
 SPAM = 1
 HAM = 0
 
-RELATION_NAMES = ("user", "text", "link", "hashtag", "mention", "track", "user_hashtag")
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
@@ -180,10 +180,15 @@ def normalize_text(text: str) -> str:
 
 
 def normalize_link(url: str) -> str:
-    """Lowercase the scheme and host of a URL, leave path/query untouched."""
-    parts = urlsplit(url.strip())
+    """Lowercase the scheme and host of a URL, leave path/query untouched. A
+    link without a host, or one `urlsplit` rejects, is its stripped text."""
+    url = url.strip()
+    try:
+        parts = urlsplit(url)
+    except ValueError:  # an unclosed IPv6 bracket, a host that NFKC changes
+        return url
     if not parts.netloc:
-        return url.strip()
+        return url
     return urlunsplit((parts.scheme.lower(), parts.netloc.lower(), parts.path, parts.query, parts.fragment))
 
 
@@ -196,37 +201,39 @@ def _entities(m: Message) -> tuple:
                            for w in words if w.startswith("@") and len(w) > 1])
 
 
-@dataclass(frozen=True)
-class RelationType:
-    """A grouping relation: maps a message, with its `_entities`, to zero or more keys."""
-
-    name: str
-
-    def __post_init__(self):
-        if self.name not in RELATION_NAMES:
-            raise ConfigError(f"unknown relation tag: {self.name!r} (expected one of {RELATION_NAMES})")
-
-    def keys_for(self, m: Message, hashtags, links, mentions) -> Iterable[str]:
-        if self.name == "user":
-            return [m.user_id]
-        if self.name == "text":
-            key = normalize_text(m.text)
-            return [key] if key else []
-        if self.name == "link":
-            return {normalize_link(u) for u in links}
-        if self.name == "hashtag":
-            return {h.lower() for h in hashtags}
-        if self.name == "mention":
-            return {x.lower() for x in mentions}
-        if self.name == "track":
-            return [m.target_id] if m.target_id else []
-        if self.name == "user_hashtag":
-            return {f"{m.user_id}\x1f{h.lower()}" for h in hashtags}
-        raise ConfigError(f"unknown relation tag: {self.name!r}")
+# relation name -> the keys of a message, given its `_entities` (hashtags, links, mentions)
+_RELATION_KEYS = {
+    "user": lambda m, tags, links, mentions: (m.user_id,),
+    "text": lambda m, tags, links, mentions: {normalize_text(m.text)} - {""},
+    "link": lambda m, tags, links, mentions: {normalize_link(u) for u in links},
+    "hashtag": lambda m, tags, links, mentions: {t.lower() for t in tags},
+    "mention": lambda m, tags, links, mentions: {x.lower() for x in mentions},
+    "track": lambda m, tags, links, mentions: (m.target_id,) if m.target_id else (),
+    "user_hashtag": lambda m, tags, links, mentions: {(m.user_id, t.lower()) for t in tags},
+}
+RELATION_NAMES = tuple(_RELATION_KEYS)
 
 
 def relations_from_names(names: Iterable[str]) -> list:
-    return [RelationType(n) for n in names]
+    """The relation names, each checked against `RELATION_NAMES`."""
+    names = list(names)
+    for name in names:
+        if name not in _RELATION_KEYS:
+            raise ConfigError(f"unknown relation tag: {name!r} (expected one of {RELATION_NAMES})")
+    return names
+
+
+def _relation_keys(messages: list, relations: Iterable[str]) -> dict:
+    """Relation -> key -> the ascending indices of the messages with that key,
+    relations in name order. A message's text is split once (`_entities`)."""
+    names = sorted(set(relations_from_names(relations)))
+    buckets = [(_RELATION_KEYS[name], defaultdict(list)) for name in names]
+    for i, m in enumerate(messages):
+        entities = _entities(m)
+        for keys_of, keys in buckets:
+            for key in keys_of(m, *entities):
+                keys[key].append(i)
+    return {name: keys for name, (_, keys) in zip(names, buckets)}
 
 
 @dataclass(frozen=True)
@@ -234,30 +241,27 @@ class Group:
     """A hub: all message ids sharing one relation key. Always has >= 2 members."""
 
     relation: str
-    key: str
+    key: object  # a string; a (user id, hashtag) pair for user_hashtag
     member_ids: tuple
 
     def __len__(self):
         return len(self.member_ids)
 
 
-def build_groups(messages: list, relations: list) -> list:
-    """Group messages by relation key; singleton groups are dropped.
+def build_groups(messages: list, relations: Iterable[str]) -> list:
+    """The groups as message ids: the id-level view of `build_index`'s table
+    that the benchmark's oracle reads, and tests take as the reference.
 
-    Deterministic and permutation-invariant: the output is sorted by
-    (relation, key) and member ids are sorted within each group. A message's
-    text is split once (`_entities`) for all of its relations' keys.
+    Sorted by (relation, key), member ids sorted within each group; a key
+    shared by fewer than 2 distinct ids makes no group.
     """
-    rels = [r if isinstance(r, RelationType) else RelationType(str(r)) for r in relations]
-    buckets: dict = {r.name: {} for r in rels}  # relation -> key -> member ids
-    for m in messages:
-        entities = _entities(m)
-        for rel in rels:
-            for key in rel.keys_for(m, *entities):
-                buckets[rel.name].setdefault(key, []).append(m.id)
-    groups = (Group(name, key, tuple(sorted(set(ids)))) for name in sorted(buckets)
-              for key, ids in sorted(buckets[name].items()) if len(ids) > 1)
-    return [g for g in groups if len(g) >= 2]  # ids may repeat
+    groups = []
+    for name, keys in _relation_keys(messages, relations).items():
+        for key in sorted(keys):
+            ids = tuple(sorted({messages[i].id for i in keys[key]}))
+            if len(ids) >= 2:
+                groups.append(Group(name, key, ids))
+    return groups
 
 
 class GroupTable:
@@ -284,8 +288,8 @@ INDEX_FORMAT = "relspam-index v2"
 class MessageIndex:
     """What the stages after featurize need of the dataset: the ids in
     chronological order, their labels (int8, -1 unlabeled), the configured
-    relations, and the groups of every message in `build_groups` order, as a
-    table whose members are chronological positions (int32). After featurize
+    relations, and the groups of every message in (relation, key) order, as
+    a table whose members are chronological positions (int32). After featurize
     a message is its position: every label, score and group member is read
     by it, and `ids` names the messages only in the files a stage writes."""
 
@@ -301,8 +305,8 @@ class MessageIndex:
         return np.any([(pos >= a) & (pos < b) for a, b in ranges], axis=0)
 
     def groups(self, *ranges) -> GroupTable:
-        """The groups `build_groups` gives for the messages in the position
-        ranges: the edges inside them, less groups left with < 2 members."""
+        """The groups of the messages in the position ranges alone: the
+        edges inside them, less groups left with < 2 members."""
         t = self.table
         inside = self.inside(*ranges)
         sizes = np.bincount(t.group[inside], minlength=len(t))
@@ -314,15 +318,17 @@ class MessageIndex:
 
 
 def build_index(ordered: list, relations: list, source_sha256: str = "") -> MessageIndex:
-    """The index of chronologically sorted messages, grouped by `build_groups`."""
-    position = {m.id: i for i, m in enumerate(ordered)}
-    groups = build_groups(ordered, relations)
-    names = sorted(set(relations))
-    sizes = [len(g.member_ids) for g in groups]
-    members = np.array([position[mid] for g in groups for mid in g.member_ids], dtype=np.int32)
-    group = np.repeat(np.arange(len(groups)), sizes)
-    table = GroupTable(names, [names.index(g.relation) for g in groups], sizes,
-                       members[np.lexsort((members, group))])
+    """The index of chronologically sorted messages: their groups in
+    (relation, key) order, each group's members in position order."""
+    buckets = _relation_keys(ordered, relations)
+    codes, sizes, members = [], [], []
+    for code, keys in enumerate(buckets.values()):
+        for key in sorted(keys):
+            if len(keys[key]) >= 2:
+                codes.append(code)
+                sizes.append(len(keys[key]))
+                members += keys[key]
+    table = GroupTable(list(buckets), codes, sizes, members)
     labels = np.array([-1 if m.label is None else m.label for m in ordered], dtype=np.int8)
     return MessageIndex([m.id for m in ordered], labels, list(relations), table, source_sha256)
 

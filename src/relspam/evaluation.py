@@ -1,7 +1,7 @@
 """Metrics and the chronological multi-subset evaluation protocol.
 
 The protocol is written once, as per-subset steps on in-memory inputs:
-`featurize_subset` fits the feature pipeline on the training slice,
+`featurize_subset` builds a subset's features, fit on its training slice,
 `train_subset_models` fits the independent classifier and every artifact the
 roster needs (tuning on validation), `infer_subset_models` predicts the test
 slice with every roster model (stacked, joint, and combined), and
@@ -47,8 +47,8 @@ from .data_model import (
 from .features import (
     FeatureConfig,
     FeatureMatrix,
-    FeaturePipeline,
     compute_graph_feature_table,
+    feature_matrix,
 )
 from .hinge import HingeConfig, HingeWeights, infer_hinge_posteriors, learn_weights
 from .linear import ClassifierConfig, LinearModel, fit_classifier, recenter_scores
@@ -371,21 +371,19 @@ def check_training_labels(index: MessageIndex, plan: SplitPlan) -> None:
 
 
 def graph_feature_table(config: ExperimentConfig, follows: list) -> dict:
-    """Per-user follower-graph features shared by every subset's pipeline;
+    """Per-user follower-graph features shared by every subset's matrix;
     empty when the feature mode drops them or there are no follows."""
     return compute_graph_feature_table(follows) if config.feature.uses_graph() else {}
 
 
 def featurize_subset(ordered: list, subset: SubsetSplit, config: ExperimentConfig,
                      graph_table: dict) -> FeatureMatrix:
-    """Fit the feature pipeline on the subset's training slice and transform
-    the whole subset, knowing only the training labels: -> the matrix of its
-    train, validation and test rows."""
+    """The matrix of the subset's train, validation and test rows, its columns
+    fit on the training slice, knowing only the training labels."""
     (a, b), end = subset.train, subset.test[1]
     labels = np.full(end - a, -1)
     labels[:b - a] = [-1 if m.label is None else m.label for m in ordered[a:b]]
-    pipe = FeaturePipeline(config.feature, graph_table).fit(ordered[a:b])
-    return pipe.transform(ordered[a:end], labels)
+    return feature_matrix(ordered[a:end], b - a, labels, config.feature, graph_table)
 
 
 def center_mrf_priors(priors: np.ndarray) -> np.ndarray:

@@ -1,12 +1,12 @@
 """Independent-model features: content, sequential user behavior, follower-graph
 scores and character n-grams. Each feature family is a block of columns whose
 row i is the message at position i of a chronologically sorted slice, and
-`FeaturePipeline.transform` stacks the blocks into one sparse matrix under a
-column list frozen at fit time. A subset's matrix holds its messages in
+`feature_matrix` stacks the blocks into one sparse matrix whose n-gram columns
+come from the training rows alone. A subset's matrix holds its messages in
 chronological order, so a slice of the subset is a range of rows
 (`FeatureMatrix.rows`).
 
-A transform splits each text once, for the hashtag, link and mention counts of
+A matrix splits each text once, for the hashtag, link and mention counts of
 the content block, which the user block reuses. Its character 3-grams are
 int64 codes c0·2⁴² + c1·2²¹ + c2, read with numpy from the UTF-32 of the
 normalized texts: code points are below 2²¹, so codes order as the strings do.
@@ -374,49 +374,25 @@ class FeatureConfig:
         return not (self.mode == "limited" and self.limited_drop == "graph")
 
 
-class FeaturePipeline:
-    """Fit on training data only; transform any chronologically sorted slice.
-
-    The column dictionary is frozen at fit time, so train / validation / test
-    matrices of one experiment always align. `graph_table` maps a user id to
-    its row of the graph block (`compute_graph_feature_table`).
-    """
-
-    def __init__(self, config: FeatureConfig | None = None, graph_table: dict | None = None):
-        self.config = config or FeatureConfig()
-        self.vocabulary: list = []
-        self.graph_table: dict = graph_table or {}
-        self._fitted = False
-
-    def fit(self, train_messages: list) -> "FeaturePipeline":
-        cfg = self.config
-        if cfg.uses_ngrams():
-            self.vocabulary = fit_ngram_vocabulary(
-                [m.text for m in train_messages], top_k=cfg.ngram_top_k)
-        self._fitted = True
-        return self
-
-    @property
-    def column_names(self) -> list:
-        cols = list(CONTENT_COLUMNS) + list(USER_COLUMNS)
-        if self.config.uses_graph():
-            cols += list(GRAPH_COLUMNS)
-        if self.config.uses_ngrams():
-            cols += [NGRAM_PREFIX + g for g in self.vocabulary]
-        return cols
-
-    def transform(self, messages: list, labels) -> FeatureMatrix:
-        """The matrix of chronologically sorted messages, a row per message,
-        with `labels` as `extract_user_features_sequential` takes them."""
-        if not self._fitted:
-            raise DataError("FeaturePipeline.transform called before fit")
-        content = extract_content_features(messages)
-        blocks = [content, extract_user_features_sequential(messages, labels, content)]
-        if self.config.uses_graph():
-            absent = (0.0,) * len(GRAPH_COLUMNS)
-            blocks.append(np.array([self.graph_table.get(m.user_id, absent) for m in messages],
-                                   dtype=float).reshape(len(messages), len(GRAPH_COLUMNS)))
-        blocks = [sp.csr_matrix(np.hstack(blocks))]
-        if self.config.uses_ngrams():
-            blocks.append(ngram_features([m.text for m in messages], self.vocabulary))
-        return FeatureMatrix(self.column_names, sp.hstack(blocks, format="csr"))
+def feature_matrix(messages: list, n_train: int, labels, config: FeatureConfig,
+                   graph_table: dict) -> FeatureMatrix:
+    """The matrix of chronologically sorted messages, a row per message, with
+    `labels` as `extract_user_features_sequential` takes them and `graph_table`
+    mapping a user id to its row of the graph block (`compute_graph_feature_table`).
+    The n-gram vocabulary is fit on the first `n_train` texts alone."""
+    texts = [m.text for m in messages]
+    vocabulary = (fit_ngram_vocabulary(texts[:n_train], top_k=config.ngram_top_k)
+                  if config.uses_ngrams() else [])
+    content = extract_content_features(messages)
+    blocks = [content, extract_user_features_sequential(messages, labels, content)]
+    columns = list(CONTENT_COLUMNS) + list(USER_COLUMNS)
+    if config.uses_graph():
+        absent = (0.0,) * len(GRAPH_COLUMNS)
+        blocks.append(np.array([graph_table.get(m.user_id, absent) for m in messages],
+                               dtype=float).reshape(len(messages), len(GRAPH_COLUMNS)))
+        columns += GRAPH_COLUMNS
+    blocks = [sp.csr_matrix(np.hstack(blocks))]
+    if config.uses_ngrams():
+        blocks.append(ngram_features(texts, vocabulary))
+        columns += [NGRAM_PREFIX + g for g in vocabulary]
+    return FeatureMatrix(columns, sp.hstack(blocks, format="csr"))

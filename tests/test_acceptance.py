@@ -21,6 +21,7 @@ from relspam.features import (
     FeatureConfig,
     compute_graph_feature_table,
     extract_user_features_sequential,
+    feature_matrix,
     follower_graph,
     pagerank,
 )
@@ -346,11 +347,10 @@ def test_criterion_10_degenerate_stack_identity():
                                                  n_campaigns=8, spam_prevalence=0.08))
     ordered = sort_chronologically(messages)
     train, test = ordered[:1000], ordered[1000:]
-    from relspam.features import FeaturePipeline
-    pipe = FeaturePipeline(FeatureConfig(mode="limited"),
-                           compute_graph_feature_table(follows)).fit(train)
     index = build_index(ordered, ["user", "text", "link"])
-    fm = pipe.transform(ordered, np.where(np.arange(len(ordered)) < 1000, index.labels, -1))
+    labels = np.where(np.arange(len(ordered)) < 1000, index.labels, -1)
+    fm = feature_matrix(ordered, len(train), labels, FeatureConfig(mode="limited"),
+                        compute_graph_feature_table(follows))
     fm_train, fm_test = fm.rows(0, 1000), fm.rows(1000, len(ordered))
     cfg = ClassifierConfig(l2=1.0, max_iter=300)
     stacked = train_stacked(np.arange(1000), fm_train, index.labels, index.groups((0, 1000)), K=0,

@@ -12,8 +12,10 @@ import pytest
 from relspam.cli import LEGACY_KEYS, RunConfig, load_config, main
 from relspam.data_model import (
     ConfigError,
+    Message,
     chronological_split,
     message_to_record,
+    read_index,
     read_messages,
     sort_chronologically,
     write_messages,
@@ -210,6 +212,21 @@ class TestStages:
         # only the default follows file may be absent
         (out / "data" / "follows.tsv").unlink()
         assert main(["featurize", "--config", write_config(tmp_path), "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("link", ["http://[x/y", "http://\u2100.com/"])
+    def test_featurize_groups_a_link_urlsplit_rejects_by_its_text(self, tmp_path, link):
+        # an unclosed IPv6 bracket and a host NFKC changes: both legal `links` entries
+        cfg = write_config(tmp_path, {"n_subsets": 1})
+        out = tmp_path / "out"
+        (out / "data").mkdir(parents=True)
+        messages = [Message(f"m{i:02d}", f"u{i}", f"text {i}", timestamp=i, label=i % 2)
+                    for i in range(40)]
+        messages[3].links = [link]
+        messages[9].text = f"see {link}"
+        write_messages(out / "data" / "messages.jsonl", messages)
+        assert main(["featurize", "--config", cfg, "--out", str(out)]) == 0
+        table = read_index(out / "features" / "index.npz").table
+        assert (table.relations, table.members.tolist()) == (["link", "text", "user"], [3, 9])
 
     def test_featurize_names_a_truncated_line(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

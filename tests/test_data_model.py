@@ -3,10 +3,11 @@ import random
 import unicodedata
 from dataclasses import asdict
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from relspam.data_model import (
     ConfigError,
@@ -14,6 +15,7 @@ from relspam.data_model import (
     Group,
     INDEX_FORMAT,
     MESSAGE_FIELDS,
+    RELATION_NAMES,
     Message,
     SplitPlan,
     build_groups,
@@ -223,6 +225,22 @@ class TestGroups:
         assert len(groups) == 1
         assert groups[0].member_ids == ("m1", "m2")
 
+    def test_user_hashtag_keys_are_pairs(self):
+        # joined by "\x1f", user "a\x1fb" with tag "c" and user "a" with tag "b\x1fc" would collide
+        messages = [msg("m1", user="a\x1fb", hashtags=["c"]),
+                    msg("m2", user="a", hashtags=["b\x1fc"])]
+        assert build_groups(messages, ["user_hashtag"]) == []
+        assert len(build_index(messages, ["user_hashtag"]).table) == 0
+
+    @pytest.mark.parametrize("link", ["http://[x/y", "http://\u2100.com/"])
+    def test_link_urlsplit_rejects_groups_by_its_text(self, link):
+        with pytest.raises(ValueError):
+            urlsplit(link)
+        messages = [msg("m1", links=[f" {link}\n"]), msg("m2", text=f"see {link}"),
+                    msg("m3", links=["http://other.io"])]
+        assert build_groups(messages, ["link"]) == [Group("link", link, ("m1", "m2"))]
+        assert build_index(messages, ["link"]).table.members.tolist() == [0, 1]
+
     def test_hashtags_parsed_from_text_when_unannotated(self):
         messages = [msg("m1", text="check #win now"), msg("m2", text="also #win")]
         groups = build_groups(messages, relations_from_names(["hashtag"]))
@@ -309,23 +327,39 @@ def test_split_invariant_property(rows):
             assert max(m.timestamp for m in train) <= min(m.timestamp for m in test)
 
 
+LINKS = ["http://a.io/1", "HTTP://A.io/1", "http://b.io", "http://[x/y", "http://\u2100.com/"]
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.lists(
-        st.tuples(st.sampled_from(["u1", "u2", "u3"]), st.sampled_from(["x", "y", "X!", ""]),
-                  st.lists(st.sampled_from(["http://a.io/1", "HTTP://A.io/1", "http://b.io"]), max_size=2),
-                  st.lists(st.sampled_from(["tag", "Tag", "other"]), max_size=2),
+        st.tuples(st.sampled_from(["u1", "u2", "a\x1fb", "a"]),
+                  st.sampled_from(["x", "y", "X!", "", "@Bob, http://[x/y #tag", "see http://b.io @bob"]),
+                  st.lists(st.sampled_from(LINKS), max_size=2),
+                  st.lists(st.sampled_from(["tag", "Tag", "other", "c", "b\x1fc"]), max_size=2),
+                  st.lists(st.sampled_from(["bob", "Bob", "eve", ""]), max_size=2),
+                  st.sampled_from([None, "", "t1", "t2"]),
                   st.integers(0, 9)),
         max_size=25,
     ),
-    st.lists(st.sampled_from(["user", "text", "link", "hashtag", "user_hashtag"]), unique=True),
+    st.lists(st.sampled_from(RELATION_NAMES), unique=True),
     st.lists(st.integers(0, 25), min_size=4, max_size=4),
 )
+@example(rows=[("u1", "", ["http://[x/y"], [], [], None, 0),
+               ("u2", "see http://[x/y", [], [], [], None, 1)],
+         relation_names=list(RELATION_NAMES), cuts=[0, 2, 2, 2])
+@example(rows=[("u1", "", ["http://\u2100.com/"], [], [], None, 0),
+               ("u2", "see http://\u2100.com/", [], [], [], None, 1)],
+         relation_names=list(RELATION_NAMES), cuts=[0, 2, 2, 2])
+@example(rows=[("a\x1fb", "", [], ["c"], [], None, 0), ("a", "", [], ["b\x1fc"], [], None, 1)],
+         relation_names=["user_hashtag"], cuts=[0, 2, 2, 2])
 def test_restricted_groups_equal_groups_of_the_subset(rows, relation_names, cuts):
-    ordered = sort_chronologically([msg(f"m{i:02d}", user=u, text=t, links=links, hashtags=tags, ts=ts)
-                                    for i, (u, t, links, tags, ts) in enumerate(rows)])
+    ordered = sort_chronologically([msg(f"m{i:02d}", user=u, text=t, links=links, hashtags=tags,
+                                        mentions=mentions, target_id=target, ts=ts)
+                                    for i, (u, t, links, tags, mentions, target, ts)
+                                    in enumerate(rows)])
     a, b, c, d = sorted(cuts)
-    expected = build_groups(ordered[a:b] + ordered[c:d], relations_from_names(relation_names))
+    expected = build_groups(ordered[a:b] + ordered[c:d], relation_names)
     table = build_index(ordered, relation_names).groups((a, b), (c, d))
     # the groups as edge arrays, each group's members in position order
     position = {m.id: i for i, m in enumerate(ordered)}

@@ -24,10 +24,10 @@ from relspam.features import (
     USER_COLUMNS,
     FeatureConfig,
     FeatureMatrix,
-    FeaturePipeline,
     compute_graph_feature_table,
     extract_content_features,
     extract_user_features_sequential,
+    feature_matrix,
     fit_ngram_vocabulary,
     follower_graph,
     ngram_features,
@@ -233,7 +233,7 @@ def reference_keys(m, relation):
         return {x.lower() for x in message_mentions(m)}
     if relation == "track":
         return {m.target_id} - {None}
-    return {f"{m.user_id}\x1f{h.lower()}" for h in message_hashtags(m)}
+    return {(m.user_id, h.lower()) for h in message_hashtags(m)}
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -259,7 +259,7 @@ def test_one_entity_parse_matches_the_message_accessors(seed):
         assert block[:, CONTENT_COLUMNS.index(name)].tolist() == [len(accessor(m)) for m in messages]
     user = user_rows_reference(messages, labels)
     assert np.array_equal(extract_user_features_sequential(messages, labels, block), user)
-    fm = FeaturePipeline(FeatureConfig(mode="limited")).fit(messages).transform(messages, labels)
+    fm = feature_matrix(messages, len(messages), labels, FeatureConfig(mode="limited"), {})
     width = len(CONTENT_COLUMNS)
     assert np.array_equal(fm.matrix.toarray()[:, width:width + len(USER_COLUMNS)], user)
 
@@ -518,47 +518,49 @@ class TestPipeline:
     def test_transform_reproducible(self):
         messages = self.build_messages()
         follows = [("u0", "u1"), ("u1", "u2"), ("u2", "u0")]
-        pipe = FeaturePipeline(FeatureConfig(ngram_top_k=50), compute_graph_feature_table(follows))
-        pipe.fit(messages[:30])
+        graph = compute_graph_feature_table(follows)
         labels = known(messages, {m.id: 0 for m in messages[:30]})
-        a = pipe.transform(messages, labels)
-        b = pipe.transform(messages, labels)
+        a = feature_matrix(messages, 30, labels, FeatureConfig(ngram_top_k=50), graph)
+        b = feature_matrix(messages, 30, labels, FeatureConfig(ngram_top_k=50), graph)
         assert a.column_names == b.column_names
         assert (a.matrix != b.matrix).nnz == 0
 
     def test_columns_frozen_across_slices(self):
         messages = self.build_messages()
-        pipe = FeaturePipeline(FeatureConfig(ngram_top_k=20)).fit(messages[:30])
-        fm = pipe.transform(messages, known(messages, {}))
+        labels = known(messages, {})
+        fm = feature_matrix(messages, 30, labels, FeatureConfig(ngram_top_k=20), {})
         train, test = fm.rows(0, 30), fm.rows(30, 40)
         assert train.column_names == test.column_names == fm.column_names
+        # the columns follow from the training rows alone
+        alone = feature_matrix(messages[:30], 30, labels[:30], FeatureConfig(ngram_top_k=20), {})
+        assert alone.column_names == fm.column_names
         assert (train.shape[0], test.shape[0]) == (30, 10)
         assert (sp.vstack([train.matrix, test.matrix]) != fm.matrix).nnz == 0
 
     def test_limited_mode_drops_ngrams(self):
         messages = self.build_messages()
-        pipe = FeaturePipeline(FeatureConfig(mode="limited", limited_drop="ngrams")).fit(messages)
-        assert not any(c.startswith("ng:") for c in pipe.column_names)
+        fm = feature_matrix(messages, len(messages), known(messages, {}),
+                            FeatureConfig(mode="limited", limited_drop="ngrams"), {})
+        assert not any(c.startswith("ng:") for c in fm.column_names)
 
     def test_limited_mode_can_drop_graph(self):
         messages = self.build_messages()
-        pipe = FeaturePipeline(FeatureConfig(mode="limited", limited_drop="graph", ngram_top_k=5),
-                               compute_graph_feature_table([("u0", "u1"), ("u1", "u0")]))
-        pipe.fit(messages)
-        assert "pagerank" not in pipe.column_names
+        fm = feature_matrix(messages, len(messages), known(messages, {}),
+                            FeatureConfig(mode="limited", limited_drop="graph", ngram_top_k=5),
+                            compute_graph_feature_table([("u0", "u1"), ("u1", "u0")]))
+        assert "pagerank" not in fm.column_names
 
     def test_user_missing_from_graph_gets_zeros(self):
         messages = [msg("m1", user="stranger", ts=0)]
-        pipe = FeaturePipeline(FeatureConfig(ngram_top_k=5),
-                               compute_graph_feature_table([("a", "b"), ("b", "a")])).fit(messages)
-        fm = pipe.transform(messages, [-1])
+        fm = feature_matrix(messages, 1, [-1], FeatureConfig(ngram_top_k=5),
+                            compute_graph_feature_table([("a", "b"), ("b", "a")]))
         j = fm.column_index["pagerank"]
         assert fm.matrix[0, j] == 0.0
 
     def test_matrix_file_round_trip(self, tmp_path):
         messages = self.build_messages()
-        pipe = FeaturePipeline(FeatureConfig(ngram_top_k=10)).fit(messages[:20])
-        fm = pipe.transform(messages[:20], known(messages[:20], {}))
+        fm = feature_matrix(messages[:20], 20, known(messages[:20], {}),
+                            FeatureConfig(ngram_top_k=10), {})
         path = tmp_path / "feats.npz"
         write_feature_matrix(path, fm)
         back = read_feature_matrix(path)
@@ -566,8 +568,8 @@ class TestPipeline:
 
     def test_matrix_file_idempotent_bytes(self, tmp_path):
         messages = self.build_messages()
-        pipe = FeaturePipeline(FeatureConfig(ngram_top_k=10)).fit(messages[:20])
-        fm = pipe.transform(messages[:20], known(messages[:20], {}))
+        fm = feature_matrix(messages[:20], 20, known(messages[:20], {}),
+                            FeatureConfig(ngram_top_k=10), {})
         p1, p2 = tmp_path / "a.npz", tmp_path / "b.npz"
         write_feature_matrix(p1, fm)
         write_feature_matrix(p2, fm)
