@@ -351,8 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file (merged over defaults)")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--feature-mode", choices=["full", "limited"], dest="feature_mode")
-        p.add_argument("--stacks", type=int,
-                       help="stack depth for the default roster (ignored with --models)")
         p.add_argument("--models", help="comma-separated roster, e.g. independent,sgl1,mrf")
         p.add_argument("--out", help="output directory")
     return parser
@@ -375,10 +373,6 @@ def main(argv=None) -> int:
     overrides = {"seed": args.seed, "feature_mode": args.feature_mode, "out": args.out}
     if args.models:
         overrides["models"] = [m.strip() for m in args.models.split(",") if m.strip()]
-    elif args.stacks is not None:
-        k = args.stacks
-        overrides["models"] = (["independent", "mrf", "psl"] if k == 0 else
-                               ["independent", f"sgl{k}", "mrf", "psl", f"sgl{k}+mrf"])
     try:
         cfg = load_config(args.config, overrides)
         return COMMANDS[args.command](cfg)

@@ -243,9 +243,12 @@ class ExperimentConfig:
 
         for key, ok, accepts in (
             ("seed", is_int, "an integer"),
-            ("relations", lambda v: isinstance(v, list) and all(r in RELATION_NAMES for r in v),
-             f"a list of relation tags from {RELATION_NAMES}"),
-            ("models", lambda v: isinstance(v, list) and v != [], "a non-empty list of roster names"),
+            ("relations", lambda v: isinstance(v, list) and all(r in RELATION_NAMES for r in v)
+             and len(set(v)) == len(v),
+             f"a list of relation tags from {RELATION_NAMES}, each once"),
+            # parse_model_name raises on an unknown name, so only strings reach `set`
+            ("models", lambda v: isinstance(v, list) and v != [] and all(map(parse_model_name, v))
+             and len(set(v)) == len(v), "a non-empty list of roster names, each once"),
             ("n_subsets", _is_positive_int, "a positive integer"),
             ("fractions", lambda v: isinstance(v, (list, tuple)) and len(v) == 3 and all(
                 map(_is_non_negative, v)) and abs(sum(v) - 1.0) <= 1e-9,
@@ -271,7 +274,6 @@ class ExperimentConfig:
         ):
             value = attrgetter(key)(self)
             check_setting(ok(value), key, accepts, value)
-        self.required_stacks()  # parses every roster name
 
 
 def tune_epsilons(priors: np.ndarray, groups: GroupTable, labels: np.ndarray, relations: list,
@@ -577,37 +579,28 @@ def aggregate_report(config: ExperimentConfig, index: MessageIndex, plan: SplitP
     """Concatenate per-subset test predictions and score every roster model,
     overall and on the inductive partition."""
     coverage = component_coverage(index)
-    roster = config.models
-    scores: dict = {name: [] for name in roster}
-    inductive_scores: dict = {name: [] for name in roster}
-    per_subset_metrics: dict = {name: [] for name in roster}
-    labels, inductive_labels = [], []
-    for subset, preds in zip(plan.subsets, subset_preds):
-        test_labels = index.labels[slice(*subset.test)]
-        inductive = inductive_partition(index, subset.train, subset.test)
-        labels.append(test_labels)
-        inductive_labels.append(test_labels[inductive])
-        for name in roster:
-            scores[name].append(preds[name])
-            inductive_scores[name].append(preds[name][inductive])
-            per_subset_metrics[name].append(ranking_metrics(preds[name], test_labels))
-    labels, inductive_labels = np.concatenate(labels), np.concatenate(inductive_labels)
-
+    test_labels = [index.labels[slice(*subset.test)] for subset in plan.subsets]
+    labels = np.concatenate(test_labels)
+    inductive = np.concatenate([inductive_partition(index, subset.train, subset.test)
+                                for subset in plan.subsets])
+    splits = np.cumsum([len(y) for y in test_labels])[:-1]
     model_entries = []
-    for name in roster:
+    for name in config.models:
+        scores = np.concatenate([preds[name] for preds in subset_preds])
         model_entries.append({
             "model": name,
-            "overall": ranking_metrics(np.concatenate(scores[name]), labels),
-            "inductive": ranking_metrics(np.concatenate(inductive_scores[name]), inductive_labels),
-            "per_subset": per_subset_metrics[name],
+            "overall": ranking_metrics(scores, labels),
+            "inductive": ranking_metrics(scores[inductive], labels[inductive]),
+            "per_subset": [ranking_metrics(s, y)
+                           for s, y in zip(np.split(scores, splits), test_labels)],
         })
     return EvaluationReport(
         models=model_entries,
         n_messages=len(index.ids),
         n_subsets=len(subset_preds),
         n_test=len(labels),
-        n_inductive=len(inductive_labels),
-        n_transductive=len(labels) - len(inductive_labels),
+        n_inductive=int(inductive.sum()),
+        n_transductive=int((~inductive).sum()),
         coverage=asdict(coverage),
         diagnostics=diagnostics,
         config={key: getattr(config, key) for key in REPORTED_SETTINGS},

@@ -323,11 +323,6 @@ class FeatureMatrix:
         return FeatureMatrix(self.column_names, self.matrix[a:b])
 
 
-def hstack_features(fm: FeatureMatrix, extra_columns: list, extra: sp.spmatrix) -> FeatureMatrix:
-    stacked = sp.hstack([fm.matrix, sp.csr_matrix(extra)], format="csr")
-    return FeatureMatrix(list(fm.column_names) + list(extra_columns), stacked)
-
-
 def scalable_columns(column_names: list) -> list:
     """Dense numeric columns the classifier standardizes: all but indicators
     and n-grams. The stacked model's `pr_*` ratio columns are among them, which

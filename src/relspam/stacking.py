@@ -5,25 +5,24 @@ Training uses the holdout scheme: the (chronologically sorted) training data
 is split into K+1 contiguous slices, the base model trains on the first, and
 each later submodel trains on its own slice augmented with grouped-prediction
 ratios rolled forward from the earlier submodels. Messages are chronological
-positions; scores, labels and the ratios are arrays over them, and the ratios
-are one array pass per relation over a group table's edges. A submodel's
-columns are the base columns and one ratio column per relation, and its
-column hash is the one check that a matrix matches it.
+positions; scores, labels and the ratios are arrays over them. With B a
+relation's (position × group) incidence matrix, a message's row of the
+co-membership product B Bᵀ lists its co-members over every group of the
+relation, each once, and its ratio is their mean score. A submodel's columns
+are the base columns and one ratio column per relation, and its column hash
+is the one check that a matrix matches it.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .data_model import SPAM, ConfigError, DataError, GroupTable
-from .features import FeatureMatrix, hstack_features
+from .features import FeatureMatrix
 from .linear import ClassifierConfig, LinearModel, fit_classifier, recenter_scores
-
-log = logging.getLogger(__name__)
 
 PSEUDO_PREFIX = "pr_"
 NEUTRAL_SCORE = 0.5
@@ -45,34 +44,23 @@ def compute_pseudo_features(rows, groups: GroupTable, scores: np.ndarray,
     its co-members' scores in position order.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    n = len(scores)
-    row_of = np.full(n, -1, dtype=np.int64)
-    row_of[rows] = np.arange(len(rows))
-    first = np.cumsum(groups.sizes) - groups.sizes  # each group's first edge
     out = np.full((len(rows), len(relations)), NEUTRAL_SCORE)
     for j, rel in enumerate(relations):
         if rel not in groups.relations:
             continue
-        # pair each edge of the relation whose member is a row with every edge of its group
-        edge = np.flatnonzero((groups.relation == groups.relations.index(rel))
-                              & (row_of[groups.members] >= 0))
-        group = groups.group[edge]
-        size = groups.sizes[group]
-        offset = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
-        mine = np.repeat(groups.members[edge].astype(np.int64), size)
-        peer = groups.members[np.repeat(first[group], size) + offset]
-        keep = (mine != peer) & ~np.isnan(scores[peer])
-        pair = np.unique(mine[keep] * n + peer[keep])  # the union, in (message, peer) order
-        slot = row_of[pair // n]
-        total = np.bincount(slot, weights=scores[pair % n], minlength=len(out))
-        count = np.bincount(slot, minlength=len(out))
+        edge = groups.relation == groups.relations.index(rel)
+        incidence = sp.csr_matrix((np.ones(edge.sum()), (groups.members[edge], groups.group[edge])),
+                                  shape=(len(scores), len(groups)))
+        # row i lists each co-member of rows[i] once, over every group of the relation
+        co = incidence[rows] @ incidence.T
+        co.sort_indices()  # so each mean adds its co-members in position order
+        row = np.repeat(np.arange(len(rows)), np.diff(co.indptr))
+        keep = (co.indices != rows[row]) & ~np.isnan(scores[co.indices])
+        total = np.bincount(row[keep], weights=scores[co.indices[keep]], minlength=len(rows))
+        count = np.bincount(row[keep], minlength=len(rows))
         scored = count > 0
         out[scored, j] = total[scored] / count[scored]
     return out
-
-
-def _pseudo_matrix(fm: FeatureMatrix, pseudo: np.ndarray, relations: list) -> FeatureMatrix:
-    return hstack_features(fm, pseudo_columns(relations), sp.csr_matrix(pseudo))
 
 
 @dataclass
@@ -88,10 +76,6 @@ class StackedModel:
     @classmethod
     def from_dict(cls, d: dict) -> "StackedModel":
         return cls(**{**d, "submodels": [LinearModel.from_dict(m) for m in d["submodels"]]})
-
-
-def _slice_bounds(n: int, parts: int) -> list:
-    return [(i * n // parts, (i + 1) * n // parts) for i in range(parts)]
 
 
 def train_stacked(rows, fm: FeatureMatrix, labels: np.ndarray, groups: GroupTable,
@@ -119,7 +103,7 @@ def train_stacked(rows, fm: FeatureMatrix, labels: np.ndarray, groups: GroupTabl
         raise DataError(f"{len(unlabeled)} training messages lack labels "
                         f"(first: position {unlabeled[0]})")
 
-    bounds = _slice_bounds(len(rows), K + 1)
+    bounds = [(i * len(rows) // (K + 1), (i + 1) * len(rows) // (K + 1)) for i in range(K + 1)]
     submodels = [fit_classifier(fm.rows(*bounds[0]), y[slice(*bounds[0])], config)]
     model = StackedModel(submodels=submodels, relations=list(relations),
                          score_center=int((y == SPAM).sum()) / len(y))
@@ -131,17 +115,21 @@ def train_stacked(rows, fm: FeatureMatrix, labels: np.ndarray, groups: GroupTabl
         past = np.full(len(labels), np.nan)
         past[rows[:a]] = y[:a]
         preds = _roll_forward(model, fm_k, rows[a:b], groups, past)
-        pseudo = _pooled_features(model, rows[a:b], groups, past, preds)
-        submodels.append(fit_classifier(_pseudo_matrix(fm_k, pseudo, relations), y[a:b], config))
+        submodels.append(fit_classifier(_with_pseudo(model, fm_k, rows[a:b], groups, past, preds),
+                                        y[a:b], config))
     return model
 
 
-def _pooled_features(model: StackedModel, rows, groups: GroupTable, context: np.ndarray,
-                     preds: np.ndarray) -> np.ndarray:
+def _with_pseudo(model: StackedModel, fm: FeatureMatrix, rows, groups: GroupTable,
+                 context: np.ndarray, preds: np.ndarray) -> FeatureMatrix:
+    """`fm` and one `pr_` column per relation: the slice's rows, scored
+    `preds`, pooled over their co-members with the scores in `context`."""
     scores = context.copy()
     scores[rows] = preds
-    return compute_pseudo_features(rows, groups, recenter_scores(scores, model.score_center),
-                                   model.relations)
+    pseudo = compute_pseudo_features(rows, groups, recenter_scores(scores, model.score_center),
+                                     model.relations)
+    return FeatureMatrix(list(fm.column_names) + pseudo_columns(model.relations),
+                         sp.hstack([fm.matrix, sp.csr_matrix(pseudo)], format="csr"))
 
 
 def _roll_forward(model: StackedModel, fm_base: FeatureMatrix, rows, groups: GroupTable,
@@ -149,8 +137,7 @@ def _roll_forward(model: StackedModel, fm_base: FeatureMatrix, rows, groups: Gro
     """Apply the submodel chain to one slice, re-deriving pseudo features at each step."""
     preds = model.submodels[0].predict_proba(fm_base)
     for f_k in model.submodels[1:]:
-        pseudo = _pooled_features(model, rows, groups, context, preds)
-        preds = f_k.predict_proba(_pseudo_matrix(fm_base, pseudo, model.relations))
+        preds = f_k.predict_proba(_with_pseudo(model, fm_base, rows, groups, context, preds))
     return preds
 
 

@@ -610,6 +610,9 @@ class TestConfigValidation:
         ({"mrf_prior_center": 0.3}, "mrf_prior_center"),
         ({"mrf_prior_center": None}, "mrf_prior_center"),
         ({"dump_pr_curves": True}, "dump_pr_curves"),
+        ({"models": ["independent", "independent", "mrf"]}, "models"),
+        ({"relations": ["user", "user", "text"]}, "relations"),
+        ({"models": ["independent", {"sgl": 1}]}, "models"),
     ])
     def test_bad_value_is_named_before_any_work(self, tmp_path, capsys, extra, key):
         cfg = write_config(tmp_path, extra)
@@ -635,15 +638,6 @@ class TestFlags:
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
         assert [m["model"] for m in report["models"]] == ["independent"]
-
-    def test_stacks_flag_builds_roster(self, tmp_path):
-        cfg = write_config(tmp_path)
-        out = tmp_path / "out"
-        rc = main(["run-all", "--config", cfg, "--out", str(out), "--stacks", "1"])
-        assert rc == 0
-        report = json.loads((out / "report.json").read_text())
-        names = [m["model"] for m in report["models"]]
-        assert "sgl1" in names and "sgl1+mrf" in names
 
 
 class TestDeterminism:

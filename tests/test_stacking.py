@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from relspam.data_model import (ConfigError, DataError, Message, build_index, read_artifact,
                                 write_artifact)
@@ -64,7 +64,7 @@ class TestPseudoFeatures:
 def reference_pseudo_features(message_ids: list, groups: list, predictions: dict,
                               relations: list) -> dict:
     """compute_pseudo_features over id sets and dicts, as it was before it
-    became one array pass per relation; `groups` are (relation, member ids)."""
+    became array code; `groups` are (relation, member ids)."""
     peers: dict = {rel: {} for rel in relations}
     wanted = set(message_ids)
     for relation, member_ids in groups:
@@ -95,12 +95,16 @@ def reference_pseudo_features(message_ids: list, groups: list, predictions: dict
     return out
 
 
+def ids_of(n: int) -> list:
+    return [f"m{i:02d}" for i in range(n)]
+
+
 @st.composite
 def pooling_inputs(draw):
     """Several keys per message in one relation, unscored co-members and rows
     whose co-members are all unscored; ids sort in position order."""
     n = draw(st.integers(1, 14))
-    ids = [f"m{i:02d}" for i in range(n)]
+    ids = ids_of(n)
     groups = []
     for relation in ("user", "text", "link"):
         for key in range(draw(st.integers(0, 4))):
@@ -117,6 +121,18 @@ def pooling_inputs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(pooling_inputs())
+# two groups of one relation share the co-member 1, which counts once
+@example((ids_of(4), [("link", "a", [0, 1, 2]), ("link", "b", [0, 1, 3])],
+          {1: 0.7, 2: 0.1, 3: 0.4}, [0], ["link"]))
+# rows out of position order; row 0's mean adds 0.1, 0.2, 0.9, 0.3 in that order
+@example((ids_of(5), [("user", "u", [0, 1, 2, 3, 4]), ("text", "t", [1, 4])],
+          {0: 0.5, 1: 0.1, 2: 0.2, 3: 0.9, 4: 0.3}, [4, 0, 2], ["user", "text"]))
+# every co-member of row 0 is unscored
+@example((ids_of(3), [("user", "u", [0, 1, 2])], {0: 0.9}, [0, 1], ["user"]))
+# no rows
+@example((ids_of(3), [("user", "u", [0, 1, 2])], {0: 0.9, 1: 0.1}, [], ["user"]))
+# a configured relation with no groups
+@example((ids_of(3), [("user", "u", [0, 1])], {0: 0.9, 1: 0.1}, [0, 1, 2], ["hashtag", "user"]))
 def test_array_pooling_matches_id_reference_bit_for_bit(inputs):
     ids, groups, scores, rows, relations = inputs
     got = compute_pseudo_features(rows, hub_table(*groups), over(len(ids), scores), relations)
