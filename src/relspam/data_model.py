@@ -267,7 +267,8 @@ def build_groups(messages: list, relations: Iterable[str]) -> list:
 class GroupTable:
     """Groups as arrays, one edge per (group, member) in group order, each
     group's members in ascending chronological position: the form both joint
-    models ground from."""
+    models ground from. Their message variables come from `variables`, then
+    one hub per group, which the hinge-loss MRF starts at its `means`."""
 
     def __init__(self, relations: list, group_relation, sizes, members):
         self.relations = relations  # sorted relation names
@@ -279,6 +280,25 @@ class GroupTable:
 
     def __len__(self) -> int:
         return len(self.sizes)
+
+    def variables(self, values: np.ndarray, free: np.ndarray | None = None) -> tuple:
+        """A hub model's message variables, the grouped positions where the mask
+        `free` holds (all by default) in position order, and each position's
+        variable, -1 for none; a `DataError` if `values` is NaN at a grouped one."""
+        grouped = np.unique(self.members)
+        missing = grouped[np.isnan(values[grouped])]
+        if len(missing):
+            raise DataError(f"{len(missing)} grouped messages lack priors "
+                            f"(first: position {missing[0]})")
+        messages = grouped if free is None else grouped[free[grouped]]
+        variable = np.full(len(values), -1, dtype=np.int64)
+        variable[messages] = np.arange(len(messages))
+        return messages, variable
+
+    def means(self, values: np.ndarray) -> np.ndarray:
+        """Each group's mean of `values` (over positions), added in member order."""
+        return np.bincount(self.group, weights=values[self.members],
+                           minlength=len(self)) / self.sizes
 
 
 INDEX_FORMAT = "relspam-index v2"

@@ -52,7 +52,7 @@ from .features import (
 )
 from .hinge import HingeConfig, HingeWeights, infer_hinge_posteriors, learn_weights
 from .linear import ClassifierConfig, LinearModel, fit_classifier, recenter_scores
-from .mrf import build_factor_graph, infer_posteriors, loopy_bp_batch
+from .mrf import build_factor_graph, edge_epsilons, infer_posteriors, loopy_bp_batch
 from .stacking import StackedModel, infer_stacked, train_stacked
 
 log = logging.getLogger(__name__)
@@ -284,10 +284,10 @@ def tune_epsilons(priors: np.ndarray, groups: GroupTable, labels: np.ndarray, re
     epsilons `start` (shared, or per relation with 0.1 for one left out).
 
     The graph is built once. Each relation's current value and grid run as
-    one batched BP call, and scores are memoized by the per-relation epsilons,
-    so a candidate scored before does not run again. A grid value must beat
-    the best score so far strictly to replace it. A candidate whose BP did not
-    converge scores -inf, so it never does.
+    one batched BP call, a row of edge epsilons each, and scores are memoized
+    by the per-relation epsilons, so a candidate scored before does not run
+    again. A grid value must beat the best score so far strictly to replace
+    it. A candidate whose BP did not converge scores -inf, so it never does.
     """
     eps = {r: start.get(r, 0.1) if isinstance(start, dict) else start for r in relations}
     scored = np.flatnonzero(~np.isnan(priors) & (labels >= 0))
@@ -300,8 +300,7 @@ def tune_epsilons(priors: np.ndarray, groups: GroupTable, labels: np.ndarray, re
     except DataError:
         return eps  # AUPR is undefined on these labels whatever the epsilons
     # a grouped message scores its marginal, any other its prior
-    variable = np.full(len(priors), -1)
-    variable[graph.messages] = np.arange(graph.n_messages)
+    _, variable = groups.variables(priors)
     rows = np.flatnonzero(variable[scored] >= 0)
     cols = variable[scored][rows]
     prior = priors[scored]
@@ -311,7 +310,8 @@ def tune_epsilons(priors: np.ndarray, groups: GroupTable, labels: np.ndarray, re
         keys = [tuple(c[r] for r in relations) for c in candidates]
         todo = list(dict.fromkeys(k for k in keys if k not in memo))
         if todo:
-            spam, _, converged = loopy_bp_batch(graph, [dict(zip(relations, k)) for k in todo])
+            spam, _, converged = loopy_bp_batch(graph, np.array(
+                [edge_epsilons(groups, dict(zip(relations, k))) for k in todo]))
             for k, marginals, ok in zip(todo, spam, converged):
                 if not ok:  # not a fixed point: never ranked
                     log.warning("epsilon tuning of %r: loopy BP did not converge at %s; "
@@ -362,9 +362,11 @@ def ordered_dataset(messages: list) -> list:
 
 
 def check_training_labels(index: MessageIndex, plan: SplitPlan) -> None:
-    """Raise a `DataError` naming the subset and the first message of a
-    training slice without a label: every training message needs one."""
+    """Raise a `DataError` naming the subset of an empty training slice, or the
+    subset and the first message of a training slice without a label."""
     for i, subset in enumerate(plan.subsets):
+        if subset.train[0] == subset.train[1]:
+            raise DataError(f"subset {i}: the training slice is empty; raise fractions[0]")
         unlabeled = np.flatnonzero(index.labels[slice(*subset.train)] < 0)
         if len(unlabeled):
             first = index.ids[subset.train[0] + unlabeled[0]]
@@ -473,14 +475,19 @@ def write_models(path, artifacts: dict, config: ExperimentConfig) -> None:
 
 def read_models(path, config: ExperimentConfig) -> dict:
     """The artifacts of a `write_models` file that the roster of `config`
-    needs, each required; a `DataError` names the first one missing."""
+    needs, each required; a `DataError` names the first one missing, or the
+    first epsilon or hinge weight that the config would not accept."""
     codecs = _artifact_codecs(config)
 
     def parse(header, _):
         missing = [name for name in codecs if name not in header]
         if missing:
             raise ValueError(f"no {missing[0]!r} artifact, which the roster needs")
-        return {name: decode(header[name]) for name, (_, decode) in codecs.items()}
+        artifacts = {name: decode(header[name]) for name, (_, decode) in codecs.items()}
+        weights = artifacts.get("psl_weights", config.hinge.weights)
+        replace(config, epsilons=artifacts.get("epsilons", config.epsilons),
+                hinge=replace(config.hinge, weights=weights)).check()
+        return artifacts
     return read_artifact(path, MODELS_FORMAT, "train", parse)
 
 

@@ -2,10 +2,12 @@
 
 The four rule templates (negative prior, positive prior, member-to-hub and
 hub-to-member propagation) are grounded straight from the groups' (group,
-member) edge arrays, the `GroupTable` the hub MRF builds from too, into
-one row per weighted squared hinge potential max(0, l)^2, with l linear in the
-variables, held as a sparse coefficient matrix, a constant and a weight vector
-and a template id per row. The template weights are one vector in template-id
+member) edge arrays, the `GroupTable` the hub MRF builds from too, over the
+same variables: the free messages that `GroupTable.variables` gives, then one
+hub per group, started at its members' mean (`GroupTable.means`). Each
+weighted squared hinge potential max(0, l)^2, with l linear in the variables,
+is one row of a sparse coefficient matrix, a constant, a weight and a
+template id. The template weights are one vector in template-id
 order (neg, prior, then c and d of each relation), which the row weights
 index. Priors, observed values and scores are float arrays over chronological
 positions. The objective and its gradient take the linear values
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .data_model import ConfigError, DataError, GroupTable
+from .data_model import ConfigError, GroupTable
 
 log = logging.getLogger(__name__)
 
@@ -123,21 +125,13 @@ def ground_rules(priors: np.ndarray, groups: GroupTable, weights: HingeWeights,
     is_observed = ~np.isnan(observed)
     value_of = np.where(is_observed, observed, priors)
 
-    grouped = np.unique(groups.members)
-    missing = grouped[np.isnan(value_of[grouped])]
-    if len(missing):
-        raise DataError(f"{len(missing)} grouped messages lack priors "
-                        f"(first: position {missing[0]})")
-
-    free = grouped[~is_observed[grouped]]
+    free, index = groups.variables(value_of, ~is_observed)
     n_free, n_groups = len(free), len(groups)
-    index = np.full(len(priors), -1, dtype=np.int64)
-    index[free] = np.arange(n_free)
     prior = np.clip(priors[free], 0.0, 1.0)
 
     # one entry per (group, member) pair
-    members, group_of, rel = groups.members, groups.group, groups.relation
-    hub = n_free + group_of
+    members, rel = groups.members, groups.relation
+    hub = n_free + groups.group
     col = index[members]
     is_free = col >= 0
     value = value_of[members]
@@ -172,10 +166,9 @@ def ground_rules(priors: np.ndarray, groups: GroupTable, weights: HingeWeights,
     indptr = np.concatenate([[0], np.cumsum(1 + two, dtype=np.int64)])
     A = sp.csr_matrix((coef.ravel()[keep], cols.ravel()[keep], indptr),
                       shape=(n_rows, n_free + n_groups))
-    hub_mean = np.bincount(group_of, weights=value, minlength=n_groups) / groups.sizes
     return GroundHingeModel(messages=free, A=A, const=const, weight=per_template[template_id],
                             template_id=template_id, relations=groups.relations,
-                            init=np.clip(np.concatenate([prior, hub_mean]), 0.0, 1.0))
+                            init=np.clip(np.concatenate([prior, groups.means(value_of)]), 0, 1))
 
 
 @dataclass
@@ -295,10 +288,7 @@ def learn_weights(init: HingeWeights, labels: np.ndarray, groups: GroupTable,
     w = init.vector(model.relations)
     n = len(w)
     truth = np.where(labels >= 0, labels, priors)
-    ends = np.cumsum(groups.sizes)
-    hub_truth = [np.mean(truth[groups.members[end - size:end]])
-                 for size, end in zip(groups.sizes.tolist(), ends.tolist())]
-    observed_x = np.concatenate([truth[model.messages], hub_truth])
+    observed_x = np.concatenate([truth[model.messages], groups.means(truth)])
     phi_obs = np.bincount(model.template_id, weights=model.potential_values(observed_x),
                           minlength=n)
     trace = []

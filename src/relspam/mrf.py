@@ -3,19 +3,19 @@
 Each group of related messages contributes one latent hub variable plus one
 agreement-favoring pairwise factor per member, so a group of n messages costs
 n edges rather than n-choose-2. `build_factor_graph` fills the graph's arrays
-straight from a `data_model.GroupTable`, the (group, member) edge form the
-hinge-loss MRF grounds from too: per variable its prior log-odds (0 for a
-hub), per edge the message variable, the hub variable, epsilon and the
-relation code.
+straight from a `data_model.GroupTable`, whose message variables and hubs the
+hinge-loss MRF takes too: per variable its prior log-odds (0 for a hub), per
+edge the message variable, the hub variable and its epsilon, which
+`edge_epsilons` reads off the edge's relation.
 Priors and posteriors are float arrays over chronological positions. A graph
 that is not a hub graph, such as a test's random tree, is given as the same
 arrays.
 
 Approximate marginals come from damped synchronous loopy belief propagation
-in log-odds form, one kernel over the arrays that runs a batch of epsilon
-settings at once: a message is one number per edge direction,
-m_a->b = 2 atanh((1 - 2e) tanh((h_a - m_b->a) / 2)), where the field h is a
-variable's prior log-odds plus its incoming messages.
+in log-odds form, one kernel over the arrays, `loopy_bp_batch`, that runs a
+batch of rows of edge epsilons at once: a message is one number per edge
+direction, m_a->b = 2 atanh((1 - 2e) tanh((h_a - m_b->a) / 2)), where the
+field h is a variable's prior log-odds plus its incoming messages.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import ConfigError, DataError, GroupTable, is_number
+from .data_model import ConfigError, GroupTable, is_number
 
 log = logging.getLogger(__name__)
 
@@ -40,35 +40,30 @@ class FactorGraph:
     chronological position messages[i]; the rest are hubs. h0[i] is variable
     i's prior log-odds log(P(spam) / P(ham)), 0 for a hub. Factor f joins
     variables factors[f, 0] and factors[f, 1] with the table [[1-e, e], [e, 1-e]],
-    e = epsilon[f], and belongs to relation relations[relation[f]].
+    e = epsilon[f].
     """
 
     messages: np.ndarray  # (n_messages,) positions
     h0: np.ndarray  # (n_variables,)
     factors: np.ndarray  # (n_factors, 2) variable indices
     epsilon: np.ndarray  # (n_factors,)
-    relation: np.ndarray  # (n_factors,)
-    relations: list
-
-    @property
-    def n_messages(self) -> int:
-        return len(self.messages)
 
 
-def _edge_epsilons(relations: list, relation: np.ndarray, epsilons) -> np.ndarray:
-    """Per-edge epsilons from one shared value or a per-relation dict (0.1 for
-    a relation the dict leaves out), checked for every relation present."""
+def edge_epsilons(groups: GroupTable, epsilons) -> np.ndarray:
+    """Per-edge epsilons of `groups` from one shared value or a per-relation
+    dict (0.1 for a relation the dict leaves out), checked for every relation
+    present."""
     if is_number(epsilons):
-        per_relation = [float(epsilons)] * len(relations)
+        per_relation = [float(epsilons)] * len(groups.relations)
     elif isinstance(epsilons, dict):
-        per_relation = [epsilons.get(r, 0.1) for r in relations]
+        per_relation = [epsilons.get(r, 0.1) for r in groups.relations]
     else:
         raise ConfigError(f"epsilons must be a number or an object mapping relations to "
                           f"numbers, got {epsilons!r}")
-    for r, eps in zip(relations, per_relation):
+    for r, eps in zip(groups.relations, per_relation):
         if not (is_number(eps) and 0.0 < eps < 0.5):
             raise ConfigError(f"epsilon for relation {r!r} must lie in (0, 0.5), got {eps!r}")
-    return np.array(per_relation, dtype=float)[relation]
+    return np.array(per_relation, dtype=float)[groups.relation]
 
 
 def build_factor_graph(priors: np.ndarray, groups: GroupTable, epsilons) -> FactorGraph:
@@ -77,22 +72,15 @@ def build_factor_graph(priors: np.ndarray, groups: GroupTable, epsilons) -> Fact
     a float array over positions. Ungrouped messages are excluded: their
     posterior is their prior by definition.
     """
-    grouped = np.unique(groups.members)
-    raw = priors[grouped]
-    missing = grouped[np.isnan(raw)]
-    if len(missing):
-        raise DataError(f"{len(missing)} grouped messages lack priors "
-                        f"(first: position {missing[0]})")
+    messages, variable = groups.variables(priors)
+    raw = priors[messages]
     p = np.clip(raw, PRIOR_CLAMP, 1.0 - PRIOR_CLAMP)
     n_clamped = int(np.count_nonzero(p != raw))
     if n_clamped:
         log.debug("clamped %d priors into (0,1)", n_clamped)
-    n_messages = len(grouped)
     h0 = np.concatenate([np.log(p) - np.log(1.0 - p), np.zeros(len(groups))])  # hubs: 0
-    var_a = np.searchsorted(grouped, groups.members)
-    return FactorGraph(grouped, h0, np.column_stack([var_a, n_messages + groups.group]),
-                       _edge_epsilons(groups.relations, groups.relation, epsilons),
-                       groups.relation, groups.relations)
+    factors = np.column_stack([variable[groups.members], len(messages) + groups.group])
+    return FactorGraph(messages, h0, factors, edge_epsilons(groups, epsilons))
 
 
 @dataclass
@@ -102,13 +90,16 @@ class BPResult:
     n_iters: int
 
 
-def _bp_rows(graph: FactorGraph, eps, max_iters: int, damping: float, tol: float) -> tuple:
-    """Synchronous damped BP on `graph` for each row of `eps` (B x n_edges),
-    one log-odds message per edge direction and row.
+def loopy_bp_batch(graph: FactorGraph, eps: np.ndarray, max_iters: int = 100,
+                   damping: float = 0.5, tol: float = 1e-6) -> tuple:
+    """`loopy_bp` on `graph` once per row of edge epsilons `eps` (B x
+    n_factors, as `edge_epsilons` gives a row), in one batched run, with one
+    log-odds message per edge direction and row.
 
     Every row stops at its own iteration, and no sum mixes rows, so a row of a
-    batch equals the same row run alone bit for bit. Returns the spam
-    marginals (B x n_vars), the iterations and the convergence flags.
+    batch equals the same row run alone bit for bit, but is not logged.
+    Returns the spam marginals (B x n_variables, in variable order), the
+    iterations and the convergence flags.
     """
     n_rows, n_edges = eps.shape
     h0 = graph.h0
@@ -160,25 +151,11 @@ def loopy_bp(graph: FactorGraph, max_iters: int = 100, damping: float = 0.5,
     once an iteration moves no message by `tol` or more in log-odds; if it has
     not, that is logged, and the current beliefs return with converged=False.
     """
-    spam, n_iters, converged = _bp_rows(graph, graph.epsilon[None, :], max_iters, damping, tol)
+    spam, n_iters, converged = loopy_bp_batch(graph, graph.epsilon[None, :], max_iters,
+                                              damping, tol)
     if not converged[0]:
         log.warning("loopy BP did not converge in %d iterations", max_iters)
     return BPResult(marginals=spam[0], converged=bool(converged[0]), n_iters=int(n_iters[0]))
-
-
-def loopy_bp_batch(graph: FactorGraph, epsilons: list, max_iters: int = 100,
-                   damping: float = 0.5, tol: float = 1e-6) -> tuple:
-    """`loopy_bp` once per entry of `epsilons`, in one batched run on a graph
-    from `build_factor_graph`.
-
-    Each entry is a shared value or a per-relation dict, as
-    `build_factor_graph` takes. Row b equals `loopy_bp` on the graph built with
-    epsilons[b], bit for bit, but is not logged. Returns (spam marginals as a
-    B x n_variables array in variable order, iterations, convergence flags).
-    """
-    rows = np.array([_edge_epsilons(graph.relations, graph.relation, e) for e in epsilons],
-                    dtype=float)
-    return _bp_rows(graph, rows.reshape(len(epsilons), len(graph.factors)), max_iters, damping, tol)
 
 
 def infer_posteriors(priors: np.ndarray, groups: GroupTable, epsilons=0.1, max_iters: int = 100,
@@ -191,5 +168,5 @@ def infer_posteriors(priors: np.ndarray, groups: GroupTable, epsilons=0.1, max_i
     graph = build_factor_graph(priors, groups, epsilons)
     result = loopy_bp(graph, max_iters=max_iters, damping=damping, tol=tol)
     scores = priors.copy()
-    scores[graph.messages] = result.marginals[:graph.n_messages]
+    scores[graph.messages] = result.marginals[:len(graph.messages)]
     return scores, result

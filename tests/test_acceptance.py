@@ -48,8 +48,7 @@ def random_tree(rng):
     for i in range(1, n):
         factors.append((rng.randrange(i), i))
         epsilons.append(rng.uniform(0.01, 0.49))
-    return FactorGraph(np.arange(n), h0, np.array(factors, dtype=np.int64),
-                       np.array(epsilons), np.zeros(n - 1, dtype=np.int64), ["tree"])
+    return FactorGraph(np.arange(n), h0, np.array(factors, dtype=np.int64), np.array(epsilons))
 
 
 def test_criterion_01_bp_tree_exactness():

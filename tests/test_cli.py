@@ -254,6 +254,18 @@ class TestStages:
         assert err.startswith("error: subset 0: ") and repr(first.id) in err
         assert not (out / "features").exists()
 
+    @pytest.mark.parametrize("extra", [{"fractions": [0, 0.5, 0.5]}, {"n_subsets": 1000}])
+    def test_featurize_rejects_an_empty_training_slice(self, tmp_path, capsys, extra):
+        # 1000 subsets of 1200 messages: subset 0 holds one message, int(1 * 0.7) = 0 of it training
+        cfg = write_config(tmp_path, extra)
+        out = tmp_path / "out"
+        assert main(["generate", "--config", cfg, "--out", str(out), "--seed", "1"]) == 0
+        assert main(["featurize", "--config", cfg, "--out", str(out), "--seed", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: subset 0: the training slice is empty") and \
+            "Traceback" not in err
+        assert not (out / "features").exists()
+
     def test_eval_names_a_predictions_file_that_does_not_match_its_subset(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
@@ -422,6 +434,24 @@ class TestStageFiles:
         path = out / "models" / "subset_00" / "models.json"
         assert err.startswith(f"error: {path}: not a relspam-models v2 file (no {artifact!r} "
                               "artifact, which the roster needs); rerun the train stage"), err
+
+    @pytest.mark.parametrize("edit, models, key", [
+        ({"epsilons": 0.7}, "independent,mrf", "epsilons"),
+        ({"epsilons": {"user": 0.2, "bogus": 3}}, "independent,mrf", "epsilons"),
+        ({"psl_weights": {"neg": -1, "prior": 1.0, "relation_c": {}, "relation_d": {}}},
+         "independent,mrf,psl", "hinge.weights.neg"),
+    ])
+    def test_models_file_value_the_config_rejects_is_named(self, finished, tmp_path, capsys,
+                                                           edit, models, key):
+        out = self.copy(finished, tmp_path)
+        path = out / "models" / "subset_00" / "models.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+        capsys.readouterr()
+        assert self.stage("infer", finished, out, "--models", models) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not a relspam-models v2 file (config key "
+                              f"'{key}' must be ") and "Traceback" not in err, err
+        assert err.endswith("; rerun the train stage\n"), err
 
     def test_models_file_of_the_first_format_is_named(self, finished, tmp_path, capsys):
         # relspam-models v1 held each linear model's weights in standardized space

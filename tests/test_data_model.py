@@ -1,5 +1,7 @@
 import json
+import math
 import random
+import re
 import unicodedata
 from dataclasses import asdict
 from pathlib import Path
@@ -35,6 +37,8 @@ from relspam.data_model import (
     write_index,
     write_messages,
 )
+
+from tables import hub_table
 
 
 def msg(mid, user="u", text="", ts=0, **kw):
@@ -372,6 +376,44 @@ def test_restricted_groups_equal_groups_of_the_subset(rows, relation_names, cuts
     assert table.members.tolist() == [p for m in members for p in m]
     assert table.group.tolist() == [j for j, m in enumerate(members) for _ in m]
     assert table.relation.tolist() == table.group_relation[table.group].tolist()
+
+
+@st.composite
+def hub_layouts(draw):
+    """(groups as lists of member positions, a free mask and values over positions)."""
+    n = draw(st.integers(2, 16))
+    groups = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=2, max_size=12, unique=True),
+                           max_size=6))
+    free = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    value = st.sampled_from([0.0, 1.0]) if draw(st.booleans()) else st.one_of(
+        st.floats(0.0, 1.0), st.just(float("nan")))
+    return groups, free, draw(st.lists(value, min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hub_layouts(), st.booleans())
+def test_hub_layout_matches_per_group_reference(layout, masked):
+    groups, free, values = layout
+    table = hub_table(*(("user", str(k), g) for k, g in enumerate(groups)))
+    grouped = sorted({p for g in groups for p in g})
+    missing = [p for p in grouped if math.isnan(values[p])]
+    if missing:
+        with pytest.raises(DataError, match=re.escape(
+                f"{len(missing)} grouped messages lack priors (first: position {missing[0]})")):
+            table.variables(np.array(values), np.array(free) if masked else None)
+        return
+    messages = [p for p in grouped if free[p] or not masked]
+    got, variable = table.variables(np.array(values), np.array(free) if masked else None)
+    assert got.tolist() == messages
+    assert variable.tolist() == [messages.index(p) if p in messages else -1
+                                 for p in range(len(values))]
+
+    means = table.means(np.array(values)).tolist()
+    member_values = [[values[p] for p in sorted(g)] for g in groups]
+    np.testing.assert_allclose(means, [sum(v) / len(v) for v in member_values], rtol=0, atol=1e-12)
+    if set(values) <= {0.0, 1.0}:
+        # bit for bit with the pairwise sums of np.mean
+        assert means == [np.mean(v) for v in member_values]
 
 
 class TestIndexFile:

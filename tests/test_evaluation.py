@@ -493,9 +493,10 @@ class TestTuneEpsilons:
 
         real = evaluation.loopy_bp_batch
 
-        def best_row_unconverged(graph, candidates, **kw):
-            spam, n_iters, converged = real(graph, candidates, **kw)
-            return spam, n_iters, converged & [c["user"] != best for c in candidates]
+        def best_row_unconverged(graph, rows, **kw):
+            # every edge is a user edge, so a row's first entry is its user epsilon
+            spam, n_iters, converged = real(graph, rows, **kw)
+            return spam, n_iters, converged & (rows[:, 0] != best)
 
         monkeypatch.setattr(evaluation, "loopy_bp_batch", best_row_unconverged)
         with caplog.at_level("WARNING", logger="relspam.evaluation"):

@@ -491,7 +491,8 @@ def reference_learn_weights(init, labels, groups, priors, steps, learning_rate):
     model = ground_rules(priors, groups, weights)
     truth = np.where(labels >= 0, labels, priors)
     ends = np.cumsum(groups.sizes)
-    hub_truth = [np.mean(truth[groups.members[end - size:end]])
+    # each hub's mean adds its members one by one, in member order
+    hub_truth = [sum(truth[groups.members[end - size:end]].tolist()) / size
                  for size, end in zip(groups.sizes.tolist(), ends.tolist())]
     observed_x = np.concatenate([truth[model.messages], hub_truth])
     phi_obs = sums(model, observed_x)

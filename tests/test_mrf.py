@@ -10,6 +10,7 @@ from relspam.data_model import ConfigError, DataError
 from relspam.mrf import (
     FactorGraph,
     build_factor_graph,
+    edge_epsilons,
     infer_posteriors,
     loopy_bp,
     loopy_bp_batch,
@@ -23,11 +24,10 @@ def log_odds(p: float) -> float:
 
 
 def message_graph(priors, factors, epsilons) -> FactorGraph:
-    """A graph of message variables only, every factor of one relation."""
+    """A graph of message variables only."""
     return FactorGraph(np.arange(len(priors)), np.array([log_odds(p) for p in priors], dtype=float),
                        np.array(factors, dtype=np.int64).reshape(-1, 2),
-                       np.array(epsilons, dtype=float), np.zeros(len(epsilons), dtype=np.int64),
-                       ["user"])
+                       np.array(epsilons, dtype=float))
 
 
 def build_pairwise_reference(priors, epsilon: float) -> FactorGraph:
@@ -81,7 +81,7 @@ class TestBuild:
         groups = hub_table(("user", "u", [0, 1, 2]), ("text", "t", [2, 3, 4]))
         graph = build_factor_graph(np.full(5, 0.5), groups, 0.1)
         for a, b in graph.factors:
-            kinds = {a < graph.n_messages, b < graph.n_messages}  # is each a message?
+            kinds = {a < len(graph.messages), b < len(graph.messages)}  # is each a message?
             assert kinds == {True, False}
 
     def test_message_variables_in_position_order(self):
@@ -218,8 +218,7 @@ def reference_factor_graph(priors: dict, groups: list, epsilons) -> FactorGraph:
     build_factor_graph once did, from (relation, members) groups."""
     if isinstance(epsilons, (int, float)):
         epsilons = {relation: float(epsilons) for relation, _ in groups}
-    relations = sorted({relation for relation, _ in groups})
-    messages, h0, factors, eps, relation_code = [], [], [], [], []
+    messages, h0, factors, eps = [], [], [], []
     index = {}
     for mid in sorted({mid for _, members in groups for mid in members}):
         p = min(max(priors[mid], 1e-6), 1.0 - 1e-6)
@@ -232,10 +231,8 @@ def reference_factor_graph(priors: dict, groups: list, epsilons) -> FactorGraph:
         for mid in sorted(members):
             factors.append((index[mid], h))
             eps.append(epsilons.get(relation, 0.1) if isinstance(epsilons, dict) else 0.1)
-            relation_code.append(relations.index(relation))
     return FactorGraph(np.array(messages, dtype=np.int64), np.array(h0, dtype=float),
-                       np.array(factors, dtype=np.int64).reshape(-1, 2), np.array(eps, dtype=float),
-                       np.array(relation_code, dtype=np.int64), relations)
+                       np.array(factors, dtype=np.int64).reshape(-1, 2), np.array(eps, dtype=float))
 
 
 def reference_loopy_bp(graph: FactorGraph, max_iters: int, damping: float = 0.5, tol: float = 1e-6):
@@ -298,8 +295,7 @@ def test_array_graph_matches_per_object_reference(inputs, epsilons, stop):
     priors, groups, table = inputs
     graph = build_factor_graph(priors, table, epsilons)
     ref = reference_factor_graph(priors, groups, epsilons)
-    assert graph.relations == ref.relations
-    for name in ("messages", "h0", "factors", "epsilon", "relation"):
+    for name in ("messages", "h0", "factors", "epsilon"):
         assert getattr(graph, name).shape == getattr(ref, name).shape
         assert getattr(graph, name).tolist() == getattr(ref, name).tolist()
 
@@ -315,6 +311,11 @@ def test_array_graph_matches_per_object_reference(inputs, epsilons, stop):
         assert type(bp.converged) is bool and type(bp.n_iters) is int
 
 
+def edge_rows(table, settings_list) -> np.ndarray:
+    """One row of edge epsilons per setting, as `loopy_bp_batch` takes them."""
+    return np.array([edge_epsilons(table, eps) for eps in settings_list])
+
+
 @settings(max_examples=80, deadline=None)
 @given(hub_inputs(), st.lists(epsilon_settings, min_size=1, max_size=6),
        st.sampled_from([(100, 1e-6), (12, 1e-9), (2, 1e-15)]))
@@ -322,7 +323,8 @@ def test_batched_rows_equal_single_runs_bit_for_bit(inputs, settings_list, stop)
     priors, _, table = inputs
     max_iters, tol = stop
     graph = build_factor_graph(priors, table, 0.1)
-    spam, n_iters, converged = loopy_bp_batch(graph, settings_list, max_iters=max_iters, tol=tol)
+    spam, n_iters, converged = loopy_bp_batch(graph, edge_rows(table, settings_list),
+                                              max_iters=max_iters, tol=tol)
     assert spam.shape == (len(settings_list), len(graph.h0))
     for eps, row, row_iters, row_converged in zip(settings_list, spam, n_iters, converged):
         single = loopy_bp(build_factor_graph(priors, table, eps), max_iters=max_iters, tol=tol)
@@ -336,7 +338,7 @@ def test_batch_rows_stop_at_their_own_iteration():
     graph = build_factor_graph(priors, groups, 0.1)
     # alone, these rows converge in 19, 82 and 38 iterations
     settings_list = [0.45, {"user": 0.1, "text": 0.1, "link": 0.1}, 0.3]
-    spam, n_iters, converged = loopy_bp_batch(graph, settings_list, max_iters=40)
+    spam, n_iters, converged = loopy_bp_batch(graph, edge_rows(groups, settings_list), max_iters=40)
     assert converged.tolist() == [True, False, True]
     assert n_iters.tolist() == [19, 40, 38]
     for eps, row, row_iters in zip(settings_list, spam, n_iters):
@@ -346,6 +348,5 @@ def test_batch_rows_stop_at_their_own_iteration():
 
 
 def test_batch_checks_every_epsilon_setting():
-    graph = build_factor_graph(np.full(2, 0.5), one_group(2), 0.1)
     with pytest.raises(ConfigError):
-        loopy_bp_batch(graph, [0.1, {"user": 0.5}])
+        edge_rows(one_group(2), [0.1, {"user": 0.5}])
