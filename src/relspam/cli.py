@@ -3,9 +3,10 @@
 Stages communicate only through files under the output directory, so any
 stage can be rerun in isolation; outputs are byte-deterministic for a fixed
 config and seed. `run-all` chains every stage and writes the final report. A
-stage only reads its inputs, calls the per-subset steps of `evaluation` that
-`evaluate_experiment` also runs, and writes their results. Only `featurize`
-reads `messages.jsonl`; it writes `features/split_plan.json`, which records
+stage only reads its inputs, calls the steps of `evaluation` that
+`evaluate_experiment` also runs (featurize first calls `prepare_dataset`), and
+writes their results. Only `featurize` reads `messages.jsonl`; it writes
+`features/split_plan.json`, which records
 the settings it ran under, the `features/index.npz` message index and each
 subset's `features.npz`, `train` each subset's `models.json` (whose format
 `evaluation` owns), and `infer` the predictions TSVs and
@@ -33,14 +34,12 @@ import numpy as np
 from .data_model import (
     ConfigError,
     DataError,
-    build_index,
     check_setting,
     is_int,
     read_artifact,
     read_follows,
     read_index,
     read_messages,
-    chronological_split,
     SplitPlan,
     SubsetSplit,
     write_artifact,
@@ -51,11 +50,9 @@ from .data_model import (
 from .evaluation import (
     ExperimentConfig,
     aggregate_report,
-    check_training_labels,
     featurize_subset,
-    graph_feature_table,
     infer_subset_models,
-    ordered_dataset,
+    prepare_dataset,
     read_models,
     sum_diagnostics,
     train_subset_models,
@@ -213,22 +210,19 @@ def cmd_featurize(cfg: RunConfig) -> int:
     path = Path(cfg.messages or _out(cfg) / "data" / "messages.jsonl")
     if not path.is_file():
         raise DataError(f"no messages file {path}; run the generate stage or set 'messages'")
-    messages = ordered_dataset(read_messages(path))
     follows_path = Path(cfg.follows or _out(cfg) / "data" / "follows.tsv")
-    # only the default follows file may be absent
-    follows = read_follows(follows_path) if cfg.follows or follows_path.exists() else []
-    plan = chronological_split(messages, cfg.n_subsets, cfg.fractions)
-    # built before any subset is transformed and not held while they are: neither
-    # it nor its transient groups add to the stage's peak memory
-    index = build_index(messages, cfg.relations, hashlib.sha256(path.read_bytes()).hexdigest())
-    check_training_labels(index, plan)
+    messages, plan, index, graph_table = prepare_dataset(
+        read_messages(path),
+        # only the default follows file may be absent
+        read_follows(follows_path) if cfg.follows or follows_path.exists() else [],
+        cfg, hashlib.sha256(path.read_bytes()).hexdigest())
     feat_dir = _out(cfg) / "features"
     feat_dir.mkdir(parents=True, exist_ok=True)
     write_artifact(feat_dir / "split_plan.json", PLAN_FORMAT,
                    {**asdict(plan), "settings": _featurize_settings(cfg)})
     write_index(feat_dir / "index.npz", index)
+    # not held while the subsets are transformed: it adds nothing to the stage's peak memory
     del index
-    graph_table = graph_feature_table(cfg, follows)
     for i, subset in enumerate(plan.subsets):
         fm = featurize_subset(messages, subset, cfg, graph_table)
         sub_dir = _subset_dir(cfg, "features", i)

@@ -1,15 +1,17 @@
-"""Core data types: messages, relation groups, the message index, dataset
-validation, chronological splits.
+"""Core data types: messages, relation groups, the message index,
+chronological splits.
 
 Messages are ingested from line-delimited JSON records, and every message
-checks its fields against one table, `MESSAGE_FIELDS`. Groups ("hubs") collect
-messages that share a relation key: same author, same normalized text, same
-link, and so on. One pass over the messages gives each relation's keys and
-their members: `build_index` fills a `GroupTable` from it, and `build_groups`
-is its view by message id. A `MessageIndex` holds ids, labels and every
-message's groups as arrays, and restricts the groups to a subset by an edge
-mask. Past the index a message is its chronological position, the form every
-later module takes. All downstream modules consume these types read-only.
+checks its fields against one table, `MESSAGE_FIELDS`; the checks of a whole
+dataset (unique ids, labeled training slices) are
+`evaluation.prepare_dataset`'s. Groups ("hubs") collect messages that share a
+relation key: same author, same normalized text, same link, and so on. One
+pass over the messages gives each relation's keys and their members:
+`build_index` fills a `GroupTable` from it, and `build_groups` is its view by
+message id. A `MessageIndex` holds ids, labels and every message's groups as
+arrays, and restricts the groups to a subset by an edge mask. Past the index a
+message is its chronological position, the form every later module takes. All
+downstream modules consume these types read-only.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import re
 import string
 import unicodedata
 import zipfile
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 from urllib.parse import urlsplit, urlunsplit
@@ -374,12 +376,6 @@ def read_index(path) -> MessageIndex:
         table = GroupTable(sorted(set(header["relations"])), codes, sizes, member)
         return MessageIndex(ids, labels, header["relations"], table, header["source_sha256"])
     return read_artifact(path, INDEX_FORMAT, "featurize", parse)
-
-
-def validate_dataset(messages: list) -> list:
-    """The errors of a dataset, empty when it is valid: its duplicate ids."""
-    dups = sorted(mid for mid, n in Counter(m.id for m in messages).items() if n > 1)
-    return [f"duplicate message id: {mid}" for mid in dups]
 
 
 def sort_chronologically(messages: list) -> list:

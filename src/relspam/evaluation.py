@@ -1,17 +1,19 @@
 """Metrics and the chronological multi-subset evaluation protocol.
 
-The protocol is written once, as per-subset steps on in-memory inputs:
+The protocol is written once. `prepare_dataset` checks, sorts, splits and
+indexes a dataset, and then come per-subset steps on in-memory inputs:
 `featurize_subset` builds a subset's features, fit on its training slice,
 `train_subset_models` fits the independent classifier and every artifact the
 roster needs (tuning on validation), `infer_subset_models` predicts the test
 slice with every roster model (stacked, joint, and combined), and
 `aggregate_report` concatenates the test predictions across subsets and scores
-them overall and on the inductive / transductive partition. All but the first
-take the dataset's `MessageIndex` in place of its messages and know a message
-by its chronological position: labels, priors and scores are arrays over
-positions, and a subset's predictions are one array per model over its test
-slice. `evaluate_experiment` runs these steps in one process; the `cli` stages run
-the same steps and only read and write the artifacts between them.
+them overall and on the inductive / transductive partition. The steps after
+`featurize_subset` take the dataset's `MessageIndex` in place of its messages
+and know a message by its chronological position: labels, priors and scores
+are arrays over positions, and a subset's predictions are one array per model
+over its test slice. `evaluate_experiment` runs these steps in one process;
+the `cli` stages run the same steps, featurize from the same
+`prepare_dataset`, and only read and write the artifacts between them.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import json
 import logging
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field, asdict, replace
 from operator import attrgetter
 
@@ -41,7 +44,6 @@ from .data_model import (
     is_number,
     read_artifact,
     sort_chronologically,
-    validate_dataset,
     write_artifact,
 )
 from .features import (
@@ -283,11 +285,12 @@ def tune_epsilons(priors: np.ndarray, groups: GroupTable, labels: np.ndarray, re
     with a prior (`priors` over positions, NaN where none), from the
     epsilons `start` (shared, or per relation with 0.1 for one left out).
 
-    The graph is built once. Each relation's current value and grid run as
-    one batched BP call, a row of edge epsilons each, and scores are memoized
-    by the per-relation epsilons, so a candidate scored before does not run
-    again. A grid value must beat the best score so far strictly to replace
-    it. A candidate whose BP did not converge scores -inf, so it never does.
+    The graph is built once, and the start is scored once. Each relation
+    then runs its grid values other than its current epsilon as one batched
+    BP call, a row of edge epsilons each: such a candidate differs from every
+    earlier one at a relation not yet tuned, so no candidate runs twice. A
+    grid value must beat the best score so far strictly to replace it. A
+    candidate whose BP did not converge scores -inf, so it never does.
     """
     eps = {r: start.get(r, 0.1) if isinstance(start, dict) else start for r in relations}
     scored = np.flatnonzero(~np.isnan(priors) & (labels >= 0))
@@ -299,37 +302,31 @@ def tune_epsilons(priors: np.ndarray, groups: GroupTable, labels: np.ndarray, re
         _check_binary(y)
     except DataError:
         return eps  # AUPR is undefined on these labels whatever the epsilons
-    # a grouped message scores its marginal, any other its prior
-    _, variable = groups.variables(priors)
-    rows = np.flatnonzero(variable[scored] >= 0)
-    cols = variable[scored][rows]
-    prior = priors[scored]
-    memo = {}
 
     def scores(rel: str, candidates: list) -> list:
-        keys = [tuple(c[r] for r in relations) for c in candidates]
-        todo = list(dict.fromkeys(k for k in keys if k not in memo))
-        if todo:
-            spam, _, converged = loopy_bp_batch(graph, np.array(
-                [edge_epsilons(groups, dict(zip(relations, k))) for k in todo]))
-            for k, marginals, ok in zip(todo, spam, converged):
-                if not ok:  # not a fixed point: never ranked
-                    log.warning("epsilon tuning of %r: loopy BP did not converge at %s; "
-                                "candidate skipped", rel, dict(zip(relations, k)))
-                    memo[k] = -np.inf
-                    continue
-                joint = prior.copy()
-                joint[rows] = marginals[cols]
-                memo[k] = aupr(joint, y)
-        return [memo[k] for k in keys]
+        spam, _, converged = loopy_bp_batch(
+            graph, np.array([edge_epsilons(groups, c) for c in candidates]))
+        out = []
+        for candidate, marginals, ok in zip(candidates, spam, converged):
+            if not ok:  # not a fixed point: never ranked
+                log.warning("epsilon tuning of %r: loopy BP did not converge at %s; "
+                            "candidate skipped", rel, candidate)
+                out.append(-np.inf)
+                continue
+            # a grouped message scores its marginal, any other its prior
+            joint = priors.copy()
+            joint[graph.messages] = marginals[:len(graph.messages)]
+            out.append(aupr(joint[scored], y))
+        return out
 
+    best_score, = scores(relations[0], [dict(eps)])  # a copy, as a log record keeps it
     for rel in relations:
-        best_score, *grid_scores = scores(rel, [eps] + [{**eps, rel: e} for e in grid])
-        best_eps = eps[rel]
-        for e, s in zip(grid, grid_scores):
+        grid_eps = [e for e in dict.fromkeys(grid) if e != eps[rel]]
+        if not grid_eps:
+            continue
+        for e, s in zip(grid_eps, scores(rel, [{**eps, rel: e} for e in grid_eps])):
             if s > best_score:
-                best_eps, best_score = e, s
-        eps[rel] = best_eps
+                eps[rel], best_score = e, s
     return eps
 
 
@@ -353,31 +350,39 @@ def tune_l2(fm_train, labels, fm_val, val_labels, config: ClassifierConfig, grid
 
 # --- per-subset steps of the protocol ---
 
-def ordered_dataset(messages: list) -> list:
-    """The messages sorted chronologically; `DataError` if they fail validation."""
-    errors = validate_dataset(messages)
-    if errors:
-        raise DataError("dataset failed validation: " + "; ".join(errors[:5]))
-    return sort_chronologically(messages)
+def prepare_dataset(messages: list, follows: list, config: ExperimentConfig,
+                    source_sha256: str = "") -> tuple:
+    """The set-up of a dataset that featurize and `evaluate_experiment` share:
+    -> (the messages in chronological order, their split plan, their index,
+    the per-user graph-feature table every subset's matrix reads; empty when
+    the feature mode drops the graph block or there are no follows).
 
-
-def check_training_labels(index: MessageIndex, plan: SplitPlan) -> None:
-    """Raise a `DataError` naming the subset of an empty training slice, or the
-    subset and the first message of a training slice without a label."""
+    A `DataError` names the first duplicate id, or the subset whose training
+    slice is empty, shorter than the deepest stacked model of the roster
+    needs (K+1 messages for sglK), or holds a message without a label.
+    """
+    duplicates = sorted(mid for mid, n in Counter(m.id for m in messages).items() if n > 1)
+    if duplicates:
+        raise DataError("dataset failed validation: " + "; ".join(
+            f"duplicate message id: {mid}" for mid in duplicates[:5]))
+    messages = sort_chronologically(messages)  # the unsorted list goes once no caller holds it
+    plan = chronological_split(messages, config.n_subsets, config.fractions)
+    index = build_index(messages, config.relations, source_sha256)
+    deepest = max(config.required_stacks(), default=0)
     for i, subset in enumerate(plan.subsets):
-        if subset.train[0] == subset.train[1]:
+        n_train = subset.train[1] - subset.train[0]
+        if n_train == 0:
             raise DataError(f"subset {i}: the training slice is empty; raise fractions[0]")
+        if n_train <= deepest:
+            raise DataError(f"subset {i}: {n_train} training messages, but sgl{deepest} needs "
+                            f"{deepest + 1}; raise fractions[0] or lower n_subsets")
         unlabeled = np.flatnonzero(index.labels[slice(*subset.train)] < 0)
         if len(unlabeled):
             first = index.ids[subset.train[0] + unlabeled[0]]
             raise DataError(f"subset {i}: {len(unlabeled)} training messages lack a label "
                             f"(first: {first!r}); every training message needs one")
-
-
-def graph_feature_table(config: ExperimentConfig, follows: list) -> dict:
-    """Per-user follower-graph features shared by every subset's matrix;
-    empty when the feature mode drops them or there are no follows."""
-    return compute_graph_feature_table(follows) if config.feature.uses_graph() else {}
+    graph_table = compute_graph_feature_table(follows) if config.feature.uses_graph() else {}
+    return messages, plan, index, graph_table
 
 
 def featurize_subset(ordered: list, subset: SubsetSplit, config: ExperimentConfig,
@@ -619,11 +624,7 @@ def evaluate_experiment(messages: list, follows: list, config: ExperimentConfig)
     config.check()
     for m in messages:  # a caller may have assigned a field after building the message
         check_message(m)
-    ordered = ordered_dataset(messages)
-    index = build_index(ordered, config.relations)
-    plan = chronological_split(ordered, config.n_subsets, config.fractions)
-    check_training_labels(index, plan)
-    graph_table = graph_feature_table(config, follows)
+    ordered, plan, index, graph_table = prepare_dataset(messages, follows, config)
     subset_preds, diagnostics = [], []
     for i, subset in enumerate(plan.subsets):
         fm = featurize_subset(ordered, subset, config, graph_table)

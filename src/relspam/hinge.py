@@ -13,19 +13,21 @@ index. Priors, observed values and scores are float arrays over chronological
 positions. The objective and its gradient take the linear values
 A @ x + const, which the MAP line search keeps from one step to the next. MAP
 inference minimizes the convex weighted sum by projected Newton steps, each
-solved by conjugate gradients, and stops on the projected gradient; the
-weight vector can be learned from labeled validation data.
+solved by `linear.conjugate_gradients`, the loop the logistic fit's Newton
+steps use too, and stops on the projected gradient; the weight vector can be
+learned from labeled validation data.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from .data_model import ConfigError, GroupTable
+from .linear import conjugate_gradients
 
 log = logging.getLogger(__name__)
 
@@ -179,28 +181,11 @@ class MapResult:
     n_iters: int
 
 
-def _conjugate_gradients(hess_vec, diagonal, b, target):
-    """Conjugate gradients on H d = b from d = 0 for a positive semi-definite
-    H, given by its products and preconditioned by its `diagonal` held within
-    1e-12 of its largest entry (so a subnormal weight cannot overflow it):
-    stops once no residual entry exceeds `target`, after len(b) products, or
-    on non-positive curvature."""
-    inverse_diagonal = 1.0 / np.maximum(diagonal, 1e-12 * diagonal.max(initial=0.0))
-    d, r, p = np.zeros_like(b), b, inverse_diagonal * b
-    rz = float(r @ p)
-    for _ in range(len(b)):
-        if np.max(np.abs(r), initial=0.0) <= target:
-            break
-        Hp = hess_vec(p)
-        curvature = float(p @ Hp)
-        if curvature <= 0.0:
-            break
-        alpha = rz / curvature
-        d, r = d + alpha * p, r - alpha * Hp
-        z = inverse_diagonal * r
-        rz, rz_old = float(r @ z), rz
-        p = z + (rz / rz_old) * p
-    return d
+def jacobi_inverse(diagonal: np.ndarray) -> np.ndarray:
+    """The Jacobi preconditioner of a Hessian `diagonal`: its inverse, each
+    entry held within 1e-12 of the largest so that neither a zero nor a
+    subnormal weight overflows it."""
+    return 1.0 / np.maximum(diagonal, 1e-12 * diagonal.max(initial=0.0))
 
 
 def map_inference(model: GroundHingeModel, tol: float = 1e-9, max_iter: int = 100) -> MapResult:
@@ -229,8 +214,9 @@ def map_inference(model: GroundHingeModel, tol: float = 1e-9, max_iter: int = 10
             break
         free = ~(((x <= 0.0) & (g > 0.0)) | ((x >= 1.0) & (g < 0.0)))
         H = model.AT @ sp.diags(2.0 * model.weight * (lin >= 0.0)) @ model.A
-        d = _conjugate_gradients(lambda v: free * (H @ v), free * H.diagonal(),
-                                 np.where(free, -g, 0.0), 0.1 * tol)
+        d = conjugate_gradients(lambda v: free * (H @ v), np.where(free, -g, 0.0),
+                                lambda r: np.max(np.abs(r), initial=0.0) <= 0.1 * tol, len(g),
+                                jacobi_inverse(free * H.diagonal()))
         p = np.maximum(0.0, lin)
         for t in 0.5 ** np.arange(50):  # Armijo along the projected arc
             x_new = np.clip(x + t * d, 0.0, 1.0)
@@ -293,7 +279,7 @@ def learn_weights(init: HingeWeights, labels: np.ndarray, groups: GroupTable,
                           minlength=n)
     trace = []
     for _ in range(steps):
-        model = replace(model, weight=w[model.template_id])
+        model.weight = w[model.template_id]
         map_state = map_inference(model)
         phi_map = np.bincount(model.template_id, weights=model.potential_values(map_state.x),
                               minlength=n)

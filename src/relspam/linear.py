@@ -1,13 +1,14 @@
 """Regularized logistic regression: the independent per-message classifier.
 
-Spam probabilities from this model, an array over a feature matrix's rows,
-are the priors consumed by the stacking and joint-inference modules. Training
-is a truncated Newton-CG: each Newton step solves H d = -g by conjugate
-gradients on Hessian-vector products, never forming H, then backtracks to an
-Armijo point, so it is deterministic. The solver works on standardized
-columns to condition those steps, the standardization folded into the
-products so that each runs on the raw CSR matrix; a fitted model is the
-raw-space weights and bias it predicts with.
+Spam probabilities from this model, an array over a feature matrix's rows, are
+the priors consumed by the stacking and joint-inference modules. Training is a
+truncated Newton-CG: each Newton step solves H d = -g by `conjugate_gradients`
+on Hessian-vector products, never forming H, to a residual of `CG_RTOL` of the
+gradient, then backtracks to an Armijo point, so it is deterministic. The
+hinge-loss MRF's MAP solver takes its Newton steps from the same loop. The
+solver works on standardized columns to condition those steps, the
+standardization folded into the products so that each runs on the raw CSR
+matrix; a fitted model is the raw-space weights and bias it predicts with.
 """
 
 from __future__ import annotations
@@ -112,23 +113,26 @@ CG_RTOL = 0.1  # a CG solve stops once its residual is this share of the gradien
 CG_MAX_ITER = 100
 
 
-def _newton_direction(hess_vec, g):
-    """Truncated conjugate gradients on H d = -g: stops at ||r|| <= CG_RTOL ||g||,
-    after CG_MAX_ITER products, or on non-positive curvature."""
-    d, r, p = np.zeros_like(g), -g, -g
-    rr = gg = float(g @ g)
-    for _ in range(CG_MAX_ITER):
+def conjugate_gradients(hess_vec, b, done, max_iter: int, inverse_diagonal=1.0) -> np.ndarray:
+    """Conjugate gradients on H d = b from d = 0, for a positive semi-definite
+    H given by its products `hess_vec`, preconditioned by `inverse_diagonal`
+    (1.0: none): stops once `done(r)` holds of the residual r, after
+    `max_iter` products, or on non-positive curvature."""
+    d, r, p = np.zeros_like(b), b, inverse_diagonal * b
+    rz = float(r @ p)
+    for _ in range(max_iter):
+        if done(r):
+            break
         Hp = hess_vec(p)
         curvature = float(p @ Hp)
         if curvature <= 0.0:
             break
-        alpha = rr / curvature
+        alpha = rz / curvature
         d, r = d + alpha * p, r - alpha * Hp
-        rr, rr_old = float(r @ r), rr
-        if rr <= CG_RTOL * CG_RTOL * gg:
-            break
-        p = r + (rr / rr_old) * p
-    return d if d.any() else -g
+        z = inverse_diagonal * r
+        rz, rz_old = float(r @ z), rz
+        p = z + (rz / rz_old) * p
+    return d
 
 
 def train(X: sp.spmatrix, y: np.ndarray, l2: float = 1.0, max_iter: int = 500,
@@ -180,7 +184,12 @@ def train(X: sp.spmatrix, y: np.ndarray, l2: float = 1.0, max_iter: int = 500,
             converged = True
             break
         curv = p * (1.0 - p) / n
-        direction = _newton_direction(lambda v: adjoint(curv * product(v)) + reg * v, g)
+        gg = float(g @ g)
+        direction = conjugate_gradients(lambda v: adjoint(curv * product(v)) + reg * v, -g,
+                                        lambda r: float(r @ r) <= CG_RTOL * CG_RTOL * gg,
+                                        CG_MAX_ITER)
+        if not direction.any():  # CG took no step
+            direction = -g
         z_dir = product(direction)
         slope = float(g @ direction)
         for step in 0.5 ** np.arange(50):  # Armijo backtracking, strict: a step must lower the loss

@@ -1,10 +1,12 @@
 """Inputs in the form the models take: groups as a `GroupTable` whose members
 are message positions, and scores as float arrays over positions; a hinge
-model's objective and gradient at a point; and the MRF's exact marginals."""
+model's objective and gradient at a point; the MRF's exact marginals; and the
+two conjugate-gradient loops that `linear.conjugate_gradients` replaced."""
 
 import numpy as np
 
 from relspam.data_model import DataError, GroupTable
+from relspam.linear import CG_MAX_ITER, CG_RTOL
 
 
 def hub_table(*groups) -> GroupTable:
@@ -54,3 +56,46 @@ def exact_marginals(graph) -> np.ndarray:
     if z <= 0:
         raise DataError("partition function vanished; check potentials")
     return np.array([w[states[:, i] == 1].sum() / z for i in range(n)])
+
+
+def reference_newton_direction(hess_vec, g):
+    """The logistic fit's own loop, as it was: truncated conjugate gradients on
+    H d = -g, stopping at ||r|| <= CG_RTOL ||g||, after CG_MAX_ITER products,
+    or on non-positive curvature; -g when it took no step."""
+    d, r, p = np.zeros_like(g), -g, -g
+    rr = gg = float(g @ g)
+    for _ in range(CG_MAX_ITER):
+        Hp = hess_vec(p)
+        curvature = float(p @ Hp)
+        if curvature <= 0.0:
+            break
+        alpha = rr / curvature
+        d, r = d + alpha * p, r - alpha * Hp
+        rr, rr_old = float(r @ r), rr
+        if rr <= CG_RTOL * CG_RTOL * gg:
+            break
+        p = r + (rr / rr_old) * p
+    return d if d.any() else -g
+
+
+def reference_conjugate_gradients(hess_vec, diagonal, b, target):
+    """The hinge-loss MAP's own loop, as it was: conjugate gradients on H d = b
+    from d = 0, preconditioned by H's `diagonal` held within 1e-12 of its
+    largest entry; stops once no residual entry exceeds `target`, after
+    len(b) products, or on non-positive curvature."""
+    inverse_diagonal = 1.0 / np.maximum(diagonal, 1e-12 * diagonal.max(initial=0.0))
+    d, r, p = np.zeros_like(b), b, inverse_diagonal * b
+    rz = float(r @ p)
+    for _ in range(len(b)):
+        if np.max(np.abs(r), initial=0.0) <= target:
+            break
+        Hp = hess_vec(p)
+        curvature = float(p @ Hp)
+        if curvature <= 0.0:
+            break
+        alpha = rz / curvature
+        d, r = d + alpha * p, r - alpha * Hp
+        z = inverse_diagonal * r
+        rz, rz_old = float(r @ z), rz
+        p = z + (rz / rz_old) * p
+    return d

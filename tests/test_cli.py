@@ -254,16 +254,19 @@ class TestStages:
         assert err.startswith("error: subset 0: ") and repr(first.id) in err
         assert not (out / "features").exists()
 
-    @pytest.mark.parametrize("extra", [{"fractions": [0, 0.5, 0.5]}, {"n_subsets": 1000}])
+    @pytest.mark.parametrize("extra", [{"fractions": [0, 0.5, 0.5]}, {"n_subsets": 1000},
+                                       {"n_subsets": 600, "models": ["independent", "sgl1"]}])
     def test_featurize_rejects_an_empty_training_slice(self, tmp_path, capsys, extra):
-        # 1000 subsets of 1200 messages: subset 0 holds one message, int(1 * 0.7) = 0 of it training
+        # 1000 subsets of 1200 messages: subset 0 holds one message, int(1 * 0.7) = 0 of it
+        # training; 600 subsets: two messages, one of them training, and sgl1 needs two
         cfg = write_config(tmp_path, extra)
         out = tmp_path / "out"
         assert main(["generate", "--config", cfg, "--out", str(out), "--seed", "1"]) == 0
         assert main(["featurize", "--config", cfg, "--out", str(out), "--seed", "1"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: subset 0: the training slice is empty") and \
-            "Traceback" not in err
+        says = ("1 training messages, but sgl1 needs 2; raise fractions[0] or lower n_subsets"
+                if "models" in extra else "the training slice is empty; raise fractions[0]")
+        assert err.startswith(f"error: subset 0: {says}") and "Traceback" not in err
         assert not (out / "features").exists()
 
     def test_eval_names_a_predictions_file_that_does_not_match_its_subset(self, tmp_path, capsys):

@@ -32,11 +32,11 @@ from relspam.data_model import (
     read_messages,
     relations_from_names,
     sort_chronologically,
-    validate_dataset,
     write_artifact,
     write_index,
     write_messages,
 )
+from relspam.evaluation import ExperimentConfig, prepare_dataset
 
 from tables import hub_table
 
@@ -103,18 +103,25 @@ def assert_rejected(field, value, match):
         check_message(m)
 
 
+# one subset, whose first half is its training slice
+ONE_SUBSET = ExperimentConfig(relations=["user"], models=["independent"], n_subsets=1,
+                              fractions=(0.5, 0.25, 0.25))
+
+
 class TestValidation:
     def test_duplicate_ids_reported(self):
-        assert validate_dataset([msg("m1"), msg("m1"), msg("m2")]) == \
-            ["duplicate message id: m1"]
-
-    def test_empty_dataset_is_valid(self):
-        assert validate_dataset([]) == []
+        with pytest.raises(DataError, match=r"^dataset failed validation: duplicate message "
+                                            r"id: m1$"):
+            prepare_dataset([msg("m1"), msg("m1"), msg("m2")], [], ONE_SUBSET)
 
     def test_partly_labeled_dataset_is_valid(self):
-        messages = [msg("a"), msg("b"), msg("c"), msg("d", **{})]
-        messages[0].label = 1
-        assert validate_dataset(messages) == []
+        # only the training slice, messages a and b, must be labeled
+        messages = [msg("a", ts=0, label=1), msg("b", ts=1, label=0), msg("c", ts=2),
+                    msg("d", ts=3)]
+        ordered, plan, index, _ = prepare_dataset(messages, [], ONE_SUBSET)
+        assert [m.id for m in ordered] == index.ids == ["a", "b", "c", "d"]
+        assert plan.subsets[0].train == (0, 2)
+        assert index.labels.tolist() == [1, 0, -1, -1]
 
     @pytest.mark.parametrize("bad", ["a\tb", "a\rb", "a\nb"])
     def test_id_with_tab_or_line_break_flagged(self, bad):
@@ -124,9 +131,8 @@ class TestValidation:
     @given(st.text(max_size=12).filter(lambda t: not set(t) & set("\t\r\n")))
     def test_an_id_of_the_hub_form_is_accepted(self, suffix):
         # hubs are numbered after the messages, so no message id can name one
-        messages = [msg("ok", ts=0), msg("hub:user:" + suffix, ts=1)]
-        assert validate_dataset(messages) == []
-        index = build_index(messages, ["user"])
+        messages = [msg("ok", ts=0, label=0), msg("hub:user:" + suffix, ts=1)]
+        _, _, index, _ = prepare_dataset(messages, [], ONE_SUBSET)
         assert index.ids == ["ok", "hub:user:" + suffix]
         assert index.table.members.tolist() == [0, 1]
 

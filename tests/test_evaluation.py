@@ -18,6 +18,7 @@ from relspam.data_model import (
     sort_chronologically,
 )
 from relspam.evaluation import (
+    EPSILON_GRID,
     ExperimentConfig,
     aupr,
     auroc,
@@ -26,8 +27,8 @@ from relspam.evaluation import (
     featurize_subset,
     inductive_partition,
     infer_subset_models,
-    ordered_dataset,
     parse_model_name,
+    prepare_dataset,
     ranking_metrics,
     train_subset_models,
     tune_epsilons,
@@ -418,10 +419,9 @@ class TestExperiment:
             messages = planted_experiment_data(n=300, seed=4)
             if renamed:
                 messages[80].id = f"hub:user:{messages[80].user_id}"  # in subset 0's test slice
-            ordered = ordered_dataset(messages)
-            index = build_index(ordered, config.relations)
-            subset = chronological_split(ordered, 3, config.fractions).subsets[0]
-            fm = featurize_subset(ordered, subset, config, {})
+            ordered, plan, index, graph_table = prepare_dataset(messages, [], config)
+            subset = plan.subsets[0]
+            fm = featurize_subset(ordered, subset, config, graph_table)
             artifacts = train_subset_models(index, subset, fm, config)
             runs.append((index, infer_subset_models(artifacts, index, subset, fm, config)[0]))
         (original, before), (renamed, after) = runs
@@ -441,6 +441,17 @@ class TestExperiment:
         messages[3].label = None  # in subset 0's training slice
         with pytest.raises(DataError, match="subset 0: .*'m0003'"):
             evaluate_experiment(messages, [], self.small_config())
+
+    def test_too_short_stacked_training_slice_fails_before_any_work(self, monkeypatch):
+        def no_featurizing(*args):
+            raise AssertionError("a subset was featurized")
+
+        monkeypatch.setattr(evaluation, "featurize_subset", no_featurizing)
+        # 150 subsets of two messages, one of them training: sgl1 needs two
+        config = self.small_config(models=["independent", "sgl1"], n_subsets=150)
+        with pytest.raises(DataError, match=r"^subset 0: 1 training messages, but sgl1 needs 2; "
+                                            r"raise fractions\[0\] or lower n_subsets$"):
+            evaluate_experiment(planted_experiment_data(n=300, seed=4), [], config)
 
     def test_unlabeled_test_message_is_scored_but_not_counted(self):
         messages = planted_experiment_data(n=300, seed=4)
@@ -480,6 +491,24 @@ class TestTuneEpsilons:
         eps = tune_epsilons(priors, groups, labels, ["user"])
         assert set(eps) == {"user"}
         assert 0.0 < eps["user"] < 0.5
+
+    def test_runs_each_distinct_candidate_once(self, monkeypatch):
+        # test_picks_epsilon_from_grid's data, tuned over text too, which has no groups
+        rng = random.Random(5)
+        labels = np.repeat(np.arange(10) % 2, 4).astype(np.int8)
+        priors = np.array([0.5 + 0.2 * (1 if y else -1) * rng.random() for y in labels])
+        groups = hub_table(*(("user", f"u{j}", range(4 * j, 4 * j + 4)) for j in range(10)))
+        start = {"user": 0.1, "text": 0.25}  # the grid holds 0.1 and not 0.25
+        real, rows = evaluation.loopy_bp_batch, []
+
+        def recording(graph, eps, **kw):
+            rows.extend(eps.tolist())
+            return real(graph, eps, **kw)
+
+        monkeypatch.setattr(evaluation, "loopy_bp_batch", recording)
+        tune_epsilons(priors, groups, labels, ["user", "text"], start=start)
+        # a relation's epsilon changes only at its own visit: there, it is still the start's
+        assert len(rows) == 1 + sum(e != start[r] for r in start for e in EPSILON_GRID) == 10
 
     def test_unconverged_candidate_never_chosen(self, monkeypatch, caplog):
         # ten users of four noisy messages each, alternately ham and spam

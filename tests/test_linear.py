@@ -3,20 +3,27 @@ import json
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings, strategies as st
 
-from relspam.data_model import DataError, chronological_split
-from relspam.evaluation import ExperimentConfig, featurize_subset, ordered_dataset
+from relspam.data_model import DataError, chronological_split, sort_chronologically
+from relspam.evaluation import ExperimentConfig, featurize_subset
 from relspam.features import FeatureMatrix, scalable_columns
+from relspam.hinge import jacobi_inverse
 from relspam.linear import (
+    CG_MAX_ITER,
+    CG_RTOL,
     ClassifierConfig,
     LinearModel,
     columns_hash,
+    conjugate_gradients,
     fit_classifier,
     recenter_scores,
     sigmoid,
     train,
 )
 from relspam.synth import GeneratorConfig, generate
+
+from tables import reference_conjugate_gradients, reference_newton_direction
 
 
 def random_instance(rng, n=50, d=5):
@@ -348,7 +355,7 @@ def generated_training_slice():
     messages, _ = generate(GeneratorConfig(seed=42, n_messages=3000, n_users=150,
                                            n_campaigns=15))
     config = ExperimentConfig()
-    ordered = ordered_dataset(messages)
+    ordered = sort_chronologically(messages)
     subset = chronological_split(ordered, 3, config.fractions).subsets[0]
     a, b = subset.train
     fm = featurize_subset(ordered, subset, config, {}).rows(0, b - a)
@@ -365,3 +372,52 @@ def test_fit_converges_across_the_l2_grid(generated_training_slice, l2):
     w, b = standardized_fit(model, fm.matrix, cols)
     _, grad = dense_objective_and_gradient(fm.matrix, labels.astype(float), l2, w, b, cols)
     assert np.abs(grad).max() <= 1e-6
+
+
+@st.composite
+def psd_systems(draw):
+    """(H, b): H = B Bᵀ for an n x k integer matrix B, so singular when k < n,
+    with row `zero` of B zeroed (a zero row, column and diagonal entry of H)
+    unless it is -1; b has an entry per row."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(0, n))
+    B = np.array(draw(st.lists(st.integers(-3, 3), min_size=n * k, max_size=n * k)),
+                 dtype=float).reshape(n, k)
+    B[draw(st.integers(-1, n - 1))] = 0.0  # -1 zeroes the last row too, when n is 1
+    entry = st.one_of(st.just(0.0), st.floats(0.01, 2.0), st.floats(-2.0, -0.01))
+    return B @ B.T, np.array(draw(st.lists(entry, min_size=n, max_size=n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(psd_systems(), st.sampled_from([0.0, 1e-12, 1e-6, 0.1]))
+@example((np.zeros((3, 3)), np.array([1.0, -0.5, 0.25])), 0.0)  # zero curvature at once
+@example((np.array([[2.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 1.0]]),
+          np.array([0.3, 0.7, -1.1])), 0.0)  # a zero diagonal entry
+@example((np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 4.0]]),
+          np.array([1.0, -1.0, 0.5])), 0.0)  # singular, b partly in its null space
+@example((np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]]),
+          np.array([0.3, -1.7, 0.9])), 0.0)  # full rank: every one of len(b) products runs
+def test_conjugate_gradients_matches_both_loops_it_replaced(system, target):
+    H, b = system
+
+    def hess_vec(v):
+        return H @ v
+
+    # a singular system can drive either loop past the float range: both must do so alike
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the logistic fit's call: on H d = -g, no preconditioner, to a residual of
+        # CG_RTOL of the gradient, and -g when CG took no step
+        g = -b
+        gg = float(g @ g)
+        d = conjugate_gradients(hess_vec, -g, lambda r: float(r @ r) <= CG_RTOL * CG_RTOL * gg,
+                                CG_MAX_ITER)
+        assert (d if d.any() else -g).tobytes() == \
+            reference_newton_direction(hess_vec, g).tobytes()
+        # the hinge-loss MAP's call: Jacobi-preconditioned, to a residual entry of `target`
+        diagonal = H.diagonal().copy()
+        if diagonal.any():  # where it is all zero so is the gradient: MAP has converged
+            d = conjugate_gradients(hess_vec, b,
+                                    lambda r: np.max(np.abs(r), initial=0.0) <= target,
+                                    len(b), jacobi_inverse(diagonal))
+            assert d.tobytes() == \
+                reference_conjugate_gradients(hess_vec, diagonal, b, target).tobytes()
