@@ -82,8 +82,6 @@ LEGACY_KEYS = {
     "stack_mode": _only("soft", "'soft', the mean score"),
     "dump_pr_curves": _only(False, "false"),
 }
-# the generator's seed is the run's `seed`, not a key of its own
-NOT_KEYS = {"generator.seed"}
 # the settings featurize's outputs depend on, which split_plan.json records
 FEATURIZE_SETTINGS = ("relations", "n_subsets", "fractions", "feature_mode", "limited_drop",
                       "ngram_top_k")
@@ -97,7 +95,7 @@ class RunConfig(ExperimentConfig):
     out: str = "out"
     messages: str | None = None  # default: <out>/data/messages.jsonl, the generate stage's output
     follows: str | None = None  # default: <out>/data/follows.tsv when present
-    generator: GeneratorConfig = field(default_factory=GeneratorConfig)
+    generator: GeneratorConfig = field(default_factory=GeneratorConfig)  # drawn from `seed`
 
     def check(self) -> None:
         check_setting(is_int(self.version) and self.version == CONFIG_VERSION, "version",
@@ -126,7 +124,7 @@ def _merge(config, given, key: str = ""):
         if path in LEGACY_KEYS:
             ok, accepts = LEGACY_KEYS[path]
             check_setting(ok(value), path, accepts, value)
-        elif name not in known or path in NOT_KEYS:
+        elif name not in known:
             raise ConfigError(f"unknown config key {path!r}")
         elif not is_dataclass(getattr(config, name)):
             changes[name] = value
@@ -195,9 +193,8 @@ def _load_features(cfg, i: int, subset: SubsetSplit) -> FeatureMatrix:
 # --- stages ---
 
 def cmd_generate(cfg: RunConfig) -> int:
-    gen = replace(cfg.generator, seed=cfg.seed)
-    log.info("generate: %s", gen)
-    messages, follows = generate(gen)
+    log.info("generate: seed %d, %s", cfg.seed, cfg.generator)
+    messages, follows = generate(cfg.generator, cfg.seed)
     data_dir = _out(cfg) / "data"
     data_dir.mkdir(parents=True, exist_ok=True)
     write_messages(data_dir / "messages.jsonl", messages)

@@ -195,23 +195,25 @@ def normalize_link(url: str) -> str:
 
 
 def _entities(m: Message) -> tuple:
-    """(hashtags, links, mentions): each the message's list, else parsed from one split of its text."""
+    """(hashtags, links, mentions): each the message's list, else parsed from
+    one split of its text; a parsed mention is never empty."""
     words = m.text.split() if "#" in m.text or "@" in m.text or "http" in m.text else ()
     return (m.hashtags or [w[1:] for w in words if w.startswith("#") and len(w) > 1],
             m.links or [w for w in words if w.startswith(("http://", "https://"))],
-            m.mentions or [w[1:].rstrip(string.punctuation)
-                           for w in words if w.startswith("@") and len(w) > 1])
+            m.mentions or [name for w in words if w.startswith("@")
+                           if (name := w[1:].rstrip(string.punctuation))])
 
 
-# relation name -> the keys of a message, given its `_entities` (hashtags, links, mentions)
+# relation name -> the keys of a message, given its `_entities` (hashtags, links, mentions);
+# an empty key is none, lest messages that share nothing share a group
 _RELATION_KEYS = {
     "user": lambda m, tags, links, mentions: (m.user_id,),
     "text": lambda m, tags, links, mentions: {normalize_text(m.text)} - {""},
-    "link": lambda m, tags, links, mentions: {normalize_link(u) for u in links},
-    "hashtag": lambda m, tags, links, mentions: {t.lower() for t in tags},
-    "mention": lambda m, tags, links, mentions: {x.lower() for x in mentions},
+    "link": lambda m, tags, links, mentions: {normalize_link(u) for u in links} - {""},
+    "hashtag": lambda m, tags, links, mentions: {t.lower() for t in tags} - {""},
+    "mention": lambda m, tags, links, mentions: {x.lower() for x in mentions} - {""},
     "track": lambda m, tags, links, mentions: (m.target_id,) if m.target_id else (),
-    "user_hashtag": lambda m, tags, links, mentions: {(m.user_id, t.lower()) for t in tags},
+    "user_hashtag": lambda m, tags, links, mentions: {(m.user_id, t.lower()) for t in tags if t},
 }
 RELATION_NAMES = tuple(_RELATION_KEYS)
 

@@ -46,12 +46,7 @@ from .data_model import (
     sort_chronologically,
     write_artifact,
 )
-from .features import (
-    FeatureConfig,
-    FeatureMatrix,
-    compute_graph_feature_table,
-    feature_matrix,
-)
+from .features import FeatureMatrix, compute_graph_feature_table, feature_matrix
 from .hinge import HingeConfig, HingeWeights, infer_hinge_posteriors, learn_weights
 from .linear import ClassifierConfig, LinearModel, fit_classifier, recenter_scores
 from .mrf import build_factor_graph, edge_epsilons, infer_posteriors, loopy_bp_batch
@@ -220,9 +215,9 @@ class ExperimentConfig:
     models: list = field(default_factory=lambda: ["independent", "sgl1", "mrf", "psl", "sgl1+mrf"])
     n_subsets: int = 10
     fractions: tuple = (0.7, 0.05, 0.25)  # train, validation, test share of each subset
-    feature_mode: str = FeatureConfig.mode
-    limited_drop: str = FeatureConfig.limited_drop
-    ngram_top_k: int = FeatureConfig.ngram_top_k
+    feature_mode: str = "full"  # or "limited", which drops the family `limited_drop`
+    limited_drop: str = "ngrams"  # or "graph"
+    ngram_top_k: int = 10000
     classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
     l2_grid: list | None = None          # validation-tuned when set
     epsilons: dict | float = 0.1  # shared, or per relation (0.1 for one left out)
@@ -230,9 +225,9 @@ class ExperimentConfig:
     hinge: HingeConfig = field(default_factory=HingeConfig)
     seed: int = 0
 
-    @property
-    def feature(self) -> FeatureConfig:
-        return FeatureConfig(self.feature_mode, self.limited_drop, ngram_top_k=self.ngram_top_k)
+    def keeps(self, family: str) -> bool:
+        """Whether the feature mode keeps the feature family "graph" or "ngrams"."""
+        return not (self.feature_mode == "limited" and self.limited_drop == family)
 
     def required_stacks(self) -> list:
         return sorted({k for k, _ in map(parse_model_name, self.models) if k})
@@ -279,7 +274,7 @@ class ExperimentConfig:
 
 
 def tune_epsilons(priors: np.ndarray, groups: GroupTable, labels: np.ndarray, relations: list,
-                  start: dict | float = 0.1, grid=EPSILON_GRID) -> dict:
+                  start: dict | float, grid=EPSILON_GRID) -> dict:
     """One coordinate-descent pass over the per-relation epsilon grid,
     maximizing the AUPR of the joint posteriors over the labeled messages
     with a prior (`priors` over positions, NaN where none), from the
@@ -355,7 +350,7 @@ def prepare_dataset(messages: list, follows: list, config: ExperimentConfig,
     """The set-up of a dataset that featurize and `evaluate_experiment` share:
     -> (the messages in chronological order, their split plan, their index,
     the per-user graph-feature table every subset's matrix reads; empty when
-    the feature mode drops the graph block or there are no follows).
+    there are no follows, None when the feature mode drops the graph block).
 
     A `DataError` names the first duplicate id, or the subset whose training
     slice is empty, shorter than the deepest stacked model of the roster
@@ -381,18 +376,20 @@ def prepare_dataset(messages: list, follows: list, config: ExperimentConfig,
             first = index.ids[subset.train[0] + unlabeled[0]]
             raise DataError(f"subset {i}: {len(unlabeled)} training messages lack a label "
                             f"(first: {first!r}); every training message needs one")
-    graph_table = compute_graph_feature_table(follows) if config.feature.uses_graph() else {}
+    graph_table = compute_graph_feature_table(follows) if config.keeps("graph") else None
     return messages, plan, index, graph_table
 
 
 def featurize_subset(ordered: list, subset: SubsetSplit, config: ExperimentConfig,
-                     graph_table: dict) -> FeatureMatrix:
+                     graph_table: dict | None) -> FeatureMatrix:
     """The matrix of the subset's train, validation and test rows, its columns
-    fit on the training slice, knowing only the training labels."""
+    fit on the training slice, knowing only the training labels; `graph_table`
+    is `prepare_dataset`'s."""
     (a, b), end = subset.train, subset.test[1]
     labels = np.full(end - a, -1)
     labels[:b - a] = [-1 if m.label is None else m.label for m in ordered[a:b]]
-    return feature_matrix(ordered[a:end], b - a, labels, config.feature, graph_table)
+    return feature_matrix(ordered[a:end], b - a, labels, graph_table,
+                          config.ngram_top_k if config.keeps("ngrams") else None)
 
 
 def center_mrf_priors(priors: np.ndarray) -> np.ndarray:
@@ -446,17 +443,15 @@ def train_subset_models(index: MessageIndex, subset: SubsetSplit, fm: FeatureMat
     if "psl" in joints:
         weights = hinge.weights
         if learn_psl:
-            weights, _ = learn_weights(weights, index.labels, val_groups,
-                                       _over_positions(n, subset.validation, val_priors),
-                                       steps=hinge.learn_steps,
-                                       learning_rate=hinge.learning_rate)
+            weights, _ = learn_weights(hinge, index.labels, val_groups,
+                                       _over_positions(n, subset.validation, val_priors))
         artifacts["psl_weights"] = weights
     if "mrf" in joints:
         eps = config.epsilons
         if tune_mrf:
             centered = center_mrf_priors(val_priors)
             eps = tune_epsilons(_over_positions(n, subset.validation, centered), val_groups,
-                                index.labels, config.relations, start=eps)
+                                index.labels, config.relations, eps)
         artifacts["epsilons"] = eps
     return artifacts
 

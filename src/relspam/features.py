@@ -7,7 +7,8 @@ chronological order, so a slice of the subset is a range of rows
 (`FeatureMatrix.rows`).
 
 A matrix splits each text once, for the hashtag, link and mention counts of
-the content block, which the user block reuses. Its character 3-grams are
+the content block, which the user block reuses, and normalizes it once, for
+both the n-gram vocabulary and the n-gram block. Its character 3-grams are
 int64 codes c0·2⁴² + c1·2²¹ + c2, read with numpy from the UTF-32 of the
 normalized texts: code points are below 2²¹, so codes order as the strings do.
 
@@ -56,6 +57,7 @@ NGRAM_N = 3  # characters per n-gram; at most 3, for NGRAM_N 21-bit code points 
 
 BLACKLIST_SPAM_THRESHOLD = 3
 WHITELIST_HAM_THRESHOLD = 10
+PAGERANK_DAMPING = 0.85  # the share of rank that follows the edges; the rest teleports
 
 # Small embedded sentiment lexicon: word -> (polarity in [-1, 1], subjectivity in [0, 1]).
 # Scores are the mean over matched tokens; texts with no matches score 0.
@@ -161,9 +163,9 @@ def follower_graph(follows: list) -> tuple:
     return users, A.sign()  # the conversion summed repeated pairs
 
 
-def pagerank(A: sp.csr_matrix, damping: float = 0.85, tol: float = 1e-8, max_iter: int = 200):
-    """Power iteration over the follow matrix `A` with uniform teleport;
-    dangling mass spread uniformly.
+def pagerank(A: sp.csr_matrix, tol: float = 1e-8, max_iter: int = 200):
+    """Power iteration over the follow matrix `A` with uniform teleport and
+    `PAGERANK_DAMPING`; dangling mass spread uniformly.
 
     Returns (scores, converged): an array over A's nodes that sums to 1.
     """
@@ -180,7 +182,7 @@ def pagerank(A: sp.csr_matrix, damping: float = 0.85, tol: float = 1e-8, max_ite
     for _ in range(max_iter):
         spread = adj @ (r * inv_out)
         dangling_mass = r[dangling].sum()
-        new_r = (1.0 - damping) / n + damping * (spread + dangling_mass / n)
+        new_r = (1.0 - PAGERANK_DAMPING) / n + PAGERANK_DAMPING * (spread + dangling_mass / n)
         if np.abs(new_r - r).sum() < tol:
             r = new_r
             converged = True
@@ -262,13 +264,13 @@ def _gram_codes(texts: list) -> tuple:
     return row[:n][whole], code[whole]
 
 
-def fit_ngram_vocabulary(texts: list, top_k: int = 10000) -> list:
-    """Top character `NGRAM_N`-grams of the normalized texts by raw term frequency.
+def fit_ngram_vocabulary(texts: list, top_k: int) -> list:
+    """Top `top_k` character `NGRAM_N`-grams of the texts, normalized
+    (`normalize_text`) as `ngram_features` takes them, by raw term frequency.
 
     Ties broken lexicographically; the returned order is the column order.
     """
-    grams, counts = np.unique(_gram_codes([normalize_text(t) for t in texts])[1],
-                              return_counts=True)
+    grams, counts = np.unique(_gram_codes(texts)[1], return_counts=True)
     # `grams` ascend, so a stable sort by count keeps each tie in code, that is string, order
     top = grams[np.argsort(-counts, kind="stable")[:top_k]]
     chars = (top[:, None] >> 21 * np.arange(NGRAM_N - 1, -1, -1)) & ((1 << 21) - 1)
@@ -279,7 +281,8 @@ def fit_ngram_vocabulary(texts: list, top_k: int = 10000) -> list:
 
 
 def ngram_features(texts: list, vocabulary: list) -> sp.csr_matrix:
-    """Binary presence matrix over the fitted vocabulary; OOV grams are ignored."""
+    """Binary presence matrix of normalized texts over the fitted vocabulary;
+    OOV grams are ignored."""
     shape = (len(texts), len(vocabulary))
     if not vocabulary:
         return sp.csr_matrix(shape)
@@ -288,7 +291,7 @@ def ngram_features(texts: list, vocabulary: list) -> sp.csr_matrix:
     vocab = vocab[order]
     indices, counts = [np.zeros(0, np.int32)], [np.zeros(1, np.int64)]  # counts[0] opens indptr
     for a in range(0, len(texts), _CHUNK):
-        chunk = [normalize_text(t) for t in texts[a:a + _CHUNK]]
+        chunk = texts[a:a + _CHUNK]
         row, code = _gram_codes(chunk)
         j = np.searchsorted(vocab, code).clip(max=len(vocab) - 1)
         hit = vocab[j] == code
@@ -356,38 +359,25 @@ def read_feature_matrix(path) -> FeatureMatrix:
     return read_artifact(path, MATRIX_FORMAT, "featurize", parse)
 
 
-@dataclass
-class FeatureConfig:
-    mode: str = "full"            # "full" or "limited"
-    limited_drop: str = "ngrams"  # feature family removed in limited mode: "ngrams" or "graph"
-    ngram_top_k: int = 10000
-
-    def uses_ngrams(self) -> bool:
-        return not (self.mode == "limited" and self.limited_drop == "ngrams")
-
-    def uses_graph(self) -> bool:
-        return not (self.mode == "limited" and self.limited_drop == "graph")
-
-
-def feature_matrix(messages: list, n_train: int, labels, config: FeatureConfig,
-                   graph_table: dict) -> FeatureMatrix:
+def feature_matrix(messages: list, n_train: int, labels, graph_table: dict | None,
+                   ngram_top_k: int | None) -> FeatureMatrix:
     """The matrix of chronologically sorted messages, a row per message, with
-    `labels` as `extract_user_features_sequential` takes them and `graph_table`
-    mapping a user id to its row of the graph block (`compute_graph_feature_table`).
-    The n-gram vocabulary is fit on the first `n_train` texts alone."""
-    texts = [m.text for m in messages]
-    vocabulary = (fit_ngram_vocabulary(texts[:n_train], top_k=config.ngram_top_k)
-                  if config.uses_ngrams() else [])
+    `labels` as `extract_user_features_sequential` takes them. `graph_table`
+    maps a user id to its row of the graph block (`compute_graph_feature_table`),
+    and None drops the block. The `ngram_top_k` n-grams of the first `n_train`
+    texts make the n-gram block, and None drops it."""
     content = extract_content_features(messages)
     blocks = [content, extract_user_features_sequential(messages, labels, content)]
     columns = list(CONTENT_COLUMNS) + list(USER_COLUMNS)
-    if config.uses_graph():
+    if graph_table is not None:
         absent = (0.0,) * len(GRAPH_COLUMNS)
         blocks.append(np.array([graph_table.get(m.user_id, absent) for m in messages],
                                dtype=float).reshape(len(messages), len(GRAPH_COLUMNS)))
         columns += GRAPH_COLUMNS
     blocks = [sp.csr_matrix(np.hstack(blocks))]
-    if config.uses_ngrams():
+    if ngram_top_k is not None:
+        texts = [normalize_text(m.text) for m in messages]
+        vocabulary = fit_ngram_vocabulary(texts[:n_train], ngram_top_k)
         blocks.append(ngram_features(texts, vocabulary))
         columns += [NGRAM_PREFIX + g for g in vocabulary]
     return FeatureMatrix(columns, sp.hstack(blocks, format="csr"))

@@ -239,21 +239,21 @@ def map_inference(model: GroundHingeModel, tol: float = 1e-9, max_iter: int = 10
     return MapResult(x=x, objective=model.objective(lin), converged=converged, n_iters=it)
 
 
-def infer_hinge_posteriors(priors: np.ndarray, groups: GroupTable,
-                           weights: HingeWeights | None = None,
+def infer_hinge_posteriors(priors: np.ndarray, groups: GroupTable, weights: HingeWeights,
                            observed: np.ndarray | None = None):
     """Joint PSL-style scores over positions: MAP values for grouped free
     messages, priors otherwise. -> (scores, MapResult)"""
-    model = ground_rules(priors, groups, weights or HingeWeights(), observed=observed)
+    model = ground_rules(priors, groups, weights, observed=observed)
     result = map_inference(model)
     scores = priors.copy()
     scores[model.messages] = result.x[:len(model.messages)]
     return scores, result
 
 
-def learn_weights(init: HingeWeights, labels: np.ndarray, groups: GroupTable,
-                  priors: np.ndarray, steps: int = 10, learning_rate: float = 0.05):
-    """Approximate likelihood ascent for the template weights.
+def learn_weights(hinge: HingeConfig, labels: np.ndarray, groups: GroupTable,
+                  priors: np.ndarray):
+    """Approximate likelihood ascent for the template weights: `hinge.learn_steps`
+    steps of size `hinge.learning_rate` from `hinge.weights`.
 
     The gradient of each template weight is the template's summed hinge value
     at the current MAP state minus its value at the observed state (the gold
@@ -261,13 +261,14 @@ def learn_weights(init: HingeWeights, labels: np.ndarray, groups: GroupTable,
     message has none, with hubs imputed as member means); weights are
     projected to >= 0. The model is grounded once and re-weighted at every
     step, and both template sums are taken over its template ids. Returns
-    (weights, objective_trace). `init` is never changed; the learned weights
-    keep the relations it names that `groups` lacks.
+    (weights, objective_trace). The start weights are never changed; the
+    learned weights keep the relations they name that `groups` lacks.
     """
+    init = hinge.weights
     if not (labels[groups.members] >= 0).any():
         log.warning("no labeled grouped validation message; returning initial weights")
         return init, []
-    if steps <= 0:
+    if hinge.learn_steps <= 0:
         return init, []
 
     model = ground_rules(priors, groups, init)
@@ -278,13 +279,13 @@ def learn_weights(init: HingeWeights, labels: np.ndarray, groups: GroupTable,
     phi_obs = np.bincount(model.template_id, weights=model.potential_values(observed_x),
                           minlength=n)
     trace = []
-    for _ in range(steps):
+    for _ in range(hinge.learn_steps):
         model.weight = w[model.template_id]
         map_state = map_inference(model)
         phi_map = np.bincount(model.template_id, weights=model.potential_values(map_state.x),
                               minlength=n)
         trace.append(map_state.objective - model.objective(model.linear_values(observed_x)))
-        w = np.maximum(0.0, w + learning_rate * (phi_map - phi_obs))
+        w = np.maximum(0.0, w + hinge.learning_rate * (phi_map - phi_obs))
     neg, prior, *per_relation = w.tolist()
     c = dict(zip(model.relations, per_relation[0::2]))
     d = dict(zip(model.relations, per_relation[1::2]))

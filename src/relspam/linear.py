@@ -135,16 +135,25 @@ def conjugate_gradients(hess_vec, b, done, max_iter: int, inverse_diagonal=1.0) 
     return d
 
 
-def train(X: sp.spmatrix, y: np.ndarray, l2: float = 1.0, max_iter: int = 500,
-          tol: float = 1e-6, standardize: list = ()) -> LinearModel:
-    """Minimize L2-regularized logistic loss over the columns of X, those at
-    the indices `standardize` standardized, to gradient inf-norm <= tol in at
-    most `max_iter` Newton iterations, and return the minimizer as raw-space
-    weights and bias. The bias is not regularized.
+@dataclass
+class ClassifierConfig:
+    l2: float = 1.0
+    max_iter: int = 300
+    tol: float = 1e-6
+
+
+def train(X: sp.spmatrix, y: np.ndarray, config: ClassifierConfig,
+          standardize: list = ()) -> LinearModel:
+    """Minimize logistic loss with the L2 penalty `config.l2` over the columns
+    of X, those at the indices `standardize` standardized, to gradient
+    inf-norm <= `config.tol` in at most `config.max_iter` Newton iterations,
+    and return the minimizer as raw-space weights and bias. The bias is not
+    regularized.
 
     Single-class targets yield a constant-probability model (with a warning)
     rather than an error.
     """
+    l2, tol = config.l2, config.tol
     if l2 < 0:
         raise DataError("l2 must be >= 0")
     X = X.tocsr()
@@ -177,7 +186,7 @@ def train(X: sp.spmatrix, y: np.ndarray, l2: float = 1.0, max_iter: int = 500,
     trace = [loss]
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, config.max_iter + 1):
         p = sigmoid(z)
         g = adjoint((p - y) / n) + reg * x
         if np.abs(g).max() <= tol:
@@ -207,17 +216,9 @@ def train(X: sp.spmatrix, y: np.ndarray, l2: float = 1.0, max_iter: int = 500,
                        converged=converged, loss_trace=trace)
 
 
-@dataclass
-class ClassifierConfig:
-    l2: float = 1.0
-    max_iter: int = 300
-    tol: float = 1e-6
-
-
-def fit_classifier(fm: FeatureMatrix, labels, config: ClassifierConfig | None = None) -> LinearModel:
+def fit_classifier(fm: FeatureMatrix, labels, config: ClassifierConfig) -> LinearModel:
     """Train on a FeatureMatrix and the labels of its rows (0/1, -1
     unlabeled, which fails), standardizing its `scalable_columns`."""
-    config = config or ClassifierConfig()
     labels = np.asarray(labels)
     if labels.shape != (fm.shape[0],):
         raise DataError(f"{labels.size} labels for {fm.shape[0]} training rows")
@@ -226,7 +227,7 @@ def fit_classifier(fm: FeatureMatrix, labels, config: ClassifierConfig | None = 
         raise DataError(f"{len(missing)} training rows lack labels "
                         f"(first: row {missing[0]})")
     col_index = fm.column_index
-    model = train(fm.matrix, labels, l2=config.l2, max_iter=config.max_iter, tol=config.tol,
-                  standardize=[col_index[c] for c in scalable_columns(fm.column_names)])
+    model = train(fm.matrix, labels, config,
+                  [col_index[c] for c in scalable_columns(fm.column_names)])
     model.columns_hash = columns_hash(fm.column_names)
     return model

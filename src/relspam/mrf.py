@@ -11,11 +11,12 @@ Priors and posteriors are float arrays over chronological positions. A graph
 that is not a hub graph, such as a test's random tree, is given as the same
 arrays.
 
-Approximate marginals come from damped synchronous loopy belief propagation
-in log-odds form, one kernel over the arrays, `loopy_bp_batch`, that runs a
+Approximate marginals come from synchronous loopy belief propagation in
+log-odds form, one kernel over the arrays, `loopy_bp_batch`, that runs a
 batch of rows of edge epsilons at once: a message is one number per edge
 direction, m_a->b = 2 atanh((1 - 2e) tanh((h_a - m_b->a) / 2)), where the
-field h is a variable's prior log-odds plus its incoming messages.
+field h is a variable's prior log-odds plus its incoming messages, and each
+update keeps the share `DAMPING` of the message it replaces.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .data_model import ConfigError, GroupTable, is_number
 log = logging.getLogger(__name__)
 
 PRIOR_CLAMP = 1e-6
+DAMPING = 0.5  # BP keeps this share of each message's previous value
 
 
 @dataclass(eq=False)
@@ -91,7 +93,7 @@ class BPResult:
 
 
 def loopy_bp_batch(graph: FactorGraph, eps: np.ndarray, max_iters: int = 100,
-                   damping: float = 0.5, tol: float = 1e-6) -> tuple:
+                   tol: float = 1e-6) -> tuple:
     """`loopy_bp` on `graph` once per row of edge epsilons `eps` (B x
     n_factors, as `edge_epsilons` gives a row), in one batched run, with one
     log-odds message per edge direction and row.
@@ -129,7 +131,7 @@ def loopy_bp_batch(graph: FactorGraph, eps: np.ndarray, max_iters: int = 100,
         # the sender's field without the reverse message, through the table
         cavity = fields(m)[:, src] - np.roll(m, n_edges, axis=1)
         new = 2.0 * np.arctanh(gain * np.tanh(cavity / 2))
-        new = damping * m + (1.0 - damping) * new
+        new = DAMPING * m + (1.0 - DAMPING) * new
         done = np.abs(new - m).max(axis=1) < tol
         m = new
         if done.any():
@@ -145,28 +147,27 @@ def loopy_bp_batch(graph: FactorGraph, eps: np.ndarray, max_iters: int = 100,
     return (1.0 + np.tanh(fields(final) / 2)) / 2, n_iters, converged
 
 
-def loopy_bp(graph: FactorGraph, max_iters: int = 100, damping: float = 0.5,
-             tol: float = 1e-6) -> BPResult:
+def loopy_bp(graph: FactorGraph, max_iters: int = 100, tol: float = 1e-6) -> BPResult:
     """Synchronous damped belief propagation; exact on trees. BP has converged
     once an iteration moves no message by `tol` or more in log-odds; if it has
     not, that is logged, and the current beliefs return with converged=False.
     """
-    spam, n_iters, converged = loopy_bp_batch(graph, graph.epsilon[None, :], max_iters,
-                                              damping, tol)
+    spam, n_iters, converged = loopy_bp_batch(graph, graph.epsilon[None, :], max_iters, tol)
     if not converged[0]:
         log.warning("loopy BP did not converge in %d iterations", max_iters)
     return BPResult(marginals=spam[0], converged=bool(converged[0]), n_iters=int(n_iters[0]))
 
 
-def infer_posteriors(priors: np.ndarray, groups: GroupTable, epsilons=0.1, max_iters: int = 100,
-                     damping: float = 0.5, tol: float = 1e-6) -> tuple:
-    """Full inference path: build the hub graph, run BP, and merge posteriors.
+def infer_posteriors(priors: np.ndarray, groups: GroupTable, epsilons, max_iters: int = 100,
+                     tol: float = 1e-6) -> tuple:
+    """Full inference path: build the hub graph with `epsilons` (as
+    `edge_epsilons` takes them), run BP, and merge posteriors.
     -> (scores over positions, BPResult)
 
     Messages not in any group keep their prior.
     """
     graph = build_factor_graph(priors, groups, epsilons)
-    result = loopy_bp(graph, max_iters=max_iters, damping=damping, tol=tol)
+    result = loopy_bp(graph, max_iters=max_iters, tol=tol)
     scores = priors.copy()
     scores[graph.messages] = result.marginals[:len(graph.messages)]
     return scores, result

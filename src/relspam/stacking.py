@@ -79,7 +79,7 @@ class StackedModel:
 
 
 def train_stacked(rows, fm: FeatureMatrix, labels: np.ndarray, groups: GroupTable,
-                  K: int, relations: list, config: ClassifierConfig | None = None) -> StackedModel:
+                  K: int, relations: list, config: ClassifierConfig) -> StackedModel:
     """Fit f^0..f^K on K+1 contiguous time slices of the training messages:
     the rows of `fm`, at the chronological positions `rows`, labeled by
     `labels`, the labels of every position.
@@ -96,7 +96,6 @@ def train_stacked(rows, fm: FeatureMatrix, labels: np.ndarray, groups: GroupTabl
         raise DataError(f"cannot build {K + 1} stack slices from {len(rows)} messages")
     if fm.shape[0] != len(rows):
         raise DataError(f"{fm.shape[0]} feature rows for {len(rows)} training messages")
-    config = config or ClassifierConfig()
     y = labels[rows]
     unlabeled = rows[y < 0]
     if len(unlabeled):

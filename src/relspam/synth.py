@@ -5,7 +5,7 @@ and hashtags; ham users chat from an overlapping vocabulary and also repeat
 common phrases, so both classes form relation groups. Content features are
 informative but deliberately imperfect, leaving headroom for the relational
 models to close. Everything is driven by one seeded Mersenne Twister stream,
-so a config maps to exactly one dataset on every platform.
+so a config and a seed map to exactly one dataset on every platform.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ SHARED_VOCAB_SIZE = 200
 
 @dataclass
 class GeneratorConfig:
-    seed: int = 0
     n_users: int = 400
     n_messages: int = 20000
     spam_prevalence: float = 0.05
@@ -64,10 +63,12 @@ def _campaign_sizes(rng: random.Random, n_spam: int, n_campaigns: int, jitter: f
     return sizes
 
 
-def generate(config: GeneratorConfig):
-    """-> (messages sorted by timestamp, follows). Labels ride on the messages."""
+def generate(config: GeneratorConfig, seed: int):
+    """-> (messages sorted by timestamp, follows), drawn from the stream that
+    `seed` starts. Labels ride on the messages."""
     config.validate()
-    rng = random.Random(config.seed)
+    check_setting(is_int(seed), "seed", "an integer", seed)
+    rng = random.Random(seed)
     n_spam = round(config.n_messages * config.spam_prevalence)
     n_ham = config.n_messages - n_spam
 

@@ -18,7 +18,6 @@ from relspam.data_model import (
 from relspam.evaluation import ExperimentConfig, aupr, auroc, evaluate_experiment
 from relspam.features import (
     GRAPH_COLUMNS,
-    FeatureConfig,
     compute_graph_feature_table,
     extract_user_features_sequential,
     feature_matrix,
@@ -215,7 +214,7 @@ def test_criterion_06_metric_correctness():
 
 
 def test_criterion_07_temporal_causality():
-    messages, _ = generate(GeneratorConfig(seed=77, n_messages=2000, n_users=100, n_campaigns=10))
+    messages, _ = generate(GeneratorConfig(n_messages=2000, n_users=100, n_campaigns=10), 77)
     ordered = sort_chronologically(messages)
     labels = np.array([-1 if m.label is None or i >= 1000 else m.label
                        for i, m in enumerate(ordered)])
@@ -319,7 +318,7 @@ def test_criterion_08_graph_feature_oracles():
 def test_criterion_09_qualitative_relational_lift():
     start = time.time()
     messages, follows = generate(GeneratorConfig(
-        seed=42, n_messages=20000, spam_prevalence=0.05, n_campaigns=40))
+        n_messages=20000, spam_prevalence=0.05, n_campaigns=40), 42)
     config = ExperimentConfig(
         relations=["user", "text", "link"],
         models=["independent", "sgl1", "mrf", "psl", "sgl1+mrf"],
@@ -342,14 +341,13 @@ def test_criterion_09_qualitative_relational_lift():
 
 
 def test_criterion_10_degenerate_stack_identity():
-    messages, follows = generate(GeneratorConfig(seed=10, n_messages=1500, n_users=80,
-                                                 n_campaigns=8, spam_prevalence=0.08))
+    messages, follows = generate(GeneratorConfig(n_messages=1500, n_users=80, n_campaigns=8,
+                                                 spam_prevalence=0.08), 10)
     ordered = sort_chronologically(messages)
     train, test = ordered[:1000], ordered[1000:]
     index = build_index(ordered, ["user", "text", "link"])
     labels = np.where(np.arange(len(ordered)) < 1000, index.labels, -1)
-    fm = feature_matrix(ordered, len(train), labels, FeatureConfig(mode="limited"),
-                        compute_graph_feature_table(follows))
+    fm = feature_matrix(ordered, len(train), labels, compute_graph_feature_table(follows), None)
     fm_train, fm_test = fm.rows(0, 1000), fm.rows(1000, len(ordered))
     cfg = ClassifierConfig(l2=1.0, max_iter=300)
     stacked = train_stacked(np.arange(1000), fm_train, index.labels, index.groups((0, 1000)), K=0,

@@ -1,9 +1,10 @@
 import importlib
+import inspect
 import json
 import re
 import shutil
 from collections import Counter
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,13 @@ from relspam.data_model import (
     sort_chronologically,
     write_messages,
 )
-from relspam.evaluation import ExperimentConfig, evaluate_experiment
-from relspam.features import read_feature_matrix, write_feature_matrix
+from relspam.evaluation import ExperimentConfig, evaluate_experiment, tune_epsilons
+from relspam.features import (fit_ngram_vocabulary, pagerank, read_feature_matrix,
+                              write_feature_matrix)
+from relspam.hinge import infer_hinge_posteriors, learn_weights
+from relspam.linear import fit_classifier, train
+from relspam.mrf import infer_posteriors, loopy_bp, loopy_bp_batch
+from relspam.stacking import train_stacked
 from relspam.synth import GeneratorConfig, generate
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -506,7 +512,7 @@ class TestOneOrchestration:
         assert any(set(eps.values()) != {0.1} for eps in tuned)
 
         cfg = load_config(cfg_path, {"seed": 11})
-        messages, follows = generate(replace(cfg.generator, seed=11))
+        messages, follows = generate(cfg.generator, seed=11)
         report = evaluate_experiment(messages, follows, cfg)
         assert report.to_json() == (out / "report.json").read_text(encoding="utf-8")
 
@@ -519,7 +525,7 @@ class TestOneOrchestration:
             "models": ["independent", "sgl1", "mrf", "psl", "sgl1+mrf", "sgl1+psl"],
             "tune_epsilons": True, "hinge": {"learn_steps": 2}}),
             {"seed": 4})
-        messages, follows = generate(replace(cfg.generator, seed=4))
+        messages, follows = generate(cfg.generator, seed=4)
         messages.sort(key=lambda m: (m.timestamp, m.id))
         for t, m in enumerate(messages):
             m.timestamp = t
@@ -618,12 +624,24 @@ class TestConfigValidation:
                 key, value = f"{prefix}{f.name}", getattr(config, f.name)
                 if is_dataclass(value):
                     yield from leaves(value, f"{key}.")
-                elif key != "generator.seed":  # the run's seed
+                else:
                     yield key, value
 
         for key, default in leaves(RunConfig()):
             row = next((r.split("|") for r in rows if f"`{key}`" in r.split("|")[1]), None)
             assert row is not None and f"`{json.dumps(default)}`" in row[2], key
+
+    def test_layers_take_their_settings_from_the_caller(self):
+        # a setting's one default is in its config section, the run's seed seeds the generator,
+        # and the damping factors no caller set are constants
+        for fn, name in ((train, "config"), (fit_classifier, "config"), (train_stacked, "config"),
+                         (learn_weights, "hinge"), (infer_hinge_posteriors, "weights"),
+                         (infer_posteriors, "epsilons"), (tune_epsilons, "start"),
+                         (fit_ngram_vocabulary, "top_k")):
+            assert inspect.signature(fn).parameters[name].default is inspect.Parameter.empty, fn
+        for fn in (loopy_bp_batch, loopy_bp, infer_posteriors, pagerank):
+            assert "damping" not in inspect.signature(fn).parameters, fn
+        assert "seed" not in {f.name for f in fields(GeneratorConfig)}
 
     @pytest.mark.parametrize("extra, key", [
         ({"epsilons": None}, "epsilons"),
@@ -691,7 +709,7 @@ def test_every_training_slice_has_both_classes():
     assert ran | {0} <= set(SEEDS)  # 0 is the default seed
     for seed in SEEDS:
         for generator in (SMALL_CONFIG["generator"], NOISY_GENERATOR):
-            messages, _ = generate(GeneratorConfig(seed=seed, **generator))
+            messages, _ = generate(GeneratorConfig(**generator), seed)
             messages = sort_chronologically(messages)
             for fractions in (ExperimentConfig.fractions, (0.5, 0.25, 0.25)):
                 plan = chronological_split(messages, SMALL_CONFIG["n_subsets"], fractions)

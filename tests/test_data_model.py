@@ -37,6 +37,7 @@ from relspam.data_model import (
     write_messages,
 )
 from relspam.evaluation import ExperimentConfig, prepare_dataset
+from relspam.features import CONTENT_COLUMNS, extract_content_features
 
 from tables import hub_table
 
@@ -250,6 +251,22 @@ class TestGroups:
                     msg("m3", links=["http://other.io"])]
         assert build_groups(messages, ["link"]) == [Group("link", link, ("m1", "m2"))]
         assert build_index(messages, ["link"]).table.members.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("relation, fields, column, counts", [
+        ("mention", [{"text": "hi @! there"}, {"text": "yo @?? x"}, {"text": "@_"},
+                     {"text": "@."}], "num_mentions", [0, 0, 0, 0]),
+        ("link", [{"links": ["  "]}, {"links": [""]}], "num_links", [1, 1]),
+        ("hashtag", [{"hashtags": [""]}, {"hashtags": [""]}], "num_hashtags", [1, 1]),
+        ("user_hashtag", [{"hashtags": [""]}, {"hashtags": [""]}], "num_hashtags", [1, 1]),
+    ])
+    def test_an_empty_key_makes_no_group(self, relation, fields, column, counts):
+        # the messages share nothing but a key that is empty, once parsed or normalized
+        messages = [msg(f"m{i}", **kw) for i, kw in enumerate(fields)]
+        assert build_groups(messages, [relation]) == []
+        assert len(build_index(messages, [relation]).table) == 0
+        # a listed entry counts as the message lists it; a parsed empty mention is none
+        counts_of = extract_content_features(messages)[:, CONTENT_COLUMNS.index(column)]
+        assert counts_of.tolist() == counts
 
     def test_hashtags_parsed_from_text_when_unannotated(self):
         messages = [msg("m1", text="check #win now"), msg("m2", text="also #win")]

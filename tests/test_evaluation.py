@@ -479,7 +479,7 @@ class TestExperiment:
 
 class TestTuneEpsilons:
     def test_returns_defaults_without_labels(self):
-        eps = tune_epsilons(np.zeros(0), hub_table(), np.zeros(0, dtype=np.int8), ["user"])
+        eps = tune_epsilons(np.zeros(0), hub_table(), np.zeros(0, dtype=np.int8), ["user"], 0.1)
         assert eps == {"user": 0.1}
 
     def test_picks_epsilon_from_grid(self):
@@ -488,7 +488,7 @@ class TestTuneEpsilons:
         labels = np.repeat(np.arange(10) % 2, 4).astype(np.int8)
         priors = np.array([0.5 + 0.2 * (1 if y else -1) * rng.random() for y in labels])
         groups = hub_table(*(("user", f"u{j}", range(4 * j, 4 * j + 4)) for j in range(10)))
-        eps = tune_epsilons(priors, groups, labels, ["user"])
+        eps = tune_epsilons(priors, groups, labels, ["user"], 0.1)
         assert set(eps) == {"user"}
         assert 0.0 < eps["user"] < 0.5
 

@@ -18,11 +18,11 @@ from relspam.data_model import (
     normalize_text,
     relations_from_names,
 )
+from relspam.evaluation import ExperimentConfig
 from relspam.features import (
     CONTENT_COLUMNS,
     GRAPH_COLUMNS,
     USER_COLUMNS,
-    FeatureConfig,
     FeatureMatrix,
     compute_graph_feature_table,
     extract_content_features,
@@ -259,7 +259,7 @@ def test_one_entity_parse_matches_the_message_accessors(seed):
         assert block[:, CONTENT_COLUMNS.index(name)].tolist() == [len(accessor(m)) for m in messages]
     user = user_rows_reference(messages, labels)
     assert np.array_equal(extract_user_features_sequential(messages, labels, block), user)
-    fm = feature_matrix(messages, len(messages), labels, FeatureConfig(mode="limited"), {})
+    fm = feature_matrix(messages, len(messages), labels, {}, None)
     width = len(CONTENT_COLUMNS)
     assert np.array_equal(fm.matrix.toarray()[:, width:width + len(USER_COLUMNS)], user)
 
@@ -469,10 +469,12 @@ ngram_texts = st.lists(st.lists(text_pieces, max_size=4).map("".join), max_size=
          other=["the bat"])  # many ties among mixed counts
 @example(texts=["!!", "é", "e\u0301e\u0301e\u0301"], top_k=1, other=["", "ab"])
 def test_ngram_path_matches_string_reference(texts, top_k, other):
-    vocabulary = fit_ngram_vocabulary(texts, top_k)
+    # the n-gram path takes normalized texts; the reference normalizes its own
+    vocabulary = fit_ngram_vocabulary([normalize_text(t) for t in texts], top_k)
     assert vocabulary == reference_vocabulary(texts, top_k)
     for batch in (texts, other):
-        got, want = ngram_features(batch, vocabulary), reference_ngram_features(batch, vocabulary)
+        got = ngram_features([normalize_text(t) for t in batch], vocabulary)
+        want = reference_ngram_features(batch, vocabulary)
         got.sort_indices()
         want.sort_indices()
         assert got.shape == want.shape
@@ -484,7 +486,7 @@ def test_ngram_path_matches_string_reference(texts, top_k, other):
 class TestNgrams:
     def test_repeated_gram_counted_by_frequency(self):
         assert char_ngrams("aaaa", 3) == ["aaa", "aaa"]
-        assert fit_ngram_vocabulary(["aaaa"]) == ["aaa"]
+        assert fit_ngram_vocabulary(["aaaa"], 10000) == ["aaa"]
 
     def test_oov_transform_is_zero(self):
         m = ngram_features(["bbb"], ["aaa"])
@@ -496,7 +498,7 @@ class TestNgrams:
 
     def test_empty_vocabulary_warns_and_yields_zero_columns(self, caplog):
         with caplog.at_level("WARNING"):
-            vocab = fit_ngram_vocabulary([""])
+            vocab = fit_ngram_vocabulary([""], 10000)
         assert vocab == []
         assert ngram_features(["anything"], vocab).shape == (1, 0)
 
@@ -520,47 +522,50 @@ class TestPipeline:
         follows = [("u0", "u1"), ("u1", "u2"), ("u2", "u0")]
         graph = compute_graph_feature_table(follows)
         labels = known(messages, {m.id: 0 for m in messages[:30]})
-        a = feature_matrix(messages, 30, labels, FeatureConfig(ngram_top_k=50), graph)
-        b = feature_matrix(messages, 30, labels, FeatureConfig(ngram_top_k=50), graph)
+        a = feature_matrix(messages, 30, labels, graph, 50)
+        b = feature_matrix(messages, 30, labels, graph, 50)
         assert a.column_names == b.column_names
         assert (a.matrix != b.matrix).nnz == 0
 
     def test_columns_frozen_across_slices(self):
         messages = self.build_messages()
         labels = known(messages, {})
-        fm = feature_matrix(messages, 30, labels, FeatureConfig(ngram_top_k=20), {})
+        fm = feature_matrix(messages, 30, labels, {}, 20)
         train, test = fm.rows(0, 30), fm.rows(30, 40)
         assert train.column_names == test.column_names == fm.column_names
         # the columns follow from the training rows alone
-        alone = feature_matrix(messages[:30], 30, labels[:30], FeatureConfig(ngram_top_k=20), {})
+        alone = feature_matrix(messages[:30], 30, labels[:30], {}, 20)
         assert alone.column_names == fm.column_names
         assert (train.shape[0], test.shape[0]) == (30, 10)
         assert (sp.vstack([train.matrix, test.matrix]) != fm.matrix).nnz == 0
 
     def test_limited_mode_drops_ngrams(self):
+        config = ExperimentConfig(feature_mode="limited", limited_drop="ngrams")
+        assert config.keeps("graph") and not config.keeps("ngrams")
         messages = self.build_messages()
-        fm = feature_matrix(messages, len(messages), known(messages, {}),
-                            FeatureConfig(mode="limited", limited_drop="ngrams"), {})
+        fm = feature_matrix(messages, len(messages), known(messages, {}), {}, None)
         assert not any(c.startswith("ng:") for c in fm.column_names)
+        # an empty table keeps the graph block: no user follows anyone
+        graph = [fm.column_index[c] for c in GRAPH_COLUMNS]
+        assert fm.matrix[:, graph].nnz == 0
 
     def test_limited_mode_can_drop_graph(self):
+        config = ExperimentConfig(feature_mode="limited", limited_drop="graph")
+        assert not config.keeps("graph") and config.keeps("ngrams")
         messages = self.build_messages()
-        fm = feature_matrix(messages, len(messages), known(messages, {}),
-                            FeatureConfig(mode="limited", limited_drop="graph", ngram_top_k=5),
-                            compute_graph_feature_table([("u0", "u1"), ("u1", "u0")]))
+        fm = feature_matrix(messages, len(messages), known(messages, {}), None, 5)
         assert "pagerank" not in fm.column_names
 
     def test_user_missing_from_graph_gets_zeros(self):
         messages = [msg("m1", user="stranger", ts=0)]
-        fm = feature_matrix(messages, 1, [-1], FeatureConfig(ngram_top_k=5),
-                            compute_graph_feature_table([("a", "b"), ("b", "a")]))
+        fm = feature_matrix(messages, 1, [-1],
+                            compute_graph_feature_table([("a", "b"), ("b", "a")]), 5)
         j = fm.column_index["pagerank"]
         assert fm.matrix[0, j] == 0.0
 
     def test_matrix_file_round_trip(self, tmp_path):
         messages = self.build_messages()
-        fm = feature_matrix(messages[:20], 20, known(messages[:20], {}),
-                            FeatureConfig(ngram_top_k=10), {})
+        fm = feature_matrix(messages[:20], 20, known(messages[:20], {}), {}, 10)
         path = tmp_path / "feats.npz"
         write_feature_matrix(path, fm)
         back = read_feature_matrix(path)
@@ -568,8 +573,7 @@ class TestPipeline:
 
     def test_matrix_file_idempotent_bytes(self, tmp_path):
         messages = self.build_messages()
-        fm = feature_matrix(messages[:20], 20, known(messages[:20], {}),
-                            FeatureConfig(ngram_top_k=10), {})
+        fm = feature_matrix(messages[:20], 20, known(messages[:20], {}), {}, 10)
         p1, p2 = tmp_path / "a.npz", tmp_path / "b.npz"
         write_feature_matrix(p1, fm)
         write_feature_matrix(p2, fm)

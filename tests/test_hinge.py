@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from relspam.data_model import ConfigError, DataError
 from relspam.hinge import (
     GroundHingeModel,
+    HingeConfig,
     HingeWeights,
     ground_rules,
     infer_hinge_posteriors,
@@ -420,15 +421,15 @@ class TestLearnWeights:
     def test_zero_steps_returns_init(self):
         labels, groups, priors = self.make_validation()
         init = HingeWeights(neg=1.5, prior=0.5)
-        out, trace = learn_weights(init, labels, groups, priors, steps=0)
+        out, trace = learn_weights(HingeConfig(init, learn_steps=0), labels, groups, priors)
         assert out.neg == 1.5 and out.prior == 0.5
         assert trace == []
 
     def test_no_labels_warns_and_returns_init(self, caplog):
         unlabeled = np.full(2, -1, dtype=np.int8)
         with caplog.at_level("WARNING"):
-            out, trace = learn_weights(HingeWeights(), unlabeled, one_group(2), np.full(2, 0.5),
-                                       steps=3)
+            out, trace = learn_weights(HingeConfig(learn_steps=3), unlabeled, one_group(2),
+                                       np.full(2, 0.5))
         assert out.neg == 1.0
         assert trace == []
         assert "no labeled" in caplog.text
@@ -436,7 +437,8 @@ class TestLearnWeights:
     def test_prior_weight_grows_when_priors_match_labels(self):
         labels, groups, priors = self.make_validation()
         init = HingeWeights()
-        out, _ = learn_weights(init, labels, groups, priors, steps=5, learning_rate=0.05)
+        out, _ = learn_weights(HingeConfig(init, learn_steps=5, learning_rate=0.05), labels, groups,
+                               priors)
         assert out.prior / max(out.neg, 1e-9) > init.prior / init.neg
 
     def test_pure_campaign_groups_keep_positive_relation_weights(self):
@@ -447,15 +449,15 @@ class TestLearnWeights:
                                   if len(set(labels[j::4].tolist())) == 1),
                                 ("text", "s", np.flatnonzero(labels == 1)),
                                 ("text", "h", np.flatnonzero(labels == 0)))
-        out, _ = learn_weights(HingeWeights(), labels, pure_groups, priors, steps=5)
+        out, _ = learn_weights(HingeConfig(learn_steps=5), labels, pure_groups, priors)
         for rel in pure_groups.relations:
             assert out.relation_c[rel] > 0
             assert out.relation_d[rel] > 0
 
     def test_weights_stay_nonnegative(self):
         labels, groups, priors = self.make_validation()
-        out, _ = learn_weights(HingeWeights(), labels, groups, priors,
-                               steps=20, learning_rate=5.0)
+        out, _ = learn_weights(HingeConfig(learn_steps=20, learning_rate=5.0), labels, groups,
+                               priors)
         assert out.neg >= 0 and out.prior >= 0
         for rel in groups.relations:
             assert out.relation_c[rel] >= 0 and out.relation_d[rel] >= 0
@@ -537,8 +539,7 @@ def learning_inputs(draw):
 def test_learn_weights_matches_per_template_reference_bit_for_bit(inputs):
     init, labels, groups, priors, steps, learning_rate = inputs
     before = json.dumps(asdict(init))
-    out, trace = learn_weights(init, labels, groups, priors, steps=steps,
-                               learning_rate=learning_rate)
+    out, trace = learn_weights(HingeConfig(init, steps, learning_rate), labels, groups, priors)
     ref, ref_trace = reference_learn_weights(init, labels, groups, priors, steps, learning_rate)
     # equal values and key order, as models.json writes them
     assert json.dumps(asdict(out)) == json.dumps(asdict(ref))

@@ -56,14 +56,14 @@ class TestTrain:
     def test_loss_decreases_monotonically(self):
         X = sp.csr_matrix(np.array([[1.0], [-1.0]]))
         y = np.array([1.0, 0.0])
-        model = train(X, y, l2=1.0)
+        model = train(X, y, ClassifierConfig(l2=1.0))
         diffs = np.diff(model.loss_trace)
         assert (diffs <= 0).all()
 
     def test_single_class_constant_model(self):
         X = sp.csr_matrix(np.random.default_rng(0).normal(size=(10, 3)))
         y = np.zeros(10)
-        model = train(X, y, l2=1.0)
+        model = train(X, y, ClassifierConfig(l2=1.0))
         p = model.predict_proba_matrix(X)
         assert np.allclose(p, p[0])
         assert p[0] == pytest.approx(0.0, abs=1e-6)
@@ -73,7 +73,7 @@ class TestTrain:
         X, y = random_instance(rng, n=50, d=5)
         if len(set(y)) < 2:
             pytest.skip("degenerate draw")
-        model = train(X, y, l2=0.1, max_iter=5000, tol=1e-8)
+        model = train(X, y, ClassifierConfig(l2=0.1, max_iter=5000, tol=1e-8))
         w_ref, b_ref = gd_oracle(X, y, l2=0.1)
         assert model.converged
         assert np.abs(model.weights - w_ref).max() < 1e-4
@@ -82,14 +82,14 @@ class TestTrain:
     def test_final_loss_beats_zero_vector(self):
         rng = np.random.default_rng(7)
         X, y = random_instance(rng, n=80, d=6)
-        model = train(X, y, l2=0.5)
+        model = train(X, y, ClassifierConfig(l2=0.5))
         assert model.loss_trace[-1] <= model.loss_trace[0]
 
     def test_retraining_is_bit_reproducible(self):
         rng = np.random.default_rng(21)
         X, y = random_instance(rng, n=40, d=4)
-        a = train(X, y, l2=1.0)
-        b = train(X, y, l2=1.0)
+        a = train(X, y, ClassifierConfig(l2=1.0))
+        b = train(X, y, ClassifierConfig(l2=1.0))
         assert np.array_equal(a.weights, b.weights)
         assert a.bias == b.bias
 
@@ -97,7 +97,7 @@ class TestTrain:
         # tol 0 is never met: the fit must end where the loss stops falling, not
         # run out max_iter Newton steps that leave it as it is
         X, y = random_instance(np.random.default_rng(31), 60, 5)
-        model = train(X, y, l2=0.1, max_iter=300, tol=0.0)
+        model = train(X, y, ClassifierConfig(l2=0.1, max_iter=300, tol=0.0))
         assert not model.converged and model.n_iter <= 20
         assert (np.diff(model.loss_trace) < 0).all()
         # the loss a fit that also takes loss-preserving steps stands at after 300 iterations
@@ -105,7 +105,7 @@ class TestTrain:
 
     def test_negative_l2_rejected(self):
         with pytest.raises(DataError):
-            train(sp.csr_matrix(np.ones((2, 1))), np.array([0.0, 1.0]), l2=-1)
+            train(sp.csr_matrix(np.ones((2, 1))), np.array([0.0, 1.0]), ClassifierConfig(l2=-1))
 
 
 class TestPredict:
@@ -165,9 +165,9 @@ def standardized_fit(model, X, cols):
 def assert_decision_matches_dense(X, y, cols):
     """A fit standardizing `cols` decides over X as the fit on the dense
     standardized matrix does over it, and is that fit in raw space."""
-    model = train(X, y, l2=1.0, standardize=cols)
+    model = train(X, y, ClassifierConfig(l2=1.0), standardize=cols)
     dense = sp.csr_matrix(dense_standardized(X, cols)[0])
-    reference = train(dense, y, l2=1.0)
+    reference = train(dense, y, ClassifierConfig(l2=1.0))
     np.testing.assert_allclose(model.decision(X), reference.decision(dense), rtol=0, atol=1e-12)
     w, b = standardized_fit(model, X, cols)
     np.testing.assert_allclose(w, reference.weights, rtol=0, atol=1e-12)
@@ -211,7 +211,7 @@ class TestFitClassifier:
 
     def test_fit_and_predict(self):
         fm, labels = self.make_fm()
-        model = fit_classifier(fm, labels)
+        model = fit_classifier(fm, labels, ClassifierConfig())
         preds = model.predict_proba(fm)
         assert preds.shape == (fm.shape[0],)
         assert ((0 < preds) & (preds < 1)).all()
@@ -220,12 +220,12 @@ class TestFitClassifier:
         fm, labels = self.make_fm()
         labels[3] = -1
         with pytest.raises(DataError, match="first: row 3"):
-            fit_classifier(fm, labels)
+            fit_classifier(fm, labels, ClassifierConfig())
 
     def test_label_count_must_match_rows(self):
         fm, labels = self.make_fm()
         with pytest.raises(DataError):
-            fit_classifier(fm, labels[1:])
+            fit_classifier(fm, labels[1:], ClassifierConfig())
 
     def test_scaler_covers_dense_and_pseudo_columns_only(self):
         columns = ["num_chars", "is_retweet", "ng:abc", "user_blacklist", "pagerank",
@@ -236,7 +236,7 @@ class TestFitClassifier:
         X[:, binary] = X[:, binary] > 0
         labels = (X[:, 0] > 0).astype(np.int8)
         X = sp.csr_matrix(X)
-        model = fit_classifier(FeatureMatrix(columns, X), labels)
+        model = fit_classifier(FeatureMatrix(columns, X), labels, ClassifierConfig())
         scaled = [columns.index(c) for c in ("num_chars", "pagerank", "pr_user", "pr_text")]
         assert [columns[j] for j in scaled] == scalable_columns(columns)
 
@@ -337,7 +337,7 @@ def dense_objective_and_gradient(X, y, l2, w, b, cols=()):
 ])
 def test_solver_is_optimal_against_reference_loop(make, l2, max_iter, tol):
     X, y = make()
-    model = train(X, y, l2=l2, max_iter=max_iter, tol=tol)
+    model = train(X, y, ClassifierConfig(l2=l2, max_iter=max_iter, tol=tol))
     w, b, _, converged, _ = reference_batch_train(X, y, l2, max_iter, tol)
     objective, grad = dense_objective_and_gradient(X, y, l2, model.weights, model.bias)
     reference, _ = dense_objective_and_gradient(X, y, l2, w, b)
@@ -352,8 +352,7 @@ def test_solver_is_optimal_against_reference_loop(make, l2, max_iter, tol):
 @pytest.fixture(scope="module")
 def generated_training_slice():
     """The training slice of subset 0 of a generated dataset, fully featurized."""
-    messages, _ = generate(GeneratorConfig(seed=42, n_messages=3000, n_users=150,
-                                           n_campaigns=15))
+    messages, _ = generate(GeneratorConfig(n_messages=3000, n_users=150, n_campaigns=15), 42)
     config = ExperimentConfig()
     ordered = sort_chronologically(messages)
     subset = chronological_split(ordered, 3, config.fractions).subsets[0]

@@ -202,14 +202,16 @@ class TestTrainStacked:
     def test_too_many_stacks_rejected(self):
         fm, index = planted_dataset(n_users=2, msgs_per_user=1)
         with pytest.raises(DataError):
-            train_stacked(everything(index), fm, index.labels, index.table, K=5, relations=["user"])
+            train_stacked(everything(index), fm, index.labels, index.table, K=5, relations=["user"],
+                          config=ClassifierConfig())
 
     def test_unlabeled_training_row_named(self):
         fm, index = planted_dataset(n_users=4, msgs_per_user=3)
         labels = index.labels.copy()
         labels[7] = -1
         with pytest.raises(DataError, match="position 7"):
-            train_stacked(everything(index), fm, labels, index.table, K=1, relations=["user"])
+            train_stacked(everything(index), fm, labels, index.table, K=1, relations=["user"],
+                          config=ClassifierConfig())
 
     def test_serialization_round_trip(self):
         fm, index = planted_dataset(seed=2)
@@ -223,7 +225,7 @@ class TestTrainStacked:
         # version 1 carried a pooling mode, which may have been "hard"
         fm, index = planted_dataset(n_users=4, msgs_per_user=3)
         stacked = train_stacked(everything(index), fm, index.labels, index.table, K=1,
-                                relations=["user"])
+                                relations=["user"], config=ClassifierConfig())
         path = tmp_path / "models.json"
         write_artifact(path, "relspam-models v1",
                        {**stacked.to_dict(), "version": 1, "pseudo_mode": "hard"})
@@ -285,7 +287,7 @@ class TestInferStacked:
     def test_column_mismatch_rejected(self):
         fm, index = planted_dataset(seed=6)
         stacked = train_stacked(everything(index), fm, index.labels, index.table, K=0,
-                                relations=["user"])
+                                relations=["user"], config=ClassifierConfig())
         bad = FeatureMatrix(["other"], sp.csr_matrix(np.array([[1.0]])))
         with pytest.raises(DataError):
             infer_stacked(stacked, bad, [0], index.table, no_context(index))
