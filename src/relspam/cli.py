@@ -5,8 +5,8 @@ stage can be rerun in isolation; outputs are byte-deterministic for a fixed
 config and seed. `run-all` chains every stage and writes the final report. A
 stage only reads its inputs, calls the steps of `evaluation` that
 `evaluate_experiment` also runs (featurize first calls `prepare_dataset`), and
-writes their results. Only `featurize` reads `messages.jsonl`; it writes
-`features/split_plan.json`, which records
+writes their results. Only `featurize` reads `messages.jsonl`, streamed into
+a `MessageTable`; it writes `features/split_plan.json`, which records
 the settings it ran under, the `features/index.npz` message index and each
 subset's `features.npz`, `train` each subset's `models.json` (whose format
 `evaluation` owns), and `infer` the predictions TSVs and
@@ -22,7 +22,6 @@ ids come back only in the TSVs. A run's settings are one `RunConfig`, which
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import sys
@@ -39,7 +38,7 @@ from .data_model import (
     read_artifact,
     read_follows,
     read_index,
-    read_messages,
+    read_message_table,
     SplitPlan,
     SubsetSplit,
     write_artifact,
@@ -208,11 +207,10 @@ def cmd_featurize(cfg: RunConfig) -> int:
     if not path.is_file():
         raise DataError(f"no messages file {path}; run the generate stage or set 'messages'")
     follows_path = Path(cfg.follows or _out(cfg) / "data" / "follows.tsv")
-    messages, plan, index, graph_table = prepare_dataset(
-        read_messages(path),
-        # only the default follows file may be absent
-        read_follows(follows_path) if cfg.follows or follows_path.exists() else [],
-        cfg, hashlib.sha256(path.read_bytes()).hexdigest())
+    table, source_sha256 = read_message_table(path)
+    # only the default follows file may be absent
+    follows = read_follows(follows_path) if cfg.follows or follows_path.exists() else []
+    plan, index, graph_table = prepare_dataset(table, follows, cfg, source_sha256)
     feat_dir = _out(cfg) / "features"
     feat_dir.mkdir(parents=True, exist_ok=True)
     write_artifact(feat_dir / "split_plan.json", PLAN_FORMAT,
@@ -221,7 +219,7 @@ def cmd_featurize(cfg: RunConfig) -> int:
     # not held while the subsets are transformed: it adds nothing to the stage's peak memory
     del index
     for i, subset in enumerate(plan.subsets):
-        fm = featurize_subset(messages, subset, cfg, graph_table)
+        fm = featurize_subset(table, subset, cfg, graph_table)
         sub_dir = _subset_dir(cfg, "features", i)
         sub_dir.mkdir(parents=True, exist_ok=True)
         write_feature_matrix(sub_dir / "features.npz", fm)

@@ -1,21 +1,23 @@
-"""Core data types: messages, relation groups, the message index,
-chronological splits.
+"""Core data types: messages, the message table, relation groups, the
+message index, chronological splits.
 
 Messages are ingested from line-delimited JSON records, and every message
-checks its fields against one table, `MESSAGE_FIELDS`; the checks of a whole
-dataset (unique ids, labeled training slices) are
-`evaluation.prepare_dataset`'s. Groups ("hubs") collect messages that share a
-relation key: same author, same normalized text, same link, and so on. One
-pass over the messages gives each relation's keys and their members:
-`build_index` fills a `GroupTable` from it, and `build_groups` is its view by
-message id. A `MessageIndex` holds ids, labels and every message's groups as
-arrays, and restricts the groups to a subset by an edge mask. Past the index a
-message is its chronological position, the form every later module takes. All
-downstream modules consume these types read-only.
+checks its fields against one table, `MESSAGE_FIELDS`. Past the reader a
+dataset is one `MessageTable` of columns, which `read_message_table` streams
+from the JSONL; the checks of a whole dataset (unique ids, labeled training
+slices) are `evaluation.prepare_dataset`'s. Groups ("hubs") collect messages
+that share a relation key: same author, same normalized text, same link, and
+so on. One pass over the table's columns gives each relation's keys and
+their members: `build_index` fills a `GroupTable` from it, and `build_groups`
+is its view by message id. A `MessageIndex` holds ids, labels and every
+message's groups as arrays, and restricts the groups to a subset by an edge
+mask. Past the index a message is its chronological position, the form every
+later module takes. All downstream modules consume these types read-only.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
@@ -23,7 +25,7 @@ import string
 import unicodedata
 import zipfile
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 from urllib.parse import urlsplit, urlunsplit
 
@@ -195,27 +197,74 @@ def normalize_link(url: str) -> str:
 
 
 def _entities(m: Message) -> tuple:
-    """(hashtags, links, mentions): each the message's list, else parsed from
-    one split of its text; a parsed mention is never empty."""
+    """(hashtags, links, mentions) as group keys: each the message's list, else
+    parsed from one split of its text; tags and mentions lowercased, links
+    `normalize_link`ed, and an empty key dropped: it would group messages that
+    share nothing."""
     words = m.text.split() if "#" in m.text or "@" in m.text or "http" in m.text else ()
-    return (m.hashtags or [w[1:] for w in words if w.startswith("#") and len(w) > 1],
-            m.links or [w for w in words if w.startswith(("http://", "https://"))],
-            m.mentions or [name for w in words if w.startswith("@")
-                           if (name := w[1:].rstrip(string.punctuation))])
+    tags = m.hashtags or [w[1:] for w in words if w.startswith("#")]
+    links = m.links or [w for w in words if w.startswith(("http://", "https://"))]
+    mentions = m.mentions or [w[1:].rstrip(string.punctuation) for w in words if w.startswith("@")]
+    return (tuple(t.lower() for t in tags if t), tuple(filter(None, map(normalize_link, links))),
+            tuple(x.lower() for x in mentions if x))
 
 
-# relation name -> the keys of a message, given its `_entities` (hashtags, links, mentions);
-# an empty key is none, lest messages that share nothing share a group
+# relation name -> the keys of a message, given its user id, target id, normalized text and
+# `_entities` (hashtags, links, mentions); an empty text or target is no key
 _RELATION_KEYS = {
-    "user": lambda m, tags, links, mentions: (m.user_id,),
-    "text": lambda m, tags, links, mentions: {normalize_text(m.text)} - {""},
-    "link": lambda m, tags, links, mentions: {normalize_link(u) for u in links} - {""},
-    "hashtag": lambda m, tags, links, mentions: {t.lower() for t in tags} - {""},
-    "mention": lambda m, tags, links, mentions: {x.lower() for x in mentions} - {""},
-    "track": lambda m, tags, links, mentions: (m.target_id,) if m.target_id else (),
-    "user_hashtag": lambda m, tags, links, mentions: {(m.user_id, t.lower()) for t in tags if t},
+    "user": lambda user, target, text, tags, links, mentions: (user,),
+    "text": lambda user, target, text, tags, links, mentions: (text,) if text else (),
+    "link": lambda user, target, text, tags, links, mentions: set(links),
+    "hashtag": lambda user, target, text, tags, links, mentions: set(tags),
+    "mention": lambda user, target, text, tags, links, mentions: set(mentions),
+    "track": lambda user, target, text, tags, links, mentions: (target,) if target else (),
+    "user_hashtag": lambda user, target, text, tags, links, mentions: {(user, t) for t in tags},
 }
 RELATION_NAMES = tuple(_RELATION_KEYS)
+
+
+@dataclass(frozen=True, eq=False)
+class MessageTable:
+    """A dataset as columns, row i the message at chronological position i,
+    (timestamp, id) ascending. Each text is normalized and split (`_entities`)
+    once, as the table is built, and equal strings share one object."""
+
+    ids: list
+    user_ids: list
+    target_ids: list  # None for no target
+    texts: list
+    normalized: list  # `normalize_text` of each text
+    entities: list  # `_entities` of each message
+    labels: np.ndarray  # int8: 1 spam, 0 ham, -1 unlabeled
+    retweets: np.ndarray  # bool
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def rows(self, a: int, b: int) -> "MessageTable":
+        """The messages at positions a to b (exclusive)."""
+        return MessageTable(*(getattr(self, f.name)[a:b] for f in fields(self)))
+
+    @classmethod
+    def from_messages(cls, messages: Iterable[Message]) -> "MessageTable":
+        """The table of checked messages, read in one pass: none is held past its row."""
+        one: dict = {}  # a string -> the object every equal string of the table is
+        columns = [[] for _ in range(9)]  # the timestamps, then the table's fields
+        for m in messages:
+            entities, key = _entities(m), normalize_text(m.text)
+            row = (m.timestamp, m.id, one.setdefault(m.user_id, m.user_id),
+                   m.target_id and one.setdefault(m.target_id, m.target_id),
+                   one.setdefault(m.text, m.text), one.setdefault(key, key),
+                   tuple(tuple(one.setdefault(k, k) for k in part) for part in entities)
+                   if any(entities) else ((), (), ()),  # a constant: one shared tuple
+                   -1 if m.label is None else m.label, m.is_retweet)
+            for column, value in zip(columns, row):
+                column.append(value)
+        stamps, ids = columns[:2]
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        order.sort(key=stamps.__getitem__)  # stable: (timestamp, id) order
+        *columns, labels, retweets = ([column[i] for i in order] for column in columns[1:])
+        return cls(*columns, np.array(labels, dtype=np.int8), np.array(retweets, dtype=bool))
 
 
 def relations_from_names(names: Iterable[str]) -> list:
@@ -227,15 +276,15 @@ def relations_from_names(names: Iterable[str]) -> list:
     return names
 
 
-def _relation_keys(messages: list, relations: Iterable[str]) -> dict:
-    """Relation -> key -> the ascending indices of the messages with that key,
-    relations in name order. A message's text is split once (`_entities`)."""
+def _relation_keys(table: MessageTable, relations: Iterable[str]) -> dict:
+    """Relation -> key -> the ascending positions of the messages with that
+    key, relations in name order."""
     names = sorted(set(relations_from_names(relations)))
     buckets = [(_RELATION_KEYS[name], defaultdict(list)) for name in names]
-    for i, m in enumerate(messages):
-        entities = _entities(m)
+    rows = zip(table.user_ids, table.target_ids, table.normalized, table.entities)
+    for i, (user, target, text, entities) in enumerate(rows):
         for keys_of, keys in buckets:
-            for key in keys_of(m, *entities):
+            for key in keys_of(user, target, text, *entities):
                 keys[key].append(i)
     return {name: keys for name, (_, keys) in zip(names, buckets)}
 
@@ -259,10 +308,10 @@ def build_groups(messages: list, relations: Iterable[str]) -> list:
     Sorted by (relation, key), member ids sorted within each group; a key
     shared by fewer than 2 distinct ids makes no group.
     """
-    groups = []
-    for name, keys in _relation_keys(messages, relations).items():
+    groups, table = [], MessageTable.from_messages(messages)
+    for name, keys in _relation_keys(table, relations).items():
         for key in sorted(keys):
-            ids = tuple(sorted({messages[i].id for i in keys[key]}))
+            ids = tuple(sorted({table.ids[i] for i in keys[key]}))
             if len(ids) >= 2:
                 groups.append(Group(name, key, ids))
     return groups
@@ -341,10 +390,10 @@ class MessageIndex:
                           t.members[inside])
 
 
-def build_index(ordered: list, relations: list, source_sha256: str = "") -> MessageIndex:
-    """The index of chronologically sorted messages: their groups in
-    (relation, key) order, each group's members in position order."""
-    buckets = _relation_keys(ordered, relations)
+def build_index(table: MessageTable, relations: list, source_sha256: str = "") -> MessageIndex:
+    """The index of a message table: its groups in (relation, key) order,
+    each group's members in position order."""
+    buckets = _relation_keys(table, relations)
     codes, sizes, members = [], [], []
     for code, keys in enumerate(buckets.values()):
         for key in sorted(keys):
@@ -352,9 +401,8 @@ def build_index(ordered: list, relations: list, source_sha256: str = "") -> Mess
                 codes.append(code)
                 sizes.append(len(keys[key]))
                 members += keys[key]
-    table = GroupTable(list(buckets), codes, sizes, members)
-    labels = np.array([-1 if m.label is None else m.label for m in ordered], dtype=np.int8)
-    return MessageIndex([m.id for m in ordered], labels, list(relations), table, source_sha256)
+    return MessageIndex(table.ids, table.labels, list(relations),
+                        GroupTable(list(buckets), codes, sizes, members), source_sha256)
 
 
 def write_index(path, index: MessageIndex) -> None:
@@ -450,13 +498,13 @@ def message_to_record(m: Message) -> dict:
     return {k: v for k, v in vars(m).items() if v is not None}
 
 
-def read_messages(path) -> list:
-    """The messages of a JSONL file, one object per line. A line that is not
-    UTF-8, not a JSON object or not a message raises `DataError` naming the
-    file and the line."""
-    messages = []
+def _message_lines(path, digest=None):
+    """`read_messages` as a stream, each message built as its line is read,
+    and each line's bytes fed to the hash `digest` when given."""
     with open(path, "rb") as fh:
         for i, line in enumerate(fh):
+            if digest is not None:
+                digest.update(line)
             try:
                 text = line.decode("utf-8").strip()
                 if not text:
@@ -464,10 +512,23 @@ def read_messages(path) -> list:
                 rec = json.loads(text)
                 if not isinstance(rec, dict):
                     raise DataError("not a JSON object")
-                messages.append(message_from_record(rec, fallback_index=i))
+                yield message_from_record(rec, fallback_index=i)
             except (ValueError, TypeError) as exc:  # bad UTF-8 and bad JSON are ValueErrors
                 raise DataError(f"{path}, line {i + 1}: {exc}") from None
-    return messages
+
+
+def read_messages(path) -> list:
+    """The messages of a JSONL file, one object per line. A line that is not
+    UTF-8, not a JSON object or not a message raises `DataError` naming the
+    file and the line."""
+    return list(_message_lines(path))
+
+
+def read_message_table(path) -> tuple:
+    """(the `MessageTable` of a JSONL file as `read_messages` reads it, the
+    sha256 of its bytes), from one pass in which no message outlives its line."""
+    digest = hashlib.sha256()
+    return MessageTable.from_messages(_message_lines(path, digest)), digest.hexdigest()
 
 
 def write_messages(path, messages: Iterable[Message]) -> None:

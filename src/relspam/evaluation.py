@@ -1,19 +1,20 @@
 """Metrics and the chronological multi-subset evaluation protocol.
 
-The protocol is written once. `prepare_dataset` checks, sorts, splits and
-indexes a dataset, and then come per-subset steps on in-memory inputs:
+The protocol is written once. `prepare_dataset` checks, splits and indexes
+a dataset's `MessageTable`, and then come per-subset steps on in-memory inputs:
 `featurize_subset` builds a subset's features, fit on its training slice,
 `train_subset_models` fits the independent classifier and every artifact the
 roster needs (tuning on validation), `infer_subset_models` predicts the test
 slice with every roster model (stacked, joint, and combined), and
 `aggregate_report` concatenates the test predictions across subsets and scores
 them overall and on the inductive / transductive partition. The steps after
-`featurize_subset` take the dataset's `MessageIndex` in place of its messages
+`featurize_subset` take the dataset's `MessageIndex` in place of its table
 and know a message by its chronological position: labels, priors and scores
 are arrays over positions, and a subset's predictions are one array per model
-over its test slice. `evaluate_experiment` runs these steps in one process;
-the `cli` stages run the same steps, featurize from the same
-`prepare_dataset`, and only read and write the artifacts between them.
+over its test slice. `evaluate_experiment` runs these steps in one process
+on the table of its list; the `cli` stages run the same steps, featurize on
+the table it streams from the JSONL through the same `prepare_dataset`, and
+only read and write the artifacts between them.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .data_model import (
     DataError,
     GroupTable,
     MessageIndex,
+    MessageTable,
     SplitPlan,
     SubsetSplit,
     build_index,
@@ -43,7 +45,6 @@ from .data_model import (
     is_int,
     is_number,
     read_artifact,
-    sort_chronologically,
     write_artifact,
 )
 from .features import FeatureMatrix, compute_graph_feature_table, feature_matrix
@@ -345,24 +346,23 @@ def tune_l2(fm_train, labels, fm_val, val_labels, config: ClassifierConfig, grid
 
 # --- per-subset steps of the protocol ---
 
-def prepare_dataset(messages: list, follows: list, config: ExperimentConfig,
+def prepare_dataset(table: MessageTable, follows: list, config: ExperimentConfig,
                     source_sha256: str = "") -> tuple:
-    """The set-up of a dataset that featurize and `evaluate_experiment` share:
-    -> (the messages in chronological order, their split plan, their index,
-    the per-user graph-feature table every subset's matrix reads; empty when
-    there are no follows, None when the feature mode drops the graph block).
+    """The set-up of a message table that featurize and `evaluate_experiment`
+    share: -> (its split plan, its index, the per-user graph-feature table
+    every subset's matrix reads; empty when there are no follows, None when
+    the feature mode drops the graph block).
 
     A `DataError` names the first duplicate id, or the subset whose training
     slice is empty, shorter than the deepest stacked model of the roster
     needs (K+1 messages for sglK), or holds a message without a label.
     """
-    duplicates = sorted(mid for mid, n in Counter(m.id for m in messages).items() if n > 1)
+    duplicates = sorted(mid for mid, n in Counter(table.ids).items() if n > 1)
     if duplicates:
         raise DataError("dataset failed validation: " + "; ".join(
             f"duplicate message id: {mid}" for mid in duplicates[:5]))
-    messages = sort_chronologically(messages)  # the unsorted list goes once no caller holds it
-    plan = chronological_split(messages, config.n_subsets, config.fractions)
-    index = build_index(messages, config.relations, source_sha256)
+    plan = chronological_split(table, config.n_subsets, config.fractions)
+    index = build_index(table, config.relations, source_sha256)
     deepest = max(config.required_stacks(), default=0)
     for i, subset in enumerate(plan.subsets):
         n_train = subset.train[1] - subset.train[0]
@@ -377,18 +377,18 @@ def prepare_dataset(messages: list, follows: list, config: ExperimentConfig,
             raise DataError(f"subset {i}: {len(unlabeled)} training messages lack a label "
                             f"(first: {first!r}); every training message needs one")
     graph_table = compute_graph_feature_table(follows) if config.keeps("graph") else None
-    return messages, plan, index, graph_table
+    return plan, index, graph_table
 
 
-def featurize_subset(ordered: list, subset: SubsetSplit, config: ExperimentConfig,
+def featurize_subset(table: MessageTable, subset: SubsetSplit, config: ExperimentConfig,
                      graph_table: dict | None) -> FeatureMatrix:
     """The matrix of the subset's train, validation and test rows, its columns
     fit on the training slice, knowing only the training labels; `graph_table`
     is `prepare_dataset`'s."""
     (a, b), end = subset.train, subset.test[1]
     labels = np.full(end - a, -1)
-    labels[:b - a] = [-1 if m.label is None else m.label for m in ordered[a:b]]
-    return feature_matrix(ordered[a:end], b - a, labels, graph_table,
+    labels[:b - a] = table.labels[a:b]
+    return feature_matrix(table.rows(a, end), b - a, labels, graph_table,
                           config.ngram_top_k if config.keeps("ngrams") else None)
 
 
@@ -619,10 +619,11 @@ def evaluate_experiment(messages: list, follows: list, config: ExperimentConfig)
     config.check()
     for m in messages:  # a caller may have assigned a field after building the message
         check_message(m)
-    ordered, plan, index, graph_table = prepare_dataset(messages, follows, config)
+    table = MessageTable.from_messages(messages)
+    plan, index, graph_table = prepare_dataset(table, follows, config)
     subset_preds, diagnostics = [], []
     for i, subset in enumerate(plan.subsets):
-        fm = featurize_subset(ordered, subset, config, graph_table)
+        fm = featurize_subset(table, subset, config, graph_table)
         artifacts = train_subset_models(index, subset, fm, config)
         preds, diag = infer_subset_models(artifacts, index, subset, fm, config)
         subset_preds.append(preds)

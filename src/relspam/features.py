@@ -6,11 +6,12 @@ come from the training rows alone. A subset's matrix holds its messages in
 chronological order, so a slice of the subset is a range of rows
 (`FeatureMatrix.rows`).
 
-A matrix splits each text once, for the hashtag, link and mention counts of
-the content block, which the user block reuses, and normalizes it once, for
-both the n-gram vocabulary and the n-gram block. Its character 3-grams are
-int64 codes c0·2⁴² + c1·2²¹ + c2, read with numpy from the UTF-32 of the
-normalized texts: code points are below 2²¹, so codes order as the strings do.
+A matrix reads a `MessageTable`, which holds each text split and normalized
+once: the content block counts its hashtag, link and mention keys, which the
+user block reuses, and the n-gram vocabulary and block read its normalized
+texts. Its character 3-grams are int64 codes c0·2⁴² + c1·2²¹ + c2, read
+with numpy from the UTF-32 of the normalized texts: code points are below
+2²¹, so codes order as the strings do.
 
 The graph block comes from one CSR follow matrix A (`follower_graph`): PageRank
 by power iteration, degrees as A's column and row counts, and triangles and
@@ -31,8 +32,7 @@ from .data_model import (
     HAM,
     SPAM,
     DataError,
-    _entities,
-    normalize_text,
+    MessageTable,
     read_artifact,
     write_artifact,
 )
@@ -90,11 +90,13 @@ def sentiment_scores(text: str) -> tuple:
     return pol, sub
 
 
-def extract_content_features(messages: list) -> np.ndarray:
-    """The content block: a row of `CONTENT_COLUMNS` per message."""
-    return np.array([(len(m.text), *map(len, _entities(m)), bool(m.is_retweet),
-                      *sentiment_scores(m.text))
-                     for m in messages], dtype=float).reshape(len(messages), len(CONTENT_COLUMNS))
+def extract_content_features(messages: MessageTable) -> np.ndarray:
+    """The content block: a row of `CONTENT_COLUMNS` per message. A hashtag,
+    link or mention counts when it is a group key (`MessageTable.entities`)."""
+    return np.array([(len(text), *map(len, entities), retweet, *sentiment_scores(text))
+                     for text, entities, retweet in zip(messages.texts, messages.entities,
+                                                        messages.retweets.tolist())],
+                    dtype=float).reshape(len(messages), len(CONTENT_COLUMNS))
 
 
 def _codes(keys) -> np.ndarray:
@@ -114,39 +116,36 @@ def _earlier(values, key: np.ndarray, op: np.ufunc) -> np.ndarray:
     return out
 
 
-def extract_user_features_sequential(messages: list, labels,
+def extract_user_features_sequential(messages: MessageTable, labels,
                                      content: np.ndarray | None = None) -> np.ndarray:
     """The user block: a row of `USER_COLUMNS` per message, from strictly
     earlier messages in the stream.
 
-    `messages` must be sorted by (timestamp, id), and `labels` holds a label
-    per message, -1 where it is not known. Row i is a function of positions
-    < i only, so appending future messages never changes past rows. The
-    label-derived columns (black/whitelist) count only the known labels (the
-    training period's). Lengths and hashtag, link and mention presence are
-    read from the messages' content block, `content` when given.
+    `labels` holds a label per message, -1 where it is not known. Row i is a
+    function of positions < i only, so appending future messages never
+    changes past rows. The label-derived columns (black/whitelist) count only
+    the known labels (the training period's). Lengths and hashtag, link and
+    mention presence are read from the messages' content block, `content`
+    when given.
     """
-    for prev, cur in zip(messages, messages[1:]):
-        if (prev.timestamp, prev.id) > (cur.timestamp, cur.id):
-            raise DataError("messages must be sorted by (timestamp, id) for sequential features")
     labels = np.asarray(labels)
     if labels.shape != (len(messages),):
         raise DataError(f"{labels.size} labels for {len(messages)} messages")
     if content is None:
         content = extract_content_features(messages)
-    user = _codes(m.user_id for m in messages)
+    user = _codes(messages.user_ids)
     length, n_hashtags, n_links, n_mentions = content[:, :4].T
     # what each message adds to its user's history
     history = np.column_stack([np.ones(len(messages)), n_hashtags > 0, n_mentions > 0,
                                n_links > 0, labels == SPAM, labels == HAM, length])
     count, hashtags, mentions, links, spam, ham, length_sum = _earlier(history, user, np.add).T
     seen = np.maximum(count, 1.0)  # a user's first message has no history: its ratios are 0
-    tracked = np.array([bool(m.target_id) for m in messages], dtype=float)
+    tracked = np.array(list(map(bool, messages.target_ids)), dtype=float)
     return np.column_stack([
         count, hashtags / seen, mentions / seen, links / seen,
         spam >= BLACKLIST_SPAM_THRESHOLD, ham >= WHITELIST_HAM_THRESHOLD,
         _earlier(length, user, np.maximum), _earlier(length, user, np.minimum), length_sum / seen,
-        tracked * _earlier(tracked, _codes(m.target_id for m in messages), np.add)])
+        tracked * _earlier(tracked, _codes(messages.target_ids), np.add)])
 
 
 # --- follower graph and graph features ---
@@ -359,9 +358,9 @@ def read_feature_matrix(path) -> FeatureMatrix:
     return read_artifact(path, MATRIX_FORMAT, "featurize", parse)
 
 
-def feature_matrix(messages: list, n_train: int, labels, graph_table: dict | None,
+def feature_matrix(messages: MessageTable, n_train: int, labels, graph_table: dict | None,
                    ngram_top_k: int | None) -> FeatureMatrix:
-    """The matrix of chronologically sorted messages, a row per message, with
+    """The matrix of a message table, a row per message, with
     `labels` as `extract_user_features_sequential` takes them. `graph_table`
     maps a user id to its row of the graph block (`compute_graph_feature_table`),
     and None drops the block. The `ngram_top_k` n-grams of the first `n_train`
@@ -371,13 +370,12 @@ def feature_matrix(messages: list, n_train: int, labels, graph_table: dict | Non
     columns = list(CONTENT_COLUMNS) + list(USER_COLUMNS)
     if graph_table is not None:
         absent = (0.0,) * len(GRAPH_COLUMNS)
-        blocks.append(np.array([graph_table.get(m.user_id, absent) for m in messages],
+        blocks.append(np.array([graph_table.get(user, absent) for user in messages.user_ids],
                                dtype=float).reshape(len(messages), len(GRAPH_COLUMNS)))
         columns += GRAPH_COLUMNS
     blocks = [sp.csr_matrix(np.hstack(blocks))]
     if ngram_top_k is not None:
-        texts = [normalize_text(m.text) for m in messages]
-        vocabulary = fit_ngram_vocabulary(texts[:n_train], ngram_top_k)
-        blocks.append(ngram_features(texts, vocabulary))
+        vocabulary = fit_ngram_vocabulary(messages.normalized[:n_train], ngram_top_k)
+        blocks.append(ngram_features(messages.normalized, vocabulary))
         columns += [NGRAM_PREFIX + g for g in vocabulary]
     return FeatureMatrix(columns, sp.hstack(blocks, format="csr"))

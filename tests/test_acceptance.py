@@ -11,6 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from relspam.data_model import (
+    MessageTable,
     build_index,
     chronological_split,
     sort_chronologically,
@@ -215,15 +216,15 @@ def test_criterion_06_metric_correctness():
 
 def test_criterion_07_temporal_causality():
     messages, _ = generate(GeneratorConfig(n_messages=2000, n_users=100, n_campaigns=10), 77)
-    ordered = sort_chronologically(messages)
+    ordered, table = sort_chronologically(messages), MessageTable.from_messages(messages)
     labels = np.array([-1 if m.label is None or i >= 1000 else m.label
                        for i, m in enumerate(ordered)])
-    full = extract_user_features_sequential(ordered, labels)
+    full = extract_user_features_sequential(table, labels)
     rng = random.Random(7)
     causal = True
     for _ in range(50):
         cut = rng.randint(1, len(ordered))
-        prefix = extract_user_features_sequential(ordered[:cut], labels[:cut])
+        prefix = extract_user_features_sequential(table.rows(0, cut), labels[:cut])
         causal = causal and np.array_equal(prefix, full[:cut])
     plan = chronological_split(ordered, 10, (0.7, 0.05, 0.25))
     leakage_free = True
@@ -343,11 +344,11 @@ def test_criterion_09_qualitative_relational_lift():
 def test_criterion_10_degenerate_stack_identity():
     messages, follows = generate(GeneratorConfig(n_messages=1500, n_users=80, n_campaigns=8,
                                                  spam_prevalence=0.08), 10)
-    ordered = sort_chronologically(messages)
+    ordered, table = sort_chronologically(messages), MessageTable.from_messages(messages)
     train, test = ordered[:1000], ordered[1000:]
-    index = build_index(ordered, ["user", "text", "link"])
+    index = build_index(table, ["user", "text", "link"])
     labels = np.where(np.arange(len(ordered)) < 1000, index.labels, -1)
-    fm = feature_matrix(ordered, len(train), labels, compute_graph_feature_table(follows), None)
+    fm = feature_matrix(table, len(train), labels, compute_graph_feature_table(follows), None)
     fm_train, fm_test = fm.rows(0, 1000), fm.rows(1000, len(ordered))
     cfg = ClassifierConfig(l2=1.0, max_iter=300)
     stacked = train_stacked(np.arange(1000), fm_train, index.labels, index.groups((0, 1000)), K=0,

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from relspam.data_model import Message, build_groups, build_index
+from relspam.data_model import Message, MessageTable, build_groups, build_index
 from relspam.hinge import HingeWeights, ground_rules, map_inference
 from relspam.mrf import build_factor_graph, loopy_bp
 
@@ -23,7 +23,7 @@ def test_span_observers_read_the_known_counts(monkeypatch):
     for _ in range(2):
         spans._observe_groups(tracer, (messages, relations), groups)
     priors = np.array([0.9, 0.8, 0.7, 0.2, 0.4])
-    groups = build_index(messages, relations).table
+    groups = build_index(MessageTable.from_messages(messages), relations).table
     graph = build_factor_graph(priors, groups, 0.1)
     spans._observe_graph(tracer, (priors, groups, 0.1), graph)
     # one run stopped at its first iteration, one run to convergence

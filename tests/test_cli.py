@@ -3,6 +3,7 @@ import inspect
 import json
 import re
 import shutil
+import tracemalloc
 from collections import Counter
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -77,6 +78,23 @@ class TestStages:
         report = json.loads((out / "report.json").read_text())
         assert [m["model"] for m in report["models"]] == ["independent", "mrf"]
         assert (out / "report.txt").exists()
+
+    def test_featurize_memory_is_within_a_few_times_the_messages_file(self, tmp_path):
+        # featurize holds the messages as columns, not as Message objects: a list of
+        # those alone takes about 3 times the file, and featurize holding one peaked
+        # at 5.5 times it on this data
+        cfg = write_config(tmp_path, {"feature_mode": "full", "n_subsets": 4, "generator": {
+            **SMALL_CONFIG["generator"], "n_messages": 4000}})
+        out = tmp_path / "out"
+        assert main(["generate", "--config", cfg, "--out", str(out), "--seed", "5"]) == 0
+        size = (out / "data" / "messages.jsonl").stat().st_size
+        tracemalloc.start()
+        try:
+            assert main(["featurize", "--config", cfg, "--out", str(out), "--seed", "5"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * size, f"peak {peak / size:.2f} times the file's {size} bytes"
 
     def test_eval_without_infer_names_missing_artifact(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -512,7 +530,7 @@ class TestOneOrchestration:
         assert any(set(eps.values()) != {0.1} for eps in tuned)
 
         cfg = load_config(cfg_path, {"seed": 11})
-        messages, follows = generate(cfg.generator, seed=11)
+        messages, follows = generate(cfg.generator, 11)
         report = evaluate_experiment(messages, follows, cfg)
         assert report.to_json() == (out / "report.json").read_text(encoding="utf-8")
 
@@ -525,7 +543,7 @@ class TestOneOrchestration:
             "models": ["independent", "sgl1", "mrf", "psl", "sgl1+mrf", "sgl1+psl"],
             "tune_epsilons": True, "hinge": {"learn_steps": 2}}),
             {"seed": 4})
-        messages, follows = generate(cfg.generator, seed=4)
+        messages, follows = generate(cfg.generator, 4)
         messages.sort(key=lambda m: (m.timestamp, m.id))
         for t, m in enumerate(messages):
             m.timestamp = t
@@ -704,8 +722,10 @@ class TestDeterminism:
 
 def test_every_training_slice_has_both_classes():
     # a slice with one class trains a constant model, which no test could tell from a broken one
-    ran = {int(seed) for seed in re.findall(r'(?:"--seed", "|\bseed=)(\d+)',
-                                            Path(__file__).read_text(encoding="utf-8"))}
+    # a seed as a flag, a keyword, or the last argument of a `generate` call
+    seeds = r'(?:"--seed", "|\bseed=|\bgenerate\((?:[^()]|\([^()]*\))*,\s*)(\d+)'
+    assert re.findall(seeds, 'generate(GeneratorConfig(n_users=2),\n 12)') == ["12"]
+    ran = {int(seed) for seed in re.findall(seeds, Path(__file__).read_text(encoding="utf-8"))}
     assert ran | {0} <= set(SEEDS)  # 0 is the default seed
     for seed in SEEDS:
         for generator in (SMALL_CONFIG["generator"], NOISY_GENERATOR):

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import math
 import random
 import re
+import string
 import unicodedata
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from urllib.parse import urlsplit
 
@@ -19,6 +21,7 @@ from relspam.data_model import (
     MESSAGE_FIELDS,
     RELATION_NAMES,
     Message,
+    MessageTable,
     SplitPlan,
     build_groups,
     build_index,
@@ -29,6 +32,7 @@ from relspam.data_model import (
     normalize_text,
     read_follows,
     read_index,
+    read_message_table,
     read_messages,
     relations_from_names,
     sort_chronologically,
@@ -44,6 +48,9 @@ from tables import hub_table
 
 def msg(mid, user="u", text="", ts=0, **kw):
     return Message(id=mid, user_id=user, text=text, timestamp=ts, **kw)
+
+
+as_table = MessageTable.from_messages
 
 
 ABSENT = object()
@@ -113,14 +120,15 @@ class TestValidation:
     def test_duplicate_ids_reported(self):
         with pytest.raises(DataError, match=r"^dataset failed validation: duplicate message "
                                             r"id: m1$"):
-            prepare_dataset([msg("m1"), msg("m1"), msg("m2")], [], ONE_SUBSET)
+            prepare_dataset(as_table([msg("m1"), msg("m1"), msg("m2")]), [], ONE_SUBSET)
 
     def test_partly_labeled_dataset_is_valid(self):
         # only the training slice, messages a and b, must be labeled
         messages = [msg("a", ts=0, label=1), msg("b", ts=1, label=0), msg("c", ts=2),
                     msg("d", ts=3)]
-        ordered, plan, index, _ = prepare_dataset(messages, [], ONE_SUBSET)
-        assert [m.id for m in ordered] == index.ids == ["a", "b", "c", "d"]
+        table = as_table(messages)
+        plan, index, _ = prepare_dataset(table, [], ONE_SUBSET)
+        assert table.ids == index.ids == ["a", "b", "c", "d"]
         assert plan.subsets[0].train == (0, 2)
         assert index.labels.tolist() == [1, 0, -1, -1]
 
@@ -133,7 +141,7 @@ class TestValidation:
     def test_an_id_of_the_hub_form_is_accepted(self, suffix):
         # hubs are numbered after the messages, so no message id can name one
         messages = [msg("ok", ts=0, label=0), msg("hub:user:" + suffix, ts=1)]
-        _, _, index, _ = prepare_dataset(messages, [], ONE_SUBSET)
+        _, index, _ = prepare_dataset(as_table(messages), [], ONE_SUBSET)
         assert index.ids == ["ok", "hub:user:" + suffix]
         assert index.table.members.tolist() == [0, 1]
 
@@ -241,7 +249,7 @@ class TestGroups:
         messages = [msg("m1", user="a\x1fb", hashtags=["c"]),
                     msg("m2", user="a", hashtags=["b\x1fc"])]
         assert build_groups(messages, ["user_hashtag"]) == []
-        assert len(build_index(messages, ["user_hashtag"]).table) == 0
+        assert len(build_index(as_table(messages), ["user_hashtag"]).table) == 0
 
     @pytest.mark.parametrize("link", ["http://[x/y", "http://\u2100.com/"])
     def test_link_urlsplit_rejects_groups_by_its_text(self, link):
@@ -250,22 +258,22 @@ class TestGroups:
         messages = [msg("m1", links=[f" {link}\n"]), msg("m2", text=f"see {link}"),
                     msg("m3", links=["http://other.io"])]
         assert build_groups(messages, ["link"]) == [Group("link", link, ("m1", "m2"))]
-        assert build_index(messages, ["link"]).table.members.tolist() == [0, 1]
+        assert build_index(as_table(messages), ["link"]).table.members.tolist() == [0, 1]
 
     @pytest.mark.parametrize("relation, fields, column, counts", [
         ("mention", [{"text": "hi @! there"}, {"text": "yo @?? x"}, {"text": "@_"},
                      {"text": "@."}], "num_mentions", [0, 0, 0, 0]),
-        ("link", [{"links": ["  "]}, {"links": [""]}], "num_links", [1, 1]),
-        ("hashtag", [{"hashtags": [""]}, {"hashtags": [""]}], "num_hashtags", [1, 1]),
-        ("user_hashtag", [{"hashtags": [""]}, {"hashtags": [""]}], "num_hashtags", [1, 1]),
+        ("link", [{"links": ["  "]}, {"links": [""]}], "num_links", [0, 0]),
+        ("hashtag", [{"hashtags": [""]}, {"hashtags": [""]}], "num_hashtags", [0, 0]),
+        ("user_hashtag", [{"hashtags": [""]}, {"hashtags": [""]}], "num_hashtags", [0, 0]),
     ])
     def test_an_empty_key_makes_no_group(self, relation, fields, column, counts):
         # the messages share nothing but a key that is empty, once parsed or normalized
         messages = [msg(f"m{i}", **kw) for i, kw in enumerate(fields)]
         assert build_groups(messages, [relation]) == []
-        assert len(build_index(messages, [relation]).table) == 0
-        # a listed entry counts as the message lists it; a parsed empty mention is none
-        counts_of = extract_content_features(messages)[:, CONTENT_COLUMNS.index(column)]
+        assert len(build_index(as_table(messages), [relation]).table) == 0
+        # the content block counts what makes a key, listed or parsed
+        counts_of = extract_content_features(as_table(messages))[:, CONTENT_COLUMNS.index(column)]
         assert counts_of.tolist() == counts
 
     def test_hashtags_parsed_from_text_when_unannotated(self):
@@ -387,7 +395,7 @@ def test_restricted_groups_equal_groups_of_the_subset(rows, relation_names, cuts
                                     in enumerate(rows)])
     a, b, c, d = sorted(cuts)
     expected = build_groups(ordered[a:b] + ordered[c:d], relation_names)
-    table = build_index(ordered, relation_names).groups((a, b), (c, d))
+    table = build_index(as_table(ordered), relation_names).groups((a, b), (c, d))
     # the groups as edge arrays, each group's members in position order
     position = {m.id: i for i, m in enumerate(ordered)}
     members = [sorted(position[mid] for mid in g.member_ids) for g in expected]
@@ -443,7 +451,7 @@ class TestIndexFile:
     def index(self):
         messages = [msg("b", user="u", text="hi", ts=0, label=1), msg("a", user="u", ts=1),
                     msg("c", user="v", text="hi", ts=2, label=0)]
-        return build_index(messages, ["user", "text"], source_sha256="0" * 64)
+        return build_index(as_table(messages), ["user", "text"], source_sha256="0" * 64)
 
     def test_round_trip_and_byte_idempotent(self, tmp_path):
         index = self.index()
@@ -628,3 +636,87 @@ class TestIngestion:
         path.write_bytes(b"u1\tu2\n\n" + line + b"\nu2\tu1\n")
         with pytest.raises(DataError, match=f"follows.tsv, line 3: .*{says}"):
             read_follows(path)
+
+
+def reference_columns(messages) -> dict:
+    """The `MessageTable` columns of messages, one message at a time: sorted
+    by (timestamp, id), each text normalized and split on its own."""
+    def keys(m):
+        words = m.text.split()
+        tags = m.hashtags or [w[1:] for w in words if w[:1] == "#"]
+        links = m.links or [w for w in words if w.startswith(("http://", "https://"))]
+        mentions = m.mentions or [w[1:].rstrip(string.punctuation) for w in words if w[:1] == "@"]
+        return (tuple(t.lower() for t in tags if t != ""),
+                tuple(normalize_link(u) for u in links if normalize_link(u) != ""),
+                tuple(x.lower() for x in mentions if x != ""))
+
+    ordered = sort_chronologically(messages)
+    return {"ids": [m.id for m in ordered], "user_ids": [m.user_id for m in ordered],
+            "target_ids": [m.target_id for m in ordered], "texts": [m.text for m in ordered],
+            "normalized": [normalize_text(m.text) for m in ordered],
+            "entities": [keys(m) for m in ordered],
+            "labels": [-1 if m.label is None else m.label for m in ordered],
+            "retweets": [m.is_retweet for m in ordered]}
+
+
+def assert_columns(table, messages):
+    expected = reference_columns(messages)
+    assert [f.name for f in fields(table)] == list(expected)
+    for name, column in expected.items():
+        got = getattr(table, name)
+        assert (got.tolist() if isinstance(got, np.ndarray) else got) == column, name
+    assert (table.labels.dtype, table.retweets.dtype) == (np.int8, bool)
+    assert len(table) == len(messages)
+
+
+class TestMessageTable:
+    RECORDS = [
+        {"id": "b\u2028line", "user_id": "u1", "text": "Hi #Win @Bob, see http://X.co/a",
+         "timestamp": 3, "label": 1},
+        {"id": "a", "user_id": "u2", "text": "  Hi  #win!  ", "timestamp": 3, "is_retweet": True,
+         "hashtags": ["Listed", ""], "links": ["  ", "HTTP://Y.io/B"], "mentions": ["Ann"]},
+        {"id": "z", "user_id": "u1", "text": "no time", "target_id": "t1", "label": 0},
+        {"id": "日本", "user_id": "u3", "text": "", "timestamp": 0, "target_id": "",
+         "label": None},
+        {"id": "", "user_id": "u2", "text": "@! # http", "timestamp": 3},
+    ]
+
+    def test_read_columns_equal_the_message_path(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        lines = [json.dumps(r, ensure_ascii=False).encode() for r in self.RECORDS]
+        # CRLF line ends and a blank line: hashed as they are, read as the messages they hold
+        path.write_bytes(b"\r\n".join(lines[:2] + [b""] + lines[2:]) + b"\r\n")
+        table, sha256 = read_message_table(path)
+        assert sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+        messages = read_messages(path)
+        assert_columns(table, messages)
+        # the record without a timestamp takes its line's index; ids break timestamp ties
+        assert table.ids == ["日本", "", "a", "b\u2028line", "z"]
+        assert table.entities[1:4] == [((), (), ()), (("listed",), ("http://y.io/B",), ("ann",)),
+                                       (("win",), ("http://x.co/a",), ("bob",))]
+        assert table.labels.tolist() == [-1, -1, -1, 1, 0]
+
+    def test_equal_strings_share_one_object(self):
+        # each message holds strings of its own, as the JSON decoder gives them
+        messages = [msg(mid, user="".join(["u", "1"]), text=" ".join(["hi", "there"]))
+                    for mid in "ab"]
+        assert messages[0].user_id is not messages[1].user_id
+        table = MessageTable.from_messages(messages)
+        assert table.user_ids[0] is table.user_ids[1]
+        assert table.texts[0] is table.texts[1] is table.normalized[0]
+        assert table.entities[0] is table.entities[1]
+
+    def test_rows_are_a_range_of_every_column(self):
+        messages = [msg(f"m{i}", user=f"u{i % 2}", text=f"#t{i % 3}", ts=i, label=i % 2)
+                    for i in range(6)]
+        assert_columns(MessageTable.from_messages(messages).rows(2, 5), messages[2:5])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(MESSAGES, max_size=6))
+    def test_drawn_messages_give_the_message_path_columns(self, tmp_path_factory, messages):
+        assert_columns(MessageTable.from_messages(messages), messages)
+        path = tmp_path_factory.mktemp("table") / "m.jsonl"
+        write_messages(path, messages)
+        table, sha256 = read_message_table(path)
+        assert_columns(table, messages)
+        assert sha256 == hashlib.sha256(path.read_bytes()).hexdigest()

@@ -11,6 +11,7 @@ from relspam.data_model import (
     DataError,
     Message,
     build_groups,
+    MessageTable,
     build_index,
     chronological_split,
     labels_of,
@@ -139,7 +140,7 @@ def user_index(rows, labels=None):
     messages = [Message(id=mid, user_id=user, timestamp=i,
                         label=None if labels is None else labels[i])
                 for i, (mid, user) in enumerate(rows)]
-    return build_index(messages, ["user"])
+    return build_index(MessageTable.from_messages(messages), ["user"])
 
 
 class TestInductivePartition:
@@ -274,7 +275,7 @@ def ordered_messages(rows) -> list:
 def test_array_partition_and_coverage_match_the_set_and_union_find_code(rows, relations, cuts):
     ordered = ordered_messages(rows)
     a, b, c = sorted(min(x, len(ordered)) for x in cuts)
-    index = build_index(ordered, relations)
+    index = build_index(MessageTable.from_messages(ordered), relations)
     train, test = ordered[:a], ordered[b:c]
     groups_tt = build_groups(train + test, relations_from_names(relations))
     inductive = inductive_partition(index, (0, a), (b, c))
@@ -380,11 +381,11 @@ class TestExperiment:
                                    n_subsets=2)
         from relspam.data_model import chronological_split, sort_chronologically
 
-        ordered = sort_chronologically(messages)
-        plan = chronological_split(ordered, 2, config.fractions)
+        ordered, table = sort_chronologically(messages), MessageTable.from_messages(messages)
+        plan = chronological_split(table, 2, config.fractions)
         s = plan.subsets[0]
-        fm = featurize_subset(ordered, s, config, {})
-        index = build_index(ordered, config.relations)
+        fm = featurize_subset(table, s, config, {})
+        index = build_index(table, config.relations)
         artifacts = train_subset_models(index, s, fm, config)
         preds, _ = infer_subset_models(artifacts, index, s, fm, config)
 
@@ -419,9 +420,10 @@ class TestExperiment:
             messages = planted_experiment_data(n=300, seed=4)
             if renamed:
                 messages[80].id = f"hub:user:{messages[80].user_id}"  # in subset 0's test slice
-            ordered, plan, index, graph_table = prepare_dataset(messages, [], config)
+            table = MessageTable.from_messages(messages)
+            plan, index, graph_table = prepare_dataset(table, [], config)
             subset = plan.subsets[0]
-            fm = featurize_subset(ordered, subset, config, graph_table)
+            fm = featurize_subset(table, subset, config, graph_table)
             artifacts = train_subset_models(index, subset, fm, config)
             runs.append((index, infer_subset_models(artifacts, index, subset, fm, config)[0]))
         (original, before), (renamed, after) = runs
@@ -689,10 +691,10 @@ class TestPipelineOptions:
             epsilons={"user": 0.2, "hashtag": 0.35},
             tune_epsilons=True,
         )
-        ordered = sort_chronologically(messages)
-        index = build_index(ordered, config.relations)
-        for subset in chronological_split(ordered, 2, config.fractions).subsets:
-            fm = featurize_subset(ordered, subset, config, {})
+        table = MessageTable.from_messages(messages)
+        index = build_index(table, config.relations)
+        for subset in chronological_split(table, 2, config.fractions).subsets:
+            fm = featurize_subset(table, subset, config, {})
             eps = train_subset_models(index, subset, fm, config)["epsilons"]
             assert set(eps) == {"user", "text", "hashtag"} and eps["hashtag"] == 0.35
 

@@ -13,6 +13,7 @@ from relspam.data_model import (
     RELATION_NAMES,
     DataError,
     Message,
+    MessageTable,
     build_groups,
     normalize_link,
     normalize_text,
@@ -39,6 +40,9 @@ from relspam.features import (
 
 def msg(mid, user="u", text="", ts=0, **kw):
     return Message(id=mid, user_id=user, text=text, timestamp=ts, **kw)
+
+
+as_table = MessageTable.from_messages
 
 
 # A message's hashtags, mentions and links, each from a split of its own: the
@@ -69,7 +73,7 @@ def graph_column(follows, name):
 
 def content(m):
     """The content block row of one message, by column name."""
-    return dict(zip(CONTENT_COLUMNS, extract_content_features([m])[0]))
+    return dict(zip(CONTENT_COLUMNS, extract_content_features(as_table([m]))[0]))
 
 
 def column(block, name):
@@ -142,7 +146,7 @@ def user_rows_reference(messages, labels):
 
 class TestUserFeaturesSequential:
     def test_first_message_has_zero_count(self):
-        rows = extract_user_features_sequential([msg("m1", user="u", ts=0)], [-1])
+        rows = extract_user_features_sequential(as_table([msg("m1", user="u", ts=0)]), [-1])
         assert column(rows, "user_msgs") == [0.0]
 
     def test_hashtag_ratio_over_prior_messages(self):
@@ -153,27 +157,30 @@ class TestUserFeaturesSequential:
             msg("m4", user="u", text="plain", ts=3),
             msg("m5", user="u", text="plain", ts=4),
         ]
-        rows = extract_user_features_sequential(messages, known(messages, {}))
+        rows = extract_user_features_sequential(as_table(messages), known(messages, {}))
         assert column(rows, "user_hashtag_ratio")[4] == pytest.approx(0.5)
 
     def test_blacklist_after_three_prior_spam(self):
         messages = [msg(f"m{i}", user="u", ts=i) for i in range(5)]
         labels = {"m0": 1, "m1": 1, "m2": 1}
-        rows = extract_user_features_sequential(messages, known(messages, labels))
+        rows = extract_user_features_sequential(as_table(messages), known(messages, labels))
         assert column(rows, "user_blacklist")[2] == 0.0
         assert column(rows, "user_blacklist")[3] == 1.0
 
     def test_whitelist_needs_ten_prior_ham(self):
         messages = [msg(f"m{i:02d}", user="u", ts=i) for i in range(12)]
         labels = {m.id: 0 for m in messages}
-        rows = extract_user_features_sequential(messages, known(messages, labels))
+        rows = extract_user_features_sequential(as_table(messages), known(messages, labels))
         assert column(rows, "user_whitelist")[9] == 0.0
         assert column(rows, "user_whitelist")[10] == 1.0
 
-    def test_unsorted_input_rejected(self):
-        messages = [msg("m1", ts=5), msg("m2", ts=1)]
-        with pytest.raises(DataError):
-            extract_user_features_sequential(messages, known(messages, {}))
+    def test_unsorted_input_is_read_in_time_order(self):
+        # the table sorts by (timestamp, id): a later message never feeds an earlier row
+        table = as_table([msg("m1", text="aaaa", ts=5), msg("m2", text="a", ts=1)])
+        assert table.ids == ["m2", "m1"]
+        rows = extract_user_features_sequential(table, [-1, -1])
+        assert column(rows, "user_msgs") == [0.0, 1.0]
+        assert column(rows, "user_len_max") == [0.0, 1.0]
 
     def test_track_counts(self):
         messages = [
@@ -181,7 +188,7 @@ class TestUserFeaturesSequential:
             msg("m2", user="b", ts=1, target_id="t1"),
             msg("m3", user="c", ts=2, target_id="t1"),
         ]
-        rows = extract_user_features_sequential(messages, known(messages, {}))
+        rows = extract_user_features_sequential(as_table(messages), known(messages, {}))
         assert column(rows, "track_msgs") == [0.0, 1.0, 2.0]
 
     def test_length_stats(self):
@@ -190,7 +197,7 @@ class TestUserFeaturesSequential:
             msg("m2", user="u", text="aaaa", ts=1),
             msg("m3", user="u", text="x", ts=2),
         ]
-        rows = extract_user_features_sequential(messages, known(messages, {}))
+        rows = extract_user_features_sequential(as_table(messages), known(messages, {}))
         assert column(rows, "user_len_max")[2] == 4.0
         assert column(rows, "user_len_min")[2] == 2.0
         assert column(rows, "user_len_mean")[2] == 3.0
@@ -203,9 +210,9 @@ class TestUserFeaturesSequential:
             for i in range(120)
         ]
         labels = known(messages, {m.id: rng.randrange(2) for m in messages[:60]})
-        full = extract_user_features_sequential(messages, labels)
+        full = extract_user_features_sequential(as_table(messages), labels)
         for cut in [1, 7, 33, 80, 119]:
-            prefix = extract_user_features_sequential(messages[:cut], labels[:cut])
+            prefix = extract_user_features_sequential(as_table(messages[:cut]), labels[:cut])
             assert np.array_equal(prefix, full[:cut])
 
     @pytest.mark.parametrize("seed", range(5))
@@ -215,7 +222,7 @@ class TestUserFeaturesSequential:
         messages = [msg(f"m{i:03d}", user=f"u{rng.randrange(8)}", text=rng.choice(texts), ts=i,
                         target_id=rng.choice([None, "", "t1", "t2"])) for i in range(300)]
         labels = np.array([rng.choice([-1, 0, 1, 1]) for _ in messages])
-        assert np.array_equal(extract_user_features_sequential(messages, labels),
+        assert np.array_equal(extract_user_features_sequential(as_table(messages), labels),
                               user_rows_reference(messages, labels))
 
 
@@ -253,13 +260,14 @@ def test_one_entity_parse_matches_the_message_accessors(seed):
                 for i in range(120)]
     labels = np.array([rng.choice([-1, 0, 1]) for _ in messages])
 
-    block = extract_content_features(messages)
+    table = as_table(messages)
+    block = extract_content_features(table)
     for name, accessor in [("num_hashtags", message_hashtags), ("num_links", message_links),
                            ("num_mentions", message_mentions)]:
         assert block[:, CONTENT_COLUMNS.index(name)].tolist() == [len(accessor(m)) for m in messages]
     user = user_rows_reference(messages, labels)
-    assert np.array_equal(extract_user_features_sequential(messages, labels, block), user)
-    fm = feature_matrix(messages, len(messages), labels, {}, None)
+    assert np.array_equal(extract_user_features_sequential(table, labels, block), user)
+    fm = feature_matrix(table, len(messages), labels, {}, None)
     width = len(CONTENT_COLUMNS)
     assert np.array_equal(fm.matrix.toarray()[:, width:width + len(USER_COLUMNS)], user)
 
@@ -522,19 +530,19 @@ class TestPipeline:
         follows = [("u0", "u1"), ("u1", "u2"), ("u2", "u0")]
         graph = compute_graph_feature_table(follows)
         labels = known(messages, {m.id: 0 for m in messages[:30]})
-        a = feature_matrix(messages, 30, labels, graph, 50)
-        b = feature_matrix(messages, 30, labels, graph, 50)
+        a = feature_matrix(as_table(messages), 30, labels, graph, 50)
+        b = feature_matrix(as_table(messages), 30, labels, graph, 50)
         assert a.column_names == b.column_names
         assert (a.matrix != b.matrix).nnz == 0
 
     def test_columns_frozen_across_slices(self):
         messages = self.build_messages()
         labels = known(messages, {})
-        fm = feature_matrix(messages, 30, labels, {}, 20)
+        fm = feature_matrix(as_table(messages), 30, labels, {}, 20)
         train, test = fm.rows(0, 30), fm.rows(30, 40)
         assert train.column_names == test.column_names == fm.column_names
         # the columns follow from the training rows alone
-        alone = feature_matrix(messages[:30], 30, labels[:30], {}, 20)
+        alone = feature_matrix(as_table(messages[:30]), 30, labels[:30], {}, 20)
         assert alone.column_names == fm.column_names
         assert (train.shape[0], test.shape[0]) == (30, 10)
         assert (sp.vstack([train.matrix, test.matrix]) != fm.matrix).nnz == 0
@@ -543,7 +551,7 @@ class TestPipeline:
         config = ExperimentConfig(feature_mode="limited", limited_drop="ngrams")
         assert config.keeps("graph") and not config.keeps("ngrams")
         messages = self.build_messages()
-        fm = feature_matrix(messages, len(messages), known(messages, {}), {}, None)
+        fm = feature_matrix(as_table(messages), len(messages), known(messages, {}), {}, None)
         assert not any(c.startswith("ng:") for c in fm.column_names)
         # an empty table keeps the graph block: no user follows anyone
         graph = [fm.column_index[c] for c in GRAPH_COLUMNS]
@@ -553,19 +561,19 @@ class TestPipeline:
         config = ExperimentConfig(feature_mode="limited", limited_drop="graph")
         assert not config.keeps("graph") and config.keeps("ngrams")
         messages = self.build_messages()
-        fm = feature_matrix(messages, len(messages), known(messages, {}), None, 5)
+        fm = feature_matrix(as_table(messages), len(messages), known(messages, {}), None, 5)
         assert "pagerank" not in fm.column_names
 
     def test_user_missing_from_graph_gets_zeros(self):
         messages = [msg("m1", user="stranger", ts=0)]
-        fm = feature_matrix(messages, 1, [-1],
+        fm = feature_matrix(as_table(messages), 1, [-1],
                             compute_graph_feature_table([("a", "b"), ("b", "a")]), 5)
         j = fm.column_index["pagerank"]
         assert fm.matrix[0, j] == 0.0
 
     def test_matrix_file_round_trip(self, tmp_path):
         messages = self.build_messages()
-        fm = feature_matrix(messages[:20], 20, known(messages[:20], {}), {}, 10)
+        fm = feature_matrix(as_table(messages[:20]), 20, known(messages[:20], {}), {}, 10)
         path = tmp_path / "feats.npz"
         write_feature_matrix(path, fm)
         back = read_feature_matrix(path)
@@ -573,7 +581,7 @@ class TestPipeline:
 
     def test_matrix_file_idempotent_bytes(self, tmp_path):
         messages = self.build_messages()
-        fm = feature_matrix(messages[:20], 20, known(messages[:20], {}), {}, 10)
+        fm = feature_matrix(as_table(messages[:20]), 20, known(messages[:20], {}), {}, 10)
         p1, p2 = tmp_path / "a.npz", tmp_path / "b.npz"
         write_feature_matrix(p1, fm)
         write_feature_matrix(p2, fm)

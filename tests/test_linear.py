@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
-from relspam.data_model import DataError, chronological_split, sort_chronologically
+from relspam.data_model import DataError, MessageTable, chronological_split
 from relspam.evaluation import ExperimentConfig, featurize_subset
 from relspam.features import FeatureMatrix, scalable_columns
 from relspam.hinge import jacobi_inverse
@@ -354,11 +354,11 @@ def generated_training_slice():
     """The training slice of subset 0 of a generated dataset, fully featurized."""
     messages, _ = generate(GeneratorConfig(n_messages=3000, n_users=150, n_campaigns=15), 42)
     config = ExperimentConfig()
-    ordered = sort_chronologically(messages)
-    subset = chronological_split(ordered, 3, config.fractions).subsets[0]
+    table = MessageTable.from_messages(messages)
+    subset = chronological_split(table, 3, config.fractions).subsets[0]
     a, b = subset.train
-    fm = featurize_subset(ordered, subset, config, {}).rows(0, b - a)
-    return fm, np.array([m.label for m in ordered[a:b]], dtype=np.int8)
+    fm = featurize_subset(table, subset, config, {}).rows(0, b - a)
+    return fm, table.labels[a:b]
 
 
 @pytest.mark.parametrize("l2", [1e-3, 1e-2, 0.1, 1.0])

@@ -6,8 +6,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
-from relspam.data_model import (ConfigError, DataError, Message, build_index, read_artifact,
-                                write_artifact)
+from relspam.data_model import (ConfigError, DataError, Message, MessageTable, build_index,
+                                read_artifact, write_artifact)
 from relspam.features import FeatureMatrix
 from relspam.linear import ClassifierConfig, fit_classifier
 from relspam.stacking import (
@@ -157,7 +157,7 @@ def planted_dataset(n_users=30, msgs_per_user=6, noise=1.5, seed=0):
             rows.append([label + noise * rng.standard_normal()])
             t += 1
     fm = FeatureMatrix(["signal"], sp.csr_matrix(np.array(rows)))
-    return fm, build_index(messages, ["user"])
+    return fm, build_index(MessageTable.from_messages(messages), ["user"])
 
 
 def no_context(index):
@@ -266,7 +266,7 @@ class TestInferStacked:
                                     timestamp=i, label=label))
             rows.append([label + 2.0 * rng.standard_normal()])
         fm = FeatureMatrix(["signal"], sp.csr_matrix(np.array(rows)))
-        index = build_index(messages, ["text"])
+        index = build_index(MessageTable.from_messages(messages), ["text"])
         fm_train, fm_test = fm.rows(0, 300), fm.rows(300, 400)
         stacked = train_stacked(np.arange(300), fm_train, index.labels, index.groups((0, 300)),
                                 K=1, relations=["text"], config=ClassifierConfig(l2=0.1))
