@@ -6,8 +6,9 @@ config and seed. `run-all` chains every stage and writes the final report. A
 stage only reads its inputs, calls the steps of `evaluation` that
 `evaluate_experiment` also runs (featurize first calls `prepare_dataset`), and
 writes their results. Only `featurize` reads `messages.jsonl`, streamed into
-a `MessageTable`; it writes `features/split_plan.json`, which records
-the settings it ran under, the `features/index.npz` message index and each
+a `MessageTable`; it writes `features/split_plan.json`, which holds each
+subset's position ranges and the settings it ran under, the
+`features/index.npz` message index (relations sorted by name) and each
 subset's `features.npz`, `train` each subset's `models.json` (whose format
 `evaluation` owns), and `infer` the predictions TSVs and
 `predictions/diagnostics.json`. Every file but the TSVs goes through
@@ -39,7 +40,6 @@ from .data_model import (
     read_follows,
     read_index,
     read_message_table,
-    SplitPlan,
     SubsetSplit,
     write_artifact,
     write_follows,
@@ -170,7 +170,8 @@ def _load_featurized(cfg: RunConfig) -> tuple:
     the first setting it ran under that the config does not share."""
     path = _out(cfg) / "features" / "split_plan.json"
     plan, ran = read_artifact(path, PLAN_FORMAT, "featurize", lambda header, _: (
-        SplitPlan.from_dict(header), {key: header["settings"][key] for key in FEATURIZE_SETTINGS}))
+        [SubsetSplit(**{k: tuple(v) for k, v in s.items()}) for s in header["subsets"]],
+        {key: header["settings"][key] for key in FEATURIZE_SETTINGS}))
     for key, value in _featurize_settings(cfg).items():
         if ran[key] != value:
             raise DataError(f"{path}: featurize ran with {key} {ran[key]!r}, the config sets "
@@ -214,29 +215,29 @@ def cmd_featurize(cfg: RunConfig) -> int:
     feat_dir = _out(cfg) / "features"
     feat_dir.mkdir(parents=True, exist_ok=True)
     write_artifact(feat_dir / "split_plan.json", PLAN_FORMAT,
-                   {**asdict(plan), "settings": _featurize_settings(cfg)})
+                   {"subsets": list(map(asdict, plan)), "settings": _featurize_settings(cfg)})
     write_index(feat_dir / "index.npz", index)
     # not held while the subsets are transformed: it adds nothing to the stage's peak memory
     del index
-    for i, subset in enumerate(plan.subsets):
+    for i, subset in enumerate(plan):
         fm = featurize_subset(table, subset, cfg, graph_table)
         sub_dir = _subset_dir(cfg, "features", i)
         sub_dir.mkdir(parents=True, exist_ok=True)
         write_feature_matrix(sub_dir / "features.npz", fm)
         # not held while the next subset is transformed, which sets the stage's peak memory
         del fm
-    log.info("featurize: wrote %d subset matrices under %s", plan.n_subsets, feat_dir)
+    log.info("featurize: wrote %d subset matrices under %s", len(plan), feat_dir)
     return 0
 
 
 def cmd_train(cfg: RunConfig) -> int:
     plan, index = _load_featurized(cfg)
-    for i, subset in enumerate(plan.subsets):
+    for i, subset in enumerate(plan):
         artifacts = train_subset_models(index, subset, _load_features(cfg, i, subset), cfg)
         out_dir = _subset_dir(cfg, "models", i)
         out_dir.mkdir(parents=True, exist_ok=True)
         write_models(out_dir / "models.json", artifacts, cfg)
-    log.info("train: wrote model artifacts for %d subsets under %s", plan.n_subsets,
+    log.info("train: wrote model artifacts for %d subsets under %s", len(plan),
              _out(cfg) / "models")
     return 0
 
@@ -245,7 +246,7 @@ def cmd_infer(cfg: RunConfig) -> int:
     plan, index = _load_featurized(cfg)
     pred_dir = _out(cfg) / "predictions"
     diagnostics = []
-    for i, subset in enumerate(plan.subsets):
+    for i, subset in enumerate(plan):
         artifacts = read_models(_subset_dir(cfg, "models", i) / "models.json", cfg)
         preds, diag = infer_subset_models(artifacts, index, subset,
                                           _load_features(cfg, i, subset), cfg)
@@ -258,14 +259,14 @@ def cmd_infer(cfg: RunConfig) -> int:
                               for mid, score in zip(test_ids, scores.tolist()))
         diagnostics.append(diag)
     write_artifact(pred_dir / "diagnostics.json", DIAGNOSTICS_FORMAT, sum_diagnostics(diagnostics))
-    log.info("infer: wrote predictions for %d subsets under %s", plan.n_subsets, pred_dir)
+    log.info("infer: wrote predictions for %d subsets under %s", len(plan), pred_dir)
     return 0
 
 
 def _read_predictions(path: Path, test_ids: list) -> np.ndarray:
     """The scores of a predictions TSV in the order of `test_ids`, its
     subset's test messages. A line that is not UTF-8 or not an id and a
-    float, an id that is not a test message or comes twice, and a test
+    finite float, an id that is not a test message or comes twice, and a test
     message without a line each raise `DataError` naming the file and the line."""
     position = {mid: i for i, mid in enumerate(test_ids)}
     scores = np.zeros(len(test_ids))
@@ -281,6 +282,8 @@ def _read_predictions(path: Path, test_ids: list) -> np.ndarray:
                 score = float(value)
             except ValueError as exc:  # bad UTF-8 is a ValueError too
                 raise DataError(f"{path}, line {n}: not an id and a score ({exc})") from None
+            if not np.isfinite(score):
+                raise DataError(f"{path}, line {n}: the score {value!r} is not finite")
             i = position.get(mid)
             if i is None:
                 raise DataError(f"{path}, line {n}: {mid!r} is not a test message of this subset")
@@ -298,7 +301,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     plan, index = _load_featurized(cfg)
     pred_dir = _out(cfg) / "predictions"
     subset_preds = []
-    for i, subset in enumerate(plan.subsets):
+    for i, subset in enumerate(plan):
         test_ids = index.ids[slice(*subset.test)]
         subset_preds.append({
             name: _read_predictions(pred_dir / name / f"subset_{i:02d}.tsv", test_ids)

@@ -11,8 +11,9 @@ so on. One pass over the table's columns gives each relation's keys and
 their members: `build_index` fills a `GroupTable` from it, and `build_groups`
 is its view by message id. A `MessageIndex` holds ids, labels and every
 message's groups as arrays, and restricts the groups to a subset by an edge
-mask. Past the index a message is its chronological position, the form every
-later module takes. All downstream modules consume these types read-only.
+mask, relation codes kept. Past the index a message is its chronological
+position, the form every later module takes. All downstream modules consume
+these types read-only.
 """
 
 from __future__ import annotations
@@ -321,7 +322,8 @@ class GroupTable:
     """Groups as arrays, one edge per (group, member) in group order, each
     group's members in ascending chronological position: the form both joint
     models ground from. Their message variables come from `variables`, then
-    one hub per group, which the hinge-loss MRF starts at its `means`."""
+    one hub per group, which the hinge-loss MRF starts at its `means`. Every
+    slice of an index keeps its `relations`, the configured ones sorted."""
 
     def __init__(self, relations: list, group_relation, sizes, members):
         self.relations = relations  # sorted relation names
@@ -360,15 +362,14 @@ INDEX_FORMAT = "relspam-index v2"
 @dataclass(frozen=True, eq=False)
 class MessageIndex:
     """What the stages after featurize need of the dataset: the ids in
-    chronological order, their labels (int8, -1 unlabeled), the configured
-    relations, and the groups of every message in (relation, key) order, as
-    a table whose members are chronological positions (int32). After featurize
-    a message is its position: every label, score and group member is read
-    by it, and `ids` names the messages only in the files a stage writes."""
+    chronological order, their labels (int8, -1 unlabeled), and the groups of
+    every message in (relation, key) order, as a table whose members are
+    chronological positions (int32). After featurize a message is its position:
+    every label, score and group member is read by it, and `ids` names the
+    messages only in the files a stage writes."""
 
     ids: list
     labels: np.ndarray
-    relations: list
     table: GroupTable
     source_sha256: str = ""  # of the JSONL the index was built from
 
@@ -379,15 +380,13 @@ class MessageIndex:
 
     def groups(self, *ranges) -> GroupTable:
         """The groups of the messages in the position ranges alone: the
-        edges inside them, less groups left with < 2 members."""
+        edges inside them, less groups left with < 2 members, codes kept."""
         t = self.table
         inside = self.inside(*ranges)
         sizes = np.bincount(t.group[inside], minlength=len(t))
         kept = sizes >= 2
         inside &= kept[t.group]
-        present, codes = np.unique(t.group_relation[kept], return_inverse=True)
-        return GroupTable([t.relations[r] for r in present], codes, sizes[kept],
-                          t.members[inside])
+        return GroupTable(t.relations, t.group_relation[kept], sizes[kept], t.members[inside])
 
 
 def build_index(table: MessageTable, relations: list, source_sha256: str = "") -> MessageIndex:
@@ -401,30 +400,33 @@ def build_index(table: MessageTable, relations: list, source_sha256: str = "") -
                 codes.append(code)
                 sizes.append(len(keys[key]))
                 members += keys[key]
-    return MessageIndex(table.ids, table.labels, list(relations),
-                        GroupTable(list(buckets), codes, sizes, members), source_sha256)
+    return MessageIndex(table.ids, table.labels, GroupTable(list(buckets), codes, sizes, members),
+                        source_sha256)
 
 
 def write_index(path, index: MessageIndex) -> None:
     """A compressed `write_artifact` archive: the label, group and edge arrays,
-    and a header of the relations, source sha256 and ids."""
+    and a header of the group table's relations, source sha256 and ids."""
     t = index.table
-    write_artifact(path, INDEX_FORMAT, {"relations": index.relations,
+    write_artifact(path, INDEX_FORMAT, {"relations": t.relations,
                                         "source_sha256": index.source_sha256, "ids": index.ids},
                    {"labels": index.labels, "group_relation": t.group_relation.astype(np.int8),
                     "group_size": t.sizes.astype(np.int32), "member": t.members}, compress=True)
 
 
 def read_index(path) -> MessageIndex:
-    """Read a `write_index` file; anything else raises `DataError`."""
+    """Read a `write_index` file; anything else raises `DataError`. Codes
+    index the header's relations sorted: older files list them in config order."""
     def parse(header, arrays):
-        ids = header["ids"]
+        ids, relations = header["ids"], sorted(set(header["relations"]))
         labels, codes, sizes, member = (arrays[k] for k in
                                         ("labels", "group_relation", "group_size", "member"))
         if (len(labels), len(codes), int(sizes.sum())) != (len(ids), len(sizes), len(member)):
             raise ValueError("array lengths do not match the header")
-        table = GroupTable(sorted(set(header["relations"])), codes, sizes, member)
-        return MessageIndex(ids, labels, header["relations"], table, header["source_sha256"])
+        if codes.max(initial=-1) >= len(relations):
+            raise ValueError("a relation code names no relation of the header")
+        return MessageIndex(ids, labels, GroupTable(relations, codes, sizes, member),
+                            header["source_sha256"])
     return read_artifact(path, INDEX_FORMAT, "featurize", parse)
 
 
@@ -440,23 +442,10 @@ class SubsetSplit:
     test: tuple
 
 
-@dataclass
-class SplitPlan:
-    n_messages: int
-    n_subsets: int
-    subsets: list
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SplitPlan":
-        """The plan whose `dataclasses.asdict` is `d`, as JSON gives it back."""
-        return cls(d["n_messages"], d["n_subsets"],
-                   [SubsetSplit(**{k: tuple(v) for k, v in s.items()}) for s in d["subsets"]])
-
-
-def chronological_split(messages: list, n_subsets: int, fractions: tuple) -> SplitPlan:
-    """Partition the timestamp-sorted dataset into contiguous subsets, each split
-    into train / validation / test slices in temporal order.
-    """
+def chronological_split(messages, n_subsets: int, fractions: tuple) -> list:
+    """The split plan of the timestamp-sorted dataset `messages` (a sized
+    sequence): a `SubsetSplit` per contiguous subset in temporal order, each
+    split into train / validation / test slices in temporal order."""
     if n_subsets < 1:
         raise ConfigError("n_subsets must be >= 1")
     if len(fractions) != 3:
@@ -467,16 +456,10 @@ def chronological_split(messages: list, n_subsets: int, fractions: tuple) -> Spl
     n = len(messages)
     if n < n_subsets:
         raise DataError(f"dataset of {n} messages cannot be split into {n_subsets} subsets")
-
-    subsets = []
-    for i in range(n_subsets):
-        a = (i * n) // n_subsets
-        b = ((i + 1) * n) // n_subsets
-        size = b - a
-        t_end = a + int(size * f_train)
-        v_end = a + int(size * (f_train + f_val))
-        subsets.append(SubsetSplit(train=(a, t_end), validation=(t_end, v_end), test=(v_end, b)))
-    return SplitPlan(n_messages=n, n_subsets=n_subsets, subsets=subsets)
+    ends = [(i * n) // n_subsets for i in range(n_subsets + 1)]
+    cuts = [(a, a + int((b - a) * f_train), a + int((b - a) * (f_train + f_val)), b)
+            for a, b in zip(ends, ends[1:])]
+    return [SubsetSplit(train=(a, t), validation=(t, v), test=(v, b)) for a, t, v, b in cuts]
 
 
 # --- line-delimited ingestion / serialization ---

@@ -36,7 +36,6 @@ from .data_model import (
     GroupTable,
     MessageIndex,
     MessageTable,
-    SplitPlan,
     SubsetSplit,
     build_index,
     check_message,
@@ -349,9 +348,9 @@ def tune_l2(fm_train, labels, fm_val, val_labels, config: ClassifierConfig, grid
 def prepare_dataset(table: MessageTable, follows: list, config: ExperimentConfig,
                     source_sha256: str = "") -> tuple:
     """The set-up of a message table that featurize and `evaluate_experiment`
-    share: -> (its split plan, its index, the per-user graph-feature table
-    every subset's matrix reads; empty when there are no follows, None when
-    the feature mode drops the graph block).
+    share: -> (its split plan as `SubsetSplit`s, its index, the per-user
+    graph-feature table every subset's matrix reads; empty when there are no
+    follows, None when the feature mode drops the graph block).
 
     A `DataError` names the first duplicate id, or the subset whose training
     slice is empty, shorter than the deepest stacked model of the roster
@@ -364,7 +363,7 @@ def prepare_dataset(table: MessageTable, follows: list, config: ExperimentConfig
     plan = chronological_split(table, config.n_subsets, config.fractions)
     index = build_index(table, config.relations, source_sha256)
     deepest = max(config.required_stacks(), default=0)
-    for i, subset in enumerate(plan.subsets):
+    for i, subset in enumerate(plan):
         n_train = subset.train[1] - subset.train[0]
         if n_train == 0:
             raise DataError(f"subset {i}: the training slice is empty; raise fractions[0]")
@@ -581,15 +580,15 @@ def _fmt(v) -> str:
     return "n/a" if v is None else f"{v:.4f}"
 
 
-def aggregate_report(config: ExperimentConfig, index: MessageIndex, plan: SplitPlan,
+def aggregate_report(config: ExperimentConfig, index: MessageIndex, plan: list,
                      subset_preds: list, diagnostics: dict) -> EvaluationReport:
     """Concatenate per-subset test predictions and score every roster model,
-    overall and on the inductive partition."""
+    overall and on the inductive partition; `plan` is the `SubsetSplit`s."""
     coverage = component_coverage(index)
-    test_labels = [index.labels[slice(*subset.test)] for subset in plan.subsets]
+    test_labels = [index.labels[slice(*subset.test)] for subset in plan]
     labels = np.concatenate(test_labels)
     inductive = np.concatenate([inductive_partition(index, subset.train, subset.test)
-                                for subset in plan.subsets])
+                                for subset in plan])
     splits = np.cumsum([len(y) for y in test_labels])[:-1]
     model_entries = []
     for name in config.models:
@@ -622,11 +621,11 @@ def evaluate_experiment(messages: list, follows: list, config: ExperimentConfig)
     table = MessageTable.from_messages(messages)
     plan, index, graph_table = prepare_dataset(table, follows, config)
     subset_preds, diagnostics = [], []
-    for i, subset in enumerate(plan.subsets):
+    for i, subset in enumerate(plan):
         fm = featurize_subset(table, subset, config, graph_table)
         artifacts = train_subset_models(index, subset, fm, config)
         preds, diag = infer_subset_models(artifacts, index, subset, fm, config)
         subset_preds.append(preds)
         diagnostics.append(diag)
-        log.info("subset %d/%d done", i + 1, plan.n_subsets)
+        log.info("subset %d/%d done", i + 1, len(plan))
     return aggregate_report(config, index, plan, subset_preds, sum_diagnostics(diagnostics))

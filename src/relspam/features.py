@@ -117,7 +117,7 @@ def _earlier(values, key: np.ndarray, op: np.ufunc) -> np.ndarray:
 
 
 def extract_user_features_sequential(messages: MessageTable, labels,
-                                     content: np.ndarray | None = None) -> np.ndarray:
+                                     content: np.ndarray) -> np.ndarray:
     """The user block: a row of `USER_COLUMNS` per message, from strictly
     earlier messages in the stream.
 
@@ -125,14 +125,11 @@ def extract_user_features_sequential(messages: MessageTable, labels,
     function of positions < i only, so appending future messages never
     changes past rows. The label-derived columns (black/whitelist) count only
     the known labels (the training period's). Lengths and hashtag, link and
-    mention presence are read from the messages' content block, `content`
-    when given.
+    mention presence are read from the messages' content block, `content`.
     """
     labels = np.asarray(labels)
     if labels.shape != (len(messages),):
         raise DataError(f"{labels.size} labels for {len(messages)} messages")
-    if content is None:
-        content = extract_content_features(messages)
     user = _codes(messages.user_ids)
     length, n_hashtags, n_links, n_mentions = content[:, :4].T
     # what each message adds to its user's history

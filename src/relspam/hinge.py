@@ -7,15 +7,16 @@ same variables: the free messages that `GroupTable.variables` gives, then one
 hub per group, started at its members' mean (`GroupTable.means`). Each
 weighted squared hinge potential max(0, l)^2, with l linear in the variables,
 is one row of a sparse coefficient matrix, a constant, a weight and a
-template id. The template weights are one vector in template-id
-order (neg, prior, then c and d of each relation), which the row weights
-index. Priors, observed values and scores are float arrays over chronological
-positions. The objective and its gradient take the linear values
-A @ x + const, which the MAP line search keeps from one step to the next. MAP
-inference minimizes the convex weighted sum by projected Newton steps, each
-solved by `linear.conjugate_gradients`, the loop the logistic fit's Newton
-steps use too, and stops on the projected gradient; the weight vector can be
-learned from labeled validation data.
+template id. The template weights are one vector in template-id order
+(neg, prior, then c and d of each configured relation, sorted by name, so an
+id names one template in every slice), which the row weights index. Priors,
+observed values and scores are float arrays over chronological positions.
+The objective and its gradient take the linear values A @ x + const, which
+the MAP line search keeps from one step to the next. MAP inference minimizes
+the convex weighted sum by projected Newton steps, each solved by
+`linear.conjugate_gradients`, the loop the logistic fit's Newton steps use
+too, and stops on the projected gradient; the weight vector can be learned
+from labeled validation data.
 """
 
 from __future__ import annotations
@@ -63,9 +64,9 @@ class GroundHingeModel:
 
     Row i of `A` is the potential weight[i] * max(0, const[i] + A[i] @ x)^2,
     grounded from rule template template_id[i]: 0 neg, 1 prior, then 2 + 2k
-    and 3 + 2k the c and d templates of relation relations[k]. A row keeps its
-    entries in the order its template writes them, which need not be sorted
-    by variable, and its products sum in that order.
+    and 3 + 2k the c and d templates of the k-th configured relation by
+    name. A row keeps its entries in the order its template writes them,
+    which need not be sorted by variable, and its products sum in that order.
     """
 
     messages: np.ndarray  # the positions of the message variables, which come first; hubs follow
@@ -73,7 +74,6 @@ class GroundHingeModel:
     const: np.ndarray
     weight: np.ndarray
     template_id: np.ndarray
-    relations: list  # the groups' relation names
     init: np.ndarray
     # CSR copy of A.T, for the gradient and the Hessian
     AT: sp.csr_matrix = field(init=False)
@@ -169,7 +169,7 @@ def ground_rules(priors: np.ndarray, groups: GroupTable, weights: HingeWeights,
     A = sp.csr_matrix((coef.ravel()[keep], cols.ravel()[keep], indptr),
                       shape=(n_rows, n_free + n_groups))
     return GroundHingeModel(messages=free, A=A, const=const, weight=per_template[template_id],
-                            template_id=template_id, relations=groups.relations,
+                            template_id=template_id,
                             init=np.clip(np.concatenate([prior, groups.means(value_of)]), 0, 1))
 
 
@@ -262,7 +262,8 @@ def learn_weights(hinge: HingeConfig, labels: np.ndarray, groups: GroupTable,
     projected to >= 0. The model is grounded once and re-weighted at every
     step, and both template sums are taken over its template ids. Returns
     (weights, objective_trace). The start weights are never changed; the
-    learned weights keep the relations they name that `groups` lacks.
+    learned weights name every relation of `groups`, one without a group at
+    its start weight, and keep those the start names that `groups` lacks.
     """
     init = hinge.weights
     if not (labels[groups.members] >= 0).any():
@@ -272,7 +273,7 @@ def learn_weights(hinge: HingeConfig, labels: np.ndarray, groups: GroupTable,
         return init, []
 
     model = ground_rules(priors, groups, init)
-    w = init.vector(model.relations)
+    w = init.vector(groups.relations)
     n = len(w)
     truth = np.where(labels >= 0, labels, priors)
     observed_x = np.concatenate([truth[model.messages], groups.means(truth)])
@@ -287,6 +288,6 @@ def learn_weights(hinge: HingeConfig, labels: np.ndarray, groups: GroupTable,
         trace.append(map_state.objective - model.objective(model.linear_values(observed_x)))
         w = np.maximum(0.0, w + hinge.learning_rate * (phi_map - phi_obs))
     neg, prior, *per_relation = w.tolist()
-    c = dict(zip(model.relations, per_relation[0::2]))
-    d = dict(zip(model.relations, per_relation[1::2]))
+    c = dict(zip(groups.relations, per_relation[0::2]))
+    d = dict(zip(groups.relations, per_relation[1::2]))
     return HingeWeights(neg, prior, {**init.relation_c, **c}, {**init.relation_d, **d}), trace

@@ -54,7 +54,7 @@ class FactorGraph:
 def edge_epsilons(groups: GroupTable, epsilons) -> np.ndarray:
     """Per-edge epsilons of `groups` from one shared value or a per-relation
     dict (0.1 for a relation the dict leaves out), checked for every relation
-    present."""
+    of `groups`."""
     if is_number(epsilons):
         per_relation = [float(epsilons)] * len(groups.relations)
     elif isinstance(epsilons, dict):

@@ -20,6 +20,7 @@ from relspam.evaluation import ExperimentConfig, aupr, auroc, evaluate_experimen
 from relspam.features import (
     GRAPH_COLUMNS,
     compute_graph_feature_table,
+    extract_content_features,
     extract_user_features_sequential,
     feature_matrix,
     follower_graph,
@@ -111,7 +112,6 @@ def _random_hinge_model(rng, n_vars):
                        np.cumsum([0] + [len(r) for r in coeffs])), shape=(len(rows), n_vars))
     return GroundHingeModel(messages=np.arange(n_vars), A=A, const=np.array(const),
                             weight=np.array(weight), template_id=np.array(template_id),
-                            relations=["user"],
                             init=np.full(n_vars, 0.5))
 
 
@@ -219,16 +219,18 @@ def test_criterion_07_temporal_causality():
     ordered, table = sort_chronologically(messages), MessageTable.from_messages(messages)
     labels = np.array([-1 if m.label is None or i >= 1000 else m.label
                        for i, m in enumerate(ordered)])
-    full = extract_user_features_sequential(table, labels)
+    full = extract_user_features_sequential(table, labels, extract_content_features(table))
     rng = random.Random(7)
     causal = True
     for _ in range(50):
         cut = rng.randint(1, len(ordered))
-        prefix = extract_user_features_sequential(table.rows(0, cut), labels[:cut])
+        prefix_table = table.rows(0, cut)
+        prefix = extract_user_features_sequential(prefix_table, labels[:cut],
+                                                  extract_content_features(prefix_table))
         causal = causal and np.array_equal(prefix, full[:cut])
     plan = chronological_split(ordered, 10, (0.7, 0.05, 0.25))
     leakage_free = True
-    for s in plan.subsets:
+    for s in plan:
         train = ordered[s.train[0]:s.train[1]]
         test = ordered[s.test[0]:s.test[1]]
         if train and test:

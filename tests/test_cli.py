@@ -1,8 +1,11 @@
 import importlib
 import inspect
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import fields, is_dataclass
@@ -11,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relspam.cli import LEGACY_KEYS, RunConfig, load_config, main
+from relspam.cli import LEGACY_KEYS, RunConfig, _load_featurized, load_config, main
 from relspam.data_model import (
     ConfigError,
     Message,
@@ -309,6 +312,9 @@ class TestStages:
              "'abc')"),
             (lines[:2] + [lines[2].replace("\t", " ")] + lines[3:],
              "subset_00.tsv, line 3: not an id and a score"),
+            *((lines[:2] + [f"{lines[2].split()[0]}\t{score}\n"] + lines[3:],
+               f"subset_00.tsv, line 3: the score {score!r} is not finite")
+              for score in ("nan", "inf", "-inf")),
             (lines[:2] + ["m\udcff\t0.5\n"] + lines[3:],
              "subset_00.tsv, line 3: not an id and a score ('utf-8' codec can't decode byte 0xff"),
         ]:
@@ -489,6 +495,17 @@ class TestStageFiles:
         assert self.stage("infer", finished, out) == 1
         assert capsys.readouterr().err == (f"error: {path}: not a relspam-models v2 file (format "
                                            "'relspam-models v1'); rerun the train stage\n")
+
+    def test_split_plan_file_round_trips_to_the_subsets(self, finished, tmp_path):
+        # the file holds the subsets and the settings: their count and the message count
+        # are the list's length and its last test end
+        out = self.copy(finished, tmp_path)
+        header = json.loads((out / "features" / "split_plan.json").read_text(encoding="utf-8"))
+        assert sorted(header) == ["format", "settings", "subsets"]
+        cfg = load_config(finished[1], {"out": str(out)})
+        plan, index = _load_featurized(cfg)
+        assert plan == chronological_split(index.ids, cfg.n_subsets, cfg.fractions)
+        assert (len(plan), plan[-1].test[1]) == (3, len(index.ids)) == (3, 1200)
 
     def test_model_directory_of_the_four_file_layout_is_named(self, finished, tmp_path, capsys):
         # the layout before models.json: one file per artifact, the models versioned
@@ -733,6 +750,15 @@ def test_every_training_slice_has_both_classes():
             messages = sort_chronologically(messages)
             for fractions in (ExperimentConfig.fractions, (0.5, 0.25, 0.25)):
                 plan = chronological_split(messages, SMALL_CONFIG["n_subsets"], fractions)
-                for i, subset in enumerate(plan.subsets):
+                for i, subset in enumerate(plan):
                     labels = {m.label for m in messages[slice(*subset.train)]}
                     assert labels == {0, 1}, (seed, generator, fractions, i)
+
+
+def test_importing_the_cli_loads_neither_csgraph_nor_optimize():
+    # each would add about 10 MB to every stage's peak memory
+    code = ("import sys, relspam.cli; "
+            "print(sorted({'scipy.sparse.csgraph', 'scipy.optimize'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert result.stdout == "[]\n", result.stdout

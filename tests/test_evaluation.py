@@ -383,7 +383,7 @@ class TestExperiment:
 
         ordered, table = sort_chronologically(messages), MessageTable.from_messages(messages)
         plan = chronological_split(table, 2, config.fractions)
-        s = plan.subsets[0]
+        s = plan[0]
         fm = featurize_subset(table, s, config, {})
         index = build_index(table, config.relations)
         artifacts = train_subset_models(index, s, fm, config)
@@ -422,7 +422,7 @@ class TestExperiment:
                 messages[80].id = f"hub:user:{messages[80].user_id}"  # in subset 0's test slice
             table = MessageTable.from_messages(messages)
             plan, index, graph_table = prepare_dataset(table, [], config)
-            subset = plan.subsets[0]
+            subset = plan[0]
             fm = featurize_subset(table, subset, config, graph_table)
             artifacts = train_subset_models(index, subset, fm, config)
             runs.append((index, infer_subset_models(artifacts, index, subset, fm, config)[0]))
@@ -693,7 +693,7 @@ class TestPipelineOptions:
         )
         table = MessageTable.from_messages(messages)
         index = build_index(table, config.relations)
-        for subset in chronological_split(table, 2, config.fractions).subsets:
+        for subset in chronological_split(table, 2, config.fractions):
             fm = featurize_subset(table, subset, config, {})
             eps = train_subset_models(index, subset, fm, config)["epsilons"]
             assert set(eps) == {"user", "text", "hashtag"} and eps["hashtag"] == 0.35

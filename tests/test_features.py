@@ -144,9 +144,14 @@ def user_rows_reference(messages, labels):
     return np.array(rows, dtype=float)
 
 
+def user_rows(table, labels):
+    """The user block of `table`, read from its content block."""
+    return extract_user_features_sequential(table, labels, extract_content_features(table))
+
+
 class TestUserFeaturesSequential:
     def test_first_message_has_zero_count(self):
-        rows = extract_user_features_sequential(as_table([msg("m1", user="u", ts=0)]), [-1])
+        rows = user_rows(as_table([msg("m1", user="u", ts=0)]), [-1])
         assert column(rows, "user_msgs") == [0.0]
 
     def test_hashtag_ratio_over_prior_messages(self):
@@ -157,20 +162,20 @@ class TestUserFeaturesSequential:
             msg("m4", user="u", text="plain", ts=3),
             msg("m5", user="u", text="plain", ts=4),
         ]
-        rows = extract_user_features_sequential(as_table(messages), known(messages, {}))
+        rows = user_rows(as_table(messages), known(messages, {}))
         assert column(rows, "user_hashtag_ratio")[4] == pytest.approx(0.5)
 
     def test_blacklist_after_three_prior_spam(self):
         messages = [msg(f"m{i}", user="u", ts=i) for i in range(5)]
         labels = {"m0": 1, "m1": 1, "m2": 1}
-        rows = extract_user_features_sequential(as_table(messages), known(messages, labels))
+        rows = user_rows(as_table(messages), known(messages, labels))
         assert column(rows, "user_blacklist")[2] == 0.0
         assert column(rows, "user_blacklist")[3] == 1.0
 
     def test_whitelist_needs_ten_prior_ham(self):
         messages = [msg(f"m{i:02d}", user="u", ts=i) for i in range(12)]
         labels = {m.id: 0 for m in messages}
-        rows = extract_user_features_sequential(as_table(messages), known(messages, labels))
+        rows = user_rows(as_table(messages), known(messages, labels))
         assert column(rows, "user_whitelist")[9] == 0.0
         assert column(rows, "user_whitelist")[10] == 1.0
 
@@ -178,7 +183,7 @@ class TestUserFeaturesSequential:
         # the table sorts by (timestamp, id): a later message never feeds an earlier row
         table = as_table([msg("m1", text="aaaa", ts=5), msg("m2", text="a", ts=1)])
         assert table.ids == ["m2", "m1"]
-        rows = extract_user_features_sequential(table, [-1, -1])
+        rows = user_rows(table, [-1, -1])
         assert column(rows, "user_msgs") == [0.0, 1.0]
         assert column(rows, "user_len_max") == [0.0, 1.0]
 
@@ -188,7 +193,7 @@ class TestUserFeaturesSequential:
             msg("m2", user="b", ts=1, target_id="t1"),
             msg("m3", user="c", ts=2, target_id="t1"),
         ]
-        rows = extract_user_features_sequential(as_table(messages), known(messages, {}))
+        rows = user_rows(as_table(messages), known(messages, {}))
         assert column(rows, "track_msgs") == [0.0, 1.0, 2.0]
 
     def test_length_stats(self):
@@ -197,7 +202,7 @@ class TestUserFeaturesSequential:
             msg("m2", user="u", text="aaaa", ts=1),
             msg("m3", user="u", text="x", ts=2),
         ]
-        rows = extract_user_features_sequential(as_table(messages), known(messages, {}))
+        rows = user_rows(as_table(messages), known(messages, {}))
         assert column(rows, "user_len_max")[2] == 4.0
         assert column(rows, "user_len_min")[2] == 2.0
         assert column(rows, "user_len_mean")[2] == 3.0
@@ -210,9 +215,9 @@ class TestUserFeaturesSequential:
             for i in range(120)
         ]
         labels = known(messages, {m.id: rng.randrange(2) for m in messages[:60]})
-        full = extract_user_features_sequential(as_table(messages), labels)
+        full = user_rows(as_table(messages), labels)
         for cut in [1, 7, 33, 80, 119]:
-            prefix = extract_user_features_sequential(as_table(messages[:cut]), labels[:cut])
+            prefix = user_rows(as_table(messages[:cut]), labels[:cut])
             assert np.array_equal(prefix, full[:cut])
 
     @pytest.mark.parametrize("seed", range(5))
@@ -222,7 +227,7 @@ class TestUserFeaturesSequential:
         messages = [msg(f"m{i:03d}", user=f"u{rng.randrange(8)}", text=rng.choice(texts), ts=i,
                         target_id=rng.choice([None, "", "t1", "t2"])) for i in range(300)]
         labels = np.array([rng.choice([-1, 0, 1, 1]) for _ in messages])
-        assert np.array_equal(extract_user_features_sequential(as_table(messages), labels),
+        assert np.array_equal(user_rows(as_table(messages), labels),
                               user_rows_reference(messages, labels))
 
 

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from relspam.data_model import ConfigError, DataError
+from relspam.data_model import ConfigError, DataError, Message, MessageTable, build_index
 from relspam.hinge import (
     GroundHingeModel,
     HingeConfig,
@@ -26,7 +26,7 @@ def one_group(n, relation="user"):
     return hub_table((relation, "u", range(n)))
 
 
-def make_model(hinges, n_vars, init=None, messages=None, relations=()):
+def make_model(hinges, n_vars, init=None, messages=None):
     """A model from `hinge` rows, each row's coefficients kept in the given order."""
     indptr = np.cumsum([0] + [len(h[0]) for h in hinges])
     A = sp.csr_matrix((np.array([c for h in hinges for _, c in h[0]], dtype=float),
@@ -38,7 +38,6 @@ def make_model(hinges, n_vars, init=None, messages=None, relations=()):
         const=np.array([h[1] for h in hinges], dtype=float),
         weight=np.array([h[2] for h in hinges], dtype=float),
         template_id=np.array([h[3] for h in hinges], dtype=np.int64),
-        relations=list(relations),
         init=np.full(n_vars, 0.5) if init is None else np.asarray(init, dtype=float),
     )
 
@@ -268,7 +267,7 @@ def test_array_grounding_matches_per_hinge_reference(inputs):
         f, grad = hinge_sums(ref, x)
         assert objective_at(model, x) == pytest.approx(f, rel=1e-12, abs=1e-12)
         np.testing.assert_allclose(gradient_at(model, x), grad, rtol=1e-12, atol=1e-12)
-        reweighted = replace(model, weight=other.vector(model.relations)[model.template_id])
+        reweighted = replace(model, weight=other.vector(arrays[1].relations)[model.template_id])
         assert objective_at(reweighted, x) == objective_at(regrounded, x)
 
 
@@ -408,6 +407,44 @@ class TestMapInference:
         model = random_hinge_model(random.Random(seed), n_vars)
         result = map_inference(model, tol=1e-13, max_iter=30000)
         assert result.objective <= objective_at(model, grid_search_oracle(model)) + 1e-6
+
+
+def two_slices():
+    """The index of four messages over the configured relations user, text
+    and link, and two slices of it: positions 0-1 share a user and a link
+    and hold no text group, positions 2-3 share a user and a text and hold
+    no link group."""
+    messages = [Message("m0", "u1", "a", 0, links=["http://x.io"], label=1),
+                Message("m1", "u1", "b", 1, links=["http://x.io"], label=0),
+                Message("m2", "u2", "c", 2, label=1), Message("m3", "u2", "c", 3, label=0)]
+    index = build_index(MessageTable.from_messages(messages), ["user", "text", "link"])
+    return index, index.groups((0, 2)), index.groups((2, 4))
+
+
+def test_every_slice_names_the_configured_relations_under_one_template_id():
+    index, first, second = two_slices()
+    assert index.table.relations == first.relations == second.relations == \
+        ["link", "text", "user"]
+    assert [first.relations[k] for k in first.group_relation] == ["link", "user"]
+    assert [second.relations[k] for k in second.group_relation] == ["text", "user"]
+    # the c and d rows of a relation carry one template id in every slice
+    ids = {}
+    for groups in (first, second):
+        model = ground_rules(np.full(4, 0.5), groups, HingeWeights())
+        relational = model.template_id[model.template_id >= 2]
+        names = [groups.relations[k] for k in groups.relation]
+        for name, c, d in zip(names, relational[0::2], relational[1::2]):
+            assert ids.setdefault(name, (c, d)) == (c, d), name
+    assert ids == {"link": (2, 3), "text": (4, 5), "user": (6, 7)}
+
+
+def test_learned_weights_name_a_relation_without_a_group_at_its_start_weight():
+    index, first, _ = two_slices()
+    init = HingeWeights(relation_c={"user": 0.5}, relation_d={"text": 2.0})
+    out, _ = learn_weights(HingeConfig(init, learn_steps=2), index.labels, first, np.full(4, 0.5))
+    assert set(out.relation_c) == set(out.relation_d) == {"link", "text", "user"}
+    # the slice holds no text group: text keeps its start weights, 1.0 where the start has none
+    assert (out.relation_c["text"], out.relation_d["text"]) == (1.0, 2.0)
 
 
 class TestLearnWeights:

@@ -355,7 +355,7 @@ def generated_training_slice():
     messages, _ = generate(GeneratorConfig(n_messages=3000, n_users=150, n_campaigns=15), 42)
     config = ExperimentConfig()
     table = MessageTable.from_messages(messages)
-    subset = chronological_split(table, 3, config.fractions).subsets[0]
+    subset = chronological_split(table, 3, config.fractions)[0]
     a, b = subset.train
     fm = featurize_subset(table, subset, config, {}).rows(0, b - a)
     return fm, table.labels[a:b]
