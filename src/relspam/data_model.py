@@ -4,7 +4,8 @@ message index, chronological splits.
 Messages are ingested from line-delimited JSON records, and every message
 checks its fields against one table, `MESSAGE_FIELDS`. Past the reader a
 dataset is one `MessageTable` of columns, which `read_message_table` streams
-from the JSONL; the checks of a whole dataset (unique ids, labeled training
+from the JSONL: each record's fields are checked once and become a row, no
+`Message` built; the checks of a whole dataset (unique ids, labeled training
 slices) are `evaluation.prepare_dataset`'s. Groups ("hubs") collect messages
 that share a relation key: same author, same normalized text, same link, and
 so on. One pass over the table's columns gives each relation's keys and
@@ -25,8 +26,9 @@ import re
 import string
 import unicodedata
 import zipfile
+import zlib
 from collections import defaultdict
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 from urllib.parse import urlsplit, urlunsplit
 
@@ -41,25 +43,28 @@ class DataError(ValueError):
     """Raised for datasets that cannot satisfy an operation's preconditions."""
 
 
-def write_artifact(path, tag: str, header: dict, arrays: dict | None = None,
-                   compress: bool = False) -> None:
+def write_artifact(path, tag: str, header: dict, arrays: dict | None = None) -> None:
     """Write a file one stage leaves for another: the JSON object of `header`
     after a "format" key holding `tag`, alone when `arrays` is None, else as
-    the `header` bytes (UTF-8) of an npz archive of `arrays`, in that order.
-    An archive is written through an open file so numpy adds no suffix."""
+    the `header` bytes (UTF-8) of an npz archive of `arrays`, in that order,
+    deflated at level 1, every member dated 1980 by `zipfile`: the same
+    arrays give the same bytes."""
     text = json.dumps({"format": tag, **header}, ensure_ascii=False)
     if arrays is None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         return
-    with open(path, "wb") as fh:
-        (np.savez_compressed if compress else np.savez)(
-            fh, header=np.frombuffer(text.encode("utf-8"), dtype=np.uint8), **arrays)
+    arrays = {"header": np.frombuffer(text.encode("utf-8"), dtype=np.uint8), **arrays}
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED, compresslevel=1) as archive:
+        for name, array in arrays.items():
+            with archive.open(name + ".npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array(member, np.asanyarray(array), allow_pickle=False)
 
 
 def read_artifact(path, tag: str, stage: str, parse):
     """`parse(header, arrays)` of a `write_artifact` file (an npz archive by its
-    `.npz` suffix), the header without its "format" key. A file that is
+    `.npz` suffix, deflated or, as earlier versions wrote it, stored), the
+    header without its "format" key. A file that is
     missing, damaged or of another tag, or that `parse` cannot read, raises
     one `DataError` naming the file and the stage that writes it."""
     try:
@@ -82,7 +87,7 @@ def read_artifact(path, tag: str, stage: str, parse):
             raise ValueError(f"format {found!r}")
         return parse(header, arrays)
     except (OSError, ValueError, KeyError, TypeError, IndexError, EOFError,
-            zipfile.BadZipFile) as exc:
+            zipfile.BadZipFile, zlib.error) as exc:
         reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
         raise DataError(f"{path}: not a {tag} file ({reason}); rerun the {stage} stage") from exc
 
@@ -144,12 +149,19 @@ MESSAGE_FIELDS = (
 )
 
 
-def check_message(m: Message) -> None:
-    """Raise a `DataError` naming the first field of `m` that fails `MESSAGE_FIELDS`."""
-    for f in MESSAGE_FIELDS:
-        value = getattr(m, f.name)
+def _checked(values: list) -> list:
+    """`values`, a message's fields in `MESSAGE_FIELDS` order, after a
+    `DataError` naming the first that fails its check."""
+    for f, value in zip(MESSAGE_FIELDS, values):
         if not f.check(value):
             raise DataError(f"{f.name!r} must be {f.accepts}, got {value!r}")
+    return values
+
+
+def check_message(m: Message) -> list:
+    """The fields of `m` in `MESSAGE_FIELDS` order, after a `DataError`
+    naming the first that fails its check."""
+    return _checked([getattr(m, f.name) for f in MESSAGE_FIELDS])
 
 
 @dataclass
@@ -197,29 +209,33 @@ def normalize_link(url: str) -> str:
     return urlunsplit((parts.scheme.lower(), parts.netloc.lower(), parts.path, parts.query, parts.fragment))
 
 
-def _entities(m: Message) -> tuple:
+def _entities(text: str, hashtags: list, links: list, mentions: list) -> tuple:
     """(hashtags, links, mentions) as group keys: each the message's list, else
     parsed from one split of its text; tags and mentions lowercased, links
     `normalize_link`ed, and an empty key dropped: it would group messages that
     share nothing."""
-    words = m.text.split() if "#" in m.text or "@" in m.text or "http" in m.text else ()
-    tags = m.hashtags or [w[1:] for w in words if w.startswith("#")]
-    links = m.links or [w for w in words if w.startswith(("http://", "https://"))]
-    mentions = m.mentions or [w[1:].rstrip(string.punctuation) for w in words if w.startswith("@")]
+    words = text.split() if "#" in text or "@" in text or "http" in text else ()
+    if not (words or hashtags or links or mentions):
+        return ((), (), ())  # a constant: one shared tuple
+    tags = hashtags or [w[1:] for w in words if w.startswith("#")]
+    links = links or [w for w in words if w.startswith(("http://", "https://"))]
+    mentions = mentions or [w[1:].rstrip(string.punctuation) for w in words if w.startswith("@")]
     return (tuple(t.lower() for t in tags if t), tuple(filter(None, map(normalize_link, links))),
             tuple(x.lower() for x in mentions if x))
 
 
-# relation name -> the keys of a message, given its user id, target id, normalized text and
-# `_entities` (hashtags, links, mentions); an empty text or target is no key
+# relation name -> the (key, position) pairs of a `MessageTable`, one pair per distinct key
+# of a message: its user id, normalized text, target id or `_entities`; an empty text or
+# target is no key
 _RELATION_KEYS = {
-    "user": lambda user, target, text, tags, links, mentions: (user,),
-    "text": lambda user, target, text, tags, links, mentions: (text,) if text else (),
-    "link": lambda user, target, text, tags, links, mentions: set(links),
-    "hashtag": lambda user, target, text, tags, links, mentions: set(tags),
-    "mention": lambda user, target, text, tags, links, mentions: set(mentions),
-    "track": lambda user, target, text, tags, links, mentions: (target,) if target else (),
-    "user_hashtag": lambda user, target, text, tags, links, mentions: {(user, t) for t in tags},
+    "user": lambda t: zip(t.user_ids, range(len(t))),
+    "text": lambda t: ((text, i) for i, text in enumerate(t.normalized) if text),
+    "link": lambda t: ((k, i) for i, e in enumerate(t.entities) if e[1] for k in set(e[1])),
+    "hashtag": lambda t: ((k, i) for i, e in enumerate(t.entities) if e[0] for k in set(e[0])),
+    "mention": lambda t: ((k, i) for i, e in enumerate(t.entities) if e[2] for k in set(e[2])),
+    "track": lambda t: ((target, i) for i, target in enumerate(t.target_ids) if target),
+    "user_hashtag": lambda t: (((user, k), i) for i, (user, e) in
+                               enumerate(zip(t.user_ids, t.entities)) if e[0] for k in set(e[0])),
 }
 RELATION_NAMES = tuple(_RELATION_KEYS)
 
@@ -248,17 +264,24 @@ class MessageTable:
 
     @classmethod
     def from_messages(cls, messages: Iterable[Message]) -> "MessageTable":
-        """The table of checked messages, read in one pass: none is held past its row."""
+        """The table of messages, each checked as `check_message` checks it."""
+        return cls._of_fields(map(check_message, messages))
+
+    @classmethod
+    def _of_fields(cls, messages: Iterable[list]) -> "MessageTable":
+        """The table of messages as checked fields in `MESSAGE_FIELDS` order,
+        read in one pass: none is held past its row."""
         one: dict = {}  # a string -> the object every equal string of the table is
         columns = [[] for _ in range(9)]  # the timestamps, then the table's fields
-        for m in messages:
-            entities, key = _entities(m), normalize_text(m.text)
-            row = (m.timestamp, m.id, one.setdefault(m.user_id, m.user_id),
-                   m.target_id and one.setdefault(m.target_id, m.target_id),
-                   one.setdefault(m.text, m.text), one.setdefault(key, key),
+        for id, user_id, text, timestamp, target_id, links, hashtags, mentions, retweet, label \
+                in messages:
+            entities, key = _entities(text, hashtags, links, mentions), normalize_text(text)
+            row = (timestamp, id, one.setdefault(user_id, user_id),
+                   target_id and one.setdefault(target_id, target_id),
+                   one.setdefault(text, text), one.setdefault(key, key),
                    tuple(tuple(one.setdefault(k, k) for k in part) for part in entities)
-                   if any(entities) else ((), (), ()),  # a constant: one shared tuple
-                   -1 if m.label is None else m.label, m.is_retweet)
+                   if any(entities) else entities,
+                   -1 if label is None else label, retweet)
             for column, value in zip(columns, row):
                 column.append(value)
         stamps, ids = columns[:2]
@@ -280,14 +303,12 @@ def relations_from_names(names: Iterable[str]) -> list:
 def _relation_keys(table: MessageTable, relations: Iterable[str]) -> dict:
     """Relation -> key -> the ascending positions of the messages with that
     key, relations in name order."""
-    names = sorted(set(relations_from_names(relations)))
-    buckets = [(_RELATION_KEYS[name], defaultdict(list)) for name in names]
-    rows = zip(table.user_ids, table.target_ids, table.normalized, table.entities)
-    for i, (user, target, text, entities) in enumerate(rows):
-        for keys_of, keys in buckets:
-            for key in keys_of(user, target, text, *entities):
-                keys[key].append(i)
-    return {name: keys for name, (_, keys) in zip(names, buckets)}
+    buckets = {}
+    for name in sorted(set(relations_from_names(relations))):
+        keys = buckets[name] = defaultdict(list)
+        for key, i in _RELATION_KEYS[name](table):
+            keys[key].append(i)
+    return buckets
 
 
 @dataclass(frozen=True)
@@ -405,13 +426,14 @@ def build_index(table: MessageTable, relations: list, source_sha256: str = "") -
 
 
 def write_index(path, index: MessageIndex) -> None:
-    """A compressed `write_artifact` archive: the label, group and edge arrays,
-    and a header of the group table's relations, source sha256 and ids."""
+    """A `write_artifact` archive, deflated at level 1: the label, group and
+    edge arrays, and a header of the group table's relations, source sha256
+    and ids."""
     t = index.table
     write_artifact(path, INDEX_FORMAT, {"relations": t.relations,
                                         "source_sha256": index.source_sha256, "ids": index.ids},
                    {"labels": index.labels, "group_relation": t.group_relation.astype(np.int8),
-                    "group_size": t.sizes.astype(np.int32), "member": t.members}, compress=True)
+                    "group_size": t.sizes.astype(np.int32), "member": t.members})
 
 
 def read_index(path) -> MessageIndex:
@@ -464,26 +486,37 @@ def chronological_split(messages, n_subsets: int, fractions: tuple) -> list:
 
 # --- line-delimited ingestion / serialization ---
 
-def message_from_record(rec: Mapping, fallback_index: int = 0) -> Message:
-    """The Message of a parsed JSON record, unknown fields ignored: a null reads as absent
-    in a nullable field, and a record without a timestamp takes `fallback_index`."""
-    kwargs = {"timestamp": fallback_index}
+def _record_fields(rec: Mapping, fallback_index: int) -> list:
+    """The checked fields of a parsed JSON record in `MESSAGE_FIELDS` order,
+    unknown ones ignored: a null reads as absent in a nullable field, and an
+    absent field takes `Message`'s default, a timestamp `fallback_index`.
+    Every required field is found before any field is checked."""
+    values = []
     for f in MESSAGE_FIELDS:
         value = rec.get(f.name)
-        if value is not None or (f.name in rec and not f.nullable):
-            kwargs[f.name] = value
-        elif f.absent is None:
-            raise DataError(f"the record has no {f.name!r}")
-    return Message(**kwargs)
+        if value is None and (f.nullable or f.name not in rec):
+            if f.absent is None:
+                raise DataError(f"the record has no {f.name!r}")
+            default = Message.__dataclass_fields__[f.name]
+            value = (fallback_index if f.name == "timestamp" else default.default
+                     if default.default_factory is MISSING else default.default_factory())
+        values.append(value)
+    return _checked(values)
+
+
+def message_from_record(rec: Mapping, fallback_index: int = 0) -> Message:
+    """The Message of a parsed JSON record, read as `_record_fields` reads it."""
+    return Message(*_record_fields(rec, fallback_index))
 
 
 def message_to_record(m: Message) -> dict:
     return {k: v for k, v in vars(m).items() if v is not None}
 
 
-def _message_lines(path, digest=None):
-    """`read_messages` as a stream, each message built as its line is read,
-    and each line's bytes fed to the hash `digest` when given."""
+def _record_lines(path, digest=None):
+    """`_record_fields` of each line of a JSONL file as it is read, its bytes
+    fed to the hash `digest` when given. A line that is not UTF-8, not a JSON
+    object or not a message raises `DataError` naming the file and the line."""
     with open(path, "rb") as fh:
         for i, line in enumerate(fh):
             if digest is not None:
@@ -495,23 +528,21 @@ def _message_lines(path, digest=None):
                 rec = json.loads(text)
                 if not isinstance(rec, dict):
                     raise DataError("not a JSON object")
-                yield message_from_record(rec, fallback_index=i)
+                yield _record_fields(rec, i)
             except (ValueError, TypeError) as exc:  # bad UTF-8 and bad JSON are ValueErrors
                 raise DataError(f"{path}, line {i + 1}: {exc}") from None
 
 
 def read_messages(path) -> list:
-    """The messages of a JSONL file, one object per line. A line that is not
-    UTF-8, not a JSON object or not a message raises `DataError` naming the
-    file and the line."""
-    return list(_message_lines(path))
+    """The messages of a JSONL file, one object per line (`_record_lines`)."""
+    return [Message(*values) for values in _record_lines(path)]
 
 
 def read_message_table(path) -> tuple:
     """(the `MessageTable` of a JSONL file as `read_messages` reads it, the
-    sha256 of its bytes), from one pass in which no message outlives its line."""
+    sha256 of its bytes), from one pass in which no record outlives its line."""
     digest = hashlib.sha256()
-    return MessageTable.from_messages(_message_lines(path, digest)), digest.hexdigest()
+    return MessageTable._of_fields(_record_lines(path, digest)), digest.hexdigest()
 
 
 def write_messages(path, messages: Iterable[Message]) -> None:

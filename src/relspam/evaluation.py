@@ -38,7 +38,6 @@ from .data_model import (
     MessageTable,
     SubsetSplit,
     build_index,
-    check_message,
     check_setting,
     chronological_split,
     is_int,
@@ -616,9 +615,7 @@ def aggregate_report(config: ExperimentConfig, index: MessageIndex, plan: list,
 def evaluate_experiment(messages: list, follows: list, config: ExperimentConfig) -> EvaluationReport:
     """Run the full chronological protocol in memory and aggregate the report."""
     config.check()
-    for m in messages:  # a caller may have assigned a field after building the message
-        check_message(m)
-    table = MessageTable.from_messages(messages)
+    table = MessageTable.from_messages(messages)  # checks each message
     plan, index, graph_table = prepare_dataset(table, follows, config)
     subset_preds, diagnostics = [], []
     for i, subset in enumerate(plan):

@@ -333,7 +333,7 @@ MATRIX_FORMAT = "relspam-features v3"
 
 
 def write_feature_matrix(path, fm: FeatureMatrix) -> None:
-    """An uncompressed `write_artifact` archive: the canonical CSR arrays
+    """A `write_artifact` archive, deflated at level 1: the canonical CSR arrays
     (`data`, `indices`, `indptr`, `shape`) and a header of the column names."""
     matrix = sp.csr_matrix(fm.matrix, dtype=np.float64, copy=True)
     matrix.sum_duplicates()

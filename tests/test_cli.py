@@ -99,6 +99,21 @@ class TestStages:
             tracemalloc.stop()
         assert peak < 4.5 * size, f"peak {peak / size:.2f} times the file's {size} bytes"
 
+    def test_feature_files_are_at_most_two_fifths_of_their_arrays(self, tmp_path):
+        # deflated, the binary n-gram block's 1.0s and the small counts shrink: at 1,500
+        # messages each file took 0.18 of its arrays, where a stored archive takes over 1
+        cfg = write_config(tmp_path, {"feature_mode": "full", "generator": {
+            **SMALL_CONFIG["generator"], "n_messages": 1500}})
+        out = tmp_path / "out"
+        for stage in ("generate", "featurize"):
+            assert main([stage, "--config", cfg, "--out", str(out), "--seed", "5"]) == 0
+        paths = sorted((out / "features").glob("subset_*/features.npz"))
+        assert len(paths) == SMALL_CONFIG["n_subsets"]
+        for path in paths:
+            m = read_feature_matrix(path).matrix
+            arrays = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+            assert path.stat().st_size <= 0.4 * arrays, (path, path.stat().st_size / arrays)
+
     def test_eval_without_infer_names_missing_artifact(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"

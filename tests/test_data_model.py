@@ -5,6 +5,7 @@ import random
 import re
 import string
 import unicodedata
+import zipfile
 from dataclasses import fields
 from pathlib import Path
 from urllib.parse import urlsplit
@@ -470,7 +471,7 @@ class TestIndexFile:
         write_artifact(path, INDEX_FORMAT, {"relations": relations,
                                             "source_sha256": index.source_sha256, "ids": index.ids},
                        {"labels": index.labels, "group_relation": t.group_relation.astype(np.int8),
-                        "group_size": t.sizes.astype(np.int32), "member": t.members}, compress=True)
+                        "group_size": t.sizes.astype(np.int32), "member": t.members})
 
     def test_a_header_in_config_order_reads_back_to_the_same_groups(self, tmp_path):
         index = self.index()
@@ -500,7 +501,7 @@ class TestIndexFile:
                        {"labels": np.zeros(2, dtype=np.int8),
                         "group_relation": np.zeros(3, dtype=np.int8),
                         "group_size": np.array([1, 1], dtype=np.int32),
-                        "member": np.array([0, 1], dtype=np.int32)}, compress=True)
+                        "member": np.array([0, 1], dtype=np.int32)})
         with pytest.raises(DataError, match="array lengths"):
             read_index(path)
 
@@ -510,6 +511,24 @@ class TestIndexFile:
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
         with pytest.raises(DataError, match="featurize"):
             read_index(path)
+
+    def test_every_member_is_deflated(self, tmp_path):
+        write_index(tmp_path / "index.npz", self.index())
+        with zipfile.ZipFile(tmp_path / "index.npz") as archive:
+            assert {m.compress_type for m in archive.infolist()} == {zipfile.ZIP_DEFLATED}
+
+    def test_an_index_of_earlier_versions_reads_back(self, tmp_path):
+        # they were written by np.savez_compressed, deflated at its level
+        index, path = self.index(), tmp_path / "index.npz"
+        write_index(tmp_path / "new.npz", index)
+        with np.load(tmp_path / "new.npz") as archive, open(path, "wb") as fh:
+            np.savez_compressed(fh, **{k: archive[k] for k in archive.files})
+        assert path.read_bytes() != (tmp_path / "new.npz").read_bytes()
+        back = read_index(path)
+        assert (back.ids, back.source_sha256) == (index.ids, index.source_sha256)
+        assert np.array_equal(back.labels, index.labels) and back.labels.dtype == np.int8
+        for name in ("group_relation", "sizes", "members"):
+            assert np.array_equal(getattr(back.table, name), getattr(index.table, name)), name
 
     def test_other_format_tag_raises_data_error(self, tmp_path):
         path = tmp_path / "index.npz"
@@ -606,8 +625,12 @@ class TestIngestion:
         path = tmp_path / "m.jsonl"
         good = json.dumps({"id": "a", "user_id": "u"}).encode()
         path.write_bytes(good + b"\n\n" + line + b"\n" + good + b"\n")
-        with pytest.raises(DataError, match=f"m.jsonl, line 3: .*{says}"):
-            read_messages(path)
+        errors = []
+        for read in (read_messages, read_message_table):  # both readers, in the same words
+            with pytest.raises(DataError, match=f"m.jsonl, line 3: .*{says}") as error:
+                read(path)
+            errors.append(str(error.value))
+        assert errors[0] == errors[1]
 
     @settings(max_examples=400, deadline=None)
     @given(st.sampled_from([f.name for f in MESSAGE_FIELDS]), st.just(ABSENT) | JSON_VALUES)

@@ -2,6 +2,8 @@ import itertools
 import json
 import random
 import string
+import struct
+import zipfile
 from collections import Counter
 
 import numpy as np
@@ -591,6 +593,20 @@ class TestPipeline:
         write_feature_matrix(p1, fm)
         write_feature_matrix(p2, fm)
         assert p1.read_bytes() == p2.read_bytes()
+        with zipfile.ZipFile(p1) as archive:
+            assert {m.compress_type for m in archive.infolist()} == {zipfile.ZIP_DEFLATED}
+
+    def test_stored_matrix_file_of_earlier_versions_reads_back(self, tmp_path):
+        # they were written by np.savez, uncompressed
+        messages = self.build_messages()
+        fm = feature_matrix(as_table(messages[:20]), 20, known(messages[:20], {}), {}, 10)
+        new, old = tmp_path / "new.npz", tmp_path / "old.npz"
+        write_feature_matrix(new, fm)
+        with np.load(new) as archive, open(old, "wb") as fh:
+            np.savez(fh, **{k: archive[k] for k in archive.files})
+        with zipfile.ZipFile(old) as archive:
+            assert {m.compress_type for m in archive.infolist()} == {zipfile.ZIP_STORED}
+        assert_same_matrix(read_feature_matrix(old), fm)
 
 
 def test_graph_table_covers_exactly_the_node_set():
@@ -656,6 +672,31 @@ def test_truncated_matrix_file_raises_data_error(tmp_path, kept):
     raw = path.read_bytes()
     path.write_bytes(raw[:int(kept * len(raw))])
     with pytest.raises(DataError):
+        read_feature_matrix(path)
+
+
+def test_matrix_file_short_of_its_last_byte_is_named(tmp_path):
+    fm = FeatureMatrix(["a", "b"], sp.csr_matrix(np.array([[1.0, 0.0], [0.5, 2.0]])))
+    path = tmp_path / "features.npz"
+    write_feature_matrix(path, fm)
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(DataError, match=r"features.npz: not a relspam-features v3 file \(.*\); "
+                                        r"rerun the featurize stage"):
+        read_feature_matrix(path)
+
+
+def test_matrix_file_with_a_damaged_deflate_stream_is_named(tmp_path):
+    fm = FeatureMatrix(["a", "b"], sp.csr_matrix(np.array([[1.0, 0.0], [0.5, 2.0]])))
+    path = tmp_path / "features.npz"
+    write_feature_matrix(path, fm)
+    with zipfile.ZipFile(path) as archive:
+        offset = archive.getinfo("data.npy").header_offset
+    raw = bytearray(path.read_bytes())
+    name, extra = struct.unpack("<HH", raw[offset + 26:offset + 30])  # the local header's
+    raw[offset + 30 + name + extra] = 0xFF  # a first deflate block of the reserved type
+    path.write_bytes(raw)
+    with pytest.raises(DataError, match=r"features.npz: not a relspam-features v3 file \(.*; "
+                                        r"rerun the featurize stage"):
         read_feature_matrix(path)
 
 
