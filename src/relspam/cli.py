@@ -10,14 +10,16 @@ a `MessageTable`; it writes `features/split_plan.json`, which holds each
 subset's position ranges and the settings it ran under, the
 `features/index.npz` message index (relations sorted by name) and each
 subset's `features.npz`, `train` each subset's `models.json` (whose format
-`evaluation` owns), and `infer` the predictions TSVs and
-`predictions/diagnostics.json`. Every file but the TSVs goes through
-`write_artifact` under a format tag and back through `read_artifact`, so one
-that is missing, damaged or of another tag fails with a `DataError` naming it
-and the stage to rerun, and so does a later stage run under other featurize
-settings. Past featurize a message is its position in the index;
-ids come back only in the TSVs. A run's settings are one `RunConfig`, which
-`load_config` builds from the JSON config and checks before any stage runs.
+`evaluation` owns), `infer` the predictions TSVs and
+`predictions/diagnostics.json`, and `eval` the report of `aggregate_report`
+as `evaluation.report_json` and `report_text` render it. Every file but the
+TSVs and the report goes through `write_artifact` under a format tag and
+back through `read_artifact`, so one that is missing, damaged or of another
+tag fails with a `DataError` naming it and the stage to rerun, and so does a
+later stage run under other featurize settings. Past featurize a message is
+its position in the index; ids come back only in the TSVs. A run's settings
+are one `RunConfig`, which `load_config` builds from the JSON config and
+checks before any stage runs. `COMMANDS` maps each command to its stage.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ from .evaluation import (
     infer_subset_models,
     prepare_dataset,
     read_models,
+    report_json,
+    report_text,
     sum_diagnostics,
     train_subset_models,
     write_models,
@@ -310,9 +314,9 @@ def cmd_eval(cfg: RunConfig) -> int:
                                 lambda header, _: header)
     report = aggregate_report(cfg, index, plan, subset_preds, diagnostics)
     out = _out(cfg)
-    (out / "report.json").write_text(report.to_json(), encoding="utf-8")
-    (out / "report.txt").write_text(report.to_text() + "\n", encoding="utf-8")
-    print(report.to_text())
+    (out / "report.json").write_text(report_json(report), encoding="utf-8")
+    (out / "report.txt").write_text(report_text(report) + "\n", encoding="utf-8")
+    print(report_text(report))
     return 0
 
 
@@ -324,20 +328,24 @@ def cmd_run_all(cfg: RunConfig) -> int:
     return 0
 
 
+# each command's stage and help, in the order `--help` lists them
+COMMANDS = {
+    "generate": (cmd_generate, "write a synthetic dataset"),
+    "featurize": (cmd_featurize, "write the message index and per-subset feature matrices"),
+    "train": (cmd_train, "train per-subset models"),
+    "infer": (cmd_infer, "write per-model test predictions"),
+    "eval": (cmd_eval, "score predictions and write the report"),
+    "run-all": (cmd_run_all, "run every stage in order"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relspam",
         description="Spam classification with relational refinement: "
                     "stacked learning and joint inference over message groups.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("generate", "write a synthetic dataset"),
-        ("featurize", "write the message index and per-subset feature matrices"),
-        ("train", "train per-subset models"),
-        ("infer", "write per-model test predictions"),
-        ("eval", "score predictions and write the report"),
-        ("run-all", "run every stage in order"),
-    ]:
+    for name, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--verbose", "-v", action="store_true", help="info-level logging")
         p.add_argument("--config", help="JSON config file (merged over defaults)")
@@ -346,16 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--models", help="comma-separated roster, e.g. independent,sgl1,mrf")
         p.add_argument("--out", help="output directory")
     return parser
-
-
-COMMANDS = {
-    "generate": cmd_generate,
-    "featurize": cmd_featurize,
-    "train": cmd_train,
-    "infer": cmd_infer,
-    "eval": cmd_eval,
-    "run-all": cmd_run_all,
-}
 
 
 def main(argv=None) -> int:
@@ -367,7 +365,7 @@ def main(argv=None) -> int:
         overrides["models"] = [m.strip() for m in args.models.split(",") if m.strip()]
     try:
         cfg = load_config(args.config, overrides)
-        return COMMANDS[args.command](cfg)
+        return COMMANDS[args.command][0](cfg)
     except (ConfigError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -24,6 +24,7 @@ import json
 import math
 import re
 import string
+import tokenize
 import unicodedata
 import zipfile
 import zlib
@@ -61,12 +62,19 @@ def write_artifact(path, tag: str, header: dict, arrays: dict | None = None) -> 
                 np.lib.format.write_array(member, np.asanyarray(array), allow_pickle=False)
 
 
+def _non_finite(constant: str):
+    """`json.loads`'s `parse_constant` for stage files: no stage writes NaN or Infinity."""
+    raise ValueError(f"the non-finite constant {constant}")
+
+
 def read_artifact(path, tag: str, stage: str, parse):
     """`parse(header, arrays)` of a `write_artifact` file (an npz archive by its
     `.npz` suffix, deflated or, as earlier versions wrote it, stored), the
-    header without its "format" key. A file that is
-    missing, damaged or of another tag, or that `parse` cannot read, raises
-    one `DataError` naming the file and the stage that writes it."""
+    header without its "format" key. A file that is missing, damaged (a zip
+    record flagged encrypted or of an unknown version, an npy header numpy
+    cannot parse, a NaN or Infinity in the JSON) or of another tag, or that
+    `parse` cannot read, raises one `DataError` naming the file and the
+    stage that writes it."""
     try:
         if str(path).endswith(".npz"):
             with open(path, "rb") as fh:
@@ -78,16 +86,17 @@ def read_artifact(path, tag: str, stage: str, parse):
                 fh.seek(0)
                 with np.load(fh, allow_pickle=False) as archive:
                     arrays = {k: archive[k] for k in archive.files}
-            header = json.loads(arrays.pop("header").tobytes().decode("utf-8"))
+            raw = arrays.pop("header").tobytes()
         else:
             with open(path, "rb") as fh:
-                header, arrays = json.loads(fh.read().decode("utf-8")), {}
+                raw, arrays = fh.read(), {}
+        header = json.loads(raw.decode("utf-8"), parse_constant=_non_finite)
         found = header.pop("format", None) if isinstance(header, dict) else None
         if found != tag:
             raise ValueError(f"format {found!r}")
         return parse(header, arrays)
-    except (OSError, ValueError, KeyError, TypeError, IndexError, EOFError,
-            zipfile.BadZipFile, zlib.error) as exc:
+    except (OSError, ValueError, KeyError, TypeError, IndexError, EOFError, RuntimeError,
+            zipfile.BadZipFile, zlib.error, tokenize.TokenError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
         raise DataError(f"{path}: not a {tag} file ({reason}); rerun the {stage} stage") from exc
 
@@ -502,11 +511,6 @@ def _record_fields(rec: Mapping, fallback_index: int) -> list:
                      if default.default_factory is MISSING else default.default_factory())
         values.append(value)
     return _checked(values)
-
-
-def message_from_record(rec: Mapping, fallback_index: int = 0) -> Message:
-    """The Message of a parsed JSON record, read as `_record_fields` reads it."""
-    return Message(*_record_fields(rec, fallback_index))
 
 
 def message_to_record(m: Message) -> dict:

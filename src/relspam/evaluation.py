@@ -7,7 +7,9 @@ a dataset's `MessageTable`, and then come per-subset steps on in-memory inputs:
 roster needs (tuning on validation), `infer_subset_models` predicts the test
 slice with every roster model (stacked, joint, and combined), and
 `aggregate_report` concatenates the test predictions across subsets and scores
-them overall and on the inductive / transductive partition. The steps after
+them overall and on the inductive / transductive partition. The report has one
+form, the JSON object `report.json` holds; `report_json` and `report_text`
+render it as `report.json` and `report.txt`. The steps after
 `featurize_subset` take the dataset's `MessageIndex` in place of its table
 and know a message by its chronological position: labels, priors and scores
 are arrays over positions, and a subset's predictions are one array per model
@@ -140,17 +142,10 @@ def inductive_partition(index: MessageIndex, train: tuple, test: tuple) -> np.nd
 
 # --- connected-component coverage ---
 
-@dataclass
-class CoverageCurve:
-    component_sizes: list
-    all_cumulative: list
-    spam_cumulative: list
-    ham_cumulative: list
-
-
-def component_coverage(index: MessageIndex) -> CoverageCurve:
-    """Cumulative fraction of messages covered by the connected components of
-    the co-membership graph, largest first and then by earliest message, split by label."""
+def component_coverage(index: MessageIndex) -> dict:
+    """The report's `coverage`: the co-membership graph's connected component sizes, largest
+    first and then by earliest message ("component_sizes"), and the cumulative fraction of all,
+    spam and ham messages they cover ("all_cumulative", "spam_cumulative", "ham_cumulative")."""
     n = len(index.ids)
     # min-label propagation with pointer jumping: each root is its component's earliest position
     t = index.table
@@ -172,8 +167,10 @@ def component_coverage(index: MessageIndex) -> CoverageCurve:
         got = np.cumsum(np.bincount(root[of], minlength=n)[order])
         return (got / total).tolist() if total else [0.0] * len(order)
 
-    return CoverageCurve(sizes[order].tolist(), cumulative(np.ones(n, dtype=bool)),
-                         cumulative(index.labels == 1), cumulative(index.labels == 0))
+    return {"component_sizes": sizes[order].tolist(),
+            "all_cumulative": cumulative(np.ones(n, dtype=bool)),
+            "spam_cumulative": cumulative(index.labels == 1),
+            "ham_cumulative": cumulative(index.labels == 0)}
 
 
 # --- experiment configuration and roster ---
@@ -537,53 +534,18 @@ def sum_diagnostics(per_subset: list) -> dict:
 
 # --- full protocol ---
 
-@dataclass
-class EvaluationReport:
-    models: list  # dict per model
-    n_messages: int
-    n_subsets: int
-    n_test: int
-    n_inductive: int
-    n_transductive: int
-    coverage: dict
-    diagnostics: dict
-    config: dict
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
-
-    def to_text(self) -> str:
-        headers = ["model", "aupr_ind", "aupr_all", "auroc_ind", "auroc_all"]
-        rows = []
-        for entry in self.models:
-            rows.append([
-                entry["model"],
-                _fmt(entry["inductive"]["aupr"]),
-                _fmt(entry["overall"]["aupr"]),
-                _fmt(entry["inductive"]["auroc"]),
-                _fmt(entry["overall"]["auroc"]),
-            ])
-        widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-                  for i, h in enumerate(headers)]
-        lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
-        lines.append("  ".join("-" * w for w in widths))
-        for r in rows:
-            lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)))
-        lines.append("")
-        lines.append(f"test messages: {self.n_test} "
-                     f"(inductive {self.n_inductive}, transductive {self.n_transductive})")
-        return "\n".join(lines)
-
-
-def _fmt(v) -> str:
-    return "n/a" if v is None else f"{v:.4f}"
-
-
 def aggregate_report(config: ExperimentConfig, index: MessageIndex, plan: list,
-                     subset_preds: list, diagnostics: dict) -> EvaluationReport:
+                     subset_preds: list, diagnostics: dict) -> dict:
     """Concatenate per-subset test predictions and score every roster model,
-    overall and on the inductive partition; `plan` is the `SubsetSplit`s."""
-    coverage = component_coverage(index)
+    overall and on the inductive partition; `plan` is the `SubsetSplit`s.
+
+    -> the report, the JSON object `report_json` writes: "models" (per roster
+    model in order, its "model" name and the `ranking_metrics` of its
+    "overall", "inductive" and "per_subset" test scores), "n_messages",
+    "n_subsets", "n_test", "n_inductive", "n_transductive", "coverage"
+    (`component_coverage`), "diagnostics" (the solvers', summed) and
+    "config" (the `REPORTED_SETTINGS`).
+    """
     test_labels = [index.labels[slice(*subset.test)] for subset in plan]
     labels = np.concatenate(test_labels)
     inductive = np.concatenate([inductive_partition(index, subset.train, subset.test)
@@ -599,21 +561,44 @@ def aggregate_report(config: ExperimentConfig, index: MessageIndex, plan: list,
             "per_subset": [ranking_metrics(s, y)
                            for s, y in zip(np.split(scores, splits), test_labels)],
         })
-    return EvaluationReport(
-        models=model_entries,
-        n_messages=len(index.ids),
-        n_subsets=len(subset_preds),
-        n_test=len(labels),
-        n_inductive=int(inductive.sum()),
-        n_transductive=int((~inductive).sum()),
-        coverage=asdict(coverage),
-        diagnostics=diagnostics,
-        config={key: getattr(config, key) for key in REPORTED_SETTINGS},
-    )
+    return {
+        "models": model_entries,
+        "n_messages": len(index.ids),
+        "n_subsets": len(subset_preds),
+        "n_test": len(labels),
+        "n_inductive": int(inductive.sum()),
+        "n_transductive": int((~inductive).sum()),
+        "coverage": component_coverage(index),
+        "diagnostics": diagnostics,
+        # as JSON gives them back: the fractions a list, no list shared with the config
+        "config": json.loads(json.dumps({key: getattr(config, key) for key in REPORTED_SETTINGS})),
+    }
 
 
-def evaluate_experiment(messages: list, follows: list, config: ExperimentConfig) -> EvaluationReport:
-    """Run the full chronological protocol in memory and aggregate the report."""
+def report_json(report: dict) -> str:
+    """The text of `report.json`: the report's keys sorted, indented by 2."""
+    return json.dumps(report, sort_keys=True, indent=2)
+
+
+def report_text(report: dict) -> str:
+    """The table of `report.txt`: each model's AUPR and AUROC, inductive and
+    overall, to 4 places ("n/a" where undefined), then the test counts."""
+    headers = ["model", "aupr_ind", "aupr_all", "auroc_ind", "auroc_all"]
+    rows = []
+    for entry in report["models"]:
+        values = [entry[part][metric] for metric in ("aupr", "auroc")
+                  for part in ("inductive", "overall")]
+        rows.append([entry["model"], *("n/a" if v is None else f"{v:.4f}" for v in values)])
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths))
+             for row in [headers, ["-" * w for w in widths], *rows]]
+    lines += ["", f"test messages: {report['n_test']} (inductive {report['n_inductive']}, "
+                  f"transductive {report['n_transductive']})"]
+    return "\n".join(lines)
+
+
+def evaluate_experiment(messages: list, follows: list, config: ExperimentConfig) -> dict:
+    """Run the full chronological protocol in memory -> `aggregate_report`'s report."""
     config.check()
     table = MessageTable.from_messages(messages)  # checks each message
     plan, index, graph_table = prepare_dataset(table, follows, config)

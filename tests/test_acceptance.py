@@ -333,7 +333,7 @@ def test_criterion_09_qualitative_relational_lift():
     )
     result = evaluate_experiment(messages, follows, config)
     elapsed = time.time() - start
-    scores = {e["model"]: e["overall"]["aupr"] for e in result.models}
+    scores = {e["model"]: e["overall"]["aupr"] for e in result["models"]}
     lifted = all(scores[m] >= scores["independent"] + 0.05
                  for m in ("sgl1", "mrf", "psl", "sgl1+mrf"))
     combined = scores["sgl1+mrf"] >= max(scores["sgl1"], scores["mrf"]) - 0.01

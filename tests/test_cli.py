@@ -25,7 +25,8 @@ from relspam.data_model import (
     sort_chronologically,
     write_messages,
 )
-from relspam.evaluation import ExperimentConfig, evaluate_experiment, tune_epsilons
+from relspam.evaluation import (ExperimentConfig, evaluate_experiment, report_json, report_text,
+                               tune_epsilons)
 from relspam.features import (fit_ngram_vocabulary, pagerank, read_feature_matrix,
                               write_feature_matrix)
 from relspam.hinge import infer_hinge_posteriors, learn_weights
@@ -501,6 +502,22 @@ class TestStageFiles:
                               f"'{key}' must be ") and "Traceback" not in err, err
         assert err.endswith("; rerun the train stage\n"), err
 
+    @pytest.mark.parametrize("value, constant", [(float("nan"), "NaN"),
+                                                 (float("-inf"), "-Infinity")])
+    def test_models_file_holding_a_non_finite_constant_is_named(self, finished, tmp_path, capsys,
+                                                                value, constant):
+        # json.loads reads NaN and Infinity, which no stage writes
+        out = self.copy(finished, tmp_path)
+        path = out / "models" / "subset_00" / "models.json"
+        models = json.loads(path.read_text())
+        models["independent"]["bias"] = value
+        path.write_text(json.dumps(models))
+        capsys.readouterr()
+        assert self.stage("infer", finished, out) == 1
+        assert capsys.readouterr().err == (f"error: {path}: not a relspam-models v2 file (the "
+                                           f"non-finite constant {constant}); rerun the train "
+                                           "stage\n")
+
     def test_models_file_of_the_first_format_is_named(self, finished, tmp_path, capsys):
         # relspam-models v1 held each linear model's weights in standardized space
         out = self.copy(finished, tmp_path)
@@ -564,7 +581,12 @@ class TestOneOrchestration:
         cfg = load_config(cfg_path, {"seed": 11})
         messages, follows = generate(cfg.generator, 11)
         report = evaluate_experiment(messages, follows, cfg)
-        assert report.to_json() == (out / "report.json").read_text(encoding="utf-8")
+        text = (out / "report.json").read_text(encoding="utf-8")
+        assert report_json(report) == text
+        assert report_text(report) + "\n" == (out / "report.txt").read_text(encoding="utf-8")
+        # the file is the whole report: it reads back to the same object, and renders as itself
+        assert json.loads(text) == report
+        assert report_json(json.loads(text)) == text
 
 
     def test_report_does_not_depend_on_id_order(self, tmp_path):
@@ -579,10 +601,10 @@ class TestOneOrchestration:
         messages.sort(key=lambda m: (m.timestamp, m.id))
         for t, m in enumerate(messages):
             m.timestamp = t
-        before = evaluate_experiment(messages, follows, cfg).to_json()
+        before = report_json(evaluate_experiment(messages, follows, cfg))
         for t, m in enumerate(messages):
             m.id = f"x{len(messages) - t:05d}"
-        assert evaluate_experiment(messages, follows, cfg).to_json() == before
+        assert report_json(evaluate_experiment(messages, follows, cfg)) == before
 
 
 class TestConfigValidation:

@@ -27,7 +27,6 @@ from relspam.data_model import (
     build_index,
     check_message,
     chronological_split,
-    message_from_record,
     normalize_link,
     normalize_text,
     read_follows,
@@ -553,9 +552,12 @@ class TestIngestion:
         write_messages(path, messages)
         assert read_messages(path) == messages
 
-    def test_unknown_fields_ignored(self):
-        m = message_from_record({"id": "x", "user_id": "u", "wat": 42, "timestamp": 1})
-        assert m.id == "x"
+    def test_unknown_fields_ignored(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text(json.dumps({"id": "x", "user_id": "u", "wat": 42, "timestamp": 1}) + "\n")
+        assert read_messages(path) == [Message(id="x", user_id="u", timestamp=1)]
+        table, _ = read_message_table(path)
+        assert (table.ids, table.user_ids, table.labels.tolist()) == (["x"], ["u"], [-1])
 
     def test_missing_timestamp_falls_back_to_position(self, tmp_path):
         path = tmp_path / "m.jsonl"
@@ -572,10 +574,6 @@ class TestIngestion:
         )
         messages = read_messages(path)
         assert [m.label for m in messages] == [0, 1, None]
-
-    def test_bad_label_raises(self):
-        with pytest.raises(DataError):
-            message_from_record({"id": "a", "user_id": "u", "label": 3})
 
     @pytest.mark.parametrize("line, says", [
         (b'{"id": "x", "text": "caf\xff"}', "can't decode byte 0xff"),
@@ -616,11 +614,13 @@ class TestIngestion:
         (b'{"id": "g", "user_id": "a\\ud800"}', "'user_id' must be .*lone surrogate, got 'a\\\\ud800'"),
         (b'{"id": "t", "user_id": "u", "timestamp": -3}',
          "'timestamp' must be a non-negative integer, got -3"),
+        (b'{"id": "a", "user_id": "u", "label": 3}', "'label' must be 0, 1 or null, got 3"),
     ], ids=["utf8", "truncated", "not_object", "no_id", "timestamp", "label", "list",
             "label_fraction", "label_bool", "timestamp_fraction", "label_string", "target_int",
             "target_list", "target_object", "user_null", "user_int", "text_null", "text_list",
             "retweet_string", "retweet_int", "retweet_null", "id_null", "id_int", "no_user",
-            "user_empty", "links_int", "id_tab", "user_surrogate", "timestamp_negative"])
+            "user_empty", "links_int", "id_tab", "user_surrogate", "timestamp_negative",
+            "label_three"])
     def test_malformed_line_names_file_and_line(self, tmp_path, line, says):
         path = tmp_path / "m.jsonl"
         good = json.dumps({"id": "a", "user_id": "u"}).encode()

@@ -31,6 +31,8 @@ from relspam.evaluation import (
     parse_model_name,
     prepare_dataset,
     ranking_metrics,
+    report_json,
+    report_text,
     train_subset_models,
     tune_epsilons,
 )
@@ -172,20 +174,20 @@ class TestComponentCoverage:
 
     def test_single_group_covers_everything(self):
         curve = component_coverage(self.index(["u"] * 5))
-        assert curve.all_cumulative[0] == 1.0
+        assert curve["all_cumulative"][0] == 1.0
 
     def test_no_groups_linear_curve(self):
         curve = component_coverage(self.index(["a", "b", "c", "d"]))
-        assert curve.all_cumulative == pytest.approx([0.25, 0.5, 0.75, 1.0])
+        assert curve["all_cumulative"] == pytest.approx([0.25, 0.5, 0.75, 1.0])
 
     def test_two_disjoint_groups(self):
         curve = component_coverage(self.index(["a"] * 6 + ["b"] * 4))
-        assert curve.all_cumulative[:2] == pytest.approx([0.6, 1.0])
+        assert curve["all_cumulative"][:2] == pytest.approx([0.6, 1.0])
 
     def test_label_split(self):
         curve = component_coverage(self.index(["a", "a", "b", "c"], labels=[1, 1, 0, 0]))
-        assert curve.spam_cumulative[0] == 1.0
-        assert curve.ham_cumulative[0] == 0.0
+        assert curve["spam_cumulative"][0] == 1.0
+        assert curve["ham_cumulative"][0] == 0.0
 
 
 # The set and union-find code the array passes replaced, kept as their oracle.
@@ -283,7 +285,7 @@ def test_array_partition_and_coverage_match_the_set_and_union_find_code(rows, re
     assert (sorted(m for m, f in flags.items() if f), sorted(m for m, f in flags.items() if not f)) \
         == reference_inductive_partition([m.id for m in test], [m.id for m in train], groups_tt)
     curve = component_coverage(index)
-    assert curve.__dict__ == reference_component_coverage(
+    assert curve == reference_component_coverage(
         ordered, build_groups(ordered, relations_from_names(relations)))
 
 
@@ -362,17 +364,17 @@ class TestExperiment:
     def test_single_model_roster(self):
         messages = planted_experiment_data(n=300)
         report = evaluate_experiment(messages, [], self.small_config())
-        assert len(report.models) == 1
-        assert report.models[0]["model"] == "independent"
-        assert report.n_test > 0
+        assert len(report["models"]) == 1
+        assert report["models"][0]["model"] == "independent"
+        assert report["n_test"] > 0
 
     def test_roster_with_joint_models(self):
         messages = planted_experiment_data(n=300, seed=2)
         config = self.small_config(models=["independent", "sgl1", "mrf", "psl", "sgl1+mrf"])
         report = evaluate_experiment(messages, [], config)
-        names = [m["model"] for m in report.models]
+        names = [m["model"] for m in report["models"]]
         assert names == ["independent", "sgl1", "mrf", "psl", "sgl1+mrf"]
-        for entry in report.models:
+        for entry in report["models"]:
             assert entry["overall"]["aupr"] is None or 0.0 <= entry["overall"]["aupr"] <= 1.0
 
     def test_combined_model_uses_stacked_priors(self):
@@ -459,14 +461,14 @@ class TestExperiment:
         messages = planted_experiment_data(n=300, seed=4)
         messages[-1].label = None  # in the last subset's test slice
         report = evaluate_experiment(messages, [], self.small_config())
-        assert report.models[0]["overall"]["n"] == report.n_test - 1
+        assert report["models"][0]["overall"]["n"] == report["n_test"] - 1
 
     def test_report_serialization(self):
         messages = planted_experiment_data(n=300, seed=4)
         report = evaluate_experiment(messages, [], self.small_config())
-        text = report.to_text()
+        text = report_text(report)
         assert "independent" in text
-        payload = report.to_json()
+        payload = report_json(report)
         assert '"models"' in payload
 
     def test_concatenation_matches_manual_metric(self):
@@ -474,9 +476,9 @@ class TestExperiment:
         config = self.small_config()
         report = evaluate_experiment(messages, [], config)
         # reproduce the concatenated AUPR by recomputing on the per-subset slices
-        entry = report.models[0]
+        entry = report["models"][0]
         per_subset_ns = [m["n"] for m in entry["per_subset"]]
-        assert sum(per_subset_ns) == report.n_test
+        assert sum(per_subset_ns) == report["n_test"]
 
 
 class TestTuneEpsilons:
@@ -660,7 +662,7 @@ class TestPipelineOptions:
             hinge=HingeConfig(learn_steps=2),
         )
         report = evaluate_experiment(messages, [], config)
-        assert [m["model"] for m in report.models] == ["independent", "psl"]
+        assert [m["model"] for m in report["models"]] == ["independent", "psl"]
 
     def test_epsilon_tuning_smoke(self):
         messages = planted_experiment_data(n=300, seed=10)
@@ -675,7 +677,7 @@ class TestPipelineOptions:
             tune_epsilons=True,
         )
         report = evaluate_experiment(messages, [], config)
-        assert report.models[1]["overall"]["aupr"] is not None
+        assert report["models"][1]["overall"]["aupr"] is not None
 
     def test_epsilon_tuning_starts_from_per_relation_epsilons(self):
         # the planted data has no hashtags, so every hashtag candidate ties
@@ -711,7 +713,7 @@ class TestPipelineOptions:
             l2_grid=[0.1, 1.0],
         )
         report = evaluate_experiment(messages, [], config)
-        assert report.models[0]["overall"]["aupr"] is not None
+        assert report["models"][0]["overall"]["aupr"] is not None
 
 
 @settings(max_examples=40, deadline=None)

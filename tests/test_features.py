@@ -700,6 +700,60 @@ def test_matrix_file_with_a_damaged_deflate_stream_is_named(tmp_path):
         read_feature_matrix(path)
 
 
+def _damaged(raw: bytes, damage: str) -> bytes:
+    """The archive `raw` with one field of its first central directory record
+    set: "encrypted" sets bit 0 of the flags, "version" needs zip version 25.5."""
+    raw, record = bytearray(raw), raw.index(b"PK\x01\x02")
+    if damage == "encrypted":
+        raw[record + 8] |= 1
+    else:
+        raw[record + 6:record + 8] = struct.pack("<H", 0xFF)
+    return bytes(raw)
+
+
+@pytest.mark.parametrize("damage", ["encrypted", "version"])
+def test_matrix_file_with_a_damaged_zip_record_is_named(tmp_path, damage):
+    # zipfile raises RuntimeError for the one and NotImplementedError for the other
+    fm = FeatureMatrix(["a", "b"], sp.csr_matrix(np.array([[1.0, 0.0], [0.5, 2.0]])))
+    path = tmp_path / "features.npz"
+    write_feature_matrix(path, fm)
+    path.write_bytes(_damaged(path.read_bytes(), damage))
+    with pytest.raises(DataError, match=r"features.npz: not a relspam-features v3 file \(.*\); "
+                                        r"rerun the featurize stage"):
+        read_feature_matrix(path)
+
+
+def test_matrix_file_with_an_unparsable_npy_header_is_named(tmp_path):
+    # a well-formed zip whose data.npy header dict does not close: numpy's header
+    # parser raises tokenize.TokenError
+    fm = FeatureMatrix(["a", "b"], sp.csr_matrix(np.array([[1.0, 0.0], [0.5, 2.0]])))
+    path = tmp_path / "features.npz"
+    write_feature_matrix(path, fm)
+    with zipfile.ZipFile(path) as archive:
+        members = {name: archive.read(name) for name in archive.namelist()}
+    members["data.npy"] = members["data.npy"].replace(b"}", b"(", 1)
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
+    with pytest.raises(DataError, match=r"features.npz: not a relspam-features v3 file \(.*\); "
+                                        r"rerun the featurize stage"):
+        read_feature_matrix(path)
+
+
+def test_matrix_file_with_any_byte_flipped_is_named_or_reads_back_equal(tmp_path):
+    fm = FeatureMatrix(["a", "b"], sp.csr_matrix(np.array([[1.0, 0.0], [0.5, 2.0]])))
+    path = tmp_path / "features.npz"
+    write_feature_matrix(path, fm)
+    raw = path.read_bytes()
+    for i in range(len(raw)):
+        path.write_bytes(raw[:i] + bytes([raw[i] ^ 0xFF]) + raw[i + 1:])
+        try:
+            back = read_feature_matrix(path)
+        except DataError:
+            continue
+        assert_same_matrix(back, fm)
+
+
 def test_matrix_file_with_other_format_tag_raises_data_error(tmp_path):
     # v2 is the layout whose header also lists the row ids
     for tag, rows in (("v1", []), ("v2", ["m1"])):
