@@ -49,6 +49,7 @@ from .data_model import (
     write_messages,
 )
 from .evaluation import (
+    DIAGNOSTICS,
     ExperimentConfig,
     aggregate_report,
     featurize_subset,
@@ -301,6 +302,17 @@ def _read_predictions(path: Path, test_ids: list) -> np.ndarray:
     return scores
 
 
+def _check_diagnostics(header: dict, _) -> dict:
+    """The header of a diagnostics.json, if it holds exactly the counts
+    `sum_diagnostics` writes, each a non-negative int."""
+    if sorted(header) != sorted(DIAGNOSTICS):
+        raise ValueError(f"keys {sorted(header)}, not {sorted(DIAGNOSTICS)}")
+    for key, count in header.items():
+        if not (is_int(count) and count >= 0):
+            raise ValueError(f"{key} {count!r} is not a non-negative int")
+    return header
+
+
 def cmd_eval(cfg: RunConfig) -> int:
     plan, index = _load_featurized(cfg)
     pred_dir = _out(cfg) / "predictions"
@@ -311,7 +323,7 @@ def cmd_eval(cfg: RunConfig) -> int:
             name: _read_predictions(pred_dir / name / f"subset_{i:02d}.tsv", test_ids)
             for name in cfg.models})
     diagnostics = read_artifact(pred_dir / "diagnostics.json", DIAGNOSTICS_FORMAT, "infer",
-                                lambda header, _: header)
+                                _check_diagnostics)
     report = aggregate_report(cfg, index, plan, subset_preds, diagnostics)
     out = _out(cfg)
     (out / "report.json").write_text(report_json(report), encoding="utf-8")

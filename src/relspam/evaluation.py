@@ -486,6 +486,10 @@ def read_models(path, config: ExperimentConfig) -> dict:
     return read_artifact(path, MODELS_FORMAT, "train", parse)
 
 
+# the count of unconverged solver calls that `infer_subset_models` keeps, by solver
+DIAGNOSTICS = ("bp_nonconverged", "map_nonconverged")
+
+
 def infer_subset_models(artifacts: dict, index: MessageIndex, subset: SubsetSplit,
                         fm: FeatureMatrix, config: ExperimentConfig) -> tuple:
     """Test predictions for every roster model on one subset; `fm` is the
@@ -498,7 +502,7 @@ def infer_subset_models(artifacts: dict, index: MessageIndex, subset: SubsetSpli
     fm_test = _rows(fm, subset, subset.test)
     groups_tt = index.groups(subset.train, subset.test)
     context = _over_positions(len(index.ids), subset.train, index.labels[slice(*subset.train)])
-    diagnostics = {"bp_nonconverged": 0, "map_nonconverged": 0}
+    diagnostics = dict.fromkeys(DIAGNOSTICS, 0)
 
     base_preds = artifacts["independent"].predict_proba(fm_test)
     stacked_preds = {}

@@ -6,6 +6,11 @@ come from the training rows alone. A subset's matrix holds its messages in
 chronological order, so a slice of the subset is a range of rows
 (`FeatureMatrix.rows`).
 
+The matrix is a `CSR`, the one form of a sparse matrix in this package:
+numpy arrays in compressed sparse row layout, with the products the
+classifier's fit needs. Each sum in a product adds its terms in stored order,
+the order of increasing column in a row and of increasing row in a column.
+
 A matrix reads a `MessageTable`, which holds each text split and normalized
 once: the content block counts its hashtag, link and mention keys, which the
 user block reuses, and the n-gram vocabulary and block read its normalized
@@ -15,7 +20,7 @@ with numpy from the UTF-32 of the normalized texts: code points are below
 
 The graph block comes from one CSR follow matrix A (`follower_graph`): PageRank
 by power iteration, degrees as A's column and row counts, and triangles and
-core numbers on the undirected A + Aᵀ.
+core numbers on its undirected projection.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .data_model import (
     HAM,
@@ -145,7 +149,114 @@ def extract_user_features_sequential(messages: MessageTable, labels,
         tracked * _earlier(tracked, _codes(messages.target_ids), np.add)])
 
 
+# --- sparse matrices ---
+
+def _index_dtype(shape: tuple, nnz: int):
+    return np.int32 if max(*shape, nnz) <= np.iinfo(np.int32).max else np.int64
+
+
+def _sums(bins: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """The n sums of `weights` by bin, each added in order: floats, which
+    np.bincount gives as ints when there is no weight."""
+    return np.bincount(bins, weights=weights, minlength=n).astype(float, copy=False)
+
+
+@dataclass(frozen=True, eq=False)
+class CSR:
+    """A matrix in compressed sparse row layout: row i holds `data[k]` in
+    column `indices[k]` for k in range(indptr[i], indptr[i + 1]), its columns
+    strictly increasing. The index arrays are int32 where the shape and the
+    entry count allow."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+    @classmethod
+    def from_entries(cls, rows, cols, data, shape: tuple) -> "CSR":
+        """The matrix of entries given in row order, each row's columns increasing."""
+        dtype = _index_dtype(shape, len(data))
+        indptr = np.zeros(shape[0] + 1, dtype=dtype)
+        np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+        return cls(np.asarray(data, dtype=float), np.asarray(cols, dtype=dtype), indptr,
+                   (int(shape[0]), int(shape[1])))
+
+    @classmethod
+    def from_dense(cls, dense: np.ndarray) -> "CSR":
+        """The nonzero entries of a 2-D array."""
+        rows, cols = np.nonzero(dense)
+        return cls.from_entries(rows, cols, dense[rows, cols], dense.shape)
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def _entry_rows(self) -> np.ndarray:
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def rows(self, a: int, b: int) -> "CSR":
+        """Rows a to b (exclusive), sharing this matrix's arrays."""
+        lo, hi = self.indptr[a], self.indptr[b]
+        return CSR(self.data[lo:hi], self.indices[lo:hi], self.indptr[a:b + 1] - lo,
+                   (b - a, self.shape[1]))
+
+    def hstack(self, right: "CSR") -> "CSR":
+        """The columns of `right`, which has as many rows, after these."""
+        shape = (self.shape[0], self.shape[1] + right.shape[1])
+        dtype = _index_dtype(shape, self.nnz + right.nnz)
+        # row i's entries: its own from indptr[i] + right.indptr[i], then right's
+        left = np.arange(self.nnz) + np.repeat(right.indptr[:-1], np.diff(self.indptr))
+        after = np.arange(right.nnz) + np.repeat(self.indptr[1:], np.diff(right.indptr))
+        data = np.empty(self.nnz + right.nnz)
+        indices = np.empty(len(data), dtype=dtype)
+        data[left], data[after] = self.data, right.data
+        indices[left], indices[after] = self.indices, right.indices.astype(dtype) + self.shape[1]
+        return CSR(data, indices, np.add(self.indptr, right.indptr, dtype=dtype), shape)
+
+    def dot(self, w: np.ndarray) -> np.ndarray:
+        """X @ w, each row summed in stored order."""
+        return _sums(self._entry_rows(), self.data * w[self.indices], self.shape[0])
+
+    def products(self) -> tuple:
+        """(X @ ·, Xᵀ @ ·) as closures, each sum in stored order, for a solver
+        that calls them many times. X @ w takes the entries column by column,
+        as Xᵀ @ u takes them row by row, so that w and u are repeated, not
+        gathered."""
+        n, d = self.shape
+        # by column, then row; in the narrowest dtype that holds the columns, a radix sort
+        order = np.argsort(self.indices.astype(np.min_scalar_type(d)), kind="stable")
+        rows, data = self._entry_rows()[order], self.data[order]
+        columns = self.indices.astype(np.intp)  # the index type np.bincount would cast to
+        per_column, per_row = np.bincount(columns, minlength=d), np.diff(self.indptr)
+
+        def product(w):
+            return _sums(rows, data * np.repeat(w, per_column), n)
+
+        def adjoint(u):
+            return _sums(columns, self.data * np.repeat(u, per_row), d)
+        return product, adjoint
+
+    def dense_columns(self, columns) -> np.ndarray:
+        """The (rows, len(columns)) array of the given distinct columns, in
+        column-major order: the layout that a column's mean and std are taken
+        in sets their last bits, and so the fit's."""
+        position = np.full(self.shape[1], -1)
+        position[columns] = np.arange(len(columns))
+        out = np.zeros((self.shape[0], len(columns)), order="F")
+        at = position[self.indices]
+        hit = at >= 0
+        out[self._entry_rows()[hit], at[hit]] = self.data[hit]
+        return out
+
+
 # --- follower graph and graph features ---
+
+def _adjacency(ends: np.ndarray, n: int) -> CSR:
+    """The 0/1 n × n matrix of the (row, column) pairs `ends`, repeats counted once."""
+    codes = np.unique(ends[:, 0] * n + ends[:, 1])
+    return CSR.from_entries(codes // n, codes % n, np.ones(len(codes)), (n, n))
+
 
 def follower_graph(follows: list) -> tuple:
     """(users, A): the sorted users of the follows and their CSR follow matrix,
@@ -155,11 +266,10 @@ def follower_graph(follows: list) -> tuple:
     users = sorted({u for pair in pairs for u in pair})
     index = {u: i for i, u in enumerate(users)}
     ends = np.array([(index[a], index[b]) for a, b in pairs], dtype=np.int64).reshape(-1, 2)
-    A = sp.csr_matrix((np.ones(len(pairs)), ends.T), shape=(len(users), len(users)))
-    return users, A.sign()  # the conversion summed repeated pairs
+    return users, _adjacency(ends, len(users))
 
 
-def pagerank(A: sp.csr_matrix, tol: float = 1e-8, max_iter: int = 200):
+def pagerank(A: CSR, tol: float = 1e-8, max_iter: int = 200):
     """Power iteration over the follow matrix `A` with uniform teleport and
     `PAGERANK_DAMPING`; dangling mass spread uniformly.
 
@@ -169,14 +279,14 @@ def pagerank(A: sp.csr_matrix, tol: float = 1e-8, max_iter: int = 200):
     if n == 0:
         raise DataError("pagerank requires a non-empty graph")
     out_deg = np.diff(A.indptr).astype(float)
-    adj = A.T.tocsr()  # column-stochastic once scaled by inv_out: row w sums w's followers
+    _, followed = A.products()  # Aᵀ @ x sums, for each user, x over its followers
     inv_out = np.where(out_deg > 0, 1.0 / np.maximum(out_deg, 1.0), 0.0)
     dangling = out_deg == 0
 
     r = np.full(n, 1.0 / n)
     converged = False
     for _ in range(max_iter):
-        spread = adj @ (r * inv_out)
+        spread = followed(r * inv_out)
         dangling_mass = r[dangling].sum()
         new_r = (1.0 - PAGERANK_DAMPING) / n + PAGERANK_DAMPING * (spread + dangling_mass / n)
         if np.abs(new_r - r).sum() < tol:
@@ -189,23 +299,39 @@ def pagerank(A: sp.csr_matrix, tol: float = 1e-8, max_iter: int = 200):
     return r, converged
 
 
-def _triangles(S: sp.csr_matrix) -> np.ndarray:
+def concatenated_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The ranges starts[i] to stops[i] (exclusive), one after another."""
+    lengths = stops - starts
+    return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+
+
+def _triangles(S: CSR) -> np.ndarray:
     """Triangles per node of the 0/1 undirected graph `S` (Latapy, 2008).
 
-    U holds each edge from the lower to the higher (degree, index) node, so a
-    triangle a < b < c is a→b, a→c, b→c, and no node has over sqrt(2m)
-    out-edges. Neither U @ U (a→b→c, at a, c) nor Uᵀ @ U (a→b and a→c, at
-    b, c) pairs up the followers of a hub: they rank below it.
+    Each edge runs from the lower to the higher node in (degree, index) order,
+    so a triangle a < b < c is a→b, a→c, b→c, and no node has over sqrt(2m)
+    out-edges. A triangle is found once, at its lowest node a, as a pair of
+    a's out-edges whose heads b < c are joined: the followers of a hub rank
+    below it, so they are never paired up.
     """
-    order = np.argsort(np.diff(S.indptr), kind="stable")
-    U = sp.triu(S[order][:, order], k=1, format="csr")
-    lowest_top, middle_top = (U @ U).multiply(U), (U.T @ U).multiply(U)
-    counts = np.empty(len(order))
-    counts[order] = lowest_top.sum(1).A1 + lowest_top.sum(0).A1 + middle_top.sum(1).A1
-    return counts
+    n = S.shape[0]
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(np.diff(S.indptr), kind="stable")] = np.arange(n)
+    tail, head = rank[S._entry_rows()], rank[S.indices]
+    up = tail < head
+    codes = np.sort(tail[up] * n + head[up])  # the out-edges, by tail then head
+    tail, head = codes // n, codes % n
+    # each out-edge pairs with the later out-edges of its tail
+    edge, ends = np.arange(len(codes)), np.searchsorted(tail, tail, side="right")
+    first, second = np.repeat(edge, ends - edge - 1), concatenated_ranges(edge + 1, ends)
+    b, c = head[first], head[second]
+    joined = np.isin(b * n + c, codes)
+    counts = np.bincount(np.concatenate([tail[first][joined], b[joined], c[joined]]),
+                         minlength=n).astype(float)
+    return counts[rank]
 
 
-def _core_numbers(S: sp.csr_matrix) -> np.ndarray:
+def _core_numbers(S: CSR) -> np.ndarray:
     """Core number per node of the 0/1 undirected graph `S`: peel a node of least
     remaining degree until none is left (Batagelj & Zaversnik, 2003); a node's
     core is the largest degree peeled up to it."""
@@ -235,7 +361,8 @@ def compute_graph_feature_table(follows: list) -> dict:
     users, A = follower_graph(follows)
     if not users:
         return {}
-    S = (A + A.T).sign()  # the undirected projection
+    ends = np.column_stack([A._entry_rows(), A.indices])
+    S = _adjacency(np.concatenate([ends, ends[:, ::-1]]), len(users))  # the undirected projection
     rows = np.column_stack([pagerank(A)[0], _triangles(S), _core_numbers(S),
                             np.bincount(A.indices, minlength=len(users)), np.diff(A.indptr)])
     return dict(zip(users, map(tuple, rows.tolist())))
@@ -276,12 +403,12 @@ def fit_ngram_vocabulary(texts: list, top_k: int) -> list:
     return vocab
 
 
-def ngram_features(texts: list, vocabulary: list) -> sp.csr_matrix:
+def ngram_features(texts: list, vocabulary: list) -> CSR:
     """Binary presence matrix of normalized texts over the fitted vocabulary;
     OOV grams are ignored."""
     shape = (len(texts), len(vocabulary))
     if not vocabulary:
-        return sp.csr_matrix(shape)
+        return CSR.from_dense(np.zeros(shape))
     vocab = _gram_codes(vocabulary)[1]  # a fitted gram is one code
     order = np.argsort(vocab)
     vocab = vocab[order]
@@ -296,8 +423,9 @@ def ngram_features(texts: list, vocabulary: list) -> sp.csr_matrix:
         indices.append(col.astype(np.int32))
         counts.append(np.bincount(row, minlength=len(chunk)))
     indices = np.concatenate(indices)
-    return sp.csr_matrix((np.ones(len(indices)), indices, np.cumsum(np.concatenate(counts))),
-                         shape=shape)
+    dtype = _index_dtype(shape, len(indices))
+    return CSR(np.ones(len(indices)), indices.astype(dtype, copy=False),
+               np.cumsum(np.concatenate(counts), dtype=dtype), shape)
 
 
 # --- assembled feature matrix ---
@@ -307,7 +435,7 @@ class FeatureMatrix:
     """Row i is the message at position i of a chronologically sorted slice."""
 
     column_names: list
-    matrix: sp.csr_matrix
+    matrix: CSR
 
     @property
     def column_index(self) -> dict:
@@ -319,7 +447,7 @@ class FeatureMatrix:
 
     def rows(self, a: int, b: int) -> "FeatureMatrix":
         """Rows a to b (exclusive)."""
-        return FeatureMatrix(self.column_names, self.matrix[a:b])
+        return FeatureMatrix(self.column_names, self.matrix.rows(a, b))
 
 
 def scalable_columns(column_names: list) -> list:
@@ -333,25 +461,38 @@ MATRIX_FORMAT = "relspam-features v3"
 
 
 def write_feature_matrix(path, fm: FeatureMatrix) -> None:
-    """A `write_artifact` archive, deflated at level 1: the canonical CSR arrays
-    (`data`, `indices`, `indptr`, `shape`) and a header of the column names."""
-    matrix = sp.csr_matrix(fm.matrix, dtype=np.float64, copy=True)
-    matrix.sum_duplicates()
-    matrix.sort_indices()
+    """A `write_artifact` archive, deflated at level 1: the CSR arrays (`data`,
+    `indices`, `indptr`, `shape`) and a header of the column names."""
+    matrix = fm.matrix
     write_artifact(path, MATRIX_FORMAT, {"columns": fm.column_names},
                    {"data": matrix.data, "indices": matrix.indices, "indptr": matrix.indptr,
                     "shape": np.array(matrix.shape, dtype=np.int64)})
 
 
+def _checked_csr(data, indices, indptr, shape: tuple) -> CSR:
+    """The `CSR` of read arrays; a `ValueError` unless they keep its layout."""
+    if data.dtype != np.float64 or indices.dtype.kind != "i" or indptr.dtype.kind != "i":
+        raise ValueError(f"arrays of dtypes {data.dtype}, {indices.dtype} and {indptr.dtype}")
+    if (data.ndim != 1 or indices.shape != data.shape or indptr.shape != (shape[0] + 1,)
+            or indptr[0] != 0 or indptr[-1] != len(data) or (np.diff(indptr) < 0).any()):
+        raise ValueError(f"indptr does not split {len(data)} entries into {shape[0]} rows")
+    same_row = np.diff(np.repeat(np.arange(shape[0]), np.diff(indptr))) == 0
+    if len(indices) and (indices.min() < 0 or indices.max() >= shape[1]
+                         or ((np.diff(indices) <= 0) & same_row).any()):
+        raise ValueError("a row's columns are out of range or not increasing")
+    dtype = _index_dtype(shape, len(data))
+    return CSR(data, indices.astype(dtype, copy=False), indptr.astype(dtype, copy=False), shape)
+
+
 def read_feature_matrix(path) -> FeatureMatrix:
-    """Read a `write_feature_matrix` file; anything else raises `DataError`."""
+    """Read a `write_feature_matrix` file; anything else, arrays that break
+    the `CSR` layout included, raises `DataError`."""
     def parse(header, arrays):
         columns, shape = header["columns"], arrays["shape"]
-        if len(shape) != 2 or shape[1] != len(columns):
+        if shape.shape != (2,) or shape[1] != len(columns):
             raise ValueError(f"shape {shape.tolist()} does not match the header")
-        data, indices, indptr = (arrays[k] for k in ("data", "indices", "indptr"))
-        return FeatureMatrix(columns, sp.csr_matrix((data, indices, indptr),
-                                                    shape=(int(shape[0]), len(columns))))
+        return FeatureMatrix(columns, _checked_csr(arrays["data"], arrays["indices"],
+                                                   arrays["indptr"], (int(shape[0]), len(columns))))
     return read_artifact(path, MATRIX_FORMAT, "featurize", parse)
 
 
@@ -370,9 +511,9 @@ def feature_matrix(messages: MessageTable, n_train: int, labels, graph_table: di
         blocks.append(np.array([graph_table.get(user, absent) for user in messages.user_ids],
                                dtype=float).reshape(len(messages), len(GRAPH_COLUMNS)))
         columns += GRAPH_COLUMNS
-    blocks = [sp.csr_matrix(np.hstack(blocks))]
+    matrix = CSR.from_dense(np.hstack(blocks))
     if ngram_top_k is not None:
         vocabulary = fit_ngram_vocabulary(messages.normalized[:n_train], ngram_top_k)
-        blocks.append(ngram_features(messages.normalized, vocabulary))
+        matrix = matrix.hstack(ngram_features(messages.normalized, vocabulary))
         columns += [NGRAM_PREFIX + g for g in vocabulary]
-    return FeatureMatrix(columns, sp.hstack(blocks, format="csr"))
+    return FeatureMatrix(columns, matrix)

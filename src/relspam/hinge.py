@@ -6,7 +6,8 @@ member) edge arrays, the `GroupTable` the hub MRF builds from too, over the
 same variables: the free messages that `GroupTable.variables` gives, then one
 hub per group, started at its members' mean (`GroupTable.means`). Each
 weighted squared hinge potential max(0, l)^2, with l linear in the variables,
-is one row of a sparse coefficient matrix, a constant, a weight and a
+is one row of a coefficient matrix A that holds at most two terms per row,
+stored as two (column, coefficient) pairs, with a constant, a weight and a
 template id. The template weights are one vector in template-id order
 (neg, prior, then c and d of each configured relation, sorted by name, so an
 id names one template in every slice), which the row weights index. Priors,
@@ -14,9 +15,9 @@ observed values and scores are float arrays over chronological positions.
 The objective and its gradient take the linear values A @ x + const, which
 the MAP line search keeps from one step to the next. MAP inference minimizes
 the convex weighted sum by projected Newton steps, each solved by
-`linear.conjugate_gradients`, the loop the logistic fit's Newton steps use
-too, and stops on the projected gradient; the weight vector can be learned
-from labeled validation data.
+`linear.conjugate_gradients` on matrix-free Hessian products, the loop the
+logistic fit's Newton steps use too, and stops on the projected gradient;
+the weight vector can be learned from labeled validation data.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .data_model import ConfigError, GroupTable
 from .linear import conjugate_gradients
@@ -62,36 +62,36 @@ class HingeConfig:
 class GroundHingeModel:
     """A grounded hinge-loss MRF as arrays.
 
-    Row i of `A` is the potential weight[i] * max(0, const[i] + A[i] @ x)^2,
+    Row i is the potential weight[i] * max(0, const[i] + A[i] @ x)^2,
     grounded from rule template template_id[i]: 0 neg, 1 prior, then 2 + 2k
     and 3 + 2k the c and d templates of the k-th configured relation by
-    name. A row keeps its entries in the order its template writes them,
-    which need not be sorted by variable, and its products sum in that order.
+    name. A[i] @ x is coef[i, 0] * x[cols[i, 0]] + coef[i, 1] * x[cols[i, 1]],
+    the terms in the order the template writes them; a one-term row repeats
+    its column with coefficient 0. No row names a column twice.
     """
 
     messages: np.ndarray  # the positions of the message variables, which come first; hubs follow
-    A: sp.csr_matrix  # (n_potentials, n_vars)
+    cols: np.ndarray  # (n_potentials, 2) int
+    coef: np.ndarray  # (n_potentials, 2)
     const: np.ndarray
     weight: np.ndarray
     template_id: np.ndarray
-    init: np.ndarray
-    # CSR copy of A.T, for the gradient and the Hessian
-    AT: sp.csr_matrix = field(init=False)
-
-    def __post_init__(self):
-        self.AT = self.A.T.tocsr()
+    init: np.ndarray  # a value per variable
 
     @property
     def n_vars(self) -> int:
-        return self.A.shape[1]
+        return len(self.init)
 
     @property
     def potentials(self) -> range:
         """The potentials' row numbers."""
         return range(len(self.const))
 
+    def _product(self, x: np.ndarray) -> np.ndarray:  # A @ x
+        return self.coef[:, 0] * x[self.cols[:, 0]] + self.coef[:, 1] * x[self.cols[:, 1]]
+
     def linear_values(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.A @ x).ravel() + self.const
+        return self._product(x) + self.const
 
     def objective(self, lin: np.ndarray) -> float:
         """The weighted sum of the potentials at the linear values `lin`
@@ -100,7 +100,25 @@ class GroundHingeModel:
 
     def gradient(self, lin: np.ndarray) -> np.ndarray:
         """The objective's gradient in the variables at the linear values `lin`."""
-        return np.asarray(self.AT @ (2.0 * self.weight * np.maximum(0.0, lin))).ravel()
+        u = 2.0 * self.weight * np.maximum(0.0, lin)  # Aᵀ @ u
+        return np.bincount(self.cols.ravel(), weights=(self.coef * u[:, None]).ravel(),
+                           minlength=self.n_vars)
+
+    def hessian(self, h: np.ndarray) -> tuple:
+        """(product, diagonal) of Aᵀ diag(h) A for a weight `h` per potential,
+        never forming the matrix. Its diagonal sums h times each squared
+        coefficient of a column; off it, a two-term row i joins its columns
+        j and k by h[i]·coef[i, 0]·coef[i, 1], so v -> diagonal ⊙ v plus that
+        times v[k] into j and v[j] into k, over the rows with h[i] ≠ 0."""
+        diagonal = np.bincount(self.cols.ravel(), weights=(self.coef ** 2 * h[:, None]).ravel(),
+                               minlength=self.n_vars)
+        cross = h * self.coef[:, 0] * self.coef[:, 1]
+        pair = cross != 0.0  # a one-term row's second coefficient is 0
+        j, k = self.cols[pair].T
+        ends, others = np.concatenate([j, k]), np.concatenate([k, j])
+        weights = np.tile(cross[pair], 2)
+        return (lambda v: diagonal * v + np.bincount(ends, weights=weights * v[others],
+                                                     minlength=self.n_vars)), diagonal
 
     def potential_values(self, x: np.ndarray) -> np.ndarray:
         return np.maximum(0.0, self.linear_values(x)) ** 2
@@ -128,7 +146,7 @@ def ground_rules(priors: np.ndarray, groups: GroupTable, weights: HingeWeights,
     value_of = np.where(is_observed, observed, priors)
 
     free, index = groups.variables(value_of, ~is_observed)
-    n_free, n_groups = len(free), len(groups)
+    n_free = len(free)
     prior = np.clip(priors[free], 0.0, 1.0)
 
     # one entry per (group, member) pair
@@ -139,8 +157,8 @@ def ground_rules(priors: np.ndarray, groups: GroupTable, weights: HingeWeights,
     value = value_of[members]
 
     # Row slices of the four templates. Each row has up to two (column, coefficient)
-    # entries; an observed member's value moves into the constant and its row
-    # keeps one entry.
+    # terms; an observed member's value moves into the constant and its row
+    # keeps one term.
     n_rows = 2 * n_free + 2 * len(members)
     neg, prior_rows = slice(0, 2 * n_free, 2), slice(1, 2 * n_free, 2)
     c, d = slice(2 * n_free, n_rows, 2), slice(2 * n_free + 1, n_rows, 2)
@@ -164,12 +182,9 @@ def ground_rules(priors: np.ndarray, groups: GroupTable, weights: HingeWeights,
     const[d] = np.where(is_free, 0.0, -value)
     template_id[c], template_id[d] = 2 + 2 * rel, 3 + 2 * rel
 
-    keep = np.column_stack([np.ones(n_rows, dtype=bool), two]).ravel()
-    indptr = np.concatenate([[0], np.cumsum(1 + two, dtype=np.int64)])
-    A = sp.csr_matrix((coef.ravel()[keep], cols.ravel()[keep], indptr),
-                      shape=(n_rows, n_free + n_groups))
-    return GroundHingeModel(messages=free, A=A, const=const, weight=per_template[template_id],
-                            template_id=template_id,
+    cols[~two, 1], coef[~two, 1] = cols[~two, 0], 0.0
+    return GroundHingeModel(messages=free, cols=cols, coef=coef, const=const,
+                            weight=per_template[template_id], template_id=template_id,
                             init=np.clip(np.concatenate([prior, groups.means(value_of)]), 0, 1))
 
 
@@ -195,8 +210,9 @@ def map_inference(model: GroundHingeModel, tol: float = 1e-9, max_iter: int = 10
     `tol` in every variable. Otherwise it fixes the binding variables (at 0
     with g > 0, at 1 with g < 0), solves the generalized Hessian
     2·Aᵀ diag(w·[lin >= 0]) A (Keerthi & DeCoste, JMLR 2005) over the others
-    by conjugate gradients to a residual below tol / 10, and backtracks along
-    the projected arc clip(x + t·d, 0, 1) from t = 1 to the Armijo condition.
+    by conjugate gradients on its products (`GroundHingeModel.hessian`) to a
+    residual below tol / 10, and backtracks along the projected arc
+    clip(x + t·d, 0, 1) from t = 1 to the Armijo condition.
     The objective is piecewise quadratic, so once the binding variables and
     the active hinges settle, a full step lands on the minimum. `n_iters`
     counts gradients, so a call that converges after k Newton steps reports
@@ -213,17 +229,17 @@ def map_inference(model: GroundHingeModel, tol: float = 1e-9, max_iter: int = 10
             converged = True
             break
         free = ~(((x <= 0.0) & (g > 0.0)) | ((x >= 1.0) & (g < 0.0)))
-        H = model.AT @ sp.diags(2.0 * model.weight * (lin >= 0.0)) @ model.A
-        d = conjugate_gradients(lambda v: free * (H @ v), np.where(free, -g, 0.0),
+        hess_vec, diagonal = model.hessian(2.0 * model.weight * (lin >= 0.0))
+        d = conjugate_gradients(lambda v: free * hess_vec(v), np.where(free, -g, 0.0),
                                 lambda r: np.max(np.abs(r), initial=0.0) <= 0.1 * tol, len(g),
-                                jacobi_inverse(free * H.diagonal()))
+                                jacobi_inverse(free * diagonal))
         p = np.maximum(0.0, lin)
         for t in 0.5 ** np.arange(50):  # Armijo along the projected arc
             x_new = np.clip(x + t * d, 0.0, 1.0)
             step, lin_new = x_new - x, model.linear_values(x_new)
             # f(x + step) - f(x) as g·step plus each hinge's second-order rest: unlike
             # a difference of two values of f, it shows a decrease far below their rounding
-            lin_step = model.A @ step
+            lin_step = model._product(step)
             rest = np.where((lin >= 0.0) & (lin_new >= 0.0), lin_step ** 2,
                             np.maximum(0.0, lin_new) ** 2 - p ** 2 - 2.0 * p * lin_step)
             slope = float(g @ step)

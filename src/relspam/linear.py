@@ -7,8 +7,9 @@ on Hessian-vector products, never forming H, to a residual of `CG_RTOL` of the
 gradient, then backtracks to an Armijo point, so it is deterministic. The
 hinge-loss MRF's MAP solver takes its Newton steps from the same loop. The
 solver works on standardized columns to condition those steps, the
-standardization folded into the products so that each runs on the raw CSR
-matrix; a fitted model is the raw-space weights and bias it predicts with.
+standardization folded into the products so that each runs on the raw `CSR`
+matrix, whose kernels (`CSR.products`) are built once per fit; a fitted
+model is the raw-space weights and bias it predicts with.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .data_model import DataError
-from .features import FeatureMatrix, scalable_columns
+from .features import CSR, FeatureMatrix, scalable_columns
 
 log = logging.getLogger(__name__)
 
@@ -66,10 +66,10 @@ class LinearModel:
     columns_hash: str = ""
     loss_trace: list = field(default_factory=list, repr=False)
 
-    def decision(self, X: sp.spmatrix) -> np.ndarray:
-        return np.asarray(X @ self.weights).ravel() + self.bias
+    def decision(self, X: CSR) -> np.ndarray:
+        return X.dot(self.weights) + self.bias
 
-    def predict_proba_matrix(self, X: sp.spmatrix) -> np.ndarray:
+    def predict_proba_matrix(self, X: CSR) -> np.ndarray:
         if X.shape[1] != len(self.weights):
             raise DataError(f"feature width {X.shape[1]} does not match model ({len(self.weights)})")
         return np.clip(sigmoid(self.decision(X)), PROB_EPS, 1.0 - PROB_EPS)
@@ -90,13 +90,13 @@ class LinearModel:
         return cls(**{**d, "weights": np.array(d["weights"], dtype=float)})
 
 
-def _standardization(X: sp.csr_matrix, columns: list):
+def _standardization(X: CSR, columns: list):
     """(s, m) such that the matrix with `columns` standardized by their means
     and stds is X * s - m row by row: s = 1/std and m = mean/std there, 1 and
     0 elsewhere. A constant column keeps std 1."""
     s, m = np.ones(X.shape[1]), np.zeros(X.shape[1])
     if len(columns):
-        sub = np.asarray(X.tocsc()[:, columns].todense())
+        sub = X.dense_columns(columns)
         stds = sub.std(axis=0)
         stds[stds < 1e-12] = 1.0
         s[columns] = 1.0 / stds
@@ -142,7 +142,7 @@ class ClassifierConfig:
     tol: float = 1e-6
 
 
-def train(X: sp.spmatrix, y: np.ndarray, config: ClassifierConfig,
+def train(X: CSR, y: np.ndarray, config: ClassifierConfig,
           standardize: list = ()) -> LinearModel:
     """Minimize logistic loss with the L2 penalty `config.l2` over the columns
     of X, those at the indices `standardize` standardized, to gradient
@@ -156,7 +156,6 @@ def train(X: sp.spmatrix, y: np.ndarray, config: ClassifierConfig,
     l2, tol = config.l2, config.tol
     if l2 < 0:
         raise DataError("l2 must be >= 0")
-    X = X.tocsr()
     y = np.asarray(y, dtype=float).ravel()
     if X.shape[0] != len(y):
         raise DataError("row count of X and y disagree")
@@ -168,17 +167,17 @@ def train(X: sp.spmatrix, y: np.ndarray, config: ClassifierConfig,
         p = min(max(prevalence, 1e-9), 1.0 - 1e-9)
         return LinearModel(weights=np.zeros(d), bias=float(np.log(p / (1.0 - p))), l2=l2)
 
-    # x = (w, b) acts through A = [X * s - m, 1], whose products run on X and XT
-    XT = X.T.tocsr()
+    # x = (w, b) acts through A = [X * s - m, 1], whose products run on X
+    times, transpose_times = X.products()
     s, m = _standardization(X, standardize)
     reg = np.append(np.full(d, float(l2)), 0.0)
 
     def product(v):  # A @ v
-        return X @ (s * v[:d]) + (v[d] - m @ v[:d])
+        return times(s * v[:d]) + (v[d] - m @ v[:d])
 
     def adjoint(u):  # A.T @ u
         total = u.sum()
-        return np.append(s * (XT @ u) - m * total, total)
+        return np.append(s * transpose_times(u) - m * total, total)
 
     x = np.zeros(d + 1)
     z = np.zeros(n)  # margins A @ x, carried along each accepted step

@@ -5,10 +5,10 @@ Training uses the holdout scheme: the (chronologically sorted) training data
 is split into K+1 contiguous slices, the base model trains on the first, and
 each later submodel trains on its own slice augmented with grouped-prediction
 ratios rolled forward from the earlier submodels. Messages are chronological
-positions; scores, labels and the ratios are arrays over them. With B a
-relation's (position × group) incidence matrix, a message's row of the
-co-membership product B Bᵀ lists its co-members over every group of the
-relation, each once, and its ratio is their mean score. A submodel's columns
+positions; scores, labels and the ratios are arrays over them. A message's
+co-members under a relation are the members of every group of the relation
+it is in, each once, found by joining the group table's edges on group; its
+ratio is their mean score. A submodel's columns
 are the base columns and one ratio column per relation, and its column hash
 is the one check that a matrix matches it.
 """
@@ -18,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .data_model import SPAM, ConfigError, DataError, GroupTable
-from .features import FeatureMatrix
+from .features import CSR, FeatureMatrix, concatenated_ranges
 from .linear import ClassifierConfig, LinearModel, fit_classifier, recenter_scores
 
 PSEUDO_PREFIX = "pr_"
@@ -49,14 +48,21 @@ def compute_pseudo_features(rows, groups: GroupTable, scores: np.ndarray,
         if rel not in groups.relations:
             continue
         edge = groups.relation == groups.relations.index(rel)
-        incidence = sp.csr_matrix((np.ones(edge.sum()), (groups.members[edge], groups.group[edge])),
-                                  shape=(len(scores), len(groups)))
-        # row i lists each co-member of rows[i] once, over every group of the relation
-        co = incidence[rows] @ incidence.T
-        co.sort_indices()  # so each mean adds its co-members in position order
-        row = np.repeat(np.arange(len(rows)), np.diff(co.indptr))
-        keep = (co.indices != rows[row]) & ~np.isnan(scores[co.indices])
-        total = np.bincount(row[keep], weights=scores[co.indices[keep]], minlength=len(rows))
+        members, group = groups.members[edge], groups.group[edge]  # in group order
+        by_member = np.argsort(members, kind="stable")
+        first = np.searchsorted(members, rows, sorter=by_member)
+        stop = np.searchsorted(members, rows, side="right", sorter=by_member)
+        # (i, g) for each group g of rows[i], then (i, m) for each member m of g
+        query = np.repeat(np.arange(len(rows)), stop - first)
+        joined = group[by_member[concatenated_ranges(first, stop)]]
+        first, stop = np.searchsorted(group, joined), np.searchsorted(group, joined, "right")
+        query = np.repeat(query, stop - first)
+        co = members[concatenated_ranges(first, stop)]
+        # each co-member once, in position order, so that each mean adds them in that order
+        pairs = np.sort(query * len(scores) + co)  # np.unique hashes: slower
+        row, co = np.divmod(pairs[np.diff(pairs, prepend=-1) != 0], len(scores))
+        keep = (co != rows[row]) & ~np.isnan(scores[co])
+        total = np.bincount(row[keep], weights=scores[co[keep]], minlength=len(rows))
         count = np.bincount(row[keep], minlength=len(rows))
         scored = count > 0
         out[scored, j] = total[scored] / count[scored]
@@ -128,7 +134,7 @@ def _with_pseudo(model: StackedModel, fm: FeatureMatrix, rows, groups: GroupTabl
     pseudo = compute_pseudo_features(rows, groups, recenter_scores(scores, model.score_center),
                                      model.relations)
     return FeatureMatrix(list(fm.column_names) + pseudo_columns(model.relations),
-                         sp.hstack([fm.matrix, sp.csr_matrix(pseudo)], format="csr"))
+                         fm.matrix.hstack(CSR.from_dense(pseudo)))
 
 
 def _roll_forward(model: StackedModel, fm_base: FeatureMatrix, rows, groups: GroupTable,

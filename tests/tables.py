@@ -1,11 +1,15 @@
 """Inputs in the form the models take: groups as a `GroupTable` whose members
-are message positions, and scores as float arrays over positions; a hinge
-model's objective and gradient at a point; the MRF's exact marginals; and the
-two conjugate-gradient loops that `linear.conjugate_gradients` replaced."""
+are message positions, and scores as float arrays over positions; a `CSR`
+matrix as scipy.sparse holds it, which the tests take as their reference; a
+hinge model's objective and gradient at a point, and its coefficients as a
+dense matrix; the MRF's exact marginals; and the two conjugate-gradient loops
+that `linear.conjugate_gradients` replaced."""
 
 import numpy as np
+import scipy.sparse as sp
 
 from relspam.data_model import DataError, GroupTable
+from relspam.features import CSR
 from relspam.linear import CG_MAX_ITER, CG_RTOL
 
 
@@ -26,6 +30,33 @@ def over(n: int, values: dict) -> np.ndarray:
     for position, value in values.items():
         out[position] = value
     return out
+
+
+def scipy_of(m: CSR) -> sp.csr_matrix:
+    """The scipy.sparse matrix of a `CSR`, on copies of its arrays."""
+    return sp.csr_matrix((m.data.copy(), m.indices.copy(), m.indptr.copy()), shape=m.shape)
+
+
+def csr_of(dense) -> CSR:
+    """The `CSR` of a dense array or a list of rows."""
+    return CSR.from_dense(np.asarray(dense, dtype=float))
+
+
+def hinge_terms(rows) -> tuple:
+    """(cols, coef) of a hinge model whose row i has the one or two distinct
+    (column, coefficient) terms rows[i], in order; a one-term row repeats its
+    column with coefficient 0."""
+    cols = np.array([[r[0][0], r[-1][0]] for r in rows], dtype=np.int64).reshape(-1, 2)
+    coef = np.array([[r[0][1], r[1][1] if len(r) > 1 else 0.0] for r in rows],
+                    dtype=float).reshape(-1, 2)
+    return cols, coef
+
+
+def dense_coefficients(model) -> np.ndarray:
+    """A hinge model's coefficient matrix A, dense: row i holds its terms."""
+    A = np.zeros((len(model.const), model.n_vars))
+    np.add.at(A, (np.arange(len(model.const))[:, None], model.cols), model.coef)
+    return A
 
 
 def objective_at(model, x: np.ndarray) -> float:

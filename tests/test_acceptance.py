@@ -8,7 +8,6 @@ import random
 import time
 
 import numpy as np
-import scipy.sparse as sp
 
 from relspam.data_model import (
     MessageTable,
@@ -32,7 +31,14 @@ from relspam.mrf import FactorGraph, build_factor_graph, loopy_bp
 from relspam.stacking import infer_stacked, train_stacked
 from relspam.synth import GeneratorConfig, generate
 
-from tables import exact_marginals, gradient_at, hub_table, objective_at
+from tables import (
+    dense_coefficients,
+    exact_marginals,
+    gradient_at,
+    hinge_terms,
+    hub_table,
+    objective_at,
+)
 
 
 def report(criterion, ok, detail):
@@ -108,16 +114,15 @@ def _random_hinge_model(rng, n_vars):
             a, b = rng.sample(range(n_vars), k=2)
             rows.append((((a, 1.0), (b, -1.0)), rng.uniform(-0.3, 0.3), rng.uniform(0.1, 2.0), 2))
     coeffs, const, weight, template_id = zip(*rows)
-    A = sp.csr_matrix(([c for r in coeffs for _, c in r], [j for r in coeffs for j, _ in r],
-                       np.cumsum([0] + [len(r) for r in coeffs])), shape=(len(rows), n_vars))
-    return GroundHingeModel(messages=np.arange(n_vars), A=A, const=np.array(const),
-                            weight=np.array(weight), template_id=np.array(template_id),
-                            init=np.full(n_vars, 0.5))
+    cols, coef = hinge_terms(coeffs)
+    return GroundHingeModel(messages=np.arange(n_vars), cols=cols, coef=coef,
+                            const=np.array(const), weight=np.array(weight),
+                            template_id=np.array(template_id), init=np.full(n_vars, 0.5))
 
 
 def _batch_objective(model, X):
     # dense, so independent of the sparse products the model's objective uses
-    A = model.A.toarray()
+    A = dense_coefficients(model)
     return model.weight @ np.maximum(0.0, A @ X.T + model.const[:, None]) ** 2
 
 

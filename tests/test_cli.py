@@ -518,6 +518,27 @@ class TestStageFiles:
                                            f"non-finite constant {constant}); rerun the train "
                                            "stage\n")
 
+    @pytest.mark.parametrize("edit, reason", [
+        ({"bp_nonconverged": "lots"}, "bp_nonconverged 'lots' is not a non-negative int"),
+        ({"x": [1]}, "keys ['bp_nonconverged', 'map_nonconverged', 'x'], not "
+                     "['bp_nonconverged', 'map_nonconverged']"),
+        ({"bp_nonconverged": "lots", "x": [1]}, "keys "),
+        ({"map_nonconverged": -1}, "map_nonconverged -1 is not a non-negative int"),
+        ({"map_nonconverged": True}, "map_nonconverged True is not a non-negative int"),
+    ], ids=["string", "extra_key", "found", "negative", "bool"])
+    def test_diagnostics_file_holding_other_counts_is_named(self, finished, tmp_path, capsys,
+                                                            edit, reason):
+        # eval copies the counts into the report, so it takes only those infer writes
+        out = self.copy(finished, tmp_path)
+        path = out / "predictions" / "diagnostics.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+        capsys.readouterr()
+        assert self.stage("eval", finished, out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not a relspam-diagnostics v1 file ({reason}"), err
+        assert err.endswith("; rerun the infer stage\n") and "Traceback" not in err, err
+        assert (out / "report.json").read_bytes() == (finished[0] / "report.json").read_bytes()
+
     def test_models_file_of_the_first_format_is_named(self, finished, tmp_path, capsys):
         # relspam-models v1 held each linear model's weights in standardized space
         out = self.copy(finished, tmp_path)
@@ -792,10 +813,10 @@ def test_every_training_slice_has_both_classes():
                     assert labels == {0, 1}, (seed, generator, fractions, i)
 
 
-def test_importing_the_cli_loads_neither_csgraph_nor_optimize():
-    # each would add about 10 MB to every stage's peak memory
+def test_importing_the_cli_loads_no_scipy_module():
+    # scipy.sparse alone would add about 20 MB to every stage's peak memory
     code = ("import sys, relspam.cli; "
-            "print(sorted({'scipy.sparse.csgraph', 'scipy.optimize'} & set(sys.modules)))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert result.stdout == "[]\n", result.stdout

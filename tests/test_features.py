@@ -20,12 +20,14 @@ from relspam.data_model import (
     normalize_link,
     normalize_text,
     relations_from_names,
+    write_artifact,
 )
 from relspam.evaluation import ExperimentConfig
 from relspam.features import (
     CONTENT_COLUMNS,
     GRAPH_COLUMNS,
     USER_COLUMNS,
+    CSR,
     FeatureMatrix,
     compute_graph_feature_table,
     extract_content_features,
@@ -38,6 +40,8 @@ from relspam.features import (
     read_feature_matrix,
     write_feature_matrix,
 )
+
+from tables import scipy_of
 
 
 def msg(mid, user="u", text="", ts=0, **kw):
@@ -89,10 +93,8 @@ def known(messages, labels):
 
 
 def assert_same_matrix(back, fm):
-    """Exact equality with fm's canonical CSR form: names and every array."""
-    expected = fm.matrix.tocsr(copy=True)
-    expected.sum_duplicates()
-    expected.sort_indices()
+    """Exact equality with fm: names, shape and every array."""
+    expected = fm.matrix
     assert back.column_names == fm.column_names
     assert back.matrix.shape == expected.shape
     assert np.array_equal(back.matrix.indptr, expected.indptr)
@@ -276,7 +278,7 @@ def test_one_entity_parse_matches_the_message_accessors(seed):
     assert np.array_equal(extract_user_features_sequential(table, labels, block), user)
     fm = feature_matrix(table, len(messages), labels, {}, None)
     width = len(CONTENT_COLUMNS)
-    assert np.array_equal(fm.matrix.toarray()[:, width:width + len(USER_COLUMNS)], user)
+    assert np.array_equal(scipy_of(fm.matrix).toarray()[:, width:width + len(USER_COLUMNS)], user)
 
     buckets = {}
     for relation in RELATION_NAMES:
@@ -293,7 +295,7 @@ class TestFollowerGraph:
     def test_parallel_edges_collapse(self):
         users, A = follower_graph([("a", "b"), ("a", "b")])
         assert users == ["a", "b"]
-        assert A.nnz == 1 and A[0, 1] == 1.0
+        assert A.nnz == 1 and scipy_of(A)[0, 1] == 1.0
 
     def test_self_loop_dropped(self):
         users, A = follower_graph([("a", "a")])
@@ -488,9 +490,9 @@ def test_ngram_path_matches_string_reference(texts, top_k, other):
     vocabulary = fit_ngram_vocabulary([normalize_text(t) for t in texts], top_k)
     assert vocabulary == reference_vocabulary(texts, top_k)
     for batch in (texts, other):
-        got = ngram_features([normalize_text(t) for t in batch], vocabulary)
+        got = scipy_of(ngram_features([normalize_text(t) for t in batch], vocabulary))
         want = reference_ngram_features(batch, vocabulary)
-        got.sort_indices()
+        assert got.has_sorted_indices
         want.sort_indices()
         assert got.shape == want.shape
         assert np.array_equal(got.indptr, want.indptr)
@@ -519,7 +521,7 @@ class TestNgrams:
 
     def test_binary_presence(self):
         m = ngram_features(["aaaa"], ["aaa"])
-        assert m.toarray().tolist() == [[1.0]]
+        assert scipy_of(m).toarray().tolist() == [[1.0]]
 
 
 class TestPipeline:
@@ -540,7 +542,7 @@ class TestPipeline:
         a = feature_matrix(as_table(messages), 30, labels, graph, 50)
         b = feature_matrix(as_table(messages), 30, labels, graph, 50)
         assert a.column_names == b.column_names
-        assert (a.matrix != b.matrix).nnz == 0
+        assert (scipy_of(a.matrix) != scipy_of(b.matrix)).nnz == 0
 
     def test_columns_frozen_across_slices(self):
         messages = self.build_messages()
@@ -552,7 +554,8 @@ class TestPipeline:
         alone = feature_matrix(as_table(messages[:30]), 30, labels[:30], {}, 20)
         assert alone.column_names == fm.column_names
         assert (train.shape[0], test.shape[0]) == (30, 10)
-        assert (sp.vstack([train.matrix, test.matrix]) != fm.matrix).nnz == 0
+        assert (sp.vstack([scipy_of(train.matrix), scipy_of(test.matrix)])
+                != scipy_of(fm.matrix)).nnz == 0
 
     def test_limited_mode_drops_ngrams(self):
         config = ExperimentConfig(feature_mode="limited", limited_drop="ngrams")
@@ -562,7 +565,7 @@ class TestPipeline:
         assert not any(c.startswith("ng:") for c in fm.column_names)
         # an empty table keeps the graph block: no user follows anyone
         graph = [fm.column_index[c] for c in GRAPH_COLUMNS]
-        assert fm.matrix[:, graph].nnz == 0
+        assert scipy_of(fm.matrix)[:, graph].nnz == 0
 
     def test_limited_mode_can_drop_graph(self):
         config = ExperimentConfig(feature_mode="limited", limited_drop="graph")
@@ -576,7 +579,7 @@ class TestPipeline:
         fm = feature_matrix(as_table(messages), 1, [-1],
                             compute_graph_feature_table([("a", "b"), ("b", "a")]), 5)
         j = fm.column_index["pagerank"]
-        assert fm.matrix[0, j] == 0.0
+        assert scipy_of(fm.matrix)[0, j] == 0.0
 
     def test_matrix_file_round_trip(self, tmp_path):
         messages = self.build_messages()
@@ -626,16 +629,16 @@ awkward_ids = st.one_of(
 
 @st.composite
 def feature_matrices(draw):
-    """FeatureMatrix with raw CSR rows that may hold unsorted and duplicate columns."""
+    """FeatureMatrix whose rows hold any finite or infinite values, zeros among them."""
     n_rows = draw(st.integers(0, 6))
     columns = draw(st.lists(awkward_ids, unique=True, max_size=5))
-    entries = [draw(st.lists(st.tuples(st.integers(0, len(columns) - 1),
-                                       st.floats(allow_nan=False, width=64)), max_size=4))
+    entries = [sorted(draw(st.lists(st.tuples(st.integers(0, len(columns) - 1),
+                                              st.floats(allow_nan=False, width=64)),
+                                    max_size=4, unique_by=lambda e: e[0])))
                if columns else [] for _ in range(n_rows)]
-    indptr = np.cumsum([0] + [len(e) for e in entries])
-    indices = np.array([j for e in entries for j, _ in e], dtype=np.int32)
-    data = np.array([v for e in entries for _, v in e], dtype=float)
-    matrix = sp.csr_matrix((data, indices, indptr), shape=(n_rows, len(columns)))
+    rows = [i for i, e in enumerate(entries) for _ in e]
+    matrix = CSR.from_entries(np.array(rows, dtype=np.int64), [j for e in entries for j, _ in e],
+                              [v for e in entries for _, v in e], (n_rows, len(columns)))
     return FeatureMatrix(columns, matrix)
 
 
@@ -649,7 +652,8 @@ def test_matrix_file_round_trip_is_exact(tmp_path_factory, fm):
 
 @pytest.mark.parametrize("n_rows,n_cols", [(3, 4), (0, 4), (0, 0)])
 def test_matrix_file_round_trip_without_nonzeros(tmp_path, n_rows, n_cols):
-    fm = FeatureMatrix([f"hub:text:{j}\t" for j in range(n_cols)], sp.csr_matrix((n_rows, n_cols)))
+    fm = FeatureMatrix([f"hub:text:{j}\t" for j in range(n_cols)],
+                       CSR.from_dense(np.zeros((n_rows, n_cols))))
     write_feature_matrix(tmp_path / "f.npz", fm)
     back = read_feature_matrix(tmp_path / "f.npz")
     assert back.matrix.nnz == 0
@@ -666,7 +670,7 @@ def test_old_triplet_file_raises_data_error(tmp_path):
 
 @pytest.mark.parametrize("kept", [0.0, 0.01, 0.5, 0.99])
 def test_truncated_matrix_file_raises_data_error(tmp_path, kept):
-    fm = FeatureMatrix(["a", "b"], sp.csr_matrix(np.array([[1.0, 0.0], [0.5, 2.0]])))
+    fm = FeatureMatrix(["a", "b"], CSR.from_dense(np.array([[1.0, 0.0], [0.5, 2.0]])))
     path = tmp_path / "features.npz"
     write_feature_matrix(path, fm)
     raw = path.read_bytes()
@@ -676,7 +680,7 @@ def test_truncated_matrix_file_raises_data_error(tmp_path, kept):
 
 
 def test_matrix_file_short_of_its_last_byte_is_named(tmp_path):
-    fm = FeatureMatrix(["a", "b"], sp.csr_matrix(np.array([[1.0, 0.0], [0.5, 2.0]])))
+    fm = FeatureMatrix(["a", "b"], CSR.from_dense(np.array([[1.0, 0.0], [0.5, 2.0]])))
     path = tmp_path / "features.npz"
     write_feature_matrix(path, fm)
     path.write_bytes(path.read_bytes()[:-1])
@@ -686,7 +690,7 @@ def test_matrix_file_short_of_its_last_byte_is_named(tmp_path):
 
 
 def test_matrix_file_with_a_damaged_deflate_stream_is_named(tmp_path):
-    fm = FeatureMatrix(["a", "b"], sp.csr_matrix(np.array([[1.0, 0.0], [0.5, 2.0]])))
+    fm = FeatureMatrix(["a", "b"], CSR.from_dense(np.array([[1.0, 0.0], [0.5, 2.0]])))
     path = tmp_path / "features.npz"
     write_feature_matrix(path, fm)
     with zipfile.ZipFile(path) as archive:
@@ -714,7 +718,7 @@ def _damaged(raw: bytes, damage: str) -> bytes:
 @pytest.mark.parametrize("damage", ["encrypted", "version"])
 def test_matrix_file_with_a_damaged_zip_record_is_named(tmp_path, damage):
     # zipfile raises RuntimeError for the one and NotImplementedError for the other
-    fm = FeatureMatrix(["a", "b"], sp.csr_matrix(np.array([[1.0, 0.0], [0.5, 2.0]])))
+    fm = FeatureMatrix(["a", "b"], CSR.from_dense(np.array([[1.0, 0.0], [0.5, 2.0]])))
     path = tmp_path / "features.npz"
     write_feature_matrix(path, fm)
     path.write_bytes(_damaged(path.read_bytes(), damage))
@@ -726,7 +730,7 @@ def test_matrix_file_with_a_damaged_zip_record_is_named(tmp_path, damage):
 def test_matrix_file_with_an_unparsable_npy_header_is_named(tmp_path):
     # a well-formed zip whose data.npy header dict does not close: numpy's header
     # parser raises tokenize.TokenError
-    fm = FeatureMatrix(["a", "b"], sp.csr_matrix(np.array([[1.0, 0.0], [0.5, 2.0]])))
+    fm = FeatureMatrix(["a", "b"], CSR.from_dense(np.array([[1.0, 0.0], [0.5, 2.0]])))
     path = tmp_path / "features.npz"
     write_feature_matrix(path, fm)
     with zipfile.ZipFile(path) as archive:
@@ -741,7 +745,7 @@ def test_matrix_file_with_an_unparsable_npy_header_is_named(tmp_path):
 
 
 def test_matrix_file_with_any_byte_flipped_is_named_or_reads_back_equal(tmp_path):
-    fm = FeatureMatrix(["a", "b"], sp.csr_matrix(np.array([[1.0, 0.0], [0.5, 2.0]])))
+    fm = FeatureMatrix(["a", "b"], CSR.from_dense(np.array([[1.0, 0.0], [0.5, 2.0]])))
     path = tmp_path / "features.npz"
     write_feature_matrix(path, fm)
     raw = path.read_bytes()
@@ -767,3 +771,23 @@ def test_matrix_file_with_other_format_tag_raises_data_error(tmp_path):
                      shape=np.array([len(rows), 1], dtype=np.int64))
         with pytest.raises(DataError, match=f"'relspam-features {tag}'.*rerun the featurize"):
             read_feature_matrix(path)
+
+
+@pytest.mark.parametrize("arrays, reason", [
+    ({"indices": np.array([1, 0, 0], dtype=np.int32)}, "not increasing"),
+    ({"indices": np.array([0, 0, 2], dtype=np.int32)}, "out of range"),
+    ({"indices": np.array([0, -1, 1], dtype=np.int32)}, "out of range"),
+    ({"indptr": np.array([0, 2, 1, 3], dtype=np.int32)}, "does not split"),
+    ({"indptr": np.array([0, 1, 3], dtype=np.int32)}, "does not split"),
+    ({"data": np.array([1.0, 0.5])}, "does not split"),
+    ({"indices": np.array([0.0, 0.0, 1.0])}, "dtypes"),
+])
+def test_matrix_file_breaking_the_csr_layout_is_named(tmp_path, arrays, reason):
+    # rows [[1, 0], [0.5, 2], [0, 0]], then one array replaced
+    good = {"data": np.array([1.0, 0.5, 2.0]), "indices": np.array([0, 0, 1], dtype=np.int32),
+            "indptr": np.array([0, 1, 3, 3], dtype=np.int32), "shape": np.array([3, 2])}
+    path = tmp_path / "features.npz"
+    write_artifact(path, "relspam-features v3", {"columns": ["a", "b"]}, {**good, **arrays})
+    with pytest.raises(DataError, match=rf"features.npz: not a relspam-features v3 file \(.*"
+                                        rf"{reason}.*\); rerun the featurize stage"):
+        read_feature_matrix(path)

@@ -5,7 +5,6 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from relspam.data_model import ConfigError, DataError, Message, MessageTable, build_index
@@ -19,7 +18,7 @@ from relspam.hinge import (
     map_inference,
 )
 
-from tables import gradient_at, hub_table, objective_at, over
+from tables import gradient_at, hinge_terms, hub_table, objective_at, over
 
 
 def one_group(n, relation="user"):
@@ -28,13 +27,11 @@ def one_group(n, relation="user"):
 
 def make_model(hinges, n_vars, init=None, messages=None):
     """A model from `hinge` rows, each row's coefficients kept in the given order."""
-    indptr = np.cumsum([0] + [len(h[0]) for h in hinges])
-    A = sp.csr_matrix((np.array([c for h in hinges for _, c in h[0]], dtype=float),
-                       np.array([j for h in hinges for j, _ in h[0]], dtype=np.int64), indptr),
-                      shape=(len(hinges), n_vars))
+    cols, coef = hinge_terms([h[0] for h in hinges])
     return GroundHingeModel(
         messages=np.arange(n_vars) if messages is None else messages,
-        A=A,
+        cols=cols,
+        coef=coef,
         const=np.array([h[1] for h in hinges], dtype=float),
         weight=np.array([h[2] for h in hinges], dtype=float),
         template_id=np.array([h[3] for h in hinges], dtype=np.int64),
@@ -50,9 +47,8 @@ def hinge(coeffs, const, weight, template=0):
 
 def rows_of(model) -> list:
     """The model's potentials read back as `hinge` rows."""
-    A = model.A
-    return [hinge(zip(A.indices[A.indptr[i]:A.indptr[i + 1]].tolist(),
-                      A.data[A.indptr[i]:A.indptr[i + 1]].tolist()),
+    cols, coef = model.cols.tolist(), model.coef.tolist()
+    return [hinge(zip(cols[i][:1 + (cols[i][1] != cols[i][0])], coef[i]),
                   model.const[i], model.weight[i], int(model.template_id[i]))
             for i in model.potentials]
 
@@ -114,7 +110,7 @@ class TestGrounding:
     def test_every_variable_touches_a_potential(self):
         groups = hub_table(("user", "u", [0, 1]), ("text", "t", [2, 3, 4, 5]))
         model = ground_rules(np.full(6, 0.5), groups, HingeWeights())
-        touched = set(model.A.indices.tolist())
+        touched = set(model.cols[model.coef != 0].tolist())
         assert touched == set(range(model.n_vars))
 
 

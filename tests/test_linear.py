@@ -2,7 +2,6 @@ import json
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 from relspam.data_model import DataError, MessageTable, chronological_split
@@ -23,7 +22,7 @@ from relspam.linear import (
 )
 from relspam.synth import GeneratorConfig, generate
 
-from tables import reference_conjugate_gradients, reference_newton_direction
+from tables import csr_of, reference_conjugate_gradients, reference_newton_direction, scipy_of
 
 
 def random_instance(rng, n=50, d=5):
@@ -31,12 +30,12 @@ def random_instance(rng, n=50, d=5):
     w_true = rng.normal(size=d)
     p = 1.0 / (1.0 + np.exp(-(X @ w_true)))
     y = (rng.random(n) < p).astype(float)
-    return sp.csr_matrix(X), y
+    return csr_of(X), y
 
 
 def gd_oracle(X, y, l2, iters=200000, lr=0.5, tol=1e-6):
     """Naive fixed-step full-batch gradient descent, independent of the solver."""
-    X = np.asarray(X.todense())
+    X = scipy_of(X).toarray()
     n, d = X.shape
     w = np.zeros(d)
     b = 0.0
@@ -54,14 +53,14 @@ def gd_oracle(X, y, l2, iters=200000, lr=0.5, tol=1e-6):
 
 class TestTrain:
     def test_loss_decreases_monotonically(self):
-        X = sp.csr_matrix(np.array([[1.0], [-1.0]]))
+        X = csr_of(np.array([[1.0], [-1.0]]))
         y = np.array([1.0, 0.0])
         model = train(X, y, ClassifierConfig(l2=1.0))
         diffs = np.diff(model.loss_trace)
         assert (diffs <= 0).all()
 
     def test_single_class_constant_model(self):
-        X = sp.csr_matrix(np.random.default_rng(0).normal(size=(10, 3)))
+        X = csr_of(np.random.default_rng(0).normal(size=(10, 3)))
         y = np.zeros(10)
         model = train(X, y, ClassifierConfig(l2=1.0))
         p = model.predict_proba_matrix(X)
@@ -105,38 +104,38 @@ class TestTrain:
 
     def test_negative_l2_rejected(self):
         with pytest.raises(DataError):
-            train(sp.csr_matrix(np.ones((2, 1))), np.array([0.0, 1.0]), ClassifierConfig(l2=-1))
+            train(csr_of(np.ones((2, 1))), np.array([0.0, 1.0]), ClassifierConfig(l2=-1))
 
 
 class TestPredict:
     def test_zero_model_gives_half(self):
         model = LinearModel(weights=np.zeros(3), bias=0.0, l2=1.0)
-        X = sp.csr_matrix(np.random.default_rng(1).normal(size=(5, 3)))
+        X = csr_of(np.random.default_rng(1).normal(size=(5, 3)))
         assert np.allclose(model.predict_proba_matrix(X), 0.5)
 
     def test_large_margin_saturates(self):
         model = LinearModel(weights=np.array([20.0]), bias=0.0, l2=1.0)
-        X = sp.csr_matrix(np.array([[1.0]]))
+        X = csr_of(np.array([[1.0]]))
         assert model.predict_proba_matrix(X)[0] >= 1 - 1e-8
 
     def test_sigmoid_inverse_point(self):
         model = LinearModel(weights=np.array([1.0]), bias=0.0, l2=1.0)
-        X = sp.csr_matrix(np.array([[0.8472978]]))
+        X = csr_of(np.array([[0.8472978]]))
         assert model.predict_proba_matrix(X)[0] == pytest.approx(0.7, abs=1e-6)
 
     def test_monotone_in_score(self):
         model = LinearModel(weights=np.array([1.0]), bias=0.0, l2=1.0)
-        X = sp.csr_matrix(np.linspace(-3, 3, 13).reshape(-1, 1))
+        X = csr_of(np.linspace(-3, 3, 13).reshape(-1, 1))
         p = model.predict_proba_matrix(X)
         assert (np.diff(p) > 0).all()
 
     def test_width_mismatch_rejected(self):
         model = LinearModel(weights=np.zeros(3), bias=0.0, l2=1.0)
         with pytest.raises(DataError):
-            model.predict_proba_matrix(sp.csr_matrix(np.ones((2, 4))))
+            model.predict_proba_matrix(csr_of(np.ones((2, 4))))
 
     def test_column_hash_mismatch_rejected(self):
-        fm = FeatureMatrix(["a", "b"], sp.csr_matrix(np.ones((1, 2))))
+        fm = FeatureMatrix(["a", "b"], csr_of(np.ones((1, 2))))
         model = LinearModel(weights=np.zeros(2), bias=0.0, l2=1.0,
                             columns_hash=columns_hash(["a", "c"]))
         with pytest.raises(DataError):
@@ -146,7 +145,7 @@ class TestPredict:
 def dense_standardized(X, cols):
     """X as a dense array with the columns `cols` standardized by their means and
     stds (std 1 for a constant column), independently of the solver."""
-    dense = np.asarray(X.todense())
+    dense = scipy_of(X).toarray()
     means, stds = dense[:, cols].mean(axis=0), dense[:, cols].std(axis=0)
     stds[stds < 1e-12] = 1.0
     dense[:, cols] = (dense[:, cols] - means) / stds
@@ -166,7 +165,7 @@ def assert_decision_matches_dense(X, y, cols):
     """A fit standardizing `cols` decides over X as the fit on the dense
     standardized matrix does over it, and is that fit in raw space."""
     model = train(X, y, ClassifierConfig(l2=1.0), standardize=cols)
-    dense = sp.csr_matrix(dense_standardized(X, cols)[0])
+    dense = csr_of(dense_standardized(X, cols)[0])
     reference = train(dense, y, ClassifierConfig(l2=1.0))
     np.testing.assert_allclose(model.decision(X), reference.decision(dense), rtol=0, atol=1e-12)
     w, b = standardized_fit(model, X, cols)
@@ -179,7 +178,7 @@ class TestScaler:
     """The column scaling the solver works in, seen through the raw-space model."""
 
     def test_standardizes_selected_columns(self):
-        X = sp.csr_matrix(np.array([[1.0, 5.0], [3.0, 5.0], [5.0, 5.0]]))
+        X = csr_of(np.array([[1.0, 5.0], [3.0, 5.0], [5.0, 5.0]]))
         model, reference = assert_decision_matches_dense(X, np.array([0.0, 1.0, 1.0]), [0])
         # column 0 is seen as (x - 3) / std, so its raw weight is the standardized one / std
         assert model.weights[0] * np.std([1.0, 3.0, 5.0]) == pytest.approx(
@@ -187,14 +186,14 @@ class TestScaler:
         assert model.weights[1] == pytest.approx(reference.weights[1], abs=1e-12)
 
     def test_constant_column_left_finite(self):
-        X = sp.csr_matrix(np.full((4, 1), 2.0))
+        X = csr_of(np.full((4, 1), 2.0))
         model, _ = assert_decision_matches_dense(X, np.array([0.0, 1.0, 0.0, 1.0]), [0])
         assert np.isfinite(model.weights).all() and np.isfinite(model.bias)
         assert np.isfinite(model.decision(X)).all()
 
     def test_column_order_preserved(self):
         rng = np.random.default_rng(4)
-        X = sp.csr_matrix(rng.normal(size=(6, 4)))
+        X = csr_of(rng.normal(size=(6, 4)))
         model, reference = assert_decision_matches_dense(
             X, np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0]), [1, 3])
         # the columns left raw keep their weights in place
@@ -206,7 +205,7 @@ class TestFitClassifier:
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(n, 2))
         y = (X[:, 0] + 0.3 * rng.normal(size=n) > 0).astype(int)
-        fm = FeatureMatrix(["f0", "f1"], sp.csr_matrix(X))
+        fm = FeatureMatrix(["f0", "f1"], csr_of(X))
         return fm, y.astype(np.int8)
 
     def test_fit_and_predict(self):
@@ -235,7 +234,7 @@ class TestFitClassifier:
         binary = [1, 2, 3, 5, 6]  # the indicators and n-grams hold 0/1
         X[:, binary] = X[:, binary] > 0
         labels = (X[:, 0] > 0).astype(np.int8)
-        X = sp.csr_matrix(X)
+        X = csr_of(X)
         model = fit_classifier(FeatureMatrix(columns, X), labels, ClassifierConfig())
         scaled = [columns.index(c) for c in ("num_chars", "pagerank", "pr_user", "pr_text")]
         assert [columns[j] for j in scaled] == scalable_columns(columns)
@@ -272,6 +271,8 @@ def test_sigmoid_extremes_stay_in_unit_interval():
 def reference_batch_train(X, y, l2, max_iter, tol):
     """Full-batch gradient descent with backtracking, the solver before
     Newton-CG. Returns (weights, bias, n_iter, converged, loss_trace)."""
+    X = scipy_of(X)
+
     def loss_at(w, b):
         z = np.asarray(X @ w).ravel() + b
         sz = np.where(y > 0.5, z, -z)
@@ -314,7 +315,7 @@ def sparse_binary_instance(seed, n=300, d=40):
     dense = rng.normal(size=(n, 3))
     binary = (rng.random((n, d)) < 0.08).astype(float)
     y = ((dense[:, 0] + binary[:, :5].sum(axis=1) + rng.normal(size=n)) > 1.0).astype(float)
-    return sp.csr_matrix(np.hstack([dense, binary])), y
+    return csr_of(np.hstack([dense, binary])), y
 
 
 def dense_objective_and_gradient(X, y, l2, w, b, cols=()):

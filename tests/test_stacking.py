@@ -3,7 +3,6 @@ import random
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 from relspam.data_model import (ConfigError, DataError, Message, MessageTable, build_index,
@@ -20,7 +19,7 @@ from relspam.stacking import (
     train_stacked,
 )
 
-from tables import hub_table, over
+from tables import csr_of, hub_table, over
 
 
 def pseudo(rows, groups, scores, relations) -> list:
@@ -156,7 +155,7 @@ def planted_dataset(n_users=30, msgs_per_user=6, noise=1.5, seed=0):
             messages.append(Message(id=f"m{t:04d}", user_id=f"u{u:02d}", timestamp=t, label=label))
             rows.append([label + noise * rng.standard_normal()])
             t += 1
-    fm = FeatureMatrix(["signal"], sp.csr_matrix(np.array(rows)))
+    fm = FeatureMatrix(["signal"], csr_of(np.array(rows)))
     return fm, build_index(MessageTable.from_messages(messages), ["user"])
 
 
@@ -239,7 +238,7 @@ class TestInferStacked:
         fm, index = planted_dataset(seed=1)
         stacked = train_stacked(everything(index), fm, index.labels, index.table, K=1,
                                 relations=["user"], config=ClassifierConfig(l2=0.1))
-        lone = FeatureMatrix(["signal"], sp.csr_matrix(np.array([[0.7]])))
+        lone = FeatureMatrix(["signal"], csr_of(np.array([[0.7]])))
         a = infer_stacked(stacked, lone, [0], hub_table(), np.full(1, np.nan))
         b = infer_stacked(stacked, lone, [1], hub_table(), np.full(2, np.nan))
         assert a[0] == b[0]  # function of the base features only
@@ -248,7 +247,7 @@ class TestInferStacked:
         fm, index = planted_dataset(seed=3)
         stacked = train_stacked(everything(index), fm, index.labels, index.table, K=1,
                                 relations=["user"], config=ClassifierConfig(l2=0.1))
-        twins = FeatureMatrix(["signal"], sp.csr_matrix(np.array([[0.4], [0.4]])))
+        twins = FeatureMatrix(["signal"], csr_of(np.array([[0.4], [0.4]])))
         preds = infer_stacked(stacked, twins, [0, 1], hub_table(("user", "tw", [0, 1])),
                               np.full(2, np.nan))
         assert preds[0] == pytest.approx(preds[1], abs=1e-12)
@@ -265,7 +264,7 @@ class TestInferStacked:
             messages.append(Message(id=f"m{i:04d}", user_id=f"u{i % 40:02d}", text=text,
                                     timestamp=i, label=label))
             rows.append([label + 2.0 * rng.standard_normal()])
-        fm = FeatureMatrix(["signal"], sp.csr_matrix(np.array(rows)))
+        fm = FeatureMatrix(["signal"], csr_of(np.array(rows)))
         index = build_index(MessageTable.from_messages(messages), ["text"])
         fm_train, fm_test = fm.rows(0, 300), fm.rows(300, 400)
         stacked = train_stacked(np.arange(300), fm_train, index.labels, index.groups((0, 300)),
@@ -288,7 +287,7 @@ class TestInferStacked:
         fm, index = planted_dataset(seed=6)
         stacked = train_stacked(everything(index), fm, index.labels, index.table, K=0,
                                 relations=["user"], config=ClassifierConfig())
-        bad = FeatureMatrix(["other"], sp.csr_matrix(np.array([[1.0]])))
+        bad = FeatureMatrix(["other"], csr_of(np.array([[1.0]])))
         with pytest.raises(DataError):
             infer_stacked(stacked, bad, [0], index.table, no_context(index))
 
