@@ -111,7 +111,7 @@ class RunConfig(ExperimentConfig):
             value = getattr(self, key)
             check_setting(value is None or isinstance(value, str) and value != "", key,
                           "null or a file path", value)
-        self.generator.validate()
+        self.generator.check()
 
 
 def _merge(config, given, key: str = ""):

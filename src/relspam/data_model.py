@@ -1,20 +1,22 @@
-"""Core data types: messages, the message table, relation groups, the
-message index, chronological splits.
+"""Core data types: message records and rows, the message table, relation
+groups, the message index, chronological splits.
 
-Messages are ingested from line-delimited JSON records, and every message
-checks its fields against one table, `MESSAGE_FIELDS`. Past the reader a
-dataset is one `MessageTable` of columns, which `read_message_table` streams
-from the JSONL: each record's fields are checked once and become a row, no
-`Message` built; the checks of a whole dataset (unique ids, labeled training
-slices) are `evaluation.prepare_dataset`'s. Groups ("hubs") collect messages
-that share a relation key: same author, same normalized text, same link, and
-so on. One pass over the table's columns gives each relation's keys and
-their members: `build_index` fills a `GroupTable` from it, and `build_groups`
-is its view by message id. A `MessageIndex` holds ids, labels and every
-message's groups as arrays, and restricts the groups to a subset by an edge
-mask, relation codes kept. Past the index a message is its chronological
-position, the form every later module takes. All downstream modules consume
-these types read-only.
+A message is a record, a decoded JSON object, until it is a table row:
+`_record_fields` checks its fields against one table, `MESSAGE_FIELDS`, and
+fills in the defaults of those it lacks, whether the record is a line of a
+JSONL file (`read_message_table`) or an item of a list (`message_table`).
+Past the check a dataset is one `MessageTable` of columns, built in one pass
+in which no record outlives its row; the checks of a whole dataset (unique
+ids, labeled training slices) are `evaluation.prepare_dataset`'s. Groups
+("hubs") collect messages that share a relation key: same author, same
+normalized text, same link, and so on. One pass over the table's columns
+gives each relation's keys and their members: `build_index` fills a
+`GroupTable` from it, and `build_groups` is its view by message id, over the
+checked `MessageRow`s that `read_messages` returns. A `MessageIndex` holds
+ids, labels and every message's groups as arrays, and restricts the groups to
+a subset by an edge mask, relation codes kept. Past the index a message is
+its chronological position, the form every later module takes. All
+downstream modules consume these types read-only.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ import tokenize
 import unicodedata
 import zipfile
 import zlib
-from collections import defaultdict
-from dataclasses import MISSING, dataclass, field, fields
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional
+from collections import defaultdict, namedtuple
+from dataclasses import dataclass, fields
+from typing import Callable, Iterable, NamedTuple, Optional
 from urllib.parse import urlsplit, urlunsplit
 
 import numpy as np
@@ -128,68 +130,41 @@ def _utf8(s) -> bool:
 
 class MessageField(NamedTuple):
     """A message field: `check` passes what `accepts` says, in the words of its error
-    and of the README table; `absent` is what a record without it holds (None: required)."""
+    and of the README table; a record without it, the one at index i of its sequence,
+    holds `default(i)`, which `absent` says (both None: the field is required)."""
 
     name: str
     accepts: str
     check: Callable
     absent: Optional[str] = None
+    default: Optional[Callable] = None
     nullable: bool = False  # a null reads as absent
 
 
 _STRINGS = ("a list of strings without a lone surrogate",
-            lambda v: type(v) is list and (not v or all(map(_utf8, v))), "`[]`")
+            lambda v: type(v) is list and (not v or all(map(_utf8, v))), "`[]`", lambda i: [])
 MESSAGE_FIELDS = (
     MessageField("id", "a string without a tab, CR, newline or lone surrogate",
                  lambda v: _utf8(v) and "\t" not in v and "\r" not in v and "\n" not in v),
     MessageField("user_id", "a non-empty string without a lone surrogate",
                  lambda v: v != "" and _utf8(v)),
-    MessageField("text", "a string without a lone surrogate", _utf8, '`""`'),
+    MessageField("text", "a string without a lone surrogate", _utf8, '`""`', lambda i: ""),
     MessageField("timestamp", "a non-negative integer", lambda v: type(v) is int and v >= 0,
-                 "the index of its line, from 0", nullable=True),
+                 "the index of its line, or in its list of records, from 0", lambda i: i,
+                 nullable=True),
     MessageField("target_id", "a string without a lone surrogate, or null",
-                 lambda v: v is None or _utf8(v), "no target", nullable=True),
+                 lambda v: v is None or _utf8(v), "no target", lambda i: None, nullable=True),
     MessageField("links", *_STRINGS),
     MessageField("hashtags", *_STRINGS),
     MessageField("mentions", *_STRINGS),
-    MessageField("is_retweet", "true or false", lambda v: v is True or v is False, "`false`"),
+    MessageField("is_retweet", "true or false", lambda v: v is True or v is False, "`false`",
+                 lambda i: False),
     MessageField("label", "0, 1 or null", lambda v: v is None or (type(v) is int and v in (0, 1)),
-                 "unlabeled", nullable=True),
+                 "unlabeled", lambda i: None, nullable=True),
 )
 
-
-def _checked(values: list) -> list:
-    """`values`, a message's fields in `MESSAGE_FIELDS` order, after a
-    `DataError` naming the first that fails its check."""
-    for f, value in zip(MESSAGE_FIELDS, values):
-        if not f.check(value):
-            raise DataError(f"{f.name!r} must be {f.accepts}, got {value!r}")
-    return values
-
-
-def check_message(m: Message) -> list:
-    """The fields of `m` in `MESSAGE_FIELDS` order, after a `DataError`
-    naming the first that fails its check."""
-    return _checked([getattr(m, f.name) for f in MESSAGE_FIELDS])
-
-
-@dataclass
-class Message:
-    """A message whose fields pass `MESSAGE_FIELDS` when it is built (a field that
-    fails raises `DataError`); one assigned later is checked by calling `check_message`."""
-
-    id: str
-    user_id: str
-    text: str = ""
-    timestamp: int = 0
-    target_id: Optional[str] = None
-    links: list = field(default_factory=list)
-    hashtags: list = field(default_factory=list)
-    mentions: list = field(default_factory=list)
-    is_retweet: bool = False
-    label: Optional[int] = None  # 1 spam, 0 ham, None unlabeled
-
-    __post_init__ = check_message
+# a message's checked fields, as `read_messages` returns them: label 1 spam, 0 ham, None unlabeled
+MessageRow = namedtuple("MessageRow", [f.name for f in MESSAGE_FIELDS])
 
 
 def normalize_text(text: str) -> str:
@@ -272,14 +247,10 @@ class MessageTable:
         return MessageTable(*(getattr(self, f.name)[a:b] for f in fields(self)))
 
     @classmethod
-    def from_messages(cls, messages: Iterable[Message]) -> "MessageTable":
-        """The table of messages, each checked as `check_message` checks it."""
-        return cls._of_fields(map(check_message, messages))
-
-    @classmethod
-    def _of_fields(cls, messages: Iterable[list]) -> "MessageTable":
-        """The table of messages as checked fields in `MESSAGE_FIELDS` order,
-        read in one pass: none is held past its row."""
+    def _of_fields(cls, messages: Iterable) -> "MessageTable":
+        """The table of messages as checked fields in `MESSAGE_FIELDS` order
+        (`_record_fields`' lists or `MessageRow`s), read in one pass: none is
+        held past its row."""
         one: dict = {}  # a string -> the object every equal string of the table is
         columns = [[] for _ in range(9)]  # the timestamps, then the table's fields
         for id, user_id, text, timestamp, target_id, links, hashtags, mentions, retweet, label \
@@ -333,13 +304,14 @@ class Group:
 
 
 def build_groups(messages: list, relations: Iterable[str]) -> list:
-    """The groups as message ids: the id-level view of `build_index`'s table
-    that the benchmark's oracle reads, and tests take as the reference.
+    """The groups of `MessageRow`s as message ids: the id-level view of
+    `build_index`'s table that the benchmark's oracle reads, and tests take as
+    the reference.
 
     Sorted by (relation, key), member ids sorted within each group; a key
     shared by fewer than 2 distinct ids makes no group.
     """
-    groups, table = [], MessageTable.from_messages(messages)
+    groups, table = [], MessageTable._of_fields(messages)
     for name, keys in _relation_keys(table, relations).items():
         for key in sorted(keys):
             ids = tuple(sorted({table.ids[i] for i in keys[key]}))
@@ -462,7 +434,7 @@ def read_index(path) -> MessageIndex:
 
 
 def sort_chronologically(messages: list) -> list:
-    """Sort by (timestamp, id); id breaks timestamp ties deterministically."""
+    """`MessageRow`s sorted by (timestamp, id); id breaks timestamp ties deterministically."""
     return sorted(messages, key=lambda m: (m.timestamp, m.id))
 
 
@@ -495,26 +467,26 @@ def chronological_split(messages, n_subsets: int, fractions: tuple) -> list:
 
 # --- line-delimited ingestion / serialization ---
 
-def _record_fields(rec: Mapping, fallback_index: int) -> list:
-    """The checked fields of a parsed JSON record in `MESSAGE_FIELDS` order,
-    unknown ones ignored: a null reads as absent in a nullable field, and an
-    absent field takes `Message`'s default, a timestamp `fallback_index`.
-    Every required field is found before any field is checked."""
+def _record_fields(rec, index: int) -> list:
+    """The checked fields of the decoded JSON record `rec`, the message at
+    `index` of its sequence, in `MESSAGE_FIELDS` order, unknown keys ignored:
+    the one check of a message. A null reads as absent in a nullable field, and
+    an absent field takes its `default(index)`. Every required field is found
+    before any field is checked; a `DataError` names the first that fails."""
+    if not isinstance(rec, dict):
+        raise DataError("not a JSON object")
     values = []
     for f in MESSAGE_FIELDS:
         value = rec.get(f.name)
         if value is None and (f.nullable or f.name not in rec):
-            if f.absent is None:
+            if f.default is None:
                 raise DataError(f"the record has no {f.name!r}")
-            default = Message.__dataclass_fields__[f.name]
-            value = (fallback_index if f.name == "timestamp" else default.default
-                     if default.default_factory is MISSING else default.default_factory())
+            value = f.default(index)
         values.append(value)
-    return _checked(values)
-
-
-def message_to_record(m: Message) -> dict:
-    return {k: v for k, v in vars(m).items() if v is not None}
+    for f, value in zip(MESSAGE_FIELDS, values):
+        if not f.check(value):
+            raise DataError(f"{f.name!r} must be {f.accepts}, got {value!r}")
+    return values
 
 
 def _record_lines(path, digest=None):
@@ -527,19 +499,15 @@ def _record_lines(path, digest=None):
                 digest.update(line)
             try:
                 text = line.decode("utf-8").strip()
-                if not text:
-                    continue
-                rec = json.loads(text)
-                if not isinstance(rec, dict):
-                    raise DataError("not a JSON object")
-                yield _record_fields(rec, i)
-            except (ValueError, TypeError) as exc:  # bad UTF-8 and bad JSON are ValueErrors
+                if text:
+                    yield _record_fields(json.loads(text), i)
+            except ValueError as exc:  # bad UTF-8 and bad JSON are ValueErrors
                 raise DataError(f"{path}, line {i + 1}: {exc}") from None
 
 
 def read_messages(path) -> list:
-    """The messages of a JSONL file, one object per line (`_record_lines`)."""
-    return [Message(*values) for values in _record_lines(path)]
+    """The `MessageRow`s of a JSONL file, one object per line (`_record_lines`), in file order."""
+    return list(map(MessageRow._make, _record_lines(path)))
 
 
 def read_message_table(path) -> tuple:
@@ -549,10 +517,25 @@ def read_message_table(path) -> tuple:
     return MessageTable._of_fields(_record_lines(path, digest)), digest.hexdigest()
 
 
-def write_messages(path, messages: Iterable[Message]) -> None:
+def message_table(records: Iterable) -> MessageTable:
+    """The `MessageTable` of decoded JSON records, each checked as a line of a
+    JSONL file is, a missing timestamp its index in `records`. A record that
+    is not a message raises `DataError` naming that index."""
+    def checked():
+        for i, rec in enumerate(records):
+            try:
+                yield _record_fields(rec, i)
+            except DataError as exc:
+                raise DataError(f"record {i}: {exc}") from None
+    return MessageTable._of_fields(checked())
+
+
+def write_messages(path, records: Iterable[dict]) -> None:
+    """One JSON object per line, keys sorted, a key whose value is None left out."""
     with open(path, "w", encoding="utf-8") as fh:
-        for m in messages:
-            fh.write(json.dumps(message_to_record(m), sort_keys=True, ensure_ascii=False))
+        for rec in records:
+            fh.write(json.dumps({k: v for k, v in rec.items() if v is not None},
+                                sort_keys=True, ensure_ascii=False))
             fh.write("\n")
 
 
@@ -587,6 +570,6 @@ def write_follows(path, follows: Iterable[tuple]) -> None:
             fh.write(f"{a}\t{b}\n")
 
 
-def labels_of(messages: Iterable[Message]) -> dict:
+def labels_of(messages: Iterable[MessageRow]) -> dict:
     """Map id -> gold label for the labeled subset of messages."""
     return {m.id: m.label for m in messages if m.label is not None}

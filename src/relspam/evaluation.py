@@ -14,9 +14,10 @@ render it as `report.json` and `report.txt`. The steps after
 and know a message by its chronological position: labels, priors and scores
 are arrays over positions, and a subset's predictions are one array per model
 over its test slice. `evaluate_experiment` runs these steps in one process
-on the table of its list; the `cli` stages run the same steps, featurize on
-the table it streams from the JSONL through the same `prepare_dataset`, and
-only read and write the artifacts between them.
+on the table of its list of records; the `cli` stages run the same steps,
+featurize on the table it streams from the JSONL, each record checked the
+same way, through the same `prepare_dataset`, and only read and write the
+artifacts between them.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .data_model import (
     chronological_split,
     is_int,
     is_number,
+    message_table,
     read_artifact,
     write_artifact,
 )
@@ -601,10 +603,12 @@ def report_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-def evaluate_experiment(messages: list, follows: list, config: ExperimentConfig) -> dict:
-    """Run the full chronological protocol in memory -> `aggregate_report`'s report."""
+def evaluate_experiment(records: list, follows: list, config: ExperimentConfig) -> dict:
+    """Run the full chronological protocol in memory on decoded JSON records,
+    each checked as `run-all` checks a line of its JSONL (`message_table`), a
+    missing timestamp its index in `records` -> `aggregate_report`'s report."""
     config.check()
-    table = MessageTable.from_messages(messages)  # checks each message
+    table = message_table(records)
     plan, index, graph_table = prepare_dataset(table, follows, config)
     subset_preds, diagnostics = [], []
     for i, subset in enumerate(plan):

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, fields
 from itertools import accumulate
 
-from .data_model import Message, check_setting, is_int, is_number
+from .data_model import check_setting, is_int, is_number
 
 SHARED_VOCAB_SIZE = 200
 
@@ -33,7 +33,7 @@ class GeneratorConfig:
     spam_vocab_size: int = 80
     feature_noise: float = 0.45  # fraction of spam dressed up to look like ham
 
-    def validate(self):
+    def check(self):
         """Raise a `ConfigError` naming the first field of the wrong type or out of range."""
         for f in fields(self):
             value, integral = getattr(self, f.name), f.type == "int"
@@ -64,9 +64,10 @@ def _campaign_sizes(rng: random.Random, n_spam: int, n_campaigns: int, jitter: f
 
 
 def generate(config: GeneratorConfig, seed: int):
-    """-> (messages sorted by timestamp, follows), drawn from the stream that
-    `seed` starts. Labels ride on the messages."""
-    config.validate()
+    """-> (message records sorted by timestamp, each a dict of every field
+    `MESSAGE_FIELDS` names, follows), drawn from the stream that `seed` starts.
+    Labels ride on the messages."""
+    config.check()
     check_setting(is_int(seed), "seed", "an integer", seed)
     rng = random.Random(seed)
     n_spam = round(config.n_messages * config.spam_prevalence)
@@ -137,7 +138,7 @@ def generate(config: GeneratorConfig, seed: int):
                            is_retweet=rng.random() < 0.08, label=0))
 
     drafts.sort(key=lambda d: (d["timestamp"], d["user_id"], d["text"]))
-    messages = [Message(id=f"m{i:06d}", **d) for i, d in enumerate(drafts)]
+    messages = [{"id": f"m{i:06d}", **d} for i, d in enumerate(drafts)]
 
     # spammers are sparsely connected; ham users follow each other freely
     follows = []

@@ -1,4 +1,5 @@
-"""Inputs in the form the models take: groups as a `GroupTable` whose members
+"""Inputs in the form the models take: message records as the checked
+`MessageRow`s that `build_groups` takes; groups as a `GroupTable` whose members
 are message positions, and scores as float arrays over positions; a `CSR`
 matrix as scipy.sparse holds it, which the tests take as their reference; a
 hinge model's objective and gradient at a point, and its coefficients as a
@@ -8,9 +9,20 @@ that `linear.conjugate_gradients` replaced."""
 import numpy as np
 import scipy.sparse as sp
 
-from relspam.data_model import DataError, GroupTable
+from relspam.data_model import DataError, GroupTable, MessageRow, _record_fields
 from relspam.features import CSR
 from relspam.linear import CG_MAX_ITER, CG_RTOL
+
+
+def rows_of(records) -> list:
+    """The `MessageRow`s of message records, each checked as `message_table`
+    checks it, a missing timestamp its index in `records`."""
+    return [MessageRow._make(_record_fields(rec, i)) for i, rec in enumerate(records)]
+
+
+def records_of(rows) -> list:
+    """The records of `MessageRow`s, every field present."""
+    return [row._asdict() for row in rows]
 
 
 def hub_table(*groups) -> GroupTable:

@@ -10,9 +10,9 @@ import time
 import numpy as np
 
 from relspam.data_model import (
-    MessageTable,
     build_index,
     chronological_split,
+    message_table,
     sort_chronologically,
 )
 from relspam.evaluation import ExperimentConfig, aupr, auroc, evaluate_experiment
@@ -38,6 +38,7 @@ from tables import (
     hinge_terms,
     hub_table,
     objective_at,
+    rows_of,
 )
 
 
@@ -221,7 +222,7 @@ def test_criterion_06_metric_correctness():
 
 def test_criterion_07_temporal_causality():
     messages, _ = generate(GeneratorConfig(n_messages=2000, n_users=100, n_campaigns=10), 77)
-    ordered, table = sort_chronologically(messages), MessageTable.from_messages(messages)
+    ordered, table = sort_chronologically(rows_of(messages)), message_table(messages)
     labels = np.array([-1 if m.label is None or i >= 1000 else m.label
                        for i, m in enumerate(ordered)])
     full = extract_user_features_sequential(table, labels, extract_content_features(table))
@@ -351,7 +352,7 @@ def test_criterion_09_qualitative_relational_lift():
 def test_criterion_10_degenerate_stack_identity():
     messages, follows = generate(GeneratorConfig(n_messages=1500, n_users=80, n_campaigns=8,
                                                  spam_prevalence=0.08), 10)
-    ordered, table = sort_chronologically(messages), MessageTable.from_messages(messages)
+    ordered, table = sort_chronologically(rows_of(messages)), message_table(messages)
     train, test = ordered[:1000], ordered[1000:]
     index = build_index(table, ["user", "text", "link"])
     labels = np.where(np.arange(len(ordered)) < 1000, index.labels, -1)

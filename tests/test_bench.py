@@ -6,9 +6,11 @@ from pathlib import Path
 
 import numpy as np
 
-from relspam.data_model import Message, MessageTable, build_groups, build_index
+from relspam.data_model import build_groups, build_index, message_table
 from relspam.hinge import HingeWeights, ground_rules, map_inference
 from relspam.mrf import build_factor_graph, loopy_bp
+
+from tables import rows_of
 
 
 def test_span_observers_read_the_known_counts(monkeypatch):
@@ -16,14 +18,15 @@ def test_span_observers_read_the_known_counts(monkeypatch):
     spans = importlib.import_module("spans")
     tracer = spans.Tracer()
     # user groups (a, b, c) and (d, e), and a text group (a, d): 3 groups, 7 members
-    messages = [Message("a", "u1", "hello"), Message("b", "u1", "bye"), Message("c", "u1", "x"),
-                Message("d", "u2", "hello"), Message("e", "u2", "y")]
-    relations = ["user", "text"]
+    records = [{"id": mid, "user_id": user, "text": text} for mid, user, text in
+               [("a", "u1", "hello"), ("b", "u1", "bye"), ("c", "u1", "x"), ("d", "u2", "hello"),
+                ("e", "u2", "y")]]
+    messages, relations = rows_of(records), ["user", "text"]
     groups = build_groups(messages, relations)
     for _ in range(2):
         spans._observe_groups(tracer, (messages, relations), groups)
     priors = np.array([0.9, 0.8, 0.7, 0.2, 0.4])
-    groups = build_index(MessageTable.from_messages(messages), relations).table
+    groups = build_index(message_table(records), relations).table
     graph = build_factor_graph(priors, groups, 0.1)
     spans._observe_graph(tracer, (priors, groups, 0.1), graph)
     # one run stopped at its first iteration, one run to convergence

@@ -17,11 +17,9 @@ import pytest
 from relspam.cli import LEGACY_KEYS, RunConfig, _load_featurized, load_config, main
 from relspam.data_model import (
     ConfigError,
-    Message,
     chronological_split,
-    message_to_record,
+    read_follows,
     read_index,
-    read_messages,
     sort_chronologically,
     write_messages,
 )
@@ -34,6 +32,8 @@ from relspam.linear import fit_classifier, train
 from relspam.mrf import infer_posteriors, loopy_bp, loopy_bp_batch
 from relspam.stacking import train_stacked
 from relspam.synth import GeneratorConfig, generate
+
+from tables import rows_of
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -64,6 +64,12 @@ def assert_reads_back(config, given, prefix=""):
             assert got == value, key
 
 
+def read_records(path) -> list:
+    """The records of a JSONL file, one decoded object per line."""
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
+
+
 def write_config(tmp_path, extra=None):
     cfg = json.loads(json.dumps(SMALL_CONFIG))
     if extra:
@@ -84,8 +90,8 @@ class TestStages:
         assert (out / "report.txt").exists()
 
     def test_featurize_memory_is_within_a_few_times_the_messages_file(self, tmp_path):
-        # featurize holds the messages as columns, not as Message objects: a list of
-        # those alone takes about 3 times the file, and featurize holding one peaked
+        # featurize holds the messages as columns, not as one object each: a list of
+        # those alone took about 3 times the file, and featurize holding one peaked
         # at 5.5 times it on this data
         cfg = write_config(tmp_path, {"feature_mode": "full", "n_subsets": 4, "generator": {
             **SMALL_CONFIG["generator"], "n_messages": 4000}})
@@ -185,9 +191,9 @@ class TestStages:
         out = tmp_path / "out"
         assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
         path = out / "data" / "messages.jsonl"
-        messages = read_messages(path)
-        messages[7].id = "m\tseven"
-        write_messages(path, messages)
+        records = read_records(path)
+        records[7]["id"] = "m\tseven"
+        write_messages(path, records)
         rc = main(["featurize", "--config", cfg, "--out", str(out)])
         assert rc == 1
         assert repr("m\tseven") in capsys.readouterr().err
@@ -202,21 +208,22 @@ class TestStages:
         for out in (original, renamed):
             assert main(["generate", "--config", cfg, "--out", str(out), "--seed", "5"]) == 0
         path = renamed / "data" / "messages.jsonl"
-        messages = read_messages(path)
-        ties = Counter(m.timestamp for m in messages)
+        records = read_records(path)
+        ties = Counter(r["timestamp"] for r in records)
         # a test message of subset 0 whose position no id can change
-        m = next(m for m in sorted(messages, key=lambda m: m.timestamp)[300:]
-                 if ties[m.timestamp] == 1)
-        old_id, m.id = m.id, f"hub:user:{m.user_id}"
-        write_messages(path, messages)
+        m = next(r for r in sorted(records, key=lambda r: r["timestamp"])[300:]
+                 if ties[r["timestamp"]] == 1)
+        old_id = m["id"]
+        new_id = m["id"] = f"hub:user:{m['user_id']}"
+        write_messages(path, records)
         for out in (original, renamed):
             for stage in ("featurize", "train", "infer"):
                 assert main([stage, "--config", cfg, "--out", str(out), "--seed", "5"]) == 0
         for model in ("independent", "mrf", "psl"):
             before = (original / "predictions" / model / "subset_00.tsv").read_text().splitlines()
             after = (renamed / "predictions" / model / "subset_00.tsv").read_text().splitlines()
-            assert [line.split("\t")[0] for line in after].count(m.id) == 1
-            assert after == [re.sub(f"^{re.escape(old_id)}\t", f"{m.id}\t", line)
+            assert [line.split("\t")[0] for line in after].count(new_id) == 1
+            assert after == [re.sub(f"^{re.escape(old_id)}\t", f"{new_id}\t", line)
                              for line in before], model
 
     @pytest.mark.parametrize("field", ["id", "user_id"])
@@ -227,7 +234,7 @@ class TestStages:
         out = tmp_path / "out"
         assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
         path = out / "data" / "messages.jsonl"
-        records = [message_to_record(m) for m in read_messages(path)]
+        records = read_records(path)
         old = records[7][field]
         for rec in records:
             if rec[field] == old:
@@ -262,10 +269,10 @@ class TestStages:
         cfg = write_config(tmp_path, {"n_subsets": 1})
         out = tmp_path / "out"
         (out / "data").mkdir(parents=True)
-        messages = [Message(f"m{i:02d}", f"u{i}", f"text {i}", timestamp=i, label=i % 2)
-                    for i in range(40)]
-        messages[3].links = [link]
-        messages[9].text = f"see {link}"
+        messages = [dict(id=f"m{i:02d}", user_id=f"u{i}", text=f"text {i}", timestamp=i,
+                         label=i % 2) for i in range(40)]
+        messages[3]["links"] = [link]
+        messages[9]["text"] = f"see {link}"
         write_messages(out / "data" / "messages.jsonl", messages)
         assert main(["featurize", "--config", cfg, "--out", str(out)]) == 0
         table = read_index(out / "features" / "index.npz").table
@@ -288,13 +295,14 @@ class TestStages:
         out = tmp_path / "out"
         assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
         path = out / "data" / "messages.jsonl"
-        messages = read_messages(path)
-        first = min(messages, key=lambda m: (m.timestamp, m.id))  # in subset 0's training slice
-        first.label = None
-        write_messages(path, messages)
+        records = read_records(path)
+        # in subset 0's training slice
+        first = min(records, key=lambda r: (r["timestamp"], r["id"]))
+        first["label"] = None
+        write_messages(path, records)
         assert main(["featurize", "--config", cfg, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: subset 0: ") and repr(first.id) in err
+        assert err.startswith("error: subset 0: ") and repr(first["id"]) in err
         assert not (out / "features").exists()
 
     @pytest.mark.parametrize("extra", [{"fractions": [0, 0.5, 0.5]}, {"n_subsets": 1000},
@@ -349,9 +357,9 @@ class TestStages:
         out = tmp_path / "out"
         assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
         path = out / "data" / "messages.jsonl"
-        messages = read_messages(path)
-        messages[-1].id = "m\u2028last"
-        write_messages(path, messages)
+        records = read_records(path)
+        records[-1]["id"] = "m\u2028last"
+        write_messages(path, records)
         for stage in ("featurize", "train", "infer", "eval"):
             assert main([stage, "--config", cfg, "--out", str(out)]) == 0
 
@@ -610,6 +618,24 @@ class TestOneOrchestration:
         assert report_json(json.loads(text)) == text
 
 
+    def test_records_without_timestamps_give_run_all_report_bytes(self, tmp_path):
+        # both entry points take a record's index in its sequence as its missing
+        # timestamp, so ids out of time order cannot reorder one of them
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["generate", "--config", cfg_path, "--out", str(out), "--seed", "1"]) == 0
+        path = out / "data" / "messages.jsonl"
+        records = read_records(path)
+        for i, rec in enumerate(records):
+            del rec["timestamp"]
+            rec["id"] = f"m{(7919 * i) % 100003:06d}"
+        write_messages(path, records)
+        for stage in ("featurize", "train", "infer", "eval"):
+            assert main([stage, "--config", cfg_path, "--out", str(out), "--seed", "1"]) == 0
+        follows = read_follows(out / "data" / "follows.tsv")
+        report = evaluate_experiment(records, follows, load_config(cfg_path, {"seed": 1}))
+        assert report_json(report) == (out / "report.json").read_text(encoding="utf-8")
+
     def test_report_does_not_depend_on_id_order(self, tmp_path):
         # ids renamed so that their order is the reverse of time order, with
         # unique timestamps so that the chronological order stays the same
@@ -619,12 +645,12 @@ class TestOneOrchestration:
             "tune_epsilons": True, "hinge": {"learn_steps": 2}}),
             {"seed": 4})
         messages, follows = generate(cfg.generator, 4)
-        messages.sort(key=lambda m: (m.timestamp, m.id))
+        messages.sort(key=lambda m: (m["timestamp"], m["id"]))
         for t, m in enumerate(messages):
-            m.timestamp = t
+            m["timestamp"] = t
         before = report_json(evaluate_experiment(messages, follows, cfg))
         for t, m in enumerate(messages):
-            m.id = f"x{len(messages) - t:05d}"
+            m["id"] = f"x{len(messages) - t:05d}"
         assert report_json(evaluate_experiment(messages, follows, cfg)) == before
 
 
@@ -805,7 +831,7 @@ def test_every_training_slice_has_both_classes():
     for seed in SEEDS:
         for generator in (SMALL_CONFIG["generator"], NOISY_GENERATOR):
             messages, _ = generate(GeneratorConfig(**generator), seed)
-            messages = sort_chronologically(messages)
+            messages = sort_chronologically(rows_of(messages))
             for fractions in (ExperimentConfig.fractions, (0.5, 0.25, 0.25)):
                 plan = chronological_split(messages, SMALL_CONFIG["n_subsets"], fractions)
                 for i, subset in enumerate(plan):

@@ -21,12 +21,12 @@ from relspam.data_model import (
     INDEX_FORMAT,
     MESSAGE_FIELDS,
     RELATION_NAMES,
-    Message,
+    MessageRow,
     MessageTable,
     build_groups,
     build_index,
-    check_message,
     chronological_split,
+    message_table,
     normalize_link,
     normalize_text,
     read_follows,
@@ -42,14 +42,14 @@ from relspam.data_model import (
 from relspam.evaluation import ExperimentConfig, prepare_dataset
 from relspam.features import CONTENT_COLUMNS, extract_content_features
 
-from tables import hub_table
+from tables import hub_table, records_of, rows_of
 
 
 def msg(mid, user="u", text="", ts=0, **kw):
-    return Message(id=mid, user_id=user, text=text, timestamp=ts, **kw)
+    return dict(id=mid, user_id=user, text=text, timestamp=ts, **kw)
 
 
-as_table = MessageTable.from_messages
+as_table = message_table
 
 
 ABSENT = object()
@@ -92,7 +92,7 @@ JSON_VALUES = st.one_of(JSON_SCALARS, st.lists(JSON_SCALARS, max_size=3),
                         st.dictionaries(st.text(max_size=2), JSON_SCALARS, max_size=2))
 UTF8_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
 MESSAGES = st.builds(
-    Message, id=UTF8_TEXT.filter(lambda t: not set(t) & set("\t\r\n")),
+    dict, id=UTF8_TEXT.filter(lambda t: not set(t) & set("\t\r\n")),
     user_id=UTF8_TEXT.filter(bool), text=UTF8_TEXT, timestamp=st.integers(0, 2 ** 63),
     target_id=st.none() | UTF8_TEXT, links=st.lists(UTF8_TEXT, max_size=2),
     hashtags=st.lists(UTF8_TEXT, max_size=2), mentions=st.lists(UTF8_TEXT, max_size=2),
@@ -100,14 +100,9 @@ MESSAGES = st.builds(
 
 
 def assert_rejected(field, value, match):
-    """Building a message with the value fails, and so does `check_message`
-    after the value is assigned to a valid message."""
-    with pytest.raises(DataError, match=match):
-        Message(**{"id": "m1", "user_id": "u", field: value})
-    m = Message("m1", "u")
-    setattr(m, field, value)
-    with pytest.raises(DataError, match=match):
-        check_message(m)
+    """A list whose first record holds the value fails, naming the record."""
+    with pytest.raises(DataError, match="^record 0: " + match):
+        message_table([{"id": "m1", "user_id": "u", field: value}])
 
 
 # one subset, whose first half is its training slice
@@ -191,7 +186,7 @@ class TestNormalization:
 class TestGroups:
     def test_user_groups_drop_singletons(self):
         messages = [msg("m1", user="u1"), msg("m2", user="u1"), msg("m3", user="u2")]
-        groups = build_groups(messages, relations_from_names(["user"]))
+        groups = build_groups(rows_of(messages), relations_from_names(["user"]))
         assert groups == [Group(relation="user", key="u1", member_ids=("m1", "m2"))]
 
     def test_text_groups_use_normalization(self):
@@ -200,19 +195,19 @@ class TestGroups:
             msg("m2", text="win  FREE followers!"),
             msg("m3", text="something else"),
         ]
-        groups = build_groups(messages, relations_from_names(["text"]))
+        groups = build_groups(rows_of(messages), relations_from_names(["text"]))
         assert len(groups) == 1
         assert groups[0].member_ids == ("m1", "m2")
 
     def test_shared_link_yields_one_group_not_pairs(self):
         messages = [msg(f"m{i:03d}", user=f"u{i}", links=["http://spam.example/x"]) for i in range(100)]
-        groups = build_groups(messages, relations_from_names(["link"]))
+        groups = build_groups(rows_of(messages), relations_from_names(["link"]))
         assert len(groups) == 1
         assert len(groups[0]) == 100
 
     def test_unknown_relation_is_config_error(self):
         with pytest.raises(ConfigError):
-            build_groups([msg("m1")], relations_from_names(["bogus"]))
+            build_groups(rows_of([msg("m1")]), relations_from_names(["bogus"]))
 
     def test_permutation_invariance(self):
         rng = random.Random(7)
@@ -221,16 +216,16 @@ class TestGroups:
             for i in range(30)
         ]
         rels = relations_from_names(["user", "text"])
-        base = build_groups(messages, rels)
+        base = build_groups(rows_of(messages), rels)
         for _ in range(5):
             shuffled = messages[:]
             rng.shuffle(shuffled)
-            assert build_groups(shuffled, rels) == base
+            assert build_groups(rows_of(shuffled), rels) == base
 
     def test_group_members_exist_in_dataset(self):
         messages = [msg(f"m{i}", user=f"u{i % 3}") for i in range(10)]
-        ids = {m.id for m in messages}
-        for g in build_groups(messages, relations_from_names(["user"])):
+        ids = {m["id"] for m in messages}
+        for g in build_groups(rows_of(messages), relations_from_names(["user"])):
             assert set(g.member_ids) <= ids
 
     def test_user_hashtag_keys(self):
@@ -239,7 +234,7 @@ class TestGroups:
             msg("m2", user="u1", hashtags=["win"]),
             msg("m3", user="u2", hashtags=["win"]),
         ]
-        groups = build_groups(messages, relations_from_names(["user_hashtag"]))
+        groups = build_groups(rows_of(messages), relations_from_names(["user_hashtag"]))
         assert len(groups) == 1
         assert groups[0].member_ids == ("m1", "m2")
 
@@ -247,7 +242,7 @@ class TestGroups:
         # joined by "\x1f", user "a\x1fb" with tag "c" and user "a" with tag "b\x1fc" would collide
         messages = [msg("m1", user="a\x1fb", hashtags=["c"]),
                     msg("m2", user="a", hashtags=["b\x1fc"])]
-        assert build_groups(messages, ["user_hashtag"]) == []
+        assert build_groups(rows_of(messages), ["user_hashtag"]) == []
         assert len(build_index(as_table(messages), ["user_hashtag"]).table) == 0
 
     @pytest.mark.parametrize("link", ["http://[x/y", "http://\u2100.com/"])
@@ -256,7 +251,7 @@ class TestGroups:
             urlsplit(link)
         messages = [msg("m1", links=[f" {link}\n"]), msg("m2", text=f"see {link}"),
                     msg("m3", links=["http://other.io"])]
-        assert build_groups(messages, ["link"]) == [Group("link", link, ("m1", "m2"))]
+        assert build_groups(rows_of(messages), ["link"]) == [Group("link", link, ("m1", "m2"))]
         assert build_index(as_table(messages), ["link"]).table.members.tolist() == [0, 1]
 
     @pytest.mark.parametrize("relation, fields, column, counts", [
@@ -269,7 +264,7 @@ class TestGroups:
     def test_an_empty_key_makes_no_group(self, relation, fields, column, counts):
         # the messages share nothing but a key that is empty, once parsed or normalized
         messages = [msg(f"m{i}", **kw) for i, kw in enumerate(fields)]
-        assert build_groups(messages, [relation]) == []
+        assert build_groups(rows_of(messages), [relation]) == []
         assert len(build_index(as_table(messages), [relation]).table) == 0
         # the content block counts what makes a key, listed or parsed
         counts_of = extract_content_features(as_table(messages))[:, CONTENT_COLUMNS.index(column)]
@@ -277,7 +272,7 @@ class TestGroups:
 
     def test_hashtags_parsed_from_text_when_unannotated(self):
         messages = [msg("m1", text="check #win now"), msg("m2", text="also #win")]
-        groups = build_groups(messages, relations_from_names(["hashtag"]))
+        groups = build_groups(rows_of(messages), relations_from_names(["hashtag"]))
         assert len(groups) == 1
 
 
@@ -304,13 +299,13 @@ class TestChronologicalSplit:
 
     def test_tie_break_by_id(self):
         messages = [msg("b", ts=5), msg("a", ts=5), msg("c", ts=1)]
-        ordered = sort_chronologically(messages)
+        ordered = sort_chronologically(rows_of(messages))
         assert [m.id for m in ordered] == ["c", "a", "b"]
 
     def test_no_future_leakage(self):
         rng = random.Random(3)
         messages = [msg(f"m{i:04d}", ts=rng.randrange(1000)) for i in range(137)]
-        ordered = sort_chronologically(messages)
+        ordered = sort_chronologically(rows_of(messages))
         plan = chronological_split(ordered, 7, (0.6, 0.1, 0.3))
         for s in plan:
             if s.train[1] > s.train[0] and s.test[1] > s.test[0]:
@@ -346,7 +341,7 @@ class TestChronologicalSplit:
 )
 def test_split_invariant_property(rows):
     messages = [msg(f"m{i:02d}", user=u, text=t, ts=ts) for i, (ts, u, t) in enumerate(rows)]
-    ordered = sort_chronologically(messages)
+    ordered = sort_chronologically(rows_of(messages))
     plan = chronological_split(ordered, 2, (0.5, 0.25, 0.25))
     for s in plan:
         train = ordered[s.train[0]:s.train[1]]
@@ -382,13 +377,13 @@ LINKS = ["http://a.io/1", "HTTP://A.io/1", "http://b.io", "http://[x/y", "http:/
 @example(rows=[("a\x1fb", "", [], ["c"], [], None, 0), ("a", "", [], ["b\x1fc"], [], None, 1)],
          relation_names=["user_hashtag"], cuts=[0, 2, 2, 2])
 def test_restricted_groups_equal_groups_of_the_subset(rows, relation_names, cuts):
-    ordered = sort_chronologically([msg(f"m{i:02d}", user=u, text=t, links=links, hashtags=tags,
-                                        mentions=mentions, target_id=target, ts=ts)
-                                    for i, (u, t, links, tags, mentions, target, ts)
-                                    in enumerate(rows)])
+    ordered = sort_chronologically(rows_of([
+        msg(f"m{i:02d}", user=u, text=t, links=links, hashtags=tags, mentions=mentions,
+            target_id=target, ts=ts)
+        for i, (u, t, links, tags, mentions, target, ts) in enumerate(rows)]))
     a, b, c, d = sorted(cuts)
     expected = build_groups(ordered[a:b] + ordered[c:d], relation_names)
-    table = build_index(as_table(ordered), relation_names).groups((a, b), (c, d))
+    table = build_index(as_table(records_of(ordered)), relation_names).groups((a, b), (c, d))
     # the groups as edge arrays, each group's members in position order
     position = {m.id: i for i, m in enumerate(ordered)}
     members = [sorted(position[mid] for mid in g.member_ids) for g in expected]
@@ -544,18 +539,21 @@ class TestIndexFile:
 class TestIngestion:
     def test_round_trip(self, tmp_path):
         messages = [
-            Message(id="a", user_id="u1", text="hi #there", timestamp=3, label=1,
-                    links=["http://x.co"], hashtags=["there"]),
-            Message(id="b", user_id="u2", text="plain", timestamp=5),
+            dict(id="a", user_id="u1", text="hi #there", timestamp=3, label=1,
+                 links=["http://x.co"], hashtags=["there"]),
+            dict(id="b", user_id="u2", text="plain", timestamp=5, target_id=None),
         ]
         path = tmp_path / "messages.jsonl"
         write_messages(path, messages)
-        assert read_messages(path) == messages
+        # a key whose value is None is left out
+        assert path.read_text().splitlines()[1] == \
+            '{"id": "b", "text": "plain", "timestamp": 5, "user_id": "u2"}'
+        assert read_messages(path) == rows_of(messages)
 
     def test_unknown_fields_ignored(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text(json.dumps({"id": "x", "user_id": "u", "wat": 42, "timestamp": 1}) + "\n")
-        assert read_messages(path) == [Message(id="x", user_id="u", timestamp=1)]
+        assert read_messages(path) == [MessageRow("x", "u", "", 1, None, [], [], [], False, None)]
         table, _ = read_message_table(path)
         assert (table.ids, table.user_ids, table.labels.tolist()) == (["x"], ["u"], [-1])
 
@@ -631,6 +629,15 @@ class TestIngestion:
                 read(path)
             errors.append(str(error.value))
         assert errors[0] == errors[1]
+        try:
+            record = json.loads(line)
+        except ValueError:  # not UTF-8 or not JSON: no record holds it
+            return
+        # the in-memory records, the second of three, in the same words after the location
+        with pytest.raises(DataError, match=f"^record 1: .*{says}") as error:
+            message_table([json.loads(good), record, json.loads(good)])
+        assert str(error.value).removeprefix("record 1: ") == \
+            errors[0].removeprefix(f"{path}, line 3: ")
 
     @settings(max_examples=400, deadline=None)
     @given(st.sampled_from([f.name for f in MESSAGE_FIELDS]), st.just(ABSENT) | JSON_VALUES)
@@ -649,14 +656,14 @@ class TestIngestion:
         loaded = read_messages(path)[-1]
         got = getattr(loaded, field)
         assert got == expected and type(got) is type(expected), (field, value, got)
-        assert loaded == Message(**{**VALID_RECORD, field: expected})
+        assert loaded._asdict() == {**VALID_RECORD, field: expected}
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(MESSAGES, max_size=5))
     def test_drawn_messages_round_trip(self, tmp_path_factory, messages):
         path = tmp_path_factory.mktemp("messages") / "m.jsonl"
         write_messages(path, messages)
-        assert read_messages(path) == messages
+        assert records_of(read_messages(path)) == messages
 
     def test_readme_input_table_is_the_field_table(self):
         lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(
@@ -747,8 +754,8 @@ class TestMessageTable:
         # each message holds strings of its own, as the JSON decoder gives them
         messages = [msg(mid, user="".join(["u", "1"]), text=" ".join(["hi", "there"]))
                     for mid in "ab"]
-        assert messages[0].user_id is not messages[1].user_id
-        table = MessageTable.from_messages(messages)
+        assert messages[0]["user_id"] is not messages[1]["user_id"]
+        table = message_table(messages)
         assert table.user_ids[0] is table.user_ids[1]
         assert table.texts[0] is table.texts[1] is table.normalized[0]
         assert table.entities[0] is table.entities[1]
@@ -756,14 +763,14 @@ class TestMessageTable:
     def test_rows_are_a_range_of_every_column(self):
         messages = [msg(f"m{i}", user=f"u{i % 2}", text=f"#t{i % 3}", ts=i, label=i % 2)
                     for i in range(6)]
-        assert_columns(MessageTable.from_messages(messages).rows(2, 5), messages[2:5])
+        assert_columns(message_table(messages).rows(2, 5), rows_of(messages)[2:5])
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(MESSAGES, max_size=6))
     def test_drawn_messages_give_the_message_path_columns(self, tmp_path_factory, messages):
-        assert_columns(MessageTable.from_messages(messages), messages)
+        assert_columns(message_table(messages), rows_of(messages))
         path = tmp_path_factory.mktemp("table") / "m.jsonl"
         write_messages(path, messages)
         table, sha256 = read_message_table(path)
-        assert_columns(table, messages)
+        assert_columns(table, rows_of(messages))
         assert sha256 == hashlib.sha256(path.read_bytes()).hexdigest()

@@ -9,12 +9,11 @@ from relspam import evaluation
 from relspam.data_model import (
     ConfigError,
     DataError,
-    Message,
     build_groups,
-    MessageTable,
     build_index,
     chronological_split,
     labels_of,
+    message_table,
     relations_from_names,
     sort_chronologically,
 )
@@ -40,7 +39,7 @@ from relspam.hinge import HingeConfig
 from relspam.linear import ClassifierConfig, recenter_scores
 from relspam.mrf import infer_posteriors
 
-from tables import hub_table, over
+from tables import hub_table, over, records_of, rows_of
 
 
 def ap_oracle(scores, labels):
@@ -139,10 +138,9 @@ class TestAuroc:
 
 def user_index(rows, labels=None):
     """The "user" index of messages given as (id, user) in chronological order."""
-    messages = [Message(id=mid, user_id=user, timestamp=i,
-                        label=None if labels is None else labels[i])
+    messages = [dict(id=mid, user_id=user, timestamp=i, label=None if labels is None else labels[i])
                 for i, (mid, user) in enumerate(rows)]
-    return build_index(MessageTable.from_messages(messages), ["user"])
+    return build_index(message_table(messages), ["user"])
 
 
 class TestInductivePartition:
@@ -266,9 +264,9 @@ relational_messages = st.lists(
 
 def ordered_messages(rows) -> list:
     # ids out of time order, so chronological position and id order differ
-    return sort_chronologically([
-        Message(id=f"m{(7 * i) % 41:02d}", user_id=u, text=t, links=links, timestamp=ts, label=y)
-        for i, (ts, u, t, links, y) in enumerate(rows)])
+    return sort_chronologically(rows_of([
+        dict(id=f"m{(7 * i) % 41:02d}", user_id=u, text=t, links=links, timestamp=ts, label=y)
+        for i, (ts, u, t, links, y) in enumerate(rows)]))
 
 
 @settings(max_examples=80, deadline=None)
@@ -277,7 +275,7 @@ def ordered_messages(rows) -> list:
 def test_array_partition_and_coverage_match_the_set_and_union_find_code(rows, relations, cuts):
     ordered = ordered_messages(rows)
     a, b, c = sorted(min(x, len(ordered)) for x in cuts)
-    index = build_index(MessageTable.from_messages(ordered), relations)
+    index = build_index(message_table(records_of(ordered)), relations)
     train, test = ordered[:a], ordered[b:c]
     groups_tt = build_groups(train + test, relations_from_names(relations))
     inductive = inductive_partition(index, (0, a), (b, c))
@@ -334,13 +332,13 @@ def planted_experiment_data(n=600, seed=0, prevalence=0.2, n_campaigns=12):
     for i in range(n):
         if i in spam_slots:
             c = campaign_of[i]
-            messages.append(Message(
+            messages.append(dict(
                 id=f"m{i:04d}", user_id=f"spammer{c % 7}",
                 text=f"free followers campaign {c}",
                 links=[f"http://spam{c}.example/x"],
                 timestamp=i, label=1))
         else:
-            messages.append(Message(
+            messages.append(dict(
                 id=f"m{i:04d}", user_id=f"user{rng.randrange(60)}",
                 text=f"talking about topic {rng.randrange(40)}",
                 timestamp=i, label=0))
@@ -383,7 +381,7 @@ class TestExperiment:
                                    n_subsets=2)
         from relspam.data_model import chronological_split, sort_chronologically
 
-        ordered, table = sort_chronologically(messages), MessageTable.from_messages(messages)
+        ordered, table = sort_chronologically(rows_of(messages)), message_table(messages)
         plan = chronological_split(table, 2, config.fractions)
         s = plan[0]
         fm = featurize_subset(table, s, config, {})
@@ -406,11 +404,12 @@ class TestExperiment:
 
     def test_validates_the_dataset_as_the_cli_does(self):
         messages = planted_experiment_data(n=300, seed=4)
-        messages[5].id = "m\nfive"
-        with pytest.raises(DataError, match="'id' must be a string without a tab, CR, newline"):
+        messages[5]["id"] = "m\nfive"
+        with pytest.raises(DataError,
+                           match="^record 5: 'id' must be a string without a tab, CR, newline"):
             evaluate_experiment(messages, [], self.small_config())
-        messages[5].id = messages[4].id
-        with pytest.raises(DataError, match=f"duplicate message id: {messages[4].id}"):
+        messages[5]["id"] = messages[4]["id"]
+        with pytest.raises(DataError, match=f"duplicate message id: {messages[4]['id']}"):
             evaluate_experiment(messages, [], self.small_config())
 
     def test_an_id_that_names_a_hub_keeps_its_own_score(self):
@@ -421,28 +420,30 @@ class TestExperiment:
         for renamed in (False, True):
             messages = planted_experiment_data(n=300, seed=4)
             if renamed:
-                messages[80].id = f"hub:user:{messages[80].user_id}"  # in subset 0's test slice
-            table = MessageTable.from_messages(messages)
+                # in subset 0's test slice
+                messages[80]["id"] = f"hub:user:{messages[80]['user_id']}"
+            table = message_table(messages)
             plan, index, graph_table = prepare_dataset(table, [], config)
             subset = plan[0]
             fm = featurize_subset(table, subset, config, graph_table)
             artifacts = train_subset_models(index, subset, fm, config)
             runs.append((index, infer_subset_models(artifacts, index, subset, fm, config)[0]))
         (original, before), (renamed, after) = runs
-        assert renamed.ids[80] == f"hub:user:{messages[80].user_id}" != original.ids[80]
+        assert renamed.ids[80] == f"hub:user:{messages[80]['user_id']}" != original.ids[80]
         assert 80 in renamed.table.members and subset.test[0] <= 80 < subset.test[1]
         for name in config.models:
             assert after[name].tolist() == before[name].tolist(), name
 
     def test_a_lone_surrogate_fails_before_any_work(self):
         messages = planted_experiment_data(n=300, seed=4)
-        messages[5].user_id = "u\udfff"
-        with pytest.raises(DataError, match="'user_id' must be .*lone surrogate, got 'u\\\\udfff'"):
+        messages[5]["user_id"] = "u\udfff"
+        with pytest.raises(DataError,
+                           match="^record 5: 'user_id' must be .*lone surrogate, got 'u\\\\udfff'"):
             evaluate_experiment(messages, [], self.small_config())
 
     def test_unlabeled_training_message_fails_before_any_work(self):
         messages = planted_experiment_data(n=300, seed=4)
-        messages[3].label = None  # in subset 0's training slice
+        messages[3]["label"] = None  # in subset 0's training slice
         with pytest.raises(DataError, match="subset 0: .*'m0003'"):
             evaluate_experiment(messages, [], self.small_config())
 
@@ -459,7 +460,7 @@ class TestExperiment:
 
     def test_unlabeled_test_message_is_scored_but_not_counted(self):
         messages = planted_experiment_data(n=300, seed=4)
-        messages[-1].label = None  # in the last subset's test slice
+        messages[-1]["label"] = None  # in the last subset's test slice
         report = evaluate_experiment(messages, [], self.small_config())
         assert report["models"][0]["overall"]["n"] == report["n_test"] - 1
 
@@ -693,7 +694,7 @@ class TestPipelineOptions:
             epsilons={"user": 0.2, "hashtag": 0.35},
             tune_epsilons=True,
         )
-        table = MessageTable.from_messages(messages)
+        table = message_table(messages)
         index = build_index(table, config.relations)
         for subset in chronological_split(table, 2, config.fractions):
             fm = featurize_subset(table, subset, config, {})

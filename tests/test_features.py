@@ -14,9 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 from relspam.data_model import (
     RELATION_NAMES,
     DataError,
-    Message,
-    MessageTable,
     build_groups,
+    message_table,
     normalize_link,
     normalize_text,
     relations_from_names,
@@ -41,14 +40,17 @@ from relspam.features import (
     write_feature_matrix,
 )
 
-from tables import scipy_of
+from tables import records_of, rows_of, scipy_of
 
 
 def msg(mid, user="u", text="", ts=0, **kw):
-    return Message(id=mid, user_id=user, text=text, timestamp=ts, **kw)
+    """The checked row of a message record."""
+    return rows_of([dict(id=mid, user_id=user, text=text, timestamp=ts, **kw)])[0]
 
 
-as_table = MessageTable.from_messages
+def as_table(messages):
+    """The message table of checked rows."""
+    return message_table(records_of(messages))
 
 
 # A message's hashtags, mentions and links, each from a split of its own: the

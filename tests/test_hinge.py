@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relspam.data_model import ConfigError, DataError, Message, MessageTable, build_index
+from relspam.data_model import ConfigError, DataError, build_index, message_table
 from relspam.hinge import (
     GroundHingeModel,
     HingeConfig,
@@ -410,10 +410,11 @@ def two_slices():
     and link, and two slices of it: positions 0-1 share a user and a link
     and hold no text group, positions 2-3 share a user and a text and hold
     no link group."""
-    messages = [Message("m0", "u1", "a", 0, links=["http://x.io"], label=1),
-                Message("m1", "u1", "b", 1, links=["http://x.io"], label=0),
-                Message("m2", "u2", "c", 2, label=1), Message("m3", "u2", "c", 3, label=0)]
-    index = build_index(MessageTable.from_messages(messages), ["user", "text", "link"])
+    messages = [dict(id="m0", user_id="u1", text="a", timestamp=0, links=["http://x.io"], label=1),
+                dict(id="m1", user_id="u1", text="b", timestamp=1, links=["http://x.io"], label=0),
+                dict(id="m2", user_id="u2", text="c", timestamp=2, label=1),
+                dict(id="m3", user_id="u2", text="c", timestamp=3, label=0)]
+    index = build_index(message_table(messages), ["user", "text", "link"])
     return index, index.groups((0, 2)), index.groups((2, 4))
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from relspam.data_model import DataError, MessageTable, chronological_split
+from relspam.data_model import DataError, chronological_split, message_table
 from relspam.evaluation import ExperimentConfig, featurize_subset
 from relspam.features import FeatureMatrix, scalable_columns
 from relspam.hinge import jacobi_inverse
@@ -355,7 +355,7 @@ def generated_training_slice():
     """The training slice of subset 0 of a generated dataset, fully featurized."""
     messages, _ = generate(GeneratorConfig(n_messages=3000, n_users=150, n_campaigns=15), 42)
     config = ExperimentConfig()
-    table = MessageTable.from_messages(messages)
+    table = message_table(messages)
     subset = chronological_split(table, 3, config.fractions)[0]
     a, b = subset.train
     fm = featurize_subset(table, subset, config, {}).rows(0, b - a)

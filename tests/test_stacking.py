@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from relspam.data_model import (ConfigError, DataError, Message, MessageTable, build_index,
+from relspam.data_model import (ConfigError, DataError, build_index, message_table,
                                 read_artifact, write_artifact)
 from relspam.features import FeatureMatrix
 from relspam.linear import ClassifierConfig, fit_classifier
@@ -152,11 +152,11 @@ def planted_dataset(n_users=30, msgs_per_user=6, noise=1.5, seed=0):
     for r in range(msgs_per_user):
         for u in range(n_users):
             label = u % 2
-            messages.append(Message(id=f"m{t:04d}", user_id=f"u{u:02d}", timestamp=t, label=label))
+            messages.append(dict(id=f"m{t:04d}", user_id=f"u{u:02d}", timestamp=t, label=label))
             rows.append([label + noise * rng.standard_normal()])
             t += 1
     fm = FeatureMatrix(["signal"], csr_of(np.array(rows)))
-    return fm, build_index(MessageTable.from_messages(messages), ["user"])
+    return fm, build_index(message_table(messages), ["user"])
 
 
 def no_context(index):
@@ -261,11 +261,11 @@ class TestInferStacked:
             is_campaign = i % 10 == 0
             label = 1 if is_campaign else 0
             text = "campaign blast" if is_campaign else f"chat {i % 25}"
-            messages.append(Message(id=f"m{i:04d}", user_id=f"u{i % 40:02d}", text=text,
-                                    timestamp=i, label=label))
+            messages.append(dict(id=f"m{i:04d}", user_id=f"u{i % 40:02d}", text=text,
+                                 timestamp=i, label=label))
             rows.append([label + 2.0 * rng.standard_normal()])
         fm = FeatureMatrix(["signal"], csr_of(np.array(rows)))
-        index = build_index(MessageTable.from_messages(messages), ["text"])
+        index = build_index(message_table(messages), ["text"])
         fm_train, fm_test = fm.rows(0, 300), fm.rows(300, 400)
         stacked = train_stacked(np.arange(300), fm_train, index.labels, index.groups((0, 300)),
                                 K=1, relations=["text"], config=ClassifierConfig(l2=0.1))
