@@ -20,6 +20,13 @@ later stage run under other featurize settings. Past featurize a message is
 its position in the index; ids come back only in the TSVs. A run's settings
 are one `RunConfig`, which `load_config` builds from the JSON config and
 checks before any stage runs. `COMMANDS` maps each command to its stage.
+
+`featurize`, `train` and `infer` run their subsets in parallel
+(`_map_subsets`): a fork pool of one worker per usable CPU, up to the number
+of subsets, or inline on one CPU. Each worker writes its own subset's files
+and the stage gets back only what a subset returns, so the output bytes do
+not depend on the worker count. Reading the messages and `eval` run in the
+stage's own process.
 """
 
 from __future__ import annotations
@@ -27,6 +34,8 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import multiprocessing
+import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -195,6 +204,44 @@ def _load_features(cfg, i: int, subset: SubsetSplit) -> FeatureMatrix:
     return fm
 
 
+# --- the subsets in parallel ---
+
+_JOB = None  # in a pool worker, the job of its `_map_subsets`, inherited by fork
+
+
+def _start_worker(job) -> None:
+    global _JOB
+    _JOB = job
+
+
+def _run_job(i: int):
+    return _JOB(i)
+
+
+def _map_subsets(job, n: int) -> list:
+    """[job(i) for i in range(n)], run by a fork pool of one worker per CPU
+    this process may use (its affinity set where the platform has one), at
+    most n, or inline when that is one worker or the platform cannot fork.
+    The workers inherit all that `job` reads, so only i and what `job`
+    returns are pickled. The error of the lowest-numbered failing subset is
+    raised, as the inline loop raises it, and no worker outlives the call."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cpus or 1, n)
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return [job(i) for i in range(n)]
+    pool = multiprocessing.get_context("fork").Pool(workers, _start_worker, (job,))
+    try:
+        # imap, not map: its results, and so its errors, come in subset order
+        results = list(pool.imap(_run_job, range(n)))
+        pool.close()
+    except BaseException:
+        pool.terminate()
+        raise
+    finally:
+        pool.join()
+    return results
+
+
 # --- stages ---
 
 def cmd_generate(cfg: RunConfig) -> int:
@@ -224,24 +271,26 @@ def cmd_featurize(cfg: RunConfig) -> int:
     write_index(feat_dir / "index.npz", index)
     # not held while the subsets are transformed: it adds nothing to the stage's peak memory
     del index
-    for i, subset in enumerate(plan):
-        fm = featurize_subset(table, subset, cfg, graph_table)
+
+    def featurize(i: int) -> None:
         sub_dir = _subset_dir(cfg, "features", i)
         sub_dir.mkdir(parents=True, exist_ok=True)
-        write_feature_matrix(sub_dir / "features.npz", fm)
-        # not held while the next subset is transformed, which sets the stage's peak memory
-        del fm
+        write_feature_matrix(sub_dir / "features.npz",
+                             featurize_subset(table, plan[i], cfg, graph_table))
+    _map_subsets(featurize, len(plan))
     log.info("featurize: wrote %d subset matrices under %s", len(plan), feat_dir)
     return 0
 
 
 def cmd_train(cfg: RunConfig) -> int:
     plan, index = _load_featurized(cfg)
-    for i, subset in enumerate(plan):
-        artifacts = train_subset_models(index, subset, _load_features(cfg, i, subset), cfg)
+
+    def train(i: int) -> None:
+        artifacts = train_subset_models(index, plan[i], _load_features(cfg, i, plan[i]), cfg)
         out_dir = _subset_dir(cfg, "models", i)
         out_dir.mkdir(parents=True, exist_ok=True)
         write_models(out_dir / "models.json", artifacts, cfg)
+    _map_subsets(train, len(plan))
     log.info("train: wrote model artifacts for %d subsets under %s", len(plan),
              _out(cfg) / "models")
     return 0
@@ -250,8 +299,9 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_infer(cfg: RunConfig) -> int:
     plan, index = _load_featurized(cfg)
     pred_dir = _out(cfg) / "predictions"
-    diagnostics = []
-    for i, subset in enumerate(plan):
+
+    def infer(i: int) -> dict:
+        subset = plan[i]
         artifacts = read_models(_subset_dir(cfg, "models", i) / "models.json", cfg)
         preds, diag = infer_subset_models(artifacts, index, subset,
                                           _load_features(cfg, i, subset), cfg)
@@ -262,8 +312,9 @@ def cmd_infer(cfg: RunConfig) -> int:
             with open(model_dir / f"subset_{i:02d}.tsv", "w", encoding="utf-8") as fh:
                 fh.writelines(f"{mid}\t{score!r}\n"
                               for mid, score in zip(test_ids, scores.tolist()))
-        diagnostics.append(diag)
-    write_artifact(pred_dir / "diagnostics.json", DIAGNOSTICS_FORMAT, sum_diagnostics(diagnostics))
+        return diag
+    write_artifact(pred_dir / "diagnostics.json", DIAGNOSTICS_FORMAT,
+                   sum_diagnostics(_map_subsets(infer, len(plan))))
     log.info("infer: wrote predictions for %d subsets under %s", len(plan), pred_dir)
     return 0
 

@@ -1,11 +1,13 @@
 import importlib
 import inspect
 import json
+import multiprocessing
 import os
 import re
 import shutil
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from dataclasses import fields, is_dataclass
@@ -14,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from relspam import cli
 from relspam.cli import LEGACY_KEYS, RunConfig, _load_featurized, load_config, main
 from relspam.data_model import (
     ConfigError,
@@ -166,6 +169,31 @@ class TestStages:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {path}: 370 rows, but subset 0 of split_plan.json "
                                   "has 400 messages; rerun the featurize stage"), err
+
+    def test_first_failing_subset_is_named_and_no_worker_is_left(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        args = ["--config", cfg, "--out", str(out), "--seed", "5"]
+        for stage in ("generate", "featurize", "train", "infer"):
+            assert main([stage, *args]) == 0
+            assert multiprocessing.active_children() == []
+        for i in (0, 2):
+            path = out / "features" / f"subset_{i:02d}" / "features.npz"
+            fm = read_feature_matrix(path)
+            write_feature_matrix(path, fm.rows(0, fm.shape[0] - 30))
+
+        def slow_first_subset(path):  # subset 2's error comes back first from a pool
+            if "subset_00" in str(path):
+                time.sleep(0.5)
+            return read_feature_matrix(path)
+        monkeypatch.setattr(cli, "read_feature_matrix", slow_first_subset)
+        for stage in ("train", "infer"):
+            capsys.readouterr()
+            assert main([stage, *args]) == 1
+            assert multiprocessing.active_children() == []
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {out / 'features' / 'subset_00'}"), err
 
     def test_featurize_is_byte_idempotent(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -819,6 +847,26 @@ class TestDeterminism:
         assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
         assert (out_a / "report.txt").read_bytes() == (out_b / "report.txt").read_bytes()
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs two usable CPUs and sched_setaffinity")
+    def test_one_cpu_or_all_give_the_same_bytes(self, tmp_path):
+        # one usable CPU runs the subsets inline, two or more over a fork pool
+        cfg = write_config(tmp_path)
+        cpus = sorted(os.sched_getaffinity(0))
+        trees = []
+        for name, allowed in (("one", cpus[:1]), ("all", cpus)):
+            out = tmp_path / name
+            code = (f"import os, sys; os.sched_setaffinity(0, {allowed}); "
+                    "from relspam.cli import main; sys.exit(main(sys.argv[1:]))")
+            subprocess.run([sys.executable, "-c", code, "run-all", "--config", cfg,
+                            "--out", str(out), "--seed", "1"], check=True, capture_output=True,
+                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=300)
+            trees.append({p.relative_to(out).as_posix(): p.read_bytes()
+                          for p in sorted(out.rglob("*")) if p.is_file()})
+        assert sorted(trees[0]) == sorted(trees[1])
+        for name, data in trees[0].items():
+            assert data == trees[1][name], name
+
 
 
 def test_every_training_slice_has_both_classes():
@@ -846,3 +894,32 @@ def test_importing_the_cli_loads_no_scipy_module():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert result.stdout == "[]\n", result.stdout
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+def run_without_blas_settings(code: str, **preset) -> str:
+    """The stdout of `code` in a fresh interpreter whose environment sets no
+    BLAS thread count but those in `preset`."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, timeout=60,
+                            env={**env, **preset, "PYTHONPATH": str(ROOT / "src")})
+    return result.stdout
+
+
+@pytest.mark.parametrize("preset, expected", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "3"}, "3")])
+def test_importing_the_cli_pins_blas_to_one_thread_unless_set(preset, expected):
+    # a threaded BLAS in every pool worker makes a stage slower than one process
+    code = "import os, relspam.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert run_without_blas_settings(code, **preset) == f"{expected}\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux's /proc")
+def test_a_long_dot_product_runs_on_one_thread():
+    # OpenBLAS sums a dot product this long on as many threads as it may start
+    code = ("import os, relspam.cli, numpy as np; a = np.linspace(0, 1, 200_000); a @ a; "
+            "print(len(os.listdir('/proc/self/task')))")
+    assert run_without_blas_settings(code) == "1\n"
