@@ -5,8 +5,8 @@ stage can be rerun in isolation; outputs are byte-deterministic for a fixed
 config and seed. `run-all` chains every stage and writes the final report. A
 stage only reads its inputs, calls the steps of `evaluation` that
 `evaluate_experiment` also runs (featurize first calls `prepare_dataset`), and
-writes their results. Only `featurize` reads `messages.jsonl`, streamed into
-a `MessageTable`; it writes `features/split_plan.json`, which holds each
+writes their results. Only `featurize` reads `messages.jsonl`, into a
+`MessageTable`; it writes `features/split_plan.json`, which holds each
 subset's position ranges and the settings it ran under, the
 `features/index.npz` message index (relations sorted by name) and each
 subset's `features.npz`, `train` each subset's `models.json` (whose format
@@ -22,11 +22,13 @@ are one `RunConfig`, which `load_config` builds from the JSON config and
 checks before any stage runs. `COMMANDS` maps each command to its stage.
 
 `featurize`, `train` and `infer` run their subsets in parallel
-(`_map_subsets`): a fork pool of one worker per usable CPU, up to the number
-of subsets, or inline on one CPU. Each worker writes its own subset's files
-and the stage gets back only what a subset returns, so the output bytes do
-not depend on the worker count. Reading the messages and `eval` run in the
-stage's own process.
+(`data_model._map_pool`): a fork pool of one worker per usable CPU, up to
+the number of subsets, or inline on one CPU. Each worker writes its own
+subset's files and the stage gets back only what a subset returns, so the
+output bytes do not depend on the worker count. `featurize` reads the
+messages over such a pool too (`read_message_table`), checks the dataset
+before it writes anything, and writes the index as its pool's first job,
+beside the subsets. `eval` runs in the stage's own process.
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import multiprocessing
-import os
+import math
 import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -45,7 +46,10 @@ import numpy as np
 from .data_model import (
     ConfigError,
     DataError,
+    _map_pool,
+    build_index,
     check_setting,
+    gc_paused,
     is_int,
     read_artifact,
     read_follows,
@@ -204,52 +208,15 @@ def _load_features(cfg, i: int, subset: SubsetSplit) -> FeatureMatrix:
     return fm
 
 
-# --- the subsets in parallel ---
-
-_JOB = None  # in a pool worker, the job of its `_map_subsets`, inherited by fork
-
-
-def _start_worker(job) -> None:
-    global _JOB
-    _JOB = job
-
-
-def _run_job(i: int):
-    return _JOB(i)
-
-
-def _map_subsets(job, n: int) -> list:
-    """[job(i) for i in range(n)], run by a fork pool of one worker per CPU
-    this process may use (its affinity set where the platform has one), at
-    most n, or inline when that is one worker or the platform cannot fork.
-    The workers inherit all that `job` reads, so only i and what `job`
-    returns are pickled. The error of the lowest-numbered failing subset is
-    raised, as the inline loop raises it, and no worker outlives the call."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(cpus or 1, n)
-    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-        return [job(i) for i in range(n)]
-    pool = multiprocessing.get_context("fork").Pool(workers, _start_worker, (job,))
-    try:
-        # imap, not map: its results, and so its errors, come in subset order
-        results = list(pool.imap(_run_job, range(n)))
-        pool.close()
-    except BaseException:
-        pool.terminate()
-        raise
-    finally:
-        pool.join()
-    return results
-
-
 # --- stages ---
 
 def cmd_generate(cfg: RunConfig) -> int:
     log.info("generate: seed %d, %s", cfg.seed, cfg.generator)
-    messages, follows = generate(cfg.generator, cfg.seed)
-    data_dir = _out(cfg) / "data"
-    data_dir.mkdir(parents=True, exist_ok=True)
-    write_messages(data_dir / "messages.jsonl", messages)
+    with gc_paused():
+        messages, follows = generate(cfg.generator, cfg.seed)
+        data_dir = _out(cfg) / "data"
+        data_dir.mkdir(parents=True, exist_ok=True)
+        write_messages(data_dir / "messages.jsonl", messages)
     write_follows(data_dir / "follows.tsv", follows)
     log.info("generate: wrote %d messages, %d follows to %s", len(messages), len(follows), data_dir)
     return 0
@@ -263,21 +230,21 @@ def cmd_featurize(cfg: RunConfig) -> int:
     table, source_sha256 = read_message_table(path)
     # only the default follows file may be absent
     follows = read_follows(follows_path) if cfg.follows or follows_path.exists() else []
-    plan, index, graph_table = prepare_dataset(table, follows, cfg, source_sha256)
+    plan, graph_table = prepare_dataset(table, follows, cfg)
     feat_dir = _out(cfg) / "features"
     feat_dir.mkdir(parents=True, exist_ok=True)
     write_artifact(feat_dir / "split_plan.json", PLAN_FORMAT,
                    {"subsets": list(map(asdict, plan)), "settings": _featurize_settings(cfg)})
-    write_index(feat_dir / "index.npz", index)
-    # not held while the subsets are transformed: it adds nothing to the stage's peak memory
-    del index
 
-    def featurize(i: int) -> None:
-        sub_dir = _subset_dir(cfg, "features", i)
+    def featurize(job: int) -> None:  # job 0 writes the index, job i + 1 subset i's matrix
+        if job == 0:
+            write_index(feat_dir / "index.npz", build_index(table, cfg.relations, source_sha256))
+            return
+        sub_dir = _subset_dir(cfg, "features", job - 1)
         sub_dir.mkdir(parents=True, exist_ok=True)
         write_feature_matrix(sub_dir / "features.npz",
-                             featurize_subset(table, plan[i], cfg, graph_table))
-    _map_subsets(featurize, len(plan))
+                             featurize_subset(table, plan[job - 1], cfg, graph_table))
+    _map_pool(featurize, len(plan) + 1)
     log.info("featurize: wrote %d subset matrices under %s", len(plan), feat_dir)
     return 0
 
@@ -290,7 +257,7 @@ def cmd_train(cfg: RunConfig) -> int:
         out_dir = _subset_dir(cfg, "models", i)
         out_dir.mkdir(parents=True, exist_ok=True)
         write_models(out_dir / "models.json", artifacts, cfg)
-    _map_subsets(train, len(plan))
+    _map_pool(train, len(plan))
     log.info("train: wrote model artifacts for %d subsets under %s", len(plan),
              _out(cfg) / "models")
     return 0
@@ -314,7 +281,7 @@ def cmd_infer(cfg: RunConfig) -> int:
                               for mid, score in zip(test_ids, scores.tolist()))
         return diag
     write_artifact(pred_dir / "diagnostics.json", DIAGNOSTICS_FORMAT,
-                   sum_diagnostics(_map_subsets(infer, len(plan))))
+                   sum_diagnostics(_map_pool(infer, len(plan))))
     log.info("infer: wrote predictions for %d subsets under %s", len(plan), pred_dir)
     return 0
 
@@ -325,8 +292,7 @@ def _read_predictions(path: Path, test_ids: list) -> np.ndarray:
     finite float, an id that is not a test message or comes twice, and a test
     message without a line each raise `DataError` naming the file and the line."""
     position = {mid: i for i, mid in enumerate(test_ids)}
-    scores = np.zeros(len(test_ids))
-    seen = np.zeros(len(test_ids), dtype=bool)
+    scores = [None] * len(test_ids)  # None: no line yet
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -338,19 +304,19 @@ def _read_predictions(path: Path, test_ids: list) -> np.ndarray:
                 score = float(value)
             except ValueError as exc:  # bad UTF-8 is a ValueError too
                 raise DataError(f"{path}, line {n}: not an id and a score ({exc})") from None
-            if not np.isfinite(score):
+            if not math.isfinite(score):
                 raise DataError(f"{path}, line {n}: the score {value!r} is not finite")
             i = position.get(mid)
             if i is None:
                 raise DataError(f"{path}, line {n}: {mid!r} is not a test message of this subset")
-            if seen[i]:
+            if scores[i] is not None:
                 raise DataError(f"{path}, line {n}: {mid!r} is scored twice")
-            seen[i], scores[i] = True, score
-    if not seen.all():
-        missing = np.flatnonzero(~seen)
+            scores[i] = score
+    missing = [i for i, score in enumerate(scores) if score is None]
+    if missing:
         raise DataError(f"{path}: no line for test message {test_ids[missing[0]]!r} "
                         f"({len(missing)} missing)")
-    return scores
+    return np.array(scores, dtype=float)
 
 
 def _check_diagnostics(header: dict, _) -> dict:

@@ -5,9 +5,12 @@ A message is a record, a decoded JSON object, until it is a table row:
 `_record_fields` checks its fields against one table, `MESSAGE_FIELDS`, and
 fills in the defaults of those it lacks, whether the record is a line of a
 JSONL file (`read_message_table`) or an item of a list (`message_table`).
-Past the check a dataset is one `MessageTable` of columns, built in one pass
-in which no record outlives its row; the checks of a whole dataset (unique
-ids, labeled training slices) are `evaluation.prepare_dataset`'s. Groups
+Past the check a dataset is one `MessageTable` of columns, built by one row
+builder (`_columns`) in one pass in which no record outlives its row: over
+the list, or over each byte range of the file, the ranges read in parallel
+by `_map_pool`, the fork pool the `cli` stages map their subsets over too,
+and joined in file order. The checks of a whole dataset (unique ids,
+labeled training slices) are `evaluation.prepare_dataset`'s. Groups
 ("hubs") collect messages that share a relation key: same author, same
 normalized text, same link, and so on. One pass over the table's columns
 gives each relation's keys and their members: `build_index` fills a
@@ -21,9 +24,13 @@ downstream modules consume these types read-only.
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import io
 import json
 import math
+import multiprocessing
+import os
 import re
 import string
 import tokenize
@@ -31,6 +38,7 @@ import unicodedata
 import zipfile
 import zlib
 from collections import defaultdict, namedtuple
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, NamedTuple, Optional
 from urllib.parse import urlsplit, urlunsplit
@@ -117,6 +125,65 @@ def is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
+@contextmanager
+def gc_paused():
+    """The body runs with the cyclic garbage collector off: code that makes
+    many objects and no reference cycles, such as decoding a file, then pays
+    no collections. The caller's GC state comes back after, however the body ends."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+_JOB = None  # in a pool worker, the job of its `_map_pool`, inherited by fork
+
+
+def _start_worker(job) -> None:
+    global _JOB
+    _JOB = job
+
+
+def _run_job(i: int):
+    return _JOB(i)
+
+
+def _workers() -> int:
+    """The workers of a `_map_pool`: one per CPU this process may use (its
+    affinity set where the platform has one), or 1 where it cannot fork."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return cpus or 1
+
+
+def _map_pool(job, n: int) -> list:
+    """[job(i) for i in range(n)], run by a fork pool of `_workers()`
+    workers, at most n, or inline when that is one. The workers inherit all
+    that `job` reads, so only i and what `job` returns are pickled. The error
+    of the lowest-numbered failing job is raised, as the inline loop raises
+    it, once the other jobs have ended, and no worker outlives the call."""
+    workers = min(_workers(), n)
+    if workers <= 1:
+        return [job(i) for i in range(n)]
+    pool = multiprocessing.get_context("fork").Pool(workers, _start_worker, (job,))
+    try:
+        # imap, not map: its results, and so its errors, come in job order
+        return list(pool.imap(_run_job, range(n)))
+    except (KeyboardInterrupt, SystemExit):
+        pool.terminate()
+        raise
+    finally:
+        # a failed job does not terminate the pool: a worker killed while it sends a
+        # result holds the result queue's lock, and the pool's shutdown then waits on
+        # it for ever
+        pool.close()
+        pool.join()
+
+
 SPAM = 1
 HAM = 0
 
@@ -193,6 +260,9 @@ def normalize_link(url: str) -> str:
     return urlunsplit((parts.scheme.lower(), parts.netloc.lower(), parts.path, parts.query, parts.fragment))
 
 
+_NO_KEYS = ((), (), ())  # the keys of a message without any: one shared tuple
+
+
 def _entities(text: str, hashtags: list, links: list, mentions: list) -> tuple:
     """(hashtags, links, mentions) as group keys: each the message's list, else
     parsed from one split of its text; tags and mentions lowercased, links
@@ -200,7 +270,7 @@ def _entities(text: str, hashtags: list, links: list, mentions: list) -> tuple:
     share nothing."""
     words = text.split() if "#" in text or "@" in text or "http" in text else ()
     if not (words or hashtags or links or mentions):
-        return ((), (), ())  # a constant: one shared tuple
+        return _NO_KEYS
     tags = hashtags or [w[1:] for w in words if w.startswith("#")]
     links = links or [w for w in words if w.startswith(("http://", "https://"))]
     mentions = mentions or [w[1:].rstrip(string.punctuation) for w in words if w.startswith("@")]
@@ -228,7 +298,9 @@ RELATION_NAMES = tuple(_RELATION_KEYS)
 class MessageTable:
     """A dataset as columns, row i the message at chronological position i,
     (timestamp, id) ascending. Each text is normalized and split (`_entities`)
-    once, as the table is built, and equal strings share one object."""
+    once, as the table is built, and equal strings, and equal tuples of a
+    message's keys, share one object, also across the ranges of a file read
+    in parallel."""
 
     ids: list
     user_ids: list
@@ -247,28 +319,61 @@ class MessageTable:
         return MessageTable(*(getattr(self, f.name)[a:b] for f in fields(self)))
 
     @classmethod
-    def _of_fields(cls, messages: Iterable) -> "MessageTable":
-        """The table of messages as checked fields in `MESSAGE_FIELDS` order
-        (`_record_fields`' lists or `MessageRow`s), read in one pass: none is
-        held past its row."""
-        one: dict = {}  # a string -> the object every equal string of the table is
-        columns = [[] for _ in range(9)]  # the timestamps, then the table's fields
+    def _of_ranges(cls, parts: list) -> "MessageTable":
+        """The table of the `_columns` of consecutive ranges of one sequence,
+        whose lists it takes over: joined in order, each string and key tuple
+        of a later range replaced by the equal one of an earlier range, and
+        sorted by (timestamp, id)."""
+        if len(parts) > 1:
+            one: dict = {}
+            for part in parts:
+                for j in (2, 3, 4, 5):  # user ids, target ids, texts, normalized texts
+                    part[j] = list(map(one.setdefault, part[j], part[j]))
+                part[6] = [_shared(e, one) for e in part[6]]
+        columns = parts[0]  # the timestamps, then the table's fields
+        for part in parts[1:]:
+            for column, more in zip(columns, part):
+                column.extend(more)
+            part.clear()
+        order = sorted(range(len(columns[1])), key=columns[1].__getitem__)
+        order.sort(key=columns[0].__getitem__)  # stable: (timestamp, id) order
+        for j in range(1, 9):  # each sorted column replaces its unsorted one
+            columns[j] = [columns[j][i] for i in order]
+        *columns, labels, retweets = columns[1:]
+        return cls(*columns, np.array(labels, dtype=np.int8), np.array(retweets, dtype=bool))
+
+
+def _shared(entities: tuple, one: dict) -> tuple:
+    """`_entities`' keys as `one` holds them: the tuple of keys, and each key,
+    the object of `one` equal to it, added when `one` has none."""
+    if not any(entities):
+        return _NO_KEYS
+    got = one.get(entities)
+    if got is None:
+        got = one[entities] = tuple(tuple(map(one.setdefault, part, part)) for part in entities)
+    return got
+
+
+def _columns(messages: Iterable) -> list:
+    """The columns of messages as checked fields in `MESSAGE_FIELDS` order
+    (`_record_fields`' lists or `MessageRow`s), in their order: the
+    timestamps, then the `MessageTable` fields, labels and retweets as lists.
+    Read in one pass with the cyclic GC paused, in which none is held past
+    its row; equal strings, and equal key tuples (`_shared`), share one object."""
+    one: dict = {}  # a string -> the object every equal string of the columns is
+    columns = [[] for _ in range(9)]
+    with gc_paused():
         for id, user_id, text, timestamp, target_id, links, hashtags, mentions, retweet, label \
                 in messages:
-            entities, key = _entities(text, hashtags, links, mentions), normalize_text(text)
+            key = normalize_text(text)
             row = (timestamp, id, one.setdefault(user_id, user_id),
                    target_id and one.setdefault(target_id, target_id),
                    one.setdefault(text, text), one.setdefault(key, key),
-                   tuple(tuple(one.setdefault(k, k) for k in part) for part in entities)
-                   if any(entities) else entities,
+                   _shared(_entities(text, hashtags, links, mentions), one),
                    -1 if label is None else label, retweet)
             for column, value in zip(columns, row):
                 column.append(value)
-        stamps, ids = columns[:2]
-        order = sorted(range(len(ids)), key=ids.__getitem__)
-        order.sort(key=stamps.__getitem__)  # stable: (timestamp, id) order
-        *columns, labels, retweets = ([column[i] for i in order] for column in columns[1:])
-        return cls(*columns, np.array(labels, dtype=np.int8), np.array(retweets, dtype=bool))
+    return columns
 
 
 def relations_from_names(names: Iterable[str]) -> list:
@@ -311,7 +416,7 @@ def build_groups(messages: list, relations: Iterable[str]) -> list:
     Sorted by (relation, key), member ids sorted within each group; a key
     shared by fewer than 2 distinct ids makes no group.
     """
-    groups, table = [], MessageTable._of_fields(messages)
+    groups, table = [], MessageTable._of_ranges([_columns(messages)])
     for name, keys in _relation_keys(table, relations).items():
         for key in sorted(keys):
             ids = tuple(sorted({table.ids[i] for i in keys[key]}))
@@ -489,32 +594,70 @@ def _record_fields(rec, index: int) -> list:
     return values
 
 
-def _record_lines(path, digest=None):
-    """`_record_fields` of each line of a JSONL file as it is read, its bytes
-    fed to the hash `digest` when given. A line that is not UTF-8, not a JSON
-    object or not a message raises `DataError` naming the file and the line."""
-    with open(path, "rb") as fh:
-        for i, line in enumerate(fh):
-            if digest is not None:
-                digest.update(line)
-            try:
-                text = line.decode("utf-8").strip()
-                if text:
-                    yield _record_fields(json.loads(text), i)
-            except ValueError as exc:  # bad UTF-8 and bad JSON are ValueErrors
-                raise DataError(f"{path}, line {i + 1}: {exc}") from None
+def _record_lines(path, lines, first: int = 0):
+    """`_record_fields` of each of `lines`, the byte lines of the JSONL file at
+    `path` from its line `first` (from 0), as they are read. A line that is not
+    UTF-8, not a JSON object or not a message raises `DataError` naming the
+    file and the line's number in the whole file."""
+    for i, line in enumerate(lines, first):
+        try:
+            text = line.decode("utf-8").strip()
+            if text:
+                yield _record_fields(json.loads(text), i)
+        except ValueError as exc:  # bad UTF-8 and bad JSON are ValueErrors
+            raise DataError(f"{path}, line {i + 1}: {exc}") from None
 
 
 def read_messages(path) -> list:
     """The `MessageRow`s of a JSONL file, one object per line (`_record_lines`), in file order."""
-    return list(map(MessageRow._make, _record_lines(path)))
+    with open(path, "rb") as fh:
+        return list(map(MessageRow._make, _record_lines(path, fh)))
+
+
+def _line_ranges(path, n: int) -> tuple:
+    """(the sha256 of a file, hashed in blocks, and the file cut at line
+    starts into n byte ranges, each (start, end, the index of its first
+    line), range k starting at the first line start at or after k/n of the
+    file; a line longer than a range leaves the next range empty)."""
+    size = os.path.getsize(path)
+    digest, starts, firsts, lines = hashlib.sha256(), [0], [], 0
+    with open(path, "rb") as fh:
+        for k in range(1, n):
+            at = max(k * size // n, starts[-1])
+            if at > 0:
+                fh.seek(at - 1)
+                fh.readline()  # to the end of the line that holds byte at - 1
+                at = fh.tell()
+            starts.append(at)
+        ends = starts[1:] + [size]
+        fh.seek(0)
+        for end in ends:
+            firsts.append(lines)
+            while block := fh.read(min(end - fh.tell(), 1 << 20)):
+                digest.update(block)
+                lines += block.count(b"\n")
+    return digest.hexdigest(), list(zip(starts, ends, firsts))
+
+
+def _read_range(path, start: int, end: int, first: int) -> list:
+    """The `_columns` of the lines in bytes start to end of a JSONL file, the
+    first of them its line `first` (from 0)."""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        chunk = fh.read(end - start)
+    return _columns(_record_lines(path, io.BytesIO(chunk), first))
 
 
 def read_message_table(path) -> tuple:
     """(the `MessageTable` of a JSONL file as `read_messages` reads it, the
-    sha256 of its bytes), from one pass in which no record outlives its line."""
-    digest = hashlib.sha256()
-    return MessageTable._of_fields(_record_lines(path, digest)), digest.hexdigest()
+    sha256 of its bytes). The file is cut at line starts into one byte range
+    per worker of `_map_pool`, each read by one worker (`_read_range`), and
+    the ranges' columns are joined in file order: the table, and the error
+    of a bad line, the first in the file, do not depend on the worker count."""
+    sha256, ranges = _line_ranges(path, _workers())
+    with gc_paused():
+        parts = _map_pool(lambda k: _read_range(path, *ranges[k]), len(ranges))
+        return MessageTable._of_ranges(parts), sha256
 
 
 def message_table(records: Iterable) -> MessageTable:
@@ -527,7 +670,7 @@ def message_table(records: Iterable) -> MessageTable:
                 yield _record_fields(rec, i)
             except DataError as exc:
                 raise DataError(f"record {i}: {exc}") from None
-    return MessageTable._of_fields(checked())
+    return MessageTable._of_ranges([_columns(checked())])
 
 
 def write_messages(path, records: Iterable[dict]) -> None:

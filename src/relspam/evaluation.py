@@ -1,7 +1,8 @@
 """Metrics and the chronological multi-subset evaluation protocol.
 
-The protocol is written once. `prepare_dataset` checks, splits and indexes
-a dataset's `MessageTable`, and then come per-subset steps on in-memory inputs:
+The protocol is written once. `prepare_dataset` checks and splits a
+dataset's `MessageTable`, `build_index` indexes it, and then come per-subset
+steps on in-memory inputs:
 `featurize_subset` builds a subset's features, fit on its training slice,
 `train_subset_models` fits the independent classifier and every artifact the
 roster needs (tuning on validation), `infer_subset_models` predicts the test
@@ -15,7 +16,7 @@ and know a message by its chronological position: labels, priors and scores
 are arrays over positions, and a subset's predictions are one array per model
 over its test slice. `evaluate_experiment` runs these steps in one process
 on the table of its list of records; the `cli` stages run the same steps,
-featurize on the table it streams from the JSONL, each record checked the
+featurize on the table it reads from the JSONL, each record checked the
 same way, through the same `prepare_dataset`, and only read and write the
 artifacts between them.
 """
@@ -343,12 +344,13 @@ def tune_l2(fm_train, labels, fm_val, val_labels, config: ClassifierConfig, grid
 
 # --- per-subset steps of the protocol ---
 
-def prepare_dataset(table: MessageTable, follows: list, config: ExperimentConfig,
-                    source_sha256: str = "") -> tuple:
-    """The set-up of a message table that featurize and `evaluate_experiment`
-    share: -> (its split plan as `SubsetSplit`s, its index, the per-user
-    graph-feature table every subset's matrix reads; empty when there are no
-    follows, None when the feature mode drops the graph block).
+def prepare_dataset(table: MessageTable, follows: list, config: ExperimentConfig) -> tuple:
+    """The checks and set-up of a message table that featurize and
+    `evaluate_experiment` share, run before either starts any other work:
+    -> (its split plan as `SubsetSplit`s, the per-user graph-feature table
+    every subset's matrix reads; empty when there are no follows, None when
+    the feature mode drops the graph block). Each then builds the table's
+    index (`build_index`): featurize beside its subsets.
 
     A `DataError` names the first duplicate id, or the subset whose training
     slice is empty, shorter than the deepest stacked model of the roster
@@ -359,7 +361,6 @@ def prepare_dataset(table: MessageTable, follows: list, config: ExperimentConfig
         raise DataError("dataset failed validation: " + "; ".join(
             f"duplicate message id: {mid}" for mid in duplicates[:5]))
     plan = chronological_split(table, config.n_subsets, config.fractions)
-    index = build_index(table, config.relations, source_sha256)
     deepest = max(config.required_stacks(), default=0)
     for i, subset in enumerate(plan):
         n_train = subset.train[1] - subset.train[0]
@@ -368,13 +369,13 @@ def prepare_dataset(table: MessageTable, follows: list, config: ExperimentConfig
         if n_train <= deepest:
             raise DataError(f"subset {i}: {n_train} training messages, but sgl{deepest} needs "
                             f"{deepest + 1}; raise fractions[0] or lower n_subsets")
-        unlabeled = np.flatnonzero(index.labels[slice(*subset.train)] < 0)
+        unlabeled = np.flatnonzero(table.labels[slice(*subset.train)] < 0)
         if len(unlabeled):
-            first = index.ids[subset.train[0] + unlabeled[0]]
+            first = table.ids[subset.train[0] + unlabeled[0]]
             raise DataError(f"subset {i}: {len(unlabeled)} training messages lack a label "
                             f"(first: {first!r}); every training message needs one")
     graph_table = compute_graph_feature_table(follows) if config.keeps("graph") else None
-    return plan, index, graph_table
+    return plan, graph_table
 
 
 def featurize_subset(table: MessageTable, subset: SubsetSplit, config: ExperimentConfig,
@@ -609,7 +610,8 @@ def evaluate_experiment(records: list, follows: list, config: ExperimentConfig) 
     missing timestamp its index in `records` -> `aggregate_report`'s report."""
     config.check()
     table = message_table(records)
-    plan, index, graph_table = prepare_dataset(table, follows, config)
+    plan, graph_table = prepare_dataset(table, follows, config)
+    index = build_index(table, config.relations)
     subset_preds, diagnostics = [], []
     for i, subset in enumerate(plan):
         fm = featurize_subset(table, subset, config, graph_table)

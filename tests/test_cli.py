@@ -333,6 +333,28 @@ class TestStages:
         assert err.startswith("error: subset 0: ") and repr(first["id"]) in err
         assert not (out / "features").exists()
 
+    @pytest.mark.parametrize("damage", ["duplicate_id", "unlabeled_training_message"])
+    def test_featurize_checks_the_dataset_before_any_work(self, tmp_path, capsys, damage):
+        # the index is written by a pool job beside the subsets: a dataset the checks
+        # reject leaves neither it nor any subset's file
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
+        path = out / "data" / "messages.jsonl"
+        records = sorted(read_records(path), key=lambda r: (r["timestamp"], r["id"]))
+        if damage == "duplicate_id":
+            records[-1]["id"] = records[0]["id"]
+            says = f"error: dataset failed validation: duplicate message id: {records[0]['id']}"
+        else:
+            records[0]["label"] = None
+            says = (f"error: subset 0: 1 training messages lack a label "
+                    f"(first: {records[0]['id']!r})")
+        write_messages(path, records)
+        assert main(["featurize", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(says)
+        assert not (out / "features" / "index.npz").exists()
+        assert list(out.glob("features/subset_*")) == []
+
     @pytest.mark.parametrize("extra", [{"fractions": [0, 0.5, 0.5]}, {"n_subsets": 1000},
                                        {"n_subsets": 600, "models": ["independent", "sgl1"]}])
     def test_featurize_rejects_an_empty_training_slice(self, tmp_path, capsys, extra):

@@ -1,19 +1,24 @@
+import gc
 import hashlib
 import json
 import math
+import multiprocessing
 import random
 import re
 import string
+import time
 import unicodedata
 import zipfile
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 from urllib.parse import urlsplit
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from relspam import data_model
 from relspam.data_model import (
     ConfigError,
     DataError,
@@ -26,6 +31,7 @@ from relspam.data_model import (
     build_groups,
     build_index,
     chronological_split,
+    gc_paused,
     message_table,
     normalize_link,
     normalize_text,
@@ -121,10 +127,10 @@ class TestValidation:
         messages = [msg("a", ts=0, label=1), msg("b", ts=1, label=0), msg("c", ts=2),
                     msg("d", ts=3)]
         table = as_table(messages)
-        plan, index, _ = prepare_dataset(table, [], ONE_SUBSET)
-        assert table.ids == index.ids == ["a", "b", "c", "d"]
+        plan, _ = prepare_dataset(table, [], ONE_SUBSET)
+        assert table.ids == ["a", "b", "c", "d"]
         assert plan[0].train == (0, 2)
-        assert index.labels.tolist() == [1, 0, -1, -1]
+        assert table.labels.tolist() == [1, 0, -1, -1]
 
     @pytest.mark.parametrize("bad", ["a\tb", "a\rb", "a\nb"])
     def test_id_with_tab_or_line_break_flagged(self, bad):
@@ -135,7 +141,9 @@ class TestValidation:
     def test_an_id_of_the_hub_form_is_accepted(self, suffix):
         # hubs are numbered after the messages, so no message id can name one
         messages = [msg("ok", ts=0, label=0), msg("hub:user:" + suffix, ts=1)]
-        _, index, _ = prepare_dataset(as_table(messages), [], ONE_SUBSET)
+        table = as_table(messages)
+        prepare_dataset(table, [], ONE_SUBSET)
+        index = build_index(table, ONE_SUBSET.relations)
         assert index.ids == ["ok", "hub:user:" + suffix]
         assert index.table.members.tolist() == [0, 1]
 
@@ -713,6 +721,17 @@ def reference_columns(messages) -> dict:
             "retweets": [m.is_retweet for m in ordered]}
 
 
+def in_ranges(n: int):
+    """While it is entered, `read_message_table` reads a file in n byte ranges, by a pool of
+    n workers when n > 1, as on n usable CPUs."""
+    return mock.patch.object(data_model, "_workers", lambda: n)
+
+
+def columns_of(table) -> dict:
+    return {f.name: (getattr(table, f.name).tolist() if f.name in ("labels", "retweets")
+                     else getattr(table, f.name)) for f in fields(table)}
+
+
 def assert_columns(table, messages):
     expected = reference_columns(messages)
     assert [f.name for f in fields(table)] == list(expected)
@@ -750,15 +769,21 @@ class TestMessageTable:
                                        (("win",), ("http://x.co/a",), ("bob",))]
         assert table.labels.tolist() == [-1, -1, -1, 1, 0]
 
-    def test_equal_strings_share_one_object(self):
-        # each message holds strings of its own, as the JSON decoder gives them
+    def test_equal_strings_share_one_object(self, tmp_path):
+        # each message holds strings of its own, as the JSON decoder gives them; read in
+        # two ranges, each range's strings come from a worker of its own
         messages = [msg(mid, user="".join(["u", "1"]), text=" ".join(["hi", "there"]))
                     for mid in "ab"]
         assert messages[0]["user_id"] is not messages[1]["user_id"]
-        table = message_table(messages)
-        assert table.user_ids[0] is table.user_ids[1]
-        assert table.texts[0] is table.texts[1] is table.normalized[0]
-        assert table.entities[0] is table.entities[1]
+        path = tmp_path / "m.jsonl"
+        write_messages(path, messages)
+        assert [r[2] for r in data_model._line_ranges(path, 2)[1]] == [0, 1]
+        with in_ranges(2):
+            tables = [message_table(messages), read_message_table(path)[0]]
+        for table in tables:
+            assert table.user_ids[0] is table.user_ids[1]
+            assert table.texts[0] is table.texts[1] is table.normalized[0]
+            assert table.entities[0] is table.entities[1]
 
     def test_rows_are_a_range_of_every_column(self):
         messages = [msg(f"m{i}", user=f"u{i % 2}", text=f"#t{i % 3}", ts=i, label=i % 2)
@@ -774,3 +799,80 @@ class TestMessageTable:
         table, sha256 = read_message_table(path)
         assert_columns(table, rows_of(messages))
         assert sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(MESSAGES, st.booleans(), st.sampled_from([b"\n", b"\r\n"]),
+                              st.integers(0, 2)), max_size=6),
+           st.booleans(), st.integers(0, 5), st.integers(2, 4))
+    def test_ranged_read_equals_the_one_range_read(self, tmp_path_factory, lines, long_line,
+                                                   at, n):
+        # each drawn message, without its timestamp when drawn so, ends in LF or CRLF and
+        # is followed by 0 to 2 blank lines; the last line may lack its end, and one may
+        # hold a text longer than any range; no message at all is the empty file
+        records = [{k: v for k, v in m.items() if k != "timestamp" or keep}
+                   for m, keep, _, _ in lines]
+        if long_line and records:
+            records[at % len(records)]["text"] = "spam " * 400
+        data = b"".join(json.dumps(r, ensure_ascii=False).encode() + end + end * blanks
+                        for r, (_, _, end, blanks) in zip(records, lines))
+        if data and at % 2:
+            data = data.rstrip(b"\r\n")
+        path = tmp_path_factory.mktemp("ranges") / "m.jsonl"
+        path.write_bytes(data)
+        with in_ranges(1):
+            table, sha256 = read_message_table(path)
+        with in_ranges(n):
+            ranged, ranged_sha256 = read_message_table(path)
+        assert ranged_sha256 == sha256 == hashlib.sha256(data).hexdigest()
+        assert columns_of(ranged) == columns_of(table)
+        # a missing timestamp is the index of the message's line in the whole file
+        assert_columns(ranged, read_messages(path))
+
+    def test_the_first_bad_line_is_named_and_no_worker_is_left(self, tmp_path, monkeypatch):
+        good = json.dumps({"id": "a", "user_id": "u"}).encode() + b"\n"
+        lines = [good.replace(b'"a"', f'"m{i}"'.encode()) for i in range(40)]
+        path = tmp_path / "m.jsonl"
+        path.write_bytes(b"".join(lines))
+        read = data_model._read_range
+
+        def slow_first_range(path, start, *rest):  # range 1's error comes back first from a pool
+            if start == 0:
+                time.sleep(0.3)
+            return read(path, start, *rest)
+        monkeypatch.setattr(data_model, "_read_range", slow_first_range)
+        with in_ranges(2):
+            assert len(read_message_table(path)[0]) == 40
+            assert multiprocessing.active_children() == []
+            lines[4], lines[35] = b'{"id": "x", \n', b'{"user_id": "u"}\n'
+            path.write_bytes(b"".join(lines))
+            with pytest.raises(DataError, match=r"m.jsonl, line 5: Expecting"):
+                read_message_table(path)
+            assert multiprocessing.active_children() == []
+            lines[4] = good
+            path.write_bytes(b"".join(lines))
+            with pytest.raises(DataError, match=r"m.jsonl, line 36: the record has no 'id'"):
+                read_message_table(path)
+
+    def test_the_callers_gc_state_is_kept(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        write_messages(path, [msg("a"), msg("b")])
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"id": "a"}\n')
+        assert gc.isenabled()
+        try:
+            for enabled in (True, False):
+                (gc.enable if enabled else gc.disable)()
+                for n in (1, 2):
+                    with in_ranges(n):
+                        read_message_table(path)
+                        assert gc.isenabled() is enabled
+                        with pytest.raises(DataError):
+                            read_message_table(bad)
+                        assert gc.isenabled() is enabled
+                with pytest.raises(ZeroDivisionError):
+                    with gc_paused():
+                        assert not gc.isenabled()
+                        1 / 0
+                assert gc.isenabled() is enabled
+        finally:
+            gc.enable()

@@ -423,7 +423,8 @@ class TestExperiment:
                 # in subset 0's test slice
                 messages[80]["id"] = f"hub:user:{messages[80]['user_id']}"
             table = message_table(messages)
-            plan, index, graph_table = prepare_dataset(table, [], config)
+            plan, graph_table = prepare_dataset(table, [], config)
+            index = build_index(table, config.relations)
             subset = plan[0]
             fm = featurize_subset(table, subset, config, graph_table)
             artifacts = train_subset_models(index, subset, fm, config)
