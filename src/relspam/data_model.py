@@ -299,8 +299,8 @@ class MessageTable:
     """A dataset as columns, row i the message at chronological position i,
     (timestamp, id) ascending. Each text is normalized and split (`_entities`)
     once, as the table is built, and equal strings, and equal tuples of a
-    message's keys, share one object, also across the ranges of a file read
-    in parallel."""
+    message's keys, share one object within a range of a file read in
+    parallel (`_columns`)."""
 
     ids: list
     user_ids: list
@@ -321,15 +321,7 @@ class MessageTable:
     @classmethod
     def _of_ranges(cls, parts: list) -> "MessageTable":
         """The table of the `_columns` of consecutive ranges of one sequence,
-        whose lists it takes over: joined in order, each string and key tuple
-        of a later range replaced by the equal one of an earlier range, and
-        sorted by (timestamp, id)."""
-        if len(parts) > 1:
-            one: dict = {}
-            for part in parts:
-                for j in (2, 3, 4, 5):  # user ids, target ids, texts, normalized texts
-                    part[j] = list(map(one.setdefault, part[j], part[j]))
-                part[6] = [_shared(e, one) for e in part[6]]
+        whose lists it takes over: joined in order and sorted by (timestamp, id)."""
         columns = parts[0]  # the timestamps, then the table's fields
         for part in parts[1:]:
             for column, more in zip(columns, part):
@@ -387,9 +379,10 @@ def relations_from_names(names: Iterable[str]) -> list:
 
 def _relation_keys(table: MessageTable, relations: Iterable[str]) -> dict:
     """Relation -> key -> the ascending positions of the messages with that
-    key, relations in name order."""
+    key, relations in name order; each a name of `RELATION_NAMES`, as the
+    config's check or `relations_from_names` leaves them."""
     buckets = {}
-    for name in sorted(set(relations_from_names(relations))):
+    for name in sorted(set(relations)):
         keys = buckets[name] = defaultdict(list)
         for key, i in _RELATION_KEYS[name](table):
             keys[key].append(i)
@@ -553,14 +546,9 @@ class SubsetSplit:
 def chronological_split(messages, n_subsets: int, fractions: tuple) -> list:
     """The split plan of the timestamp-sorted dataset `messages` (a sized
     sequence): a `SubsetSplit` per contiguous subset in temporal order, each
-    split into train / validation / test slices in temporal order."""
-    if n_subsets < 1:
-        raise ConfigError("n_subsets must be >= 1")
-    if len(fractions) != 3:
-        raise ConfigError("fractions must be (train, validation, test)")
-    f_train, f_val, f_test = fractions
-    if min(fractions) < 0 or abs(f_train + f_val + f_test - 1.0) > 1e-9:
-        raise ConfigError(f"fractions must be non-negative and sum to 1, got {fractions}")
+    split into train / validation / test slices in temporal order. `n_subsets`
+    and the (train, validation, test) `fractions` arrive checked by the config."""
+    f_train, f_val, _ = fractions
     n = len(messages)
     if n < n_subsets:
         raise DataError(f"dataset of {n} messages cannot be split into {n_subsets} subsets")

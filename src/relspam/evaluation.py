@@ -53,7 +53,7 @@ from .data_model import (
 from .features import FeatureMatrix, compute_graph_feature_table, feature_matrix
 from .hinge import HingeConfig, HingeWeights, infer_hinge_posteriors, learn_weights
 from .linear import ClassifierConfig, LinearModel, fit_classifier, recenter_scores
-from .mrf import build_factor_graph, edge_epsilons, infer_posteriors, loopy_bp_batch
+from .mrf import build_factor_graph, edge_epsilons, epsilon_of, infer_posteriors, loopy_bp_batch
 from .stacking import StackedModel, infer_stacked, train_stacked
 
 log = logging.getLogger(__name__)
@@ -232,7 +232,9 @@ class ExperimentConfig:
         return sorted({k for k, _ in map(parse_model_name, self.models) if k})
 
     def check(self) -> None:
-        """Raise a `ConfigError` naming the first setting of the wrong type or out of range."""
+        """Raise a `ConfigError` naming the first setting of the wrong type or
+        out of range: the one judge of a setting, which the layers beneath
+        take as checked (`read_models` runs it on the trained values too)."""
         def per_relation(ok):  # read after `relations` has passed
             return lambda v: (isinstance(v, dict) and set(v) <= set(self.relations)
                               and all(map(ok, v.values())))
@@ -277,7 +279,8 @@ def tune_epsilons(priors: np.ndarray, groups: GroupTable, labels: np.ndarray, re
     """One coordinate-descent pass over the per-relation epsilon grid,
     maximizing the AUPR of the joint posteriors over the labeled messages
     with a prior (`priors` over positions, NaN where none), from the
-    epsilons `start` (shared, or per relation with 0.1 for one left out).
+    epsilons `start` (shared, or per relation with 0.1 for one left out:
+    `mrf.epsilon_of`), which arrive checked by the config.
 
     The graph is built once, and the start is scored once. Each relation
     then runs its grid values other than its current epsilon as one batched
@@ -286,7 +289,7 @@ def tune_epsilons(priors: np.ndarray, groups: GroupTable, labels: np.ndarray, re
     grid value must beat the best score so far strictly to replace it. A
     candidate whose BP did not converge scores -inf, so it never does.
     """
-    eps = {r: start.get(r, 0.1) if isinstance(start, dict) else start for r in relations}
+    eps = {r: epsilon_of(start, r) for r in relations}
     scored = np.flatnonzero(~np.isnan(priors) & (labels >= 0))
     if not len(scored) or not relations:
         return eps
@@ -326,17 +329,15 @@ def tune_epsilons(priors: np.ndarray, groups: GroupTable, labels: np.ndarray, re
 
 def tune_l2(fm_train, labels, fm_val, val_labels, config: ClassifierConfig, grid: list) -> float:
     """Pick the regularization strength with the best validation AUPR; the
-    labels are those of the matrices' rows."""
+    labels are those of the matrices' rows, and the `grid` and `config`
+    arrive checked by the config. Validation labels of one class keep `config.l2`."""
     best_l2, best_score = config.l2, None
     labeled = val_labels >= 0
     if len(set(val_labels[labeled].tolist())) < 2:
         return config.l2
     for l2 in grid:
         model = fit_classifier(fm_train, labels, replace(config, l2=l2))
-        try:
-            s = aupr(model.predict_proba(fm_val)[labeled], val_labels[labeled])
-        except DataError:
-            continue
+        s = aupr(model.predict_proba(fm_val)[labeled], val_labels[labeled])
         if best_score is None or s > best_score:
             best_l2, best_score = l2, s
     return best_l2

@@ -273,11 +273,10 @@ def pagerank(A: CSR, tol: float = 1e-8, max_iter: int = 200):
     """Power iteration over the follow matrix `A` with uniform teleport and
     `PAGERANK_DAMPING`; dangling mass spread uniformly.
 
-    Returns (scores, converged): an array over A's nodes that sums to 1.
+    Returns (scores, converged): an array over A's nodes that sums to 1. The
+    graph has a node: `compute_graph_feature_table` calls it on no other.
     """
     n = A.shape[0]
-    if n == 0:
-        raise DataError("pagerank requires a non-empty graph")
     out_deg = np.diff(A.indptr).astype(float)
     _, followed = A.products()  # Aᵀ @ x sums, for each user, x over its followers
     inv_out = np.where(out_deg > 0, 1.0 / np.maximum(out_deg, 1.0), 0.0)

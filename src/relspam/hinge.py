@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_model import ConfigError, GroupTable
+from .data_model import GroupTable
 from .linear import conjugate_gradients
 
 log = logging.getLogger(__name__)
@@ -35,7 +35,8 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class HingeWeights:
-    """Rule-template weights: all must be non-negative."""
+    """Rule-template weights, each non-negative: the config's check and
+    `read_models` judge them, and `learn_weights` projects onto them."""
 
     neg: float = 1.0
     prior: float = 1.0
@@ -131,15 +132,14 @@ def ground_rules(priors: np.ndarray, groups: GroupTable, weights: HingeWeights,
     `priors` and `observed` are float arrays over positions, NaN where a
     message has none. Observed messages are fixed constants rather than
     variables: they contribute evidence through the relational hinges but
-    get no prior hinges of their own.
+    get no prior hinges of their own. The `weights` arrive non-negative, as
+    the config's check, or `learn_weights`' projection, leaves them.
 
     Variables are the free messages (in position order), then one hub per
     group. Rows are a neg and a prior hinge per free message, then a c and a
     d hinge per (group, member) pair, in group and member order.
     """
     per_template = weights.vector(groups.relations)
-    if (per_template < 0).any():
-        raise ConfigError("hinge template weights must be >= 0")
     if observed is None:
         observed = np.full(len(priors), np.nan)
     is_observed = ~np.isnan(observed)

@@ -148,14 +148,12 @@ def train(X: CSR, y: np.ndarray, config: ClassifierConfig,
     of X, those at the indices `standardize` standardized, to gradient
     inf-norm <= `config.tol` in at most `config.max_iter` Newton iterations,
     and return the minimizer as raw-space weights and bias. The bias is not
-    regularized.
+    regularized. The settings arrive checked by the config.
 
     Single-class targets yield a constant-probability model (with a warning)
     rather than an error.
     """
     l2, tol = config.l2, config.tol
-    if l2 < 0:
-        raise DataError("l2 must be >= 0")
     y = np.asarray(y, dtype=float).ravel()
     if X.shape[0] != len(y):
         raise DataError("row count of X and y disagree")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import ConfigError, GroupTable, is_number
+from .data_model import GroupTable
 
 log = logging.getLogger(__name__)
 
@@ -51,21 +51,17 @@ class FactorGraph:
     epsilon: np.ndarray  # (n_factors,)
 
 
+def epsilon_of(epsilons, relation: str) -> float:
+    """A relation's epsilon in `epsilons`, one shared value or a per-relation
+    dict (0.1 for a relation the dict leaves out)."""
+    return epsilons.get(relation, 0.1) if isinstance(epsilons, dict) else epsilons
+
+
 def edge_epsilons(groups: GroupTable, epsilons) -> np.ndarray:
-    """Per-edge epsilons of `groups` from one shared value or a per-relation
-    dict (0.1 for a relation the dict leaves out), checked for every relation
-    of `groups`."""
-    if is_number(epsilons):
-        per_relation = [float(epsilons)] * len(groups.relations)
-    elif isinstance(epsilons, dict):
-        per_relation = [epsilons.get(r, 0.1) for r in groups.relations]
-    else:
-        raise ConfigError(f"epsilons must be a number or an object mapping relations to "
-                          f"numbers, got {epsilons!r}")
-    for r, eps in zip(groups.relations, per_relation):
-        if not (is_number(eps) and 0.0 < eps < 0.5):
-            raise ConfigError(f"epsilon for relation {r!r} must lie in (0, 0.5), got {eps!r}")
-    return np.array(per_relation, dtype=float)[groups.relation]
+    """Per-edge epsilons of `groups` from `epsilons` (`epsilon_of`), each in
+    (0, 0.5) as the config's check leaves them."""
+    return np.array([epsilon_of(epsilons, r) for r in groups.relations],
+                    dtype=float)[groups.relation]
 
 
 def build_factor_graph(priors: np.ndarray, groups: GroupTable, epsilons) -> FactorGraph:

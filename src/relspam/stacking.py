@@ -94,19 +94,13 @@ def train_stacked(rows, fm: FeatureMatrix, labels: np.ndarray, groups: GroupTabl
     features computed from f^{k-1}'s predictions on that same slice, plus the
     gold labels of the earlier (past) slices. The scores entering the pools
     are recentered so the training prevalence maps to the 0.5 neutral point.
+    K >= 1 arrives from the roster's sglK, and `evaluation.prepare_dataset`
+    has found at least the K + 1 rows it needs, each labeled.
     """
-    if K < 0:
-        raise ConfigError("K must be >= 0")
     rows = np.asarray(rows, dtype=np.int64)
-    if K + 1 > len(rows):
-        raise DataError(f"cannot build {K + 1} stack slices from {len(rows)} messages")
     if fm.shape[0] != len(rows):
         raise DataError(f"{fm.shape[0]} feature rows for {len(rows)} training messages")
     y = labels[rows]
-    unlabeled = rows[y < 0]
-    if len(unlabeled):
-        raise DataError(f"{len(unlabeled)} training messages lack labels "
-                        f"(first: position {unlabeled[0]})")
 
     bounds = [(i * len(rows) // (K + 1), (i + 1) * len(rows) // (K + 1)) for i in range(K + 1)]
     submodels = [fit_classifier(fm.rows(*bounds[0]), y[slice(*bounds[0])], config)]

@@ -66,9 +66,8 @@ def _campaign_sizes(rng: random.Random, n_spam: int, n_campaigns: int, jitter: f
 def generate(config: GeneratorConfig, seed: int):
     """-> (message records sorted by timestamp, each a dict of every field
     `MESSAGE_FIELDS` names, follows), drawn from the stream that `seed` starts.
-    Labels ride on the messages."""
-    config.check()
-    check_setting(is_int(seed), "seed", "an integer", seed)
+    Labels ride on the messages. The config (`GeneratorConfig.check`) and the
+    integer seed arrive checked by the run's config."""
     rng = random.Random(seed)
     n_spam = round(config.n_messages * config.spam_prevalence)
     n_ham = config.n_messages - n_spam

@@ -811,6 +811,13 @@ class TestConfigValidation:
         for fn in (loopy_bp_batch, loopy_bp, infer_posteriors, pagerank):
             assert "damping" not in inspect.signature(fn).parameters, fn
         assert "seed" not in {f.name for f in fields(GeneratorConfig)}
+        # the config's check judges each setting: the solver layers neither import nor raise
+        # a ConfigError, and stacking raises one only for relations that models.json names
+        for name in ("mrf", "hinge", "linear", "features"):
+            assert "ConfigError" not in inspect.getsource(importlib.import_module(f"relspam.{name}"))
+        stacking = importlib.import_module("relspam.stacking")
+        assert [name for name, fn in inspect.getmembers(stacking, inspect.isfunction)
+                if "raise ConfigError" in inspect.getsource(fn)] == ["infer_stacked"]
 
     @pytest.mark.parametrize("extra, key", [
         ({"epsilons": None}, "epsilons"),
@@ -833,6 +840,14 @@ class TestConfigValidation:
         ({"models": ["independent", "independent", "mrf"]}, "models"),
         ({"relations": ["user", "user", "text"]}, "relations"),
         ({"models": ["independent", {"sgl": 1}]}, "models"),
+        # values only the config's check judges: the layers beneath take them as checked
+        ({"classifier": {"l2": -1}}, "classifier.l2"),
+        ({"n_subsets": 0}, "n_subsets"),
+        ({"epsilons": 0.5}, "epsilons"),
+        ({"epsilons": {"user": 0}}, "epsilons"),
+        ({"hinge": {"weights": {"neg": -1}}}, "hinge.weights.neg"),
+        ({"hinge": {"weights": {"relation_c": {"user": -1}}}}, "hinge.weights.relation_c"),
+        ({"seed": 1.5}, "seed"),
     ])
     def test_bad_value_is_named_before_any_work(self, tmp_path, capsys, extra, key):
         cfg = write_config(tmp_path, extra)

@@ -365,9 +365,10 @@ class TestPagerank:
             scores, _ = pagerank_of(edges)
             assert sum(scores.values()) == pytest.approx(1.0, abs=1e-6)
 
-    def test_empty_graph_rejected(self):
-        with pytest.raises(DataError):
-            pagerank(follower_graph([])[1])
+    def test_empty_graph_has_no_rows(self):
+        # pagerank never sees a graph without a node: the table returns first
+        assert compute_graph_feature_table([]) == {}
+        assert compute_graph_feature_table([("a", "a"), ("b", "b")]) == {}
 
 
 def undirected_adjacency(edges):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relspam.data_model import ConfigError, DataError, build_index, message_table
+from relspam.data_model import DataError, build_index, message_table
 from relspam.hinge import (
     GroundHingeModel,
     HingeConfig,
@@ -90,10 +90,6 @@ class TestGrounding:
         model = make_model([hinge([(0, 1.0), (1, -1.0)], 0.0, 1.0)], 2)  # l = spamRel - spam_e
         x = np.array([0.2, 0.7])
         assert model.potential_values(x)[0] == 0.0
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ConfigError):
-            ground_rules(np.full(2, 0.5), one_group(2), HingeWeights(neg=-1.0))
 
     def test_missing_prior_rejected(self):
         with pytest.raises(DataError, match="position 1"):

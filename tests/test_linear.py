@@ -102,10 +102,6 @@ class TestTrain:
         # the loss a fit that also takes loss-preserving steps stands at after 300 iterations
         assert model.loss_trace[-1] == pytest.approx(0.5417822234808224, rel=1e-15, abs=0)
 
-    def test_negative_l2_rejected(self):
-        with pytest.raises(DataError):
-            train(csr_of(np.ones((2, 1))), np.array([0.0, 1.0]), ClassifierConfig(l2=-1))
-
 
 class TestPredict:
     def test_zero_model_gives_half(self):

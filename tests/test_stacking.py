@@ -198,20 +198,6 @@ class TestTrainStacked:
         sizes = [(i + 1) * n // 3 - i * n // 3 for i in range(3)]
         assert all(abs(s - third) <= 1 for s in sizes)
 
-    def test_too_many_stacks_rejected(self):
-        fm, index = planted_dataset(n_users=2, msgs_per_user=1)
-        with pytest.raises(DataError):
-            train_stacked(everything(index), fm, index.labels, index.table, K=5, relations=["user"],
-                          config=ClassifierConfig())
-
-    def test_unlabeled_training_row_named(self):
-        fm, index = planted_dataset(n_users=4, msgs_per_user=3)
-        labels = index.labels.copy()
-        labels[7] = -1
-        with pytest.raises(DataError, match="position 7"):
-            train_stacked(everything(index), fm, labels, index.table, K=1, relations=["user"],
-                          config=ClassifierConfig())
-
     def test_serialization_round_trip(self):
         fm, index = planted_dataset(seed=2)
         stacked = train_stacked(everything(index), fm, index.labels, index.table, K=1,

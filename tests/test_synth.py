@@ -74,18 +74,19 @@ class TestGenerate:
         n_ham = len({a for a, _ in follows if not a.startswith("spammer")})
         assert spam_out / max(n_spammers, 1) < ham_out / max(n_ham, 1)
 
+    # the run's config judges the generator's settings and its seed before `generate` runs
     def test_infeasible_campaign_count_rejected(self):
-        with pytest.raises(ConfigError):
-            generate(GeneratorConfig(n_messages=100, spam_prevalence=0.01, n_campaigns=5), 0)
+        with pytest.raises(ConfigError, match="'generator.n_campaigns'"):
+            GeneratorConfig(n_messages=100, spam_prevalence=0.01, n_campaigns=5).check()
 
     @pytest.mark.parametrize("seed", [1.5, "7", True])
     def test_seed_that_is_not_an_integer_rejected(self, seed):
         with pytest.raises(ConfigError, match="'seed'"):
-            generate(GeneratorConfig(), seed)
+            load_config(None, {"seed": seed})
 
     def test_bad_probability_rejected(self):
-        with pytest.raises(ConfigError):
-            generate(GeneratorConfig(text_reuse_prob=1.5), 0)
+        with pytest.raises(ConfigError, match="'generator.text_reuse_prob'"):
+            GeneratorConfig(text_reuse_prob=1.5).check()
 
 
 def test_generate_stage_writes_the_pinned_bytes(tmp_path):
